@@ -59,12 +59,12 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     return float(np.linalg.norm(a - dagger(a))) <= scaled_tol(a, tol)
 
 
-def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
+def min_eigenvalue(a) -> float:
     """Smallest eigenvalue of the Hermitian part of `a`."""
     return float(np.linalg.eigvalsh(hermitian_part(as_operator(a)))[0])
 
 
-def max_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
+def max_eigenvalue(a) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(as_operator(a)))[-1])
 
 
@@ -85,20 +85,13 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
 
 def is_projection(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_operator(a)
-    if not is_hermitian(a, tol) or not is_psd(a, tol):
+    if not is_psd(a, tol):
         return False
     return float(np.linalg.norm(a @ a - a)) <= scaled_tol(a, tol)
 
 
 def kron(a, b) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
-
-
-def kron_all(ops) -> np.ndarray:
-    out = as_operator(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, as_operator(op))
-    return out
 
 
 @dataclass(frozen=True)

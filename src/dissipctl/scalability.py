@@ -4,12 +4,16 @@ A composite witness W = sum_t W_t (every W_t PSD) is certified from per-term
 conditions plus a cross-channel scalability condition: channels not assigned
 to a term must not push its generator positive.  Incremental variants certify
 W_(n+1) = W_n + W_next given a certificate for the first n terms, with the
-ground-energy ladder d_n entering the inequalities.
+ground-energy ladder d_n entering the inequalities; the d-free corollary
+drops those d-dependent shifts.  All checks sum the single-channel kernels of
+`lindblad` and the one cross term [L', W_n][W_next, L] over channel lists, in
+list order, and take constants from `stability.largest_constant`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .linalg import (
     min_eigenvalue,
     scaled_tol,
 )
-from .stability import _largest_constant, _smallest_positive_eig
+from .stability import largest_constant
 
 
 @dataclass
@@ -93,11 +97,12 @@ class AggregateSpec:
             raise PreconditionError("assignment must name channels for every term")
         return groups
 
-    def to_model(self) -> LindbladModel:
+    def to_model(self, new_couplings=()) -> LindbladModel:
+        """The model with every channel, plus `new_couplings` appended."""
         h = self.hamiltonian
         if h is None:
             h = np.zeros((self.structure.total_dim,) * 2, dtype=complex)
-        return LindbladModel(self.structure, h, list(self.couplings))
+        return LindbladModel(self.structure, h, list(self.couplings) + list(new_couplings))
 
     def total(self) -> np.ndarray:
         acc = np.zeros((self.structure.total_dim,) * 2, dtype=complex)
@@ -129,6 +134,34 @@ def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
             raise PreconditionError(f"term {i} is not PSD")
 
 
+def _channel_sum(kernel, x: np.ndarray, couplings, start: np.ndarray | None = None) -> np.ndarray:
+    """start (default 0) plus kernel(x, L) summed over couplings in list order."""
+    acc = np.zeros_like(x) if start is None else start
+    for l in couplings:
+        acc = acc + kernel(x, l)
+    return acc
+
+
+def _cross_single_channel(w_n: np.ndarray, w_next: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """2 Re([L', W_n][W_next, L]) with Re(M) = (M + M')/2."""
+    ld = dagger(l)
+    m = (ld @ w_n - w_n @ ld) @ (w_next @ l - l @ w_next)
+    return m + dagger(m)
+
+
+def _nonpositive(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[bool, float]:
+    """(a <= 0 within scaled_tol(scale), margin = -(largest eigenvalue of a))."""
+    margin = -max_eigenvalue(a)
+    return margin >= -scaled_tol(scale, tol), margin
+
+
+def _cross_channel_margin(spec: AggregateSpec, w: np.ndarray, ks, tol: float) -> tuple[bool, float]:
+    """Scalability margin of a term against every channel outside `ks`."""
+    others = [l for k, l in enumerate(spec.couplings) if k not in ks]
+    acc = _channel_sum(generator_single_channel, w, others)
+    return _nonpositive(acc, acc, tol)
+
+
 def check_scalability_condition(spec: AggregateSpec, term_index: int, channel_index: int,
                                 tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Cross-channel condition: sum over channels other than `channel_index`
@@ -141,33 +174,48 @@ def check_scalability_condition(spec: AggregateSpec, term_index: int, channel_in
         raise PreconditionError(f"term index {term_index} out of range")
     if not 0 <= channel_index < spec.n_channels:
         raise PreconditionError(f"channel index {channel_index} out of range")
-    w = spec.terms[term_index]
-    acc = np.zeros_like(w)
-    for k, l in enumerate(spec.couplings):
-        if k != channel_index:
-            acc = acc + generator_single_channel(w, l)
-    margin = -max_eigenvalue(acc)
-    return margin >= -scaled_tol(acc, tol), float(margin)
+    return _cross_channel_margin(spec, spec.terms[term_index], [channel_index], tol)
 
 
-def _best_group_constant(w: np.ndarray, gen_group: np.ndarray, tol: float) -> float | None:
-    lam_plus = _smallest_positive_eig(w, tol)
-    g_norm = float(np.linalg.norm(gen_group, 2))
-    if lam_plus is None or g_norm == 0.0:
-        return None
-    c_max = 2.0 * g_norm / lam_plus
-    return _largest_constant(lambda c: is_psd(-gen_group - c * w, tol), c_max)
+def _es_term(w: np.ndarray, own: list, tol: float) -> dict:
+    """Largest c with G_own(W_t) <= -c W_t."""
+    if not own:
+        return {"c": None}
+    gen = _channel_sum(generator_single_channel, w, own)
+    return {"c": largest_constant(-gen, w, tol, norm=float(np.linalg.norm(gen, 2)))}
 
 
-def _cross_channel_margin(spec: AggregateSpec, w: np.ndarray, ks,
-                          tol: float) -> tuple[bool, float]:
-    """Scalability margin for a term against all channels outside its group."""
-    acc = np.zeros_like(w)
-    for k, l in enumerate(spec.couplings):
-        if k not in ks:
-            acc = acc + generator_single_channel(w, l)
-    margin = -max_eigenvalue(acc)
-    return margin >= -scaled_tol(acc, tol), float(margin)
+def _ds_term(w: np.ndarray, own: list, tol: float) -> dict:
+    """G_own(W_t) <= 0, and the largest c with D_own(W_t) >= c W_t."""
+    gen_ok = is_psd(-_channel_sum(generator_single_channel, w, own), tol)
+    c = None
+    if gen_ok and own:
+        c = largest_constant(_channel_sum(dissipation_single_channel, w, own), w, tol)
+    return {"c": c, "generator_nonpositive": gen_ok}
+
+
+def _aggregate(spec: AggregateSpec, mode: str, term_constant, note: str,
+               tol: float) -> AggregateReport:
+    """Per-term constants from `term_constant` (given the term and its own
+    channels) plus the scalability condition of every term."""
+    _require_terms_psd(spec, tol)
+    if not spec.terms:
+        return AggregateReport(mode=mode, per_term=[], overall=True, d_total=0.0,
+                               notes=["no terms: vacuously stable"])
+    groups = spec.channel_groups()
+    names = spec.names()
+    per_term = []
+    for t, (w, ks) in enumerate(zip(spec.terms, groups)):
+        entry = {"term": names[t], "channels": ks,
+                 **term_constant(w, [spec.couplings[k] for k in ks], tol)}
+        scal_ok, margin = _cross_channel_margin(spec, w, ks, tol)
+        entry.update(scalability=scal_ok, scalability_margin=margin,
+                     certified=entry["c"] is not None and scal_ok)
+        per_term.append(entry)
+    overall = all(entry["certified"] for entry in per_term)
+    return AggregateReport(mode=mode, per_term=per_term, overall=overall,
+                           d_total=min_eigenvalue(spec.total()),
+                           notes=[note] if overall else [])
 
 
 def check_theorem_es_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:
@@ -178,114 +226,67 @@ def check_theorem_es_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) 
     When all terms pass, the sum is certified asymptotically ground-state
     stable and is itself a valid stability witness.
     """
-    _require_terms_psd(spec, tol)
-    if not spec.terms:
-        return AggregateReport(mode="es", per_term=[], overall=True, d_total=0.0,
-                               notes=["no terms: vacuously stable"])
-    groups = spec.channel_groups()
-    names = spec.names()
-    per_term = []
-    overall = True
-    for lam, (w, ks) in enumerate(zip(spec.terms, groups)):
-        gen_group = np.zeros_like(w)
-        for k in ks:
-            gen_group = gen_group + generator_single_channel(w, spec.couplings[k])
-        c = _best_group_constant(w, gen_group, tol) if ks else None
-        scal_ok, margin = _cross_channel_margin(spec, w, ks, tol)
-        ok = c is not None and scal_ok
-        overall = overall and ok
-        per_term.append({
-            "term": names[lam], "channels": ks, "c": c,
-            "scalability": scal_ok, "scalability_margin": margin, "certified": ok,
-        })
-    d_total = min_eigenvalue(spec.total())
-    notes = []
-    if overall:
-        notes.append("aggregate certified: the sum is a valid stability witness")
-    return AggregateReport(mode="es", per_term=per_term, overall=overall,
-                           d_total=d_total, notes=notes)
+    return _aggregate(spec, "es", _es_term,
+                      "aggregate certified: the sum is a valid stability witness", tol)
 
 
 def check_theorem_ds_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:
     """Per-term dissipative certificates plus the scalability condition."""
+    return _aggregate(spec, "ds", _ds_term, "aggregate satisfies the dissipative condition", tol)
+
+
+def _incremental(spec: AggregateSpec, n: int, new_couplings, c: float, mode: str,
+                 ladder: bool, tol: float) -> tuple[bool, dict]:
+    """Incremental step W_n -> W_n + W_next after verifying the prior certificate
+    of W_n; without `ladder` the shifts by c (d_(n+1) - d_n) are dropped."""
+    if mode not in ("es", "ds"):
+        raise PreconditionError(f"mode must be 'es' or 'ds', got {mode!r}")
     _require_terms_psd(spec, tol)
-    if not spec.terms:
-        return AggregateReport(mode="ds", per_term=[], overall=True, d_total=0.0,
-                               notes=["no terms: vacuously stable"])
-    groups = spec.channel_groups()
-    names = spec.names()
-    per_term = []
-    overall = True
-    for lam, (w, ks) in enumerate(zip(spec.terms, groups)):
-        gen_group = np.zeros_like(w)
-        diss_group = np.zeros_like(w)
-        for k in ks:
-            gen_group = gen_group + generator_single_channel(w, spec.couplings[k])
-            diss_group = diss_group + dissipation_single_channel(w, spec.couplings[k])
-        gen_ok = is_psd(-gen_group, tol)
-        c = None
-        if gen_ok and ks:
-            lam_plus = _smallest_positive_eig(w, tol)
-            d_norm = float(np.linalg.norm(diss_group, 2))
-            if lam_plus is not None and d_norm > 0.0:
-                c = _largest_constant(lambda cc: is_psd(diss_group - cc * w, tol),
-                                      2.0 * d_norm / lam_plus)
-        scal_ok, margin = _cross_channel_margin(spec, w, ks, tol)
-        ok = gen_ok and c is not None and scal_ok
-        overall = overall and ok
-        per_term.append({
-            "term": names[lam], "channels": ks, "c": c, "generator_nonpositive": gen_ok,
-            "scalability": scal_ok, "scalability_margin": margin, "certified": ok,
-        })
-    d_total = min_eigenvalue(spec.total())
-    notes = []
-    if overall:
-        notes.append("aggregate satisfies the dissipative condition")
-    return AggregateReport(mode="ds", per_term=per_term, overall=overall,
-                           d_total=d_total, notes=notes)
-
-
-def _partial_sums(spec: AggregateSpec, n: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     if not 1 <= n < spec.n_terms:
         raise PreconditionError(f"n must satisfy 1 <= n < {spec.n_terms}, got {n}")
     w_n = sum(spec.terms[:n])
     w_next = spec.terms[n]
     d_n = min_eigenvalue(w_n)
     d_next = min_eigenvalue(w_n + w_next)
-    return w_n, w_next, d_n, d_next
+    eye = np.eye(w_n.shape[0])
 
-
-def _extended_model(spec: AggregateSpec, new_couplings) -> LindbladModel:
-    h = spec.hamiltonian
-    if h is None:
-        h = np.zeros((spec.structure.total_dim,) * 2, dtype=complex)
-    return LindbladModel(spec.structure, h,
-                         list(spec.couplings) + [as_operator(l) for l in new_couplings])
-
-
-def _verify_prior_es(spec: AggregateSpec, w_n: np.ndarray, d_n: float, c: float,
-                     tol: float) -> None:
     prior = spec.to_model()
     g = generator(w_n, prior)
-    shifted = w_n - d_n * np.eye(w_n.shape[0])
-    if max_eigenvalue(g + c * shifted) > scaled_tol(g, max(tol, 1e-8)):
+    shifted = w_n - d_n * eye
+    prior_tol = max(tol, 1e-8)
+    if mode == "es" and not _nonpositive(g + c * shifted, g, prior_tol)[0]:
         raise PreconditionError(
             f"prior certificate missing: existing channels do not give the decay bound at c={c}"
         )
+    if mode == "ds":
+        if not is_psd(-g, prior_tol):
+            raise PreconditionError("prior certificate missing: generator not non-positive")
+        d_op = dissipation_functional(w_n, prior)
+        if min_eigenvalue(d_op - c * shifted) < -scaled_tol(d_op, prior_tol):
+            raise PreconditionError(
+                f"prior certificate missing: dissipation bound fails at c={c}"
+            )
 
-
-def _verify_prior_ds(spec: AggregateSpec, w_n: np.ndarray, d_n: float, c: float,
-                     tol: float) -> None:
-    prior = spec.to_model()
-    g = generator(w_n, prior)
-    if not is_psd(-g, max(tol, 1e-8)):
-        raise PreconditionError("prior certificate missing: generator not non-positive")
-    d_op = dissipation_functional(w_n, prior)
-    shifted = w_n - d_n * np.eye(w_n.shape[0])
-    if min_eigenvalue(d_op - c * shifted) < -scaled_tol(d_op, max(tol, 1e-8)):
-        raise PreconditionError(
-            f"prior certificate missing: dissipation bound fails at c={c}"
-        )
+    full = spec.to_model(new_couplings)
+    gen = _channel_sum(generator_single_channel, w_n, new_couplings, generator(w_next, full))
+    shift = c * (d_next - d_n) * eye
+    if mode == "es":
+        bound = gen - (-c * w_next + shift) if ladder else gen + c * w_next
+        holds, margin = _nonpositive(bound, gen, tol)
+        info = {"margin": margin}
+    else:
+        gen_ok, gen_margin = _nonpositive(gen, gen, tol)
+        cross = _channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
+        diss = dissipation_functional(w_next, full) + cross
+        diss_margin = min_eigenvalue(diss - (c * w_next - shift) if ladder else diss - c * w_next)
+        holds = gen_ok and diss_margin >= -scaled_tol(diss, tol)
+        info = {"generator_margin": gen_margin,
+                "dissipation_margin" if ladder else "margin": diss_margin,
+                "cross_norm": float(np.linalg.norm(cross, 2))}
+    info.update(d_n=d_n, d_next=d_next)
+    if ladder:
+        info["d_ladder_ok"] = d_next >= d_n - scaled_tol(w_n, tol)
+    return holds, info
 
 
 def check_incremental_es(spec: AggregateSpec, n: int, new_couplings, c: float,
@@ -296,19 +297,7 @@ def check_incremental_es(spec: AggregateSpec, n: int, new_couplings, c: float,
     then checks
         G(W_next) + sum_new G(W_n)_L  <=  -c W_next + c (d_(n+1) - d_n).
     """
-    _require_terms_psd(spec, tol)
-    w_n, w_next, d_n, d_next = _partial_sums(spec, n)
-    _verify_prior_es(spec, w_n, d_n, c, tol)
-    full = _extended_model(spec, new_couplings)
-    lhs = generator(w_next, full)
-    for l in new_couplings:
-        lhs = lhs + generator_single_channel(w_n, as_operator(l))
-    rhs = -c * w_next + c * (d_next - d_n) * np.eye(w_next.shape[0])
-    margin = -max_eigenvalue(lhs - rhs)
-    holds = margin >= -scaled_tol(lhs, tol)
-    info = {"margin": float(margin), "d_n": d_n, "d_next": d_next,
-            "d_ladder_ok": d_next >= d_n - scaled_tol(w_n, tol)}
-    return holds, info
+    return _incremental(spec, n, new_couplings, c, "es", True, tol)
 
 
 def check_incremental_ds(spec: AggregateSpec, n: int, new_couplings, c: float,
@@ -320,32 +309,7 @@ def check_incremental_ds(spec: AggregateSpec, n: int, new_couplings, c: float,
             >= c W_next - c (d_(n+1) - d_n),
     where Re(M) = (M + M')/2.  The cross-term norm is reported separately.
     """
-    _require_terms_psd(spec, tol)
-    w_n, w_next, d_n, d_next = _partial_sums(spec, n)
-    _verify_prior_ds(spec, w_n, d_n, c, tol)
-    full = _extended_model(spec, new_couplings)
-    gen_lhs = generator(w_next, full)
-    for l in new_couplings:
-        gen_lhs = gen_lhs + generator_single_channel(w_n, as_operator(l))
-    gen_margin = -max_eigenvalue(gen_lhs)
-    gen_ok = gen_margin >= -scaled_tol(gen_lhs, tol)
-
-    cross = np.zeros_like(w_next)
-    for l in full.couplings:
-        ld = dagger(l)
-        m = (ld @ w_n - w_n @ ld) @ (w_next @ l - l @ w_next)
-        cross = cross + (m + dagger(m))  # 2 Re(M)
-    diss_lhs = dissipation_functional(w_next, full) + cross
-    rhs = c * w_next - c * (d_next - d_n) * np.eye(w_next.shape[0])
-    diss_margin = min_eigenvalue(diss_lhs - rhs)
-    diss_ok = diss_margin >= -scaled_tol(diss_lhs, tol)
-    info = {
-        "generator_margin": float(gen_margin), "dissipation_margin": float(diss_margin),
-        "cross_norm": float(np.linalg.norm(cross, 2)),
-        "d_n": d_n, "d_next": d_next,
-        "d_ladder_ok": d_next >= d_n - scaled_tol(w_n, tol),
-    }
-    return gen_ok and diss_ok, info
+    return _incremental(spec, n, new_couplings, c, "ds", True, tol)
 
 
 def check_corollary_d_free(spec: AggregateSpec, n: int, new_couplings, c: float,
@@ -353,32 +317,10 @@ def check_corollary_d_free(spec: AggregateSpec, n: int, new_couplings, c: float,
     """Ground-energy-free sufficient conditions for the incremental step.
 
     The d-dependent right-hand sides are dropped (the ladder d_(n+1) >= d_n
-    makes these strictly stronger than the incremental checks).
+    makes these strictly stronger than the incremental checks).  The DS mode
+    keeps the generator condition of `check_incremental_ds`.
     """
-    _require_terms_psd(spec, tol)
-    w_n, w_next, d_n, d_next = _partial_sums(spec, n)
-    full = _extended_model(spec, new_couplings)
-    if mode == "es":
-        _verify_prior_es(spec, w_n, d_n, c, tol)
-        lhs = generator(w_next, full)
-        for l in new_couplings:
-            lhs = lhs + generator_single_channel(w_n, as_operator(l))
-        margin = -max_eigenvalue(lhs + c * w_next)
-        holds = margin >= -scaled_tol(lhs, tol)
-        return holds, {"margin": float(margin), "d_n": d_n, "d_next": d_next}
-    if mode == "ds":
-        _verify_prior_ds(spec, w_n, d_n, c, tol)
-        cross = np.zeros_like(w_next)
-        for l in full.couplings:
-            ld = dagger(l)
-            m = (ld @ w_n - w_n @ ld) @ (w_next @ l - l @ w_next)
-            cross = cross + (m + dagger(m))
-        lhs = dissipation_functional(w_next, full) + cross
-        margin = min_eigenvalue(lhs - c * w_next)
-        holds = margin >= -scaled_tol(lhs, tol)
-        return holds, {"margin": float(margin), "cross_norm": float(np.linalg.norm(cross, 2)),
-                       "d_n": d_n, "d_next": d_next}
-    raise PreconditionError(f"mode must be 'es' or 'ds', got {mode!r}")
+    return _incremental(spec, n, new_couplings, c, mode, False, tol)
 
 
 def check_corollary_commuting(spec: AggregateSpec, unitaries, mode: str = "es",

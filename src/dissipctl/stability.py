@@ -8,7 +8,9 @@ smallest eigenvalue 0:
 * DS (dissipative stability):  G(V) <= 0 together with D(V) >= c V, which
   guarantees asymptotic (possibly sub-exponential) convergence.
 
-Constants are maximized by bisection on semidefiniteness checks.
+Every constant, here and in the aggregation theorems of `scalability`, comes
+from one solver, `largest_constant`: the largest c with M - c W >= 0, found
+by bisection on semidefiniteness checks.
 """
 
 from __future__ import annotations
@@ -83,19 +85,35 @@ def _smallest_positive_eig(v: np.ndarray, tol: float) -> float | None:
     return float(positive[0]) if positive.size else None
 
 
-def _largest_constant(holds, c_max: float, c_min: float = _C_MIN,
-                      iters: int = _BISECT_ITERS) -> float | None:
-    """Largest c in [c_min, c_max] with monotone predicate `holds`."""
-    if not holds(c_min):
+def largest_constant(m: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL, *,
+                     norm: float | None = None, lam: float | None = None) -> float | None:
+    """Largest c with m - c w >= 0 (bisection on [_C_MIN, 2 norm / lam]), or None.
+
+    norm defaults to ||m||_2 and lam to the smallest positive eigenvalue of w.
+    For m = -G pass norm = ||G||_2: numpy's 2-norm is not bit-for-bit
+    sign-symmetric, and the bracket fixes the last digits of the result.
+    """
+    if lam is None:
+        lam = _smallest_positive_eig(w, tol)
+    if norm is None:
+        norm = float(np.linalg.norm(m, 2))
+    if lam is None or norm == 0.0:
         return None
+
+    def holds(c: float) -> bool:
+        return is_psd(m - c * w, tol)
+
+    if not holds(_C_MIN):
+        return None
+    c_max = 2.0 * norm / lam
     for _ in range(8):  # c_max is a strict bound in theory; widen defensively
         if not holds(c_max):
             break
         c_max *= 2
     else:
         return c_max
-    lo, hi = c_min, c_max
-    for _ in range(iters):
+    lo, hi = _C_MIN, c_max
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if holds(mid):
             lo = mid
@@ -127,46 +145,32 @@ def is_lyapunov_operator(v: np.ndarray, model: LindbladModel,
 
 
 def check_condition_es(v: np.ndarray, model: LindbladModel,
-                       tol: float = DEFAULT_TOL, c_min: float = _C_MIN) -> float | None:
-    """Largest c > c_min with G(v) <= -c v, or None."""
+                       tol: float = DEFAULT_TOL) -> float | None:
+    """Largest c with G(v) <= -c v, or None."""
     v = _require_candidate(v, tol)
     g = generator(v, model)
-    lam_plus = _smallest_positive_eig(v, tol)
-    g_norm = float(np.linalg.norm(g, 2))
-    if lam_plus is None or g_norm == 0.0:
-        return None
-    c_max = 2.0 * g_norm / lam_plus
-    return _largest_constant(lambda c: is_psd(-g - c * v, tol), c_max, c_min)
+    return largest_constant(-g, v, tol, norm=float(np.linalg.norm(g, 2)))
 
 
 def check_condition_ds(v: np.ndarray, model: LindbladModel,
-                       tol: float = DEFAULT_TOL, c_min: float = _C_MIN) -> float | None:
+                       tol: float = DEFAULT_TOL) -> float | None:
     """Largest c with G(v) <= 0 and D(v) >= c v, or None."""
     v = _require_candidate(v, tol)
     g = generator(v, model)
     if not is_psd(-g, tol):
         return None
-    d_op = dissipation_functional(v, model)
-    lam_plus = _smallest_positive_eig(v, tol)
-    d_norm = float(np.linalg.norm(d_op, 2))
-    if lam_plus is None or d_norm == 0.0:
-        return None
-    c_max = 2.0 * d_norm / lam_plus
-    return _largest_constant(lambda c: is_psd(d_op - c * v, tol), c_max, c_min)
+    return largest_constant(dissipation_functional(v, model), v, tol)
 
 
 def check_dissipation_square(v: np.ndarray, model: LindbladModel,
-                             tol: float = DEFAULT_TOL, c_min: float = _C_MIN) -> float | None:
+                             tol: float = DEFAULT_TOL) -> float | None:
     """Largest c with D(v) >= c v^2, or None."""
     v = _require_candidate(v, tol)
     d_op = dissipation_functional(v, model)
     lam_plus = _smallest_positive_eig(v, tol)
-    d_norm = float(np.linalg.norm(d_op, 2))
-    if lam_plus is None or d_norm == 0.0:
+    if lam_plus is None:
         return None
-    v2 = v @ v
-    c_max = 2.0 * d_norm / lam_plus**2
-    return _largest_constant(lambda c: is_psd(d_op - c * v2, tol), c_max, c_min)
+    return largest_constant(d_op, v @ v, tol, lam=lam_plus**2)
 
 
 def ground_space(v: np.ndarray, degeneracy_tol: float = 1e-8) -> GroundSpace:

@@ -9,6 +9,7 @@ from dissipctl.lindblad import (
 )
 from dissipctl.linalg import (
     SIGMA_MINUS,
+    SIGMA_PLUS,
     TensorStructure,
     haar_pure_state,
     random_hermitian,
@@ -216,9 +217,25 @@ class TestCorollaries:
 
     def test_d_free_implies_incremental(self):
         m = two_qubit_aggregation_example()
-        holds_free, _ = check_corollary_d_free(m.aggregate, 1, m.extras["new_couplings"], 1.0)
-        holds_inc, _ = check_incremental_es(m.aggregate, 1, m.extras["new_couplings"], 1.0)
-        assert holds_free and holds_inc
+        # W = P0 + 0.1 P0 relaxed by sigma-minus; the new sigma-plus coupling
+        # drives the qubit to the maximally mixed state, so no step certifies
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        pumped = AggregateSpec(TensorStructure((2,)), [p0, 0.1 * p0], [SIGMA_MINUS.copy()],
+                               assignment=[0, 0])
+        cases = [(m.aggregate, m.extras["new_couplings"]), (pumped, [SIGMA_PLUS.copy()])]
+        incremental = {"es": check_incremental_es, "ds": check_incremental_ds}
+        for spec, new in cases:
+            for mode in ("es", "ds"):
+                holds_free, info_free = check_corollary_d_free(spec, 1, new, 1.0, mode=mode)
+                holds_inc, info_inc = incremental[mode](spec, 1, new, 1.0)
+                assert holds_inc or not holds_free, (spec.n_channels, mode)
+                if mode == "ds":
+                    assert info_free["generator_margin"] == info_inc["generator_margin"]
+        holds_free, info_free = check_corollary_d_free(pumped, 1, [SIGMA_PLUS.copy()], 1.0,
+                                                       mode="ds")
+        assert not holds_free
+        assert info_free["generator_margin"] == pytest.approx(-1.1, abs=1e-12)
+        assert info_free["margin"] > 0  # the dissipation inequality alone would pass
 
     def test_small_constant_limit_reduces_to_drift_sign(self):
         m = two_qubit_aggregation_example()
