@@ -181,8 +181,7 @@ def _es_term(w: np.ndarray, own: list, tol: float) -> dict:
     """Largest c with G_own(W_t) <= -c W_t."""
     if not own:
         return {"c": None}
-    gen = _channel_sum(generator_single_channel, w, own)
-    return {"c": largest_constant(-gen, w, tol, norm=float(np.linalg.norm(gen, 2)))}
+    return {"c": largest_constant(-_channel_sum(generator_single_channel, w, own), w, tol)}
 
 
 def _ds_term(w: np.ndarray, own: list, tol: float) -> dict:
@@ -259,26 +258,25 @@ def _incremental(spec: AggregateSpec, n: int, new_couplings, c: float, mode: str
             f"prior certificate missing: existing channels do not give the decay bound at c={c}"
         )
     if mode == "ds":
-        if not is_psd(-g, prior_tol):
+        if not _nonpositive(g, g, prior_tol)[0]:
             raise PreconditionError("prior certificate missing: generator not non-positive")
         d_op = dissipation_functional(w_n, prior)
-        if min_eigenvalue(d_op - c * shifted) < -scaled_tol(d_op, prior_tol):
+        if not _nonpositive(c * shifted - d_op, d_op, prior_tol)[0]:
             raise PreconditionError(
                 f"prior certificate missing: dissipation bound fails at c={c}"
             )
 
     full = spec.to_model(new_couplings)
     gen = _channel_sum(generator_single_channel, w_n, new_couplings, generator(w_next, full))
-    shift = c * (d_next - d_n) * eye
+    shift = c * (d_next - d_n) * eye if ladder else 0.0
     if mode == "es":
-        bound = gen - (-c * w_next + shift) if ladder else gen + c * w_next
-        holds, margin = _nonpositive(bound, gen, tol)
+        holds, margin = _nonpositive(gen + c * w_next - shift, gen, tol)
         info = {"margin": margin}
     else:
         gen_ok, gen_margin = _nonpositive(gen, gen, tol)
         cross = _channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
         diss = dissipation_functional(w_next, full) + cross
-        diss_margin = min_eigenvalue(diss - (c * w_next - shift) if ladder else diss - c * w_next)
+        diss_margin = min_eigenvalue(diss - c * w_next + shift)
         holds = gen_ok and diss_margin >= -scaled_tol(diss, tol)
         info = {"generator_margin": gen_margin,
                 "dissipation_margin" if ladder else "margin": diss_margin,

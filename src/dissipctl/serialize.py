@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -63,12 +64,12 @@ def matrix_to_json(a: np.ndarray) -> list:
 
 
 def _entry_from_json(entry, field: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(
-            isinstance(x, (int, float)) for x in entry):
-        return complex(entry[0], entry[1])
-    raise InputFormatError(field, f"complex entry must be [re, im], got {entry!r}")
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
+    if not all(isinstance(x, (int, float)) for x in parts):
+        raise InputFormatError(field, f"complex entry must be [re, im], got {entry!r}")
+    if not all(abs(x) <= sys.float_info.max for x in parts):  # NaN, inf, or too large an int
+        raise InputFormatError(field, f"entry must be finite, got {entry!r}")
+    return complex(parts[0], parts[1])
 
 
 def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
@@ -78,7 +79,7 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != len(obj):
             raise InputFormatError(field, f"row {i} does not make the matrix square")
-        rows.append([_entry_from_json(e, f"{field}[{i}]") for e in row])
+        rows.append([_entry_from_json(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)])
     return np.array(rows, dtype=complex)
 
 
@@ -130,6 +131,20 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> np.ndarray:
     return matrix_from_json(obj, field)
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _per_term(obj: dict, key: str, n_terms: int, valid, what: str, field: str):
+    """The optional per-term list obj[key]: one valid entry per term, or None."""
+    value = obj.get(key)
+    if value is not None and not (isinstance(value, list) and len(value) == n_terms
+                                  and all(map(valid, value))):
+        raise InputFormatError(f"{field}.{key}",
+                               f"need one {what} per term ({n_terms} terms), got {value!r}")
+    return value
+
+
 def aggregate_to_json(spec: AggregateSpec) -> dict:
     out = {
         "dims": list(spec.structure.dims),
@@ -157,11 +172,14 @@ def aggregate_from_json(obj: dict, field: str = "spec") -> AggregateSpec:
     couplings_obj = obj.get("couplings", [])
     couplings = [_term_from_json(l, structure, f"{field}.couplings[{i}]")
                  for i, l in enumerate(couplings_obj)]
-    assignment = obj.get("assignment")
+    assignment = _per_term(
+        obj, "assignment", len(terms),
+        lambda x: _is_index(x) or isinstance(x, list) and all(map(_is_index, x)),
+        "channel index or list of indices", field)
     hamiltonian = None
     if "H" in obj:
         hamiltonian = matrix_from_json(obj["H"], f"{field}.H")
-    names = obj.get("names")
+    names = _per_term(obj, "names", len(terms), lambda x: isinstance(x, str), "string", field)
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
                          assignment=assignment, hamiltonian=hamiltonian,
                          term_names=names)

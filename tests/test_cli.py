@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -218,3 +219,54 @@ class TestModels:
     def test_export_needs_name(self, capsys):
         code, _, err = _run(capsys, ["models", "export"])
         assert code == 1
+
+
+class TestInputValidation:
+    """Bad input ends in exit 1 with the offending field named."""
+
+    @pytest.fixture()
+    def spec(self, capsys):
+        code, out, _ = _run(capsys, ["models", "export", "two_qubit"])
+        assert code == 0
+        return json.loads(out)["spec"]
+
+    def _scale(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return _run(capsys, ["scale", "--spec", str(path), "--theorem", "es"])
+
+    def test_short_names_list(self, capsys, tmp_path, spec):
+        assert len(spec["terms"]) == 2
+        spec["names"] = ["A"]
+        code, out, err = self._scale(capsys, tmp_path, spec)
+        assert code == 1 and out == ""
+        assert "spec.names" in err and "Traceback" not in err
+
+    def test_non_integer_assignment(self, capsys, tmp_path, spec):
+        spec["assignment"] = ["x", 1]
+        code, out, err = self._scale(capsys, tmp_path, spec)
+        assert code == 1 and out == ""
+        assert "spec.assignment" in err
+
+    def test_nan_in_hamiltonian(self, capsys, tmp_path, v_file):
+        model = model_to_json(two_level_example().model)
+        model["H"][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, out, err = _run(capsys, ["check", "--model", str(path), "--v", v_file])
+        assert code == 1 and out == ""
+        assert "model.H[0][0]" in err and "finite" in err
+        assert "Hermitian" not in err
+
+    def test_infinity_in_candidate(self, capsys, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_to_json(two_level_example().model)))
+        v_path = tmp_path / "v.json"
+        v_path.write_text('{"V": [[Infinity, 0], [0, 0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["check", "--model", str(model_path),
+                                           "--v", str(v_path)])
+        assert code == 1 and out == ""
+        assert "V[0][0]" in err and "finite" in err
+        assert "PSD" not in err

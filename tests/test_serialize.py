@@ -41,6 +41,12 @@ class TestMatrixJson:
         with pytest.raises(InputFormatError):
             matrix_from_json([[["a", 0]]])
 
+    @pytest.mark.parametrize("entry", [float("nan"), [0.0, float("inf")], 10**400])
+    def test_non_finite_entry_rejected_with_position(self, entry):
+        with pytest.raises(InputFormatError) as err:
+            matrix_from_json([[1, 0], [0, entry]], field="H")
+        assert "H[1][1]" in str(err.value) and "finite" in str(err.value)
+
 
 class TestModelJson:
     def test_round_trip(self):

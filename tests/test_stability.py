@@ -1,16 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dissipctl.errors import NonHermitianError, PreconditionError
-from dissipctl.lindblad import LindbladModel, evolve, maximally_mixed
-from dissipctl.linalg import TensorStructure, haar_pure_state
+from dissipctl.lindblad import (
+    LindbladModel,
+    dissipation_functional,
+    evolve,
+    generator,
+    maximally_mixed,
+)
+from dissipctl.linalg import (
+    DEFAULT_TOL,
+    TensorStructure,
+    dagger,
+    haar_pure_state,
+    haar_unitary,
+    hermitian_part,
+    is_psd,
+    random_hermitian,
+)
 from dissipctl.models import (
+    cluster_chain,
     three_level_example,
     toric_patch,
     two_level_example,
     two_qubit_aggregation_example,
 )
 from dissipctl.stability import (
+    _C_MIN,
     certify_ground_state_stability,
     check_condition_ds,
     check_condition_es,
@@ -18,7 +37,145 @@ from dissipctl.stability import (
     frustration_free_check,
     ground_space,
     is_lyapunov_operator,
+    largest_constant,
 )
+
+
+# -- bisection oracle for largest_constant ------------------------------------
+
+
+def _smallest_positive_eig(v: np.ndarray, tol: float) -> float | None:
+    w = np.linalg.eigvalsh(hermitian_part(v))
+    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
+    positive = w[w > tol * scale]
+    return float(positive[0]) if positive.size else None
+
+
+def bisection_constant(m: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL, *,
+                       norm: float | None = None, lam: float | None = None) -> float | None:
+    """Largest c with m - c w >= 0 (bisection on [_C_MIN, 2 norm / lam]), or None.
+
+    The solver `largest_constant` replaced; kept as an independent oracle.
+    It lands up to tol * ||m - c w||_2 / (v' w v) above the true constant,
+    with v the null vector of m - c w.
+    """
+    if lam is None:
+        lam = _smallest_positive_eig(w, tol)
+    if norm is None:
+        norm = float(np.linalg.norm(m, 2))
+    if lam is None or norm == 0.0:
+        return None
+
+    def holds(c: float) -> bool:
+        return is_psd(m - c * w, tol)
+
+    if not holds(_C_MIN):
+        return None
+    c_max = 2.0 * norm / lam
+    for _ in range(8):  # c_max is a strict bound in theory; widen defensively
+        if not holds(c_max):
+            break
+        c_max *= 2
+    else:
+        return c_max
+    lo, hi = _C_MIN, c_max
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _constant_problem(seed: int):
+    """(m, w) with n <= 5, w >= 0 of any rank (zero included), and m built in
+    the eigenbasis of w as [[C, B'], [B, A]] over ker(w) and range(w).
+
+    C is PSD of any rank; B' lies in range(C), except that a quarter of the
+    draws add a component outside it and another quarter make C indefinite.
+    A = B C^+ B' + Lam^1/2 (H + t) Lam^1/2, so the true constant is
+    lambda_min(H) + t whenever one exists.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    k = int(rng.integers(0, n + 1))
+    r = n - k
+    kind = int(rng.integers(0, 4))
+    lam = rng.uniform(0.5, 2.0, r)
+    j = int(rng.integers(0, k + 1))
+    u = haar_unitary(rng, k) if k else np.zeros((0, 0), dtype=complex)
+    y = u[:, :j] * rng.uniform(1.0, 2.0, j)
+    c = y @ dagger(y)
+    b = 0.5 * (rng.standard_normal((r, j)) + 1j * rng.standard_normal((r, j))) @ dagger(y)
+    a = b @ np.linalg.pinv(c) @ dagger(b)
+    if kind == 1 and j < k:
+        b = b + (rng.standard_normal((r, k - j)) + 1j * rng.standard_normal((r, k - j))) \
+            @ dagger(u[:, j:])
+    if kind == 2 and k:
+        c = c - 0.5 * np.outer(u[:, -1], u[:, -1].conj())
+    root = np.sqrt(lam)
+    a = a + (random_hermitian(rng, r, 0.5) + rng.uniform(-1.0, 3.0) * np.eye(r)) \
+        * np.outer(root, root)
+    q = haar_unitary(rng, n)
+    m = hermitian_part(q @ np.block([[c, dagger(b)], [b, a]]) @ dagger(q))
+    w = hermitian_part(q @ np.diag(np.concatenate([np.zeros(k), lam])) @ dagger(q))
+    return m, w
+
+
+def _oracle_band(m: np.ndarray, w: np.ndarray, c: float, tol: float) -> float:
+    """tol * max(1, ||m||_2) / (v' w v), v the bottom eigenvector of m - c w:
+    how far above the true constant the bisection oracle may land.  With w
+    of full rank v' w v >= lambda_+(w); a v leaning into ker(w) lowers it."""
+    v = np.linalg.eigh(m - c * w)[1][:, 0]
+    return tol * max(1.0, float(np.linalg.norm(m, 2))) / float(np.real(v.conj() @ w @ v))
+
+
+class TestLargestConstant:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_bisection(self, seed):
+        tol = DEFAULT_TOL
+        m, w = _constant_problem(seed)
+        closed = largest_constant(m, w, tol)
+        oracle = bisection_constant(m, w, tol)
+        if closed is None or oracle is None:
+            # the oracle may pass _C_MIN by its own overshoot alone
+            assert closed is None
+            assert oracle is None or oracle - _C_MIN <= _oracle_band(m, w, oracle, tol)
+            return
+        assert is_psd(m - closed * w, tol)
+        resolution = 4.0 * np.linalg.norm(m, 2) / 2.0**40  # bisection step
+        assert -resolution <= oracle - closed <= _oracle_band(m, w, closed, tol) + resolution
+
+    def test_zero_weight_has_no_constant(self):
+        assert largest_constant(np.eye(3), np.zeros((3, 3))) is None
+
+    def test_kernel_coupling_outside_range_of_c(self):
+        # [[a - c, b], [b, 0]] has determinant -b^2 < 0 for every c
+        w = np.diag([1.0, 0.0])
+        assert largest_constant(np.array([[5.0, 1.0], [1.0, 0.0]]), w) is None
+        assert largest_constant(np.array([[5.0, 0.0], [0.0, 0.0]]), w) == 5.0
+
+    def test_schur_complement_lowers_the_constant(self):
+        # m - c w >= 0 iff 2 - c - 1/1 >= 0: c* = 1 exactly
+        m = np.array([[2.0, 1.0], [1.0, 1.0]])
+        assert largest_constant(m, np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("build", [two_level_example, three_level_example,
+                                       two_qubit_aggregation_example,
+                                       lambda: cluster_chain(4)])
+    def test_registry_constants_match_bisection(self, build):
+        named = build()
+        for v in named.candidates.values():
+            g = generator(v, named.model)
+            for m, w in ((-g, v), (dissipation_functional(v, named.model), v)):
+                closed = largest_constant(m, w)
+                oracle = bisection_constant(m, w)
+                assert (closed is None) == (oracle is None)
+                if closed is not None:
+                    assert closed <= oracle + 1e-12
+                    assert oracle - closed <= 1e-8
 
 
 class TestIsLyapunov:
