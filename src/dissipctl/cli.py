@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -66,6 +67,15 @@ def _sim_cap(args) -> int:
     if getattr(args, "sim_cap", None):
         return int(args.sim_cap)
     return int(os.environ.get(_SIM_CAP_ENV, "64"))
+
+
+def _check_numbers(args) -> None:
+    """--c must be finite; --tol, --t-final and --dt-hint finite and positive."""
+    for dest, positive in (("c", False), ("tol", True), ("t_final", True), ("dt_hint", True)):
+        value = getattr(args, dest, None)
+        if value is not None and not (math.isfinite(value) and (value > 0 or not positive)):
+            raise InputFormatError(dest.replace("_", "-"),
+                                   f"must be finite{' and positive' * positive}, got {value!r}")
 
 
 def _load_json(path: str, field: str) -> dict:
@@ -164,8 +174,6 @@ def _cmd_simulate(args) -> int:
         model = spec.to_model()
     else:
         raise InputFormatError("model", "simulate needs --model, --spec or --name")
-    if args.t_final <= 0:
-        raise InputFormatError("t-final", f"t_final must be positive, got {args.t_final}")
     cap = _sim_cap(args)
     if model.dim > cap:
         raise DimensionCapError(f"dimension {model.dim} exceeds cap {cap}")
@@ -338,6 +346,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "models" and args.action == "export" and not args.model_name:
             raise InputFormatError("model_name", "export needs a model name")
+        _check_numbers(args)
         return args.func(args)
     except InputFormatError as exc:
         print(f"dissipctl: input error: {exc}", file=sys.stderr)

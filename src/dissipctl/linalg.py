@@ -42,7 +42,9 @@ def as_operator(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
+    """Conjugate transpose; of each matrix, for a stack (..., n, n)."""
+    a = np.asarray(a).conj()
+    return a.swapaxes(-1, -2) if a.ndim > 1 else a
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

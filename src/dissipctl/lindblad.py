@@ -75,16 +75,27 @@ def maximally_mixed(n: int) -> np.ndarray:
 
 
 def validate_density_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Hermitian, unit trace and PSD within tolerance; raises otherwise."""
-    rho = as_operator(rho)
-    if not is_hermitian(rho, tol):
-        raise StateValidityError("density matrix is not Hermitian")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > scaled_tol(rho, tol):
-        raise StateValidityError(f"trace {tr:.12g} differs from 1")
-    w = np.linalg.eigvalsh(hermitian_part(rho))
-    if w[0] < -tol * max(1.0, float(np.abs(w).max())):
-        raise StateValidityError(f"smallest eigenvalue {w[0]:.3e} below -tol")
+    """Hermitian, unit trace and PSD within tolerance; raises otherwise.
+
+    A stack (S, n, n) is checked with one batched eigensolve, and the message
+    names the first failing state.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    states = rho if rho.ndim == 3 else as_operator(rho)[None]
+
+    def require(ok, message):
+        if not ok.all():
+            i = int(ok.argmin())
+            raise StateValidityError(("" if rho.ndim == 2 else f"state {i}: ") + message(i))
+
+    scale = tol * np.maximum(1.0, np.linalg.norm(states, axis=(-2, -1)))
+    require(np.linalg.norm(states - dagger(states), axis=(-2, -1)) <= scale,
+            lambda i: "density matrix is not Hermitian")
+    tr = np.trace(states, axis1=-2, axis2=-1)
+    require(np.abs(tr - 1.0) <= scale, lambda i: f"trace {complex(tr[i]):.12g} differs from 1")
+    w = np.linalg.eigvalsh(hermitian_part(states))
+    require(w[:, 0] >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1)),
+            lambda i: f"smallest eigenvalue {w[i, 0]:.3e} below -tol")
 
 
 def generator_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -157,15 +168,20 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return lam
 
 
-def expectation(x: np.ndarray, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Mean value tr(x rho) of a Hermitian observable."""
-    x, rho = as_operator(x), as_operator(rho)
-    if x.shape != rho.shape:
-        raise DimensionMismatchError(f"shapes {x.shape} and {rho.shape} differ")
+def _observable(x: np.ndarray, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    x = as_operator(x)
+    if x.shape[0] != n:
+        raise DimensionMismatchError(f"observable dim {x.shape[0]} != state dim {n}")
     if not is_hermitian(x, tol):
         raise NonHermitianError("expectation requires a Hermitian observable")
-    val = complex(np.trace(x @ rho))
-    return float(val.real)
+    return x
+
+
+def expectation(x: np.ndarray, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """Mean value tr(x rho) of a Hermitian observable."""
+    rho = as_operator(rho)
+    x = _observable(x, rho.shape[0], tol)
+    return float(complex(np.trace(x @ rho)).real)
 
 
 def stationary_state(model: LindbladModel, tol: float = 1e-8) -> np.ndarray:
@@ -195,24 +211,28 @@ def is_stationary(model: LindbladModel, rho: np.ndarray, tol: float = 1e-8) -> b
 
 @dataclass
 class Trajectory:
-    """Sampled solution of the master equation with named expectation series."""
+    """Sampled solution of the master equation with named expectation series.
+
+    ``states`` is (T, n, n) for one initial state and (S, T, n, n) for a stack
+    of S; each series in ``observables`` is (T,) or (S, T) accordingly.
+    """
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     observables: dict[str, np.ndarray] = field(default_factory=dict)
 
     def traces(self) -> np.ndarray:
-        return np.array([float(np.trace(r).real) for r in self.states])
+        return np.trace(self.states, axis1=-2, axis2=-1).real
 
     def purities(self) -> np.ndarray:
-        return np.array([float(np.trace(r @ r).real) for r in self.states])
+        flat = self.states.reshape((-1,) + self.states.shape[-2:])
+        return np.array([np.trace(r @ r).real for r in flat]).reshape(self.states.shape[:-2])
 
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[..., -1, :, :]
 
 
 # Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -241,96 +261,89 @@ def _rhs_factory(model: LindbladModel):
     return rhs
 
 
-def _rk45_segment(rhs, rho, t0, t1, h, rtol, atol):
-    """Integrate from t0 to t1, hermitizing after every accepted step."""
-    t = t0
-    k = [None] * 7
-    k[0] = rhs(rho)
-    while t < t1 - 1e-15 * max(1.0, abs(t1)):
-        h = min(h, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t1)):
-            raise IntegrationError(f"step size underflow at t={t:.6g}")
-        for i in range(1, 7):
-            acc = rho + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = rhs(acc)
-        err_mat = h * sum(e * k[i] for i, e in enumerate(_DP_E) if e != 0.0)
-        rho_new = rho + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
-        scale = atol + rtol * np.maximum(np.abs(rho), np.abs(rho_new))
-        err = float(np.sqrt(np.mean(np.abs(err_mat / scale) ** 2)))
-        if err <= 1.0:
-            t += h
-            rho = hermitian_part(rho_new)
-            k[0] = rhs(rho)
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h = h * factor
-    return rho, h
+def _rk45_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray, h: float,
+                  rtol: float, atol: float):
+    """The stack (S, n, n) at each sample time, by adaptive RK45 with one step
+    size for all states, controlled by the largest per-state error norm;
+    hermitizes after every accepted step."""
+    rhs = _rhs_factory(model)
+    yield rho
+    for t, t1 in zip(times[:-1], times[1:]):
+        k = [rhs(rho)] + [None] * 6
+        while t < t1 - 1e-15 * max(1.0, abs(t1)):
+            h = min(h, t1 - t)
+            if h < 1e-14 * max(1.0, abs(t1)):
+                raise IntegrationError(f"step size underflow at t={t:.6g}")
+            for i in range(1, 7):
+                acc = rho + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
+                k[i] = rhs(acc)
+            err_mat = h * sum(e * k[i] for i, e in enumerate(_DP_E) if e != 0.0)
+            rho_new = rho + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
+            scale = atol + rtol * np.maximum(np.abs(rho), np.abs(rho_new))
+            err = float(np.sqrt(np.mean(np.abs(err_mat / scale) ** 2, axis=(-2, -1))).max())
+            if err <= 1.0:
+                t += h
+                rho = hermitian_part(rho_new)
+                k[0] = rhs(rho)
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h = h * factor
+        yield rho
+
+
+def _exact_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray):
+    """The stack at each sample time of an equally spaced grid, by one
+    propagator P = expm(Lambda dt) applied to the (n^2, S) block of
+    column-stacked states."""
+    s, n = rho.shape[0], model.dim
+    step = expm(liouvillian(model), times[1] - times[0])
+    block = rho.swapaxes(-1, -2).reshape(s, n * n).T
+    for _ in times:
+        yield hermitian_part(block.T.reshape(s, n, n).swapaxes(-1, -2))
+        block = step @ block
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
            dt_hint: float | None = None, *, observables: dict[str, np.ndarray] | None = None,
-           n_samples: int | None = None, rtol: float = 1e-9, atol: float = 1e-9,
-           validate: bool = True) -> Trajectory:
-    """Adaptive RK45 integration of the master equation.
+           n_samples: int | None = None, rtol: float = 1e-9, atol: float = 1e-9) -> Trajectory:
+    """Master-equation trajectory of one state (n, n) or a stack (S, n, n).
 
-    Emits ``n_samples`` equally spaced states (derived from ``dt_hint`` when
-    given) and re-validates every emitted state against the density-matrix
-    invariants at 10x the base tolerance.
+    Up to dim 16 all states are stepped exactly by one propagator
+    expm(Lambda dt), above that together by adaptive RK45 (``rtol``, ``atol``).
+    Emits ``n_samples`` equally spaced samples (from ``dt_hint`` when given),
+    each state re-validated as a density matrix at 10x the base tolerance.
     """
     model.validate()
-    rho0 = as_operator(rho0)
-    if rho0.shape[0] != model.dim:
-        raise DimensionMismatchError(f"state dim {rho0.shape[0]} != model dim {model.dim}")
+    n = model.dim
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (n, n):
+        raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n}) or (S, {n}, {n})")
     if t_final <= 0:
         raise PreconditionError(f"t_final must be positive, got {t_final}")
     validate_density_state(rho0, DEFAULT_TOL * 10)
+    stack = rho0.reshape((-1, n, n))
     if n_samples is None:
         n_samples = int(round(t_final / dt_hint)) + 1 if dt_hint else 201
     if n_samples < 2:
         raise PreconditionError("need at least two sample points")
     times = np.linspace(0.0, float(t_final), n_samples)
-    rhs = _rhs_factory(model)
-    h = dt_hint if dt_hint else t_final / 100.0
+    ops = {name: _observable(op, n) for name, op in (observables or {}).items()}
+    if n <= 16:  # Lambda is n^2 x n^2, so one expm stays cheap
+        samples = _exact_samples(model, stack, times)
+    else:
+        samples = _rk45_samples(model, stack, times, dt_hint or t_final / 100.0, rtol, atol)
 
-    states = [rho0.copy()]
-    rho = rho0.copy()
-    for i in range(1, n_samples):
-        rho, h = _rk45_segment(rhs, rho, times[i - 1], times[i], h, rtol, atol)
-        if validate:
+    states = np.empty(rho0.shape[:-2] + (n_samples, n, n), dtype=complex)
+    series = {name: np.empty(rho0.shape[:-2] + (n_samples,)) for name in ops}
+    for i, rho in enumerate(samples):
+        if i:
             try:
                 validate_density_state(rho, DEFAULT_TOL * 10)
             except StateValidityError as exc:
                 raise StateValidityError(f"at t={times[i]:.6g}: {exc}") from exc
-        states.append(rho.copy())
-
-    series: dict[str, np.ndarray] = {}
-    if observables:
-        for name, op in observables.items():
-            series[name] = np.array([expectation(op, r) for r in states])
-    return Trajectory(times=times, states=states, observables=series)
-
-
-def propagate_sampled(model: LindbladModel, rho0: np.ndarray, times: np.ndarray,
-                      rtol: float = 1e-9, atol: float = 1e-9) -> list[np.ndarray]:
-    """States at the given equally spaced times.
-
-    Uses exponential stepping of the Liouvillian for dim <= 16 (exact up to
-    expm accuracy) and falls back to RK45 above that.
-    """
-    times = np.asarray(times, dtype=float)
-    n = model.dim
-    if n <= 16:
-        dt = float(times[1] - times[0])
-        if not np.allclose(np.diff(times), dt, rtol=0, atol=1e-12 * max(1.0, dt)):
-            raise PreconditionError("exponential stepping needs an equally spaced grid")
-        step = expm(liouvillian(model), dt)
-        v = vec(rho0)
-        out = []
-        for _ in times:
-            out.append(hermitian_part(unvec(v, n)))
-            v = step @ v
-        return out
-    traj = evolve(model, rho0, float(times[-1]), n_samples=len(times), rtol=rtol, atol=atol)
-    return traj.states
+        states[..., i, :, :] = rho
+        for name, op in ops.items():
+            series[name][..., i] = np.trace(op @ rho, axis1=-2, axis2=-1).real
+    return Trajectory(times, states, series)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -339,8 +352,9 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def partial_trace_last(rho: np.ndarray, dim_keep: int, dim_drop: int) -> np.ndarray:
-    r = as_operator(rho).reshape(dim_keep, dim_drop, dim_keep, dim_drop)
-    return np.einsum("iaja->ij", r)
+    """Trace out the last factor; of each state, for a stack (..., n, n)."""
+    r = np.asarray(rho).reshape(np.shape(rho)[:-2] + (dim_keep, dim_drop, dim_keep, dim_drop))
+    return np.einsum("...iaja->...ij", r)
 
 
 # -- fast-ancilla (adiabatic) elimination check -------------------------------
@@ -378,32 +392,26 @@ def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
         raise DimensionCapError(f"joint dimension {2 * n} exceeds cap {joint_dim_cap}")
     l_sys = model.couplings[0]
     h_sys = model.hamiltonian
-    if rho0 is None:
-        rho0 = maximally_mixed(n)
-    rho0 = as_operator(rho0)
-    times = np.linspace(0.0, float(t_final), n_samples)
+    rho0 = maximally_mixed(n) if rho0 is None else as_operator(rho0)
 
     limit_coupling = -(2.0 * omega / np.sqrt(gamma)) * l_sys
     limit_model = LindbladModel(model.structure, h_sys, [limit_coupling])
-    limit_states = propagate_sampled(limit_model, rho0, times)
+    limit_states = evolve(limit_model, rho0, t_final, n_samples=n_samples).states
 
-    anc_ground = np.zeros((2, 2), dtype=complex)
-    anc_ground[1, 1] = 1.0
+    anc_ground = np.diag([0.0, 1.0]).astype(complex)
     joint_structure = TensorStructure(tuple(model.structure.dims) + (2,))
-    eye2 = np.eye(2, dtype=complex)
 
     errors = []
     for k in k_list:
         h_joint = k * omega * (np.kron(l_sys, SIGMA_PLUS) + np.kron(dagger(l_sys), SIGMA_MINUS)) \
-            + np.kron(h_sys, eye2)
+            + np.kron(h_sys, np.eye(2))
         l_joint = k * np.sqrt(gamma) * np.kron(np.eye(n, dtype=complex), SIGMA_MINUS)
         joint_model = LindbladModel(joint_structure, h_joint, [l_joint])
-        joint_states = propagate_sampled(joint_model, np.kron(rho0, anc_ground), times)
-        err = max(
-            trace_distance(partial_trace_last(js, n, 2), ls)
-            for js, ls in zip(joint_states, limit_states)
-        )
-        errors.append(float(err))
+        joint_states = evolve(joint_model, np.kron(rho0, anc_ground), t_final,
+                              n_samples=n_samples).states
+        reduced = partial_trace_last(joint_states, n, 2)
+        w = np.linalg.eigvalsh(hermitian_part(reduced - limit_states))
+        errors.append(0.5 * float(np.abs(w).sum(axis=-1).max()))  # sup of the trace distance
 
     half = len(k_list) // 2
     tail = errors[max(half - 1, 0):]

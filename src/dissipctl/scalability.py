@@ -381,8 +381,9 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
                        atol: float = 1e-9) -> Trajectory:
     """Evolve the full model and record the total and per-term expectations.
 
-    Additivity of the mean, <W> = sum_t <W_t>, is asserted on the emitted
-    samples.  Runs regardless of certification status (diagnosis tool).
+    Additivity of the mean, <W> = sum_t <W_t>, is checked on the emitted
+    samples (PreconditionError otherwise).  Runs regardless of certification
+    status (diagnosis tool).
     """
     n = spec.structure.total_dim
     if n > dim_cap:
@@ -398,5 +399,6 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
                   n_samples=n_samples, rtol=rtol, atol=atol)
     total = sum(traj.observables[name] for name in names)
     if not np.allclose(total, traj.observables["W"], atol=1e-10):
-        raise AssertionError("per-term expectations do not add up to the total")
+        raise PreconditionError("per-term expectations do not add up to the total; "
+                                "term names must be distinct and differ from 'W'")
     return traj

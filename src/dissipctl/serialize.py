@@ -135,6 +135,10 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# The other columns of an aggregate trajectory CSV (time, total, invariants).
+_RESERVED_COLUMNS = frozenset({"t", "W", "trace", "purity"})
+
+
 def _per_term(obj: dict, key: str, n_terms: int, valid, what: str, field: str):
     """The optional per-term list obj[key]: one valid entry per term, or None."""
     value = obj.get(key)
@@ -180,6 +184,9 @@ def aggregate_from_json(obj: dict, field: str = "spec") -> AggregateSpec:
     if "H" in obj:
         hamiltonian = matrix_from_json(obj["H"], f"{field}.H")
     names = _per_term(obj, "names", len(terms), lambda x: isinstance(x, str), "string", field)
+    if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)):
+        raise InputFormatError(f"{field}.names", "names must be distinct and none of "
+                               f"{', '.join(sorted(_RESERVED_COLUMNS))}, got {names!r}")
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
                          assignment=assignment, hamiltonian=hamiltonian,
                          term_names=names)

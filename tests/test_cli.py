@@ -270,3 +270,46 @@ class TestInputValidation:
         assert code == 1 and out == ""
         assert "V[0][0]" in err and "finite" in err
         assert "PSD" not in err
+
+    def _simulate(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return _run(capsys, ["simulate", "--spec", str(path), "--t-final", "1",
+                             "--samples", "5"])
+
+    @pytest.mark.parametrize("names", [["A", "A"], ["W", "X"]], ids=["repeated", "reserved"])
+    def test_names_clashing_with_csv_columns(self, capsys, tmp_path, spec, names):
+        spec["names"] = names
+        code, out, err = self._simulate(capsys, tmp_path, spec)
+        assert code == 1 and out == ""
+        assert "spec.names" in err and "Traceback" not in err
+
+    def test_distinct_names_simulate(self, capsys, tmp_path, spec):
+        spec["names"] = ["A", "B"]
+        code, out, _ = self._simulate(capsys, tmp_path, spec)
+        assert code == 0
+        assert out.splitlines()[0] == "t,W,A,B,trace,purity"
+
+
+class TestNonFiniteNumbers:
+    """Non-finite (and, where a scale is meant, non-positive) numbers on the
+    command line end in exit 1 naming the option."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["scale", "--name", "two_qubit", "--theorem", "inc-es", "--c", "nan"], "c"),
+        (["check", "--name", "two_level", "--tol", "nan"], "tol"),
+        (["check", "--name", "two_level", "--tol=-1e-9"], "tol"),
+        (["check", "--name", "two_level", "--simulate", "--t-final", "inf"], "t-final"),
+        (["simulate", "--name", "two_level", "--t-final", "1", "--dt-hint", "nan"], "dt-hint"),
+        (["simulate", "--name", "two_level", "--t-final", "1", "--dt-hint", "0"], "dt-hint"),
+    ], ids=["c-nan", "tol-nan", "tol-negative", "t-final-inf", "dt-hint-nan", "dt-hint-zero"])
+    def test_option_named(self, capsys, argv, option):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert f"input error: {option}: must be finite" in err
+        assert "Hermitian" not in err and "Traceback" not in err
+
+    def test_negative_c_is_a_value(self, capsys):
+        code, _, err = _run(capsys, ["scale", "--name", "two_qubit", "--theorem", "inc-es",
+                                     "--c", "-1"])
+        assert code in (0, 2) and err == ""

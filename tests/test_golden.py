@@ -5,6 +5,8 @@ The set is every registry model at default arguments except
 ``toric_patch(extended)`` (about 10 s per call), run through ``check`` and
 through ``scale`` with every theorem, plus ``d-free --mode ds``.  Calls on
 models without an aggregate are kept: they pin the exit-1 error paths.
+``check --simulate`` is pinned on the models of dimension 2 to 4, whose
+ensembles are stepped exactly.
 
 Regenerate the files after an intended output change with
 
@@ -23,6 +25,7 @@ from dissipctl.models import REGISTRY
 GOLDEN_DIR = Path(__file__).with_name("golden")
 
 THEOREMS = ("es", "ds", "commuting", "d-free", "inc-es", "inc-ds")
+SIMULATED = ("complementary_witnesses", "three_level", "two_level", "two_qubit")
 
 
 def golden_calls() -> list[list[str]]:
@@ -32,6 +35,7 @@ def golden_calls() -> list[list[str]]:
         for theorem in THEOREMS:
             calls.append(["scale", "--name", name, "--theorem", theorem])
         calls.append(["scale", "--name", name, "--theorem", "d-free", "--mode", "ds"])
+    calls += [["check", "--name", name, "--simulate"] for name in SIMULATED]
     return calls
 
 

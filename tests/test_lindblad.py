@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dissipctl import lindblad
 from dissipctl.errors import (
     CommutationError,
+    DimensionMismatchError,
     NonHermitianError,
     PreconditionError,
     StateValidityError,
 )
 from dissipctl.lindblad import (
     LindbladModel,
+    _rk45_samples,
     adiabatic_limit_check,
     dissipation_functional,
     dissipation_single_channel,
@@ -143,14 +146,18 @@ class TestLiouvillian:
         assert np.linalg.norm(lam @ vec(np.diag([0.0, 1.0]))) < 1e-12
 
     def test_exponential_matches_rk(self):
+        # the RK45 integrator that evolve uses above dim 16, driven directly at
+        # dim 3, where evolve itself steps with expm
         rng = np.random.default_rng(4)
         m = random_model(rng, 3)
         rho0 = random_density(rng, 3)
-        traj = evolve(m, rho0, 1.5, n_samples=4)
+        times = np.linspace(0.0, 1.5, 4)
         lam = liouvillian(m)
-        for t, state in zip(traj.times, traj.states):
+        states = list(_rk45_samples(m, rho0[None], times, 0.015, 1e-9, 1e-9))
+        assert len(states) == len(times)
+        for t, state in zip(times, states):
             direct = (expm(lam, t) @ vec(rho0)).reshape(3, 3, order="F")
-            assert np.linalg.norm(direct - state) < 1e-8
+            assert np.linalg.norm(direct - state[0]) < 1e-8
 
     def test_stationary_state(self):
         m = two_level_example()
@@ -234,6 +241,61 @@ class TestEvolve:
         deriv = (-ev[4:] + 8 * ev[3:-1] - 8 * ev[1:-3] + ev[:-4]) / (12 * dt)
         drift = np.array([expectation(generator(x, m), s) for s in traj.states[2:-2]])
         assert np.max(np.abs(deriv - drift)) < 1e-5
+
+
+class TestEnsemble:
+    """A stack (S, n, n) evolves as S separate states, on both branches."""
+
+    @pytest.mark.parametrize("n, t_final", [(3, 2.0), (18, 0.5)], ids=["exact", "rk45"])
+    def test_stack_matches_single_runs(self, n, t_final):
+        rng = np.random.default_rng(20)
+        m = random_model(rng, n)
+        m.couplings = [l / np.sqrt(n) for l in m.couplings]
+        stack = np.array([maximally_mixed(n)] + [random_density(rng, n) for _ in range(2)])
+        x = random_hermitian(rng, n)
+        batch = evolve(m, stack, t_final, n_samples=6, observables={"x": x})
+        assert batch.states.shape == (3, 6, n, n)
+        assert batch.observables["x"].shape == (3, 6)
+        assert batch.traces().shape == batch.purities().shape == (3, 6)
+        for s, rho0 in enumerate(stack):
+            single = evolve(m, rho0, t_final, n_samples=6, observables={"x": x})
+            assert np.abs(batch.states[s] - single.states).max() < 1e-8
+            assert np.abs(batch.observables["x"][s] - single.observables["x"]).max() < 1e-8
+            assert np.allclose(batch.final_state()[s], single.final_state(), atol=1e-8)
+
+    def test_exact_branch_matches_rk45_oracle(self):
+        rng = np.random.default_rng(21)
+        m = random_model(rng, 4)
+        stack = np.array([random_density(rng, 4) for _ in range(3)])
+        times = np.linspace(0.0, 1.0, 5)
+        exact = evolve(m, stack, 1.0, n_samples=5).states
+        for i, rho in enumerate(_rk45_samples(m, stack, times, 0.01, 1e-10, 1e-10)):
+            assert np.abs(exact[:, i] - rho).max() < 1e-8
+
+    def test_one_invalid_state_names_time_and_state(self, monkeypatch):
+        # a leak that adds trace to states populating level 2 only: state 1
+        # breaks at the first sample, states 0 and 2 stay valid
+        m = three_level_example().model
+        leak = np.zeros((9, 9), dtype=complex)
+        leak[0, 8] = 1.0  # d rho_00 / dt += rho_22
+        monkeypatch.setattr(lindblad, "liouvillian", lambda model: liouvillian(model) + leak)
+        stack = np.array([np.diag(d).astype(complex) for d in
+                          ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0])])
+        with pytest.raises(StateValidityError, match=r"at t=0\.5: state 1: trace"):
+            evolve(m, stack, 1.0, n_samples=3)
+
+    def test_invalid_initial_state_in_stack(self):
+        m = two_level_example().model
+        stack = np.array([maximally_mixed(2), np.diag([1.5, -0.5]).astype(complex)])
+        with pytest.raises(StateValidityError, match="state 1: smallest eigenvalue"):
+            evolve(m, stack, 1.0)
+
+    def test_rejects_wrong_shapes(self):
+        m = two_level_example().model
+        with pytest.raises(DimensionMismatchError):
+            evolve(m, maximally_mixed(3), 1.0)
+        with pytest.raises(DimensionMismatchError):
+            evolve(m, np.ones((1, 1, 2, 2)) / 2, 1.0)
 
 
 class TestExpectation:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,13 @@ class TestSimulateAggregate:
         assert np.allclose(total, traj.observables["W"], atol=1e-12)
         assert traj.observables["W"][-1] < 1e-8
         assert ground_space(sum(m.aggregate.terms)).energy == pytest.approx(0.0, abs=1e-12)
+
+    def test_clashing_names_raise_library_error(self):
+        # a term named like the total column breaks the additivity check
+        m = complementary_witnesses()
+        spec = dataclasses.replace(m.aggregate, term_names=["W", "X"])
+        with pytest.raises(PreconditionError, match="do not add up"):
+            simulate_aggregate(spec, 1.0, n_samples=5)
 
     def test_dimension_cap(self):
         m = toric_patch(extended=True)
