@@ -64,9 +64,17 @@ _SIM_CAP_ENV = "DISSIPCTL_SIM_CAP"
 
 
 def _sim_cap(args) -> int:
-    if getattr(args, "sim_cap", None):
-        return int(args.sim_cap)
-    return int(os.environ.get(_SIM_CAP_ENV, "64"))
+    """--sim-cap, else $DISSIPCTL_SIM_CAP, else 64; it must be a positive integer."""
+    field, value = "sim-cap", args.sim_cap
+    if value is None:
+        field, value = _SIM_CAP_ENV, os.environ.get(_SIM_CAP_ENV, "64")
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InputFormatError(field, f"must be a positive integer, got {value!r}")
+    return cap
 
 
 def _check_numbers(args) -> None:
@@ -150,7 +158,8 @@ def _cmd_synthesize(args) -> int:
             c = float(obj["c"])
         if channels is None and obj.get("channels") is not None:
             channels = int(obj["channels"])
-    result = synthesize(v, c, channels=channels or 1, seed=args.seed, tol=args.tol)
+    result = synthesize(v, c, channels=1 if channels is None else channels,
+                        seed=args.seed, tol=args.tol)
     if isinstance(result, list):
         body = {"channels": [synthesis_result_to_dict(r) for r in result]}
     else:

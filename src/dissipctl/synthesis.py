@@ -237,8 +237,6 @@ def synthesize_multi(v: np.ndarray, channels: int, c: float, *, seed: int = 0,
     """
     v = as_operator(v)
     k_total = int(channels)
-    if k_total < 1:
-        raise PreconditionError("channels must be >= 1")
     if not (0.0 < c <= k_total):
         raise PreconditionError(f"c must lie in (0, K], got {c}")
     if not is_projection(v, tol):
@@ -336,6 +334,8 @@ def synthesize(v: np.ndarray, c: float | None = None, channels: int = 1, *,
     channel and a list for multiple channels.
     """
     v = as_operator(v)
+    if channels < 1:
+        raise PreconditionError(f"channels must be >= 1, got {channels}")
     if c is None:
         try:
             return synthesize(v, 1.0, channels, seed=seed, tol=tol)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dissipctl
 from dissipctl.cli import main
 from dissipctl.serialize import matrix_to_json, model_to_json
 from dissipctl.models import two_level_example
@@ -92,6 +97,13 @@ class TestSynthesize:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["report"]["channels"]) == 2
+
+    @pytest.mark.parametrize("channels", ["0", "-2"])
+    def test_nonpositive_channels_is_input_error(self, capsys, v_file, channels):
+        code, out, err = _run(capsys, ["synthesize", "--v", v_file, "--c", "1",
+                                       "--channels", channels])
+        assert code == 1 and out == ""
+        assert f"channels must be >= 1, got {channels}" in err
 
 
 class TestSimulate:
@@ -313,3 +325,52 @@ class TestNonFiniteNumbers:
         code, _, err = _run(capsys, ["scale", "--name", "two_qubit", "--theorem", "inc-es",
                                      "--c", "-1"])
         assert code in (0, 2) and err == ""
+
+
+class TestSimCap:
+    """The simulation dimension cap is a positive integer, from --sim-cap or
+    the environment; anything else ends in exit 1 naming where it came from."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--name", "two_level", "--sim-cap", "0"],
+        ["simulate", "--name", "two_level", "--t-final", "1", "--sim-cap", "-3"],
+    ], ids=["zero", "negative"])
+    def test_option_named(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert f"input error: sim-cap: must be a positive integer, got {argv[-1]}" in err
+
+    def test_environment_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISSIPCTL_SIM_CAP", "abc")
+        code, out, err = _run(capsys, ["simulate", "--name", "two_level", "--t-final", "1"])
+        assert code == 1 and out == ""
+        assert "input error: DISSIPCTL_SIM_CAP: must be a positive integer, got 'abc'" in err
+        assert "Traceback" not in err
+
+
+def test_no_subcommand_loads_scipy(v_file):
+    """scipy is a test oracle only: a fresh process that runs every
+    computing subcommand, exact propagation included, never imports it."""
+    calls = [
+        ["check", "--name", "three_level"],
+        ["check", "--name", "two_level", "--simulate"],
+        ["scale", "--name", "two_qubit", "--theorem", "d-free"],
+        ["synthesize", "--v", v_file, "--c", "1", "--channels", "2"],
+        ["simulate", "--name", "cluster_chain(4)", "--t-final", "1", "--samples", "11"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from dissipctl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
+    )
+    src = str(Path(dissipctl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(calls)
+    assert not scipy_loaded

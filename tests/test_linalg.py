@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissipctl.errors import DimensionMismatchError, NonHermitianError
+from dissipctl.lindblad import liouvillian
+from dissipctl.models import REGISTRY, build
 from dissipctl.linalg import (
     PAULI_X,
     PAULI_Y,
@@ -249,6 +254,57 @@ class TestCommutatorExpm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             commutator(PAULI_X, np.eye(3))
+
+
+def relative_error(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestExpmOracle:
+    """expm against scipy.linalg.expm as the independent oracle, to 1e-12
+    relative, plus cases whose exponential is known exactly."""
+
+    # 1-norm bands, one inside each Pade degree's range (3, 5, 7, 9, 13
+    # unscaled) and one that needs up to five squarings
+    @pytest.mark.parametrize("band", [(1e-3, 1.4e-2), (1.6e-2, 0.25), (0.26, 0.95),
+                                      (0.96, 2.09), (2.1, 5.37), (5.38, 1e2)],
+                             ids=["pade3", "pade5", "pade7", "pade9", "pade13", "squaring"])
+    @given(n=st.integers(1, 20), where=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_complex_matrix(self, band, n, where, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        lo, hi = band
+        a *= lo * (hi / lo) ** where / np.linalg.norm(a, 1)
+        assert relative_error(expm(a), scipy.linalg.expm(a)) <= 1e-12
+
+    def test_zero_matrix(self):
+        assert np.array_equal(expm(np.zeros((5, 5))), np.eye(5))
+
+    @pytest.mark.parametrize("z", [0.3, -2.0 + 1.5j, 40.0j, -75.0])
+    def test_one_by_one(self, z):
+        out = expm(np.array([[z]]))
+        assert out.shape == (1, 1)
+        assert abs(out[0, 0] - np.exp(z)) <= 1e-12 * abs(np.exp(z))
+
+    @pytest.mark.parametrize("k, t", [(2, 1.0), (4, 0.5), (6, 3.0)])
+    def test_nilpotent_jordan_block(self, k, t):
+        # exp(tN) = sum_j (tN)^j / j!, a finite sum since N^k = 0; I + N for k = 2
+        n = np.eye(k, k=1)
+        exact = sum(np.linalg.matrix_power(t * n, j) / math.factorial(j) for j in range(k))
+        assert relative_error(expm(n, t), exact) <= 1e-12
+
+    def test_registry_liouvillians(self):
+        # check --simulate samples t_final = 20 at 201 points, so dt = 0.1;
+        # evolve propagates by expm up to dimension 16
+        checked = 0
+        for name in sorted(REGISTRY):
+            model = build(name).model
+            if model.dim <= 16:
+                lam = liouvillian(model)
+                assert relative_error(expm(lam, 0.1), scipy.linalg.expm(lam * 0.1)) <= 1e-12
+                checked += 1
+        assert checked >= 5
 
 
 class TestPredicates:
