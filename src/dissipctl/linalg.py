@@ -240,12 +240,17 @@ def expm(a, t: float = 1.0) -> np.ndarray:
 
     The lowest Pade degree of 3, 5, 7, 9 whose bound covers the exact 1-norm
     is used; above that, degree 13 on a / 2^s with s the fewest halvings that
-    bring the norm under theta_13, then s squarings (Higham 2005).
+    bring the norm under theta_13, then s squarings (Higham 2005).  A
+    diagonal matrix, 1x1 included, is exponentiated entrywise.
     """
     a = as_operator(a) * float(t)
+    if np.array_equal(a, np.diag(np.diagonal(a))):
+        # exact; squaring would scale the Pade error of exp(z / 2^s) by 2^s
+        return np.diag(np.exp(np.diagonal(a)))
     eye = np.eye(a.shape[0], dtype=complex)
     norm = float(np.linalg.norm(a, 1))
     a2 = a @ a
+    s = 0
     for theta, b in _PADE:
         if norm <= theta:
             even = [eye, a2]  # A^0, A^2, ..., A^(m-1)
@@ -253,17 +258,21 @@ def expm(a, t: float = 1.0) -> np.ndarray:
                 even.append(even[-1] @ a2)
             u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
             v = sum(b[2 * k] * p for k, p in enumerate(even))
-            return np.linalg.solve(v - u, v + u)
-    s = max(0, ceil(log2(norm / _THETA_13)))
-    a, a2 = a / 2.0 ** s, a2 / 4.0 ** s
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    b = _B_13
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
+            break
+    else:
+        s = max(0, ceil(log2(norm / _THETA_13)))
+        a, a2 = a / 2.0 ** s, a2 / 4.0 ** s
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        b = _B_13
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    # (V - U)^{-1} (V + U), written so that the rounding falls on the
+    # correction to I: the column sums of a Liouvillian's propagator, which
+    # carry the trace of the propagated state, then stay exact more often
+    r = eye + 2.0 * np.linalg.solve(v - u, u)
     for _ in range(s):
         r = r @ r
     return r

@@ -281,11 +281,20 @@ class TestExpmOracle:
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((5, 5))), np.eye(5))
 
-    @pytest.mark.parametrize("z", [0.3, -2.0 + 1.5j, 40.0j, -75.0])
+    # -85.9 - 1.46j went through degree 13 and four squarings to 1.3e-12
+    @pytest.mark.parametrize("z", [0.3, -2.0 + 1.5j, 40.0j, -75.0, -85.88763938676736 - 1.4571892700025086j])
     def test_one_by_one(self, z):
         out = expm(np.array([[z]]))
         assert out.shape == (1, 1)
         assert abs(out[0, 0] - np.exp(z)) <= 1e-12 * abs(np.exp(z))
+
+    @pytest.mark.parametrize("theta", [0.01, 0.2, 0.5, 2.0, 5.0, 40.0])
+    def test_rotation_generator(self, theta):
+        # exp [[0, -theta], [theta, 0]] is the rotation by theta; its 1-norm
+        # equals its spectral radius, so each degree and the squaring are tight
+        c, s = np.cos(theta), np.sin(theta)
+        out = expm(np.array([[0.0, -theta], [theta, 0.0]]))
+        assert relative_error(out, np.array([[c, -s], [s, c]])) <= 1e-12
 
     @pytest.mark.parametrize("k, t", [(2, 1.0), (4, 0.5), (6, 3.0)])
     def test_nilpotent_jordan_block(self, k, t):
