@@ -59,6 +59,7 @@ from .synthesis import (  # noqa: F401
     check_factorizable,
     solve_bilinear,
     synthesize,
+    synthesize_closed_form,
     synthesize_multi,
     synthesize_pinv,
     synthesize_projection,

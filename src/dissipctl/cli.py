@@ -2,10 +2,12 @@
 
 Subcommands: check, synthesize, simulate, scale, models.  Reports are JSON,
 trajectories are CSV; all randomness is pinned by --seed so re-runs are
-byte-identical.
+byte-identical.  synthesize is exact and uses no randomness; its report
+carries no seed.
 
-Exit codes: 0 success/certified, 1 input error, 2 not certified,
-3 synthesis infeasible, 4 solver budget exhausted, 5 dimension cap exceeded.
+Exit codes: 0 success/certified, 1 input error (usage errors included),
+2 not certified, 3 synthesis infeasible, 4 solver budget exhausted,
+5 dimension cap exceeded.
 """
 
 from __future__ import annotations
@@ -86,6 +88,17 @@ def _check_numbers(args) -> None:
                                    f"must be finite{' and positive' * positive}, got {value!r}")
 
 
+def _file_number(obj: dict, field: str, integral: bool) -> float | int:
+    """A finite JSON number from an input file; an integral one for counts."""
+    value = obj[field]
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and math.isfinite(value) and (not integral or float(value).is_integer()))
+    if not ok:
+        kind = "an integer" if integral else "a finite number"
+        raise InputFormatError(field, f"must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _load_json(path: str, field: str) -> dict:
     try:
         with open(path) as handle:
@@ -155,16 +168,17 @@ def _cmd_synthesize(args) -> int:
     if isinstance(obj, dict):
         # the input file may carry the target constant and channel count
         if c is None and obj.get("c") is not None:
-            c = float(obj["c"])
+            c = _file_number(obj, "c", integral=False)
         if channels is None and obj.get("channels") is not None:
-            channels = int(obj["channels"])
-    result = synthesize(v, c, channels=1 if channels is None else channels,
-                        seed=args.seed, tol=args.tol)
+            channels = _file_number(obj, "channels", integral=True)
+    result = synthesize(v, c, channels=1 if channels is None else channels, tol=args.tol)
     if isinstance(result, list):
         body = {"channels": [synthesis_result_to_dict(r) for r in result]}
     else:
         body = synthesis_result_to_dict(result)
-    _emit(args, _report_envelope(args, "synthesize", body))
+    envelope = _report_envelope(args, "synthesize", body)
+    del envelope["seed"]  # the closed form uses no randomness
+    _emit(args, envelope)
     return EXIT_OK
 
 
@@ -284,6 +298,15 @@ def _cmd_models(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage and type errors on EXIT_INPUT: its own exit code 2
+    is EXIT_NOT_CERTIFIED here.  The message is argparse's."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument("--tol", type=float, default=1e-9, help="base tolerance")
@@ -293,7 +316,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dissipctl",
         description="certify ground-state stability of open quantum systems, "
                     "synthesize dissipative couplings, and check aggregation",
@@ -364,8 +387,7 @@ def main(argv=None) -> int:
         print(f"dissipctl: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except SolverBudgetError as exc:
-        print(f"dissipctl: solver budget exhausted: {exc} "
-              f"(best residual {exc.best_residual:.3e})", file=sys.stderr)
+        print(f"dissipctl: solver budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except DimensionCapError as exc:
         print(f"dissipctl: dimension cap: {exc}", file=sys.stderr)

@@ -22,8 +22,12 @@ class CommutationError(DissipctlError):
 
 
 class InfeasibleError(DissipctlError):
-    """The synthesis problem has no solution (rank obstruction or
-    inconsistent linear system)."""
+    """The synthesis problem has no solution; ``reason`` names the obstruction
+    ("range", "norm" or "rank") where it is known."""
+
+    def __init__(self, message: str, reason: str | None = None):
+        super().__init__(message)
+        self.reason = reason
 
 
 class SolverBudgetError(DissipctlError):

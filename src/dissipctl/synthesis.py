@@ -2,9 +2,12 @@
 
 A unitary U rotating part of the excited space of V into its ground space
 turns V into a certified stability witness for the single channel L = U V.
-For projections the constraint is V U' V U V <= (1-c) V; its general solution
-is parameterized through the pseudoinverse of V^T (x) V plus a free vector
-that is pinned down by a set of bilinear unitarity equations.
+For projections the constraint is V U' V U V <= (1-c) V.  Every runtime path
+solves V U V = sqrt(1-c) Q in closed form (``synthesize_closed_form``): the
+constraint pins one corner of U, and a CS dilation completes it or names the
+obstruction.  The general solution through the pseudoinverse of V^T (x) V and
+a bilinear unitarity system (``synthesize_pinv``) is kept as an independent
+oracle for the tests.
 """
 
 from __future__ import annotations
@@ -156,44 +159,90 @@ def _result(v: np.ndarray, u: np.ndarray, q: np.ndarray, c: float) -> SynthesisR
     )
 
 
-def synthesize_projection(v: np.ndarray, c: float, *, seed: int = 0,
-                          tol: float = DEFAULT_TOL) -> SynthesisResult:
-    """Coupling L = U V for a projection V with target decay constant c.
+def synthesize_closed_form(v: np.ndarray, c: float, q: np.ndarray | None = None, *,
+                           tol: float = DEFAULT_TOL) -> SynthesisResult:
+    """Unitary U with V U V = sqrt(1-c) Q, in closed form, or the reason none exists.
 
-    Works in the eigenbasis of V (excited block first), where the constraint
-    pins the excited-excited corner of U to a contraction of norm sqrt(1-c);
-    the corner sqrt(1-c) I_r is completed to a unitary by block dilation when
-    the ground space is large enough (n >= 2r).  For c = 1 and r > n - r no
-    unitary with a vanishing corner exists.
+    In the eigenbasis of V (range R with eigenvalues Lambda, kernel K) the
+    constraint needs sqrt(1-c) Q to vanish outside the RR block and pins
+    U_RR = A := sqrt(1-c) Lambda^-1 Q_RR Lambda^-1.  A unitary with corner A
+    exists iff ||A||_2 <= 1 and rank(I - A'A) <= dim K.  With A = X S Y' and
+    D = sqrt(I - S^2) it is the CS dilation [[A, X D], [D Y', -S]] on R and
+    rank(D) kernel directions, the identity on the rest of K (Paige & Wei,
+    Linear Algebra Appl. 208/209 (1994) 303-326; Golub & Van Loan, Matrix
+    Computations, 2.5.4).  Q defaults to sqrt(V).
+
+    Raises InfeasibleError with ``reason`` "range", "norm" or "rank".
     """
     v = as_operator(v)
     if not (0.0 < c <= 1.0):
         raise PreconditionError(f"c must lie in (0, 1], got {c}")
+    if not is_hermitian(v, tol):
+        raise PreconditionError("candidate must be PSD")
+    w, vecs = np.linalg.eigh(hermitian_part(v))
+    n = v.shape[0]
+    scale = max(1.0, float(np.abs(w).max())) if n else 1.0
+    if n and w[0] < -tol * scale:
+        raise PreconditionError("candidate must be PSD")
+    in_range = w > tol * scale
+    if q is None:
+        q = (vecs * np.sqrt(np.where(in_range, w, 0.0))) @ dagger(vecs)
+    else:
+        q = as_operator(q)
+        if float(np.linalg.norm(dagger(q) @ q - v)) > scaled_tol(v, max(tol, 1e-8)):
+            raise PreconditionError("factor Q must satisfy Q'Q = V")
+    r = int(in_range.sum())
+    basis = np.concatenate([vecs[:, in_range], vecs[:, ~in_range]], axis=1)
+    target = np.sqrt(1.0 - c) * (dagger(basis) @ q @ basis)
+    outside = target.copy()
+    outside[:r, :r] = 0.0
+    off, allowed = float(np.linalg.norm(outside)), tol * max(1.0, float(np.linalg.norm(target)))
+    if off > allowed:
+        raise InfeasibleError(
+            f"range obstruction: sqrt(1-c) Q has weight {off:.3e} outside the range "
+            f"block of V (allowed {allowed:.3e})", reason="range")
+    u_eig = np.eye(n, dtype=complex)
+    if r:
+        lam = w[in_range]
+        a = target[:r, :r] / np.outer(lam, lam)
+        x, s, yh = np.linalg.svd(a)
+        if s[0] > 1.0 + tol:
+            raise InfeasibleError(
+                f"norm obstruction: the pinned corner A of U has ||A||_2 = {s[0]:.6g} > 1",
+                reason="norm")
+        d = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
+        # defects below sqrt(tol) are dropped: the unitarity residual stays <= tol
+        used = d > np.sqrt(tol)
+        k = int(used.sum())
+        if k > n - r:
+            raise InfeasibleError(
+                f"rank obstruction: rank(I - A'A) = {k} exceeds the kernel dimension "
+                f"{n - r} of V", reason="rank")
+        xk, dk, yk, sk = x[:, used], d[used], dagger(yh)[:, used], s[used]
+        # with k = r, kernel direction i follows range direction i: the Halmos
+        # dilation [[A, (I - AA')^1/2], [(I - A'A)^1/2, -A']], which does not
+        # depend on the SVD's choice of singular vectors and gives
+        # [[sqrt(1-c) I, sqrt(c) I], [sqrt(c) I, -sqrt(1-c) I]] on projections
+        z1, z2 = (yk, dagger(xk)) if k == r else (np.eye(k), np.eye(k))
+        u_eig[:r, :r] = a
+        u_eig[:r, r:r + k] = (xk * dk) @ z2
+        u_eig[r:r + k, :r] = z1 @ (dk[:, None] * dagger(yk))
+        u_eig[r:r + k, r:r + k] = -(z1 * sk) @ z2
+    return _result(v, basis @ u_eig @ dagger(basis), q, c)
+
+
+def synthesize_projection(v: np.ndarray, c: float, *,
+                          tol: float = DEFAULT_TOL) -> SynthesisResult:
+    """Coupling L = U V for a projection V with target decay constant c.
+
+    The closed form with Q = V: the corner is sqrt(1-c) I_r, completed by the
+    block dilation on r ground-space directions.  No unitary exists when the
+    rank r exceeds the ground-space dimension n - r, for any c in (0, 1].
+    """
+    v = as_operator(v)
     if not is_projection(v, tol):
         raise PreconditionError("candidate must be a projection (V^2 = V)")
-    n = v.shape[0]
-    spec = hermitian_eig(v)
-    excited = spec.values > 0.5
-    r = int(excited.sum())
-    if r == 0:
-        return _result(v, np.eye(n, dtype=complex), v, c)
-    basis = np.concatenate([spec.vectors[:, excited], spec.vectors[:, ~excited]], axis=1)
-    if n - r >= r:
-        corner = np.sqrt(1.0 - c) * np.eye(r)
-        off = np.sqrt(c) * np.eye(r)
-        u_eig = np.eye(n, dtype=complex)
-        u_eig[:r, :r] = corner
-        u_eig[:r, r:2 * r] = off
-        u_eig[r:2 * r, :r] = off
-        u_eig[r:2 * r, r:2 * r] = -corner
-        u = basis @ u_eig @ dagger(basis)
-        return _result(v, u, v, c)
-    if c >= 1.0:
-        raise InfeasibleError(
-            f"rank obstruction: rank {r} exceeds ground-space dimension {n - r}, "
-            "no unitary with a vanishing excited-excited corner exists"
-        )
-    return synthesize_pinv(v, c=c, seed=seed, tol=tol)
+    return synthesize_closed_form(v, c, v, tol=tol)
 
 
 def synthesize_pinv(v: np.ndarray, q: np.ndarray | None = None, c: float = 1.0, *,
@@ -227,13 +276,14 @@ def synthesize_pinv(v: np.ndarray, q: np.ndarray | None = None, c: float = 1.0, 
     return _result(v, u, q, c)
 
 
-def synthesize_multi(v: np.ndarray, channels: int, c: float, *, seed: int = 0,
+def synthesize_multi(v: np.ndarray, channels: int, c: float, *,
                      tol: float = DEFAULT_TOL) -> list[SynthesisResult]:
     """K couplings L_k = U_k V jointly certifying decay constant c.
 
-    The target is split evenly, Q_k = sqrt((K-c)/K) sqrt(V), so each channel
-    solves the single-channel problem at effective constant c/K.  The summed
-    inequality V (sum_k U_k' V U_k) V <= (K-c) V is post-verified.
+    The target is split evenly, so each channel solves the single-channel
+    problem at effective constant c/K; the K channels are that one closed-form
+    result, repeated.  The summed inequality V (sum_k U_k' V U_k) V <= (K-c) V
+    is post-verified.
     """
     v = as_operator(v)
     k_total = int(channels)
@@ -241,11 +291,7 @@ def synthesize_multi(v: np.ndarray, channels: int, c: float, *, seed: int = 0,
         raise PreconditionError(f"c must lie in (0, K], got {c}")
     if not is_projection(v, tol):
         raise PreconditionError("multi-channel synthesis assumes a projection")
-    if k_total == 1:
-        return [synthesize_projection(v, c, seed=seed, tol=tol)]
-    results = []
-    for k in range(k_total):
-        results.append(synthesize_pinv(v, c=c / k_total, seed=seed + 7919 * k, tol=tol))
+    results = [synthesize_projection(v, c / k_total, tol=tol)] * k_total
     acc = np.zeros_like(v)
     gen_sum = np.zeros_like(v)
     for res in results:
@@ -326,11 +372,11 @@ def verify_v2_dominated(v: np.ndarray, u: np.ndarray, c: float,
 
 
 def synthesize(v: np.ndarray, c: float | None = None, channels: int = 1, *,
-               seed: int = 0, tol: float = DEFAULT_TOL):
-    """Dispatch synthesis for a candidate V.
+               tol: float = DEFAULT_TOL):
+    """Dispatch synthesis for a candidate V; every path is the closed form.
 
     When c is omitted, c = 1 is attempted first and c = 1/2 is used as the
-    fallback on a rank obstruction.  Returns a SynthesisResult for a single
+    fallback on an infeasible verdict.  Returns a SynthesisResult for a single
     channel and a list for multiple channels.
     """
     v = as_operator(v)
@@ -338,11 +384,11 @@ def synthesize(v: np.ndarray, c: float | None = None, channels: int = 1, *,
         raise PreconditionError(f"channels must be >= 1, got {channels}")
     if c is None:
         try:
-            return synthesize(v, 1.0, channels, seed=seed, tol=tol)
+            return synthesize(v, 1.0, channels, tol=tol)
         except InfeasibleError:
-            return synthesize(v, 0.5, channels, seed=seed, tol=tol)
+            return synthesize(v, 0.5, channels, tol=tol)
     if channels > 1:
-        return synthesize_multi(v, channels, c, seed=seed, tol=tol)
+        return synthesize_multi(v, channels, c, tol=tol)
     if is_projection(v, tol):
-        return synthesize_projection(v, c, seed=seed, tol=tol)
-    return synthesize_pinv(v, c=c, seed=seed, tol=tol)
+        return synthesize_projection(v, c, tol=tol)
+    return synthesize_closed_form(v, c, tol=tol)

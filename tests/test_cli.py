@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import dissipctl
+from dissipctl import cli, synthesis
 from dissipctl.cli import main
 from dissipctl.serialize import matrix_to_json, model_to_json
 from dissipctl.models import two_level_example
+from dissipctl.synthesis import synthesize_pinv
 
 
 @pytest.fixture()
@@ -104,6 +106,99 @@ class TestSynthesize:
                                        "--channels", channels])
         assert code == 1 and out == ""
         assert f"channels must be >= 1, got {channels}" in err
+
+    def test_seed_does_not_change_the_report(self, capsys, v_file):
+        outs = []
+        for seed in ("0", "7"):
+            code, out, _ = _run(capsys, ["synthesize", "--v", v_file, "--c", "0.64",
+                                         "--channels", "2", "--seed", seed])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "seed" not in json.loads(outs[0])
+
+    def test_rank_obstructed_projection_is_infeasible(self, capsys, tmp_path):
+        # rank 3 of 4 below c = 1: exit 3 at once, not an exhausted solver budget
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"V": matrix_to_json(np.diag([1.0, 1.0, 1.0, 0.0]))}))
+        code, out, err = _run(capsys, ["synthesize", "--v", str(path), "--c", "0.5"])
+        assert code == 3 and out == ""
+        assert "rank(I - A'A) = 3 exceeds the kernel dimension 1" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("channels", '"two"', "channels: must be an integer, got 'two'"),
+        ("channels", "2.5", "channels: must be an integer, got 2.5"),
+        ("channels", "true", "channels: must be an integer, got True"),
+        ("c", '"half"', "c: must be a finite number, got 'half'"),
+        ("c", "NaN", "c: must be a finite number, got nan"),
+        ("c", "Infinity", "c: must be a finite number, got inf"),
+    ], ids=["channels-word", "channels-fraction", "channels-bool",
+            "c-word", "c-nan", "c-inf"])
+    def test_malformed_number_in_file(self, capsys, tmp_path, field, value, message):
+        path = tmp_path / "v.json"
+        path.write_text(f'{{"V": [[1, 0], [0, 0]], "{field}": {value}}}')
+        code, out, err = _run(capsys, ["synthesize", "--v", str(path)])
+        assert code == 1 and out == ""
+        assert f"input error: {message}" in err
+
+    def test_numbers_in_file(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text('{"V": [[1, 0], [0, 0]], "c": 1, "channels": 2.0}')
+        code, out, _ = _run(capsys, ["synthesize", "--v", str(path)])
+        assert code == 0
+        assert len(json.loads(out)["report"]["channels"]) == 2
+
+
+class TestBudgetMessage:
+    """A solver budget failure prints its residual once, and only a finite one."""
+
+    def test_bilinear_oracle_message(self, capsys, v_file, monkeypatch):
+        def oracle(v, c, channels, tol):
+            return synthesize_pinv(np.eye(2), c=0.5, restarts=2, iters=5)
+
+        monkeypatch.setattr(cli, "synthesize", oracle)
+        code, out, err = _run(capsys, ["synthesize", "--v", v_file, "--c", "0.5"])
+        assert code == 4 and out == ""
+        assert err.count("best residual") == 1
+
+    def test_multi_channel_guard_message(self, capsys, v_file, monkeypatch):
+        def wrong(v, c, tol):  # a coupling that misses the target constant
+            return synthesis._result(v, np.eye(2, dtype=complex), v, c)
+
+        monkeypatch.setattr(synthesis, "synthesize_projection", wrong)
+        code, out, err = _run(capsys, ["synthesize", "--v", v_file, "--c", "1",
+                                       "--channels", "2"])
+        assert code == 4 and out == ""
+        assert err == "dissipctl: solver budget exhausted: multi-channel post-verification failed\n"
+
+
+class TestUsageErrors:
+    """argparse's usage and type errors exit 1 (input error), not 2 (not
+    certified), with argparse's message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--name", "two_level", "--sim-cap", "abc"],
+         "argument --sim-cap: invalid int value: 'abc'"),
+        (["simulate", "--name", "two_level"],
+         "the following arguments are required: --t-final"),
+        (["scale", "--name", "two_qubit", "--theorem", "magic"],
+         "argument --theorem: invalid choice: 'magic'"),
+    ], ids=["bad-type", "missing-required", "bad-choice"])
+    def test_exit_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"dissipctl {argv[0]}: error: {message}" in captured.err
+        assert captured.err.startswith("usage: dissipctl")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["synthesize", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestSimulate:
@@ -199,7 +294,7 @@ class TestScale:
     def test_unknown_theorem_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["scale", "--name", "two_qubit", "--theorem", "magic"])
-        assert err.value.code == 2  # argparse rejects the choice
+        assert err.value.code == 1  # argparse rejects the choice, as an input error
 
     def test_incremental_es(self, capsys):
         code, out, _ = _run(capsys, ["scale", "--name", "two_qubit",

@@ -6,7 +6,9 @@ The set is every registry model at default arguments except
 through ``scale`` with every theorem, plus ``d-free --mode ds``.  Calls on
 models without an aggregate are kept: they pin the exit-1 error paths.
 ``check --simulate`` is pinned on the models of dimension 2 to 4, whose
-ensembles are stepped exactly.
+ensembles are stepped exactly.  ``synthesize`` is pinned on the candidate
+files in ``golden/inputs``: dilations, a two-channel split, the rank and norm
+obstructions (exit 3) and malformed numbers in the file (exit 1).
 
 Regenerate the files after an intended output change with
 
@@ -23,9 +25,22 @@ from dissipctl.cli import main
 from dissipctl.models import REGISTRY
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
+INPUT_DIR = GOLDEN_DIR / "inputs"
 
 THEOREMS = ("es", "ds", "commuting", "d-free", "inc-es", "inc-ds")
 SIMULATED = ("complementary_witnesses", "three_level", "two_level", "two_qubit")
+SYNTHESIZED = (
+    ("projection_rank1", "--c", "1"),
+    ("projection_rank1", "--c", "0.64"),
+    ("projection_rank1", "--c", "1", "--channels", "2"),
+    ("projection_rank3", "--c", "0.5"),
+    ("nonprojection_rank2", "--c", "0.5"),
+    ("malformed_c_nan",),
+    ("malformed_c_word",),
+    ("malformed_channels_bool", "--c", "1"),
+    ("malformed_channels_fraction", "--c", "1"),
+    ("malformed_channels_word", "--c", "1"),
+)
 
 
 def golden_calls() -> list[list[str]]:
@@ -36,11 +51,20 @@ def golden_calls() -> list[list[str]]:
             calls.append(["scale", "--name", name, "--theorem", theorem])
         calls.append(["scale", "--name", name, "--theorem", "d-free", "--mode", "ds"])
     calls += [["check", "--name", name, "--simulate"] for name in SIMULATED]
+    calls += [["synthesize", "--v", str(INPUT_DIR / f"{stem}.json"), *rest]
+              for stem, *rest in SYNTHESIZED]
     return calls
 
 
+def _shown(arg: str) -> str:
+    """An input file by its name alone, so ids and file names do not depend
+    on where the tests live."""
+    return Path(arg).name if arg.endswith(".json") else arg
+
+
 def golden_path(argv: list[str]) -> Path:
-    stem = "_".join(a.lstrip("-") for a in argv if a != "--name")
+    stem = "_".join(_shown(a).removesuffix(".json").lstrip("-")
+                    for a in argv if a not in ("--name", "--v"))
     return GOLDEN_DIR / f"{stem}.txt"
 
 
@@ -52,7 +76,7 @@ def run_cli(argv: list[str]) -> str:
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-@pytest.mark.parametrize("argv", golden_calls(), ids=" ".join)
+@pytest.mark.parametrize("argv", golden_calls(), ids=lambda argv: " ".join(map(_shown, argv)))
 def test_golden_output(argv):
     expected = golden_path(argv).read_text()
     assert run_cli(argv) == expected

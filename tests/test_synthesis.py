@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dissipctl import synthesis
 from dissipctl.errors import InfeasibleError, PreconditionError, SolverBudgetError
 from dissipctl.lindblad import LindbladModel, generator_single_channel
 from dissipctl.linalg import (
@@ -19,6 +24,7 @@ from dissipctl.synthesis import (
     check_factorizable,
     solve_bilinear,
     synthesize,
+    synthesize_closed_form,
     synthesize_multi,
     synthesize_pinv,
     synthesize_projection,
@@ -60,6 +66,130 @@ class TestSynthesizeProjection:
     def test_rejects_non_projection(self):
         with pytest.raises(PreconditionError):
             synthesize_projection(np.diag([2.0, 0.0]).astype(complex), 1.0)
+
+    def test_block_dilation_convention(self):
+        # [[sqrt(1-c) I, sqrt(c) I], [sqrt(c) I, -sqrt(1-c) I]] on range(V) and r
+        # kernel directions, the identity elsewhere: a Hermitian involution
+        rng = np.random.default_rng(23)
+        v = random_projection(rng, 5, 2)
+        u = synthesize_projection(v, 0.36).unitary
+        assert np.allclose(u, dagger(u), atol=1e-12)
+        assert np.allclose(v @ u @ v, 0.8 * v, atol=1e-12)
+        off = np.linalg.svd((np.eye(5) - v) @ u @ v, compute_uv=False)
+        assert np.allclose(off, [0.6, 0.6, 0, 0, 0], atol=1e-12)
+        assert np.trace(u) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [0.5, 0.01])
+    def test_rank_obstruction_below_one(self, c):
+        # the defect rank of a projection is r for every c, so rank 3 of 4 has
+        # no coupling at any constant
+        rng = np.random.default_rng(25)
+        with pytest.raises(InfeasibleError, match=r"rank\(I - A'A\) = 3 exceeds .* 1") as err:
+            synthesize_projection(random_projection(rng, 4, 3), c)
+        assert err.value.reason == "rank"
+
+
+class TestClosedForm:
+    def test_norm_obstruction(self):
+        # A = sqrt(1-c) Lambda^-3/2 with Q = sqrt(V): 0.2 < (1-c)^(1/3) is too small
+        with pytest.raises(InfeasibleError, match=r"\|\|A\|\|_2 = 7\.90569 > 1") as err:
+            synthesize_closed_form(np.diag([1.0, 0.2, 0.0, 0.0]), 0.5)
+        assert err.value.reason == "norm"
+
+    def test_range_obstruction(self):
+        # Q = X sqrt(V) has Q'Q = V but weight outside the range block
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        with pytest.raises(InfeasibleError, match="range obstruction") as err:
+            synthesize_closed_form(V2, 0.5, x @ V2)
+        assert err.value.reason == "range"
+        res = synthesize_closed_form(V2, 1.0, x @ V2)
+        assert res.residuals["unitarity"] < 1e-12
+
+    def test_unit_singular_value_uses_fewer_kernel_directions(self):
+        # sigma = 1 on the eigenvalue 1/2 at c = 7/8: rank(I - A'A) = 1 < r = 2,
+        # so one kernel direction completes U although n - r < r
+        v = np.diag([0.5, 2.0, 0.0]).astype(complex)
+        res = synthesize_closed_form(v, 0.875)
+        assert res.residuals["unitarity"] < 1e-12
+        assert res.residuals["constraint"] < 1e-12
+
+    def test_rejects_constant_outside_unit_interval(self):
+        for c in (0.0, 1.5):
+            with pytest.raises(PreconditionError):
+                synthesize_closed_form(np.diag([2.0, 0.0]), c)
+
+    def test_rejects_non_psd(self):
+        with pytest.raises(PreconditionError):
+            synthesize_closed_form(np.diag([1.0, -1.0]), 0.5)
+
+
+def _candidate(rng, kind):
+    n = int(rng.integers(2, 7))
+    r = int(rng.integers(1, n + 1))
+    u = haar_unitary(rng, n)
+    lam = np.ones(r) if kind == "projection" else rng.uniform(0.3, 2.5, r)
+    v = (u[:, :r] * lam) @ dagger(u[:, :r])
+    q = sqrtm_psd(v)
+    if kind == "rotated factor":
+        q = haar_unitary(rng, n) @ q
+    return v, q, lam
+
+
+class TestClosedFormOracle:
+    """The closed form against the bilinear solver on random PSD candidates:
+    it solves every case the solver solves, and every verdict of no solution
+    names its obstruction."""
+
+    @given(st.integers(0, 10**6),
+           st.sampled_from(["projection", "spectrum", "rotated factor"]),
+           st.one_of(st.just(1.0), st.floats(0.02, 0.98)))
+    @settings(max_examples=60, deadline=None)
+    def test_against_bilinear_solver(self, seed, kind, c):
+        rng = np.random.default_rng(seed)
+        v, q, lam = _candidate(rng, kind)
+        n = v.shape[0]
+        try:
+            res = synthesize_closed_form(v, c, q)
+        except InfeasibleError as exc:
+            res = None
+            assert exc.reason in ("range", "norm", "rank")
+            assert re.search(r"\d", str(exc))
+        else:
+            assert res.residuals["unitarity"] <= 1e-12
+            assert res.residuals["constraint"] <= 1e-12
+            if lam.min() >= 1.0:
+                # V^2 >= V: V U V = sqrt(1-c) Q implies G(V) <= -c V
+                model = LindbladModel(TensorStructure((n,)), np.zeros((n, n), dtype=complex),
+                                      [res.coupling])
+                certified = check_condition_es(v, model)
+                assert certified is not None and certified >= c - 1e-6
+        try:
+            system = assemble_bilinear_system(v, q, c)
+        except InfeasibleError:
+            assert res is None
+            return
+        x, _ = solve_bilinear(system, rng, restarts=2, iters=150)
+        assert x is None or res is not None
+
+
+def test_no_runtime_path_reaches_the_bilinear_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a runtime synthesis path reached the bilinear oracle")
+
+    for name in ("assemble_bilinear_system", "solve_bilinear", "synthesize_pinv"):
+        monkeypatch.setattr(synthesis, name, forbidden)
+    rng = np.random.default_rng(81)
+    p = random_projection(rng, 4, 1)
+    assert synthesize(p, 0.64).residuals["unitarity"] < 1e-12
+    assert len(synthesize(p, 1.0, channels=2)) == 2
+    assert len(synthesize(random_projection(rng, 6, 2), 1.0, channels=3)) == 3
+    assert synthesize(np.diag([2.0, 1.5, 0.0, 0.0]), 0.5).residuals["unitarity"] < 1e-12
+    for v, c, reason in ((random_projection(rng, 4, 3), 0.5, "rank"),
+                         (random_projection(rng, 4, 3), None, "rank"),
+                         (np.diag([1.0, 0.2, 0.0, 0.0]), 0.5, "norm")):
+        with pytest.raises(InfeasibleError) as err:
+            synthesize(v, c)
+        assert err.value.reason == reason
 
 
 class TestBilinearSystem:
@@ -146,20 +276,20 @@ class TestSynthesizeMulti:
         assert np.allclose(res[0].coupling, np.array([[0, 0], [1.0, 0]]), atol=1e-12)
 
     def test_two_channel_split(self):
-        results = synthesize_multi(V2, 2, 1.0, seed=5)
+        results = synthesize_multi(V2, 2, 1.0)
         assert len(results) == 2
         for res in results:
             assert abs(res.coupling[1, 0]) ** 2 == pytest.approx(0.5, abs=1e-8)
 
     def test_summed_certificate(self):
-        results = synthesize_multi(V2, 2, 1.0, seed=6)
+        results = synthesize_multi(V2, 2, 1.0)
         total = sum(generator_single_channel(V2, r.coupling) for r in results)
         assert is_psd(-total - 1.0 * V2, 1e-8)
 
     def test_three_channels_on_larger_projection(self):
         rng = np.random.default_rng(35)
         v = random_projection(rng, 4, 1)
-        results = synthesize_multi(v, 3, 2.0, seed=8)
+        results = synthesize_multi(v, 3, 2.0)
         assert len(results) == 3
         total = sum(generator_single_channel(v, r.coupling) for r in results)
         assert is_psd(-total - 2.0 * v, 1e-8)
@@ -231,10 +361,10 @@ class TestDispatcher:
         v = random_projection(rng, 3, 2)  # rank 2 of 3: c=1 infeasible, c=1/2 feasible?
         # 2r > n so the corner cannot vanish; the fallback must also fail here
         with pytest.raises((InfeasibleError, SolverBudgetError)):
-            synthesize(v, seed=1)
+            synthesize(v)
 
     def test_multi_channel_dispatch(self):
-        results = synthesize(V2, c=1.0, channels=2, seed=2)
+        results = synthesize(V2, c=1.0, channels=2)
         assert isinstance(results, list) and len(results) == 2
 
 
