@@ -23,7 +23,8 @@ class CommutationError(DissipctlError):
 
 class InfeasibleError(DissipctlError):
     """The synthesis problem has no solution; ``reason`` names the obstruction
-    ("range", "norm" or "rank") where it is known."""
+    ("range", "norm" or "rank", or "es" for a coupling that misses the decay
+    bound) where it is known."""
 
     def __init__(self, message: str, reason: str | None = None):
         super().__init__(message)

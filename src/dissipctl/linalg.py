@@ -1,6 +1,9 @@
-"""Dense complex linear algebra and Hilbert-space composition primitives.
+"""Dense linear algebra and Hilbert-space composition primitives.
 
-Operators are plain numpy arrays of dtype complex128.  Multi-site operators
+Operators are plain numpy arrays, and their dtype follows the data:
+`as_operator` stores a matrix with no nonzero imaginary part as float64 and
+any other as complex128, so real models run in real BLAS and LAPACK, and
+mixed operands promote to complex in numpy as usual.  Multi-site operators
 are assembled with Kronecker products in big-endian site order: site 1 is the
 leftmost factor.  Basis index 0 of a qubit is the upper level, so SIGMA_MINUS
 maps e0 to e1.
@@ -18,23 +21,27 @@ from .errors import DimensionMismatchError, InputFormatError, NonHermitianError
 
 DEFAULT_TOL = 1e-9
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
-
-_PAULI_BY_LETTER = {
-    "I": np.eye(2, dtype=complex),
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
-}
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix."""
-    a = np.asarray(a, dtype=complex)
+    """Coerce to a square matrix: float64 when no entry has a nonzero
+    imaginary part, complex128 otherwise."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        a = a.astype(complex, copy=False)
+        if not a.imag.any():
+            a = a.real.copy()
+    else:
+        a = a.astype(float, copy=False)
+    return _square(a)
+
+
+def _square(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -72,11 +79,12 @@ def max_eigenvalue(a) -> float:
 def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     """Positive semidefinite within tol * max(1, ||a||_2), Hermitian included."""
     a = as_operator(a)
-    if not is_hermitian(a, tol):
-        return False
-    w = np.linalg.eigvalsh(hermitian_part(a))
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    return bool(w.size == 0 or w[0] >= -tol * scale)
+    return is_hermitian(a, tol) and psd_spectrum(np.linalg.eigvalsh(hermitian_part(a)), tol)
+
+
+def psd_spectrum(w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """The ascending eigenvalues w of a Hermitian matrix are >= -tol * max(1, max |w|)."""
+    return bool(w.size == 0 or w[0] >= -tol * max(1.0, float(np.abs(w).max())))
 
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
@@ -140,7 +148,7 @@ def embed(local: np.ndarray, sites, structure: TensorStructure) -> np.ndarray:
         )
     others = [i for i in range(n) if i not in sites0]
     d_rest = prod(structure.dims[i] for i in others) if others else 1
-    full = np.kron(local, np.eye(d_rest, dtype=complex))
+    full = np.kron(local, np.eye(d_rest))
     perm = sites0 + others
     axis_dims = [structure.dims[p] for p in perm]
     order = list(np.argsort(perm))
@@ -154,8 +162,16 @@ _PAULI_TOKEN = re.compile(r"^([IXYZ])(\d+)$")
 
 
 def pauli_string(spec: str, structure: TensorStructure) -> np.ndarray:
-    """Build a Pauli product from a string like ``"Z1 X2 Z3"`` (1-based sites)."""
-    out = np.eye(structure.total_dim, dtype=complex)
+    """Build a Pauli product from a string like ``"Z1 X2 Z3"`` (1-based sites).
+
+    The product is a monomial: column j has one entry, in the row that flips
+    the X and Y bits of j, with phase (-1)^(Z and Y bits of j) times i per Y.
+    It is float64 unless the string holds a Y.
+    """
+    d = structure.total_dim
+    cols = np.arange(d)
+    rows = cols.copy()
+    phase = np.ones(d)
     seen: set[int] = set()
     for token in spec.split():
         m = _PAULI_TOKEN.match(token.strip().upper())
@@ -169,8 +185,16 @@ def pauli_string(spec: str, structure: TensorStructure) -> np.ndarray:
             raise InputFormatError("pauli", f"site {site} out of range in {spec!r}")
         if structure.dims[site - 1] != 2:
             raise InputFormatError("pauli", f"site {site} is not a qubit")
-        if letter != "I":
-            out = out @ embed(_PAULI_BY_LETTER[letter], [site], structure)
+        stride = prod(structure.dims[site:])  # site 1 is the leftmost factor
+        sign = 1 - 2 * ((cols // stride) % 2)  # +1 on level 0, -1 on level 1
+        if letter in "XY":
+            rows += stride * sign
+        if letter == "Z":
+            phase = phase * sign
+        elif letter == "Y":  # Y e0 = i e1, Y e1 = -i e0
+            phase = phase * (1j * sign)
+    out = np.zeros((d, d), dtype=phase.dtype)
+    out[rows, cols] = phase
     return out
 
 
@@ -241,13 +265,15 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     The lowest Pade degree of 3, 5, 7, 9 whose bound covers the exact 1-norm
     is used; above that, degree 13 on a / 2^s with s the fewest halvings that
     bring the norm under theta_13, then s squarings (Higham 2005).  A
-    diagonal matrix, 1x1 included, is exponentiated entrywise.
+    diagonal matrix, 1x1 included, is exponentiated entrywise.  The
+    arithmetic stays in the dtype of ``a``: a complex matrix with real
+    entries is not demoted.
     """
-    a = as_operator(a) * float(t)
+    a = _square(np.asarray(a)) * float(t)
     if np.array_equal(a, np.diag(np.diagonal(a))):
         # exact; squaring would scale the Pade error of exp(z / 2^s) by 2^s
         return np.diag(np.exp(np.diagonal(a)))
-    eye = np.eye(a.shape[0], dtype=complex)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     norm = float(np.linalg.norm(a, 1))
     a2 = a @ a
     s = 0

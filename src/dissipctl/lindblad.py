@@ -99,13 +99,16 @@ def validate_density_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
 
 
 def generator_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """Single-channel drift L' X L - (1/2){L'L, X}."""
+    """Single-channel drift L' X L - (1/2){L'L, X} of a Hermitian X.
+
+    With K = L'L, {K, X} = KX + (KX)' for Hermitian X: four products.
+    """
     x, l = as_operator(x), as_operator(coupling)
     if x.shape != l.shape:
         raise DimensionMismatchError(f"shapes {x.shape} and {l.shape} differ")
     ld = dagger(l)
-    ldl = ld @ l
-    return ld @ x @ l - 0.5 * (ldl @ x + x @ ldl)
+    kx = (ld @ l) @ x
+    return ld @ (x @ l) - 0.5 * (kx + dagger(kx))
 
 
 def generator(x: np.ndarray, model: LindbladModel, assume_commuting: bool = False,
@@ -113,7 +116,8 @@ def generator(x: np.ndarray, model: LindbladModel, assume_commuting: bool = Fals
     """Heisenberg-picture drift of the observable ``x``.
 
     With ``assume_commuting`` the commutator [x, H] is verified to vanish and
-    the Hamiltonian term is dropped.
+    the Hamiltonian term is dropped.  A term -i[x, H] that is exactly zero is
+    dropped too, so real x and couplings give a real drift.
     """
     x = as_operator(x)
     if not is_hermitian(x, tol):
@@ -121,25 +125,25 @@ def generator(x: np.ndarray, model: LindbladModel, assume_commuting: bool = Fals
     h = model.hamiltonian
     if x.shape != h.shape:
         raise DimensionMismatchError(f"observable dim {x.shape[0]} != model dim {h.shape[0]}")
-    comm = x @ h - h @ x
+    comm = x @ h - h @ x if h.any() else np.zeros_like(x)
     if assume_commuting:
         if np.linalg.norm(comm) > scaled_tol(x, tol) * max(1.0, float(np.linalg.norm(h))):
             raise CommutationError(
                 f"[x, H] != 0 (norm {np.linalg.norm(comm):.3e}) but assume_commuting was set"
             )
-        out = np.zeros_like(x)
-    else:
-        out = -1j * comm
+        comm = np.zeros_like(x)
+    out = -1j * comm if comm.any() else np.zeros_like(x)
     for l in model.couplings:
         out = out + generator_single_channel(x, l)
     return out
 
 
 def dissipation_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """[L', x][x, L] for one channel; PSD for Hermitian x."""
+    """[L', X][X, L] = C'C with C = [X, L] for a Hermitian X, so PSD: three
+    products."""
     x, l = as_operator(x), as_operator(coupling)
-    ld = dagger(l)
-    return (ld @ x - x @ ld) @ (x @ l - l @ x)
+    c = x @ l - l @ x
+    return dagger(c) @ c
 
 
 def dissipation_functional(x: np.ndarray, model: LindbladModel,
@@ -158,9 +162,10 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     """Matrix of the state-evolution map on column-stacked density matrices."""
     n = model.dim
     eye = np.eye(n, dtype=complex)
-    h = model.hamiltonian
+    h = model.hamiltonian.astype(complex)
     lam = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for l in model.couplings:
+        l = l.astype(complex)
         ld = dagger(l)
         ldl = ld @ l
         lam = lam + np.kron(l.conj(), l) \
@@ -248,8 +253,9 @@ _DP_E = _DP_B5 - _DP_B4
 
 
 def _rhs_factory(model: LindbladModel):
-    h = model.hamiltonian
-    pairs = [(l, dagger(l)) for l in model.couplings]
+    # the operators are cast once to the states' dtype, not in every product
+    h = model.hamiltonian.astype(complex)
+    pairs = [(l, dagger(l)) for l in (c.astype(complex) for c in model.couplings)]
     ldls = [ld @ l for l, ld in pairs]
 
     def rhs(rho: np.ndarray) -> np.ndarray:

@@ -56,9 +56,9 @@ def two_level_example(l00: float | complex = 0.0, l10: float | complex = 1.0) ->
     L = [[l00, 0], [l10, 0]], l10 != 0; drives the system to diag(0, 1)."""
     if l10 == 0:
         raise PreconditionError("l10 must be nonzero for the stabilizing family")
-    h = np.diag([0.5, -0.5]).astype(complex)
-    v = np.diag([1.0, 0.0]).astype(complex)
-    coupling = np.array([[l00, 0.0], [l10, 0.0]], dtype=complex)
+    h = np.diag([0.5, -0.5])
+    v = np.diag([1.0, 0.0])
+    coupling = np.array([[l00, 0.0], [l10, 0.0]])
     model = LindbladModel(TensorStructure((2,)), h, [coupling])
     rate = abs(l10) ** 2
     expected = {
@@ -82,11 +82,11 @@ def two_level_example(l00: float | complex = 0.0, l10: float | complex = 1.0) ->
 def three_level_example() -> NamedModel:
     """Three-level system with V = diag(0, 1, 2); dissipative stability holds
     with c = 1/2 while no exponential certificate exists."""
-    h = np.zeros((3, 3), dtype=complex)
-    v = np.diag([0.0, 1.0, 2.0]).astype(complex)
-    l1 = np.zeros((3, 3), dtype=complex)
+    h = np.zeros((3, 3))
+    v = np.diag([0.0, 1.0, 2.0])
+    l1 = np.zeros((3, 3))
     l1[0, 1] = 1.0
-    l2 = np.zeros((3, 3), dtype=complex)
+    l2 = np.zeros((3, 3))
     l2[1, 2] = 1.0
     l2[2, 1] = 1.0
     model = LindbladModel(TensorStructure((3,)), h, [l1, l2])
@@ -112,14 +112,14 @@ def two_qubit_aggregation_example() -> NamedModel:
     single-qubit coupling extended by two new channels; the ground-energy-free
     incremental condition holds with c = 1."""
     structure = TensorStructure((2, 2))
-    eye2 = np.eye(2, dtype=complex)
-    h = np.kron(np.diag([0.5, -0.5]).astype(complex), eye2)
-    w1 = np.kron(np.diag([1.0, 0.0]).astype(complex), eye2)
-    w2 = 0.5 * (np.eye(4, dtype=complex) + np.kron(PAULI_Z, PAULI_Z))
+    eye2 = np.eye(2)
+    h = np.kron(np.diag([0.5, -0.5]), eye2)
+    w1 = np.kron(np.diag([1.0, 0.0]), eye2)
+    w2 = 0.5 * (np.eye(4) + np.kron(PAULI_Z, PAULI_Z))
     l1 = np.kron(SIGMA_MINUS, eye2)
-    l2 = np.zeros((4, 4), dtype=complex)
+    l2 = np.zeros((4, 4))
     l2[2, 1] = 1.0
-    l3 = np.zeros((4, 4), dtype=complex)
+    l3 = np.zeros((4, 4))
     l3[2, 3] = 1.0
     model = LindbladModel(structure, h, [l1, l2, l3])
     aggregate = AggregateSpec(
@@ -156,7 +156,7 @@ def cluster_chain(n_qubits: int = 4) -> NamedModel:
     if 2 ** n > MAX_MODEL_DIM:
         raise DimensionCapError(f"2^{n} exceeds the construction cap {MAX_MODEL_DIM}")
     structure = TensorStructure.qubits(n)
-    eye = np.eye(2 ** n, dtype=complex)
+    eye = np.eye(2 ** n)
     terms, couplings, unitaries, names = [], [], [], []
     for s in range(2, n):
         string = pauli_string(f"Z{s - 1} X{s} Z{s + 1}", structure)
@@ -201,7 +201,7 @@ def toric_patch(extended: bool = False) -> NamedModel:
     """
     n = 9 if extended else 6
     structure = TensorStructure.qubits(n)
-    eye = np.eye(2 ** n, dtype=complex)
+    eye = np.eye(2 ** n)
     vertex = pauli_string("X1 X2 X3 X4", structure)
     plaquette = pauli_string("Z3 Z4 Z5 Z6", structure)
     v1 = 0.5 * (eye - vertex)
@@ -251,9 +251,9 @@ def complementary_witnesses() -> NamedModel:
     """W1 = diag(1,0) and W2 = diag(0,1) sum to the identity: the aggregate
     has ground energy 1, is not frustration-free, and <W> stays 1 forever."""
     structure = TensorStructure((2,))
-    w1 = np.diag([1.0, 0.0]).astype(complex)
-    w2 = np.diag([0.0, 1.0]).astype(complex)
-    h = np.zeros((2, 2), dtype=complex)
+    w1 = np.diag([1.0, 0.0])
+    w2 = np.diag([0.0, 1.0])
+    h = np.zeros((2, 2))
     model = LindbladModel(structure, h, [])
     aggregate = AggregateSpec(structure=structure, terms=[w1, w2], couplings=[],
                               assignment=[[], []], hamiltonian=h,

@@ -101,11 +101,11 @@ class AggregateSpec:
         """The model with every channel, plus `new_couplings` appended."""
         h = self.hamiltonian
         if h is None:
-            h = np.zeros((self.structure.total_dim,) * 2, dtype=complex)
+            h = np.zeros((self.structure.total_dim,) * 2)
         return LindbladModel(self.structure, h, list(self.couplings) + list(new_couplings))
 
     def total(self) -> np.ndarray:
-        acc = np.zeros((self.structure.total_dim,) * 2, dtype=complex)
+        acc = np.zeros((self.structure.total_dim,) * 2)
         for t in self.terms:
             acc = acc + t
         return acc
@@ -330,7 +330,9 @@ def check_corollary_commuting(spec: AggregateSpec, unitaries, mode: str = "es",
     mode.  A failing commutation pair is reported with guidance to evaluate
     the scalability condition directly.
     """
-    _require_terms_psd(spec, tol)
+    # the aggregation theorem checks that every term is PSD, before anything else
+    base = check_theorem_es_aggregation(spec, tol) if mode == "es" \
+        else check_theorem_ds_aggregation(spec, tol)
     unitaries = [as_operator(u) for u in unitaries]
     if len(unitaries) != spec.n_channels:
         raise PreconditionError("one unitary per channel is required")
@@ -355,8 +357,6 @@ def check_corollary_commuting(spec: AggregateSpec, unitaries, mode: str = "es",
                     f"commutation clause fails for (U[{k}], {names[t]}) "
                     f"(norm {defect:.3e}); rerun with --theorem es"
                 )
-    base = check_theorem_es_aggregation(spec, tol) if mode == "es" \
-        else check_theorem_ds_aggregation(spec, tol)
     per_term = base.per_term
     per_term_ok = all(e["c"] is not None for e in per_term)
     overall = commuting_ok and per_term_ok

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .lindblad import LindbladModel, Trajectory
-from .linalg import TensorStructure, pauli_string
+from .linalg import TensorStructure, as_operator, pauli_string
 from .scalability import AggregateReport, AggregateSpec
 from .stability import StabilityReport
 from .synthesis import SynthesisResult
@@ -80,7 +80,7 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
         if not isinstance(row, list) or len(row) != len(obj):
             raise InputFormatError(field, f"row {i} does not make the matrix square")
         rows.append([_entry_from_json(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)])
-    return np.array(rows, dtype=complex)
+    return as_operator(np.array(rows, dtype=complex))
 
 
 # -- models -------------------------------------------------------------------
@@ -126,8 +126,7 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> np.ndarray:
         op = pauli_string(str(obj["pauli"]), structure)
         coeff = _entry_from_json(obj.get("coeff", 1.0), f"{field}.coeff")
         offset = _entry_from_json(obj.get("offset", 0.0), f"{field}.offset")
-        eye = np.eye(structure.total_dim, dtype=complex)
-        return coeff * op + offset * eye
+        return coeff * op + offset * np.eye(structure.total_dim)  # AggregateSpec sets the dtype
     return matrix_from_json(obj, field)
 
 

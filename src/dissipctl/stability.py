@@ -35,10 +35,12 @@ from .linalg import (
     dagger,
     haar_pure_state,
     hermitian_eig,
+    hermitian_part,
     is_hermitian,
     is_psd,
     max_eigenvalue,
     min_eigenvalue,
+    psd_spectrum,
 )
 
 _C_MIN = 1e-8
@@ -69,13 +71,20 @@ class GroundSpace:
     dimension: int
 
 
-def _require_candidate(v: np.ndarray, tol: float) -> np.ndarray:
+def _hermitian_candidate(v: np.ndarray, tol: float) -> np.ndarray:
     v = as_operator(v)
     if not is_hermitian(v, tol):
         raise NonHermitianError("candidate must be Hermitian")
-    if not is_psd(v, tol):
-        raise PreconditionError("candidate must be positive semidefinite")
     return v
+
+
+def _require_candidate(v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate, Hermitian and PSD, with its eigenvalues and eigenvectors."""
+    v = _hermitian_candidate(v, tol)
+    lam, q = np.linalg.eigh(hermitian_part(v))
+    if not psd_spectrum(lam, tol):
+        raise PreconditionError("candidate must be positive semidefinite")
+    return v, lam, q
 
 
 def largest_constant(m: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> float | None:
@@ -90,7 +99,12 @@ def largest_constant(m: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> 
     tol * max(1, ||m||_F / sqrt(n)), the root-mean-square eigenvalue of m,
     which never exceeds ||m||_2.
     """
-    lam, q = np.linalg.eigh(w.real if not np.imag(w).any() else w)  # real w: half the memory
+    return _schur_constant(m, *np.linalg.eigh(w), tol)
+
+
+def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
+                    tol: float) -> float | None:
+    """`largest_constant` from the eigenpairs of w: lam ascending, q the vectors."""
     k = int(np.count_nonzero(lam <= tol * max(1.0, float(np.abs(lam).max(initial=0.0)))))
     if k == lam.size:
         return None
@@ -112,24 +126,21 @@ def largest_constant(m: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> 
 def is_lyapunov_operator(v: np.ndarray, model: LindbladModel,
                          tol: float = DEFAULT_TOL) -> tuple[bool, dict[str, str]]:
     """PSD with zero smallest eigenvalue, and non-positive generator."""
-    return _lyapunov(v, model, tol)[:2]
+    v = _hermitian_candidate(v, tol)
+    return _lyapunov(v, np.linalg.eigvalsh(hermitian_part(v)), model, tol)[:2]
 
 
-def _lyapunov(v: np.ndarray, model: LindbladModel,
+def _lyapunov(v: np.ndarray, lam: np.ndarray, model: LindbladModel,
               tol: float) -> tuple[bool, dict[str, str], np.ndarray]:
-    """`is_lyapunov_operator`, plus the generator G(v) it computed."""
-    v = as_operator(v)
-    if not is_hermitian(v, tol):
-        raise NonHermitianError("candidate must be Hermitian")
+    """`is_lyapunov_operator` for a Hermitian v with ascending eigenvalues lam,
+    plus the generator G(v) it computed."""
     diag: dict[str, str] = {}
-    psd_ok = is_psd(v, tol)
+    psd_ok = psd_spectrum(lam, tol)
     if not psd_ok:
         diag["psd"] = "V >= 0 fails"
-    w_min = min_eigenvalue(v)
-    scale = max(1.0, float(np.linalg.norm(v, 2))) if v.size else 1.0
-    zero_ok = abs(w_min) <= tol * scale
+    zero_ok = bool(abs(lam[0]) <= tol * max(1.0, float(np.abs(lam).max())))  # ||v||_2
     if psd_ok and not zero_ok:
-        diag["ground_energy"] = f"smallest eigenvalue {w_min:.6g} != 0"
+        diag["ground_energy"] = f"smallest eigenvalue {lam[0]:.6g} != 0"
     g = generator(v, model)
     gen_ok = is_psd(-g, tol)
     if not gen_ok:
@@ -140,24 +151,23 @@ def _lyapunov(v: np.ndarray, model: LindbladModel,
 def check_condition_es(v: np.ndarray, model: LindbladModel,
                        tol: float = DEFAULT_TOL) -> float | None:
     """Largest c with G(v) <= -c v, or None."""
-    v = _require_candidate(v, tol)
-    return largest_constant(-generator(v, model), v, tol)
+    v, lam, q = _require_candidate(v, tol)
+    return _schur_constant(-generator(v, model), lam, q, tol)
 
 
 def check_condition_ds(v: np.ndarray, model: LindbladModel,
                        tol: float = DEFAULT_TOL) -> float | None:
     """Largest c with G(v) <= 0 and D(v) >= c v, or None."""
-    v = _require_candidate(v, tol)
-    g = generator(v, model)
-    if not is_psd(-g, tol):
+    v, lam, q = _require_candidate(v, tol)
+    if not is_psd(-generator(v, model), tol):
         return None
-    return largest_constant(dissipation_functional(v, model), v, tol)
+    return _schur_constant(dissipation_functional(v, model), lam, q, tol)
 
 
 def check_dissipation_square(v: np.ndarray, model: LindbladModel,
                              tol: float = DEFAULT_TOL) -> float | None:
     """Largest c with D(v) >= c v^2, or None."""
-    v = _require_candidate(v, tol)
+    v = _require_candidate(v, tol)[0]
     return largest_constant(dissipation_functional(v, model), v @ v, tol)
 
 
@@ -197,21 +207,22 @@ def certify_ground_state_stability(v: np.ndarray, model: LindbladModel, *,
                                    tol: float = DEFAULT_TOL) -> StabilityReport:
     """Full certification of a candidate operator, optionally cross-checked by
     master-equation simulation from sampled initial states."""
-    v = as_operator(v)
-    lyap, diagnostics, g = _lyapunov(v, model, tol)
-    d = min_eigenvalue(v)
+    v = _hermitian_candidate(v, tol)
+    lam, q = np.linalg.eigh(hermitian_part(v))  # the one spectrum of V used below
+    lyap, diagnostics, g = _lyapunov(v, lam, model, tol)
+    d = float(lam[0])
     margins = {"psd": d, "generator": -max_eigenvalue(g)}
     diagnostics.setdefault("mean_dissipation_condition", "not checked (state-dependent)")
 
-    degenerate = float(np.linalg.norm(v, 2)) <= tol
+    degenerate = float(np.abs(lam).max()) <= tol  # ||V||_2
     c_es = c_ds = None
     if degenerate:
         diagnostics["degenerate"] = "candidate is (numerically) zero"
     elif lyap:
         # lyap covers the candidate and G(V) <= 0 checks of check_condition_es/_ds
         d_op = dissipation_functional(v, model)
-        c_es = largest_constant(-g, v, tol)
-        c_ds = largest_constant(d_op, v, tol)
+        c_es = _schur_constant(-g, lam, q, tol)
+        c_ds = _schur_constant(d_op, lam, q, tol)
         if c_es is not None:
             margins["es"] = -max_eigenvalue(g + c_es * v)
         if c_ds is not None:

@@ -41,6 +41,7 @@ from .linalg import (
     sqrtm_psd,
     vec,
 )
+from .stability import largest_constant
 
 
 @dataclass
@@ -377,7 +378,9 @@ def synthesize(v: np.ndarray, c: float | None = None, channels: int = 1, *,
 
     When c is omitted, c = 1 is attempted first and c = 1/2 is used as the
     fallback on an infeasible verdict.  Returns a SynthesisResult for a single
-    channel and a list for multiple channels.
+    channel and a list for multiple channels.  A non-projection V whose
+    coupling misses the decay bound G(V) <= -c V raises InfeasibleError with
+    reason "es", naming the constant the coupling does reach.
     """
     v = as_operator(v)
     if channels < 1:
@@ -391,4 +394,12 @@ def synthesize(v: np.ndarray, c: float | None = None, channels: int = 1, *,
         return synthesize_multi(v, channels, c, tol=tol)
     if is_projection(v, tol):
         return synthesize_projection(v, c, tol=tol)
-    return synthesize_closed_form(v, c, tol=tol)
+    result = synthesize_closed_form(v, c, tol=tol)
+    if result.residuals["es_margin"] < -scaled_tol(v, tol):
+        # below V^2 >= V the constraint does not imply G(V) <= -c V
+        reached = largest_constant(-generator_single_channel(v, result.coupling), v, tol)
+        got = "no positive c" if reached is None else f"c = {reached:.6g}"
+        raise InfeasibleError(
+            f"es obstruction: the coupling L = U V reaches {got}, below the target "
+            f"c = {c:.6g} (es_margin {result.residuals['es_margin']:.3e})", reason="es")
+    return result

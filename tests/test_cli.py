@@ -125,6 +125,17 @@ class TestSynthesize:
         assert code == 3 and out == ""
         assert "rank(I - A'A) = 3 exceeds the kernel dimension 1" in err
 
+    def test_nonprojection_below_its_target_is_infeasible(self, capsys, tmp_path):
+        # V = diag(0.9, 0, 0): the coupling of V U V = sqrt(1-c) sqrt(V) at
+        # c = 0.5 reaches only (0.9^3 - 1 + 0.5) / 0.9
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"V": matrix_to_json(np.diag([0.9, 0.0, 0.0]))}))
+        reached = (0.9 ** 3 - 0.5) / 0.9
+        for argv in (["--c", "0.5"], []):  # without --c, c = 1 and then 1/2 both fail
+            code, out, err = _run(capsys, ["synthesize", "--v", str(path), *argv])
+            assert code == 3 and out == ""
+            assert f"reaches c = {reached:.6g}, below the target c = 0.5" in err
+
     @pytest.mark.parametrize("field, value, message", [
         ("channels", '"two"', "channels: must be an integer, got 'two'"),
         ("channels", "2.5", "channels: must be an integer, got 2.5"),

@@ -8,7 +8,8 @@ models without an aggregate are kept: they pin the exit-1 error paths.
 ``check --simulate`` is pinned on the models of dimension 2 to 4, whose
 ensembles are stepped exactly.  ``synthesize`` is pinned on the candidate
 files in ``golden/inputs``: dilations, a two-channel split, the rank and norm
-obstructions (exit 3) and malformed numbers in the file (exit 1).
+obstructions and a non-projection coupling below its target constant (exit
+3), and malformed numbers in the file (exit 1).
 
 Regenerate the files after an intended output change with
 
@@ -35,6 +36,7 @@ SYNTHESIZED = (
     ("projection_rank1", "--c", "1", "--channels", "2"),
     ("projection_rank3", "--c", "0.5"),
     ("nonprojection_rank2", "--c", "0.5"),
+    ("nonprojection_es", "--c", "0.5"),
     ("malformed_c_nan",),
     ("malformed_c_word",),
     ("malformed_channels_bool", "--c", "1"),

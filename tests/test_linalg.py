@@ -14,6 +14,7 @@ from dissipctl.linalg import (
     PAULI_Y,
     PAULI_Z,
     TensorStructure,
+    as_operator,
     commutator,
     embed,
     expm,
@@ -145,6 +146,41 @@ class TestPauliString:
     def test_identity_tokens(self):
         s = TensorStructure((2, 2))
         assert np.allclose(pauli_string("I1 Z2", s), np.kron(I2, PAULI_Z))
+
+    @given(st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=6), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_monomial_matches_dense_product(self, letters, rnd):
+        # oracle: the dense product of embedded single-site Paulis, in the
+        # string's own (shuffled) site order
+        s = TensorStructure.qubits(len(letters))
+        sites = list(range(1, len(letters) + 1))
+        rnd.shuffle(sites)
+        tokens = [f"{letters[x - 1]}{x}" for x in sites]
+        dense = np.eye(s.total_dim, dtype=complex)
+        for x in sites:
+            factor = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}[letters[x - 1]]
+            dense = dense @ embed(factor, [x], s)
+        got = pauli_string(" ".join(tokens), s)
+        assert np.array_equal(got, dense)
+        assert got.dtype == (np.complex128 if "Y" in letters else np.float64)
+
+    def test_qubit_sites_of_a_qudit_structure(self):
+        s = TensorStructure((3, 2, 2))
+        expected = np.kron(np.eye(3), np.kron(PAULI_Y, PAULI_X))
+        assert np.array_equal(pauli_string("Y2 X3", s), expected)
+
+
+class TestDtypeRule:
+    def test_real_data_is_stored_as_float64(self):
+        for a in ([[1, 0], [0, 1]], np.eye(2, dtype=complex), np.eye(2, dtype=np.complex64),
+                  np.array([[0, 1j], [1j, 0]]) * 1j):
+            out = as_operator(a)
+            assert out.dtype == np.float64
+            assert np.array_equal(out, np.real(a))
+
+    def test_complex_data_stays_complex128(self):
+        assert as_operator(PAULI_Y).dtype == np.complex128
+        assert as_operator(np.array([[1, 1e-300j], [0, 1]])).dtype == np.complex128
 
 
 class TestHermitianEig:

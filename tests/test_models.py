@@ -189,3 +189,18 @@ class TestBuildParser:
     def test_bad_argument(self):
         with pytest.raises(InputFormatError):
             build("cluster_chain(maybe)")
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY) + [
+    "two_level(0.5, 2)", "cluster_chain(3)", "cluster_chain(6)", "toric_patch(extended)"])
+def test_registry_data_is_float64(name):
+    # every registry model is real; a stray dtype=complex would silently put
+    # the certification path back on complex BLAS
+    named = build(name)
+    ops = [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]
+    if named.aggregate is not None:
+        spec = named.aggregate
+        ops += [spec.hamiltonian, *spec.terms, *spec.couplings]
+    for key in ("unitaries", "candidate_unitaries", "new_couplings"):
+        ops += named.extras.get(key, [])
+    assert [op.dtype for op in ops] == [np.float64] * len(ops)
