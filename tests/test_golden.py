@@ -7,9 +7,11 @@ through ``scale`` with every theorem, plus ``d-free --mode ds``.  Calls on
 models without an aggregate are kept: they pin the exit-1 error paths.
 ``check --simulate`` is pinned on the models of dimension 2 to 4, whose
 ensembles are stepped exactly.  ``synthesize`` is pinned on the candidate
-files in ``golden/inputs``: dilations, a two-channel split, the rank and norm
-obstructions and a non-projection coupling below its target constant (exit
-3), and malformed numbers in the file (exit 1).
+files in ``golden/inputs``: dilations, a two-channel split, a non-projection
+with V^2 >= V, the rank obstruction with and without ``--c`` (the latter
+tries c = 1, then 1/2), the norm obstruction and a non-projection coupling
+below its target constant (exit 3), and malformed numbers in the file
+(exit 1).
 
 Regenerate the files after an intended output change with
 
@@ -35,8 +37,10 @@ SYNTHESIZED = (
     ("projection_rank1", "--c", "0.64"),
     ("projection_rank1", "--c", "1", "--channels", "2"),
     ("projection_rank3", "--c", "0.5"),
+    ("projection_rank3",),
     ("nonprojection_rank2", "--c", "0.5"),
     ("nonprojection_es", "--c", "0.5"),
+    ("nonprojection_dominated", "--c", "0.5"),
     ("malformed_c_nan",),
     ("malformed_c_word",),
     ("malformed_channels_bool", "--c", "1"),
