@@ -60,9 +60,7 @@ from .synthesis import (  # noqa: F401
     solve_bilinear,
     synthesize,
     synthesize_closed_form,
-    synthesize_multi,
     synthesize_pinv,
-    synthesize_projection,
     verify_v2_dominated,
 )
 from .scalability import (  # noqa: F401

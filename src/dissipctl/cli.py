@@ -6,7 +6,7 @@ byte-identical.  synthesize is exact and uses no randomness; its report
 carries no seed.
 
 Exit codes: 0 success/certified, 1 input error (usage errors included),
-2 not certified, 3 synthesis infeasible, 4 solver budget exhausted,
+2 not certified, 3 synthesis infeasible (reason norm, rank or es),
 5 dimension cap exceeded.
 """
 
@@ -24,7 +24,6 @@ from .errors import (
     DissipctlError,
     InfeasibleError,
     InputFormatError,
-    SolverBudgetError,
 )
 from .lindblad import evolve, maximally_mixed, validate_density_state
 from .models import REGISTRY, NamedModel, build
@@ -46,6 +45,7 @@ from .serialize import (
     matrix_to_json,
     model_from_json,
     model_to_json,
+    new_couplings_from_json,
     stability_report_to_dict,
     synthesis_result_to_dict,
     trajectory_to_csv,
@@ -59,7 +59,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_INFEASIBLE = 3
-EXIT_BUDGET = 4
 EXIT_DIM_CAP = 5
 
 _SIM_CAP_ENV = "DISSIPCTL_SIM_CAP"
@@ -80,8 +79,8 @@ def _sim_cap(args) -> int:
 
 
 def _check_numbers(args) -> None:
-    """--c must be finite; --tol, --t-final and --dt-hint finite and positive."""
-    for dest, positive in (("c", False), ("tol", True), ("t_final", True), ("dt_hint", True)):
+    """--c must be finite; --tol and --t-final finite and positive."""
+    for dest, positive in (("c", False), ("tol", True), ("t_final", True)):
         value = getattr(args, dest, None)
         if value is not None and not (math.isfinite(value) and (value > 0 or not positive)):
             raise InputFormatError(dest.replace("_", "-"),
@@ -212,8 +211,8 @@ def _cmd_simulate(args) -> int:
         observables = {}
         if named is not None:
             observables = {name: op for name, op in named.candidates.items()}
-        traj = evolve(model, rho0, args.t_final, dt_hint=args.dt_hint,
-                      n_samples=args.samples, observables=observables)
+        traj = evolve(model, rho0, args.t_final, n_samples=args.samples,
+                      observables=observables)
     _emit(args, trajectory_to_csv(traj), is_csv=True)
     return EXIT_OK
 
@@ -234,8 +233,7 @@ def _cmd_scale(args) -> int:
         obj = _load_json(args.spec, "spec")
         spec = aggregate_from_json(obj)
         unitaries = unitaries_from_json(obj)
-        new_couplings = [matrix_from_json(m, f"new_couplings[{i}]")
-                         for i, m in enumerate(obj.get("new_couplings", []))]
+        new_couplings = new_couplings_from_json(obj)
         c = args.c if args.c is not None else 1.0
 
     theorem = args.theorem
@@ -347,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="built-in model")
     p.add_argument("--rho0", help="initial state JSON (default maximally mixed)")
     p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--dt-hint", type=float, default=None)
     p.add_argument("--samples", type=int, default=201)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
@@ -386,9 +383,6 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"dissipctl: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except SolverBudgetError as exc:
-        print(f"dissipctl: solver budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except DimensionCapError as exc:
         print(f"dissipctl: dimension cap: {exc}", file=sys.stderr)
         return EXIT_DIM_CAP

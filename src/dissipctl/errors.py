@@ -23,8 +23,8 @@ class CommutationError(DissipctlError):
 
 class InfeasibleError(DissipctlError):
     """The synthesis problem has no solution; ``reason`` names the obstruction
-    ("range", "norm" or "rank", or "es" for a coupling that misses the decay
-    bound) where it is known."""
+    ("norm" or "rank", or "es" for couplings that miss the decay bound) where
+    it is known."""
 
     def __init__(self, message: str, reason: str | None = None):
         super().__init__(message)
@@ -32,7 +32,8 @@ class InfeasibleError(DissipctlError):
 
 
 class SolverBudgetError(DissipctlError):
-    """Iterative solver exhausted its budget without converging."""
+    """Iterative solver exhausted its budget without converging (raised by
+    the ``synthesize_pinv`` test oracle; no command-line path reaches it)."""
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(message)

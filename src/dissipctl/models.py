@@ -14,6 +14,7 @@ Site convention: site 1 is the leftmost Kronecker factor.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -309,9 +310,12 @@ def build(name: str) -> NamedModel:
             kwargs["extended"] = True
         else:
             try:
-                args.append(float(part))
+                value = float(part)
             except ValueError:
                 raise InputFormatError("name", f"cannot parse argument {part!r} in {name!r}")
+            if not math.isfinite(value):
+                raise InputFormatError("name", f"argument {part!r} in {name!r} must be finite")
+            args.append(value)
     try:
         return fn(*args, **kwargs)
     except TypeError as exc:

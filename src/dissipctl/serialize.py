@@ -138,6 +138,14 @@ def _is_index(x) -> bool:
 _RESERVED_COLUMNS = frozenset({"t", "W", "trace", "purity"})
 
 
+def _array(obj: dict, key: str, field: str) -> list:
+    """The optional array obj[key]; empty when the key is absent."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise InputFormatError(f"{field}.{key}", f"must be an array, got {value!r}")
+    return value
+
+
 def _per_term(obj: dict, key: str, n_terms: int, valid, what: str, field: str):
     """The optional per-term list obj[key]: one valid entry per term, or None."""
     value = obj.get(key)
@@ -172,9 +180,8 @@ def aggregate_from_json(obj: dict, field: str = "spec") -> AggregateSpec:
         raise InputFormatError(f"{field}.terms", "need a non-empty array of terms")
     terms = [_term_from_json(t, structure, f"{field}.terms[{i}]")
              for i, t in enumerate(terms_obj)]
-    couplings_obj = obj.get("couplings", [])
     couplings = [_term_from_json(l, structure, f"{field}.couplings[{i}]")
-                 for i, l in enumerate(couplings_obj)]
+                 for i, l in enumerate(_array(obj, "couplings", field))]
     assignment = _per_term(
         obj, "assignment", len(terms),
         lambda x: _is_index(x) or isinstance(x, list) and all(map(_is_index, x)),
@@ -195,7 +202,12 @@ def unitaries_from_json(obj: dict, field: str = "spec") -> list[np.ndarray] | No
     if "unitaries" not in obj:
         return None
     return [matrix_from_json(u, f"{field}.unitaries[{i}]")
-            for i, u in enumerate(obj["unitaries"])]
+            for i, u in enumerate(_array(obj, "unitaries", field))]
+
+
+def new_couplings_from_json(obj: dict, field: str = "spec") -> list[np.ndarray]:
+    return [matrix_from_json(l, f"{field}.new_couplings[{i}]")
+            for i, l in enumerate(_array(obj, "new_couplings", field))]
 
 
 # -- reports ------------------------------------------------------------------

@@ -3,11 +3,12 @@
 A unitary U rotating part of the excited space of V into its ground space
 turns V into a certified stability witness for the single channel L = U V.
 For projections the constraint is V U' V U V <= (1-c) V.  Every runtime path
-solves V U V = sqrt(1-c) Q in closed form (``synthesize_closed_form``): the
-constraint pins one corner of U, and a CS dilation completes it or names the
-obstruction.  The general solution through the pseudoinverse of V^T (x) V and
-a bilinear unitarity system (``synthesize_pinv``) is kept as an independent
-oracle for the tests.
+(``synthesize``) solves V U V = sqrt(1-c) sqrt(V) in closed form
+(``synthesize_closed_form``): in the eigenbasis of V the constraint pins a
+diagonal corner of U, which independent 2x2 rotations complete, or the
+obstruction is named.  The general solution through the pseudoinverse of
+V^T (x) V and a bilinear unitarity system (``synthesize_pinv``) is kept as an
+independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -160,20 +161,21 @@ def _result(v: np.ndarray, u: np.ndarray, q: np.ndarray, c: float) -> SynthesisR
     )
 
 
-def synthesize_closed_form(v: np.ndarray, c: float, q: np.ndarray | None = None, *,
+def synthesize_closed_form(v: np.ndarray, c: float, *,
                            tol: float = DEFAULT_TOL) -> SynthesisResult:
-    """Unitary U with V U V = sqrt(1-c) Q, in closed form, or the reason none exists.
+    """Unitary U with V U V = sqrt(1-c) sqrt(V), in closed form, or the reason none exists.
 
-    In the eigenbasis of V (range R with eigenvalues Lambda, kernel K) the
-    constraint needs sqrt(1-c) Q to vanish outside the RR block and pins
-    U_RR = A := sqrt(1-c) Lambda^-1 Q_RR Lambda^-1.  A unitary with corner A
-    exists iff ||A||_2 <= 1 and rank(I - A'A) <= dim K.  With A = X S Y' and
-    D = sqrt(I - S^2) it is the CS dilation [[A, X D], [D Y', -S]] on R and
-    rank(D) kernel directions, the identity on the rest of K (Paige & Wei,
-    Linear Algebra Appl. 208/209 (1994) 303-326; Golub & Van Loan, Matrix
-    Computations, 2.5.4).  Q defaults to sqrt(V).
+    In the eigenbasis of V (range eigenvalues lambda_i, kernel K) the
+    constraint pins the range corner of U to the diagonal a_i =
+    sqrt(1-c) lambda_i^(-3/2).  A unitary with that corner exists iff every
+    a_i <= 1 and at most dim K of the defects d_i = sqrt(1 - a_i^2) are
+    nonzero.  Then each range direction with a defect is paired with the next
+    kernel direction by the rotation [[a_i, d_i], [d_i, -a_i]], and U is the
+    identity on the rest of K: the CS dilation of a diagonal corner (Paige &
+    Wei, Linear Algebra Appl. 208/209 (1994) 303-326; Golub & Van Loan, Matrix
+    Computations, 2.5.4).
 
-    Raises InfeasibleError with ``reason`` "range", "norm" or "rank".
+    Raises InfeasibleError with ``reason`` "norm" or "rank".
     """
     v = as_operator(v)
     if not (0.0 < c <= 1.0):
@@ -185,65 +187,28 @@ def synthesize_closed_form(v: np.ndarray, c: float, q: np.ndarray | None = None,
     scale = max(1.0, float(np.abs(w).max())) if n else 1.0
     if n and w[0] < -tol * scale:
         raise PreconditionError("candidate must be PSD")
-    in_range = w > tol * scale
-    if q is None:
-        q = (vecs * np.sqrt(np.where(in_range, w, 0.0))) @ dagger(vecs)
-    else:
-        q = as_operator(q)
-        if float(np.linalg.norm(dagger(q) @ q - v)) > scaled_tol(v, max(tol, 1e-8)):
-            raise PreconditionError("factor Q must satisfy Q'Q = V")
-    r = int(in_range.sum())
-    basis = np.concatenate([vecs[:, in_range], vecs[:, ~in_range]], axis=1)
-    target = np.sqrt(1.0 - c) * (dagger(basis) @ q @ basis)
-    outside = target.copy()
-    outside[:r, :r] = 0.0
-    off, allowed = float(np.linalg.norm(outside)), tol * max(1.0, float(np.linalg.norm(target)))
-    if off > allowed:
+    ker = int((w <= tol * scale).sum())  # eigh is ascending: the kernel comes first
+    lam = w[ker:]
+    q = (vecs[:, ker:] * np.sqrt(lam)) @ dagger(vecs[:, ker:])
+    a = np.sqrt(1.0 - c) * np.sqrt(lam) / (lam * lam)  # the corner Lambda^-1 Q Lambda^-1
+    if lam.size and a.max() > 1.0 + tol:
         raise InfeasibleError(
-            f"range obstruction: sqrt(1-c) Q has weight {off:.3e} outside the range "
-            f"block of V (allowed {allowed:.3e})", reason="range")
-    u_eig = np.eye(n, dtype=complex)
-    if r:
-        lam = w[in_range]
-        a = target[:r, :r] / np.outer(lam, lam)
-        x, s, yh = np.linalg.svd(a)
-        if s[0] > 1.0 + tol:
-            raise InfeasibleError(
-                f"norm obstruction: the pinned corner A of U has ||A||_2 = {s[0]:.6g} > 1",
-                reason="norm")
-        d = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
-        # defects below sqrt(tol) are dropped: the unitarity residual stays <= tol
-        used = d > np.sqrt(tol)
-        k = int(used.sum())
-        if k > n - r:
-            raise InfeasibleError(
-                f"rank obstruction: rank(I - A'A) = {k} exceeds the kernel dimension "
-                f"{n - r} of V", reason="rank")
-        xk, dk, yk, sk = x[:, used], d[used], dagger(yh)[:, used], s[used]
-        # with k = r, kernel direction i follows range direction i: the Halmos
-        # dilation [[A, (I - AA')^1/2], [(I - A'A)^1/2, -A']], which does not
-        # depend on the SVD's choice of singular vectors and gives
-        # [[sqrt(1-c) I, sqrt(c) I], [sqrt(c) I, -sqrt(1-c) I]] on projections
-        z1, z2 = (yk, dagger(xk)) if k == r else (np.eye(k), np.eye(k))
-        u_eig[:r, :r] = a
-        u_eig[:r, r:r + k] = (xk * dk) @ z2
-        u_eig[r:r + k, :r] = z1 @ (dk[:, None] * dagger(yk))
-        u_eig[r:r + k, r:r + k] = -(z1 * sk) @ z2
+            f"norm obstruction: the pinned corner A of U has ||A||_2 = {a.max():.6g} > 1",
+            reason="norm")
+    d = np.sqrt(np.clip(1.0 - a * a, 0.0, None))
+    # defects below sqrt(tol) are dropped: the unitarity residual stays <= tol
+    used = np.flatnonzero(d > np.sqrt(tol))
+    if used.size > ker:
+        raise InfeasibleError(
+            f"rank obstruction: rank(I - A'A) = {used.size} exceeds the kernel dimension "
+            f"{ker} of V", reason="rank")
+    basis = np.roll(vecs, -ker, axis=1)  # range, then kernel
+    r, paired = lam.size, lam.size + np.arange(used.size)
+    u_eig = np.eye(n)
+    u_eig[:r, :r] = np.diag(a)
+    u_eig[used, paired] = u_eig[paired, used] = d[used]
+    u_eig[paired, paired] = -a[used]
     return _result(v, basis @ u_eig @ dagger(basis), q, c)
-
-
-def synthesize_projection(v: np.ndarray, c: float, *,
-                          tol: float = DEFAULT_TOL) -> SynthesisResult:
-    """Coupling L = U V for a projection V with target decay constant c.
-
-    The closed form with Q = V: the corner is sqrt(1-c) I_r, completed by the
-    block dilation on r ground-space directions.  No unitary exists when the
-    rank r exceeds the ground-space dimension n - r, for any c in (0, 1].
-    """
-    v = as_operator(v)
-    if not is_projection(v, tol):
-        raise PreconditionError("candidate must be a projection (V^2 = V)")
-    return synthesize_closed_form(v, c, v, tol=tol)
 
 
 def synthesize_pinv(v: np.ndarray, q: np.ndarray | None = None, c: float = 1.0, *,
@@ -275,34 +240,6 @@ def synthesize_pinv(v: np.ndarray, q: np.ndarray | None = None, c: float = 1.0, 
     if all(float(np.linalg.norm(b)) <= tol for b in system.b_blocks):
         u = _phase_normalize(u)
     return _result(v, u, q, c)
-
-
-def synthesize_multi(v: np.ndarray, channels: int, c: float, *,
-                     tol: float = DEFAULT_TOL) -> list[SynthesisResult]:
-    """K couplings L_k = U_k V jointly certifying decay constant c.
-
-    The target is split evenly, so each channel solves the single-channel
-    problem at effective constant c/K; the K channels are that one closed-form
-    result, repeated.  The summed inequality V (sum_k U_k' V U_k) V <= (K-c) V
-    is post-verified.
-    """
-    v = as_operator(v)
-    k_total = int(channels)
-    if not (0.0 < c <= k_total):
-        raise PreconditionError(f"c must lie in (0, K], got {c}")
-    if not is_projection(v, tol):
-        raise PreconditionError("multi-channel synthesis assumes a projection")
-    results = [synthesize_projection(v, c / k_total, tol=tol)] * k_total
-    acc = np.zeros_like(v)
-    gen_sum = np.zeros_like(v)
-    for res in results:
-        acc = acc + dagger(res.unitary) @ v @ res.unitary
-        gen_sum = gen_sum + generator_single_channel(v, res.coupling)
-    if not is_psd((k_total - c) * v - v @ acc @ v, max(tol, 1e-8)):
-        raise SolverBudgetError("multi-channel post-verification failed", best_residual=np.inf)
-    if not is_psd(-gen_sum - c * v, max(tol, 1e-8)):
-        raise SolverBudgetError("summed generator bound failed", best_residual=np.inf)
-    return results
 
 
 @dataclass
@@ -374,13 +311,15 @@ def verify_v2_dominated(v: np.ndarray, u: np.ndarray, c: float,
 
 def synthesize(v: np.ndarray, c: float | None = None, channels: int = 1, *,
                tol: float = DEFAULT_TOL):
-    """Dispatch synthesis for a candidate V; every path is the closed form.
+    """Couplings L_k = U V, k = 1..K, jointly certifying the decay constant c.
 
-    When c is omitted, c = 1 is attempted first and c = 1/2 is used as the
-    fallback on an infeasible verdict.  Returns a SynthesisResult for a single
-    channel and a list for multiple channels.  A non-projection V whose
-    coupling misses the decay bound G(V) <= -c V raises InfeasibleError with
-    reason "es", naming the constant the coupling does reach.
+    Every channel is the closed form at c/K, so K > 1 needs a projection, for
+    which G_L(V) = V U' V U V - V.  When c is omitted, c = 1 is attempted first
+    and c = 1/2 is used as the fallback on an infeasible verdict.  Returns a
+    SynthesisResult for one channel and a list for several.  Couplings that
+    miss the summed decay bound K G_L(V) <= -c V (a non-projection V below
+    V^2 >= V) raise InfeasibleError with reason "es", naming the constant they
+    do reach.
     """
     v = as_operator(v)
     if channels < 1:
@@ -390,16 +329,19 @@ def synthesize(v: np.ndarray, c: float | None = None, channels: int = 1, *,
             return synthesize(v, 1.0, channels, tol=tol)
         except InfeasibleError:
             return synthesize(v, 0.5, channels, tol=tol)
-    if channels > 1:
-        return synthesize_multi(v, channels, c, tol=tol)
-    if is_projection(v, tol):
-        return synthesize_projection(v, c, tol=tol)
-    result = synthesize_closed_form(v, c, tol=tol)
-    if result.residuals["es_margin"] < -scaled_tol(v, tol):
-        # below V^2 >= V the constraint does not imply G(V) <= -c V
-        reached = largest_constant(-generator_single_channel(v, result.coupling), v, tol)
+    if not (0.0 < c <= channels):
+        raise PreconditionError(f"c must lie in (0, {channels}], got {c}")
+    if channels > 1 and not is_projection(v, tol):
+        raise PreconditionError("multi-channel synthesis assumes a projection")
+    result = synthesize_closed_form(v, c / channels, tol=tol)
+    margin = channels * result.residuals["es_margin"]
+    if margin < -scaled_tol(v, tol):
+        reached = largest_constant(-channels * generator_single_channel(v, result.coupling),
+                                   v, tol)
         got = "no positive c" if reached is None else f"c = {reached:.6g}"
+        who = ("the coupling L = U V reaches" if channels == 1
+               else f"the {channels} couplings L_k = U V reach")
         raise InfeasibleError(
-            f"es obstruction: the coupling L = U V reaches {got}, below the target "
-            f"c = {c:.6g} (es_margin {result.residuals['es_margin']:.3e})", reason="es")
-    return result
+            f"es obstruction: {who} {got}, below the target c = {c:.6g} "
+            f"(es_margin {margin:.3e})", reason="es")
+    return result if channels == 1 else [result] * channels

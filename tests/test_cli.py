@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import dissipctl
-from dissipctl import cli, synthesis
+from dissipctl import synthesis
 from dissipctl.cli import main
 from dissipctl.serialize import matrix_to_json, model_to_json
 from dissipctl.models import two_level_example
-from dissipctl.synthesis import synthesize_pinv
 
 
 @pytest.fixture()
@@ -136,6 +135,19 @@ class TestSynthesize:
             assert code == 3 and out == ""
             assert f"reaches c = {reached:.6g}, below the target c = 0.5" in err
 
+    def test_split_below_its_summed_bound_is_infeasible(self, capsys, v_file, monkeypatch):
+        # a channel coupling L = V (U = I) has G_L(V) = 0, so two of them miss
+        # K G_L(V) <= -c V: exit 3 with reason es, no report
+        def identity_factor(v, c, *, tol):
+            return synthesis._result(v, np.eye(2), v, c)
+
+        monkeypatch.setattr(synthesis, "synthesize_closed_form", identity_factor)
+        code, out, err = _run(capsys, ["synthesize", "--v", v_file, "--c", "1",
+                                       "--channels", "2"])
+        assert code == 3 and out == ""
+        assert err.startswith("dissipctl: infeasible: es obstruction: the 2 couplings")
+        assert "below the target c = 1" in err
+
     @pytest.mark.parametrize("field, value, message", [
         ("channels", '"two"', "channels: must be an integer, got 'two'"),
         ("channels", "2.5", "channels: must be an integer, got 2.5"),
@@ -158,29 +170,6 @@ class TestSynthesize:
         code, out, _ = _run(capsys, ["synthesize", "--v", str(path)])
         assert code == 0
         assert len(json.loads(out)["report"]["channels"]) == 2
-
-
-class TestBudgetMessage:
-    """A solver budget failure prints its residual once, and only a finite one."""
-
-    def test_bilinear_oracle_message(self, capsys, v_file, monkeypatch):
-        def oracle(v, c, channels, tol):
-            return synthesize_pinv(np.eye(2), c=0.5, restarts=2, iters=5)
-
-        monkeypatch.setattr(cli, "synthesize", oracle)
-        code, out, err = _run(capsys, ["synthesize", "--v", v_file, "--c", "0.5"])
-        assert code == 4 and out == ""
-        assert err.count("best residual") == 1
-
-    def test_multi_channel_guard_message(self, capsys, v_file, monkeypatch):
-        def wrong(v, c, tol):  # a coupling that misses the target constant
-            return synthesis._result(v, np.eye(2, dtype=complex), v, c)
-
-        monkeypatch.setattr(synthesis, "synthesize_projection", wrong)
-        code, out, err = _run(capsys, ["synthesize", "--v", v_file, "--c", "1",
-                                       "--channels", "2"])
-        assert code == 4 and out == ""
-        assert err == "dissipctl: solver budget exhausted: multi-channel post-verification failed\n"
 
 
 class TestUsageErrors:
@@ -389,6 +378,23 @@ class TestInputValidation:
         assert "V[0][0]" in err and "finite" in err
         assert "PSD" not in err
 
+    @pytest.mark.parametrize("key, theorem", [
+        ("couplings", "es"), ("new_couplings", "inc-es"), ("unitaries", "commuting"),
+    ])
+    def test_spec_array_that_is_not_an_array(self, capsys, tmp_path, spec, key, theorem):
+        spec[key] = 5
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, ["scale", "--spec", str(path), "--theorem", theorem])
+        assert code == 1 and out == ""
+        assert f"input error: spec.{key}: must be an array, got 5" in err
+
+    @pytest.mark.parametrize("name", ["two_level(nan)", "two_level(1,inf)"])
+    def test_non_finite_model_argument(self, capsys, name):
+        code, out, err = _run(capsys, ["check", "--name", name])
+        assert code == 1 and out == ""
+        assert "input error: name: argument" in err and "must be finite" in err
+
     def _simulate(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -418,9 +424,7 @@ class TestNonFiniteNumbers:
         (["check", "--name", "two_level", "--tol", "nan"], "tol"),
         (["check", "--name", "two_level", "--tol=-1e-9"], "tol"),
         (["check", "--name", "two_level", "--simulate", "--t-final", "inf"], "t-final"),
-        (["simulate", "--name", "two_level", "--t-final", "1", "--dt-hint", "nan"], "dt-hint"),
-        (["simulate", "--name", "two_level", "--t-final", "1", "--dt-hint", "0"], "dt-hint"),
-    ], ids=["c-nan", "tol-nan", "tol-negative", "t-final-inf", "dt-hint-nan", "dt-hint-zero"])
+    ], ids=["c-nan", "tol-nan", "tol-negative", "t-final-inf"])
     def test_option_named(self, capsys, argv, option):
         code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""

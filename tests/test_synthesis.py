@@ -25,9 +25,7 @@ from dissipctl.synthesis import (
     solve_bilinear,
     synthesize,
     synthesize_closed_form,
-    synthesize_multi,
     synthesize_pinv,
-    synthesize_projection,
     verify_v2_dominated,
 )
 
@@ -36,43 +34,44 @@ V2 = np.diag([1.0, 0.0]).astype(complex)
 
 class TestSynthesizeProjection:
     def test_full_rotation(self):
-        res = synthesize_projection(V2, 1.0)
+        res = synthesize(V2, 1.0)
         assert np.allclose(res.coupling, np.array([[0, 0], [1.0, 0]]), atol=1e-12)
         assert res.residuals["unitarity"] < 1e-12
         assert res.residuals["es_margin"] >= -1e-9
 
     def test_partial_rotation(self):
         c = 0.19
-        res = synthesize_projection(V2, c)
+        res = synthesize(V2, c)
         assert res.coupling[0, 0] == pytest.approx(np.sqrt(1 - c), abs=1e-12)
         assert abs(res.coupling[1, 0]) ** 2 == pytest.approx(c, abs=1e-12)
 
     def test_zero_candidate(self):
-        res = synthesize_projection(np.zeros((3, 3), dtype=complex), 1.0)
+        res = synthesize(np.zeros((3, 3), dtype=complex), 1.0)
         assert np.allclose(res.unitary, np.eye(3))
         assert np.linalg.norm(res.coupling) == 0.0
 
     def test_rank_obstruction(self):
         with pytest.raises(InfeasibleError):
-            synthesize_projection(np.eye(2, dtype=complex), 1.0)
+            synthesize(np.eye(2, dtype=complex), 1.0)
 
     def test_larger_projection(self):
         rng = np.random.default_rng(21)
         v = random_projection(rng, 6, 2)
-        res = synthesize_projection(v, 0.8)
+        res = synthesize(v, 0.8)
         assert res.residuals["unitarity"] < 1e-10
         assert res.residuals["es_margin"] >= -1e-9
 
     def test_rejects_non_projection(self):
-        with pytest.raises(PreconditionError):
-            synthesize_projection(np.diag([2.0, 0.0]).astype(complex), 1.0)
+        # a channel split needs a projection; one channel takes any PSD V
+        with pytest.raises(PreconditionError, match="assumes a projection"):
+            synthesize(np.diag([2.0, 0.0]).astype(complex), 1.0, channels=2)
 
     def test_block_dilation_convention(self):
         # [[sqrt(1-c) I, sqrt(c) I], [sqrt(c) I, -sqrt(1-c) I]] on range(V) and r
         # kernel directions, the identity elsewhere: a Hermitian involution
         rng = np.random.default_rng(23)
         v = random_projection(rng, 5, 2)
-        u = synthesize_projection(v, 0.36).unitary
+        u = synthesize(v, 0.36).unitary
         assert np.allclose(u, dagger(u), atol=1e-12)
         assert np.allclose(v @ u @ v, 0.8 * v, atol=1e-12)
         off = np.linalg.svd((np.eye(5) - v) @ u @ v, compute_uv=False)
@@ -85,28 +84,19 @@ class TestSynthesizeProjection:
         # no coupling at any constant
         rng = np.random.default_rng(25)
         with pytest.raises(InfeasibleError, match=r"rank\(I - A'A\) = 3 exceeds .* 1") as err:
-            synthesize_projection(random_projection(rng, 4, 3), c)
+            synthesize(random_projection(rng, 4, 3), c)
         assert err.value.reason == "rank"
 
 
 class TestClosedForm:
     def test_norm_obstruction(self):
-        # A = sqrt(1-c) Lambda^-3/2 with Q = sqrt(V): 0.2 < (1-c)^(1/3) is too small
+        # a_i = sqrt(1-c) lambda_i^-3/2: 0.2 < (1-c)^(1/3) is too small
         with pytest.raises(InfeasibleError, match=r"\|\|A\|\|_2 = 7\.90569 > 1") as err:
             synthesize_closed_form(np.diag([1.0, 0.2, 0.0, 0.0]), 0.5)
         assert err.value.reason == "norm"
 
-    def test_range_obstruction(self):
-        # Q = X sqrt(V) has Q'Q = V but weight outside the range block
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        with pytest.raises(InfeasibleError, match="range obstruction") as err:
-            synthesize_closed_form(V2, 0.5, x @ V2)
-        assert err.value.reason == "range"
-        res = synthesize_closed_form(V2, 1.0, x @ V2)
-        assert res.residuals["unitarity"] < 1e-12
-
     def test_unit_singular_value_uses_fewer_kernel_directions(self):
-        # sigma = 1 on the eigenvalue 1/2 at c = 7/8: rank(I - A'A) = 1 < r = 2,
+        # a = 1 on the eigenvalue 1/2 at c = 7/8: rank(I - A'A) = 1 < r = 2,
         # so one kernel direction completes U although n - r < r
         v = np.diag([0.5, 2.0, 0.0]).astype(complex)
         res = synthesize_closed_form(v, 0.875)
@@ -127,12 +117,9 @@ def _candidate(rng, kind):
     n = int(rng.integers(2, 7))
     r = int(rng.integers(1, n + 1))
     u = haar_unitary(rng, n)
-    lam = np.ones(r) if kind == "projection" else rng.uniform(0.3, 2.5, r)
-    v = (u[:, :r] * lam) @ dagger(u[:, :r])
-    q = sqrtm_psd(v)
-    if kind == "rotated factor":
-        q = haar_unitary(rng, n) @ q
-    return v, q, lam
+    low, high = {"projection": (1.0, 1.0), "spectrum": (0.3, 2.5), "dominated": (1.0, 3.0)}[kind]
+    lam = rng.uniform(low, high, r)
+    return (u[:, :r] * lam) @ dagger(u[:, :r]), lam
 
 
 class TestClosedFormOracle:
@@ -141,22 +128,24 @@ class TestClosedFormOracle:
     names its obstruction."""
 
     @given(st.integers(0, 10**6),
-           st.sampled_from(["projection", "spectrum", "rotated factor"]),
+           st.sampled_from(["projection", "spectrum", "dominated"]),
            st.one_of(st.just(1.0), st.floats(0.02, 0.98)))
     @settings(max_examples=60, deadline=None)
     def test_against_bilinear_solver(self, seed, kind, c):
         rng = np.random.default_rng(seed)
-        v, q, lam = _candidate(rng, kind)
+        v, lam = _candidate(rng, kind)
         n = v.shape[0]
         try:
-            res = synthesize_closed_form(v, c, q)
+            res = synthesize_closed_form(v, c)
         except InfeasibleError as exc:
             res = None
-            assert exc.reason in ("range", "norm", "rank")
+            assert exc.reason in ("norm", "rank")
             assert re.search(r"\d", str(exc))
         else:
             assert res.residuals["unitarity"] <= 1e-12
             assert res.residuals["constraint"] <= 1e-12
+            # 2x2 rotations [[a, d], [d, -a]] in V's eigenbasis: a Hermitian U
+            assert np.abs(res.unitary - dagger(res.unitary)).max() <= 1e-12
             if lam.min() >= 1.0:
                 # V^2 >= V: V U V = sqrt(1-c) Q implies G(V) <= -c V
                 model = LindbladModel(TensorStructure((n,)), np.zeros((n, n), dtype=complex),
@@ -164,7 +153,7 @@ class TestClosedFormOracle:
                 certified = check_condition_es(v, model)
                 assert certified is not None and certified >= c - 1e-6
         try:
-            system = assemble_bilinear_system(v, q, c)
+            system = assemble_bilinear_system(v, sqrtm_psd(v), c)
         except InfeasibleError:
             assert res is None
             return
@@ -271,32 +260,32 @@ class TestSynthesizePinv:
 
 class TestSynthesizeMulti:
     def test_single_channel_reduces_to_projection_case(self):
-        res = synthesize_multi(V2, 1, 1.0)
-        assert len(res) == 1
-        assert np.allclose(res[0].coupling, np.array([[0, 0], [1.0, 0]]), atol=1e-12)
+        res = synthesize(V2, 1.0, channels=1)
+        assert isinstance(res, synthesis.SynthesisResult)
+        assert np.allclose(res.coupling, np.array([[0, 0], [1.0, 0]]), atol=1e-12)
 
     def test_two_channel_split(self):
-        results = synthesize_multi(V2, 2, 1.0)
+        results = synthesize(V2, 1.0, channels=2)
         assert len(results) == 2
         for res in results:
             assert abs(res.coupling[1, 0]) ** 2 == pytest.approx(0.5, abs=1e-8)
 
     def test_summed_certificate(self):
-        results = synthesize_multi(V2, 2, 1.0)
+        results = synthesize(V2, 1.0, channels=2)
         total = sum(generator_single_channel(V2, r.coupling) for r in results)
         assert is_psd(-total - 1.0 * V2, 1e-8)
 
     def test_three_channels_on_larger_projection(self):
         rng = np.random.default_rng(35)
         v = random_projection(rng, 4, 1)
-        results = synthesize_multi(v, 3, 2.0)
+        results = synthesize(v, 2.0, channels=3)
         assert len(results) == 3
         total = sum(generator_single_channel(v, r.coupling) for r in results)
         assert is_psd(-total - 2.0 * v, 1e-8)
 
     def test_rejects_constant_above_channel_count(self):
-        with pytest.raises(PreconditionError):
-            synthesize_multi(V2, 2, 2.5)
+        with pytest.raises(PreconditionError, match=r"c must lie in \(0, 2\], got 2.5"):
+            synthesize(V2, 2.5, channels=2)
 
 
 class TestCheckFactorizable:
@@ -330,7 +319,7 @@ class TestCheckFactorizable:
 
 class TestV2Dominated:
     def test_projection_agrees_with_projection_case(self):
-        res = synthesize_projection(V2, 0.5)
+        res = synthesize(V2, 0.5)
         assert verify_v2_dominated(V2, res.unitary, 0.5)
         assert not verify_v2_dominated(V2, np.eye(2, dtype=complex), 0.5)
 
@@ -360,8 +349,9 @@ class TestDispatcher:
         rng = np.random.default_rng(51)
         v = random_projection(rng, 3, 2)  # rank 2 of 3: c=1 infeasible, c=1/2 feasible?
         # 2r > n so the corner cannot vanish; the fallback must also fail here
-        with pytest.raises((InfeasibleError, SolverBudgetError)):
+        with pytest.raises(InfeasibleError) as err:
             synthesize(v)
+        assert err.value.reason == "rank"
 
     def test_multi_channel_dispatch(self):
         results = synthesize(V2, c=1.0, channels=2)
@@ -377,7 +367,7 @@ class TestProjectionCaseInvariant:
         rng = np.random.default_rng(71)
         for c in (1.0, 0.6, 0.25):
             v = random_projection(rng, 4, 1)
-            res = synthesize_projection(v, c)
+            res = synthesize(v, c)
             d = dissipation_single_channel(v, res.coupling)
             alt = -v @ dagger(res.unitary) @ v @ res.unitary @ v + v
             assert np.allclose(d, alt, atol=1e-10)
