@@ -28,9 +28,9 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
-def as_operator(a) -> np.ndarray:
-    """Coerce to a square matrix: float64 when no entry has a nonzero
-    imaginary part, complex128 otherwise."""
+def real_or_complex(a) -> np.ndarray:
+    """An array of any shape as float64 when no entry has a nonzero imaginary
+    part, complex128 otherwise."""
     a = np.asarray(a)
     if np.iscomplexobj(a):
         a = a.astype(complex, copy=False)
@@ -38,7 +38,12 @@ def as_operator(a) -> np.ndarray:
             a = a.real.copy()
     else:
         a = a.astype(float, copy=False)
-    return _square(a)
+    return a
+
+
+def as_operator(a) -> np.ndarray:
+    """Coerce to a square matrix, with the dtype rule of `real_or_complex`."""
+    return _square(real_or_complex(a))
 
 
 def _square(a: np.ndarray) -> np.ndarray:

@@ -6,7 +6,15 @@ Conventions (hbar = 1):
 * Heisenberg drift   G(X) = -i[X, H] + sum_k L_k' X L_k - (1/2){L_k' L_k, X}
 * state evolution    drho/dt = -i[H, rho] + sum_k L_k rho L_k' - (1/2){L_k' L_k, rho}
 
-where a prime denotes the adjoint.  Couplings carry units sqrt(rate).
+where a prime denotes the adjoint.  Couplings carry units sqrt(rate).  The
+RK45 integrator uses the effective-Hamiltonian form of the state equation,
+
+    drho/dt = M rho + rho M' + sum_k L_k rho L_k',   M = -iH - (1/2) sum_k L_k' L_k,
+
+which for a Hermitian rho is M rho + (M rho)' + sum_k L_k rho L_k'.
+
+Propagation runs in the dtype of the data: float64 when H = 0 and every
+coupling and the initial state are real, complex128 otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .linalg import (
     expm,
     hermitian_part,
     is_hermitian,
+    real_or_complex,
     scaled_tol,
     unvec,
     vec,
@@ -71,7 +80,7 @@ class LindbladModel:
 
 
 def maximally_mixed(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex) / n
+    return np.eye(n) / n
 
 
 def validate_density_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
@@ -80,7 +89,7 @@ def validate_density_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     A stack (S, n, n) is checked with one batched eigensolve, and the message
     names the first failing state.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = real_or_complex(rho)
     states = rho if rho.ndim == 3 else as_operator(rho)[None]
 
     def require(ok, message):
@@ -159,15 +168,14 @@ def dissipation_functional(x: np.ndarray, model: LindbladModel,
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Matrix of the state-evolution map on column-stacked density matrices."""
+    """Matrix of the state-evolution map on column-stacked density matrices;
+    real when the model is (H = 0 and real couplings)."""
     n = model.dim
-    eye = np.eye(n, dtype=complex)
-    h = model.hamiltonian.astype(complex)
-    lam = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    eye = np.eye(n)
+    h = model.hamiltonian
+    lam = -1j * (np.kron(eye, h) - np.kron(h.T, eye)) if h.any() else np.zeros((n * n, n * n))
     for l in model.couplings:
-        l = l.astype(complex)
-        ld = dagger(l)
-        ldl = ld @ l
+        ldl = dagger(l) @ l
         lam = lam + np.kron(l.conj(), l) \
             - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
     return lam
@@ -230,8 +238,8 @@ class Trajectory:
         return np.trace(self.states, axis1=-2, axis2=-1).real
 
     def purities(self) -> np.ndarray:
-        flat = self.states.reshape((-1,) + self.states.shape[-2:])
-        return np.array([np.trace(r @ r).real for r in flat]).reshape(self.states.shape[:-2])
+        # tr(rho^2) = sum_ij |rho_ij|^2 for a Hermitian rho
+        return np.einsum("...ij,...ij->...", self.states, self.states.conj()).real
 
     def final_state(self) -> np.ndarray:
         return self.states[..., -1, :, :]
@@ -253,15 +261,19 @@ _DP_E = _DP_B5 - _DP_B4
 
 
 def _rhs_factory(model: LindbladModel):
-    # the operators are cast once to the states' dtype, not in every product
-    h = model.hamiltonian.astype(complex)
-    pairs = [(l, dagger(l)) for l in (c.astype(complex) for c in model.couplings)]
-    ldls = [ld @ l for l, ld in pairs]
+    # drho/dt = M rho + (M rho)' + sum_k L_k rho L_k' with M = -iH - (1/2) sum_k L_k'L_k
+    # precomputed: 1 + 2K products a call.  Valid only for a Hermitian rho,
+    # for which rho M' = (M rho)'.  M is real when H = 0 and the couplings are.
+    pairs = [(l, dagger(l)) for l in model.couplings]
+    m = -0.5 * sum((ld @ l for l, ld in pairs), np.zeros_like(model.hamiltonian))
+    if model.hamiltonian.any():
+        m = m - 1j * model.hamiltonian
 
     def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (h @ rho - rho @ h)
-        for (l, ld), ldl in zip(pairs, ldls):
-            out = out + l @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
+        mr = m @ rho
+        out = mr + dagger(mr)
+        for l, ld in pairs:
+            out += (l @ rho) @ ld
         return out
 
     return rhs
@@ -273,9 +285,9 @@ def _rk45_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray, h: f
     size for all states, controlled by the largest per-state error norm;
     hermitizes after every accepted step."""
     rhs = _rhs_factory(model)
+    k = [rhs(rho)] + [None] * 6  # k[0] is the slope at rho, renewed per accepted step
     yield rho
     for t, t1 in zip(times[:-1], times[1:]):
-        k = [rhs(rho)] + [None] * 6
         while t < t1 - 1e-15 * max(1.0, abs(t1)):
             h = min(h, t1 - t)
             if h < 1e-14 * max(1.0, abs(t1)):
@@ -298,10 +310,12 @@ def _rk45_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray, h: f
 
 def _exact_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray):
     """The stack at each sample time of an equally spaced grid, by one
-    propagator P = expm(Lambda dt) applied to the (n^2, S) block of
-    column-stacked states."""
+    propagator P = expm(Lambda dt), in the dtype common to Lambda and the
+    stack, applied to the (n^2, S) block of column-stacked states."""
     s, n = rho.shape[0], model.dim
-    step = expm(liouvillian(model), times[1] - times[0])
+    lam = liouvillian(model)
+    dtype = np.result_type(lam, rho)
+    step = expm(lam.astype(dtype, copy=False), times[1] - times[0])
     block = rho.swapaxes(-1, -2).reshape(s, n * n).T
     for _ in times:
         yield hermitian_part(block.T.reshape(s, n, n).swapaxes(-1, -2))
@@ -315,19 +329,24 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
 
     Up to dim 16 all states are stepped exactly by one propagator
     expm(Lambda dt), above that together by adaptive RK45 (``rtol``, ``atol``).
-    Emits ``n_samples`` equally spaced samples, each state re-validated as a
-    density matrix at 10x the base tolerance.  RK45's first trial step is
-    t_final / 100.
+    The states are float64 when H = 0 and the couplings and ``rho0`` are
+    real, complex otherwise.  Emits ``n_samples`` equally spaced samples, each state
+    re-validated as a density matrix at 10x the base tolerance.  RK45's first
+    trial step is t_final / 100.
     """
     model.validate()
     n = model.dim
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = real_or_complex(rho0)
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (n, n):
         raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n}) or (S, {n}, {n})")
     if t_final <= 0:
         raise PreconditionError(f"t_final must be positive, got {t_final}")
     validate_density_state(rho0, DEFAULT_TOL * 10)
-    stack = rho0.reshape((-1, n, n))
+    # -i[H, rho] is real only for H = 0
+    real = not (model.hamiltonian.any() or np.iscomplexobj(rho0)
+                or any(np.iscomplexobj(l) for l in model.couplings))
+    dtype = float if real else complex
+    stack = rho0.reshape((-1, n, n)).astype(dtype, copy=False)
     if n_samples < 2:
         raise PreconditionError("need at least two sample points")
     times = np.linspace(0.0, float(t_final), n_samples)
@@ -337,8 +356,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     else:
         samples = _rk45_samples(model, stack, times, t_final / 100.0, rtol, atol)
 
-    states = np.empty(rho0.shape[:-2] + (n_samples, n, n), dtype=complex)
-    series = {name: np.empty(rho0.shape[:-2] + (n_samples,)) for name in ops}
+    states = np.empty(rho0.shape[:-2] + (n_samples, n, n), dtype=dtype)
     for i, rho in enumerate(samples):
         if i:
             try:
@@ -346,8 +364,8 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
             except StateValidityError as exc:
                 raise StateValidityError(f"at t={times[i]:.6g}: {exc}") from exc
         states[..., i, :, :] = rho
-        for name, op in ops.items():
-            series[name][..., i] = np.trace(op @ rho, axis1=-2, axis2=-1).real
+    # tr(X rho) = sum_ij X_ij rho_ji, over every sample at once
+    series = {name: np.einsum("ij,...ji->...", op, states).real for name, op in ops.items()}
     return Trajectory(times, states, series)
 
 
@@ -403,14 +421,14 @@ def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
     limit_model = LindbladModel(model.structure, h_sys, [limit_coupling])
     limit_states = evolve(limit_model, rho0, t_final, n_samples=n_samples).states
 
-    anc_ground = np.diag([0.0, 1.0]).astype(complex)
+    anc_ground = np.diag([0.0, 1.0])
     joint_structure = TensorStructure(tuple(model.structure.dims) + (2,))
 
     errors = []
     for k in k_list:
         h_joint = k * omega * (np.kron(l_sys, SIGMA_PLUS) + np.kron(dagger(l_sys), SIGMA_MINUS)) \
             + np.kron(h_sys, np.eye(2))
-        l_joint = k * np.sqrt(gamma) * np.kron(np.eye(n, dtype=complex), SIGMA_MINUS)
+        l_joint = k * np.sqrt(gamma) * np.kron(np.eye(n), SIGMA_MINUS)
         joint_model = LindbladModel(joint_structure, h_joint, [l_joint])
         joint_states = evolve(joint_model, np.kron(rho0, anc_ground), t_final,
                               n_samples=n_samples).states

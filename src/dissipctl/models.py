@@ -14,6 +14,7 @@ Site convention: site 1 is the leftmost Kronecker factor.
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass, field
@@ -154,7 +155,7 @@ def cluster_chain(n_qubits: int = 4) -> NamedModel:
     n = int(n_qubits)
     if n < 3:
         raise PreconditionError("cluster chain needs at least 3 qubits")
-    if 2 ** n > MAX_MODEL_DIM:
+    if n > math.log2(MAX_MODEL_DIM):  # 2 ** n itself would not fit in memory for a huge n
         raise DimensionCapError(f"2^{n} exceeds the construction cap {MAX_MODEL_DIM}")
     structure = TensorStructure.qubits(n)
     eye = np.eye(2 ** n)
@@ -285,38 +286,59 @@ REGISTRY = {
 }
 
 _NAME_RE = re.compile(r"^([a-z_][a-z0-9_]*)(?:\((.*)\))?$")
+_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def build(name: str) -> NamedModel:
     """Instantiate a registry model from a string like ``cluster_chain(5)``
-    or ``toric_patch(extended)``."""
+    or ``toric_patch(extended)``.
+
+    Arguments are positional numbers, except that a boolean parameter is set
+    by its own name and by nothing else; an ``int`` parameter takes only an
+    integer literal.  Arguments that overflow the constructor, or give an
+    operator (H, a coupling or a candidate) whose squared Frobenius norm is
+    within a factor 16 of the float range, are an input error naming
+    ``name``.
+    """
     m = _NAME_RE.match(name.strip())
     if m is None or m.group(1) not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise InputFormatError("name", f"unknown model {name!r}; known: {known}")
     fn = REGISTRY[m.group(1)]
-    raw = (m.group(2) or "").strip()
-    if not raw:
-        return fn()
-    args = []
-    kwargs = {}
-    for part in raw.split(","):
+    params = inspect.signature(fn).parameters
+    flags = {p for p, spec in params.items() if spec.annotation == "bool"}
+    numbers = [spec for p, spec in params.items() if p not in flags]
+    args, kwargs = [], {}
+    for part in (m.group(2) or "").split(","):
         part = part.strip()
         if not part:
             continue
-        if part.isdigit():
-            args.append(int(part))
-        elif part in ("extended", "true", "True"):
-            kwargs["extended"] = True
-        else:
-            try:
-                value = float(part)
-            except ValueError:
-                raise InputFormatError("name", f"cannot parse argument {part!r} in {name!r}")
-            if not math.isfinite(value):
-                raise InputFormatError("name", f"argument {part!r} in {name!r} must be finite")
-            args.append(value)
+        if part in flags:
+            kwargs[part] = True
+            continue
+        try:
+            value = int(part) if _INT_RE.match(part) else float(part)
+        except ValueError:
+            raise InputFormatError("name", f"cannot parse argument {part!r} in {name!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputFormatError("name", f"argument {part!r} in {name!r} must be finite")
+        if len(args) == len(numbers):
+            hint = "".join(f"; set {flag} by its name" for flag in sorted(flags))
+            raise InputFormatError("name", f"{m.group(1)} takes {len(numbers)} numeric "
+                                           f"argument(s), {name!r} gives more{hint}")
+        if numbers[len(args)].annotation == "int" and not isinstance(value, int):
+            raise InputFormatError("name", f"argument {part!r} in {name!r} must be an integer")
+        args.append(value)
     try:
-        return fn(*args, **kwargs)
-    except TypeError as exc:
-        raise InputFormatError("name", f"bad arguments for {m.group(1)}: {exc}")
+        named = fn(*args, **kwargs)
+    except (OverflowError, FloatingPointError) as exc:
+        raise InputFormatError("name", f"arguments in {name!r} overflow: {exc}")
+    # ||X||_F^2 bounds every entry of X'X; the factor 16 leaves room for the
+    # sums of such products in G(V) and D(V), so none of them overflows
+    ops = [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]
+    with np.errstate(over="ignore"):
+        if not np.isfinite([16.0 * np.square(np.linalg.norm(op)) for op in ops]).all():
+            raise InputFormatError("name", f"arguments in {name!r} overflow: an operator of "
+                                           "the model (H, a coupling or a candidate) has a "
+                                           "squared norm too close to the float range")
+    return named

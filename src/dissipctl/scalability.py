@@ -26,6 +26,7 @@ from .lindblad import (
     evolve,
     generator,
     generator_single_channel,
+    maximally_mixed,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -390,7 +391,7 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
         raise DimensionCapError(f"aggregate dim {n} exceeds cap {dim_cap}")
     model = spec.to_model()
     if rho0 is None:
-        rho0 = np.eye(n, dtype=complex) / n
+        rho0 = maximally_mixed(n)
     names = spec.names()
     observables = {"W": spec.total()}
     for name, w in zip(names, spec.terms):

@@ -395,6 +395,31 @@ class TestInputValidation:
         assert code == 1 and out == ""
         assert "input error: name: argument" in err and "must be finite" in err
 
+    @pytest.mark.parametrize("name, message", [
+        ("two_level(0,1e200)", "Numerical result out of range"),
+        ("two_level(1e200)", "squared norm too close to the float range"),
+        ("two_level(1" + "0" * 400 + ")", "int too large to convert to float"),
+    ], ids=["constructor-overflow", "product-overflow", "integer-literal-overflow"])
+    def test_huge_model_argument(self, capsys, name, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["check", "--name", name])
+        assert code == 1 and out == ""
+        assert f"input error: name: arguments in {name!r} overflow" in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--name", "cluster_chain(4.5)"], "argument '4.5' in 'cluster_chain(4.5)' "
+                                                     "must be an integer"),
+        (["models", "export", "toric_patch(3)"], "toric_patch takes 0 numeric argument(s), "
+                                                 "'toric_patch(3)' gives more; set extended "
+                                                 "by its name"),
+    ], ids=["fractional-integer", "positional-flag"])
+    def test_untyped_model_argument(self, capsys, argv, message):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert f"input error: name: {message}" in err
+
     def _simulate(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

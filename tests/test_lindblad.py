@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +41,7 @@ from dissipctl.linalg import (
     random_hermitian,
     vec,
 )
-from dissipctl.models import three_level_example, two_level_example
+from dissipctl.models import build, three_level_example, two_level_example
 
 
 def random_model(rng, n, k=2):
@@ -296,6 +299,102 @@ class TestEnsemble:
             evolve(m, maximally_mixed(3), 1.0)
         with pytest.raises(DimensionMismatchError):
             evolve(m, np.ones((1, 1, 2, 2)) / 2, 1.0)
+
+
+def _twisted(seed: int, n: int):
+    """X -> D X D' for a random diagonal phase unitary D, as an entrywise factor."""
+    theta = 2 * np.pi * np.random.default_rng(seed).random(n)
+    twist = np.exp(1j * (theta[:, None] - theta))
+    return lambda a: twist * a
+
+
+def _real_density(rng, n):
+    g = rng.standard_normal((n, 3))
+    rho = g @ g.T
+    return rho / np.trace(rho)
+
+
+class TestRealPropagation:
+    """A real model (H = 0, real couplings) from a real state propagates in
+    float64; its phase-conjugated twin D X D' is complex and must give the
+    same expectation series, traces and purities."""
+
+    @pytest.mark.parametrize("name, t_final", [("toric_patch", 1.0), ("cluster_chain(4)", 3.0)],
+                             ids=["rk45", "exact"])
+    def test_matches_the_complex_twin(self, name, t_final, monkeypatch):
+        named = build(name)
+        model, n = named.model, named.model.dim
+        conj = _twisted(30, n)
+        twin = LindbladModel(model.structure, conj(model.hamiltonian),
+                             [conj(l) for l in model.couplings])
+        rho0 = _real_density(np.random.default_rng(31), n)
+        terms = dict(zip(named.aggregate.term_names, named.aggregate.terms))
+
+        rhs_dtypes = []
+        factory = lindblad._rhs_factory
+
+        def recording_factory(m):
+            rhs = factory(m)
+            return lambda rho: rhs_dtypes.append(rho.dtype) or rhs(rho)
+
+        monkeypatch.setattr(lindblad, "_rhs_factory", recording_factory)
+        real = evolve(model, rho0, t_final, n_samples=11, observables=terms)
+        real_dtypes, rhs_dtypes[:] = rhs_dtypes[:], []
+        complex_ = evolve(twin, conj(rho0), t_final, n_samples=11,
+                          observables={k: conj(w) for k, w in terms.items()})
+
+        assert real.states.dtype == np.float64 and complex_.states.dtype == np.complex128
+        if n > 16:
+            assert set(real_dtypes) == {np.dtype(np.float64)}
+            assert set(rhs_dtypes) == {np.dtype(np.complex128)}
+        else:
+            assert real_dtypes == rhs_dtypes == []
+        for key in terms:
+            assert np.abs(real.observables[key] - complex_.observables[key]).max() < 1e-12
+        assert np.abs(real.traces() - complex_.traces()).max() < 1e-12
+        assert np.abs(real.purities() - complex_.purities()).max() < 1e-12
+        # the readout contractions against their defining traces
+        direct = [np.trace(r @ r) for r in complex_.states]
+        assert np.abs(complex_.purities() - np.real(direct)).max() < 1e-14
+        for key, w in terms.items():
+            direct = [np.trace(w @ r) for r in real.states]
+            assert np.abs(real.observables[key] - np.real(direct)).max() < 1e-14
+
+    def test_complex_state_of_a_real_model_propagates_complex(self):
+        model = build("cluster_chain(5)").model
+        rho0 = _twisted(32, 32)(_real_density(np.random.default_rng(33), 32))
+        traj = evolve(model, rho0, 0.5, n_samples=3)
+        assert traj.states.dtype == np.complex128
+        assert np.abs(traj.states[-1].imag).max() > 1e-6
+
+    def test_rk45_evaluates_each_stage_once(self, monkeypatch):
+        # the event log of one RK45 run: the initial slope, then per attempted
+        # step six stage calls, and per accepted step the hermitization of the
+        # new state followed by its one slope; nothing at sample boundaries
+        log = []
+        factory, herm = lindblad._rhs_factory, lindblad.hermitian_part
+
+        def logging_factory(m):
+            rhs = factory(m)
+            return lambda rho: log.append("R") or rhs(rho)
+
+        def logging_herm(a):
+            if sys._getframe(1).f_code.co_name == "_rk45_samples":
+                log.append("H")
+            return herm(a)
+
+        monkeypatch.setattr(lindblad, "_rhs_factory", logging_factory)
+        monkeypatch.setattr(lindblad, "hermitian_part", logging_herm)
+        rng = np.random.default_rng(34)
+        m = random_model(rng, 17)
+        m.couplings = [l / 4 for l in m.couplings]
+        evolve(m, random_density(rng, 17), 2.0, n_samples=5)
+        events = "".join(log)
+        assert re.fullmatch(r"R(R{6}(HR)?)+", events), events
+        accepted = events.count("H")
+        attempted = (events.count("R") - 1 - accepted) // 6
+        assert attempted > accepted > 0  # some steps were rejected
+        assert events.count("R") == 1 + 6 * attempted + accepted
 
 
 class TestExpectation:

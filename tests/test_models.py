@@ -190,6 +190,17 @@ class TestBuildParser:
         with pytest.raises(InputFormatError):
             build("cluster_chain(maybe)")
 
+    @pytest.mark.parametrize("name", ["toric_patch(true)", "toric_patch(1)",
+                                      "cluster_chain(5.0)", "cluster_chain(extended)",
+                                      "three_level(1)"])
+    def test_argument_of_the_wrong_kind(self, name):
+        with pytest.raises(InputFormatError):
+            build(name)
+
+    def test_huge_qubit_count_hits_the_cap_without_computing_2_to_the_n(self):
+        with pytest.raises(DimensionCapError):
+            build("cluster_chain(1" + "0" * 400 + ")")
+
 
 @pytest.mark.parametrize("name", sorted(REGISTRY) + [
     "two_level(0.5, 2)", "cluster_chain(3)", "cluster_chain(6)", "toric_patch(extended)"])
