@@ -45,11 +45,9 @@ from .serialize import (
     matrix_to_json,
     model_from_json,
     model_to_json,
-    new_couplings_from_json,
     stability_report_to_dict,
     synthesis_result_to_dict,
     trajectory_to_csv,
-    unitaries_from_json,
     write_text_atomic,
 )
 from .stability import certify_ground_state_stability
@@ -219,52 +217,38 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_scale(args) -> int:
     named = _resolve_named(args)
-    unitaries = None
     if named is not None:
         spec = named.aggregate
         if spec is None:
             raise InputFormatError("name", f"model {named.name} has no aggregate description")
-        unitaries = named.extras.get("unitaries")
-        new_couplings = named.extras.get("new_couplings", [])
-        c = args.c if args.c is not None else named.extras.get("incremental_c", 1.0)
+    elif args.spec:
+        spec = aggregate_from_json(_load_json(args.spec, "spec"))
     else:
-        if not args.spec:
-            raise InputFormatError("spec", "scale needs --spec or --name")
-        obj = _load_json(args.spec, "spec")
-        spec = aggregate_from_json(obj)
-        unitaries = unitaries_from_json(obj)
-        new_couplings = new_couplings_from_json(obj)
-        c = args.c if args.c is not None else 1.0
+        raise InputFormatError("spec", "scale needs --spec or --name")
 
-    theorem = args.theorem
-    if theorem == "es":
-        report = check_theorem_es_aggregation(spec, tol=args.tol)
-        body = aggregate_report_to_dict(report)
-        overall = report.overall
-    elif theorem == "ds":
-        report = check_theorem_ds_aggregation(spec, tol=args.tol)
-        body = aggregate_report_to_dict(report)
-        overall = report.overall
-    elif theorem == "commuting":
-        if unitaries is None:
+    theorem, tol = args.theorem, args.tol
+    if theorem in ("es", "ds", "commuting"):
+        if theorem == "es":
+            report = check_theorem_es_aggregation(spec, tol=tol)
+        elif theorem == "ds":
+            report = check_theorem_ds_aggregation(spec, tol=tol)
+        elif spec.unitaries is None:
             raise InputFormatError("spec", "commuting mode needs the unitary factors "
                                            "(extras or a 'unitaries' array in the spec)")
-        report = check_corollary_commuting(spec, unitaries, tol=args.tol)
-        body = aggregate_report_to_dict(report)
-        overall = report.overall
-    elif theorem in ("inc-es", "inc-ds", "d-free"):
-        n = args.n if args.n is not None else len(spec.terms) - 1
-        if theorem == "inc-es":
-            holds, info = check_incremental_es(spec, n, new_couplings, c, tol=args.tol)
-        elif theorem == "inc-ds":
-            holds, info = check_incremental_ds(spec, n, new_couplings, c, tol=args.tol)
         else:
-            holds, info = check_corollary_d_free(spec, n, new_couplings, c,
-                                                 mode=args.mode, tol=args.tol)
-        body = {"theorem": theorem, "holds": holds, "c": c, "n": n, **info}
-        overall = holds
+            report = check_corollary_commuting(spec, spec.unitaries, tol=tol)
+        body, overall = aggregate_report_to_dict(report), report.overall
     else:
-        raise InputFormatError("theorem", f"unknown theorem {args.theorem!r}")
+        n = args.n if args.n is not None else spec.n_terms - 1
+        c = args.c if args.c is not None else 1.0
+        if theorem == "inc-es":
+            holds, info = check_incremental_es(spec, n, spec.new_couplings, c, tol=tol)
+        elif theorem == "inc-ds":
+            holds, info = check_incremental_ds(spec, n, spec.new_couplings, c, tol=tol)
+        else:
+            holds, info = check_corollary_d_free(spec, n, spec.new_couplings, c,
+                                                 mode=args.mode, tol=tol)
+        body, overall = {"theorem": theorem, "holds": holds, "c": c, "n": n, **info}, holds
     _emit(args, _report_envelope(args, "scale", body))
     return EXIT_OK if overall else EXIT_NOT_CERTIFIED
 
@@ -287,11 +271,6 @@ def _cmd_models(args) -> int:
     }
     if named.aggregate is not None:
         body["spec"] = aggregate_to_json(named.aggregate)
-        if "unitaries" in named.extras:
-            body["spec"]["unitaries"] = [matrix_to_json(u) for u in named.extras["unitaries"]]
-        if "new_couplings" in named.extras:
-            body["spec"]["new_couplings"] = [matrix_to_json(l)
-                                             for l in named.extras["new_couplings"]]
     _emit(args, body)
     return EXIT_OK
 

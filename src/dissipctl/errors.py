@@ -17,10 +17,6 @@ class PreconditionError(DissipctlError):
     """A documented precondition of an operation was violated."""
 
 
-class CommutationError(DissipctlError):
-    """A commutator that must vanish does not (within tolerance)."""
-
-
 class InfeasibleError(DissipctlError):
     """The synthesis problem has no solution; ``reason`` names the obstruction
     ("norm" or "rank", or "es" for couplings that miss the decay bound) where

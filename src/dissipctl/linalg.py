@@ -46,6 +46,17 @@ def as_operator(a) -> np.ndarray:
     return _square(real_or_complex(a))
 
 
+def require_headroom(a: np.ndarray, field: str, what: str) -> np.ndarray:
+    """`a`, or an InputFormatError naming `field` if 16 ||a||_F^2 overflows:
+    ||X||_F^2 bounds every entry of X'X, and the factor 16 leaves room for
+    the sums of such products in G(V) and D(V)."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(16.0 * np.square(np.linalg.norm(a))):
+            raise InputFormatError(field, f"{what} has a squared norm too close to the "
+                                          "float range")
+    return a
+
+
 def _square(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -280,10 +291,10 @@ def expm(a, t: float = 1.0) -> np.ndarray:
         return np.diag(np.exp(np.diagonal(a)))
     eye = np.eye(a.shape[0], dtype=a.dtype)
     norm = float(np.linalg.norm(a, 1))
-    a2 = a @ a
     s = 0
     for theta, b in _PADE:
         if norm <= theta:
+            a2 = a @ a
             even = [eye, a2]  # A^0, A^2, ..., A^(m-1)
             while len(even) < len(b) // 2:
                 even.append(even[-1] @ a2)
@@ -292,7 +303,8 @@ def expm(a, t: float = 1.0) -> np.ndarray:
             break
     else:
         s = max(0, ceil(log2(norm / _THETA_13)))
-        a, a2 = a / 2.0 ** s, a2 / 4.0 ** s
+        a = a / 2.0 ** s  # before squaring: (A / 2^s)^2 is finite where A^2 may not be
+        a2 = a @ a
         a4 = a2 @ a2
         a6 = a4 @ a2
         b = _B_13

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CommutationError,
     DimensionCapError,
     DimensionMismatchError,
     IntegrationError,
@@ -43,7 +42,6 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     real_or_complex,
-    scaled_tol,
     unvec,
     vec,
 )
@@ -120,13 +118,19 @@ def generator_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     return ld @ (x @ l) - 0.5 * (kx + dagger(kx))
 
 
-def generator(x: np.ndarray, model: LindbladModel, assume_commuting: bool = False,
-              tol: float = DEFAULT_TOL) -> np.ndarray:
+def channel_sum(kernel, x: np.ndarray, couplings, start: np.ndarray | None = None) -> np.ndarray:
+    """start (default 0) plus kernel(x, L) summed over couplings in list order."""
+    acc = np.zeros_like(x) if start is None else start
+    for l in couplings:
+        acc = acc + kernel(x, l)
+    return acc
+
+
+def generator(x: np.ndarray, model: LindbladModel, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Heisenberg-picture drift of the observable ``x``.
 
-    With ``assume_commuting`` the commutator [x, H] is verified to vanish and
-    the Hamiltonian term is dropped.  A term -i[x, H] that is exactly zero is
-    dropped too, so real x and couplings give a real drift.
+    A term -i[x, H] that is exactly zero is dropped, so real x and couplings
+    give a real drift.
     """
     x = as_operator(x)
     if not is_hermitian(x, tol):
@@ -135,16 +139,8 @@ def generator(x: np.ndarray, model: LindbladModel, assume_commuting: bool = Fals
     if x.shape != h.shape:
         raise DimensionMismatchError(f"observable dim {x.shape[0]} != model dim {h.shape[0]}")
     comm = x @ h - h @ x if h.any() else np.zeros_like(x)
-    if assume_commuting:
-        if np.linalg.norm(comm) > scaled_tol(x, tol) * max(1.0, float(np.linalg.norm(h))):
-            raise CommutationError(
-                f"[x, H] != 0 (norm {np.linalg.norm(comm):.3e}) but assume_commuting was set"
-            )
-        comm = np.zeros_like(x)
-    out = -1j * comm if comm.any() else np.zeros_like(x)
-    for l in model.couplings:
-        out = out + generator_single_channel(x, l)
-    return out
+    return channel_sum(generator_single_channel, x, model.couplings,
+                       -1j * comm if comm.any() else None)
 
 
 def dissipation_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -161,10 +157,7 @@ def dissipation_functional(x: np.ndarray, model: LindbladModel,
     x = as_operator(x)
     if not is_hermitian(x, tol):
         raise NonHermitianError("dissipation functional requires a Hermitian observable")
-    out = np.zeros_like(x)
-    for l in model.couplings:
-        out = out + dissipation_single_channel(x, l)
-    return out
+    return channel_sum(dissipation_single_channel, x, model.couplings)
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:

@@ -23,14 +23,7 @@ import numpy as np
 
 from .errors import DimensionCapError, InputFormatError, PreconditionError
 from .lindblad import LindbladModel
-from .linalg import (
-    PAULI_X,
-    PAULI_Z,
-    SIGMA_MINUS,
-    TensorStructure,
-    embed,
-    pauli_string,
-)
+from .linalg import PAULI_Z, SIGMA_MINUS, TensorStructure, pauli_string, require_headroom
 from .scalability import AggregateSpec
 
 MAX_MODEL_DIM = 4096
@@ -123,10 +116,10 @@ def two_qubit_aggregation_example() -> NamedModel:
     l2[2, 1] = 1.0
     l3 = np.zeros((4, 4))
     l3[2, 3] = 1.0
-    model = LindbladModel(structure, h, [l1, l2, l3])
     aggregate = AggregateSpec(
         structure=structure, terms=[w1, w2], couplings=[l1],
         assignment=[0, []], hamiltonian=h, term_names=["W1", "W2"],
+        new_couplings=[l2, l3],
     )
     expected = {
         "sum_diag": _expected([2.0, 1.0, 0.0, 1.0], "exact"),
@@ -140,12 +133,29 @@ def two_qubit_aggregation_example() -> NamedModel:
         name="two_qubit",
         description="aggregation of a single-qubit witness with a parity "
                     "witness; certified by the ground-energy-free route",
-        model=model,
+        model=aggregate.to_model(aggregate.new_couplings),
         candidates={"W": w1 + w2, "W1": w1, "W2": w2},
         aggregate=aggregate,
         expected=expected,
-        extras={"new_couplings": [l2, l3], "incremental_c": 1.0},
     )
+
+
+def _stabilizer_aggregate(n_qubits: int, stabilizers) -> AggregateSpec:
+    """Terms W_t = (1 + sign S_t)/2 on qubits, each channelled by its own
+    L_t = U_t (1 + sign S_t), with H = 0; `stabilizers` holds
+    (name, sign, S_t, U_t), where S_t and U_t are Pauli strings."""
+    structure = TensorStructure.qubits(n_qubits)
+    eye = np.eye(2 ** n_qubits)
+    terms, couplings, unitaries, names = [], [], [], []
+    for name, sign, stabilizer, unitary in stabilizers:
+        projector = eye + sign * pauli_string(stabilizer, structure)
+        unitaries.append(pauli_string(unitary, structure))
+        terms.append(0.5 * projector)
+        couplings.append(unitaries[-1] @ projector)
+        names.append(name)
+    return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
+                         assignment=list(range(len(terms))), hamiltonian=np.zeros_like(eye),
+                         term_names=names, unitaries=unitaries)
 
 
 def cluster_chain(n_qubits: int = 4) -> NamedModel:
@@ -157,21 +167,8 @@ def cluster_chain(n_qubits: int = 4) -> NamedModel:
         raise PreconditionError("cluster chain needs at least 3 qubits")
     if n > math.log2(MAX_MODEL_DIM):  # 2 ** n itself would not fit in memory for a huge n
         raise DimensionCapError(f"2^{n} exceeds the construction cap {MAX_MODEL_DIM}")
-    structure = TensorStructure.qubits(n)
-    eye = np.eye(2 ** n)
-    terms, couplings, unitaries, names = [], [], [], []
-    for s in range(2, n):
-        string = pauli_string(f"Z{s - 1} X{s} Z{s + 1}", structure)
-        terms.append(0.5 * (string + eye))
-        unitaries.append(embed(PAULI_Z, [s], structure))
-        couplings.append(unitaries[-1] @ (string + eye))
-        names.append(f"W{s}")
-    h = np.zeros_like(eye)
-    model = LindbladModel(structure, h, couplings)
-    aggregate = AggregateSpec(
-        structure=structure, terms=terms, couplings=couplings,
-        assignment=list(range(len(terms))), hamiltonian=h, term_names=names,
-    )
+    aggregate = _stabilizer_aggregate(n, [(f"W{s}", 1.0, f"Z{s - 1} X{s} Z{s + 1}", f"Z{s}")
+                                          for s in range(2, n)])
     expected = {
         "terms_commute": _expected(True, "exact"),
         "wuw_zero": _expected(True, "exact"),
@@ -183,11 +180,10 @@ def cluster_chain(n_qubits: int = 4) -> NamedModel:
         name="cluster_chain",
         description=f"{n}-qubit chain whose commuting three-site witnesses "
                     "single out the cluster state",
-        model=model,
-        candidates={"W": sum(terms)},
+        model=aggregate.to_model(),
+        candidates={"W": sum(aggregate.terms)},
         aggregate=aggregate,
         expected=expected,
-        extras={"unitaries": unitaries},
     )
 
 
@@ -202,33 +198,12 @@ def toric_patch(extended: bool = False) -> NamedModel:
     works for V1 and all four commute with V2.
     """
     n = 9 if extended else 6
-    structure = TensorStructure.qubits(n)
-    eye = np.eye(2 ** n)
-    vertex = pauli_string("X1 X2 X3 X4", structure)
-    plaquette = pauli_string("Z3 Z4 Z5 Z6", structure)
-    v1 = 0.5 * (eye - vertex)
-    v2 = 0.5 * (eye - plaquette)
-    u1 = embed(PAULI_Z, [1], structure)
-    u2 = embed(PAULI_X, [5], structure)
-    terms = [v1, v2]
-    unitaries = [u1, u2]
-    couplings = [u1 @ (eye - vertex), u2 @ (eye - plaquette)]
-    names = ["V1", "V2"]
+    stabilizers = [("V1", -1.0, "X1 X2 X3 X4", "Z1"), ("V2", -1.0, "Z3 Z4 Z5 Z6", "X5")]
     if extended:
-        vertex3 = pauli_string("X1 X7 X8 X9", structure)
-        v3 = 0.5 * (eye - vertex3)
-        u3 = embed(PAULI_Z, [7], structure)
-        terms.append(v3)
-        unitaries.append(u3)
-        couplings.append(u3 @ (eye - vertex3))
-        names.append("V3")
-    h = np.zeros_like(eye)
-    model = LindbladModel(structure, h, couplings)
-    aggregate = AggregateSpec(
-        structure=structure, terms=terms, couplings=couplings,
-        assignment=list(range(len(terms))), hamiltonian=h, term_names=names,
-    )
-    candidate_unitaries = [embed(PAULI_Z, [i], structure) for i in (1, 2, 3, 4)]
+        stabilizers.append(("V3", -1.0, "X1 X7 X8 X9", "Z7"))
+    aggregate = _stabilizer_aggregate(n, stabilizers)
+    v1, v2 = aggregate.terms[:2]
+    candidate_unitaries = [pauli_string(f"Z{i}", aggregate.structure) for i in (1, 2, 3, 4)]
     expected = {
         "candidates_commute_with_v2": _expected(True, "exact"),
         "ground_space_dim_v1_v2": _expected(16, "derived"),
@@ -241,11 +216,11 @@ def toric_patch(extended: bool = False) -> NamedModel:
         name="toric_patch",
         description="surface-code stabilizer patch (six qubits; nine with the "
                     "extended vertex witness)",
-        model=model,
+        model=aggregate.to_model(),
         candidates={"V": v1 + v2},
         aggregate=aggregate,
         expected=expected,
-        extras={"unitaries": unitaries, "candidate_unitaries": candidate_unitaries},
+        extras={"candidate_unitaries": candidate_unitaries},
     )
 
 
@@ -255,10 +230,8 @@ def complementary_witnesses() -> NamedModel:
     structure = TensorStructure((2,))
     w1 = np.diag([1.0, 0.0])
     w2 = np.diag([0.0, 1.0])
-    h = np.zeros((2, 2))
-    model = LindbladModel(structure, h, [])
     aggregate = AggregateSpec(structure=structure, terms=[w1, w2], couplings=[],
-                              assignment=[[], []], hamiltonian=h,
+                              assignment=[[], []], hamiltonian=np.zeros((2, 2)),
                               term_names=["W1", "W2"])
     expected = {
         "d": _expected(1.0, "exact"),
@@ -269,7 +242,7 @@ def complementary_witnesses() -> NamedModel:
         name="complementary_witnesses",
         description="two witnesses that cannot reach their ground states "
                     "simultaneously",
-        model=model,
+        model=aggregate.to_model(),
         candidates={"W": w1 + w2},
         aggregate=aggregate,
         expected=expected,
@@ -333,12 +306,7 @@ def build(name: str) -> NamedModel:
         named = fn(*args, **kwargs)
     except (OverflowError, FloatingPointError) as exc:
         raise InputFormatError("name", f"arguments in {name!r} overflow: {exc}")
-    # ||X||_F^2 bounds every entry of X'X; the factor 16 leaves room for the
-    # sums of such products in G(V) and D(V), so none of them overflows
-    ops = [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]
-    with np.errstate(over="ignore"):
-        if not np.isfinite([16.0 * np.square(np.linalg.norm(op)) for op in ops]).all():
-            raise InputFormatError("name", f"arguments in {name!r} overflow: an operator of "
-                                           "the model (H, a coupling or a candidate) has a "
-                                           "squared norm too close to the float range")
+    for op in [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]:
+        require_headroom(op, "name", f"arguments in {name!r} overflow: an operator of the "
+                                     "model (H, a coupling or a candidate)")
     return named

@@ -21,6 +21,7 @@ from .errors import DimensionCapError, DimensionMismatchError, PreconditionError
 from .lindblad import (
     LindbladModel,
     Trajectory,
+    channel_sum,
     dissipation_functional,
     dissipation_single_channel,
     evolve,
@@ -44,7 +45,10 @@ from .stability import largest_constant
 
 @dataclass
 class AggregateSpec:
-    """Terms, channels, and the term-to-channel assignment of an aggregate."""
+    """Terms, channels, and the term-to-channel assignment of an aggregate,
+    with the unitary factors U_k of couplings L_k = U_k W_k (for the
+    commuting corollary; None when not given) and the new channels of an
+    incremental step."""
 
     structure: TensorStructure
     terms: list[np.ndarray]
@@ -52,17 +56,24 @@ class AggregateSpec:
     assignment: list | None = None
     hamiltonian: np.ndarray | None = None
     term_names: list[str] | None = None
+    unitaries: list[np.ndarray] | None = None
+    new_couplings: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        self.terms = [as_operator(t) for t in self.terms]
-        self.couplings = [as_operator(l) for l in self.couplings]
         n = self.structure.total_dim
-        for i, t in enumerate(self.terms):
-            if t.shape[0] != n:
-                raise DimensionMismatchError(f"term {i} dim {t.shape[0]} != {n}")
-        for i, l in enumerate(self.couplings):
-            if l.shape[0] != n:
-                raise DimensionMismatchError(f"coupling {i} dim {l.shape[0]} != {n}")
+
+        def operators(ops, kind):
+            ops = [as_operator(a) for a in ops]
+            for i, a in enumerate(ops):
+                if a.shape[0] != n:
+                    raise DimensionMismatchError(f"{kind} {i} dim {a.shape[0]} != {n}")
+            return ops
+
+        self.terms = operators(self.terms, "term")
+        self.couplings = operators(self.couplings, "coupling")
+        if self.unitaries is not None:
+            self.unitaries = operators(self.unitaries, "unitary")
+        self.new_couplings = operators(self.new_couplings, "new coupling")
         if self.hamiltonian is not None:
             self.hamiltonian = as_operator(self.hamiltonian)
 
@@ -135,14 +146,6 @@ def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
             raise PreconditionError(f"term {i} is not PSD")
 
 
-def _channel_sum(kernel, x: np.ndarray, couplings, start: np.ndarray | None = None) -> np.ndarray:
-    """start (default 0) plus kernel(x, L) summed over couplings in list order."""
-    acc = np.zeros_like(x) if start is None else start
-    for l in couplings:
-        acc = acc + kernel(x, l)
-    return acc
-
-
 def _cross_single_channel(w_n: np.ndarray, w_next: np.ndarray, l: np.ndarray) -> np.ndarray:
     """2 Re([L', W_n][W_next, L]) with Re(M) = (M + M')/2."""
     ld = dagger(l)
@@ -159,7 +162,7 @@ def _nonpositive(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[bool, fl
 def _cross_channel_margin(spec: AggregateSpec, w: np.ndarray, ks, tol: float) -> tuple[bool, float]:
     """Scalability margin of a term against every channel outside `ks`."""
     others = [l for k, l in enumerate(spec.couplings) if k not in ks]
-    acc = _channel_sum(generator_single_channel, w, others)
+    acc = channel_sum(generator_single_channel, w, others)
     return _nonpositive(acc, acc, tol)
 
 
@@ -182,15 +185,15 @@ def _es_term(w: np.ndarray, own: list, tol: float) -> dict:
     """Largest c with G_own(W_t) <= -c W_t."""
     if not own:
         return {"c": None}
-    return {"c": largest_constant(-_channel_sum(generator_single_channel, w, own), w, tol)}
+    return {"c": largest_constant(-channel_sum(generator_single_channel, w, own), w, tol)}
 
 
 def _ds_term(w: np.ndarray, own: list, tol: float) -> dict:
     """G_own(W_t) <= 0, and the largest c with D_own(W_t) >= c W_t."""
-    gen_ok = is_psd(-_channel_sum(generator_single_channel, w, own), tol)
+    gen_ok = is_psd(-channel_sum(generator_single_channel, w, own), tol)
     c = None
     if gen_ok and own:
-        c = largest_constant(_channel_sum(dissipation_single_channel, w, own), w, tol)
+        c = largest_constant(channel_sum(dissipation_single_channel, w, own), w, tol)
     return {"c": c, "generator_nonpositive": gen_ok}
 
 
@@ -268,14 +271,14 @@ def _incremental(spec: AggregateSpec, n: int, new_couplings, c: float, mode: str
             )
 
     full = spec.to_model(new_couplings)
-    gen = _channel_sum(generator_single_channel, w_n, new_couplings, generator(w_next, full))
+    gen = channel_sum(generator_single_channel, w_n, new_couplings, generator(w_next, full))
     shift = c * (d_next - d_n) * eye if ladder else 0.0
     if mode == "es":
         holds, margin = _nonpositive(gen + c * w_next - shift, gen, tol)
         info = {"margin": margin}
     else:
         gen_ok, gen_margin = _nonpositive(gen, gen, tol)
-        cross = _channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
+        cross = channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
         diss = dissipation_functional(w_next, full) + cross
         diss_margin = min_eigenvalue(diss - c * w_next + shift)
         holds = gen_ok and diss_margin >= -scaled_tol(diss, tol)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .lindblad import LindbladModel, Trajectory
-from .linalg import TensorStructure, as_operator, pauli_string
+from .linalg import TensorStructure, as_operator, pauli_string, require_headroom
 from .scalability import AggregateReport, AggregateSpec
 from .stability import StabilityReport
 from .synthesis import SynthesisResult
@@ -80,7 +80,7 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
         if not isinstance(row, list) or len(row) != len(obj):
             raise InputFormatError(field, f"row {i} does not make the matrix square")
         rows.append([_entry_from_json(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)])
-    return as_operator(np.array(rows, dtype=complex))
+    return require_headroom(as_operator(np.array(rows, dtype=complex)), field, "the matrix")
 
 
 # -- models -------------------------------------------------------------------
@@ -126,7 +126,9 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> np.ndarray:
         op = pauli_string(str(obj["pauli"]), structure)
         coeff = _entry_from_json(obj.get("coeff", 1.0), f"{field}.coeff")
         offset = _entry_from_json(obj.get("offset", 0.0), f"{field}.offset")
-        return coeff * op + offset * np.eye(structure.total_dim)  # AggregateSpec sets the dtype
+        with np.errstate(over="ignore"):
+            term = coeff * op + offset * np.eye(structure.total_dim)
+        return require_headroom(term, field, "the operator")  # AggregateSpec sets the dtype
     return matrix_from_json(obj, field)
 
 
@@ -138,12 +140,13 @@ def _is_index(x) -> bool:
 _RESERVED_COLUMNS = frozenset({"t", "W", "trace", "purity"})
 
 
-def _array(obj: dict, key: str, field: str) -> list:
-    """The optional array obj[key]; empty when the key is absent."""
+def _operators(obj: dict, key: str, structure: TensorStructure, field: str) -> list:
+    """The optional array obj[key] of matrices or Pauli shorthands; empty
+    when the key is absent."""
     value = obj.get(key, [])
     if not isinstance(value, list):
         raise InputFormatError(f"{field}.{key}", f"must be an array, got {value!r}")
-    return value
+    return [_term_from_json(a, structure, f"{field}.{key}[{i}]") for i, a in enumerate(value)]
 
 
 def _per_term(obj: dict, key: str, n_terms: int, valid, what: str, field: str):
@@ -168,6 +171,10 @@ def aggregate_to_json(spec: AggregateSpec) -> dict:
         out["H"] = matrix_to_json(spec.hamiltonian)
     if spec.term_names is not None:
         out["names"] = list(spec.term_names)
+    if spec.unitaries is not None:
+        out["unitaries"] = [matrix_to_json(u) for u in spec.unitaries]
+    if spec.new_couplings:
+        out["new_couplings"] = [matrix_to_json(l) for l in spec.new_couplings]
     return out
 
 
@@ -180,8 +187,7 @@ def aggregate_from_json(obj: dict, field: str = "spec") -> AggregateSpec:
         raise InputFormatError(f"{field}.terms", "need a non-empty array of terms")
     terms = [_term_from_json(t, structure, f"{field}.terms[{i}]")
              for i, t in enumerate(terms_obj)]
-    couplings = [_term_from_json(l, structure, f"{field}.couplings[{i}]")
-                 for i, l in enumerate(_array(obj, "couplings", field))]
+    couplings = _operators(obj, "couplings", structure, field)
     assignment = _per_term(
         obj, "assignment", len(terms),
         lambda x: _is_index(x) or isinstance(x, list) and all(map(_is_index, x)),
@@ -193,21 +199,11 @@ def aggregate_from_json(obj: dict, field: str = "spec") -> AggregateSpec:
     if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)):
         raise InputFormatError(f"{field}.names", "names must be distinct and none of "
                                f"{', '.join(sorted(_RESERVED_COLUMNS))}, got {names!r}")
+    unitaries = _operators(obj, "unitaries", structure, field) if "unitaries" in obj else None
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
                          assignment=assignment, hamiltonian=hamiltonian,
-                         term_names=names)
-
-
-def unitaries_from_json(obj: dict, field: str = "spec") -> list[np.ndarray] | None:
-    if "unitaries" not in obj:
-        return None
-    return [matrix_from_json(u, f"{field}.unitaries[{i}]")
-            for i, u in enumerate(_array(obj, "unitaries", field))]
-
-
-def new_couplings_from_json(obj: dict, field: str = "spec") -> list[np.ndarray]:
-    return [matrix_from_json(l, f"{field}.new_couplings[{i}]")
-            for i, l in enumerate(_array(obj, "new_couplings", field))]
+                         term_names=names, unitaries=unitaries,
+                         new_couplings=_operators(obj, "new_couplings", structure, field))
 
 
 # -- reports ------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_acceptance_4_two_qubit_aggregation():
     m = two_qubit_aggregation_example()
     total = sum(m.aggregate.terms)
     assert np.array_equal(total, np.diag([2.0, 1.0, 0.0, 1.0]))
-    holds, info = check_corollary_d_free(m.aggregate, 1, m.extras["new_couplings"], 1.0)
+    holds, info = check_corollary_d_free(m.aggregate, 1, m.aggregate.new_couplings, 1.0)
     assert holds
     assert info["margin"] >= -1e-9
     runtime = time.perf_counter() - t0
@@ -106,7 +106,7 @@ def test_acceptance_5_cluster_chain():
     t0 = time.perf_counter()
     m = cluster_chain(4)
     terms = m.aggregate.terms
-    unitaries = m.extras["unitaries"]
+    unitaries = m.aggregate.unitaries
     for a in range(len(terms)):
         for b in range(a + 1, len(terms)):
             assert np.linalg.norm(commutator(terms[a], terms[b])) <= 1e-12
@@ -138,7 +138,7 @@ def test_acceptance_6_toric_patch():
     assert gs.dimension == 16
 
     ext = toric_patch(extended=True)
-    z1 = ext.extras["unitaries"][0]
+    z1 = ext.aggregate.unitaries[0]
     v3 = ext.aggregate.terms[2]
     assert np.linalg.norm(commutator(z1, v3)) > 1.0
     ok, margin = check_scalability_condition(ext.aggregate, 2, 0)

@@ -12,7 +12,7 @@ import dissipctl
 from dissipctl import synthesis
 from dissipctl.cli import main
 from dissipctl.serialize import matrix_to_json, model_to_json
-from dissipctl.models import two_level_example
+from dissipctl.models import REGISTRY, build, two_level_example
 
 
 @pytest.fixture()
@@ -303,6 +303,24 @@ class TestScale:
         assert json.loads(out)["report"]["holds"]
 
 
+AGGREGATES = [name for name in sorted(REGISTRY) if build(name).aggregate is not None]
+THEOREMS = [["es"], ["ds"], ["commuting"], ["d-free"], ["inc-es"], ["inc-ds"],
+            ["d-free", "--mode", "ds"]]
+
+
+@pytest.mark.parametrize("theorem", THEOREMS, ids=" ".join)
+@pytest.mark.parametrize("name", AGGREGATES + ["cluster_chain(5)"])
+def test_scale_by_name_equals_scale_of_the_exported_spec(capsys, tmp_path, name, theorem):
+    # one path: the spec carries its unitaries and new channels, so a
+    # registry aggregate and its export give the same bytes and exit code
+    code, out, _ = _run(capsys, ["models", "export", name])
+    assert code == 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(json.loads(out)["spec"]))
+    by_name = _run(capsys, ["scale", "--name", name, "--theorem", *theorem])
+    assert _run(capsys, ["scale", "--spec", str(path), "--theorem", *theorem]) == by_name
+
+
 class TestModels:
     def test_list(self, capsys):
         code, out, _ = _run(capsys, ["models", "list"])
@@ -388,6 +406,45 @@ class TestInputValidation:
         code, out, err = _run(capsys, ["scale", "--spec", str(path), "--theorem", theorem])
         assert code == 1 and out == ""
         assert f"input error: spec.{key}: must be an array, got 5" in err
+
+    @pytest.mark.parametrize("key", ["unitaries", "new_couplings"])
+    @pytest.mark.parametrize("theorem", ["es", "inc-es", "commuting"])
+    def test_spec_operator_of_the_wrong_dimension(self, capsys, tmp_path, spec, key, theorem):
+        # refused when the spec is read, whichever theorem would use it
+        spec[key] = [matrix_to_json(np.eye(2))]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, ["scale", "--spec", str(path), "--theorem", theorem])
+        assert code == 1 and out == ""
+        kind = "unitary" if key == "unitaries" else "new coupling"
+        assert f"dissipctl: error: {kind} 0 dim 2 != 4" in err
+
+    def test_model_entry_whose_square_overflows(self, capsys, tmp_path, v_file):
+        # finite, but L'L is not: refused when read, naming the coupling,
+        # instead of a "generator": NaN report
+        model = model_to_json(two_level_example().model)
+        model["L"][0][0][0] = [1e200, 0.0]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["check", "--model", str(path), "--v", v_file])
+        assert code == 1 and out == ""
+        assert "input error: model.L[0]: the matrix has a squared norm too close" in err
+
+    def test_pauli_term_whose_square_overflows(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dims": [2], "terms": [{"pauli": "Z1", "coeff": 1e200}]}))
+        code, out, err = _run(capsys, ["scale", "--spec", str(path), "--theorem", "es"])
+        assert code == 1 and out == ""
+        assert "input error: spec.terms[0]: the operator has a squared norm too close" in err
+
+    def test_simulate_a_rate_whose_propagator_needs_many_squarings(self, capsys):
+        # Lambda dt has 1-norm 2e199 here; expm once overflowed on 4^s, s = 660
+        code, out, err = _run(capsys, ["check", "--name", "two_level(0,1e100)", "--simulate"])
+        assert code == 0 and "Traceback" not in err
+        report = json.loads(out)["report"]
+        assert report["c_es"] == 1e200 and report["simulation"]["exponential_envelope_ok"]
 
     @pytest.mark.parametrize("name", ["two_level(nan)", "two_level(1,inf)"])
     def test_non_finite_model_argument(self, capsys, name):

@@ -351,6 +351,15 @@ class TestExpmOracle:
                 checked += 1
         assert checked >= 5
 
+    def test_norm_that_needs_more_than_511_halvings(self):
+        # two_level(0, 1e100) decays at rate 1e200, so by t = 0.1 every state
+        # is tr(rho) diag(0, 1): P = vec(diag(0, 1)) vec(I)'.  The 1-norm of
+        # Lambda t is 2e199, s about 660, and 4^s overflows a float;
+        # scipy returns NaN here, so the closed form is the oracle
+        lam = liouvillian(build("two_level(0,1e100)").model)
+        exact = np.outer(vec(np.diag([0.0, 1.0])), vec(np.eye(2)))
+        assert np.max(np.abs(expm(lam, 0.1) - exact)) <= 1e-12
+
 
 class TestPredicates:
     @given(st.integers(0, 10**6))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dissipctl import lindblad
 from dissipctl.errors import (
-    CommutationError,
     DimensionMismatchError,
     NonHermitianError,
     PreconditionError,
@@ -81,14 +80,18 @@ class TestGenerator:
         assert np.allclose(per_channel[1], np.diag([0, 1.0, -1.0]), atol=1e-14)
         assert np.allclose(sum(per_channel), generator(v, m.model), atol=1e-14)
 
-    def test_assume_commuting_checks(self):
-        m = two_level_example()
-        v = m.candidates["V"]
-        assert np.allclose(generator(v, m.model, assume_commuting=True),
-                           generator(v, m.model), atol=1e-14)
-        with pytest.raises(CommutationError):
-            generator(np.array([[0, 1], [1, 0.0]], dtype=complex), m.model,
-                      assume_commuting=True)
+    def test_drift_sums_the_channels_in_list_order(self):
+        # the Hamiltonian term first, then one channel at a time: bit for bit
+        rng = np.random.default_rng(3)
+        m = random_model(rng, 4, k=3)
+        x = random_hermitian(rng, 4)
+        g = -1j * (x @ m.hamiltonian - m.hamiltonian @ x)
+        d = np.zeros_like(x)
+        for l in m.couplings:
+            g = g + generator_single_channel(x, l)
+            d = d + dissipation_single_channel(x, l)
+        assert np.array_equal(generator(x, m), g)
+        assert np.array_equal(dissipation_functional(x, m), d)
 
     def test_rejects_non_hermitian(self):
         m = two_level_example()

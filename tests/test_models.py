@@ -6,7 +6,7 @@ import pytest
 
 from dissipctl.errors import DimensionCapError, InputFormatError, PreconditionError
 from dissipctl.lindblad import evolve, generator, dissipation_functional, maximally_mixed
-from dissipctl.linalg import commutator, is_projection
+from dissipctl.linalg import PAULI_X, PAULI_Z, commutator, embed, is_projection
 from dissipctl.models import (
     REGISTRY,
     build,
@@ -96,7 +96,7 @@ class TestTwoQubit:
         assert ground_space(total).energy == pytest.approx(m.expected["d"]["value"], abs=1e-12)
         assert frustration_free_check(m.aggregate.terms) is m.expected["frustration_free"]["value"]
 
-        new = m.extras["new_couplings"]
+        new = m.aggregate.new_couplings
         holds_free, _ = check_corollary_d_free(m.aggregate, 1, new, 1.0)
         assert holds_free is m.expected["corollary_d_free_c1"]["value"]
         holds_inc, _ = check_incremental_es(m.aggregate, 1, new, 1.0)
@@ -112,10 +112,10 @@ class TestClusterChain:
         for a in range(len(terms)):
             for b in range(a + 1, len(terms)):
                 assert np.linalg.norm(commutator(terms[a], terms[b])) < 1e-12
-        for w, u in zip(terms, m.extras["unitaries"]):
+        for w, u in zip(terms, m.aggregate.unitaries):
             assert is_projection(w)
             assert np.linalg.norm(w @ u @ w) < 1e-12  # W U W = 0
-        report = check_corollary_commuting(m.aggregate, m.extras["unitaries"])
+        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
         assert report.overall is m.expected["commuting_certified"]["value"]
         for c in report.constants:
             assert c == pytest.approx(m.expected["per_term_c"]["value"], abs=1e-6)
@@ -142,19 +142,19 @@ class TestToricPatch:
             assert np.linalg.norm(commutator(u, v2)) < 1e-12
         gs = ground_space(sum(m.aggregate.terms[:2]))
         assert gs.dimension == m.expected["ground_space_dim_v1_v2"]["value"]
-        report = check_corollary_commuting(m.aggregate, m.extras["unitaries"])
+        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
         assert report.overall is m.expected["commuting_certified"]["value"]
 
     def test_extended_expected_record(self):
         m = toric_patch(extended=True)
-        z1 = m.extras["unitaries"][0]
+        z1 = m.aggregate.unitaries[0]
         v3 = m.aggregate.terms[2]
         defect = float(np.linalg.norm(commutator(z1, v3)))
         assert (defect > 1.0) is m.expected["z1_v3_commutator_nonzero"]["value"]
         ok, margin = check_scalability_condition(m.aggregate, 2, 0)
         assert ok is m.expected["scalability_v3_via_z1_channel"]["value"]
         assert margin >= -1e-9
-        report = check_corollary_commuting(m.aggregate, m.extras["unitaries"])
+        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
         assert report.overall is m.expected["commuting_certified"]["value"]
 
 
@@ -211,7 +211,41 @@ def test_registry_data_is_float64(name):
     ops = [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]
     if named.aggregate is not None:
         spec = named.aggregate
-        ops += [spec.hamiltonian, *spec.terms, *spec.couplings]
-    for key in ("unitaries", "candidate_unitaries", "new_couplings"):
-        ops += named.extras.get(key, [])
+        ops += [spec.hamiltonian, *spec.terms, *spec.couplings, *(spec.unitaries or []),
+                *spec.new_couplings]
+    ops += named.extras.get("candidate_unitaries", [])
     assert [op.dtype for op in ops] == [np.float64] * len(ops)
+
+
+@pytest.mark.parametrize("name", ["two_qubit", "cluster_chain", "cluster_chain(5)",
+                                  "toric_patch", "toric_patch(extended)",
+                                  "complementary_witnesses"])
+def test_model_is_built_from_the_aggregate(name):
+    # one description: the model's channels are the aggregate's, then its new ones
+    named = build(name)
+    spec = named.aggregate
+    channels = spec.couplings + spec.new_couplings
+    assert len(named.model.couplings) == len(channels)
+    assert all(a is b for a, b in zip(named.model.couplings, channels))
+    assert np.array_equal(named.model.hamiltonian, spec.hamiltonian)
+    assert set(named.extras) <= {"candidate_unitaries"}
+
+
+@pytest.mark.parametrize("name, sites", [
+    ("cluster_chain", [("Z", 2), ("Z", 3)]),
+    ("cluster_chain(6)", [("Z", 2), ("Z", 3), ("Z", 4), ("Z", 5)]),
+    ("toric_patch", [("Z", 1), ("X", 5)]),
+    ("toric_patch(extended)", [("Z", 1), ("X", 5), ("Z", 7)]),
+])
+def test_stabilizer_aggregates_against_dense_embed(name, sites):
+    # U_t is the single-site Pauli, W_t a projection, and L_t = U_t (2 W_t)
+    named = build(name)
+    spec = named.aggregate
+    paulis = {"X": PAULI_X, "Z": PAULI_Z}
+    assert len(spec.unitaries) == len(spec.terms) == len(spec.couplings) == len(sites)
+    for (letter, site), u, w, l in zip(sites, spec.unitaries, spec.terms, spec.couplings):
+        assert np.array_equal(u, embed(paulis[letter], [site], spec.structure))
+        assert is_projection(w)
+        assert np.array_equal(l, u @ (2.0 * w))
+    for i, u in enumerate(named.extras.get("candidate_unitaries", []), start=1):
+        assert np.array_equal(u, embed(PAULI_Z, [i], spec.structure))

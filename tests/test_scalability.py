@@ -143,7 +143,7 @@ class TestTheoremAggregation:
 class TestIncremental:
     def test_two_qubit_unit_constant(self):
         m = two_qubit_aggregation_example()
-        holds, info = check_incremental_es(m.aggregate, 1, m.extras["new_couplings"], 1.0)
+        holds, info = check_incremental_es(m.aggregate, 1, m.aggregate.new_couplings, 1.0)
         assert holds
         assert info["margin"] == pytest.approx(0.0, abs=1e-9)
         assert info["d_n"] == pytest.approx(0.0, abs=1e-12)
@@ -154,7 +154,7 @@ class TestIncremental:
         m = two_qubit_aggregation_example()
         with pytest.raises(PreconditionError):
             # the prior channel only certifies c = 1
-            check_incremental_es(m.aggregate, 1, m.extras["new_couplings"], 2.0)
+            check_incremental_es(m.aggregate, 1, m.aggregate.new_couplings, 2.0)
 
     def test_commuting_new_couplings_reduce_to_per_term(self):
         m = cluster_chain(5)
@@ -190,7 +190,7 @@ class TestIncremental:
         # the cross terms push an eigenvalue to -1: the dissipative route
         # fails here for every c even though the exponential route certifies
         m = two_qubit_aggregation_example()
-        holds, info = check_incremental_ds(m.aggregate, 1, m.extras["new_couplings"], 1.0)
+        holds, info = check_incremental_ds(m.aggregate, 1, m.aggregate.new_couplings, 1.0)
         assert not holds
         assert info["generator_margin"] >= -1e-9
         assert info["dissipation_margin"] == pytest.approx(-1.0, abs=1e-9)
@@ -200,7 +200,7 @@ class TestIncremental:
 class TestCorollaries:
     def test_two_qubit_d_free(self):
         m = two_qubit_aggregation_example()
-        holds, info = check_corollary_d_free(m.aggregate, 1, m.extras["new_couplings"], 1.0)
+        holds, info = check_corollary_d_free(m.aggregate, 1, m.aggregate.new_couplings, 1.0)
         assert holds
         assert info["margin"] >= -1e-9
 
@@ -224,7 +224,7 @@ class TestCorollaries:
         p0 = np.diag([1.0, 0.0]).astype(complex)
         pumped = AggregateSpec(TensorStructure((2,)), [p0, 0.1 * p0], [SIGMA_MINUS.copy()],
                                assignment=[0, 0])
-        cases = [(m.aggregate, m.extras["new_couplings"]), (pumped, [SIGMA_PLUS.copy()])]
+        cases = [(m.aggregate, m.aggregate.new_couplings), (pumped, [SIGMA_PLUS.copy()])]
         incremental = {"es": check_incremental_es, "ds": check_incremental_ds}
         for spec, new in cases:
             for mode in ("es", "ds"):
@@ -241,20 +241,20 @@ class TestCorollaries:
 
     def test_small_constant_limit_reduces_to_drift_sign(self):
         m = two_qubit_aggregation_example()
-        holds, info = check_corollary_d_free(m.aggregate, 1, m.extras["new_couplings"], 1e-7)
+        holds, info = check_corollary_d_free(m.aggregate, 1, m.aggregate.new_couplings, 1e-7)
         assert holds
 
 
 class TestCommutingCorollary:
     def test_cluster_certified(self):
         m = cluster_chain(4)
-        report = check_corollary_commuting(m.aggregate, m.extras["unitaries"])
+        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
         assert report.overall
         assert any("ground-state stable" in note for note in report.notes)
 
     def test_toric_base_certified(self):
         m = toric_patch()
-        report = check_corollary_commuting(m.aggregate, m.extras["unitaries"])
+        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
         assert report.overall
 
     def test_toric_candidates_do_not_disturb_plaquette(self):
@@ -265,7 +265,7 @@ class TestCommutingCorollary:
 
     def test_toric_extended_names_failing_pair(self):
         m = toric_patch(extended=True)
-        report = check_corollary_commuting(m.aggregate, m.extras["unitaries"])
+        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
         assert not report.overall
         failing = [n for n in report.notes if "commutation clause fails" in n]
         assert len(failing) == 1

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from dissipctl.errors import InputFormatError
+from dissipctl.errors import DimensionMismatchError, InputFormatError
 from dissipctl.lindblad import evolve, maximally_mixed
-from dissipctl.models import cluster_chain, two_level_example
+from dissipctl.linalg import pauli_string
+from dissipctl.models import build, two_level_example
 from dissipctl.serialize import (
     aggregate_from_json,
     aggregate_to_json,
@@ -47,6 +48,12 @@ class TestMatrixJson:
             matrix_from_json([[1, 0], [0, entry]], field="H")
         assert "H[1][1]" in str(err.value) and "finite" in str(err.value)
 
+    def test_entries_whose_squares_overflow_are_rejected_with_field(self):
+        # finite entries, but L'L would not be: refused before any product
+        with pytest.raises(InputFormatError, match=r"^L\[0\]: the matrix has a squared norm"):
+            matrix_from_json([[0, 0], [1e200, 0]], field="L[0]")
+        assert matrix_from_json([[0, 0], [1e150, 0]])[1, 0] == 1e150
+
 
 class TestModelJson:
     def test_round_trip(self):
@@ -71,13 +78,35 @@ class TestModelJson:
 
 class TestAggregateJson:
     def test_round_trip_with_names(self):
-        m = cluster_chain(4)
-        obj = aggregate_to_json(m.aggregate)
+        # cluster_chain and toric_patch carry unitaries, two_qubit new channels
+        for name in ("cluster_chain(4)", "toric_patch", "two_qubit"):
+            spec = build(name).aggregate
+            back = aggregate_from_json(json.loads(json.dumps(aggregate_to_json(spec))))
+            assert back.structure.dims == spec.structure.dims
+            assert back.term_names == spec.term_names
+            assert back.assignment == spec.assignment
+            assert (back.unitaries is None) == (spec.unitaries is None)
+            assert spec.unitaries is not None or spec.new_couplings
+            for key in ("terms", "couplings", "unitaries", "new_couplings"):
+                ours, theirs = getattr(spec, key) or [], getattr(back, key) or []
+                assert len(theirs) == len(ours), (name, key)
+                assert all(map(np.array_equal, theirs, ours)), (name, key)
+
+    def test_pauli_shorthand_for_unitaries_and_new_channels(self):
+        spec = build("cluster_chain").aggregate
+        obj = dict(aggregate_to_json(spec), unitaries=[{"pauli": "Z2"}, {"pauli": "Z3"}],
+                   new_couplings=[{"pauli": "X1", "coeff": 0.5}])
         back = aggregate_from_json(obj)
-        assert back.structure.dims == m.aggregate.structure.dims
-        assert back.term_names == m.aggregate.term_names
-        for a, b in zip(back.terms, m.aggregate.terms):
-            assert np.allclose(a, b, atol=0)
+        assert all(np.array_equal(a, b) for a, b in zip(back.unitaries, spec.unitaries))
+        assert np.array_equal(back.new_couplings[0],
+                              0.5 * pauli_string("X1", spec.structure))
+
+    def test_spec_operators_of_the_wrong_dimension(self):
+        obj = aggregate_to_json(build("two_qubit").aggregate)
+        for key in ("unitaries", "new_couplings"):
+            bad = dict(obj, **{key: [[[1.0, 0.0], [0.0, 1.0]]]})
+            with pytest.raises(DimensionMismatchError, match="dim 2 != 4"):
+                aggregate_from_json(bad)
 
     def test_pauli_shorthand(self):
         obj = {
@@ -90,6 +119,12 @@ class TestAggregateJson:
         w = spec.terms[0]
         assert np.allclose(w @ w, w, atol=1e-12)  # (S+1)/2 is a projection
         assert np.trace(w).real == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("term", [{"pauli": "Z1", "coeff": 1e200},
+                                      {"pauli": "X1", "offset": [0.0, 1e200]}])
+    def test_pauli_shorthand_whose_square_overflows(self, term):
+        with pytest.raises(InputFormatError, match=r"^spec.terms\[0\]: the operator has"):
+            aggregate_from_json({"dims": [2], "terms": [term]})
 
     def test_bad_pauli_site(self):
         obj = {"dims": [2], "terms": [{"pauli": "Z5"}]}
