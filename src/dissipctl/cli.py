@@ -181,19 +181,18 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     named = _resolve_named(args)
-    spec = None
     if named is not None:
-        model = named.model
-        spec = named.aggregate
-    elif args.model:
-        model = model_from_json(_load_json(args.model, "model"))
-        if args.spec:
-            spec = aggregate_from_json(_load_json(args.spec, "spec"))
-    elif args.spec:
-        spec = aggregate_from_json(_load_json(args.spec, "spec"))
-        model = spec.to_model()
+        model, spec = named.model, named.aggregate
     else:
-        raise InputFormatError("model", "simulate needs --model, --spec or --name")
+        model = model_from_json(_load_json(args.model, "model")) if args.model else None
+        spec = aggregate_from_json(_load_json(args.spec, "spec")) if args.spec else None
+        if model is None and spec is None:
+            raise InputFormatError("model", "simulate needs --model, --spec or --name")
+        if model is None:
+            model = spec.to_model()
+    if spec is not None and spec.structure.total_dim != model.dim:
+        raise InputFormatError("spec", f"dimension {spec.structure.total_dim} != model "
+                                       f"dimension {model.dim}")
     cap = _sim_cap(args)
     if model.dim > cap:
         raise DimensionCapError(f"dimension {model.dim} exceeds cap {cap}")
@@ -202,15 +201,12 @@ def _cmd_simulate(args) -> int:
         validate_density_state(rho0, 1e-8)
     else:
         rho0 = maximally_mixed(model.dim)
-    if spec is not None:
-        traj = simulate_aggregate(spec, args.t_final, rho0=rho0, dim_cap=cap,
+    if spec is not None:  # the spec adds the W and per-term columns
+        traj = simulate_aggregate(spec, args.t_final, model=model, rho0=rho0, dim_cap=cap,
                                   n_samples=args.samples)
     else:
-        observables = {}
-        if named is not None:
-            observables = {name: op for name, op in named.candidates.items()}
         traj = evolve(model, rho0, args.t_final, n_samples=args.samples,
-                      observables=observables)
+                      observables=named.candidates if named is not None else {})
     _emit(args, trajectory_to_csv(traj), is_csv=True)
     return EXIT_OK
 
@@ -234,7 +230,7 @@ def _cmd_scale(args) -> int:
             report = check_theorem_ds_aggregation(spec, tol=tol)
         elif spec.unitaries is None:
             raise InputFormatError("spec", "commuting mode needs the unitary factors "
-                                           "(extras or a 'unitaries' array in the spec)")
+                                           "(a 'unitaries' array in the spec)")
         else:
             report = check_corollary_commuting(spec, spec.unitaries, tol=tol)
         body, overall = aggregate_report_to_dict(report), report.overall
@@ -292,7 +288,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"simulation dimension cap (default ${_SIM_CAP_ENV} or 64)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dissipctl",
         description="certify ground-state stability of open quantum systems, "
@@ -349,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "models" and args.action == "export" and not args.model_name:

@@ -27,15 +27,6 @@ class InfeasibleError(DissipctlError):
         self.reason = reason
 
 
-class SolverBudgetError(DissipctlError):
-    """Iterative solver exhausted its budget without converging (raised by
-    the ``synthesize_pinv`` test oracle; no command-line path reaches it)."""
-
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(message)
-        self.best_residual = best_residual
-
-
 class InputFormatError(DissipctlError):
     """Malformed external input; carries the offending field name."""
 

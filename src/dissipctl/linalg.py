@@ -17,7 +17,7 @@ from math import ceil, log2, prod
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputFormatError, NonHermitianError
+from .errors import DimensionMismatchError, InputFormatError
 
 DEFAULT_TOL = 1e-9
 
@@ -73,9 +73,21 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2.0
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """||a||_F, taken as m ||a / m|| with m = max |a_ij| where the squares of
+    finite entries overflow; bitwise np.linalg.norm(a) everywhere else."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if norm == np.inf:
+        m = float(np.abs(a).max())
+        if m < np.inf:
+            norm = m * float(np.linalg.norm(a / m))
+    return norm
+
+
 def scaled_tol(a: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Relative tolerance tol * max(1, ||a||)."""
-    return tol * max(1.0, float(np.linalg.norm(a)))
+    return tol * max(1.0, _frobenius(a))
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
@@ -103,20 +115,11 @@ def psd_spectrum(w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(w.size == 0 or w[0] >= -tol * max(1.0, float(np.abs(w).max())))
 
 
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    a = as_operator(a)
-    return float(np.linalg.norm(dagger(a) @ a - np.eye(a.shape[0]))) <= scaled_tol(a, tol)
-
-
 def is_projection(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_operator(a)
     if not is_psd(a, tol):
         return False
     return float(np.linalg.norm(a @ a - a)) <= scaled_tol(a, tol)
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_operator(a), as_operator(b))
 
 
 @dataclass(frozen=True)
@@ -214,42 +217,6 @@ def pauli_string(spec: str, structure: TensorStructure) -> np.ndarray:
     return out
 
 
-@dataclass
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(a, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Eigendecomposition restricted to Hermitian input."""
-    a = as_operator(a)
-    if not is_hermitian(a, tol):
-        raise NonHermitianError(
-            f"hermitian_eig requires a Hermitian matrix; defect {np.linalg.norm(a - dagger(a)):.3e}"
-        )
-    w, q = np.linalg.eigh(hermitian_part(a))
-    return Spectrum(values=w, vectors=q)
-
-
-def pinv(a, rtol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values below rtol * s_max are zeroed."""
-    return np.linalg.pinv(np.asarray(a, dtype=complex), rcond=rtol)
-
-
-def vec(a) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(a, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != n * n:
-        raise DimensionMismatchError(f"vector of length {v.size} is not {n}x{n}")
-    return v.reshape(n, n, order="F")
-
-
 def commutator(a, b) -> np.ndarray:
     a, b = as_operator(a), as_operator(b)
     if a.shape != b.shape:
@@ -321,48 +288,6 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     return r
 
 
-def sqrtm_psd(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
-
-    Eigenvalues within tolerance of zero are flushed to zero first; the square
-    root would otherwise amplify rounding noise from 1e-16 to 1e-8.
-    """
-    s = hermitian_eig(a, tol)
-    w = s.values.copy()
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    w[w < tol * scale] = 0.0
-    return (s.vectors * np.sqrt(w)) @ dagger(s.vectors)
-
-
-# -- random ensembles (used by sampling-based checks and tests) --------------
-
-
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * hermitian_part(g)
-
-
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
-    ph = ph / np.abs(ph)
-    return q * ph
-
-
 def haar_pure_state(rng: np.random.Generator, n: int) -> np.ndarray:
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return psi / np.linalg.norm(psi)
-
-
-def random_density(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
-    r = rank or n
-    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
-
-
-def random_projection(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:
-    u = haar_unitary(rng, n)
-    cols = u[:, :rank]
-    return cols @ dagger(cols)

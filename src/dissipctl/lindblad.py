@@ -42,8 +42,6 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     real_or_complex,
-    unvec,
-    vec,
 )
 
 
@@ -181,35 +179,6 @@ def _observable(x: np.ndarray, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not is_hermitian(x, tol):
         raise NonHermitianError("expectation requires a Hermitian observable")
     return x
-
-
-def expectation(x: np.ndarray, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Mean value tr(x rho) of a Hermitian observable."""
-    rho = as_operator(rho)
-    x = _observable(x, rho.shape[0], tol)
-    return float(complex(np.trace(x @ rho)).real)
-
-
-def stationary_state(model: LindbladModel, tol: float = 1e-8) -> np.ndarray:
-    """A stationary density matrix, from the kernel of the Liouvillian."""
-    lam = liouvillian(model)
-    w, v = np.linalg.eig(lam)
-    idx = int(np.argmin(np.abs(w)))
-    rho = unvec(v[:, idx], model.dim)
-    rho = hermitian_part(rho)
-    tr = float(np.trace(rho).real)
-    if abs(tr) < 1e-12:
-        raise PreconditionError("kernel vector is traceless; stationary state not isolated")
-    rho = rho / tr
-    if not is_stationary(model, rho, tol):
-        raise PreconditionError("no stationary state found within tolerance")
-    return rho
-
-
-def is_stationary(model: LindbladModel, rho: np.ndarray, tol: float = 1e-8) -> bool:
-    """||Lambda vec(rho)|| <= tol * ||Lambda|| declares stationarity."""
-    lam = liouvillian(model)
-    return float(np.linalg.norm(lam @ vec(rho))) <= tol * max(1.0, float(np.linalg.norm(lam)))
 
 
 # -- trajectories -------------------------------------------------------------
@@ -362,9 +331,11 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     return Trajectory(times, states, series)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(hermitian_part(as_operator(a) - as_operator(b)))
-    return 0.5 * float(np.abs(w).sum())
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Half the trace norm of a - b; of each pair, for stacks (..., n, n)."""
+    w = np.linalg.eigvalsh(hermitian_part(real_or_complex(a) - real_or_complex(b)))
+    d = 0.5 * np.abs(w).sum(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def partial_trace_last(rho: np.ndarray, dim_keep: int, dim_drop: int) -> np.ndarray:
@@ -426,8 +397,7 @@ def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
         joint_states = evolve(joint_model, np.kron(rho0, anc_ground), t_final,
                               n_samples=n_samples).states
         reduced = partial_trace_last(joint_states, n, 2)
-        w = np.linalg.eigvalsh(hermitian_part(reduced - limit_states))
-        errors.append(0.5 * float(np.abs(w).sum(axis=-1).max()))  # sup of the trace distance
+        errors.append(float(trace_distance(reduced, limit_states).max()))  # sup over time
 
     half = len(k_list) // 2
     tail = errors[max(half - 1, 0):]

@@ -166,21 +166,6 @@ def _cross_channel_margin(spec: AggregateSpec, w: np.ndarray, ks, tol: float) ->
     return _nonpositive(acc, acc, tol)
 
 
-def check_scalability_condition(spec: AggregateSpec, term_index: int, channel_index: int,
-                                tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Cross-channel condition: sum over channels other than `channel_index`
-    of the single-channel generator of the term is <= 0.
-
-    Returns (holds, margin) with margin = -(largest eigenvalue of the sum);
-    an empty sum passes with margin 0.
-    """
-    if not 0 <= term_index < spec.n_terms:
-        raise PreconditionError(f"term index {term_index} out of range")
-    if not 0 <= channel_index < spec.n_channels:
-        raise PreconditionError(f"channel index {channel_index} out of range")
-    return _cross_channel_margin(spec, spec.terms[term_index], [channel_index], tol)
-
-
 def _es_term(w: np.ndarray, own: list, tol: float) -> dict:
     """Largest c with G_own(W_t) <= -c W_t."""
     if not own:
@@ -370,20 +355,13 @@ def check_corollary_commuting(spec: AggregateSpec, unitaries, mode: str = "es",
                            d_total=base.d_total, notes=notes)
 
 
-def dissipation_cross_term(spec: AggregateSpec) -> np.ndarray:
-    """D(sum W_t) - sum_t D(W_t): the cross part of the dissipation operator."""
-    model = spec.to_model()
-    total = dissipation_functional(spec.total(), model)
-    for w in spec.terms:
-        total = total - dissipation_functional(w, model)
-    return total
-
-
 def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
+                       model: LindbladModel | None = None,
                        rho0: np.ndarray | None = None, dim_cap: int = 64,
                        n_samples: int = 201, rtol: float = 1e-9,
                        atol: float = 1e-9) -> Trajectory:
-    """Evolve the full model and record the total and per-term expectations.
+    """Evolve `model` (default: the spec's own channels, `spec.to_model()`)
+    and record the total and per-term expectations of the spec's terms.
 
     Additivity of the mean, <W> = sum_t <W_t>, is checked on the emitted
     samples (PreconditionError otherwise).  Runs regardless of certification
@@ -392,7 +370,8 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
     n = spec.structure.total_dim
     if n > dim_cap:
         raise DimensionCapError(f"aggregate dim {n} exceeds cap {dim_cap}")
-    model = spec.to_model()
+    if model is None:
+        model = spec.to_model()
     if rho0 is None:
         rho0 = maximally_mixed(n)
     names = spec.names()

@@ -22,14 +22,14 @@ from .stability import StabilityReport
 from .synthesis import SynthesisResult
 
 
-def format_float(x: float) -> str:
+def _format_float(x: float) -> str:
     return f"{float(x):.15g}"
 
 
 def _round_floats(obj):
     """Clamp every float in a JSON-ready structure to 15 significant digits."""
     if isinstance(obj, float):
-        return float(format_float(obj))
+        return float(_format_float(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -250,9 +250,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     purities = traj.purities()
     lines = [header]
     for i, t in enumerate(traj.times):
-        row = [format_float(t)]
-        row += [format_float(traj.observables[name][i]) for name in names]
-        row.append(format_float(traces[i]))
-        row.append(format_float(purities[i]))
+        row = [_format_float(t)]
+        row += [_format_float(traj.observables[name][i]) for name in names]
+        row.append(_format_float(traces[i]))
+        row.append(_format_float(purities[i]))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

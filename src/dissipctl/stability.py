@@ -31,10 +31,10 @@ from .lindblad import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _frobenius,
     as_operator,
     dagger,
     haar_pure_state,
-    hermitian_eig,
     hermitian_part,
     is_hermitian,
     is_psd,
@@ -62,13 +62,6 @@ class StabilityReport:
     @property
     def certified(self) -> bool:
         return self.convergence in ("exponential", "asymptotic only", "trivial")
-
-
-@dataclass
-class GroundSpace:
-    energy: float
-    projector: np.ndarray
-    dimension: int
 
 
 def _hermitian_candidate(v: np.ndarray, tol: float) -> np.ndarray:
@@ -109,7 +102,7 @@ def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
     if k == lam.size:
         return None
     m = dagger(q) @ m @ q
-    atol = tol * max(1.0, float(np.linalg.norm(m)) / np.sqrt(m.shape[0]))
+    atol = tol * max(1.0, _frobenius(m) / np.sqrt(m.shape[0]))
     s, b = m[k:, k:], m[k:, :k]
     if k:
         gam, u = np.linalg.eigh(m[:k, :k])
@@ -123,17 +116,11 @@ def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
     return c if c >= _C_MIN else None
 
 
-def is_lyapunov_operator(v: np.ndarray, model: LindbladModel,
-                         tol: float = DEFAULT_TOL) -> tuple[bool, dict[str, str]]:
-    """PSD with zero smallest eigenvalue, and non-positive generator."""
-    v = _hermitian_candidate(v, tol)
-    return _lyapunov(v, np.linalg.eigvalsh(hermitian_part(v)), model, tol)[:2]
-
-
 def _lyapunov(v: np.ndarray, lam: np.ndarray, model: LindbladModel,
               tol: float) -> tuple[bool, dict[str, str], np.ndarray]:
-    """`is_lyapunov_operator` for a Hermitian v with ascending eigenvalues lam,
-    plus the generator G(v) it computed."""
+    """Whether a Hermitian v with ascending eigenvalues lam is a Lyapunov
+    operator (PSD, zero smallest eigenvalue, non-positive generator), the
+    diagnostics of the parts that fail, and the generator G(v)."""
     diag: dict[str, str] = {}
     psd_ok = psd_spectrum(lam, tol)
     if not psd_ok:
@@ -162,42 +149,6 @@ def check_condition_ds(v: np.ndarray, model: LindbladModel,
     if not is_psd(-generator(v, model), tol):
         return None
     return _schur_constant(dissipation_functional(v, model), lam, q, tol)
-
-
-def check_dissipation_square(v: np.ndarray, model: LindbladModel,
-                             tol: float = DEFAULT_TOL) -> float | None:
-    """Largest c with D(v) >= c v^2, or None."""
-    v = _require_candidate(v, tol)[0]
-    return largest_constant(dissipation_functional(v, model), v @ v, tol)
-
-
-def ground_space(v: np.ndarray, degeneracy_tol: float = 1e-8) -> GroundSpace:
-    """Smallest eigenvalue and the projector onto its eigenspace."""
-    spec = hermitian_eig(v)
-    d = float(spec.values[0])
-    scale = max(1.0, float(np.abs(spec.values).max()))
-    sel = spec.values <= d + degeneracy_tol * scale
-    cols = spec.vectors[:, sel]
-    return GroundSpace(energy=d, projector=cols @ dagger(cols), dimension=int(sel.sum()))
-
-
-def frustration_free_check(terms, tol: float = DEFAULT_TOL) -> bool:
-    """All ground states of the sum are common ground states of each term.
-
-    With every term PSD this reduces to the sum having smallest eigenvalue 0.
-    """
-    ops = [as_operator(t) for t in terms]
-    if not ops:
-        raise PreconditionError("need at least one term")
-    n = ops[0].shape[0]
-    for i, t in enumerate(ops):
-        if t.shape[0] != n:
-            raise PreconditionError(f"term {i} has mismatched dimension")
-        if not is_psd(t, tol):
-            raise PreconditionError(f"term {i} is not PSD")
-    total = sum(ops)
-    d = min_eigenvalue(total)
-    return abs(d) <= tol * max(1.0, float(np.linalg.norm(total, 2)))
 
 
 def certify_ground_state_stability(v: np.ndarray, model: LindbladModel, *,

@@ -10,21 +10,10 @@ from dissipctl.lindblad import (
     adiabatic_limit_check,
     dissipation_functional,
     evolve,
-    expectation,
     generator,
     LindbladModel,
 )
-from dissipctl.linalg import (
-    TensorStructure,
-    commutator,
-    haar_pure_state,
-    haar_unitary,
-    hermitian_part,
-    kron,
-    pinv,
-    random_hermitian,
-    random_projection,
-)
+from dissipctl.linalg import TensorStructure, commutator, haar_pure_state, hermitian_part
 from dissipctl.models import (
     cluster_chain,
     three_level_example,
@@ -35,11 +24,21 @@ from dissipctl.models import (
 from dissipctl.scalability import (
     check_corollary_commuting,
     check_corollary_d_free,
-    check_scalability_condition,
     simulate_aggregate,
 )
-from dissipctl.stability import check_condition_ds, check_condition_es, ground_space
-from dissipctl.synthesis import check_factorizable, synthesize_pinv
+from dissipctl.stability import check_condition_ds, check_condition_es
+from oracles import (
+    check_factorizable,
+    check_scalability_condition,
+    expectation,
+    ground_space,
+    haar_unitary,
+    kron,
+    pinv,
+    random_hermitian,
+    random_projection,
+    synthesize_pinv,
+)
 
 
 def _announce(number: int, runtime: float, summary: str) -> None:

@@ -11,6 +11,7 @@ import pytest
 import dissipctl
 from dissipctl import synthesis
 from dissipctl.cli import main
+from dissipctl.lindblad import evolve
 from dissipctl.serialize import matrix_to_json, model_to_json
 from dissipctl.models import REGISTRY, build, two_level_example
 
@@ -257,6 +258,36 @@ class TestSimulate:
         code, out, _ = _run(capsys, ["scale", "--spec", str(spec_path),
                                      "--theorem", "commuting"])
         assert code == 0
+
+    def test_aggregate_columns_follow_every_channel_of_the_model(self, capsys, tmp_path):
+        # two_qubit's model has two channels beyond its spec's own
+        named = build("two_qubit")
+        ref = evolve(named.model, np.eye(4) / 4, 5.0,
+                     observables={"W": named.aggregate.total()}).observables["W"]
+        code, by_name, _ = _run(capsys, ["simulate", "--name", "two_qubit", "--t-final", "5"])
+        assert code == 0
+        w = [float(row.split(",")[1]) for row in by_name.strip().splitlines()[1:]]
+        assert np.allclose(w, ref, rtol=0, atol=1e-14)
+        assert w[-1] == pytest.approx(0.006737946999085, abs=1e-14)
+        code, out, _ = _run(capsys, ["models", "export", "two_qubit"])
+        exported = json.loads(out)
+        model_path, spec_path = tmp_path / "model.json", tmp_path / "spec.json"
+        model_path.write_text(json.dumps(exported["model"]))
+        spec_path.write_text(json.dumps(exported["spec"]))
+        code, from_files, _ = _run(capsys, ["simulate", "--model", str(model_path),
+                                            "--spec", str(spec_path), "--t-final", "5"])
+        assert code == 0
+        assert from_files == by_name
+
+    def test_model_and_spec_of_different_dimensions(self, capsys, tmp_path):
+        code, out, _ = _run(capsys, ["models", "export", "two_qubit"])
+        model_path, spec_path = tmp_path / "model.json", tmp_path / "spec.json"
+        model_path.write_text(json.dumps(model_to_json(two_level_example().model)))
+        spec_path.write_text(json.dumps(json.loads(out)["spec"]))
+        code, out, err = _run(capsys, ["simulate", "--model", str(model_path),
+                                       "--spec", str(spec_path), "--t-final", "1"])
+        assert code == 1 and out == ""
+        assert err == "dissipctl: input error: spec: dimension 4 != model dimension 2\n"
 
     def test_check_with_simulation(self, capsys):
         code, out, _ = _run(capsys, ["check", "--name", "two_level", "--simulate",

@@ -18,13 +18,16 @@ from dissipctl.linalg import (
     commutator,
     embed,
     expm,
-    hermitian_eig,
     is_hermitian,
     is_projection,
     is_psd,
+    pauli_string,
+    scaled_tol,
+)
+from oracles import (
+    hermitian_eig,
     is_unitary,
     kron,
-    pauli_string,
     pinv,
     random_hermitian,
     random_projection,
@@ -381,6 +384,21 @@ class TestPredicates:
         assert is_projection(p)
         assert is_hermitian(p)
         assert is_psd(p)
+
+    def test_tolerance_of_entries_whose_squares_overflow(self):
+        # ||a||_F = sqrt(2 + 1e-10) 1e155, but its square is beyond the float
+        # range: the tolerance stays finite and an asymmetry of 1e150 is seen
+        a = np.array([[1e155, 0.0], [1e150, 1e155]])
+        assert scaled_tol(a) == pytest.approx(1e-9 * math.sqrt(2 + 1e-10) * 1e155, rel=1e-12)
+        assert scaled_tol(1j * a) == pytest.approx(scaled_tol(a), rel=1e-12)
+        assert not is_hermitian(a)
+        assert is_hermitian(a + a.T)
+
+    @given(st.integers(0, 10**6), st.floats(-300, 150))
+    @settings(max_examples=40, deadline=None)
+    def test_tolerance_in_range_is_the_plain_norm(self, seed, exponent):
+        a = random_hermitian(np.random.default_rng(seed), 4, 10.0 ** exponent)
+        assert scaled_tol(a, 1e-7) == 1e-7 * max(1.0, float(np.linalg.norm(a)))
 
     def test_unitary(self):
         assert is_unitary(PAULI_X)

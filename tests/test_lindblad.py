@@ -20,27 +20,24 @@ from dissipctl.lindblad import (
     dissipation_functional,
     dissipation_single_channel,
     evolve,
-    expectation,
     generator,
     generator_single_channel,
-    is_stationary,
     liouvillian,
     maximally_mixed,
-    stationary_state,
+    partial_trace_last,
     trace_distance,
     validate_density_state,
 )
-from dissipctl.linalg import (
-    PAULI_Z,
-    SIGMA_MINUS,
-    TensorStructure,
-    expm,
-    hermitian_part,
+from dissipctl.linalg import PAULI_Z, SIGMA_MINUS, TensorStructure, expm, hermitian_part
+from dissipctl.models import build, three_level_example, two_level_example
+from oracles import (
+    expectation,
+    is_stationary,
     random_density,
     random_hermitian,
+    stationary_state,
     vec,
 )
-from dissipctl.models import build, three_level_example, two_level_example
 
 
 def random_model(rng, n, k=2):
@@ -519,3 +516,26 @@ def test_trace_distance_basics():
     b = np.diag([0.0, 1.0]).astype(complex)
     assert trace_distance(a, b) == pytest.approx(1.0)
     assert trace_distance(a, a) == pytest.approx(0.0)
+
+
+def test_trace_distance_of_stacks_is_taken_pairwise():
+    rng = np.random.default_rng(5)
+    a = np.array([random_density(rng, 3) for _ in range(4)])
+    b = np.array([random_density(rng, 3) for _ in range(4)])
+    stacked = trace_distance(a, b)
+    assert stacked.shape == (4,)
+    assert np.array_equal(stacked, [trace_distance(x, y) for x, y in zip(a, b)])
+
+
+def test_partial_trace_last_of_a_product_stack():
+    # tr_2(a (x) b) = a tr(b), for every member of a stack
+    rng = np.random.default_rng(9)
+    a = np.array([random_hermitian(rng, 3) for _ in range(5)])
+    b = np.array([random_hermitian(rng, 2) + 1j * np.eye(2) for _ in range(5)])
+    products = np.array([np.kron(x, y) for x, y in zip(a, b)])
+    reduced = partial_trace_last(products, 3, 2)
+    assert reduced.shape == (5, 3, 3)
+    assert np.allclose(reduced, a * np.trace(b, axis1=-2, axis2=-1)[:, None, None],
+                       rtol=0, atol=1e-13)
+    assert np.allclose(partial_trace_last(products[0], 3, 2), a[0] * np.trace(b[0]),
+                       rtol=0, atol=1e-13)

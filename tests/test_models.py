@@ -22,15 +22,9 @@ from dissipctl.scalability import (
     check_corollary_d_free,
     check_incremental_ds,
     check_incremental_es,
-    check_scalability_condition,
 )
-from dissipctl.stability import (
-    check_condition_ds,
-    check_condition_es,
-    check_dissipation_square,
-    frustration_free_check,
-    ground_space,
-)
+from dissipctl.stability import check_condition_ds, check_condition_es, largest_constant
+from oracles import check_scalability_condition, frustration_free_check, ground_space
 
 
 def test_every_expected_entry_is_tagged():
@@ -84,7 +78,8 @@ class TestThreeLevel:
         assert check_condition_es(v, m.model) is m.expected["c_es"]["value"]
         assert check_condition_ds(v, m.model) == pytest.approx(
             m.expected["c_ds"]["value"], abs=1e-6)
-        assert check_dissipation_square(v, m.model) == pytest.approx(
+        # largest c with D(V) >= c V^2
+        assert largest_constant(d, v @ v) == pytest.approx(
             m.expected["dissipation_square_c"]["value"], abs=1e-6)
 
 

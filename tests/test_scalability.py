@@ -4,18 +4,8 @@ import numpy as np
 import pytest
 
 from dissipctl.errors import DimensionCapError, PreconditionError
-from dissipctl.lindblad import (
-    LindbladModel,
-    expectation,
-    generator,
-)
-from dissipctl.linalg import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    TensorStructure,
-    haar_pure_state,
-    random_hermitian,
-)
+from dissipctl.lindblad import LindbladModel, generator
+from dissipctl.linalg import SIGMA_MINUS, SIGMA_PLUS, TensorStructure, haar_pure_state
 from dissipctl.models import (
     cluster_chain,
     complementary_witnesses,
@@ -29,13 +19,18 @@ from dissipctl.scalability import (
     check_corollary_d_free,
     check_incremental_ds,
     check_incremental_es,
-    check_scalability_condition,
     check_theorem_ds_aggregation,
     check_theorem_es_aggregation,
-    dissipation_cross_term,
     simulate_aggregate,
 )
-from dissipctl.stability import certify_ground_state_stability, ground_space
+from dissipctl.stability import certify_ground_state_stability
+from oracles import (
+    check_scalability_condition,
+    dissipation_cross_term,
+    expectation,
+    ground_space,
+    random_hermitian,
+)
 
 
 class TestScalabilityCondition:

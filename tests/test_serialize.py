@@ -8,10 +8,10 @@ from dissipctl.lindblad import evolve, maximally_mixed
 from dissipctl.linalg import pauli_string
 from dissipctl.models import build, two_level_example
 from dissipctl.serialize import (
+    _format_float,
     aggregate_from_json,
     aggregate_to_json,
     dumps_report,
-    format_float,
     matrix_from_json,
     matrix_to_json,
     model_from_json,
@@ -144,9 +144,9 @@ class TestTrajectoryCsv:
         assert all(len(line.split(",")) == 4 for line in lines[1:])
 
     def test_fifteen_significant_digits(self):
-        assert format_float(np.pi) == "3.14159265358979"
-        assert format_float(1e-20) == "1e-20"
-        assert "e" in format_float(2.5e-13)
+        assert _format_float(np.pi) == "3.14159265358979"
+        assert _format_float(1e-20) == "1e-20"
+        assert "e" in _format_float(2.5e-13)
 
 
 class TestReportDump:

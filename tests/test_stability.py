@@ -16,10 +16,8 @@ from dissipctl.linalg import (
     TensorStructure,
     dagger,
     haar_pure_state,
-    haar_unitary,
     hermitian_part,
     is_psd,
-    random_hermitian,
 )
 from dissipctl.models import (
     cluster_chain,
@@ -33,12 +31,9 @@ from dissipctl.stability import (
     certify_ground_state_stability,
     check_condition_ds,
     check_condition_es,
-    check_dissipation_square,
-    frustration_free_check,
-    ground_space,
-    is_lyapunov_operator,
     largest_constant,
 )
+from oracles import frustration_free_check, ground_space, haar_unitary, random_hermitian
 
 
 # -- bisection oracle for largest_constant ------------------------------------
@@ -179,26 +174,29 @@ class TestLargestConstant:
 
 
 class TestIsLyapunov:
+    # the Lyapunov test is the is_lyapunov/diagnostics part of the full certification
     def test_two_level_witness(self):
         m = two_level_example()
-        ok, diag = is_lyapunov_operator(m.candidates["V"], m.model)
+        report = certify_ground_state_stability(m.candidates["V"], m.model)
+        ok, diag = report.is_lyapunov, report.diagnostics
         assert ok and not any(k in diag for k in ("psd", "ground_energy", "generator"))
 
     def test_identity_fails_zero_ground(self):
         m = two_level_example()
-        ok, diag = is_lyapunov_operator(np.eye(2, dtype=complex), m.model)
+        report = certify_ground_state_stability(np.eye(2, dtype=complex), m.model)
+        ok, diag = report.is_lyapunov, report.diagnostics
         assert not ok
         assert "ground_energy" in diag
 
     def test_three_level_witness(self):
         m = three_level_example()
-        ok, _ = is_lyapunov_operator(m.candidates["V"], m.model)
+        ok = certify_ground_state_stability(m.candidates["V"], m.model).is_lyapunov
         assert ok
 
     def test_rejects_non_hermitian(self):
         m = two_level_example()
         with pytest.raises(NonHermitianError):
-            is_lyapunov_operator(np.array([[0, 1], [0, 0]], dtype=complex), m.model)
+            certify_ground_state_stability(np.array([[0, 1], [0, 0]], dtype=complex), m.model)
 
 
 class TestConditionES:
@@ -232,17 +230,22 @@ class TestConditionDS:
         assert check_condition_ds(np.zeros((2, 2), dtype=complex), m.model) is None
 
 
+def _dissipation_square(v, model):
+    """Largest c with D(v) >= c v^2, or None."""
+    return largest_constant(dissipation_functional(v, model), v @ v)
+
+
 class TestDissipationSquare:
     def test_three_level_quarter(self):
         # D - c V^2 = diag(0, 2-c, 1-4c) forces c <= 1/4
         m = three_level_example()
-        c = check_dissipation_square(m.candidates["V"], m.model)
+        c = _dissipation_square(m.candidates["V"], m.model)
         assert c == pytest.approx(0.25, abs=1e-6)
 
     def test_projection_matches_ds(self):
         m = two_level_example()
         v = m.candidates["V"]
-        c_sq = check_dissipation_square(v, m.model)
+        c_sq = _dissipation_square(v, m.model)
         c_ds = check_condition_ds(v, m.model)
         assert c_sq == pytest.approx(c_ds, abs=1e-6)
 
@@ -250,14 +253,14 @@ class TestDissipationSquare:
         # coupling = identity commutes with everything
         m = LindbladModel(TensorStructure((2,)), np.zeros((2, 2), dtype=complex),
                           [np.eye(2, dtype=complex)])
-        assert check_dissipation_square(np.diag([1.0, 0.0]).astype(complex), m) is None
+        assert _dissipation_square(np.diag([1.0, 0.0]).astype(complex), m) is None
 
     def test_ds_constant_implies_square_constant(self):
         # D >= c V forces D >= (c / ||V||) V^2
         m = three_level_example()
         v = m.candidates["V"]
         c_ds = check_condition_ds(v, m.model)
-        c_sq = check_dissipation_square(v, m.model)
+        c_sq = _dissipation_square(v, m.model)
         assert c_sq >= c_ds / np.linalg.norm(v, 2) - 1e-6
 
 
