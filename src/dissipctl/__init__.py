@@ -22,9 +22,8 @@ from .stability import (
 )
 from .synthesis import SynthesisResult, synthesize, synthesize_closed_form
 from .scalability import (
-    AggregateReport, AggregateSpec, check_corollary_commuting, check_corollary_d_free,
-    check_incremental_ds, check_incremental_es, check_theorem_ds_aggregation,
-    check_theorem_es_aggregation, simulate_aggregate,
+    AggregateReport, AggregateSpec, check_corollary_commuting, check_incremental,
+    check_theorem_ds_aggregation, check_theorem_es_aggregation, simulate_aggregate,
 )
 from .models import (
     REGISTRY, NamedModel, build, cluster_chain, complementary_witnesses, three_level_example,
@@ -40,9 +39,8 @@ __all__ = [
     "StabilityReport", "certify_ground_state_stability", "check_condition_ds",
     "check_condition_es", "largest_constant",
     "SynthesisResult", "synthesize", "synthesize_closed_form",
-    "AggregateReport", "AggregateSpec", "check_corollary_commuting", "check_corollary_d_free",
-    "check_incremental_ds", "check_incremental_es", "check_theorem_ds_aggregation",
-    "check_theorem_es_aggregation", "simulate_aggregate",
+    "AggregateReport", "AggregateSpec", "check_corollary_commuting", "check_incremental",
+    "check_theorem_ds_aggregation", "check_theorem_es_aggregation", "simulate_aggregate",
     "REGISTRY", "NamedModel", "build", "cluster_chain", "complementary_witnesses",
     "three_level_example", "toric_patch", "two_level_example", "two_qubit_aggregation_example",
 ]

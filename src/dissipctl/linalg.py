@@ -92,7 +92,7 @@ def scaled_tol(a: np.ndarray, tol: float = DEFAULT_TOL) -> float:
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_operator(a)
-    return float(np.linalg.norm(a - dagger(a))) <= scaled_tol(a, tol)
+    return _frobenius(a - dagger(a)) <= scaled_tol(a, tol)
 
 
 def min_eigenvalue(a) -> float:
@@ -119,7 +119,9 @@ def is_projection(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_operator(a)
     if not is_psd(a, tol):
         return False
-    return float(np.linalg.norm(a @ a - a)) <= scaled_tol(a, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is no projection
+        square = a @ a
+    return _frobenius(square - a) <= scaled_tol(a, tol)
 
 
 @dataclass(frozen=True)

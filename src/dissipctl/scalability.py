@@ -117,10 +117,7 @@ class AggregateSpec:
         return LindbladModel(self.structure, h, list(self.couplings) + list(new_couplings))
 
     def total(self) -> np.ndarray:
-        acc = np.zeros((self.structure.total_dim,) * 2)
-        for t in self.terms:
-            acc = acc + t
-        return acc
+        return sum(self.terms, np.zeros((self.structure.total_dim,) * 2))
 
 
 @dataclass
@@ -132,8 +129,6 @@ class AggregateReport:
     overall: bool
     d_total: float
     notes: list[str] = field(default_factory=list)
-    d_ladder: list[float] | None = None
-    cross_norm: float | None = None
 
     @property
     def constants(self) -> list[float | None]:
@@ -223,10 +218,19 @@ def check_theorem_ds_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) 
     return _aggregate(spec, "ds", _ds_term, "aggregate satisfies the dissipative condition", tol)
 
 
-def _incremental(spec: AggregateSpec, n: int, new_couplings, c: float, mode: str,
-                 ladder: bool, tol: float) -> tuple[bool, dict]:
-    """Incremental step W_n -> W_n + W_next after verifying the prior certificate
-    of W_n; without `ladder` the shifts by c (d_(n+1) - d_n) are dropped."""
+def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
+                      d_free: bool = False, tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
+    """Certificate for the (n+1)-term partial sum W_n + W_next under the
+    spec's channels plus `spec.new_couplings`, after verifying the prior
+    certificate of W_n (PreconditionError otherwise).  With d_n the ground
+    energy of W_n and Re(M) = (M + M')/2, it checks
+        es:  G(W_next) + sum_new G(W_n)_L  <=  -c W_next + c (d_(n+1) - d_n);
+        ds:  G(W_next) + sum_new G(W_n)_L  <=  0  and
+             D(W_next) + 2 sum_k Re([L_k', W_n][W_next, L_k])  >=  c W_next - c (d_(n+1) - d_n),
+    and reports the cross-term norm.  `d_free`, the ground-energy-free
+    corollary, drops the shifts c (d_(n+1) - d_n); the ladder d_(n+1) >= d_n
+    makes it strictly stronger.
+    """
     if mode not in ("es", "ds"):
         raise PreconditionError(f"mode must be 'es' or 'ds', got {mode!r}")
     _require_terms_psd(spec, tol)
@@ -251,13 +255,12 @@ def _incremental(spec: AggregateSpec, n: int, new_couplings, c: float, mode: str
             raise PreconditionError("prior certificate missing: generator not non-positive")
         d_op = dissipation_functional(w_n, prior)
         if not _nonpositive(c * shifted - d_op, d_op, prior_tol)[0]:
-            raise PreconditionError(
-                f"prior certificate missing: dissipation bound fails at c={c}"
-            )
+            raise PreconditionError(f"prior certificate missing: dissipation bound fails at c={c}")
 
-    full = spec.to_model(new_couplings)
-    gen = channel_sum(generator_single_channel, w_n, new_couplings, generator(w_next, full))
-    shift = c * (d_next - d_n) * eye if ladder else 0.0
+    new = spec.new_couplings
+    full = spec.to_model(new)
+    gen = channel_sum(generator_single_channel, w_n, new, generator(w_next, full))
+    shift = 0.0 if d_free else c * (d_next - d_n) * eye
     if mode == "es":
         holds, margin = _nonpositive(gen + c * w_next - shift, gen, tol)
         info = {"margin": margin}
@@ -268,90 +271,54 @@ def _incremental(spec: AggregateSpec, n: int, new_couplings, c: float, mode: str
         diss_margin = min_eigenvalue(diss - c * w_next + shift)
         holds = gen_ok and diss_margin >= -scaled_tol(diss, tol)
         info = {"generator_margin": gen_margin,
-                "dissipation_margin" if ladder else "margin": diss_margin,
+                "margin" if d_free else "dissipation_margin": diss_margin,
                 "cross_norm": float(np.linalg.norm(cross, 2))}
     info.update(d_n=d_n, d_next=d_next)
-    if ladder:
+    if not d_free:
         info["d_ladder_ok"] = d_next >= d_n - scaled_tol(w_n, tol)
     return holds, info
 
 
-def check_incremental_es(spec: AggregateSpec, n: int, new_couplings, c: float,
-                         tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
-    """Exponential certificate for the (n+1)-term partial sum.
-
-    Requires the recorded certificate for the first n terms (verified here),
-    then checks
-        G(W_next) + sum_new G(W_n)_L  <=  -c W_next + c (d_(n+1) - d_n).
-    """
-    return _incremental(spec, n, new_couplings, c, "es", True, tol)
+def _commutes(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
+    """([a, b] = 0 within scaled_tol(a) * max(1, ||b||), the defect ||[a, b]||)."""
+    defect = float(np.linalg.norm(commutator(a, b)))
+    return defect <= scaled_tol(a, tol) * max(1.0, float(np.linalg.norm(b))), defect
 
 
-def check_incremental_ds(spec: AggregateSpec, n: int, new_couplings, c: float,
-                         tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
-    """Dissipative certificate for the (n+1)-term partial sum.
-
-    Checks the generator condition and the cross-term inequality
-        D(W_next) + 2 sum_k Re([L_k', W_n][W_next, L_k])
-            >= c W_next - c (d_(n+1) - d_n),
-    where Re(M) = (M + M')/2.  The cross-term norm is reported separately.
-    """
-    return _incremental(spec, n, new_couplings, c, "ds", True, tol)
-
-
-def check_corollary_d_free(spec: AggregateSpec, n: int, new_couplings, c: float,
-                           mode: str = "es", tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
-    """Ground-energy-free sufficient conditions for the incremental step.
-
-    The d-dependent right-hand sides are dropped (the ladder d_(n+1) >= d_n
-    makes these strictly stronger than the incremental checks).  The DS mode
-    keeps the generator condition of `check_incremental_ds`.
-    """
-    return _incremental(spec, n, new_couplings, c, mode, False, tol)
-
-
-def check_corollary_commuting(spec: AggregateSpec, unitaries, mode: str = "es",
-                              tol: float = DEFAULT_TOL) -> AggregateReport:
-    """Commuting-family certificate for couplings of the form L_k = U_k W_k.
+def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:
+    """Commuting-family certificate for couplings of the form L_k = U_k W_k,
+    with the U_k read from `spec.unitaries`.
 
     Verifies [W_a, W_b] = 0 for all pairs, [U_k, W_t] = 0 whenever channel k
-    is not assigned to term t, and the per-term condition in the requested
-    mode.  A failing commutation pair is reported with guidance to evaluate
-    the scalability condition directly.
+    is not assigned to term t, and the per-term exponential condition.  A
+    failing commutation pair is reported with guidance to evaluate the
+    scalability condition directly.
     """
     # the aggregation theorem checks that every term is PSD, before anything else
-    base = check_theorem_es_aggregation(spec, tol) if mode == "es" \
-        else check_theorem_ds_aggregation(spec, tol)
-    unitaries = [as_operator(u) for u in unitaries]
+    base = check_theorem_es_aggregation(spec, tol)
+    unitaries = spec.unitaries or []
     if len(unitaries) != spec.n_channels:
         raise PreconditionError("one unitary per channel is required")
-    groups = spec.channel_groups()
     names = spec.names()
     notes: list[str] = []
-    commuting_ok = True
     for a in range(spec.n_terms):
         for b in range(a + 1, spec.n_terms):
-            defect = float(np.linalg.norm(commutator(spec.terms[a], spec.terms[b])))
-            if defect > scaled_tol(spec.terms[a], tol) * max(1.0, float(np.linalg.norm(spec.terms[b]))):
-                commuting_ok = False
+            ok, defect = _commutes(spec.terms[a], spec.terms[b], tol)
+            if not ok:
                 notes.append(f"terms {names[a]} and {names[b]} do not commute (norm {defect:.3e})")
-    for t, ks in enumerate(groups):
+    for t, ks in enumerate(spec.channel_groups()):
         for k, u in enumerate(unitaries):
             if k in ks:
                 continue
-            defect = float(np.linalg.norm(commutator(u, spec.terms[t])))
-            if defect > scaled_tol(u, tol) * max(1.0, float(np.linalg.norm(spec.terms[t]))):
-                commuting_ok = False
-                notes.append(
-                    f"commutation clause fails for (U[{k}], {names[t]}) "
-                    f"(norm {defect:.3e}); rerun with --theorem es"
-                )
-    per_term = base.per_term
-    per_term_ok = all(e["c"] is not None for e in per_term)
-    overall = commuting_ok and per_term_ok
+            ok, defect = _commutes(u, spec.terms[t], tol)
+            if not ok:
+                notes.append(f"commutation clause fails for (U[{k}], {names[t]}) "
+                             f"(norm {defect:.3e}); rerun with --theorem es")
+    # the notes so far are the failing clauses
+    overall = not notes and all(e["c"] is not None for e in base.per_term)
     if overall:
         notes.append("commuting-family certificate holds; aggregate ground-state stable")
-    return AggregateReport(mode=f"commuting-{mode}", per_term=per_term, overall=overall,
+    return AggregateReport(mode="commuting-es", per_term=base.per_term, overall=overall,
                            d_total=base.d_total, notes=notes)
 
 

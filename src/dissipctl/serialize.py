@@ -238,8 +238,8 @@ def aggregate_report_to_dict(report: AggregateReport) -> dict:
         "d": report.d_total,
         "per_term": report.per_term,
         "notes": list(report.notes),
-        "d_ladder": report.d_ladder,
-        "cross_norm": report.cross_norm,
+        "d_ladder": None,  # kept for a stable JSON layout; never filled
+        "cross_norm": None,
     }
 
 

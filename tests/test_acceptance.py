@@ -23,7 +23,7 @@ from dissipctl.models import (
 )
 from dissipctl.scalability import (
     check_corollary_commuting,
-    check_corollary_d_free,
+    check_incremental,
     simulate_aggregate,
 )
 from dissipctl.stability import check_condition_ds, check_condition_es
@@ -93,7 +93,7 @@ def test_acceptance_4_two_qubit_aggregation():
     m = two_qubit_aggregation_example()
     total = sum(m.aggregate.terms)
     assert np.array_equal(total, np.diag([2.0, 1.0, 0.0, 1.0]))
-    holds, info = check_corollary_d_free(m.aggregate, 1, m.aggregate.new_couplings, 1.0)
+    holds, info = check_incremental(m.aggregate, 1, 1.0, d_free=True)
     assert holds
     assert info["margin"] >= -1e-9
     runtime = time.perf_counter() - t0
@@ -113,7 +113,7 @@ def test_acceptance_5_cluster_chain():
         for u_idx, u in enumerate(unitaries):
             if u_idx != t_idx:
                 assert np.linalg.norm(commutator(u, w)) <= 1e-12
-    report = check_corollary_commuting(m.aggregate, unitaries)
+    report = check_corollary_commuting(m.aggregate)
     assert report.overall
 
     gs = ground_space(sum(terms))

@@ -508,6 +508,25 @@ class TestInputValidation:
         assert code == 1 and out == ""
         assert f"input error: name: {message}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--name", "two_level", "--model", "model.json"],
+        ["check", "--name", "two_level", "--v", "v.json"],
+        ["simulate", "--name", "two_level", "--model", "model.json", "--t-final", "1"],
+        ["simulate", "--name", "two_level", "--spec", "spec.json", "--t-final", "1"],
+        ["scale", "--name", "two_qubit", "--spec", "spec.json", "--theorem", "es"],
+    ], ids=["check-model", "check-v", "simulate-model", "simulate-spec", "scale-spec"])
+    def test_name_excludes_the_file_options(self, capsys, tmp_path, spec, argv):
+        # the files are valid: --name used to win over them silently
+        code, out, _ = _run(capsys, ["models", "export", "two_qubit"])
+        (tmp_path / "model.json").write_text(json.dumps(json.loads(out)["model"]))
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "v.json").write_text(json.dumps({"V": matrix_to_json(np.eye(2))}))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        flag = next(a for a in argv[3:] if a in ("--model", "--spec", "--v"))
+        assert err == f"dissipctl: input error: name: --name excludes {flag}\n"
+
     def _simulate(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

@@ -18,9 +18,7 @@ from dissipctl.models import REGISTRY, NamedModel, build
 from dissipctl.scalability import (
     AggregateSpec,
     check_corollary_commuting,
-    check_corollary_d_free,
-    check_incremental_ds,
-    check_incremental_es,
+    check_incremental,
     check_theorem_ds_aggregation,
     check_theorem_es_aggregation,
 )
@@ -86,15 +84,15 @@ def _scale_outcomes(named: NamedModel) -> dict:
     spec = named.aggregate
     if spec is None:
         return {}
-    n, new, c = spec.n_terms - 1, spec.new_couplings, 1.0
+    n, c = spec.n_terms - 1, 1.0
     reports = {
         "es": _outcome(check_theorem_es_aggregation, spec),
         "ds": _outcome(check_theorem_ds_aggregation, spec),
-        "commuting": _outcome(check_corollary_commuting, spec, spec.unitaries or []),
-        "inc-es": _outcome(check_incremental_es, spec, n, new, c),
-        "inc-ds": _outcome(check_incremental_ds, spec, n, new, c),
-        "d-free": _outcome(check_corollary_d_free, spec, n, new, c),
-        "d-free-ds": _outcome(check_corollary_d_free, spec, n, new, c, mode="ds"),
+        "commuting": _outcome(check_corollary_commuting, spec),
+        "inc-es": _outcome(check_incremental, spec, n, c),
+        "inc-ds": _outcome(check_incremental, spec, n, c, mode="ds"),
+        "d-free": _outcome(check_incremental, spec, n, c, d_free=True),
+        "d-free-ds": _outcome(check_incremental, spec, n, c, mode="ds", d_free=True),
     }
     out = {}
     for theorem, r in reports.items():

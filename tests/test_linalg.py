@@ -394,6 +394,24 @@ class TestPredicates:
         assert not is_hermitian(a)
         assert is_hermitian(a + a.T)
 
+    def test_defects_whose_squares_overflow(self):
+        # ||a - a'|| and a @ a overflow: the verdicts stand without a warning
+        assert not is_hermitian([[1e155, 0.0], [1e155, 1e155]])
+        for a in ([[1e155, 0.0], [0.0, 0.0]], [[1e155, 1e155j], [-1e155j, 1e155]]):
+            assert is_psd(a) and not is_projection(a)
+
+    @given(st.integers(0, 10**6), st.floats(-150, 75), st.floats(-12, -6))
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_in_range_are_those_of_the_plain_norm(self, seed, exponent, noise):
+        rng = np.random.default_rng(seed)
+        p = random_projection(rng, 4, 2)
+        e = 10.0 ** noise * rng.standard_normal((4, 4))
+        for a in (p + e, p + e + e.T, 10.0 ** exponent * (p + e + e.T)):
+            plain = float(np.linalg.norm(a - a.conj().T)) <= scaled_tol(a)
+            assert is_hermitian(a) == plain
+            plain = is_psd(a) and float(np.linalg.norm(a @ a - a)) <= scaled_tol(a)
+            assert is_projection(a) == plain
+
     @given(st.integers(0, 10**6), st.floats(-300, 150))
     @settings(max_examples=40, deadline=None)
     def test_tolerance_in_range_is_the_plain_norm(self, seed, exponent):

@@ -1,6 +1,8 @@
 """Every expected record shipped with a built-in model is re-derived here by
 the certification/simulation pipeline; no stored number is trusted untagged."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,7 @@ from dissipctl.models import (
 )
 from dissipctl.scalability import (
     check_corollary_commuting,
-    check_corollary_d_free,
-    check_incremental_ds,
-    check_incremental_es,
+    check_incremental,
 )
 from dissipctl.stability import check_condition_ds, check_condition_es, largest_constant
 from oracles import check_scalability_condition, frustration_free_check, ground_space
@@ -91,12 +91,11 @@ class TestTwoQubit:
         assert ground_space(total).energy == pytest.approx(m.expected["d"]["value"], abs=1e-12)
         assert frustration_free_check(m.aggregate.terms) is m.expected["frustration_free"]["value"]
 
-        new = m.aggregate.new_couplings
-        holds_free, _ = check_corollary_d_free(m.aggregate, 1, new, 1.0)
+        holds_free, _ = check_incremental(m.aggregate, 1, 1.0, d_free=True)
         assert holds_free is m.expected["corollary_d_free_c1"]["value"]
-        holds_inc, _ = check_incremental_es(m.aggregate, 1, new, 1.0)
+        holds_inc, _ = check_incremental(m.aggregate, 1, 1.0)
         assert holds_inc is m.expected["incremental_es_c1"]["value"]
-        holds_ds, _ = check_incremental_ds(m.aggregate, 1, new, 1.0)
+        holds_ds, _ = check_incremental(m.aggregate, 1, 1.0, mode="ds")
         assert holds_ds is m.expected["incremental_ds_holds"]["value"]
 
 
@@ -104,13 +103,13 @@ class TestClusterChain:
     def test_expected_record(self):
         m = cluster_chain(4)
         terms = m.aggregate.terms
-        for a in range(len(terms)):
-            for b in range(a + 1, len(terms)):
-                assert np.linalg.norm(commutator(terms[a], terms[b])) < 1e-12
-        for w, u in zip(terms, m.aggregate.unitaries):
+        defect = max(float(np.linalg.norm(commutator(a, b))) for a, b in combinations(terms, 2))
+        assert (defect == 0.0) is m.expected["terms_commute"]["value"]
+        for w in terms:
             assert is_projection(w)
-            assert np.linalg.norm(w @ u @ w) < 1e-12  # W U W = 0
-        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
+        wuw = max(float(np.linalg.norm(w @ u @ w)) for w, u in zip(terms, m.aggregate.unitaries))
+        assert (wuw == 0.0) is m.expected["wuw_zero"]["value"]
+        report = check_corollary_commuting(m.aggregate)
         assert report.overall is m.expected["commuting_certified"]["value"]
         for c in report.constants:
             assert c == pytest.approx(m.expected["per_term_c"]["value"], abs=1e-6)
@@ -133,11 +132,12 @@ class TestToricPatch:
     def test_base_expected_record(self):
         m = toric_patch()
         v2 = m.aggregate.terms[1]
-        for u in m.extras["candidate_unitaries"]:
-            assert np.linalg.norm(commutator(u, v2)) < 1e-12
+        defect = max(float(np.linalg.norm(commutator(u, v2)))
+                     for u in m.extras["candidate_unitaries"])
+        assert (defect == 0.0) is m.expected["candidates_commute_with_v2"]["value"]
         gs = ground_space(sum(m.aggregate.terms[:2]))
         assert gs.dimension == m.expected["ground_space_dim_v1_v2"]["value"]
-        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
+        report = check_corollary_commuting(m.aggregate)
         assert report.overall is m.expected["commuting_certified"]["value"]
 
     def test_extended_expected_record(self):
@@ -149,7 +149,7 @@ class TestToricPatch:
         ok, margin = check_scalability_condition(m.aggregate, 2, 0)
         assert ok is m.expected["scalability_v3_via_z1_channel"]["value"]
         assert margin >= -1e-9
-        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
+        report = check_corollary_commuting(m.aggregate)
         assert report.overall is m.expected["commuting_certified"]["value"]
 
 

@@ -16,9 +16,7 @@ from dissipctl.models import (
 from dissipctl.scalability import (
     AggregateSpec,
     check_corollary_commuting,
-    check_corollary_d_free,
-    check_incremental_ds,
-    check_incremental_es,
+    check_incremental,
     check_theorem_ds_aggregation,
     check_theorem_es_aggregation,
     simulate_aggregate,
@@ -138,7 +136,7 @@ class TestTheoremAggregation:
 class TestIncremental:
     def test_two_qubit_unit_constant(self):
         m = two_qubit_aggregation_example()
-        holds, info = check_incremental_es(m.aggregate, 1, m.aggregate.new_couplings, 1.0)
+        holds, info = check_incremental(m.aggregate, 1, 1.0)
         assert holds
         assert info["margin"] == pytest.approx(0.0, abs=1e-9)
         assert info["d_n"] == pytest.approx(0.0, abs=1e-12)
@@ -149,15 +147,15 @@ class TestIncremental:
         m = two_qubit_aggregation_example()
         with pytest.raises(PreconditionError):
             # the prior channel only certifies c = 1
-            check_incremental_es(m.aggregate, 1, m.aggregate.new_couplings, 2.0)
+            check_incremental(m.aggregate, 1, 2.0)
 
     def test_commuting_new_couplings_reduce_to_per_term(self):
         m = cluster_chain(5)
         agg = m.aggregate
         prior = AggregateSpec(agg.structure, agg.terms, agg.couplings[:2],
                               assignment=None, hamiltonian=agg.hamiltonian,
-                              term_names=agg.term_names)
-        holds, info = check_incremental_es(prior, 2, [agg.couplings[2]], 4.0)
+                              term_names=agg.term_names, new_couplings=[agg.couplings[2]])
+        holds, info = check_incremental(prior, 2, 4.0)
         assert holds
         assert info["margin"] == pytest.approx(0.0, abs=1e-9)
 
@@ -166,8 +164,8 @@ class TestIncremental:
         agg = m.aggregate
         prior = AggregateSpec(agg.structure, agg.terms, agg.couplings[:2],
                               assignment=None, hamiltonian=agg.hamiltonian,
-                              term_names=agg.term_names)
-        holds, info = check_incremental_ds(prior, 2, [agg.couplings[2]], 4.0)
+                              term_names=agg.term_names, new_couplings=[agg.couplings[2]])
+        holds, info = check_incremental(prior, 2, 4.0, mode="ds")
         assert holds
         assert info["cross_norm"] == pytest.approx(0.0, abs=1e-9)
 
@@ -175,8 +173,8 @@ class TestIncremental:
         w1 = np.diag([1.0, 0.0]).astype(complex)
         spec = AggregateSpec(TensorStructure((2,)), [w1, np.zeros((2, 2), dtype=complex)],
                              [SIGMA_MINUS.copy()], assignment=[0, []])
-        holds_es, info_es = check_incremental_es(spec, 1, [], 1.0)
-        holds_ds, info_ds = check_incremental_ds(spec, 1, [], 1.0)
+        holds_es, info_es = check_incremental(spec, 1, 1.0)
+        holds_ds, info_ds = check_incremental(spec, 1, 1.0, mode="ds")
         assert holds_es and holds_ds
         assert info_es["margin"] == pytest.approx(0.0, abs=1e-12)
         assert info_ds["dissipation_margin"] == pytest.approx(0.0, abs=1e-12)
@@ -185,7 +183,7 @@ class TestIncremental:
         # the cross terms push an eigenvalue to -1: the dissipative route
         # fails here for every c even though the exponential route certifies
         m = two_qubit_aggregation_example()
-        holds, info = check_incremental_ds(m.aggregate, 1, m.aggregate.new_couplings, 1.0)
+        holds, info = check_incremental(m.aggregate, 1, 1.0, mode="ds")
         assert not holds
         assert info["generator_margin"] >= -1e-9
         assert info["dissipation_margin"] == pytest.approx(-1.0, abs=1e-9)
@@ -195,7 +193,7 @@ class TestIncremental:
 class TestCorollaries:
     def test_two_qubit_d_free(self):
         m = two_qubit_aggregation_example()
-        holds, info = check_corollary_d_free(m.aggregate, 1, m.aggregate.new_couplings, 1.0)
+        holds, info = check_incremental(m.aggregate, 1, 1.0, d_free=True)
         assert holds
         assert info["margin"] >= -1e-9
 
@@ -206,10 +204,10 @@ class TestCorollaries:
         w2 = np.diag([0.0, 1.0]).astype(complex)
         spec = AggregateSpec(TensorStructure((2,)), [w1, w2], [SIGMA_MINUS.copy()],
                              assignment=[0, []])
-        holds_inc, info_inc = check_incremental_es(spec, 1, [], 1.0)
+        holds_inc, info_inc = check_incremental(spec, 1, 1.0)
         assert holds_inc
         assert info_inc["d_next"] == pytest.approx(1.0, abs=1e-12)
-        holds_free, _ = check_corollary_d_free(spec, 1, [], 1.0)
+        holds_free, _ = check_incremental(spec, 1, 1.0, d_free=True)
         assert not holds_free
 
     def test_d_free_implies_incremental(self):
@@ -218,38 +216,35 @@ class TestCorollaries:
         # drives the qubit to the maximally mixed state, so no step certifies
         p0 = np.diag([1.0, 0.0]).astype(complex)
         pumped = AggregateSpec(TensorStructure((2,)), [p0, 0.1 * p0], [SIGMA_MINUS.copy()],
-                               assignment=[0, 0])
-        cases = [(m.aggregate, m.aggregate.new_couplings), (pumped, [SIGMA_PLUS.copy()])]
-        incremental = {"es": check_incremental_es, "ds": check_incremental_ds}
-        for spec, new in cases:
+                               assignment=[0, 0], new_couplings=[SIGMA_PLUS.copy()])
+        for spec in (m.aggregate, pumped):
             for mode in ("es", "ds"):
-                holds_free, info_free = check_corollary_d_free(spec, 1, new, 1.0, mode=mode)
-                holds_inc, info_inc = incremental[mode](spec, 1, new, 1.0)
+                holds_free, info_free = check_incremental(spec, 1, 1.0, mode=mode, d_free=True)
+                holds_inc, info_inc = check_incremental(spec, 1, 1.0, mode=mode)
                 assert holds_inc or not holds_free, (spec.n_channels, mode)
                 if mode == "ds":
                     assert info_free["generator_margin"] == info_inc["generator_margin"]
-        holds_free, info_free = check_corollary_d_free(pumped, 1, [SIGMA_PLUS.copy()], 1.0,
-                                                       mode="ds")
+        holds_free, info_free = check_incremental(pumped, 1, 1.0, mode="ds", d_free=True)
         assert not holds_free
         assert info_free["generator_margin"] == pytest.approx(-1.1, abs=1e-12)
         assert info_free["margin"] > 0  # the dissipation inequality alone would pass
 
     def test_small_constant_limit_reduces_to_drift_sign(self):
         m = two_qubit_aggregation_example()
-        holds, info = check_corollary_d_free(m.aggregate, 1, m.aggregate.new_couplings, 1e-7)
+        holds, info = check_incremental(m.aggregate, 1, 1e-7, d_free=True)
         assert holds
 
 
 class TestCommutingCorollary:
     def test_cluster_certified(self):
         m = cluster_chain(4)
-        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
+        report = check_corollary_commuting(m.aggregate)
         assert report.overall
         assert any("ground-state stable" in note for note in report.notes)
 
     def test_toric_base_certified(self):
         m = toric_patch()
-        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
+        report = check_corollary_commuting(m.aggregate)
         assert report.overall
 
     def test_toric_candidates_do_not_disturb_plaquette(self):
@@ -260,7 +255,7 @@ class TestCommutingCorollary:
 
     def test_toric_extended_names_failing_pair(self):
         m = toric_patch(extended=True)
-        report = check_corollary_commuting(m.aggregate, m.aggregate.unitaries)
+        report = check_corollary_commuting(m.aggregate)
         assert not report.overall
         failing = [n for n in report.notes if "commutation clause fails" in n]
         assert len(failing) == 1
