@@ -18,7 +18,12 @@ below its target constant (exit 3), and malformed numbers in the file
 Regenerate the files after an intended output change with
 
     python tests/test_golden.py
+
+which, like pytest, pins one BLAS thread through ``conftest`` before numpy
+loads.
 """
+
+import conftest  # noqa: F401  (first: pins one BLAS thread before numpy loads)
 
 import contextlib
 import io
