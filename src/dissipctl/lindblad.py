@@ -245,9 +245,11 @@ def _rk45_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray, h: f
                   rtol: float, atol: float):
     """The stack (S, n, n) at each sample time, by adaptive RK45 with one step
     size for all states, controlled by the largest per-state error norm;
-    hermitizes after every accepted step."""
+    hermitizes after every accepted step.  The last stage is evaluated at the
+    new state before hermitization, so an accepted step takes its slope as the
+    next k[0] (first same as last): six RHS calls a step."""
     rhs = _rhs_factory(model)
-    k = [rhs(rho)] + [None] * 6  # k[0] is the slope at rho, renewed per accepted step
+    k = [rhs(rho)] + [None] * 6  # k[0] is the slope at rho
     yield rho
     for t, t1 in zip(times[:-1], times[1:]):
         while t < t1 - 1e-15 * max(1.0, abs(t1)):
@@ -264,7 +266,7 @@ def _rk45_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray, h: f
             if err <= 1.0:
                 t += h
                 rho = hermitian_part(rho_new)
-                k[0] = rhs(rho)
+                k[0] = k[6]
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h = h * factor
         yield rho

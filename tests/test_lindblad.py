@@ -370,7 +370,8 @@ class TestRealPropagation:
     def test_rk45_evaluates_each_stage_once(self, monkeypatch):
         # the event log of one RK45 run: the initial slope, then per attempted
         # step six stage calls, and per accepted step the hermitization of the
-        # new state followed by its one slope; nothing at sample boundaries
+        # new state, whose slope is the last stage's (first same as last);
+        # nothing at sample boundaries
         log = []
         factory, herm = lindblad._rhs_factory, lindblad.hermitian_part
 
@@ -390,11 +391,26 @@ class TestRealPropagation:
         m.couplings = [l / 4 for l in m.couplings]
         evolve(m, random_density(rng, 17), 2.0, n_samples=5)
         events = "".join(log)
-        assert re.fullmatch(r"R(R{6}(HR)?)+", events), events
+        assert re.fullmatch(r"R(R{6}H?)+", events), events
         accepted = events.count("H")
-        attempted = (events.count("R") - 1 - accepted) // 6
+        attempted = (events.count("R") - 1) // 6
         assert attempted > accepted > 0  # some steps were rejected
-        assert events.count("R") == 1 + 6 * attempted + accepted
+        assert events.count("R") == 1 + 6 * attempted
+
+    def test_rk45_reuses_the_last_stage_as_the_next_slope(self, monkeypatch):
+        # simulate --name toric_patch --t-final 5: 200 accepted steps, no
+        # rejected one; seven calls a step without the reuse (1401)
+        calls = []
+        factory = lindblad._rhs_factory
+
+        def counting_factory(m):
+            rhs = factory(m)
+            return lambda rho: calls.append(None) or rhs(rho)
+
+        monkeypatch.setattr(lindblad, "_rhs_factory", counting_factory)
+        model = build("toric_patch").model
+        evolve(model, np.eye(model.dim) / model.dim, 5.0)
+        assert len(calls) == 1201
 
 
 class TestExpectation:
