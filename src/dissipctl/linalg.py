@@ -179,6 +179,48 @@ def embed(local: np.ndarray, sites, structure: TensorStructure) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(d, d))
 
 
+def support(a, structure: TensorStructure) -> tuple[int, ...]:
+    """The 1-based sites on which `a` acts, ascending.
+
+    A site is left out only when, on it, the diagonal blocks of `a` are
+    bitwise equal and the off-diagonal blocks exactly zero, so that `a` is
+    the identity there times an operator on the other sites, to which the
+    test of the next site is applied.  An operator built from Pauli strings
+    gets its true sites, a dense or noisy one every site.
+    """
+    a = as_operator(a)
+    dims, n = structure.dims, structure.n_sites
+    if a.shape[0] != structure.total_dim:
+        raise DimensionMismatchError(f"operator dim {a.shape[0]} != structure dim "
+                                     f"{structure.total_dim}")
+    parts = [p.reshape(dims + dims) for p in ((a.real, a.imag) if np.iscomplexobj(a) else (a,))]
+    sites = []
+    for s, d in enumerate(dims):
+        # the row axes left: the sites kept so far, then site s and those after it
+        r, kept = len(sites), len(sites) + n - s
+        blocks = [np.moveaxis(p, (r, kept + r), (0, 1)) for p in parts]
+        off = ~np.eye(d, dtype=bool)
+        if any(b[off].any() for b in blocks) or not all(
+                np.array_equal(b.view(np.int64)[i, i], b.view(np.int64)[0, 0])
+                for b in blocks for i in range(1, d)):
+            sites.append(s + 1)
+        else:
+            parts = [b[0, 0] for b in blocks]
+    return tuple(sites)
+
+
+def restrict(a, sites, structure: TensorStructure) -> np.ndarray:
+    """The operator X on the ascending 1-based `sites`, with factors in site
+    order, of a = X (x) I: `a` at index 0 of every other site.  Exact when
+    `sites` holds `support(a, structure)`; `embed` is its inverse."""
+    a = as_operator(a)
+    dims, n = structure.dims, structure.n_sites
+    keep = {int(s) - 1 for s in sites}
+    index = tuple(slice(None) if k % n in keep else 0 for k in range(2 * n))
+    d = prod(dims[s] for s in keep)
+    return np.ascontiguousarray(a.reshape(dims + dims)[index].reshape(d, d))
+
+
 _PAULI_TOKEN = re.compile(r"^([IXYZ])(\d+)$")
 
 

@@ -7,13 +7,22 @@ W_(n+1) = W_n + W_next given a certificate for the first n terms, with the
 ground-energy ladder d_n entering the inequalities; the d-free corollary
 drops those d-dependent shifts.  All checks sum the single-channel kernels of
 `lindblad` and the one cross term [L', W_n][W_next, L] over channel lists, in
-list order, and take constants from `stability.largest_constant`.
+list order, and take constants from the one Schur-complement solver of
+`stability`.
+
+The per-term checks run on support windows.  A channel whose support misses
+a term's commutes with it, so G_L(W_t) = D_L(W_t) = 0 and it is left out;
+every other quantity is computed on the union of the supports of the
+operators it involves, each operator X (x) I held as X (see `_Window`).  The
+incremental checks and the ground energy d stay on the full space, because
+the ladder d_n is global.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from math import prod, sqrt
 
 import numpy as np
 
@@ -32,15 +41,19 @@ from .lindblad import (
 from .linalg import (
     DEFAULT_TOL,
     TensorStructure,
+    _frobenius,
     as_operator,
     commutator,
     dagger,
-    is_psd,
+    hermitian_part,
     max_eigenvalue,
     min_eigenvalue,
+    psd_spectrum,
+    restrict,
     scaled_tol,
+    support,
 )
-from .stability import largest_constant
+from .stability import _schur_constant
 
 
 @dataclass
@@ -135,10 +148,52 @@ class AggregateReport:
         return [entry.get("c") for entry in self.per_term]
 
 
-def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
-    for i, t in enumerate(spec.terms):
-        if not is_psd(t, tol):
+class _Window:
+    """The union of some supports, on which an operator X (x) I (I on the
+    `copies` dimensions of the other sites) is held as X.
+
+    spec(X (x) I) = spec(X), so eigenvalues, constants and spectral
+    thresholds are those of the full operators; a Frobenius norm is
+    sqrt(copies) ||X||_F, and `norm`, `tol` and `is_psd` take that value.
+    """
+
+    def __init__(self, structure: TensorStructure, *supports):
+        self.structure = structure
+        self.sites = tuple(sorted(set().union(*supports)))
+        self.copies = structure.total_dim // prod(structure.dims[s - 1] for s in self.sites)
+
+    def restrict(self, a: np.ndarray) -> np.ndarray:
+        return restrict(a, self.sites, self.structure)
+
+    def norm(self, x: np.ndarray) -> float:
+        return sqrt(self.copies) * _frobenius(x)
+
+    def tol(self, x: np.ndarray, tol: float) -> float:
+        """scaled_tol of X (x) I."""
+        return tol * max(1.0, self.norm(x))
+
+    def is_psd(self, x: np.ndarray, tol: float) -> bool:
+        """is_psd of X (x) I."""
+        return (self.norm(x - dagger(x)) <= self.tol(x, tol)
+                and psd_spectrum(np.linalg.eigvalsh(hermitian_part(x)), tol))
+
+    def constant(self, m: np.ndarray, w: np.ndarray, tol: float) -> float | None:
+        """largest_constant of M (x) I against W (x) I."""
+        return _schur_constant(m, *np.linalg.eigh(w), tol, copies=self.copies)
+
+
+def _supports(ops, structure: TensorStructure) -> list[set[int]]:
+    return [set(support(a, structure)) for a in ops]
+
+
+def _require_terms_psd(spec: AggregateSpec, tol: float) -> list[set[int]]:
+    """The support of every term, each term checked PSD on it."""
+    supports = _supports(spec.terms, spec.structure)
+    for i, (t, sites) in enumerate(zip(spec.terms, supports)):
+        win = _Window(spec.structure, sites)
+        if not win.is_psd(win.restrict(t), tol):
             raise PreconditionError(f"term {i} is not PSD")
+    return supports
 
 
 def _cross_single_channel(w_n: np.ndarray, w_next: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -148,50 +203,55 @@ def _cross_single_channel(w_n: np.ndarray, w_next: np.ndarray, l: np.ndarray) ->
     return m + dagger(m)
 
 
-def _nonpositive(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[bool, float]:
-    """(a <= 0 within scaled_tol(scale), margin = -(largest eigenvalue of a))."""
+def _nonpositive(a: np.ndarray, atol: float) -> tuple[bool, float]:
+    """(a <= 0 within atol, margin = -(largest eigenvalue of a))."""
     margin = -max_eigenvalue(a)
-    return margin >= -scaled_tol(scale, tol), margin
+    return margin >= -atol, margin
 
 
-def _cross_channel_margin(spec: AggregateSpec, w: np.ndarray, ks, tol: float) -> tuple[bool, float]:
-    """Scalability margin of a term against every channel outside `ks`."""
-    others = [l for k, l in enumerate(spec.couplings) if k not in ks]
-    acc = channel_sum(generator_single_channel, w, others)
-    return _nonpositive(acc, acc, tol)
-
-
-def _es_term(w: np.ndarray, own: list, tol: float) -> dict:
+def _es_term(win: _Window, w: np.ndarray, own: list, tol: float) -> dict:
     """Largest c with G_own(W_t) <= -c W_t."""
     if not own:
         return {"c": None}
-    return {"c": largest_constant(-channel_sum(generator_single_channel, w, own), w, tol)}
+    return {"c": win.constant(-channel_sum(generator_single_channel, w, own), w, tol)}
 
 
-def _ds_term(w: np.ndarray, own: list, tol: float) -> dict:
+def _ds_term(win: _Window, w: np.ndarray, own: list, tol: float) -> dict:
     """G_own(W_t) <= 0, and the largest c with D_own(W_t) >= c W_t."""
-    gen_ok = is_psd(-channel_sum(generator_single_channel, w, own), tol)
+    gen_ok = win.is_psd(-channel_sum(generator_single_channel, w, own), tol)
     c = None
     if gen_ok and own:
-        c = largest_constant(channel_sum(dissipation_single_channel, w, own), w, tol)
+        c = win.constant(channel_sum(dissipation_single_channel, w, own), w, tol)
     return {"c": c, "generator_nonpositive": gen_ok}
 
 
 def _aggregate(spec: AggregateSpec, mode: str, term_constant, note: str,
                tol: float) -> AggregateReport:
-    """Per-term constants from `term_constant` (given the term and its own
-    channels) plus the scalability condition of every term."""
-    _require_terms_psd(spec, tol)
+    """Per-term constants from `term_constant` (given the window, the term
+    and its own channels on it) plus the scalability condition of every
+    term: the generator of the term under every other channel is <= 0.
+    Both take only the channels that meet the term."""
+    term_sites = _require_terms_psd(spec, tol)
     if not spec.terms:
         return AggregateReport(mode=mode, per_term=[], overall=True, d_total=0.0,
                                notes=["no terms: vacuously stable"])
     groups = spec.channel_groups()
     names = spec.names()
+    channel_sites = _supports(spec.couplings, spec.structure)
+
+    def on_window(t: int, channels: list[int]):
+        win = _Window(spec.structure, term_sites[t], *(channel_sites[k] for k in channels))
+        return win, win.restrict(spec.terms[t]), [win.restrict(spec.couplings[k])
+                                                   for k in channels]
+
     per_term = []
-    for t, (w, ks) in enumerate(zip(spec.terms, groups)):
+    for t, ks in enumerate(groups):
+        meets = [k for k, sites in enumerate(channel_sites) if sites & term_sites[t]]
         entry = {"term": names[t], "channels": ks,
-                 **term_constant(w, [spec.couplings[k] for k in ks], tol)}
-        scal_ok, margin = _cross_channel_margin(spec, w, ks, tol)
+                 **term_constant(*on_window(t, [k for k in ks if k in meets]), tol)}
+        win, w, others = on_window(t, [k for k in meets if k not in ks])
+        acc = channel_sum(generator_single_channel, w, others)
+        scal_ok, margin = _nonpositive(acc, win.tol(acc, tol))
         entry.update(scalability=scal_ok, scalability_margin=margin,
                      certified=entry["c"] is not None and scal_ok)
         per_term.append(entry)
@@ -246,15 +306,15 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     g = generator(w_n, prior)
     shifted = w_n - d_n * eye
     prior_tol = max(tol, 1e-8)
-    if mode == "es" and not _nonpositive(g + c * shifted, g, prior_tol)[0]:
+    if mode == "es" and not _nonpositive(g + c * shifted, scaled_tol(g, prior_tol))[0]:
         raise PreconditionError(
             f"prior certificate missing: existing channels do not give the decay bound at c={c}"
         )
     if mode == "ds":
-        if not _nonpositive(g, g, prior_tol)[0]:
+        if not _nonpositive(g, scaled_tol(g, prior_tol))[0]:
             raise PreconditionError("prior certificate missing: generator not non-positive")
         d_op = dissipation_functional(w_n, prior)
-        if not _nonpositive(c * shifted - d_op, d_op, prior_tol)[0]:
+        if not _nonpositive(c * shifted - d_op, scaled_tol(d_op, prior_tol))[0]:
             raise PreconditionError(f"prior certificate missing: dissipation bound fails at c={c}")
 
     new = spec.new_couplings
@@ -262,10 +322,10 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     gen = channel_sum(generator_single_channel, w_n, new, generator(w_next, full))
     shift = 0.0 if d_free else c * (d_next - d_n) * eye
     if mode == "es":
-        holds, margin = _nonpositive(gen + c * w_next - shift, gen, tol)
+        holds, margin = _nonpositive(gen + c * w_next - shift, scaled_tol(gen, tol))
         info = {"margin": margin}
     else:
-        gen_ok, gen_margin = _nonpositive(gen, gen, tol)
+        gen_ok, gen_margin = _nonpositive(gen, scaled_tol(gen, tol))
         cross = channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
         diss = dissipation_functional(w_next, full) + cross
         diss_margin = min_eigenvalue(diss - c * w_next + shift)
@@ -279,10 +339,16 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     return holds, info
 
 
-def _commutes(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
-    """([a, b] = 0 within scaled_tol(a) * max(1, ||b||), the defect ||[a, b]||)."""
-    defect = float(np.linalg.norm(commutator(a, b)))
-    return defect <= scaled_tol(a, tol) * max(1.0, float(np.linalg.norm(b))), defect
+def _commutes(structure: TensorStructure, a: np.ndarray, a_sites: set[int],
+              b: np.ndarray, b_sites: set[int], tol: float) -> tuple[bool, float]:
+    """([a, b] = 0 within scaled_tol(a) * max(1, ||b||), the defect ||[a, b]||),
+    on the window of the two supports; disjoint supports commute exactly."""
+    if not a_sites & b_sites:
+        return True, 0.0
+    win = _Window(structure, a_sites, b_sites)
+    x, y = win.restrict(a), win.restrict(b)
+    defect = win.norm(commutator(x, y))
+    return defect <= win.tol(x, tol) * max(1.0, win.norm(y)), defect
 
 
 def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:
@@ -300,17 +366,19 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
     if len(unitaries) != spec.n_channels:
         raise PreconditionError("one unitary per channel is required")
     names = spec.names()
+    terms = list(zip(spec.terms, _supports(spec.terms, spec.structure)))
     notes: list[str] = []
     for a in range(spec.n_terms):
         for b in range(a + 1, spec.n_terms):
-            ok, defect = _commutes(spec.terms[a], spec.terms[b], tol)
+            ok, defect = _commutes(spec.structure, *terms[a], *terms[b], tol)
             if not ok:
                 notes.append(f"terms {names[a]} and {names[b]} do not commute (norm {defect:.3e})")
+    units = list(zip(unitaries, _supports(unitaries, spec.structure)))
     for t, ks in enumerate(spec.channel_groups()):
-        for k, u in enumerate(unitaries):
+        for k, unit in enumerate(units):
             if k in ks:
                 continue
-            ok, defect = _commutes(u, spec.terms[t], tol)
+            ok, defect = _commutes(spec.structure, *unit, *terms[t], tol)
             if not ok:
                 notes.append(f"commutation clause fails for (U[{k}], {names[t]}) "
                              f"(norm {defect:.3e}); rerun with --theorem es")

@@ -96,8 +96,12 @@ def largest_constant(m: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> 
 
 
 def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
-                    tol: float) -> float | None:
-    """`largest_constant` from the eigenpairs of w: lam ascending, q the vectors."""
+                    tol: float, copies: int = 1) -> float | None:
+    """`largest_constant` from the eigenpairs of w: lam ascending, q the vectors.
+
+    With `copies` = k it is the constant of m (x) I_k against w (x) I_k, whose
+    spectra, thresholds and Schur complement are those of m and w; only the
+    Frobenius norm of the B block grows, by sqrt(k)."""
     k = int(np.count_nonzero(lam <= tol * max(1.0, float(np.abs(lam).max(initial=0.0)))))
     if k == lam.size:
         return None
@@ -107,7 +111,7 @@ def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
     if k:
         gam, u = np.linalg.eigh(m[:k, :k])
         pos = gam > atol
-        if gam[0] < -atol or np.linalg.norm(b @ u[:, ~pos]) > atol:
+        if gam[0] < -atol or np.sqrt(copies) * np.linalg.norm(b @ u[:, ~pos]) > atol:
             return None
         bu = b @ u[:, pos]
         s = s - (bu / gam[pos]) @ dagger(bu)

@@ -22,7 +22,9 @@ from dissipctl.linalg import (
     is_projection,
     is_psd,
     pauli_string,
+    restrict,
     scaled_tol,
+    support,
 )
 from oracles import (
     hermitian_eig,
@@ -138,6 +140,73 @@ class TestEmbed:
                     lj = lj * d + j_tuple[x - 1]
                 expected[row, col] = local[li, lj]
         assert np.allclose(got, expected, atol=1e-12)
+
+
+class TestSupport:
+    """`support` leaves a site out only when the operator is bitwise the
+    identity there; `restrict` then takes the factor on the other sites."""
+
+    def test_a_1e_17_difference_keeps_the_site(self):
+        s = TensorStructure.qubits(2)
+        y = np.array([[1e-3, -1.7], [0.2, 0.9]])
+        a = np.kron(y, np.eye(2))
+        assert support(a, s) == (1,)
+        # 1e-17 on one diagonal block of site 2, or in an off-diagonal block
+        # of site 2: either makes site 2 part of the support
+        diagonal, off_diagonal = a.copy(), a.copy()
+        diagonal[1, 1] += 1e-17
+        off_diagonal[0, 1] = 1e-17
+        assert diagonal[1, 1] != diagonal[0, 0]
+        assert support(diagonal, s) == support(off_diagonal, s) == (1, 2)
+
+    def test_qutrit_and_qubit(self):
+        s = TensorStructure((3, 2))
+        rng = np.random.default_rng(40)
+        x3, x2 = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
+        assert support(embed(x3, [1], s), s) == (1,)
+        assert support(embed(x2, [2], s), s) == (2,)
+        assert support(np.kron(x3, x2), s) == (1, 2)
+        assert np.array_equal(restrict(embed(x3, [1], s), (1,), s), x3)
+        assert np.array_equal(restrict(embed(x2, [2], s), (2,), s), x2)
+
+    def test_complex_pauli(self):
+        s = TensorStructure.qubits(3)
+        for string, sites in (("Y2", (2,)), ("X1 Y3", (1, 3)), ("Y1 Y2 Y3", (1, 2, 3))):
+            a = pauli_string(string, s)
+            assert a.dtype == complex and support(a, s) == sites
+            assert np.array_equal(embed(restrict(a, sites, s), sites, s), a)
+        # an imaginary 1e-300 at one entry where Y1 is 0: it lies in a
+        # diagonal block of site 2 and an off-diagonal block of site 3
+        a = pauli_string("Y1", s)
+        a[0, 5] = 1e-300j
+        assert support(a, s) == (1, 2, 3)
+
+    def test_zero_and_identity(self):
+        s = TensorStructure((2, 3))
+        for a, value in ((np.zeros((6, 6)), 0.0), (np.eye(6), 1.0), (2.5 * np.eye(6), 2.5)):
+            assert support(a, s) == ()
+            assert np.array_equal(restrict(a, (), s), [[value]])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            support(np.eye(4), TensorStructure((3,)))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_support_of_a_generic_embedded_operator(self, seed):
+        # a random local operator on random sites of random qudits acts on
+        # every one of them, and restrict inverts embed on those sites
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(2, 4, size=4))
+        s = TensorStructure(dims)
+        sites = sorted(int(x) + 1 for x in rng.permutation(4)[:int(rng.integers(1, 4))])
+        d_local = math.prod(dims[x - 1] for x in sites)
+        local = rng.standard_normal((d_local, d_local))
+        if rng.integers(2):
+            local = local + 1j * rng.standard_normal((d_local, d_local))
+        a = embed(local, sites, s)
+        assert support(a, s) == tuple(sites)
+        assert np.array_equal(restrict(a, sites, s), local)
 
 
 class TestPauliString:
