@@ -99,9 +99,9 @@ def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
                     tol: float, copies: int = 1) -> float | None:
     """`largest_constant` from the eigenpairs of w: lam ascending, q the vectors.
 
-    With `copies` = k it is the constant of m (x) I_k against w (x) I_k, whose
-    spectra, thresholds and Schur complement are those of m and w; only the
-    Frobenius norm of the B block grows, by sqrt(k)."""
+    It is also the constant of m (x) I against w (x) I, with I of dimension
+    `copies`: spectra, thresholds and the Schur complement are those of m and
+    w, and only the Frobenius norm of the B block grows, by sqrt(copies)."""
     k = int(np.count_nonzero(lam <= tol * max(1.0, float(np.abs(lam).max(initial=0.0)))))
     if k == lam.size:
         return None

@@ -24,6 +24,7 @@ from dissipctl.scalability import (
     check_theorem_ds_aggregation,
     check_theorem_es_aggregation,
 )
+from dissipctl.stability import _schur_constant, largest_constant
 
 NUMBERS = ("c", "scalability_margin")
 
@@ -85,10 +86,11 @@ def test_cluster_chains(n):
 
 @st.composite
 def pauli_aggregates(draw):
-    """Terms (1 +- S_t)/2, scaled, with channels U_t (1 +- S_t) and U_t, S_t
-    Pauli strings on up to three random sites, so supports overlap in every
-    pattern; extra unassigned Pauli channels; and at times one dense term of
-    full support with a dense channel, which every other channel meets."""
+    """Terms a_t (1 +- S_t) with channels U_t (1 +- S_t), S_t and U_t Pauli
+    strings on up to three and two random sites, so supports overlap in every
+    pattern, and U_t at times chosen to anticommute with S_t; extra
+    unassigned Pauli channels; and at times one dense term of full support
+    with a dense channel, which every other channel meets."""
     n = draw(st.integers(3, 5), label="qubits")
     structure = TensorStructure.qubits(n)
     eye = np.eye(structure.total_dim)
@@ -136,3 +138,14 @@ def pauli_aggregates(draw):
 @given(pauli_aggregates())
 def test_random_pauli_aggregates(spec):
     assert_theorems_agree(spec)
+
+
+def test_schur_constant_of_copies_is_the_dense_constant():
+    # B = 1e-9 against ker(C): below the threshold tol * sqrt(2) on its own,
+    # above it in four copies, where its Frobenius norm is 2e-9
+    w = np.diag([1.0, 0.0])
+    m = np.array([[2.0, 1e-9], [1e-9, 0.0]])
+    assert largest_constant(m, w) == _schur_constant(m, *np.linalg.eigh(w), 1e-9) == 2.0
+    dense = largest_constant(np.kron(m, np.eye(4)), np.kron(w, np.eye(4)))
+    assert dense is None
+    assert _schur_constant(m, *np.linalg.eigh(w), 1e-9, copies=4) is None
