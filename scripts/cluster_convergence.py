@@ -30,7 +30,7 @@ def main() -> None:
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    dim = named.model.dim
+    dim = named.aggregate.structure.total_dim
     for idx in range(args.states):
         psi = haar_pure_state(rng, dim)
         traj = simulate_aggregate(named.aggregate, args.t_final,

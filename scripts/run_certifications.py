@@ -21,10 +21,11 @@ def main() -> None:
     print("-" * len(header))
     for name in sorted(REGISTRY):
         named = build(name)
+        model = named.model  # an aggregate's model is built at each access
         for cand_name, v in named.candidates.items():
-            simulate = args.simulate and named.model.dim <= 16 and named.model.couplings
+            simulate = args.simulate and model.dim <= 16 and model.couplings
             report = certify_ground_state_stability(
-                v, named.model, simulate=bool(simulate), n_states=5, seed=args.seed)
+                v, model, simulate=bool(simulate), n_states=5, seed=args.seed)
             c_es = "-" if report.c_es is None else f"{report.c_es:.6f}"
             c_ds = "-" if report.c_ds is None else f"{report.c_ds:.6f}"
             print(f"{name:<26}{cand_name:<12}{c_es:>12}{c_ds:>12}  {report.convergence}")

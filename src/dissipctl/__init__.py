@@ -8,8 +8,8 @@ function is reached through its module.
 __version__ = "0.1.0"
 
 from .linalg import (
-    DEFAULT_TOL, PAULI_X, PAULI_Y, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, TensorStructure, embed,
-    expm, pauli_string,
+    DEFAULT_TOL, PAULI_X, PAULI_Y, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, LocalOperator,
+    TensorStructure, embed, expm, pauli_string,
 )
 from .lindblad import (
     AdiabaticReport, LindbladModel, Trajectory, adiabatic_limit_check, dissipation_functional,
@@ -31,8 +31,8 @@ from .models import (
 )
 
 __all__ = [
-    "DEFAULT_TOL", "PAULI_X", "PAULI_Y", "PAULI_Z", "SIGMA_MINUS", "SIGMA_PLUS", "TensorStructure",
-    "embed", "expm", "pauli_string",
+    "DEFAULT_TOL", "PAULI_X", "PAULI_Y", "PAULI_Z", "SIGMA_MINUS", "SIGMA_PLUS", "LocalOperator",
+    "TensorStructure", "embed", "expm", "pauli_string",
     "AdiabaticReport", "LindbladModel", "Trajectory", "adiabatic_limit_check",
     "dissipation_functional", "evolve", "generator", "generator_single_channel", "liouvillian",
     "partial_trace_last", "trace_distance",

@@ -75,12 +75,16 @@ def _sim_cap(args) -> int:
 
 
 def _check_numbers(args) -> None:
-    """--c must be finite; --tol and --t-final finite and positive."""
+    """--c must be finite; --tol and --t-final finite and positive; --samples
+    at least 2."""
     for dest, positive in (("c", False), ("tol", True), ("t_final", True)):
         value = getattr(args, dest, None)
         if value is not None and not (math.isfinite(value) and (value > 0 or not positive)):
             raise InputFormatError(dest.replace("_", "-"),
                                    f"must be finite{' and positive' * positive}, got {value!r}")
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 2:
+        raise InputFormatError("samples", f"need at least two sample points, got {samples}")
 
 
 def _file_number(obj: dict, field: str, integral: bool) -> float | int:
@@ -214,6 +218,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scale(args) -> int:
+    theorem, tol = args.theorem, args.tol
+    aggregate = theorem in ("es", "ds", "commuting")
+    for dest, ignored in (("c", aggregate), ("n", aggregate), ("mode", theorem != "d-free")):
+        if ignored and getattr(args, dest) is not None:
+            raise InputFormatError(dest, f"--theorem {theorem} takes no --{dest}")
     named = _resolve_named(args)
     if named is not None:
         spec = named.aggregate
@@ -224,7 +233,6 @@ def _cmd_scale(args) -> int:
     else:
         raise InputFormatError("spec", "scale needs --spec or --name")
 
-    theorem, tol = args.theorem, args.tol
     if theorem == "commuting" and spec.unitaries is None:
         raise InputFormatError("spec", "commuting mode needs the unitary factors "
                                        "(a 'unitaries' array in the spec)")
@@ -238,7 +246,7 @@ def _cmd_scale(args) -> int:
         n = args.n if args.n is not None else spec.n_terms - 1
         c = args.c if args.c is not None else 1.0
         d_free = theorem == "d-free"
-        mode = args.mode if d_free else theorem.removeprefix("inc-")
+        mode = (args.mode or "es") if d_free else theorem.removeprefix("inc-")
         holds, info = check_incremental(spec, n, c, mode=mode, d_free=d_free, tol=tol)
         body, overall = {"theorem": theorem, "holds": holds, "c": c, "n": n, **info}, holds
     _emit(args, _report_envelope(args, "scale", body))
@@ -327,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["es", "ds", "inc-es", "inc-ds", "commuting", "d-free"])
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--n", type=int, default=None, help="terms already certified")
-    p.add_argument("--mode", choices=["es", "ds"], default="es",
-                   help="variant for --theorem d-free")
+    p.add_argument("--mode", choices=["es", "ds"], default=None,
+                   help="variant for --theorem d-free (default es)")
     _add_common(p)
     p.set_defaults(func=_cmd_scale)
 

@@ -50,11 +50,17 @@ def require_headroom(a: np.ndarray, field: str, what: str) -> np.ndarray:
     """`a`, or an InputFormatError naming `field` if 16 ||a||_F^2 overflows:
     ||X||_F^2 bounds every entry of X'X, and the factor 16 leaves room for
     the sums of such products in G(V) and D(V)."""
+    _require_headroom(a, 1, field, what)
+    return a
+
+
+def _require_headroom(a: np.ndarray, copies: int, field: str, what: str) -> None:
+    """The check of `require_headroom` on a (x) I, with I of dimension
+    `copies`: ||a (x) I||_F^2 = copies ||a||_F^2."""
     with np.errstate(over="ignore"):
-        if not np.isfinite(16.0 * np.square(np.linalg.norm(a))):
+        if not np.isfinite(16.0 * copies * np.square(np.linalg.norm(a))):
             raise InputFormatError(field, f"{what} has a squared norm too close to the "
                                           "float range")
-    return a
 
 
 def _square(a: np.ndarray) -> np.ndarray:
@@ -153,30 +159,35 @@ def embed(local: np.ndarray, sites, structure: TensorStructure) -> np.ndarray:
     """Embed `local` acting on the given 1-based sites, identity elsewhere.
 
     ``local`` must have dimension equal to the product of the site dimensions,
-    with its own factors ordered like ``sites``.
+    with its own factors ordered like ``sites``.  The entries of ``local`` are
+    written once per basis state of the other sites into a zero matrix, so
+    every other entry is +0.0.
     """
     local = as_operator(local)
     sites0 = [int(s) - 1 for s in sites]
-    n = structure.n_sites
+    dims, n = structure.dims, structure.n_sites
     if len(set(sites0)) != len(sites0):
         raise DimensionMismatchError(f"sites must be distinct: {list(sites)}")
     if any(s < 0 or s >= n for s in sites0):
         raise DimensionMismatchError(f"site out of range 1..{n}: {list(sites)}")
-    d_local = prod(structure.dims[s] for s in sites0)
-    if local.shape[0] != d_local:
+    local_dims = [dims[s] for s in sites0]
+    if local.shape[0] != prod(local_dims):
         raise DimensionMismatchError(
-            f"local operator has dim {local.shape[0]}, sites require {d_local}"
+            f"local operator has dim {local.shape[0]}, sites require {prod(local_dims)}"
         )
     others = [i for i in range(n) if i not in sites0]
-    d_rest = prod(structure.dims[i] for i in others) if others else 1
-    full = np.kron(local, np.eye(d_rest))
-    perm = sites0 + others
-    axis_dims = [structure.dims[p] for p in perm]
-    order = list(np.argsort(perm))
-    t = full.reshape(axis_dims + axis_dims)
-    t = t.transpose(order + [n + o for o in order])
     d = structure.total_dim
-    return np.ascontiguousarray(t.reshape(d, d))
+    out = np.zeros((d, d), dtype=local.dtype)
+    # a view of `out` with axes (rows of the sites, columns of the sites,
+    # the other sites), each other site's row and column index tied together
+    col = [prod(dims[i + 1:]) * out.itemsize for i in range(n)]
+    row = [d * c for c in col]
+    view = np.lib.stride_tricks.as_strided(
+        out, shape=local_dims * 2 + [dims[i] for i in others],
+        strides=[row[s] for s in sites0] + [col[s] for s in sites0]
+        + [row[i] + col[i] for i in others], writeable=True)
+    view[...] = local.reshape(local_dims * 2 + [1] * len(others))
+    return out
 
 
 def support(a, structure: TensorStructure) -> tuple[int, ...]:
@@ -224,30 +235,36 @@ def restrict(a, sites, structure: TensorStructure) -> np.ndarray:
 _PAULI_TOKEN = re.compile(r"^([IXYZ])(\d+)$")
 
 
-def pauli_string(spec: str, structure: TensorStructure) -> np.ndarray:
-    """Build a Pauli product from a string like ``"Z1 X2 Z3"`` (1-based sites).
-
-    The product is a monomial: column j has one entry, in the row that flips
-    the X and Y bits of j, with phase (-1)^(Z and Y bits of j) times i per Y.
-    It is float64 unless the string holds a Y.
-    """
-    d = structure.total_dim
-    cols = np.arange(d)
-    rows = cols.copy()
-    phase = np.ones(d)
-    seen: set[int] = set()
+def _pauli_factors(spec: str, structure: TensorStructure) -> list[tuple[str, int]]:
+    """The (letter, 1-based site) factors of a string like ``"Z1 X2 Z3"``."""
+    factors: list[tuple[str, int]] = []
     for token in spec.split():
         m = _PAULI_TOKEN.match(token.strip().upper())
         if m is None:
             raise InputFormatError("pauli", f"bad token {token!r} in {spec!r}")
         letter, site = m.group(1), int(m.group(2))
-        if site in seen:
+        if any(site == s for _, s in factors):
             raise InputFormatError("pauli", f"site {site} repeated in {spec!r}")
-        seen.add(site)
         if site < 1 or site > structure.n_sites:
             raise InputFormatError("pauli", f"site {site} out of range in {spec!r}")
         if structure.dims[site - 1] != 2:
             raise InputFormatError("pauli", f"site {site} is not a qubit")
+        factors.append((letter, site))
+    return factors
+
+
+def _pauli_monomial(factors, structure: TensorStructure) -> np.ndarray:
+    """The Pauli product of `factors` on `structure`.
+
+    The product is a monomial: column j has one entry, in the row that flips
+    the X and Y bits of j, with phase (-1)^(Z and Y bits of j) times i per Y.
+    It is float64 unless a factor is a Y.
+    """
+    d = structure.total_dim
+    cols = np.arange(d)
+    rows = cols.copy()
+    phase = np.ones(d)
+    for letter, site in factors:
         stride = prod(structure.dims[site:])  # site 1 is the leftmost factor
         sign = 1 - 2 * ((cols // stride) % 2)  # +1 on level 0, -1 on level 1
         if letter in "XY":
@@ -259,6 +276,60 @@ def pauli_string(spec: str, structure: TensorStructure) -> np.ndarray:
     out = np.zeros((d, d), dtype=phase.dtype)
     out[rows, cols] = phase
     return out
+
+
+def pauli_string(spec: str, structure: TensorStructure) -> np.ndarray:
+    """Build a Pauli product from a string like ``"Z1 X2 Z3"`` (1-based sites)
+    on the whole space; see `_pauli_monomial`."""
+    return _pauli_monomial(_pauli_factors(spec, structure), structure)
+
+
+@dataclass(frozen=True, eq=False)
+class LocalOperator:
+    """An operator X (x) I held as X: `sites` are its ascending 1-based sites
+    and `matrix` is X, with factors in site order.
+
+    `pauli` builds a Pauli product on its sites, and `support` with `restrict`
+    reduce an operator of the whole space to one; `on` embeds X on a larger
+    set of sites, the whole space included.
+    """
+
+    sites: tuple[int, ...]
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        sites = tuple(int(s) for s in self.sites)
+        if list(sites) != sorted(set(sites)):
+            raise DimensionMismatchError(f"sites must be ascending and distinct: {sites}")
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "matrix", as_operator(self.matrix))
+
+    @classmethod
+    def pauli(cls, spec: str, structure: TensorStructure) -> "LocalOperator":
+        """The Pauli product of `spec` (as in `pauli_string`) on the sites of
+        its X, Y and Z factors."""
+        factors = [(letter, s) for letter, s in _pauli_factors(spec, structure)
+                   if letter != "I"]
+        sites = tuple(sorted(s for _, s in factors))
+        if not sites:
+            return cls((), np.ones((1, 1)))
+        return cls(sites, _pauli_monomial([(letter, sites.index(s) + 1) for letter, s in factors],
+                                          TensorStructure.qubits(len(sites))))
+
+    def on(self, sites: tuple[int, ...], structure: TensorStructure) -> np.ndarray:
+        """X (x) I on the ascending 1-based `sites`, which hold this
+        operator's: `embed` on the positions of its sites among them."""
+        if tuple(sites) == self.sites:
+            return self.matrix
+        return embed(self.matrix, [sites.index(s) + 1 for s in self.sites],
+                     TensorStructure([structure.dims[s - 1] for s in sites]))
+
+    def require_headroom(self, structure: TensorStructure, field: str,
+                         what: str) -> "LocalOperator":
+        """`require_headroom` of X (x) I, whose squared norm is m ||X||_F^2
+        with m the dimension of the other sites."""
+        _require_headroom(self.matrix, structure.total_dim // len(self.matrix), field, what)
+        return self
 
 
 def commutator(a, b) -> np.ndarray:

@@ -17,29 +17,55 @@ from __future__ import annotations
 import inspect
 import math
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionCapError, InputFormatError, PreconditionError
 from .lindblad import LindbladModel
-from .linalg import PAULI_Z, SIGMA_MINUS, TensorStructure, pauli_string, require_headroom
+from .linalg import PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, require_headroom
 from .scalability import AggregateSpec
 
 MAX_MODEL_DIM = 4096
 
 
-@dataclass
 class NamedModel:
-    """A ready-to-use example system with documented expected outcomes."""
+    """A ready-to-use example system with documented expected outcomes.
 
-    name: str
-    description: str
-    model: LindbladModel
-    candidates: dict[str, np.ndarray] = field(default_factory=dict)
-    aggregate: AggregateSpec | None = None
-    expected: dict[str, dict] = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+    An aggregate example holds its operators in `aggregate` alone: its
+    `model` (every channel, the new ones last), its `candidates` (each given
+    as the indices of the terms it sums) and its `extras` (local operators)
+    are dense views, built at each access.  Values given as matrices are
+    returned as given.
+    """
+
+    def __init__(self, name: str, description: str, model: LindbladModel | None = None,
+                 candidates: dict | None = None, aggregate: AggregateSpec | None = None,
+                 expected: dict[str, dict] | None = None, extras: dict | None = None):
+        self.name = name
+        self.description = description
+        self.aggregate = aggregate
+        self.expected = expected or {}
+        self._model = model
+        self._candidates = candidates or {}
+        self._extras = extras or {}
+
+    @property
+    def model(self) -> LindbladModel:
+        if self._model is not None:
+            return self._model
+        return self.aggregate.to_model(self.aggregate.new_couplings)
+
+    @property
+    def candidates(self) -> dict[str, np.ndarray]:
+        spec = self.aggregate
+        return {name: spec.dense_sum(spec.terms[t] for t in v) if isinstance(v, tuple) else v
+                for name, v in self._candidates.items()}
+
+    @property
+    def extras(self) -> dict:
+        return {name: [self.aggregate.dense(a) if isinstance(a, LocalOperator) else a
+                       for a in v]
+                for name, v in self._extras.items()}
 
 
 def _expected(value, tag: str) -> dict:
@@ -107,19 +133,18 @@ def two_qubit_aggregation_example() -> NamedModel:
     single-qubit coupling extended by two new channels; the ground-energy-free
     incremental condition holds with c = 1."""
     structure = TensorStructure((2, 2))
-    eye2 = np.eye(2)
-    h = np.kron(np.diag([0.5, -0.5]), eye2)
-    w1 = np.kron(np.diag([1.0, 0.0]), eye2)
-    w2 = 0.5 * (np.eye(4) + np.kron(PAULI_Z, PAULI_Z))
-    l1 = np.kron(SIGMA_MINUS, eye2)
+    h = LocalOperator((1,), np.diag([0.5, -0.5]))
+    w1 = LocalOperator((1,), np.diag([1.0, 0.0]))
+    w2 = LocalOperator((1, 2), 0.5 * (np.eye(4) + np.kron(PAULI_Z, PAULI_Z)))
+    l1 = LocalOperator((1,), SIGMA_MINUS)
     l2 = np.zeros((4, 4))
-    l2[2, 1] = 1.0
+    l2[2, 1] = 1.0  # |01> -> |10>
     l3 = np.zeros((4, 4))
-    l3[2, 3] = 1.0
+    l3[2, 3] = 1.0  # |11> -> |10>
     aggregate = AggregateSpec(
         structure=structure, terms=[w1, w2], couplings=[l1],
         assignment=[0, []], hamiltonian=h, term_names=["W1", "W2"],
-        new_couplings=[l2, l3],
+        new_couplings=[LocalOperator((1, 2), l2), LocalOperator((1, 2), l3)],
     )
     expected = {
         "sum_diag": _expected([2.0, 1.0, 0.0, 1.0], "exact"),
@@ -133,8 +158,7 @@ def two_qubit_aggregation_example() -> NamedModel:
         name="two_qubit",
         description="aggregation of a single-qubit witness with a parity "
                     "witness; certified by the ground-energy-free route",
-        model=aggregate.to_model(aggregate.new_couplings),
-        candidates={"W": w1 + w2, "W1": w1, "W2": w2},
+        candidates={"W": (0, 1), "W1": (0,), "W2": (1,)},
         aggregate=aggregate,
         expected=expected,
     )
@@ -143,18 +167,22 @@ def two_qubit_aggregation_example() -> NamedModel:
 def _stabilizer_aggregate(n_qubits: int, stabilizers) -> AggregateSpec:
     """Terms W_t = (1 + sign S_t)/2 on qubits, each channelled by its own
     L_t = U_t (1 + sign S_t), with H = 0; `stabilizers` holds
-    (name, sign, S_t, U_t), where S_t and U_t are Pauli strings."""
+    (name, sign, S_t, U_t), where S_t and U_t are Pauli strings.  Each
+    operator is built on its own sites, L_t on those of S_t and U_t."""
     structure = TensorStructure.qubits(n_qubits)
-    eye = np.eye(2 ** n_qubits)
     terms, couplings, unitaries, names = [], [], [], []
     for name, sign, stabilizer, unitary in stabilizers:
-        projector = eye + sign * pauli_string(stabilizer, structure)
-        unitaries.append(pauli_string(unitary, structure))
-        terms.append(0.5 * projector)
-        couplings.append(unitaries[-1] @ projector)
+        s = LocalOperator.pauli(stabilizer, structure)
+        u = LocalOperator.pauli(unitary, structure)
+        terms.append(LocalOperator(s.sites, 0.5 * (np.eye(len(s.matrix)) + sign * s.matrix)))
+        sites = tuple(sorted({*s.sites, *u.sites}))
+        projector = np.eye(2 ** len(sites)) + sign * s.on(sites, structure)
+        couplings.append(LocalOperator(sites, u.on(sites, structure) @ projector))
+        unitaries.append(u)
         names.append(name)
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
-                         assignment=list(range(len(terms))), hamiltonian=np.zeros_like(eye),
+                         assignment=list(range(len(terms))),
+                         hamiltonian=LocalOperator((), np.zeros((1, 1))),
                          term_names=names, unitaries=unitaries)
 
 
@@ -180,8 +208,7 @@ def cluster_chain(n_qubits: int = 4) -> NamedModel:
         name="cluster_chain",
         description=f"{n}-qubit chain whose commuting three-site witnesses "
                     "single out the cluster state",
-        model=aggregate.to_model(),
-        candidates={"W": sum(aggregate.terms)},
+        candidates={"W": tuple(range(aggregate.n_terms))},
         aggregate=aggregate,
         expected=expected,
     )
@@ -202,8 +229,8 @@ def toric_patch(extended: bool = False) -> NamedModel:
     if extended:
         stabilizers.append(("V3", -1.0, "X1 X7 X8 X9", "Z7"))
     aggregate = _stabilizer_aggregate(n, stabilizers)
-    v1, v2 = aggregate.terms[:2]
-    candidate_unitaries = [pauli_string(f"Z{i}", aggregate.structure) for i in (1, 2, 3, 4)]
+    candidate_unitaries = [LocalOperator.pauli(f"Z{i}", aggregate.structure)
+                           for i in (1, 2, 3, 4)]
     expected = {
         "candidates_commute_with_v2": _expected(True, "exact"),
         "ground_space_dim_v1_v2": _expected(16, "derived"),
@@ -216,8 +243,7 @@ def toric_patch(extended: bool = False) -> NamedModel:
         name="toric_patch",
         description="surface-code stabilizer patch (six qubits; nine with the "
                     "extended vertex witness)",
-        model=aggregate.to_model(),
-        candidates={"V": v1 + v2},
+        candidates={"V": (0, 1)},
         aggregate=aggregate,
         expected=expected,
         extras={"candidate_unitaries": candidate_unitaries},
@@ -242,8 +268,7 @@ def complementary_witnesses() -> NamedModel:
         name="complementary_witnesses",
         description="two witnesses that cannot reach their ground states "
                     "simultaneously",
-        model=aggregate.to_model(),
-        candidates={"W": w1 + w2},
+        candidates={"W": (0, 1)},
         aggregate=aggregate,
         expected=expected,
     )
@@ -269,9 +294,10 @@ def build(name: str) -> NamedModel:
     Arguments are positional numbers, except that a boolean parameter is set
     by its own name and by nothing else; an ``int`` parameter takes only an
     integer literal.  Arguments that overflow the constructor, or give an
-    operator (H, a coupling or a candidate) whose squared Frobenius norm is
+    operator (H, a coupling or a candidate; of an aggregate, each of its
+    local operators at its dense value) whose squared Frobenius norm is
     within a factor 16 of the float range, are an input error naming
-    ``name``.
+    ``name``.  No operator of an aggregate is built on the whole space.
     """
     m = _NAME_RE.match(name.strip())
     if m is None or m.group(1) not in REGISTRY:
@@ -306,7 +332,15 @@ def build(name: str) -> NamedModel:
         named = fn(*args, **kwargs)
     except (OverflowError, FloatingPointError) as exc:
         raise InputFormatError("name", f"arguments in {name!r} overflow: {exc}")
-    for op in [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]:
-        require_headroom(op, "name", f"arguments in {name!r} overflow: an operator of the "
-                                     "model (H, a coupling or a candidate)")
+    what = (f"arguments in {name!r} overflow: an operator of the model (H, a coupling or a "
+            "candidate)")
+    spec = named.aggregate
+    if spec is None:
+        for op in [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]:
+            require_headroom(op, "name", what)
+    else:  # each local operator at its dense value; the model and candidates are built of them
+        for op in [spec.hamiltonian, *spec.terms, *spec.couplings, *(spec.unitaries or []),
+                   *spec.new_couplings]:
+            if op is not None:
+                op.require_headroom(spec.structure, "name", what)
     return named

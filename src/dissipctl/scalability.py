@@ -10,12 +10,14 @@ drops those d-dependent shifts.  All checks sum the single-channel kernels of
 list order, and take constants from the one Schur-complement solver of
 `stability`.
 
-The per-term checks run on support windows.  A channel whose support misses
-a term's commutes with it, so G_L(W_t) = D_L(W_t) = 0 and it is left out;
-every other quantity is computed on the union of the supports of the
-operators it involves, each operator X (x) I held as X (see `_Window`).  The
-incremental checks and the ground energy d stay on the full space, because
-the ladder d_n is global.
+Every operator of an aggregate is held as a `LocalOperator`, X (x) I as X on
+its sites, and the per-term checks run on support windows.  A channel whose
+sites miss a term's commutes with it, so G_L(W_t) = D_L(W_t) = 0 and it is
+left out; every other quantity is computed on the union of the sites of the
+operators it involves (see `_Window`), and a sum of single-channel kernels
+adds each kernel, computed on the sites of the term and its one channel, on
+that union.  The incremental checks and the ground energy d use the dense
+view of the whole space, because the ladder d_n is global.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .lindblad import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    LocalOperator,
     TensorStructure,
     _frobenius,
     as_operator,
@@ -61,26 +64,43 @@ class AggregateSpec:
     """Terms, channels, and the term-to-channel assignment of an aggregate,
     with the unitary factors U_k of couplings L_k = U_k W_k (for the
     commuting corollary; None when not given) and the new channels of an
-    incremental step."""
+    incremental step.
+
+    Every operator is held once, as a `LocalOperator`.  One given as a matrix
+    of the whole space is reduced to its support on construction; `dense`
+    embeds an operator back into the whole space for the quantities that
+    need it (the ground energy d, the incremental checks, the model and
+    simulation).
+    """
 
     structure: TensorStructure
-    terms: list[np.ndarray]
-    couplings: list[np.ndarray] = field(default_factory=list)
+    terms: list[LocalOperator]
+    couplings: list[LocalOperator] = field(default_factory=list)
     assignment: list | None = None
-    hamiltonian: np.ndarray | None = None
+    hamiltonian: LocalOperator | None = None
     term_names: list[str] | None = None
-    unitaries: list[np.ndarray] | None = None
-    new_couplings: list[np.ndarray] = field(default_factory=list)
+    unitaries: list[LocalOperator] | None = None
+    new_couplings: list[LocalOperator] = field(default_factory=list)
 
     def __post_init__(self):
-        n = self.structure.total_dim
+        structure = self.structure
+
+        def local(a, kind: str) -> LocalOperator:
+            if isinstance(a, LocalOperator):
+                if not set(a.sites) <= set(range(1, structure.n_sites + 1)) or \
+                        len(a.matrix) != prod(structure.dims[s - 1] for s in a.sites):
+                    raise DimensionMismatchError(f"{kind} of dim {len(a.matrix)} does not fit "
+                                                 f"sites {a.sites} of {structure.dims}")
+                return a
+            a = as_operator(a)
+            if a.shape[0] != structure.total_dim:
+                raise DimensionMismatchError(f"{kind} dim {a.shape[0]} != "
+                                             f"{structure.total_dim}")
+            sites = support(a, structure)
+            return LocalOperator(sites, restrict(a, sites, structure))
 
         def operators(ops, kind):
-            ops = [as_operator(a) for a in ops]
-            for i, a in enumerate(ops):
-                if a.shape[0] != n:
-                    raise DimensionMismatchError(f"{kind} {i} dim {a.shape[0]} != {n}")
-            return ops
+            return [local(a, f"{kind} {i}") for i, a in enumerate(ops)]
 
         self.terms = operators(self.terms, "term")
         self.couplings = operators(self.couplings, "coupling")
@@ -88,7 +108,7 @@ class AggregateSpec:
             self.unitaries = operators(self.unitaries, "unitary")
         self.new_couplings = operators(self.new_couplings, "new coupling")
         if self.hamiltonian is not None:
-            self.hamiltonian = as_operator(self.hamiltonian)
+            self.hamiltonian = local(self.hamiltonian, "hamiltonian")
 
     @property
     def n_terms(self) -> int:
@@ -122,15 +142,28 @@ class AggregateSpec:
             raise PreconditionError("assignment must name channels for every term")
         return groups
 
+    def dense(self, op: LocalOperator) -> np.ndarray:
+        """The matrix of `op` on the whole space, built at each call."""
+        return op.on(tuple(range(1, self.structure.n_sites + 1)), self.structure)
+
+    def dense_sum(self, ops) -> np.ndarray:
+        """The sum of the dense `ops`, in list order, from zero."""
+        ops = list(ops)
+        acc = np.zeros((self.structure.total_dim,) * 2,
+                       dtype=np.result_type(float, *(op.matrix for op in ops)))
+        for op in ops:
+            acc += self.dense(op)
+        return acc
+
     def to_model(self, new_couplings=()) -> LindbladModel:
         """The model with every channel, plus `new_couplings` appended."""
         h = self.hamiltonian
-        if h is None:
-            h = np.zeros((self.structure.total_dim,) * 2)
-        return LindbladModel(self.structure, h, list(self.couplings) + list(new_couplings))
+        h = np.zeros((self.structure.total_dim,) * 2) if h is None else self.dense(h)
+        return LindbladModel(self.structure, h,
+                             [self.dense(l) for l in [*self.couplings, *new_couplings]])
 
     def total(self) -> np.ndarray:
-        return sum(self.terms, np.zeros((self.structure.total_dim,) * 2))
+        return self.dense_sum(self.terms)
 
 
 @dataclass
@@ -157,13 +190,13 @@ class _Window:
     sqrt(copies) ||X||_F, and `norm`, `tol` and `is_psd` take that value.
     """
 
-    def __init__(self, structure: TensorStructure, *supports):
+    def __init__(self, structure: TensorStructure, *ops: LocalOperator):
         self.structure = structure
-        self.sites = tuple(sorted(set().union(*supports)))
+        self.sites = tuple(sorted(set().union(*(op.sites for op in ops))))
         self.copies = structure.total_dim // prod(structure.dims[s - 1] for s in self.sites)
 
-    def restrict(self, a: np.ndarray) -> np.ndarray:
-        return restrict(a, self.sites, self.structure)
+    def embed(self, op: LocalOperator) -> np.ndarray:
+        return op.on(self.sites, self.structure)
 
     def norm(self, x: np.ndarray) -> float:
         return sqrt(self.copies) * _frobenius(x)
@@ -181,19 +214,24 @@ class _Window:
         """largest_constant of M (x) I against W (x) I."""
         return _schur_constant(m, *np.linalg.eigh(w), tol, copies=self.copies)
 
+    def channel_sum(self, kernel, term: LocalOperator, channels) -> np.ndarray:
+        """A single-channel kernel of `term` summed over `channels` in list
+        order on this window, as `lindblad.channel_sum` does.  Each kernel is
+        computed on the window of the term and its one channel."""
+        d = self.structure.total_dim // self.copies
+        acc = np.zeros((d, d), dtype=term.matrix.dtype)
+        for l in channels:
+            pair = _Window(self.structure, term, l)
+            acc = acc + self.embed(LocalOperator(pair.sites,
+                                                 kernel(pair.embed(term), pair.embed(l))))
+        return acc
 
-def _supports(ops, structure: TensorStructure) -> list[set[int]]:
-    return [set(support(a, structure)) for a in ops]
 
-
-def _require_terms_psd(spec: AggregateSpec, tol: float) -> list[set[int]]:
-    """The support of every term, each term checked PSD on it."""
-    supports = _supports(spec.terms, spec.structure)
-    for i, (t, sites) in enumerate(zip(spec.terms, supports)):
-        win = _Window(spec.structure, sites)
-        if not win.is_psd(win.restrict(t), tol):
+def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
+    """Every term checked PSD on its own sites."""
+    for i, t in enumerate(spec.terms):
+        if not _Window(spec.structure, t).is_psd(t.matrix, tol):
             raise PreconditionError(f"term {i} is not PSD")
-    return supports
 
 
 def _cross_single_channel(w_n: np.ndarray, w_next: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -209,48 +247,46 @@ def _nonpositive(a: np.ndarray, atol: float) -> tuple[bool, float]:
     return margin >= -atol, margin
 
 
-def _es_term(win: _Window, w: np.ndarray, own: list, tol: float) -> dict:
+def _es_term(win: _Window, term: LocalOperator, own: list, tol: float) -> dict:
     """Largest c with G_own(W_t) <= -c W_t."""
     if not own:
         return {"c": None}
-    return {"c": win.constant(-channel_sum(generator_single_channel, w, own), w, tol)}
+    gen = win.channel_sum(generator_single_channel, term, own)
+    return {"c": win.constant(-gen, win.embed(term), tol)}
 
 
-def _ds_term(win: _Window, w: np.ndarray, own: list, tol: float) -> dict:
+def _ds_term(win: _Window, term: LocalOperator, own: list, tol: float) -> dict:
     """G_own(W_t) <= 0, and the largest c with D_own(W_t) >= c W_t."""
-    gen_ok = win.is_psd(-channel_sum(generator_single_channel, w, own), tol)
+    gen_ok = win.is_psd(-win.channel_sum(generator_single_channel, term, own), tol)
     c = None
     if gen_ok and own:
-        c = win.constant(channel_sum(dissipation_single_channel, w, own), w, tol)
+        c = win.constant(win.channel_sum(dissipation_single_channel, term, own),
+                         win.embed(term), tol)
     return {"c": c, "generator_nonpositive": gen_ok}
 
 
 def _aggregate(spec: AggregateSpec, mode: str, term_constant, note: str,
                tol: float) -> AggregateReport:
     """Per-term constants from `term_constant` (given the window, the term
-    and its own channels on it) plus the scalability condition of every
-    term: the generator of the term under every other channel is <= 0.
-    Both take only the channels that meet the term."""
-    term_sites = _require_terms_psd(spec, tol)
+    and its own channels) plus the scalability condition of every term: the
+    generator of the term under every other channel is <= 0.  Both take only
+    the channels that meet the term, on the window of the term and those
+    channels."""
+    _require_terms_psd(spec, tol)
     if not spec.terms:
         return AggregateReport(mode=mode, per_term=[], overall=True, d_total=0.0,
                                notes=["no terms: vacuously stable"])
     groups = spec.channel_groups()
     names = spec.names()
-    channel_sites = _supports(spec.couplings, spec.structure)
-
-    def on_window(t: int, channels: list[int]):
-        win = _Window(spec.structure, term_sites[t], *(channel_sites[k] for k in channels))
-        return win, win.restrict(spec.terms[t]), [win.restrict(spec.couplings[k])
-                                                   for k in channels]
-
     per_term = []
-    for t, ks in enumerate(groups):
-        meets = [k for k, sites in enumerate(channel_sites) if sites & term_sites[t]]
+    for t, (term, ks) in enumerate(zip(spec.terms, groups)):
+        meets = [k for k, l in enumerate(spec.couplings) if set(l.sites) & set(term.sites)]
+        own = [spec.couplings[k] for k in ks if k in meets]
+        others = [spec.couplings[k] for k in meets if k not in ks]
         entry = {"term": names[t], "channels": ks,
-                 **term_constant(*on_window(t, [k for k in ks if k in meets]), tol)}
-        win, w, others = on_window(t, [k for k in meets if k not in ks])
-        acc = channel_sum(generator_single_channel, w, others)
+                 **term_constant(_Window(spec.structure, term, *own), term, own, tol)}
+        win = _Window(spec.structure, term, *others)
+        acc = win.channel_sum(generator_single_channel, term, others)
         scal_ok, margin = _nonpositive(acc, win.tol(acc, tol))
         entry.update(scalability=scal_ok, scalability_margin=margin,
                      certified=entry["c"] is not None and scal_ok)
@@ -296,13 +332,14 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     _require_terms_psd(spec, tol)
     if not 1 <= n < spec.n_terms:
         raise PreconditionError(f"n must satisfy 1 <= n < {spec.n_terms}, got {n}")
-    w_n = sum(spec.terms[:n])
-    w_next = spec.terms[n]
+    w_n = spec.dense_sum(spec.terms[:n])
+    w_next = spec.dense(spec.terms[n])
     d_n = min_eigenvalue(w_n)
     d_next = min_eigenvalue(w_n + w_next)
     eye = np.eye(w_n.shape[0])
 
-    prior = spec.to_model()
+    full = spec.to_model(spec.new_couplings)  # the spec's channels, then the new ones
+    prior = LindbladModel(spec.structure, full.hamiltonian, full.couplings[:spec.n_channels])
     g = generator(w_n, prior)
     shifted = w_n - d_n * eye
     prior_tol = max(tol, 1e-8)
@@ -317,8 +354,7 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
         if not _nonpositive(c * shifted - d_op, scaled_tol(d_op, prior_tol))[0]:
             raise PreconditionError(f"prior certificate missing: dissipation bound fails at c={c}")
 
-    new = spec.new_couplings
-    full = spec.to_model(new)
+    new = full.couplings[spec.n_channels:]
     gen = channel_sum(generator_single_channel, w_n, new, generator(w_next, full))
     shift = 0.0 if d_free else c * (d_next - d_n) * eye
     if mode == "es":
@@ -339,14 +375,14 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     return holds, info
 
 
-def _commutes(structure: TensorStructure, a: np.ndarray, a_sites: set[int],
-              b: np.ndarray, b_sites: set[int], tol: float) -> tuple[bool, float]:
+def _commutes(structure: TensorStructure, a: LocalOperator, b: LocalOperator,
+              tol: float) -> tuple[bool, float]:
     """([a, b] = 0 within scaled_tol(a) * max(1, ||b||), the defect ||[a, b]||),
-    on the window of the two supports; disjoint supports commute exactly."""
-    if not a_sites & b_sites:
+    on the window of the two; disjoint supports commute exactly."""
+    if not set(a.sites) & set(b.sites):
         return True, 0.0
-    win = _Window(structure, a_sites, b_sites)
-    x, y = win.restrict(a), win.restrict(b)
+    win = _Window(structure, a, b)
+    x, y = win.embed(a), win.embed(b)
     defect = win.norm(commutator(x, y))
     return defect <= win.tol(x, tol) * max(1.0, win.norm(y)), defect
 
@@ -366,19 +402,18 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
     if len(unitaries) != spec.n_channels:
         raise PreconditionError("one unitary per channel is required")
     names = spec.names()
-    terms = list(zip(spec.terms, _supports(spec.terms, spec.structure)))
+    terms = spec.terms
     notes: list[str] = []
     for a in range(spec.n_terms):
         for b in range(a + 1, spec.n_terms):
-            ok, defect = _commutes(spec.structure, *terms[a], *terms[b], tol)
+            ok, defect = _commutes(spec.structure, terms[a], terms[b], tol)
             if not ok:
                 notes.append(f"terms {names[a]} and {names[b]} do not commute (norm {defect:.3e})")
-    units = list(zip(unitaries, _supports(unitaries, spec.structure)))
     for t, ks in enumerate(spec.channel_groups()):
-        for k, unit in enumerate(units):
+        for k, unit in enumerate(unitaries):
             if k in ks:
                 continue
-            ok, defect = _commutes(spec.structure, *unit, *terms[t], tol)
+            ok, defect = _commutes(spec.structure, unit, terms[t], tol)
             if not ok:
                 notes.append(f"commutation clause fails for (U[{k}], {names[t]}) "
                              f"(norm {defect:.3e}); rerun with --theorem es")
@@ -412,7 +447,7 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
     names = spec.names()
     observables = {"W": spec.total()}
     for name, w in zip(names, spec.terms):
-        observables[name] = w
+        observables[name] = spec.dense(w)
     traj = evolve(model, rho0, t_final, observables=observables,
                   n_samples=n_samples, rtol=rtol, atol=atol)
     total = sum(traj.observables[name] for name in names)

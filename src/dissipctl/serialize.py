@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .lindblad import LindbladModel, Trajectory
-from .linalg import TensorStructure, as_operator, pauli_string, require_headroom
+from .linalg import LocalOperator, TensorStructure, as_operator, require_headroom
 from .scalability import AggregateReport, AggregateSpec
 from .stability import StabilityReport
 from .synthesis import SynthesisResult
@@ -119,16 +119,18 @@ def model_from_json(obj: dict, field: str = "model") -> LindbladModel:
 # -- aggregates ---------------------------------------------------------------
 
 
-def _term_from_json(obj, structure: TensorStructure, field: str) -> np.ndarray:
+def _term_from_json(obj, structure: TensorStructure, field: str) -> LocalOperator | np.ndarray:
+    """A Pauli shorthand coeff P + offset I, as a local operator on the sites
+    of P; a matrix of the whole space, which `AggregateSpec` reduces."""
     if isinstance(obj, dict):
         if "pauli" not in obj:
             raise InputFormatError(field, "operator object needs a 'pauli' key")
-        op = pauli_string(str(obj["pauli"]), structure)
+        op = LocalOperator.pauli(str(obj["pauli"]), structure)
         coeff = _entry_from_json(obj.get("coeff", 1.0), f"{field}.coeff")
         offset = _entry_from_json(obj.get("offset", 0.0), f"{field}.offset")
         with np.errstate(over="ignore"):
-            term = coeff * op + offset * np.eye(structure.total_dim)
-        return require_headroom(term, field, "the operator")  # AggregateSpec sets the dtype
+            term = coeff * op.matrix + offset * np.eye(len(op.matrix))
+        return LocalOperator(op.sites, term).require_headroom(structure, field, "the operator")
     return matrix_from_json(obj, field)
 
 
@@ -160,21 +162,25 @@ def _per_term(obj: dict, key: str, n_terms: int, valid, what: str, field: str):
 
 
 def aggregate_to_json(spec: AggregateSpec) -> dict:
+    """The spec with every operator as a dense matrix of the whole space."""
+    def dense(ops) -> list:
+        return [matrix_to_json(spec.dense(a)) for a in ops]
+
     out = {
         "dims": list(spec.structure.dims),
-        "terms": [matrix_to_json(t) for t in spec.terms],
-        "couplings": [matrix_to_json(l) for l in spec.couplings],
+        "terms": dense(spec.terms),
+        "couplings": dense(spec.couplings),
     }
     if spec.assignment is not None:
         out["assignment"] = spec.assignment
     if spec.hamiltonian is not None:
-        out["H"] = matrix_to_json(spec.hamiltonian)
+        out["H"] = matrix_to_json(spec.dense(spec.hamiltonian))
     if spec.term_names is not None:
         out["names"] = list(spec.term_names)
     if spec.unitaries is not None:
-        out["unitaries"] = [matrix_to_json(u) for u in spec.unitaries]
+        out["unitaries"] = dense(spec.unitaries)
     if spec.new_couplings:
-        out["new_couplings"] = [matrix_to_json(l) for l in spec.new_couplings]
+        out["new_couplings"] = dense(spec.new_couplings)
     return out
 
 

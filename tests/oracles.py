@@ -215,14 +215,14 @@ def check_scalability_condition(spec: AggregateSpec, term_index: int, channel_in
         raise PreconditionError(f"term index {term_index} out of range")
     if not 0 <= channel_index < spec.n_channels:
         raise PreconditionError(f"channel index {channel_index} out of range")
-    return _cross_channel_margin(spec, spec.terms[term_index], [channel_index], tol)
+    return _cross_channel_margin(spec, spec.dense(spec.terms[term_index]), [channel_index], tol)
 
 
 def dissipation_cross_term(spec: AggregateSpec) -> np.ndarray:
     """D(sum W_t) - sum_t D(W_t): the cross part of the dissipation operator."""
     model = spec.to_model()
     total = dissipation_functional(spec.total(), model)
-    for w in spec.terms:
+    for w in map(spec.dense, spec.terms):
         total = total - dissipation_functional(w, model)
     return total
 
@@ -230,11 +230,12 @@ def dissipation_cross_term(spec: AggregateSpec) -> np.ndarray:
 # -- the dense aggregation theorems ---------------------------------------------
 #
 # The three aggregation theorems as they were before the support windows:
-# every quantity on the full space.  Bodies unchanged.
+# every quantity on the full space.  Bodies unchanged, except that they read
+# the spec's operators through its dense view.
 
 
 def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
-    for i, t in enumerate(spec.terms):
+    for i, t in enumerate(map(spec.dense, spec.terms)):
         if not is_psd(t, tol):
             raise PreconditionError(f"term {i} is not PSD")
 
@@ -247,7 +248,7 @@ def _nonpositive(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[bool, fl
 
 def _cross_channel_margin(spec: AggregateSpec, w: np.ndarray, ks, tol: float) -> tuple[bool, float]:
     """Scalability margin of a term against every channel outside `ks`."""
-    others = [l for k, l in enumerate(spec.couplings) if k not in ks]
+    others = [l for k, l in enumerate(map(spec.dense, spec.couplings)) if k not in ks]
     acc = channel_sum(generator_single_channel, w, others)
     return _nonpositive(acc, acc, tol)
 
@@ -279,9 +280,9 @@ def _aggregate(spec: AggregateSpec, mode: str, term_constant, note: str,
     groups = spec.channel_groups()
     names = spec.names()
     per_term = []
-    for t, (w, ks) in enumerate(zip(spec.terms, groups)):
+    for t, (w, ks) in enumerate(zip(map(spec.dense, spec.terms), groups)):
         entry = {"term": names[t], "channels": ks,
-                 **term_constant(w, [spec.couplings[k] for k in ks], tol)}
+                 **term_constant(w, [spec.dense(spec.couplings[k]) for k in ks], tol)}
         scal_ok, margin = _cross_channel_margin(spec, w, ks, tol)
         entry.update(scalability=scal_ok, scalability_margin=margin,
                      certified=entry["c"] is not None and scal_ok)
@@ -326,21 +327,21 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
     """
     # the aggregation theorem checks that every term is PSD, before anything else
     base = check_theorem_es_aggregation(spec, tol)
-    unitaries = spec.unitaries or []
+    unitaries = list(map(spec.dense, spec.unitaries or []))
     if len(unitaries) != spec.n_channels:
         raise PreconditionError("one unitary per channel is required")
     names = spec.names()
     notes: list[str] = []
     for a in range(spec.n_terms):
         for b in range(a + 1, spec.n_terms):
-            ok, defect = _commutes(spec.terms[a], spec.terms[b], tol)
+            ok, defect = _commutes(spec.dense(spec.terms[a]), spec.dense(spec.terms[b]), tol)
             if not ok:
                 notes.append(f"terms {names[a]} and {names[b]} do not commute (norm {defect:.3e})")
     for t, ks in enumerate(spec.channel_groups()):
         for k, u in enumerate(unitaries):
             if k in ks:
                 continue
-            ok, defect = _commutes(u, spec.terms[t], tol)
+            ok, defect = _commutes(u, spec.dense(spec.terms[t]), tol)
             if not ok:
                 notes.append(f"commutation clause fails for (U[{k}], {names[t]}) "
                              f"(norm {defect:.3e}); rerun with --theorem es")

@@ -91,7 +91,7 @@ def test_acceptance_3_projection_synthesis():
 def test_acceptance_4_two_qubit_aggregation():
     t0 = time.perf_counter()
     m = two_qubit_aggregation_example()
-    total = sum(m.aggregate.terms)
+    total = m.aggregate.total()
     assert np.array_equal(total, np.diag([2.0, 1.0, 0.0, 1.0]))
     holds, info = check_incremental(m.aggregate, 1, 1.0, d_free=True)
     assert holds
@@ -104,8 +104,8 @@ def test_acceptance_4_two_qubit_aggregation():
 def test_acceptance_5_cluster_chain():
     t0 = time.perf_counter()
     m = cluster_chain(4)
-    terms = m.aggregate.terms
-    unitaries = m.aggregate.unitaries
+    terms = list(map(m.aggregate.dense, m.aggregate.terms))
+    unitaries = list(map(m.aggregate.dense, m.aggregate.unitaries))
     for a in range(len(terms)):
         for b in range(a + 1, len(terms)):
             assert np.linalg.norm(commutator(terms[a], terms[b])) <= 1e-12
@@ -133,12 +133,12 @@ def test_acceptance_5_cluster_chain():
 def test_acceptance_6_toric_patch():
     t0 = time.perf_counter()
     base = toric_patch()
-    gs = ground_space(sum(base.aggregate.terms))
+    gs = ground_space(base.aggregate.total())
     assert gs.dimension == 16
 
     ext = toric_patch(extended=True)
-    z1 = ext.aggregate.unitaries[0]
-    v3 = ext.aggregate.terms[2]
+    z1 = ext.aggregate.dense(ext.aggregate.unitaries[0])
+    v3 = ext.aggregate.dense(ext.aggregate.terms[2])
     assert np.linalg.norm(commutator(z1, v3)) > 1.0
     ok, margin = check_scalability_condition(ext.aggregate, 2, 0)
     assert ok

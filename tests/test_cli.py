@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -322,6 +323,19 @@ class TestScale:
         assert "commutation clause fails" in notes
         assert "rerun with --theorem es" in notes
 
+    def test_toric_extended_commuting_peak_memory(self, capsys):
+        # windows of at most 512 with one sum each, and the dense total for d
+        # (38 MB when the model was built densely)
+        tracemalloc.start()
+        try:
+            code, _, _ = _run(capsys, ["scale", "--name", "toric_patch(extended)",
+                                       "--theorem", "commuting"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 16e6
+
     def test_unknown_theorem_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["scale", "--name", "two_qubit", "--theorem", "magic"])
@@ -526,6 +540,32 @@ class TestInputValidation:
         assert code == 1 and out == ""
         flag = next(a for a in argv[3:] if a in ("--model", "--spec", "--v"))
         assert err == f"dissipctl: input error: name: --name excludes {flag}\n"
+
+    @pytest.mark.parametrize("samples", ["1", "-3", "0"])
+    def test_samples_names_its_field(self, capsys, samples):
+        argv = ["simulate", "--name", "two_level", "--t-final", "1", "--samples", samples]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == ("dissipctl: input error: samples: need at least two sample points, "
+                       f"got {samples}\n")
+
+    @pytest.mark.parametrize("theorem, option", [
+        *((theorem, option) for theorem in ("es", "ds", "commuting")
+          for option in (["--c", "1"], ["--n", "1"], ["--mode", "ds"])),
+        *((theorem, ["--mode", mode]) for theorem in ("inc-es", "inc-ds")
+          for mode in ("es", "ds")),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_scale_option_the_theorem_ignores(self, capsys, theorem, option):
+        # each was dropped silently; --mode es was also the default
+        argv = ["scale", "--name", "two_qubit", "--theorem", theorem, *option]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        field = option[0].removeprefix("--")
+        assert err == f"dissipctl: input error: {field}: --theorem {theorem} takes no --{field}\n"
+
+    def test_d_free_mode_defaults_to_es(self, capsys):
+        argv = ["scale", "--name", "two_qubit", "--theorem", "d-free", "--c", "1"]
+        assert _run(capsys, argv) == _run(capsys, argv + ["--mode", "es"])
 
     def _simulate(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"

@@ -40,12 +40,13 @@ def gauge_twin(named: NamedModel, seed: int) -> NamedModel:
                                [conj(l) for l in model.couplings])
     spec = named.aggregate
     twin_spec = None if spec is None else AggregateSpec(
-        structure=spec.structure, terms=[conj(t) for t in spec.terms],
-        couplings=[conj(l) for l in spec.couplings], assignment=spec.assignment,
-        hamiltonian=None if spec.hamiltonian is None else conj(spec.hamiltonian),
+        structure=spec.structure, terms=[conj(spec.dense(t)) for t in spec.terms],
+        couplings=[conj(spec.dense(l)) for l in spec.couplings], assignment=spec.assignment,
+        hamiltonian=None if spec.hamiltonian is None else conj(spec.dense(spec.hamiltonian)),
         term_names=spec.term_names,
-        unitaries=None if spec.unitaries is None else [conj(u) for u in spec.unitaries],
-        new_couplings=[conj(l) for l in spec.new_couplings])
+        unitaries=None if spec.unitaries is None else [conj(spec.dense(u))
+                                                       for u in spec.unitaries],
+        new_couplings=[conj(spec.dense(l)) for l in spec.new_couplings])
     extras = {k: [conj(a) for a in v] if isinstance(v, list) else v
               for k, v in named.extras.items()}
     return NamedModel(named.name, named.description, twin_model,
@@ -57,7 +58,8 @@ def _operators(named: NamedModel) -> list[np.ndarray]:
     ops = [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]
     spec = named.aggregate
     if spec is not None:
-        ops += [*spec.terms, *spec.couplings, *(spec.unitaries or []), *spec.new_couplings]
+        ops += map(spec.dense, [*spec.terms, *spec.couplings, *(spec.unitaries or []),
+                                *spec.new_couplings])
     return ops
 
 

@@ -6,13 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipctl.errors import DimensionMismatchError, NonHermitianError
+from dissipctl.errors import DimensionMismatchError, InputFormatError, NonHermitianError
 from dissipctl.lindblad import liouvillian
 from dissipctl.models import REGISTRY, build
 from dissipctl.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    LocalOperator,
     TensorStructure,
     as_operator,
     commutator,
@@ -22,6 +23,7 @@ from dissipctl.linalg import (
     is_projection,
     is_psd,
     pauli_string,
+    require_headroom,
     restrict,
     scaled_tol,
     support,
@@ -207,6 +209,76 @@ class TestSupport:
         a = embed(local, sites, s)
         assert support(a, s) == tuple(sites)
         assert np.array_equal(restrict(a, sites, s), local)
+
+
+class TestLocalOperator:
+    """X (x) I held as X: `on` embeds it, `support` and `restrict` give it
+    back, and the headroom check is the one of the dense operator."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_embed_and_restrict_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(2, 4, size=4))
+        s = TensorStructure(dims)
+        sites = tuple(sorted(int(x) + 1 for x in rng.permutation(4)[:int(rng.integers(1, 4))]))
+        d_local = math.prod(dims[x - 1] for x in sites)
+        op = LocalOperator(sites, rng.standard_normal((d_local, d_local)))
+        dense = op.on((1, 2, 3, 4), s)
+        assert np.array_equal(dense, embed(op.matrix, sites, s))
+        assert support(dense, s) == sites
+        assert np.array_equal(restrict(dense, sites, s), op.matrix)
+        # on a window of more sites: the dense operator restricted to it
+        window = tuple(sorted({*sites, int(rng.integers(1, 5))}))
+        assert np.array_equal(op.on(window, s), restrict(dense, window, s))
+
+    @given(st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=5), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_pauli_on_its_sites(self, letters, rnd):
+        s = TensorStructure.qubits(len(letters))
+        sites = list(range(1, len(letters) + 1))
+        rnd.shuffle(sites)
+        text = " ".join(f"{letters[x - 1]}{x}" for x in sites)
+        op = LocalOperator.pauli(text, s)
+        assert op.sites == tuple(x for x in range(1, len(letters) + 1) if letters[x - 1] != "I")
+        dense = pauli_string(text, s)
+        assert np.array_equal(op.on(tuple(range(1, len(letters) + 1)), s), dense)
+        assert np.array_equal(op.matrix, restrict(dense, op.sites, s))
+        assert op.matrix.dtype == as_operator(dense).dtype  # Y Y is real
+
+    @pytest.mark.parametrize("a", [1e152, 2e153, 1e154])
+    def test_headroom_is_that_of_the_dense_operator(self, a):
+        # a Z on one qubit of three: 16 ||X||_F^2 = 32 a^2, dense 16 * 4 * 2 a^2;
+        # at a = 2e153 only the dense value overflows
+        s = TensorStructure.qubits(3)
+        op = LocalOperator((2,), a * PAULI_Z)
+
+        def raises(check) -> bool:
+            try:
+                check()
+            except InputFormatError as exc:
+                assert str(exc) == "f: the operator has a squared norm too close to the float range"
+                return True
+            return False
+
+        dense = raises(lambda: require_headroom(op.on((1, 2, 3), s), "f", "the operator"))
+        assert dense == (a > 1.2e153)
+        assert raises(lambda: op.require_headroom(s, "f", "the operator")) == dense
+
+    def test_empty_support(self):
+        s = TensorStructure.qubits(3)
+        for scale in (0.0, 2.0):
+            dense = scale * np.eye(8)
+            assert support(dense, s) == ()
+            op = LocalOperator((), restrict(dense, (), s))
+            assert np.array_equal(op.matrix, [[scale]])
+            assert np.array_equal(op.on((1, 2, 3), s), dense)
+            assert np.array_equal(op.on((), s), [[scale]])
+        assert LocalOperator.pauli("I2", s).sites == ()
+
+    def test_sites_must_ascend(self):
+        with pytest.raises(DimensionMismatchError):
+            LocalOperator((2, 1), np.eye(4))
 
 
 class TestPauliString:

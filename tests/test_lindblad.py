@@ -328,7 +328,8 @@ class TestRealPropagation:
         twin = LindbladModel(model.structure, conj(model.hamiltonian),
                              [conj(l) for l in model.couplings])
         rho0 = _real_density(np.random.default_rng(31), n)
-        terms = dict(zip(named.aggregate.term_names, named.aggregate.terms))
+        terms = dict(zip(named.aggregate.term_names,
+                         map(named.aggregate.dense, named.aggregate.terms)))
 
         rhs_dtypes = []
         factory = lindblad._rhs_factory

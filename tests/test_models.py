@@ -1,6 +1,7 @@
 """Every expected record shipped with a built-in model is re-derived here by
 the certification/simulation pipeline; no stored number is trusted untagged."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -86,10 +87,10 @@ class TestThreeLevel:
 class TestTwoQubit:
     def test_expected_record(self):
         m = two_qubit_aggregation_example()
-        total = sum(m.aggregate.terms)
+        total = m.aggregate.total()
         assert np.allclose(np.diag(total).real, m.expected["sum_diag"]["value"], atol=0)
         assert ground_space(total).energy == pytest.approx(m.expected["d"]["value"], abs=1e-12)
-        assert frustration_free_check(m.aggregate.terms) is m.expected["frustration_free"]["value"]
+        assert frustration_free_check(list(map(m.aggregate.dense, m.aggregate.terms))) is m.expected["frustration_free"]["value"]
 
         holds_free, _ = check_incremental(m.aggregate, 1, 1.0, d_free=True)
         assert holds_free is m.expected["corollary_d_free_c1"]["value"]
@@ -102,12 +103,12 @@ class TestTwoQubit:
 class TestClusterChain:
     def test_expected_record(self):
         m = cluster_chain(4)
-        terms = m.aggregate.terms
+        terms = list(map(m.aggregate.dense, m.aggregate.terms))
         defect = max(float(np.linalg.norm(commutator(a, b))) for a, b in combinations(terms, 2))
         assert (defect == 0.0) is m.expected["terms_commute"]["value"]
         for w in terms:
             assert is_projection(w)
-        wuw = max(float(np.linalg.norm(w @ u @ w)) for w, u in zip(terms, m.aggregate.unitaries))
+        wuw = max(float(np.linalg.norm(w @ u @ w)) for w, u in zip(terms, map(m.aggregate.dense, m.aggregate.unitaries)))
         assert (wuw == 0.0) is m.expected["wuw_zero"]["value"]
         report = check_corollary_commuting(m.aggregate)
         assert report.overall is m.expected["commuting_certified"]["value"]
@@ -125,25 +126,25 @@ class TestClusterChain:
     def test_five_qubit_chain(self):
         m = cluster_chain(5)
         assert m.aggregate.n_terms == 3
-        assert ground_space(sum(m.aggregate.terms)).dimension == 2**5 // 2**3
+        assert ground_space(m.aggregate.total()).dimension == 2**5 // 2**3
 
 
 class TestToricPatch:
     def test_base_expected_record(self):
         m = toric_patch()
-        v2 = m.aggregate.terms[1]
+        v2 = m.aggregate.dense(m.aggregate.terms[1])
         defect = max(float(np.linalg.norm(commutator(u, v2)))
                      for u in m.extras["candidate_unitaries"])
         assert (defect == 0.0) is m.expected["candidates_commute_with_v2"]["value"]
-        gs = ground_space(sum(m.aggregate.terms[:2]))
+        gs = ground_space(m.aggregate.dense_sum(m.aggregate.terms[:2]))
         assert gs.dimension == m.expected["ground_space_dim_v1_v2"]["value"]
         report = check_corollary_commuting(m.aggregate)
         assert report.overall is m.expected["commuting_certified"]["value"]
 
     def test_extended_expected_record(self):
         m = toric_patch(extended=True)
-        z1 = m.aggregate.unitaries[0]
-        v3 = m.aggregate.terms[2]
+        z1 = m.aggregate.dense(m.aggregate.unitaries[0])
+        v3 = m.aggregate.dense(m.aggregate.terms[2])
         defect = float(np.linalg.norm(commutator(z1, v3)))
         assert (defect > 1.0) is m.expected["z1_v3_commutator_nonzero"]["value"]
         ok, margin = check_scalability_condition(m.aggregate, 2, 0)
@@ -156,9 +157,9 @@ class TestToricPatch:
 class TestRemarkCounterexample:
     def test_expected_record(self):
         m = complementary_witnesses()
-        total = sum(m.aggregate.terms)
+        total = m.aggregate.total()
         assert ground_space(total).energy == pytest.approx(m.expected["d"]["value"])
-        assert frustration_free_check(m.aggregate.terms) is m.expected["frustration_free"]["value"]
+        assert frustration_free_check(list(map(m.aggregate.dense, m.aggregate.terms))) is m.expected["frustration_free"]["value"]
         traj = evolve(m.model, maximally_mixed(2), 3.0, n_samples=11,
                       observables={"W": total})
         constant = bool(np.allclose(traj.observables["W"], 1.0, atol=1e-12))
@@ -206,8 +207,8 @@ def test_registry_data_is_float64(name):
     ops = [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]
     if named.aggregate is not None:
         spec = named.aggregate
-        ops += [spec.hamiltonian, *spec.terms, *spec.couplings, *(spec.unitaries or []),
-                *spec.new_couplings]
+        ops += map(spec.dense, [spec.hamiltonian, *spec.terms, *spec.couplings,
+                                *(spec.unitaries or []), *spec.new_couplings])
     ops += named.extras.get("candidate_unitaries", [])
     assert [op.dtype for op in ops] == [np.float64] * len(ops)
 
@@ -221,9 +222,22 @@ def test_model_is_built_from_the_aggregate(name):
     spec = named.aggregate
     channels = spec.couplings + spec.new_couplings
     assert len(named.model.couplings) == len(channels)
-    assert all(a is b for a, b in zip(named.model.couplings, channels))
-    assert np.array_equal(named.model.hamiltonian, spec.hamiltonian)
+    assert all(np.array_equal(a, spec.dense(b)) for a, b in zip(named.model.couplings, channels))
+    assert np.array_equal(named.model.hamiltonian, spec.dense(spec.hamiltonian))
     assert set(named.extras) <= {"candidate_unitaries"}
+
+
+@pytest.mark.parametrize("name", ["cluster_chain(10)", "toric_patch(extended)"])
+def test_build_allocates_no_dense_operator(name):
+    # the operators are local; a 2^n x 2^n matrix (8 MB at ten qubits) is
+    # built only when the model, a candidate or d is asked for
+    tracemalloc.start()
+    try:
+        build(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("name, sites", [
@@ -238,7 +252,8 @@ def test_stabilizer_aggregates_against_dense_embed(name, sites):
     spec = named.aggregate
     paulis = {"X": PAULI_X, "Z": PAULI_Z}
     assert len(spec.unitaries) == len(spec.terms) == len(spec.couplings) == len(sites)
-    for (letter, site), u, w, l in zip(sites, spec.unitaries, spec.terms, spec.couplings):
+    for (letter, site), u, w, l in zip(sites, *(map(spec.dense, ops) for ops in (
+            spec.unitaries, spec.terms, spec.couplings))):
         assert np.array_equal(u, embed(paulis[letter], [site], spec.structure))
         assert is_projection(w)
         assert np.array_equal(l, u @ (2.0 * w))

@@ -3,9 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dissipctl.errors import DimensionCapError, PreconditionError
+from dissipctl.errors import DimensionCapError, DimensionMismatchError, PreconditionError
 from dissipctl.lindblad import LindbladModel, generator
-from dissipctl.linalg import SIGMA_MINUS, SIGMA_PLUS, TensorStructure, haar_pure_state
+from dissipctl.linalg import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    LocalOperator,
+    TensorStructure,
+    haar_pure_state,
+)
 from dissipctl.models import (
     cluster_chain,
     complementary_witnesses,
@@ -117,6 +123,12 @@ class TestTheoremAggregation:
         with pytest.raises(PreconditionError):
             AggregateSpec(TensorStructure((2,)), [np.eye(2, dtype=complex)],
                           []).channel_groups()
+
+    @pytest.mark.parametrize("op", [LocalOperator((3,), np.eye(2)),
+                                    LocalOperator((1,), np.eye(4))], ids=["site", "dim"])
+    def test_local_operator_that_does_not_fit(self, op):
+        with pytest.raises(DimensionMismatchError, match="term 0 of dim"):
+            AggregateSpec(TensorStructure((2, 2)), [op])
 
     def test_no_terms_is_vacuously_stable(self):
         spec = AggregateSpec(TensorStructure((2,)), [], [])
@@ -249,7 +261,7 @@ class TestCommutingCorollary:
 
     def test_toric_candidates_do_not_disturb_plaquette(self):
         m = toric_patch()
-        v2 = m.aggregate.terms[1]
+        v2 = m.aggregate.dense(m.aggregate.terms[1])
         for u in m.extras["candidate_unitaries"]:
             assert np.linalg.norm(u @ v2 - v2 @ u) < 1e-12
 
@@ -293,7 +305,7 @@ class TestSimulateAggregate:
         traj = simulate_aggregate(m.aggregate, 30.0, rho0=np.outer(psi, psi.conj()))
         for name in m.aggregate.names():
             assert traj.observables[name][-1] < 1e-6
-        gs = ground_space(sum(m.aggregate.terms))
+        gs = ground_space(m.aggregate.total())
         assert expectation(gs.projector, traj.final_state()) > 0.999
 
     def test_complementary_witnesses_cannot_both_relax(self):
@@ -313,7 +325,7 @@ class TestSimulateAggregate:
         total = sum(traj.observables[n] for n in m.aggregate.names())
         assert np.allclose(total, traj.observables["W"], atol=1e-12)
         assert traj.observables["W"][-1] < 1e-8
-        assert ground_space(sum(m.aggregate.terms)).energy == pytest.approx(0.0, abs=1e-12)
+        assert ground_space(m.aggregate.total()).energy == pytest.approx(0.0, abs=1e-12)
 
     def test_clashing_names_raise_library_error(self):
         # a term named like the total column breaks the additivity check
@@ -333,7 +345,7 @@ class TestAggregateImpliesTotalCertificate:
         m = cluster_chain(4)
         report = check_theorem_es_aggregation(m.aggregate)
         assert report.overall
-        total = sum(m.aggregate.terms)
+        total = m.aggregate.total()
         cert = certify_ground_state_stability(total, m.model)
         assert cert.certified
         assert cert.c_es is not None
@@ -344,5 +356,5 @@ class TestAggregateImpliesTotalCertificate:
         agg = m.aggregate
         d_values = []
         for n in range(1, agg.n_terms + 1):
-            d_values.append(float(np.linalg.eigvalsh(sum(agg.terms[:n]))[0]))
+            d_values.append(float(np.linalg.eigvalsh(agg.dense_sum(agg.terms[:n]))[0]))
         assert all(b >= a - 1e-12 for a, b in zip(d_values, d_values[1:]))

@@ -5,7 +5,9 @@ supports of the operators it involves; `oracles` keeps the dense theorems,
 which compute them on the full space.  Verdicts, channels, notes and flags
 must be equal, constants and margins equal to 1e-12, and the commutation
 defects of every clause equal to 1e-12 as numbers, not only as the three
-digits a note prints.
+digits a note prints.  Specs arrive local (the registry builders and Pauli
+shorthands) or as dense matrices reduced to their supports on load (arrays
+passed to `AggregateSpec` and the JSON written by `aggregate_to_json`).
 """
 
 import numpy as np
@@ -16,10 +18,10 @@ from hypothesis import strategies as st
 import oracles
 from dissipctl.linalg import TensorStructure, pauli_string
 from dissipctl.models import REGISTRY, build, cluster_chain
+from dissipctl.serialize import aggregate_from_json, aggregate_to_json, matrix_to_json
 from dissipctl.scalability import (
     AggregateSpec,
     _commutes,
-    _supports,
     check_corollary_commuting,
     check_theorem_ds_aggregation,
     check_theorem_es_aggregation,
@@ -51,12 +53,10 @@ def assert_reports_agree(windowed, dense):
 def assert_clauses_agree(spec: AggregateSpec, tol: float = 1e-9):
     """Every commutation clause the corollary can test: each term against
     every other term and every unitary, with its verdict and defect."""
-    terms = list(zip(spec.terms, _supports(spec.terms, spec.structure)))
-    units = list(zip(spec.unitaries, _supports(spec.unitaries, spec.structure)))
-    for i, (b, b_sites) in enumerate(terms):
-        for a, a_sites in terms[:i] + units:
-            ok, defect = _commutes(spec.structure, a, a_sites, b, b_sites, tol)
-            dense_ok, dense_defect = oracles._commutes(a, b, tol)
+    for i, b in enumerate(spec.terms):
+        for a in spec.terms[:i] + spec.unitaries:
+            ok, defect = _commutes(spec.structure, a, b, tol)
+            dense_ok, dense_defect = oracles._commutes(spec.dense(a), spec.dense(b), tol)
             assert ok == dense_ok and _close(defect, dense_defect), (defect, dense_defect)
 
 
@@ -71,12 +71,22 @@ def assert_theorems_agree(spec: AggregateSpec):
         assert_clauses_agree(spec)
 
 
+def via_json(spec: AggregateSpec) -> AggregateSpec:
+    """The spec written as dense JSON matrices and reduced again on load."""
+    return aggregate_from_json(aggregate_to_json(spec))
+
+
 AGGREGATES = sorted(name for name in REGISTRY if build(name).aggregate is not None)
 
 
 @pytest.mark.parametrize("name", AGGREGATES + ["toric_patch(extended)"])
 def test_registry_aggregates(name):
     assert_theorems_agree(build(name).aggregate)
+
+
+@pytest.mark.parametrize("name", AGGREGATES)
+def test_registry_aggregates_via_json(name):
+    assert_theorems_agree(via_json(build(name).aggregate))
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -137,6 +147,49 @@ def pauli_aggregates(draw):
 @settings(max_examples=60, deadline=None)
 @given(pauli_aggregates())
 def test_random_pauli_aggregates(spec):
+    assert_theorems_agree(spec)
+    assert_theorems_agree(via_json(spec))
+
+
+@st.composite
+def pauli_shorthand_specs(draw):
+    """Aggregate JSON whose operators arrive local: terms a (1 +- S_t) and
+    unitaries U_t as Pauli shorthands, at times with an identity factor on
+    another site; channels as shorthands b P, or as the dense matrix of
+    U_t (1 +- S_t), which is reduced on load."""
+    n = draw(st.integers(3, 5), label="qubits")
+    structure = TensorStructure.qubits(n)
+
+    def pauli_text(max_sites: int) -> str:
+        sites = draw(st.lists(st.integers(1, n), min_size=1, max_size=max_sites, unique=True))
+        factors = [f"{draw(st.sampled_from('XYZ'))}{s}" for s in sites]
+        idle = [s for s in range(1, n + 1) if s not in sites]
+        if idle and draw(st.booleans(), label="identity factor"):
+            factors.append(f"I{draw(st.sampled_from(idle))}")
+        return " ".join(draw(st.permutations(factors)))
+
+    terms, couplings, unitaries = [], [], []
+    for _ in range(draw(st.integers(1, 4), label="terms")):
+        stabilizer, unitary = pauli_text(3), pauli_text(2)
+        a, sign = draw(st.sampled_from([0.5, 1.25])), draw(st.sampled_from([1.0, -1.0]))
+        terms.append({"pauli": stabilizer, "coeff": sign * a, "offset": a})
+        unitaries.append({"pauli": unitary})
+        if draw(st.booleans(), label="dense channel"):
+            projector = np.eye(2 ** n) + sign * pauli_string(stabilizer, structure)
+            couplings.append(matrix_to_json(pauli_string(unitary, structure) @ projector))
+        else:
+            couplings.append({"pauli": unitary, "coeff": draw(st.sampled_from([1.0, 0.5]))})
+    return {"dims": [2] * n, "terms": terms, "couplings": couplings,
+            "assignment": list(range(len(terms))), "unitaries": unitaries}
+
+
+@settings(max_examples=40, deadline=None)
+@given(pauli_shorthand_specs())
+def test_pauli_shorthand_specs(obj):
+    spec = aggregate_from_json(obj)
+    for op, term in zip(spec.terms, obj["terms"]):  # the sites of the X, Y and Z factors
+        assert op.sites == tuple(sorted(int(f[1:]) for f in term["pauli"].split()
+                                        if f[0] != "I"))
     assert_theorems_agree(spec)
 
 
