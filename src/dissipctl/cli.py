@@ -75,13 +75,13 @@ def _sim_cap(args) -> int:
 
 
 def _check_numbers(args) -> None:
-    """--c must be finite; --tol and --t-final finite and positive; --samples
-    at least 2."""
-    for dest, positive in (("c", False), ("tol", True), ("t_final", True)):
+    """--c, --tol and --t-final must be finite and positive; --samples at
+    least 2."""
+    for dest in ("c", "tol", "t_final"):
         value = getattr(args, dest, None)
-        if value is not None and not (math.isfinite(value) and (value > 0 or not positive)):
+        if value is not None and not (math.isfinite(value) and value > 0):
             raise InputFormatError(dest.replace("_", "-"),
-                                   f"must be finite{' and positive' * positive}, got {value!r}")
+                                   f"must be finite and positive, got {value!r}")
     samples = getattr(args, "samples", None)
     if samples is not None and samples < 2:
         raise InputFormatError("samples", f"need at least two sample points, got {samples}")
@@ -244,6 +244,8 @@ def _cmd_scale(args) -> int:
         body, overall = aggregate_report_to_dict(report), report.overall
     else:
         n = args.n if args.n is not None else spec.n_terms - 1
+        if not 1 <= n < spec.n_terms:
+            raise InputFormatError("n", f"must satisfy 1 <= n < {spec.n_terms}, got {n}")
         c = args.c if args.c is not None else 1.0
         d_free = theorem == "d-free"
         mode = (args.mode or "es") if d_free else theorem.removeprefix("inc-")

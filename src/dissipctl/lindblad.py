@@ -116,7 +116,7 @@ def generator_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     return ld @ (x @ l) - 0.5 * (kx + dagger(kx))
 
 
-def channel_sum(kernel, x: np.ndarray, couplings, start: np.ndarray | None = None) -> np.ndarray:
+def _channel_sum(kernel, x: np.ndarray, couplings, start: np.ndarray | None = None) -> np.ndarray:
     """start (default 0) plus kernel(x, L) summed over couplings in list order."""
     acc = np.zeros_like(x) if start is None else start
     for l in couplings:
@@ -137,8 +137,8 @@ def generator(x: np.ndarray, model: LindbladModel, tol: float = DEFAULT_TOL) -> 
     if x.shape != h.shape:
         raise DimensionMismatchError(f"observable dim {x.shape[0]} != model dim {h.shape[0]}")
     comm = x @ h - h @ x if h.any() else np.zeros_like(x)
-    return channel_sum(generator_single_channel, x, model.couplings,
-                       -1j * comm if comm.any() else None)
+    return _channel_sum(generator_single_channel, x, model.couplings,
+                        -1j * comm if comm.any() else None)
 
 
 def dissipation_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -155,7 +155,7 @@ def dissipation_functional(x: np.ndarray, model: LindbladModel,
     x = as_operator(x)
     if not is_hermitian(x, tol):
         raise NonHermitianError("dissipation functional requires a Hermitian observable")
-    return channel_sum(dissipation_single_channel, x, model.couplings)
+    return _channel_sum(dissipation_single_channel, x, model.couplings)
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:

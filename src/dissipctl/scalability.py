@@ -5,38 +5,30 @@ conditions plus a cross-channel scalability condition: channels not assigned
 to a term must not push its generator positive.  Incremental variants certify
 W_(n+1) = W_n + W_next given a certificate for the first n terms, with the
 ground-energy ladder d_n entering the inequalities; the d-free corollary
-drops those d-dependent shifts.  All checks sum the single-channel kernels of
-`lindblad` and the one cross term [L', W_n][W_next, L] over channel lists, in
-list order, and take constants from the one Schur-complement solver of
-`stability`.
+drops those d-dependent shifts.  Constants come from the one Schur-complement
+solver of `stability`.
 
-Every operator of an aggregate is held as a `LocalOperator`, X (x) I as X on
-its sites, and the per-term checks run on support windows.  A channel whose
-sites miss a term's commutes with it, so G_L(W_t) = D_L(W_t) = 0 and it is
-left out; every other quantity is computed on the union of the sites of the
-operators it involves (see `_Window`), and a sum of single-channel kernels
-adds each kernel, computed on the sites of the term and its one channel, on
-that union.  The incremental checks and the ground energy d use the dense
-view of the whole space, because the ladder d_n is global.
+Every operator is held as a `LocalOperator`, X (x) I as X on its sites.  Each
+check runs on a support window (`_Window`), the sites of its terms and of the
+channels and H that meet them, and `_Window.add` sums its kernels there (G_L,
+D_L, -i[W, H], the cross term [L', W_n][W_next, L]), each computed on the
+sites of its own operators; one that misses a term commutes with it and drops
+out.  Only the ground energy d of an aggregate report uses the whole space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from math import prod, sqrt
 
 import numpy as np
 
-from .errors import DimensionCapError, DimensionMismatchError, PreconditionError
+from .errors import DimensionCapError, DimensionMismatchError, NonHermitianError, PreconditionError
 from .lindblad import (
     LindbladModel,
     Trajectory,
-    channel_sum,
-    dissipation_functional,
     dissipation_single_channel,
     evolve,
-    generator,
     generator_single_channel,
     maximally_mixed,
 )
@@ -53,7 +45,6 @@ from .linalg import (
     min_eigenvalue,
     psd_spectrum,
     restrict,
-    scaled_tol,
     support,
 )
 from .stability import _schur_constant
@@ -69,8 +60,7 @@ class AggregateSpec:
     Every operator is held once, as a `LocalOperator`.  One given as a matrix
     of the whole space is reduced to its support on construction; `dense`
     embeds an operator back into the whole space for the quantities that
-    need it (the ground energy d, the incremental checks, the model and
-    simulation).
+    need it (the ground energy d, the model and simulation).  H must be Hermitian.
     """
 
     structure: TensorStructure
@@ -108,7 +98,9 @@ class AggregateSpec:
             self.unitaries = operators(self.unitaries, "unitary")
         self.new_couplings = operators(self.new_couplings, "new coupling")
         if self.hamiltonian is not None:
-            self.hamiltonian = local(self.hamiltonian, "hamiltonian")
+            self.hamiltonian = h = local(self.hamiltonian, "hamiltonian")
+            if not _Window(structure, h).is_hermitian(h.matrix, DEFAULT_TOL):
+                raise NonHermitianError("hamiltonian must be Hermitian")
 
     @property
     def n_terms(self) -> int:
@@ -205,26 +197,52 @@ class _Window:
         """scaled_tol of X (x) I."""
         return tol * max(1.0, self.norm(x))
 
+    def is_hermitian(self, x: np.ndarray, tol: float) -> bool:
+        """is_hermitian of X (x) I."""
+        return self.norm(x - dagger(x)) <= self.tol(x, tol)
+
     def is_psd(self, x: np.ndarray, tol: float) -> bool:
         """is_psd of X (x) I."""
-        return (self.norm(x - dagger(x)) <= self.tol(x, tol)
+        return (self.is_hermitian(x, tol)
                 and psd_spectrum(np.linalg.eigvalsh(hermitian_part(x)), tol))
 
     def constant(self, m: np.ndarray, w: np.ndarray, tol: float) -> float | None:
         """largest_constant of M (x) I against W (x) I."""
         return _schur_constant(m, *np.linalg.eigh(w), tol, copies=self.copies)
 
-    def channel_sum(self, kernel, term: LocalOperator, channels) -> np.ndarray:
-        """A single-channel kernel of `term` summed over `channels` in list
-        order on this window, as `lindblad.channel_sum` does.  Each kernel is
-        computed on the window of the term and its one channel."""
+    def add(self, items) -> np.ndarray:
+        """The sum from zero, in order, of kernel(*ops) over the `items`
+        (kernel, *ops), each computed on the sites of its own operators.  An
+        item whose last operator (a channel, or H) misses one of the others
+        gives 0 and is left out."""
         d = self.structure.total_dim // self.copies
-        acc = np.zeros((d, d), dtype=term.matrix.dtype)
-        for l in channels:
-            pair = _Window(self.structure, term, l)
-            acc = acc + self.embed(LocalOperator(pair.sites,
-                                                 kernel(pair.embed(term), pair.embed(l))))
+        acc = np.zeros((d, d))
+        for kernel, *ops in items:
+            if all(_meet(ops[-1], x) for x in ops[:-1]):
+                own = _Window(self.structure, *ops)
+                acc = acc + self.embed(LocalOperator(own.sites, kernel(*map(own.embed, ops))))
         return acc
+
+
+def _meet(a: LocalOperator, b: LocalOperator) -> bool:
+    return bool(set(a.sites) & set(b.sites))
+
+
+def _hamiltonian_drift(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """-i[X, H]; an exactly zero one is held as real zeros (`generator` drops it)."""
+    return -1j * commutator(x, h)
+
+
+def _drift(terms, channels, h=()) -> list:
+    """The items of -i[W, H] + sum_L G_L(W), W the sum of `terms`, H in `h`."""
+    return [*((_hamiltonian_drift, t, x) for x in h for t in terms),
+            *((generator_single_channel, t, l) for l in channels for t in terms)]
+
+
+def _sum_meeting(structure: TensorStructure, terms, l: LocalOperator) -> LocalOperator:
+    """The `terms` that meet `l`, added as one operator on their sites."""
+    win = _Window(structure, *(t for t in terms if _meet(l, t)))
+    return LocalOperator(win.sites, win.add((np.asarray, t) for t in terms if _meet(l, t)))
 
 
 def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
@@ -247,46 +265,36 @@ def _nonpositive(a: np.ndarray, atol: float) -> tuple[bool, float]:
     return margin >= -atol, margin
 
 
-def _es_term(win: _Window, term: LocalOperator, own: list, tol: float) -> dict:
-    """Largest c with G_own(W_t) <= -c W_t."""
-    if not own:
-        return {"c": None}
-    gen = win.channel_sum(generator_single_channel, term, own)
-    return {"c": win.constant(-gen, win.embed(term), tol)}
-
-
-def _ds_term(win: _Window, term: LocalOperator, own: list, tol: float) -> dict:
-    """G_own(W_t) <= 0, and the largest c with D_own(W_t) >= c W_t."""
-    gen_ok = win.is_psd(-win.channel_sum(generator_single_channel, term, own), tol)
-    c = None
-    if gen_ok and own:
-        c = win.constant(win.channel_sum(dissipation_single_channel, term, own),
-                         win.embed(term), tol)
-    return {"c": c, "generator_nonpositive": gen_ok}
-
-
-def _aggregate(spec: AggregateSpec, mode: str, term_constant, note: str,
-               tol: float) -> AggregateReport:
-    """Per-term constants from `term_constant` (given the window, the term
-    and its own channels) plus the scalability condition of every term: the
-    generator of the term under every other channel is <= 0.  Both take only
-    the channels that meet the term, on the window of the term and those
-    channels."""
+def _aggregate(spec: AggregateSpec, mode: str, note: str, tol: float) -> AggregateReport:
+    """Per-term constants of the drift -i[W_t, H] + G_own(W_t) under the
+    term's own channels (`mode` es or ds), plus the scalability condition of
+    every term: its generator under every other channel is <= 0.  Summed
+    over the terms, the two drifts give G(W)."""
     _require_terms_psd(spec, tol)
     if not spec.terms:
         return AggregateReport(mode=mode, per_term=[], overall=True, d_total=0.0,
                                notes=["no terms: vacuously stable"])
     groups = spec.channel_groups()
     names = spec.names()
+    h = [x for x in [spec.hamiltonian] if x is not None]
     per_term = []
     for t, (term, ks) in enumerate(zip(spec.terms, groups)):
-        meets = [k for k, l in enumerate(spec.couplings) if set(l.sites) & set(term.sites)]
+        meets = [k for k, l in enumerate(spec.couplings) if _meet(l, term)]
         own = [spec.couplings[k] for k in ks if k in meets]
         others = [spec.couplings[k] for k in meets if k not in ks]
-        entry = {"term": names[t], "channels": ks,
-                 **term_constant(_Window(spec.structure, term, *own), term, own, tol)}
+        win = _Window(spec.structure, term, *own, *(x for x in h if _meet(x, term)))
+        gen, w = win.add(_drift([term], own, h)), win.embed(term)
+        entry = {"term": names[t], "channels": ks}
+        if mode == "es":  # the largest c with gen <= -c W_t
+            entry["c"] = win.constant(-gen, w, tol) if own else None
+        else:  # gen <= 0, and the largest c with D_own(W_t) >= c W_t
+            ok, c = win.is_psd(-gen, tol), None
+            if ok and own:
+                diss = win.add((dissipation_single_channel, term, l) for l in own)
+                c = win.constant(diss, w, tol)
+            entry.update(c=c, generator_nonpositive=ok)
         win = _Window(spec.structure, term, *others)
-        acc = win.channel_sum(generator_single_channel, term, others)
+        acc = win.add(_drift([term], others))
         scal_ok, margin = _nonpositive(acc, win.tol(acc, tol))
         entry.update(scalability=scal_ok, scalability_margin=margin,
                      certified=entry["c"] is not None and scal_ok)
@@ -305,13 +313,12 @@ def check_theorem_es_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) 
     When all terms pass, the sum is certified asymptotically ground-state
     stable and is itself a valid stability witness.
     """
-    return _aggregate(spec, "es", _es_term,
-                      "aggregate certified: the sum is a valid stability witness", tol)
+    return _aggregate(spec, "es", "aggregate certified: the sum is a valid stability witness", tol)
 
 
 def check_theorem_ds_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:
     """Per-term dissipative certificates plus the scalability condition."""
-    return _aggregate(spec, "ds", _ds_term, "aggregate satisfies the dissipative condition", tol)
+    return _aggregate(spec, "ds", "aggregate satisfies the dissipative condition", tol)
 
 
 def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
@@ -319,59 +326,65 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     """Certificate for the (n+1)-term partial sum W_n + W_next under the
     spec's channels plus `spec.new_couplings`, after verifying the prior
     certificate of W_n (PreconditionError otherwise).  With d_n the ground
-    energy of W_n and Re(M) = (M + M')/2, it checks
+    energy of W_n, c > 0 and Re(M) = (M + M')/2, it checks
         es:  G(W_next) + sum_new G(W_n)_L  <=  -c W_next + c (d_(n+1) - d_n);
         ds:  G(W_next) + sum_new G(W_n)_L  <=  0  and
              D(W_next) + 2 sum_k Re([L_k', W_n][W_next, L_k])  >=  c W_next - c (d_(n+1) - d_n),
     and reports the cross-term norm.  `d_free`, the ground-energy-free
     corollary, drops the shifts c (d_(n+1) - d_n); the ladder d_(n+1) >= d_n
-    makes it strictly stronger.
+    makes it strictly stronger.  d_n and d_(n+1) are eigenvalues on the window
+    of W_1..W_(n+1), equal to those of the whole space.
     """
     if mode not in ("es", "ds"):
         raise PreconditionError(f"mode must be 'es' or 'ds', got {mode!r}")
+    if not c > 0:
+        raise PreconditionError(f"c must be positive, got {c}")
     _require_terms_psd(spec, tol)
     if not 1 <= n < spec.n_terms:
         raise PreconditionError(f"n must satisfy 1 <= n < {spec.n_terms}, got {n}")
-    w_n = spec.dense_sum(spec.terms[:n])
-    w_next = spec.dense(spec.terms[n])
+    prior, nxt = spec.terms[:n], spec.terms[n]
+    channels = [*spec.couplings, *spec.new_couplings]  # the spec's, then the new ones
+    h = [x for x in [spec.hamiltonian] if x is not None]
+    win = _Window(spec.structure, *prior, nxt,
+                  *(x for x in h + channels if any(_meet(x, t) for t in (*prior, nxt))))
+    w_n = win.add((np.asarray, t) for t in prior)  # the terms as they are
+    w_next = win.embed(nxt)
     d_n = min_eigenvalue(w_n)
     d_next = min_eigenvalue(w_n + w_next)
     eye = np.eye(w_n.shape[0])
 
-    full = spec.to_model(spec.new_couplings)  # the spec's channels, then the new ones
-    prior = LindbladModel(spec.structure, full.hamiltonian, full.couplings[:spec.n_channels])
-    g = generator(w_n, prior)
+    g = win.add(_drift(prior, spec.couplings, h))
     shifted = w_n - d_n * eye
     prior_tol = max(tol, 1e-8)
-    if mode == "es" and not _nonpositive(g + c * shifted, scaled_tol(g, prior_tol))[0]:
+    if mode == "es" and not _nonpositive(g + c * shifted, win.tol(g, prior_tol))[0]:
         raise PreconditionError(
             f"prior certificate missing: existing channels do not give the decay bound at c={c}"
         )
     if mode == "ds":
-        if not _nonpositive(g, scaled_tol(g, prior_tol))[0]:
+        if not _nonpositive(g, win.tol(g, prior_tol))[0]:
             raise PreconditionError("prior certificate missing: generator not non-positive")
-        d_op = dissipation_functional(w_n, prior)
-        if not _nonpositive(c * shifted - d_op, scaled_tol(d_op, prior_tol))[0]:
+        d_op = win.add((dissipation_single_channel, _sum_meeting(spec.structure, prior, l), l)
+                       for l in spec.couplings)
+        if not _nonpositive(c * shifted - d_op, win.tol(d_op, prior_tol))[0]:
             raise PreconditionError(f"prior certificate missing: dissipation bound fails at c={c}")
 
-    new = full.couplings[spec.n_channels:]
-    gen = channel_sum(generator_single_channel, w_n, new, generator(w_next, full))
+    gen = win.add(_drift([nxt], channels, h) + _drift(prior, spec.new_couplings))
     shift = 0.0 if d_free else c * (d_next - d_n) * eye
     if mode == "es":
-        holds, margin = _nonpositive(gen + c * w_next - shift, scaled_tol(gen, tol))
+        holds, margin = _nonpositive(gen + c * w_next - shift, win.tol(gen, tol))
         info = {"margin": margin}
     else:
-        gen_ok, gen_margin = _nonpositive(gen, scaled_tol(gen, tol))
-        cross = channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
-        diss = dissipation_functional(w_next, full) + cross
+        gen_ok, gen_margin = _nonpositive(gen, win.tol(gen, tol))
+        cross = win.add((_cross_single_channel, t, nxt, l) for l in channels for t in prior)
+        diss = win.add((dissipation_single_channel, nxt, l) for l in channels) + cross
         diss_margin = min_eigenvalue(diss - c * w_next + shift)
-        holds = gen_ok and diss_margin >= -scaled_tol(diss, tol)
+        holds = gen_ok and diss_margin >= -win.tol(diss, tol)
         info = {"generator_margin": gen_margin,
                 "margin" if d_free else "dissipation_margin": diss_margin,
                 "cross_norm": float(np.linalg.norm(cross, 2))}
     info.update(d_n=d_n, d_next=d_next)
     if not d_free:
-        info["d_ladder_ok"] = d_next >= d_n - scaled_tol(w_n, tol)
+        info["d_ladder_ok"] = d_next >= d_n - win.tol(w_n, tol)
     return holds, info
 
 
@@ -379,12 +392,9 @@ def _commutes(structure: TensorStructure, a: LocalOperator, b: LocalOperator,
               tol: float) -> tuple[bool, float]:
     """([a, b] = 0 within scaled_tol(a) * max(1, ||b||), the defect ||[a, b]||),
     on the window of the two; disjoint supports commute exactly."""
-    if not set(a.sites) & set(b.sites):
-        return True, 0.0
     win = _Window(structure, a, b)
-    x, y = win.embed(a), win.embed(b)
-    defect = win.norm(commutator(x, y))
-    return defect <= win.tol(x, tol) * max(1.0, win.norm(y)), defect
+    defect = win.norm(win.add([(commutator, a, b)]))
+    return defect <= win.tol(win.embed(a), tol) * max(1.0, win.norm(win.embed(b))), defect
 
 
 def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:

@@ -120,11 +120,25 @@ def model_from_json(obj: dict, field: str = "model") -> LindbladModel:
 
 
 def _term_from_json(obj, structure: TensorStructure, field: str) -> LocalOperator | np.ndarray:
-    """A Pauli shorthand coeff P + offset I, as a local operator on the sites
-    of P; a matrix of the whole space, which `AggregateSpec` reduces."""
+    """The operator form {"sites": [..], "matrix": rows}, the matrix on its
+    ascending 1-based sites; a Pauli shorthand coeff P + offset I, as a local
+    operator on the sites of P; or a matrix of the whole space, which
+    `AggregateSpec` reduces."""
+    if isinstance(obj, dict) and "sites" in obj:
+        sites, n = obj["sites"], structure.n_sites
+        if not (isinstance(sites, list) and all(_is_index(s) and 1 <= s <= n for s in sites)
+                and sites == sorted(set(sites))):
+            raise InputFormatError(field, f"sites must be ascending and distinct in 1..{n}, "
+                                          f"got {sites!r}")
+        matrix = matrix_from_json(obj.get("matrix"), f"{field}.matrix")
+        dim = int(np.prod([structure.dims[s - 1] for s in sites]))
+        if len(matrix) != dim:
+            raise InputFormatError(field, f"matrix of dim {len(matrix)} does not fit sites "
+                                          f"{sites} of dimension {dim}")
+        return LocalOperator(sites, matrix).require_headroom(structure, field, "the operator")
     if isinstance(obj, dict):
         if "pauli" not in obj:
-            raise InputFormatError(field, "operator object needs a 'pauli' key")
+            raise InputFormatError(field, "operator object needs a 'sites' or a 'pauli' key")
         op = LocalOperator.pauli(str(obj["pauli"]), structure)
         coeff = _entry_from_json(obj.get("coeff", 1.0), f"{field}.coeff")
         offset = _entry_from_json(obj.get("offset", 0.0), f"{field}.offset")
@@ -162,25 +176,25 @@ def _per_term(obj: dict, key: str, n_terms: int, valid, what: str, field: str):
 
 
 def aggregate_to_json(spec: AggregateSpec) -> dict:
-    """The spec with every operator as a dense matrix of the whole space."""
-    def dense(ops) -> list:
-        return [matrix_to_json(spec.dense(a)) for a in ops]
+    """The spec with every operator in the form {"sites": [..], "matrix": rows}."""
+    def local(op: LocalOperator) -> dict:
+        return {"sites": list(op.sites), "matrix": matrix_to_json(op.matrix)}
 
     out = {
         "dims": list(spec.structure.dims),
-        "terms": dense(spec.terms),
-        "couplings": dense(spec.couplings),
+        "terms": list(map(local, spec.terms)),
+        "couplings": list(map(local, spec.couplings)),
     }
     if spec.assignment is not None:
         out["assignment"] = spec.assignment
     if spec.hamiltonian is not None:
-        out["H"] = matrix_to_json(spec.dense(spec.hamiltonian))
+        out["H"] = local(spec.hamiltonian)
     if spec.term_names is not None:
         out["names"] = list(spec.term_names)
     if spec.unitaries is not None:
-        out["unitaries"] = dense(spec.unitaries)
+        out["unitaries"] = list(map(local, spec.unitaries))
     if spec.new_couplings:
-        out["new_couplings"] = dense(spec.new_couplings)
+        out["new_couplings"] = list(map(local, spec.new_couplings))
     return out
 
 
@@ -198,9 +212,7 @@ def aggregate_from_json(obj: dict, field: str = "spec") -> AggregateSpec:
         obj, "assignment", len(terms),
         lambda x: _is_index(x) or isinstance(x, list) and all(map(_is_index, x)),
         "channel index or list of indices", field)
-    hamiltonian = None
-    if "H" in obj:
-        hamiltonian = matrix_from_json(obj["H"], f"{field}.H")
+    hamiltonian = _term_from_json(obj["H"], structure, f"{field}.H") if "H" in obj else None
     names = _per_term(obj, "names", len(terms), lambda x: isinstance(x, str), "string", field)
     if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)):
         raise InputFormatError(f"{field}.names", "names must be distinct and none of "

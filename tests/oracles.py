@@ -11,6 +11,7 @@ property tests draw from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,14 +19,14 @@ from dissipctl.errors import (
     DimensionMismatchError, DissipctlError, InfeasibleError, NonHermitianError, PreconditionError,
 )
 from dissipctl.lindblad import (
-    LindbladModel, _observable, channel_sum, dissipation_functional, dissipation_single_channel,
-    generator_single_channel, liouvillian,
+    LindbladModel, _channel_sum, _observable, dissipation_functional, dissipation_single_channel,
+    generator, generator_single_channel, liouvillian,
 )
 from dissipctl.linalg import (
     DEFAULT_TOL, as_operator, commutator, dagger, hermitian_part, is_hermitian, is_psd,
     max_eigenvalue, min_eigenvalue, scaled_tol,
 )
-from dissipctl.scalability import AggregateReport, AggregateSpec
+from dissipctl.scalability import AggregateReport, AggregateSpec, _cross_single_channel
 from dissipctl.stability import largest_constant
 from dissipctl.synthesis import BilinearSystem, SynthesisResult, _result
 
@@ -229,9 +230,10 @@ def dissipation_cross_term(spec: AggregateSpec) -> np.ndarray:
 
 # -- the dense aggregation theorems ---------------------------------------------
 #
-# The three aggregation theorems as they were before the support windows:
-# every quantity on the full space.  Bodies unchanged, except that they read
-# the spec's operators through its dense view.
+# The aggregation theorems as they were before the support windows: every
+# quantity on the full space.  Bodies unchanged, except that they read the
+# spec's operators through its dense view, and that the per-term conditions
+# count the drift -i[W_t, H] of the spec's H, as the windowed ones do.
 
 
 def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
@@ -249,40 +251,49 @@ def _nonpositive(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[bool, fl
 def _cross_channel_margin(spec: AggregateSpec, w: np.ndarray, ks, tol: float) -> tuple[bool, float]:
     """Scalability margin of a term against every channel outside `ks`."""
     others = [l for k, l in enumerate(map(spec.dense, spec.couplings)) if k not in ks]
-    acc = channel_sum(generator_single_channel, w, others)
+    acc = _channel_sum(generator_single_channel, w, others)
     return _nonpositive(acc, acc, tol)
 
 
-def _es_term(w: np.ndarray, own: list, tol: float) -> dict:
-    """Largest c with G_own(W_t) <= -c W_t."""
+def _own_drift(w: np.ndarray, own: list, h: np.ndarray) -> np.ndarray:
+    """-i[W_t, H] + G_own(W_t), the exactly zero commutator dropped as in
+    `lindblad.generator`."""
+    comm = commutator(w, h)
+    return _channel_sum(generator_single_channel, w, own, -1j * comm if comm.any() else None)
+
+
+def _es_term(w: np.ndarray, own: list, h: np.ndarray, tol: float) -> dict:
+    """Largest c with -i[W_t, H] + G_own(W_t) <= -c W_t."""
     if not own:
         return {"c": None}
-    return {"c": largest_constant(-channel_sum(generator_single_channel, w, own), w, tol)}
+    return {"c": largest_constant(-_own_drift(w, own, h), w, tol)}
 
 
-def _ds_term(w: np.ndarray, own: list, tol: float) -> dict:
-    """G_own(W_t) <= 0, and the largest c with D_own(W_t) >= c W_t."""
-    gen_ok = is_psd(-channel_sum(generator_single_channel, w, own), tol)
+def _ds_term(w: np.ndarray, own: list, h: np.ndarray, tol: float) -> dict:
+    """-i[W_t, H] + G_own(W_t) <= 0, and the largest c with D_own(W_t) >= c W_t."""
+    gen_ok = is_psd(-_own_drift(w, own, h), tol)
     c = None
     if gen_ok and own:
-        c = largest_constant(channel_sum(dissipation_single_channel, w, own), w, tol)
+        c = largest_constant(_channel_sum(dissipation_single_channel, w, own), w, tol)
     return {"c": c, "generator_nonpositive": gen_ok}
 
 
 def _aggregate(spec: AggregateSpec, mode: str, term_constant, note: str,
                tol: float) -> AggregateReport:
-    """Per-term constants from `term_constant` (given the term and its own
-    channels) plus the scalability condition of every term."""
+    """Per-term constants from `term_constant` (given the term, its own
+    channels and H) plus the scalability condition of every term."""
     _require_terms_psd(spec, tol)
     if not spec.terms:
         return AggregateReport(mode=mode, per_term=[], overall=True, d_total=0.0,
                                notes=["no terms: vacuously stable"])
     groups = spec.channel_groups()
     names = spec.names()
+    h = spec.dense(spec.hamiltonian) if spec.hamiltonian is not None \
+        else np.zeros((spec.structure.total_dim,) * 2)
     per_term = []
     for t, (w, ks) in enumerate(zip(map(spec.dense, spec.terms), groups)):
         entry = {"term": names[t], "channels": ks,
-                 **term_constant(w, [spec.dense(spec.couplings[k]) for k in ks], tol)}
+                 **term_constant(w, [spec.dense(spec.couplings[k]) for k in ks], h, tol)}
         scal_ok, margin = _cross_channel_margin(spec, w, ks, tol)
         entry.update(scalability=scal_ok, scalability_margin=margin,
                      certified=entry["c"] is not None and scal_ok)
@@ -308,6 +319,59 @@ def check_theorem_es_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) 
 def check_theorem_ds_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:
     """Per-term dissipative certificates plus the scalability condition."""
     return _aggregate(spec, "ds", _ds_term, "aggregate satisfies the dissipative condition", tol)
+
+
+def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
+                      d_free: bool = False, tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
+    """`scalability.check_incremental` (Theorems 4 and 5 and their d-free
+    corollary) with every quantity on the whole space, through the dense
+    `generator` and `dissipation_functional` of the spec's model."""
+    if mode not in ("es", "ds"):
+        raise PreconditionError(f"mode must be 'es' or 'ds', got {mode!r}")
+    _require_terms_psd(spec, tol)
+    if not 1 <= n < spec.n_terms:
+        raise PreconditionError(f"n must satisfy 1 <= n < {spec.n_terms}, got {n}")
+    w_n = spec.dense_sum(spec.terms[:n])
+    w_next = spec.dense(spec.terms[n])
+    d_n = min_eigenvalue(w_n)
+    d_next = min_eigenvalue(w_n + w_next)
+    eye = np.eye(w_n.shape[0])
+
+    full = spec.to_model(spec.new_couplings)  # the spec's channels, then the new ones
+    prior = LindbladModel(spec.structure, full.hamiltonian, full.couplings[:spec.n_channels])
+    g = generator(w_n, prior)
+    shifted = w_n - d_n * eye
+    prior_tol = max(tol, 1e-8)
+    if mode == "es" and not _nonpositive(g + c * shifted, g, prior_tol)[0]:
+        raise PreconditionError(
+            f"prior certificate missing: existing channels do not give the decay bound at c={c}"
+        )
+    if mode == "ds":
+        if not _nonpositive(g, g, prior_tol)[0]:
+            raise PreconditionError("prior certificate missing: generator not non-positive")
+        d_op = dissipation_functional(w_n, prior)
+        if not _nonpositive(c * shifted - d_op, d_op, prior_tol)[0]:
+            raise PreconditionError(f"prior certificate missing: dissipation bound fails at c={c}")
+
+    new = full.couplings[spec.n_channels:]
+    gen = _channel_sum(generator_single_channel, w_n, new, generator(w_next, full))
+    shift = 0.0 if d_free else c * (d_next - d_n) * eye
+    if mode == "es":
+        holds, margin = _nonpositive(gen + c * w_next - shift, gen, tol)
+        info = {"margin": margin}
+    else:
+        gen_ok, gen_margin = _nonpositive(gen, gen, tol)
+        cross = _channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
+        diss = dissipation_functional(w_next, full) + cross
+        diss_margin = min_eigenvalue(diss - c * w_next + shift)
+        holds = gen_ok and diss_margin >= -scaled_tol(diss, tol)
+        info = {"generator_margin": gen_margin,
+                "margin" if d_free else "dissipation_margin": diss_margin,
+                "cross_norm": float(np.linalg.norm(cross, 2))}
+    info.update(d_n=d_n, d_next=d_next)
+    if not d_free:
+        info["d_ladder_ok"] = d_next >= d_n - scaled_tol(w_n, tol)
+    return holds, info
 
 
 def _commutes(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:

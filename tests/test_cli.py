@@ -366,6 +366,18 @@ def test_scale_by_name_equals_scale_of_the_exported_spec(capsys, tmp_path, name,
     assert _run(capsys, ["scale", "--spec", str(path), "--theorem", *theorem]) == by_name
 
 
+@pytest.mark.parametrize("theorem", ["es", "ds", "commuting"])
+def test_hamiltonian_that_drives_the_term_out_is_not_certified(capsys, tmp_path, theorem):
+    # G(W) has the positive eigenvalue 4.52494 from -i[W, H]; it was certified with c = 1
+    spec = {"dims": [2], "terms": [[[1, 0], [0, 0]]], "couplings": [[[0, 0], [1, 0]]],
+            "H": [[0, 5], [5, 0]], "unitaries": [[[0, 1], [1, 0]]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = _run(capsys, ["scale", "--spec", str(path), "--theorem", theorem])
+    report = json.loads(out)["report"]
+    assert code == 2 and not report["overall"] and report["per_term"][0]["c"] is None
+
+
 class TestModels:
     def test_list(self, capsys):
         code, out, _ = _run(capsys, ["models", "list"])
@@ -411,6 +423,15 @@ class TestInputValidation:
         code, out, err = self._scale(capsys, tmp_path, spec)
         assert code == 1 and out == ""
         assert "spec.names" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["terms", "couplings", "new_couplings"])
+    def test_local_operator_off_its_sites(self, capsys, tmp_path, spec, key):
+        # the export holds each operator on its sites; site 3 is past dims [2, 2]
+        spec[key][-1]["sites"] = [3]
+        code, out, err = self._scale(capsys, tmp_path, spec)
+        assert code == 1 and out == ""
+        assert err.startswith(f"dissipctl: input error: spec.{key}[{len(spec[key]) - 1}]: "
+                              "sites must be ascending")
 
     def test_non_integer_assignment(self, capsys, tmp_path, spec):
         spec["assignment"] = ["x", 1]
@@ -588,25 +609,32 @@ class TestInputValidation:
 
 
 class TestNonFiniteNumbers:
-    """Non-finite (and, where a scale is meant, non-positive) numbers on the
-    command line end in exit 1 naming the option."""
+    """Non-finite and non-positive numbers on the command line end in exit 1
+    naming the option."""
 
     @pytest.mark.parametrize("argv, option", [
         (["scale", "--name", "two_qubit", "--theorem", "inc-es", "--c", "nan"], "c"),
+        (["scale", "--name", "two_qubit", "--theorem", "inc-es", "--c", "-1"], "c"),
+        (["scale", "--name", "two_qubit", "--theorem", "inc-ds", "--c", "0"], "c"),
+        (["scale", "--name", "two_qubit", "--theorem", "d-free", "--c", "-0.5"], "c"),
         (["check", "--name", "two_level", "--tol", "nan"], "tol"),
         (["check", "--name", "two_level", "--tol=-1e-9"], "tol"),
         (["check", "--name", "two_level", "--simulate", "--t-final", "inf"], "t-final"),
-    ], ids=["c-nan", "tol-nan", "tol-negative", "t-final-inf"])
+    ], ids=["c-nan", "c-negative", "c-zero", "c-negative-d-free", "tol-nan", "tol-negative",
+            "t-final-inf"])
     def test_option_named(self, capsys, argv, option):
         code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""
-        assert f"input error: {option}: must be finite" in err
+        assert f"input error: {option}: must be finite and positive" in err
         assert "Hermitian" not in err and "Traceback" not in err
 
-    def test_negative_c_is_a_value(self, capsys):
-        code, _, err = _run(capsys, ["scale", "--name", "two_qubit", "--theorem", "inc-es",
-                                     "--c", "-1"])
-        assert code in (0, 2) and err == ""
+    @pytest.mark.parametrize("n", ["0", "2", "5", "-1"])
+    def test_n_out_of_range_names_its_field(self, capsys, n):
+        # two_qubit has two terms, so n = 1 alone
+        argv = ["scale", "--name", "two_qubit", "--theorem", "inc-es", "--n", n]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"dissipctl: input error: n: must satisfy 1 <= n < 2, got {n}\n"
 
 
 class TestSimCap:

@@ -3,14 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dissipctl.errors import DimensionCapError, DimensionMismatchError, PreconditionError
-from dissipctl.lindblad import LindbladModel, generator
+from dissipctl.errors import (
+    DimensionCapError, DimensionMismatchError, NonHermitianError, PreconditionError,
+)
+from dissipctl.lindblad import LindbladModel, evolve, generator
 from dissipctl.linalg import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     LocalOperator,
     TensorStructure,
     haar_pure_state,
+    max_eigenvalue,
 )
 from dissipctl.models import (
     cluster_chain,
@@ -145,7 +148,43 @@ class TestTheoremAggregation:
         assert not report.per_term[1]["certified"]
 
 
+class TestHamiltonianDrift:
+    """H enters each term's own condition as -i[W_t, H]: summed over the
+    terms with the scalability condition, that is G(W)."""
+
+    # W = |0><0| relaxed by sigma_minus at rate 1, but H = 5 X rotates it
+    # away faster: a certificate with c = 1 would promise W(20) <= 0.5 e^-20
+    SPEC = AggregateSpec(structure=TensorStructure([2]), terms=[np.diag([1.0, 0.0])],
+                         couplings=[SIGMA_MINUS], hamiltonian=5.0 * np.array([[0.0, 1], [1, 0]]),
+                         unitaries=[np.array([[0.0, 1], [1, 0]])])
+
+    def test_driven_decay_is_not_certified(self):
+        spec = self.SPEC
+        model = spec.to_model()
+        assert max_eigenvalue(generator(spec.total(), model)) == pytest.approx(4.52494, abs=1e-5)
+        w = evolve(model, np.eye(2) / 2, 20.0, observables={"W": spec.total()}).observables["W"]
+        assert w[-1] > 0.4
+        es, ds = check_theorem_es_aggregation(spec), check_theorem_ds_aggregation(spec)
+        assert es.per_term[0]["c"] is None and not es.overall
+        assert ds.per_term[0]["generator_nonpositive"] is False and not ds.overall
+        assert not check_corollary_commuting(spec).overall
+
+    def test_commuting_hamiltonian_keeps_the_constant(self):
+        spec = dataclasses.replace(self.SPEC, hamiltonian=np.diag([2.0, -1.0]))
+        report = check_theorem_es_aggregation(spec)
+        assert report.overall and report.per_term[0]["c"] == pytest.approx(1.0)
+
+    def test_non_hermitian_hamiltonian_refused(self):
+        with pytest.raises(NonHermitianError, match="hamiltonian must be Hermitian"):
+            dataclasses.replace(self.SPEC, hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 class TestIncremental:
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+    def test_constant_must_be_positive(self, c):
+        with pytest.raises(PreconditionError, match="c must be positive"):
+            check_incremental(two_qubit_aggregation_example().aggregate, 1, c)
+
     def test_two_qubit_unit_constant(self):
         m = two_qubit_aggregation_example()
         holds, info = check_incremental(m.aggregate, 1, 1.0)

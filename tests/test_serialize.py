@@ -1,4 +1,6 @@
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -92,6 +94,49 @@ class TestAggregateJson:
                 assert len(theirs) == len(ours), (name, key)
                 assert all(map(np.array_equal, map(back.dense, theirs), map(spec.dense, ours))), \
                     (name, key)
+
+    def test_operators_are_written_on_their_sites(self):
+        # the dense form took 37 s and 222 MB for this spec
+        spec = build("toric_patch(extended)").aggregate
+        start = time.perf_counter()
+        text = json.dumps(aggregate_to_json(spec))
+        assert time.perf_counter() - start < 0.1 and len(text) < 100_000
+        obj = json.loads(text)
+        term = spec.terms[0]
+        assert obj["terms"][0] == {"sites": list(term.sites), "matrix": matrix_to_json(term.matrix)}
+        back = aggregate_from_json(obj)
+        for key in ("terms", "couplings", "unitaries", "new_couplings"):
+            for ours, theirs in zip(getattr(spec, key), getattr(back, key), strict=True):
+                assert ours.sites == theirs.sites and np.array_equal(ours.matrix, theirs.matrix)
+        assert back.hamiltonian.sites == spec.hamiltonian.sites == ()
+
+    @pytest.mark.parametrize("key", ["terms", "couplings", "unitaries", "new_couplings", "H"])
+    @pytest.mark.parametrize("op, message", [
+        ({"sites": [2, 1], "matrix": np.eye(4).tolist()}, "sites must be ascending"),
+        ({"sites": [1, 1], "matrix": np.eye(4).tolist()}, "sites must be ascending"),
+        ({"sites": [3], "matrix": np.eye(2).tolist()}, "sites must be ascending"),
+        ({"sites": [0], "matrix": np.eye(2).tolist()}, "sites must be ascending"),
+        ({"sites": [True], "matrix": np.eye(2).tolist()}, "sites must be ascending"),
+        ({"sites": "1", "matrix": np.eye(2).tolist()}, "sites must be ascending"),
+        ({"sites": [1], "matrix": np.eye(4).tolist()},
+         r"matrix of dim 4 does not fit sites \[1\] of dimension 2"),
+        ({"sites": [1]}, "matrix must be a non-empty array"),
+    ], ids=["descending", "repeated", "past-the-end", "zero", "bool", "string", "dimension",
+            "no-matrix"])
+    def test_bad_local_operator_names_its_field(self, key, op, message):
+        obj = aggregate_to_json(build("two_qubit").aggregate)
+        obj[key] = op if key == "H" else [op]
+        field = re.escape("spec.H" if key == "H" else f"spec.{key}[0]")
+        with pytest.raises(InputFormatError, match=rf"^{field}(\.matrix)?: {message}"):
+            aggregate_from_json(obj)
+
+    def test_local_operator_headroom_is_that_of_the_whole_space(self):
+        # 16 ||X||_F^2 = 1.44e308 fits; with the three other dimensions of
+        # dims [2, 2, 2] it is 5.8e308, past the float range
+        op = {"sites": [1], "matrix": [[3e153, 0], [0, 0]]}
+        assert aggregate_from_json({"dims": [2], "terms": [op]}).terms[0].sites == (1,)
+        with pytest.raises(InputFormatError, match=r"^spec.terms\[0\]: the operator has"):
+            aggregate_from_json({"dims": [2, 2, 2], "terms": [op]})
 
     def test_pauli_shorthand_for_unitaries_and_new_channels(self):
         spec = build("cluster_chain").aggregate

@@ -1,14 +1,17 @@
 """The aggregation theorems on support windows against the dense oracle.
 
-`dissipctl.scalability` computes every per-term quantity on the union of the
-supports of the operators it involves; `oracles` keeps the dense theorems,
-which compute them on the full space.  Verdicts, channels, notes and flags
-must be equal, constants and margins equal to 1e-12, and the commutation
-defects of every clause equal to 1e-12 as numbers, not only as the three
-digits a note prints.  Specs arrive local (the registry builders and Pauli
-shorthands) or as dense matrices reduced to their supports on load (arrays
-passed to `AggregateSpec` and the JSON written by `aggregate_to_json`).
+`dissipctl.scalability` computes every quantity on the union of the supports
+of the operators it involves; `oracles` keeps the dense theorems, which
+compute them on the full space.  Verdicts, channels, notes, flags and
+exceptions must be equal, constants, margins, ground energies and cross-term
+norms equal to 1e-12, and the commutation defects of every clause equal to
+1e-12 as numbers, not only as the three digits a note prints.  Specs arrive
+local (the registry builders, Pauli shorthands and the JSON written by
+`aggregate_to_json`) or as dense matrices reduced to their supports on load
+(arrays passed to `AggregateSpec` and dense JSON).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dissipctl.linalg import TensorStructure, pauli_string
+from dissipctl.lindblad import generator
+from dissipctl.linalg import TensorStructure, max_eigenvalue, pauli_string
 from dissipctl.models import REGISTRY, build, cluster_chain
 from dissipctl.serialize import aggregate_from_json, aggregate_to_json, matrix_to_json
 from dissipctl.scalability import (
     AggregateSpec,
     _commutes,
     check_corollary_commuting,
+    check_incremental,
     check_theorem_ds_aggregation,
     check_theorem_es_aggregation,
 )
@@ -71,9 +76,52 @@ def assert_theorems_agree(spec: AggregateSpec):
         assert_clauses_agree(spec)
 
 
+def _outcome(check, spec, n, c, mode, d_free):
+    try:
+        return check(spec, n, c, mode=mode, d_free=d_free)
+    except Exception as exc:  # the type and message must agree too
+        return type(exc), str(exc)
+
+
+def assert_incremental_agrees(spec: AggregateSpec):
+    """`check_incremental` against the dense oracle at every n (the two out
+    of range included), both modes, with and without d, and c = 1, 1/4."""
+    for n in range(spec.n_terms + 1):
+        for mode in ("es", "ds"):
+            for d_free in (False, True):
+                for c in (1.0, 0.25):
+                    windowed = _outcome(check_incremental, spec, n, c, mode, d_free)
+                    dense = _outcome(oracles.check_incremental, spec, n, c, mode, d_free)
+                    case = (n, mode, d_free, c)
+                    if isinstance(dense[0], type) or isinstance(windowed[0], type):
+                        assert windowed == dense, case
+                        continue
+                    (holds, info), (dense_holds, dense_info) = windowed, dense
+                    assert holds == dense_holds and info.keys() == dense_info.keys(), case
+                    for key, value in dense_info.items():
+                        if isinstance(value, bool):
+                            assert info[key] == value, (case, key)
+                        else:
+                            assert _close(info[key], value), (case, key, info[key], value)
+
+
 def via_json(spec: AggregateSpec) -> AggregateSpec:
-    """The spec written as dense JSON matrices and reduced again on load."""
+    """The spec written by `aggregate_to_json`, each operator on its sites."""
     return aggregate_from_json(aggregate_to_json(spec))
+
+
+def via_dense_json(spec: AggregateSpec) -> AggregateSpec:
+    """The spec written as dense JSON matrices and reduced again on load."""
+    def dense(ops) -> list:
+        return [matrix_to_json(spec.dense(a)) for a in ops]
+
+    obj = dict(aggregate_to_json(spec), terms=dense(spec.terms), couplings=dense(spec.couplings),
+               new_couplings=dense(spec.new_couplings))
+    if spec.unitaries is not None:
+        obj["unitaries"] = dense(spec.unitaries)
+    if spec.hamiltonian is not None:
+        obj["H"] = dense([spec.hamiltonian])[0]
+    return aggregate_from_json(obj)
 
 
 AGGREGATES = sorted(name for name in REGISTRY if build(name).aggregate is not None)
@@ -82,11 +130,19 @@ AGGREGATES = sorted(name for name in REGISTRY if build(name).aggregate is not No
 @pytest.mark.parametrize("name", AGGREGATES + ["toric_patch(extended)"])
 def test_registry_aggregates(name):
     assert_theorems_agree(build(name).aggregate)
+    assert_incremental_agrees(build(name).aggregate)
+
+
+@pytest.mark.parametrize("name", AGGREGATES + ["toric_patch(extended)"])
+def test_registry_aggregates_via_json(name):
+    assert_theorems_agree(via_json(build(name).aggregate))
 
 
 @pytest.mark.parametrize("name", AGGREGATES)
-def test_registry_aggregates_via_json(name):
-    assert_theorems_agree(via_json(build(name).aggregate))
+def test_registry_aggregates_via_dense_json(name):
+    spec = via_dense_json(build(name).aggregate)
+    assert_theorems_agree(spec)
+    assert_incremental_agrees(spec)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -94,13 +150,38 @@ def test_cluster_chains(n):
     assert_theorems_agree(cluster_chain(n).aggregate)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_incremental_cluster_chains(n):
+    assert_incremental_agrees(cluster_chain(n).aggregate)
+
+
+def test_incremental_memory_is_that_of_its_window():
+    # the window of W_1..W_3 and the channels that meet them is 7 of the 10
+    # qubits; the check on the whole space peaked at 168 MB
+    spec = cluster_chain(10).aggregate
+    tracemalloc.start()
+    try:
+        holds, _ = check_incremental(spec, 2, 1.0, mode="ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds and peak < 8e6
+
+
 @st.composite
-def pauli_aggregates(draw):
+def pauli_aggregates(draw, separated: bool = False):
     """Terms a_t (1 +- S_t) with channels U_t (1 +- S_t), S_t and U_t Pauli
     strings on up to three and two random sites, so supports overlap in every
     pattern, and U_t at times chosen to anticommute with S_t; extra
-    unassigned Pauli channels; and at times one dense term of full support
-    with a dense channel, which every other channel meets."""
+    unassigned Pauli channels; at times one dense term of full support
+    with a dense channel, which every other channel meets; new channels of
+    the extra channels' form; and at times H, a Pauli string on up to two
+    sites, which commutes or anticommutes with each S_t.
+
+    With `separated`, the S_t cover disjoint blocks of consecutive sites,
+    each U_t anticommutes with its S_t, and H is always there and nothing
+    else: every term has its own constant and no other channel meets it,
+    so H decides the verdict."""
     n = draw(st.integers(3, 5), label="qubits")
     structure = TensorStructure.qubits(n)
     eye = np.eye(structure.total_dim)
@@ -115,10 +196,15 @@ def pauli_aggregates(draw):
     def projector(factors) -> np.ndarray:
         return eye + draw(st.sampled_from([1.0, -1.0])) * pauli(factors)
 
+    if separated:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)), label="blocks"))
+        stabilizers = [[(draw(st.sampled_from("XYZ")), s) for s in range(a + 1, b + 1)]
+                       for a, b in zip([0, *cuts], [*cuts, n])]
+    else:
+        stabilizers = [pauli_sites(3) for _ in range(draw(st.integers(1, 4), label="pauli terms"))]
     terms, couplings, unitaries = [], [], []
-    for _ in range(draw(st.integers(1, 4), label="pauli terms")):
-        factors = pauli_sites(3)
-        if draw(st.booleans(), label="flipping channel"):
+    for factors in stabilizers:
+        if separated or draw(st.booleans(), label="flipping channel"):
             # one site of S_t with another letter: U_t anticommutes with S_t
             letter, site = draw(st.sampled_from(factors))
             unitary = [(draw(st.sampled_from("XYZ".replace(letter, ""))), site)]
@@ -128,7 +214,8 @@ def pauli_aggregates(draw):
         terms.append(draw(st.sampled_from([0.5, 0.3, 1.25])) * p)
         couplings.append(u @ p)
         unitaries.append(u)
-    if draw(st.booleans(), label="dense term"):
+    extras = 0 if separated else 2  # the most extra and new channels
+    if extras and draw(st.booleans(), label="dense term"):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 16), label="seed"))
         g = rng.standard_normal((structure.total_dim,) * 2)
         u, _ = np.linalg.qr(rng.standard_normal(g.shape))
@@ -136,19 +223,46 @@ def pauli_aggregates(draw):
         couplings.append(u @ terms[-1])
         unitaries.append(u)
     assignment = list(range(len(terms)))
-    for _ in range(draw(st.integers(0, 2), label="extra channels")):
+    for _ in range(draw(st.integers(0, extras), label="extra channels")):
         u = pauli(pauli_sites(2))
         couplings.append(draw(st.sampled_from([1.0, 0.5])) * u @ projector(pauli_sites(3)))
         unitaries.append(u)
+    new = [draw(st.sampled_from([1.0, 0.5])) * pauli(pauli_sites(2)) @ projector(pauli_sites(3))
+           for _ in range(draw(st.integers(0, extras), label="new channels"))]
+    h = None
+    if separated or draw(st.booleans(), label="hamiltonian"):
+        h = draw(st.sampled_from([0.5, 2.0])) * pauli(pauli_sites(2))
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
-                         assignment=assignment, unitaries=unitaries)
+                         assignment=assignment, unitaries=unitaries, new_couplings=new,
+                         hamiltonian=h)
 
 
 @settings(max_examples=60, deadline=None)
 @given(pauli_aggregates())
 def test_random_pauli_aggregates(spec):
     assert_theorems_agree(spec)
-    assert_theorems_agree(via_json(spec))
+    assert_theorems_agree(via_dense_json(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pauli_aggregates())
+def test_random_incremental(spec):
+    assert_incremental_agrees(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(pauli_aggregates(), pauli_aggregates(separated=True)))
+def test_certificates_bound_the_dense_generator(spec):
+    """An es certificate gives G(W) <= -min(c) W and a ds certificate
+    G(W) <= 0, with G the dense generator of the spec's model, H included."""
+    w = spec.total()
+    g = generator(w, spec.to_model())
+    es, ds = check_theorem_es_aggregation(spec), check_theorem_ds_aggregation(spec)
+    if es.overall:
+        bound = g + min(es.constants) * w
+        assert max_eigenvalue(bound) <= 1e-9 * max(1.0, np.linalg.norm(bound))
+    if ds.overall:
+        assert max_eigenvalue(g) <= 1e-9 * max(1.0, np.linalg.norm(g))
 
 
 @st.composite
