@@ -21,7 +21,7 @@ def main() -> None:
     print("-" * len(header))
     for name in sorted(REGISTRY):
         named = build(name)
-        model = named.model  # an aggregate's model is built at each access
+        model = named.model  # an aggregate's model holds its own local operators
         for cand_name, v in named.candidates.items():
             simulate = args.simulate and model.dim <= 16 and model.couplings
             report = certify_ground_state_stability(

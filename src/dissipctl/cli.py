@@ -26,6 +26,7 @@ from .errors import (
     InputFormatError,
 )
 from .lindblad import evolve, maximally_mixed, validate_density_state
+from .linalg import embed_sum
 from .models import REGISTRY, NamedModel, build
 from .scalability import (
     check_corollary_commuting,
@@ -264,11 +265,13 @@ def _cmd_models(args) -> int:
         _emit(args, {"models": lines})
         return EXIT_OK
     named = build(args.model_name)
+    model = named.model  # a candidate of terms is exported as their sum
     body = {
         "name": named.name,
         "description": named.description,
-        "model": model_to_json(named.model),
-        "candidates": {k: matrix_to_json(v) for k, v in named.candidates.items()},
+        "model": model_to_json(model),
+        "candidates": {k: matrix_to_json(embed_sum(v, model.structure) if isinstance(v, list)
+                                         else v) for k, v in named.candidates.items()},
         "expected": named.expected,
     }
     if named.aggregate is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import ceil, log2, prod
+from math import ceil, log2, prod, sqrt
 
 import numpy as np
 
@@ -46,21 +46,16 @@ def as_operator(a) -> np.ndarray:
     return _square(real_or_complex(a))
 
 
-def require_headroom(a: np.ndarray, field: str, what: str) -> np.ndarray:
-    """`a`, or an InputFormatError naming `field` if 16 ||a||_F^2 overflows:
-    ||X||_F^2 bounds every entry of X'X, and the factor 16 leaves room for
-    the sums of such products in G(V) and D(V)."""
-    _require_headroom(a, 1, field, what)
-    return a
-
-
-def _require_headroom(a: np.ndarray, copies: int, field: str, what: str) -> None:
-    """The check of `require_headroom` on a (x) I, with I of dimension
-    `copies`: ||a (x) I||_F^2 = copies ||a||_F^2."""
+def require_headroom(a: np.ndarray, field: str, what: str, copies: int = 1) -> np.ndarray:
+    """`a`, or an InputFormatError naming `field` if 16 ||a (x) I||_F^2 =
+    16 copies ||a||_F^2 overflows, I of dimension `copies`: ||X||_F^2 bounds
+    every entry of X'X, and the factor 16 leaves room for the sums of such
+    products in G(V) and D(V)."""
     with np.errstate(over="ignore"):
         if not np.isfinite(16.0 * copies * np.square(np.linalg.norm(a))):
             raise InputFormatError(field, f"{what} has a squared norm too close to the "
                                           "float range")
+    return a
 
 
 def _square(a: np.ndarray) -> np.ndarray:
@@ -150,6 +145,11 @@ class TensorStructure:
     def n_sites(self) -> int:
         return len(self.dims)
 
+    @property
+    def sites(self) -> tuple[int, ...]:
+        """Every 1-based site."""
+        return tuple(range(1, len(self.dims) + 1))
+
     @classmethod
     def qubits(cls, n: int) -> "TensorStructure":
         return cls((2,) * n)
@@ -190,7 +190,7 @@ def embed(local: np.ndarray, sites, structure: TensorStructure) -> np.ndarray:
     return out
 
 
-def support(a, structure: TensorStructure) -> tuple[int, ...]:
+def _support(a, structure: TensorStructure) -> tuple[int, ...]:
     """The 1-based sites on which `a` acts, ascending.
 
     A site is left out only when, on it, the diagonal blocks of `a` are
@@ -220,10 +220,10 @@ def support(a, structure: TensorStructure) -> tuple[int, ...]:
     return tuple(sites)
 
 
-def restrict(a, sites, structure: TensorStructure) -> np.ndarray:
+def _restrict(a, sites, structure: TensorStructure) -> np.ndarray:
     """The operator X on the ascending 1-based `sites`, with factors in site
     order, of a = X (x) I: `a` at index 0 of every other site.  Exact when
-    `sites` holds `support(a, structure)`; `embed` is its inverse."""
+    `sites` holds `_support(a, structure)`; `embed` is its inverse."""
     a = as_operator(a)
     dims, n = structure.dims, structure.n_sites
     keep = {int(s) - 1 for s in sites}
@@ -289,9 +289,9 @@ class LocalOperator:
     """An operator X (x) I held as X: `sites` are its ascending 1-based sites
     and `matrix` is X, with factors in site order.
 
-    `pauli` builds a Pauli product on its sites, and `support` with `restrict`
-    reduce an operator of the whole space to one; `on` embeds X on a larger
-    set of sites, the whole space included.
+    `pauli` builds a Pauli product on its sites, and `local_operator` holds
+    an operator of the whole space as one, on every site or on its support;
+    `on` embeds X on a larger set of sites, the whole space included.
     """
 
     sites: tuple[int, ...]
@@ -328,8 +328,93 @@ class LocalOperator:
                          what: str) -> "LocalOperator":
         """`require_headroom` of X (x) I, whose squared norm is m ||X||_F^2
         with m the dimension of the other sites."""
-        _require_headroom(self.matrix, structure.total_dim // len(self.matrix), field, what)
+        require_headroom(self.matrix, field, what, structure.total_dim // len(self.matrix))
         return self
+
+
+def local_operator(a, structure: TensorStructure, what: str,
+                   reduce: bool = False) -> LocalOperator:
+    """`a` as an operator of `structure`: a LocalOperator that fits its
+    sites, or a matrix of the whole space, held on every site or, with
+    `reduce`, on its `_support`."""
+    if isinstance(a, LocalOperator):
+        if not set(a.sites) <= set(structure.sites) or \
+                len(a.matrix) != prod(structure.dims[s - 1] for s in a.sites):
+            raise DimensionMismatchError(f"{what} of dim {len(a.matrix)} does not fit "
+                                         f"sites {a.sites} of {structure.dims}")
+        return a
+    a = as_operator(a)
+    if a.shape[0] != structure.total_dim:
+        raise DimensionMismatchError(f"{what} dim {a.shape[0]} != {structure.total_dim}")
+    sites = _support(a, structure) if reduce else structure.sites
+    return LocalOperator(sites, _restrict(a, sites, structure) if reduce else a)
+
+
+def embed_sum(ops, structure: TensorStructure) -> np.ndarray:
+    """The sum of the local `ops` as a matrix of the whole space, added in
+    list order from zero."""
+    acc = np.zeros((structure.total_dim,) * 2,
+                   dtype=np.result_type(float, *(op.matrix for op in ops)))
+    for op in ops:
+        acc += op.on(structure.sites, structure)
+    return acc
+
+
+class _Window:
+    """The union of some supports (and of `sites`), on which an operator
+    X (x) I (I on the `copies` dimensions of the other sites) is held as X.
+
+    spec(X (x) I) = spec(X), so eigenvalues, constants and spectral
+    thresholds are those of the full operators; a Frobenius norm is
+    sqrt(copies) ||X||_F, and `norm`, `tol` and `is_psd` take that value.
+    """
+
+    def __init__(self, structure: TensorStructure, *ops: LocalOperator, sites=()):
+        self.structure = structure
+        self.sites = tuple(sorted(set(sites).union(*(op.sites for op in ops))))
+        self.copies = structure.total_dim // prod(structure.dims[s - 1] for s in self.sites)
+
+    def embed(self, op: LocalOperator) -> np.ndarray:
+        return op.on(self.sites, self.structure)
+
+    def norm(self, x: np.ndarray) -> float:
+        return sqrt(self.copies) * _frobenius(x)
+
+    def tol(self, x: np.ndarray, tol: float) -> float:
+        """scaled_tol of X (x) I."""
+        return tol * max(1.0, self.norm(x))
+
+    def is_hermitian(self, x: np.ndarray, tol: float) -> bool:
+        """is_hermitian of X (x) I."""
+        return self.norm(x - dagger(x)) <= self.tol(x, tol)
+
+    def is_psd(self, x: np.ndarray, tol: float) -> bool:
+        """is_psd of X (x) I."""
+        return (self.is_hermitian(x, tol)
+                and psd_spectrum(np.linalg.eigvalsh(hermitian_part(x)), tol))
+
+    def add(self, items) -> np.ndarray:
+        """The sum from zero, in order, of kernel(*ops) over the `items`
+        (kernel, *ops), each computed on the sites of its own operators.  An
+        item whose last operator (a channel, or H) misses one of the others
+        gives 0 and is left out."""
+        d = self.structure.total_dim // self.copies
+        acc = np.zeros((d, d))
+        for kernel, *ops in items:
+            if all(_meet(ops[-1], x) for x in ops[:-1]):
+                own = _Window(self.structure, *ops)
+                acc = acc + self.embed(LocalOperator(own.sites, kernel(*map(own.embed, ops))))
+        return acc
+
+
+def _meet(a: LocalOperator, b: LocalOperator) -> bool:
+    return bool(set(a.sites) & set(b.sites))
+
+
+def _sum_meeting(structure: TensorStructure, terms, l: LocalOperator) -> LocalOperator:
+    """The `terms` that meet `l`, added as one operator on their sites."""
+    win = _Window(structure, *(t for t in terms if _meet(l, t)))
+    return LocalOperator(win.sites, win.add((np.asarray, t) for t in terms if _meet(l, t)))
 
 
 def commutator(a, b) -> np.ndarray:

@@ -35,44 +35,57 @@ from .linalg import (
     DEFAULT_TOL,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    LocalOperator,
     TensorStructure,
+    _sum_meeting,
+    _Window,
     as_operator,
+    commutator,
     dagger,
     expm,
     hermitian_part,
     is_hermitian,
+    local_operator,
     real_or_complex,
 )
 
 
 @dataclass
 class LindbladModel:
-    """A finite-level open system: Hamiltonian plus coupling operators."""
+    """A finite-level open system: a Hermitian H and the couplings, each held
+    as a `LocalOperator`; one given as a matrix is held on every site."""
 
     structure: TensorStructure
-    hamiltonian: np.ndarray
-    couplings: list[np.ndarray] = field(default_factory=list)
+    hamiltonian: LocalOperator
+    couplings: list[LocalOperator] = field(default_factory=list)
 
     def __post_init__(self):
-        self.hamiltonian = as_operator(self.hamiltonian)
-        self.couplings = [as_operator(l) for l in self.couplings]
-        self.validate()
+        self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian")
+        self.couplings = [local_operator(l, self.structure, f"coupling {i}")
+                          for i, l in enumerate(self.couplings)]
 
     @property
     def dim(self) -> int:
         return self.structure.total_dim
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        n = self.dim
-        if self.hamiltonian.shape[0] != n:
-            raise DimensionMismatchError(
-                f"hamiltonian dim {self.hamiltonian.shape[0]} != structure dim {n}"
-            )
-        if not is_hermitian(self.hamiltonian, tol):
-            raise NonHermitianError("hamiltonian must be Hermitian")
-        for i, l in enumerate(self.couplings):
-            if l.shape[0] != n:
-                raise DimensionMismatchError(f"coupling {i} dim {l.shape[0]} != {n}")
+
+def _hermitian_terms(x, structure: TensorStructure, what: str, reduce: bool = False,
+                     tol: float = DEFAULT_TOL) -> list[LocalOperator]:
+    """`x`, an operator or a list of operators that stands for their sum, as
+    a list of `local_operator`s of `structure`; NonHermitianError naming
+    `what` unless each is Hermitian."""
+    terms = [local_operator(t, structure, what, reduce)
+             for t in (x if isinstance(x, list) else [x])]
+    if not all(_Window(structure, t).is_hermitian(t.matrix, tol) for t in terms):
+        raise NonHermitianError(f"{what} must be Hermitian")
+    return terms
+
+
+def _matrices(model: LindbladModel) -> tuple[np.ndarray, list[np.ndarray]]:
+    """H and the couplings as matrices of the whole space."""
+    sites = model.structure.sites
+    return (model.hamiltonian.on(sites, model.structure),
+            [l.on(sites, model.structure) for l in model.couplings])
 
 
 def maximally_mixed(n: int) -> np.ndarray:
@@ -116,29 +129,30 @@ def generator_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     return ld @ (x @ l) - 0.5 * (kx + dagger(kx))
 
 
-def _channel_sum(kernel, x: np.ndarray, couplings, start: np.ndarray | None = None) -> np.ndarray:
-    """start (default 0) plus kernel(x, L) summed over couplings in list order."""
-    acc = np.zeros_like(x) if start is None else start
-    for l in couplings:
-        acc = acc + kernel(x, l)
-    return acc
+def _hamiltonian_drift(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """-i[X, H]; an exactly zero one is held as real zeros by `_Window.add`."""
+    return -1j * commutator(x, h)
 
 
-def generator(x: np.ndarray, model: LindbladModel, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Heisenberg-picture drift of the observable ``x``.
+def _drift(terms, channels, h=()) -> list:
+    """The `_Window.add` items of -i[W, H] + sum_L G_L(W), W the sum of
+    `terms`, H in `h`."""
+    return [*((_hamiltonian_drift, t, x) for x in h for t in terms),
+            *((generator_single_channel, t, l) for l in channels for t in terms)]
 
-    A term -i[x, H] that is exactly zero is dropped, so real x and couplings
-    give a real drift.
+
+def generator(x, model: LindbladModel, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Heisenberg-picture drift of the observable ``x``, a matrix or a list of
+    LocalOperators (their sum), as a matrix of the whole space.
+
+    Each kernel is computed on the sites of its own operators.  A zero H is
+    dropped and a term -i[x, H] that is exactly zero held as real zeros, so
+    real x and couplings give a real drift.
     """
-    x = as_operator(x)
-    if not is_hermitian(x, tol):
-        raise NonHermitianError("generator is defined here for Hermitian observables")
-    h = model.hamiltonian
-    if x.shape != h.shape:
-        raise DimensionMismatchError(f"observable dim {x.shape[0]} != model dim {h.shape[0]}")
-    comm = x @ h - h @ x if h.any() else np.zeros_like(x)
-    return _channel_sum(generator_single_channel, x, model.couplings,
-                        -1j * comm if comm.any() else None)
+    terms = _hermitian_terms(x, model.structure, "observable", tol=tol)
+    h = [model.hamiltonian] if model.hamiltonian.matrix.any() else []
+    return _Window(model.structure, sites=model.structure.sites).add(
+        _drift(terms, model.couplings, h))
 
 
 def dissipation_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -149,13 +163,15 @@ def dissipation_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarra
     return dagger(c) @ c
 
 
-def dissipation_functional(x: np.ndarray, model: LindbladModel,
-                           tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Energy-dissipation operator sum_k [L_k', x][x, L_k]."""
-    x = as_operator(x)
-    if not is_hermitian(x, tol):
-        raise NonHermitianError("dissipation functional requires a Hermitian observable")
-    return _channel_sum(dissipation_single_channel, x, model.couplings)
+def dissipation_functional(x, model: LindbladModel, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Energy-dissipation operator sum_k [L_k', x][x, L_k] of ``x``, a matrix
+    or a list of LocalOperators (their sum), as a matrix of the whole space;
+    each channel acts on the sum of the terms that meet it."""
+    terms = _hermitian_terms(x, model.structure, "observable", tol=tol)
+    structure = model.structure
+    return _Window(structure, sites=structure.sites).add(
+        (dissipation_single_channel, _sum_meeting(structure, terms, l), l)
+        for l in model.couplings)
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
@@ -163,9 +179,9 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     real when the model is (H = 0 and real couplings)."""
     n = model.dim
     eye = np.eye(n)
-    h = model.hamiltonian
+    h, couplings = _matrices(model)
     lam = -1j * (np.kron(eye, h) - np.kron(h.T, eye)) if h.any() else np.zeros((n * n, n * n))
-    for l in model.couplings:
+    for l in couplings:
         ldl = dagger(l) @ l
         lam = lam + np.kron(l.conj(), l) \
             - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
@@ -226,10 +242,11 @@ def _rhs_factory(model: LindbladModel):
     # drho/dt = M rho + (M rho)' + sum_k L_k rho L_k' with M = -iH - (1/2) sum_k L_k'L_k
     # precomputed: 1 + 2K products a call.  Valid only for a Hermitian rho,
     # for which rho M' = (M rho)'.  M is real when H = 0 and the couplings are.
-    pairs = [(l, dagger(l)) for l in model.couplings]
-    m = -0.5 * sum((ld @ l for l, ld in pairs), np.zeros_like(model.hamiltonian))
-    if model.hamiltonian.any():
-        m = m - 1j * model.hamiltonian
+    h, couplings = _matrices(model)
+    pairs = [(l, dagger(l)) for l in couplings]
+    m = -0.5 * sum((ld @ l for l, ld in pairs), np.zeros_like(h))
+    if h.any():
+        m = m - 1j * h
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         mr = m @ rho
@@ -298,7 +315,6 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     re-validated as a density matrix at 10x the base tolerance.  RK45's first
     trial step is t_final / 100.
     """
-    model.validate()
     n = model.dim
     rho0 = real_or_complex(rho0)
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (n, n):
@@ -307,8 +323,8 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
         raise PreconditionError(f"t_final must be positive, got {t_final}")
     validate_density_state(rho0, DEFAULT_TOL * 10)
     # -i[H, rho] is real only for H = 0
-    real = not (model.hamiltonian.any() or np.iscomplexobj(rho0)
-                or any(np.iscomplexobj(l) for l in model.couplings))
+    real = not (model.hamiltonian.matrix.any() or np.iscomplexobj(rho0)
+                or any(np.iscomplexobj(l.matrix) for l in model.couplings))
     dtype = float if real else complex
     stack = rho0.reshape((-1, n, n)).astype(dtype, copy=False)
     if n_samples < 2:
@@ -379,8 +395,7 @@ def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
     n = model.dim
     if 2 * n > joint_dim_cap:
         raise DimensionCapError(f"joint dimension {2 * n} exceeds cap {joint_dim_cap}")
-    l_sys = model.couplings[0]
-    h_sys = model.hamiltonian
+    h_sys, (l_sys,) = _matrices(model)
     rho0 = maximally_mixed(n) if rho0 is None else as_operator(rho0)
 
     limit_coupling = -(2.0 * omega / np.sqrt(gamma)) * l_sys

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionCapError, InputFormatError, PreconditionError
 from .lindblad import LindbladModel
-from .linalg import PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, require_headroom
+from .linalg import PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, local_operator
 from .scalability import AggregateSpec
 
 MAX_MODEL_DIM = 4096
@@ -32,10 +32,10 @@ class NamedModel:
     """A ready-to-use example system with documented expected outcomes.
 
     An aggregate example holds its operators in `aggregate` alone: its
-    `model` (every channel, the new ones last), its `candidates` (each given
-    as the indices of the terms it sums) and its `extras` (local operators)
-    are dense views, built at each access.  Values given as matrices are
-    returned as given.
+    `model` holds the aggregate's own operators (every channel, the new ones
+    last), and each of its `candidates`, given as the indices of the terms it
+    sums, is the list of those terms.  Values given as matrices are returned
+    as given.
     """
 
     def __init__(self, name: str, description: str, model: LindbladModel | None = None,
@@ -45,9 +45,9 @@ class NamedModel:
         self.description = description
         self.aggregate = aggregate
         self.expected = expected or {}
+        self.extras = extras or {}
         self._model = model
         self._candidates = candidates or {}
-        self._extras = extras or {}
 
     @property
     def model(self) -> LindbladModel:
@@ -56,16 +56,9 @@ class NamedModel:
         return self.aggregate.to_model(self.aggregate.new_couplings)
 
     @property
-    def candidates(self) -> dict[str, np.ndarray]:
-        spec = self.aggregate
-        return {name: spec.dense_sum(spec.terms[t] for t in v) if isinstance(v, tuple) else v
+    def candidates(self) -> dict:
+        return {name: [self.aggregate.terms[t] for t in v] if isinstance(v, tuple) else v
                 for name, v in self._candidates.items()}
-
-    @property
-    def extras(self) -> dict:
-        return {name: [self.aggregate.dense(a) if isinstance(a, LocalOperator) else a
-                       for a in v]
-                for name, v in self._extras.items()}
 
 
 def _expected(value, tag: str) -> dict:
@@ -294,10 +287,10 @@ def build(name: str) -> NamedModel:
     Arguments are positional numbers, except that a boolean parameter is set
     by its own name and by nothing else; an ``int`` parameter takes only an
     integer literal.  Arguments that overflow the constructor, or give an
-    operator (H, a coupling or a candidate; of an aggregate, each of its
-    local operators at its dense value) whose squared Frobenius norm is
-    within a factor 16 of the float range, are an input error naming
-    ``name``.  No operator of an aggregate is built on the whole space.
+    operator (H, a coupling, a candidate or a term or unitary factor of an
+    aggregate) whose squared Frobenius norm on the whole space is within a
+    factor 16 of the float range, are an input error naming ``name``.  No
+    operator of an aggregate is built on the whole space.
     """
     m = _NAME_RE.match(name.strip())
     if m is None or m.group(1) not in REGISTRY:
@@ -334,13 +327,12 @@ def build(name: str) -> NamedModel:
         raise InputFormatError("name", f"arguments in {name!r} overflow: {exc}")
     what = (f"arguments in {name!r} overflow: an operator of the model (H, a coupling or a "
             "candidate)")
-    spec = named.aggregate
+    model, spec = named.model, named.aggregate
+    ops = [model.hamiltonian, *model.couplings]
     if spec is None:
-        for op in [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]:
-            require_headroom(op, "name", what)
-    else:  # each local operator at its dense value; the model and candidates are built of them
-        for op in [spec.hamiltonian, *spec.terms, *spec.couplings, *(spec.unitaries or []),
-                   *spec.new_couplings]:
-            if op is not None:
-                op.require_headroom(spec.structure, "name", what)
+        ops += [local_operator(v, model.structure, "candidate") for v in named.candidates.values()]
+    else:  # the candidates are sums of the terms
+        ops += [*spec.terms, *(spec.unitaries or [])]
+    for op in ops:
+        op.require_headroom(model.structure, "name", what)
     return named

@@ -19,33 +19,32 @@ out.  Only the ground energy d of an aggregate report uses the whole space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod, sqrt
 
 import numpy as np
 
-from .errors import DimensionCapError, DimensionMismatchError, NonHermitianError, PreconditionError
+from .errors import DimensionCapError, PreconditionError
 from .lindblad import (
     LindbladModel,
     Trajectory,
+    _drift,
+    _hermitian_terms,
     dissipation_single_channel,
     evolve,
-    generator_single_channel,
     maximally_mixed,
 )
 from .linalg import (
     DEFAULT_TOL,
     LocalOperator,
     TensorStructure,
-    _frobenius,
-    as_operator,
+    _meet,
+    _sum_meeting,
+    _Window,
     commutator,
     dagger,
-    hermitian_part,
+    embed_sum,
+    local_operator,
     max_eigenvalue,
     min_eigenvalue,
-    psd_spectrum,
-    restrict,
-    support,
 )
 from .stability import _schur_constant
 
@@ -58,9 +57,9 @@ class AggregateSpec:
     incremental step.
 
     Every operator is held once, as a `LocalOperator`.  One given as a matrix
-    of the whole space is reduced to its support on construction; `dense`
-    embeds an operator back into the whole space for the quantities that
-    need it (the ground energy d, the model and simulation).  H must be Hermitian.
+    of the whole space is reduced to its support on construction; only the
+    ground energy d and simulation embed operators back into the whole
+    space.  H must be Hermitian.
     """
 
     structure: TensorStructure
@@ -73,24 +72,9 @@ class AggregateSpec:
     new_couplings: list[LocalOperator] = field(default_factory=list)
 
     def __post_init__(self):
-        structure = self.structure
-
-        def local(a, kind: str) -> LocalOperator:
-            if isinstance(a, LocalOperator):
-                if not set(a.sites) <= set(range(1, structure.n_sites + 1)) or \
-                        len(a.matrix) != prod(structure.dims[s - 1] for s in a.sites):
-                    raise DimensionMismatchError(f"{kind} of dim {len(a.matrix)} does not fit "
-                                                 f"sites {a.sites} of {structure.dims}")
-                return a
-            a = as_operator(a)
-            if a.shape[0] != structure.total_dim:
-                raise DimensionMismatchError(f"{kind} dim {a.shape[0]} != "
-                                             f"{structure.total_dim}")
-            sites = support(a, structure)
-            return LocalOperator(sites, restrict(a, sites, structure))
-
         def operators(ops, kind):
-            return [local(a, f"{kind} {i}") for i, a in enumerate(ops)]
+            return [local_operator(a, self.structure, f"{kind} {i}", reduce=True)
+                    for i, a in enumerate(ops)]
 
         self.terms = operators(self.terms, "term")
         self.couplings = operators(self.couplings, "coupling")
@@ -98,9 +82,8 @@ class AggregateSpec:
             self.unitaries = operators(self.unitaries, "unitary")
         self.new_couplings = operators(self.new_couplings, "new coupling")
         if self.hamiltonian is not None:
-            self.hamiltonian = h = local(self.hamiltonian, "hamiltonian")
-            if not _Window(structure, h).is_hermitian(h.matrix, DEFAULT_TOL):
-                raise NonHermitianError("hamiltonian must be Hermitian")
+            self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian",
+                                                 reduce=True)
 
     @property
     def n_terms(self) -> int:
@@ -134,28 +117,14 @@ class AggregateSpec:
             raise PreconditionError("assignment must name channels for every term")
         return groups
 
-    def dense(self, op: LocalOperator) -> np.ndarray:
-        """The matrix of `op` on the whole space, built at each call."""
-        return op.on(tuple(range(1, self.structure.n_sites + 1)), self.structure)
-
-    def dense_sum(self, ops) -> np.ndarray:
-        """The sum of the dense `ops`, in list order, from zero."""
-        ops = list(ops)
-        acc = np.zeros((self.structure.total_dim,) * 2,
-                       dtype=np.result_type(float, *(op.matrix for op in ops)))
-        for op in ops:
-            acc += self.dense(op)
-        return acc
-
     def to_model(self, new_couplings=()) -> LindbladModel:
-        """The model with every channel, plus `new_couplings` appended."""
-        h = self.hamiltonian
-        h = np.zeros((self.structure.total_dim,) * 2) if h is None else self.dense(h)
-        return LindbladModel(self.structure, h,
-                             [self.dense(l) for l in [*self.couplings, *new_couplings]])
+        """The model of the spec's own operators: H (zero when not given) and
+        every channel, plus `new_couplings` appended."""
+        h = LocalOperator((), np.zeros((1, 1))) if self.hamiltonian is None else self.hamiltonian
+        return LindbladModel(self.structure, h, [*self.couplings, *new_couplings])
 
     def total(self) -> np.ndarray:
-        return self.dense_sum(self.terms)
+        return embed_sum(self.terms, self.structure)
 
 
 @dataclass
@@ -171,78 +140,6 @@ class AggregateReport:
     @property
     def constants(self) -> list[float | None]:
         return [entry.get("c") for entry in self.per_term]
-
-
-class _Window:
-    """The union of some supports, on which an operator X (x) I (I on the
-    `copies` dimensions of the other sites) is held as X.
-
-    spec(X (x) I) = spec(X), so eigenvalues, constants and spectral
-    thresholds are those of the full operators; a Frobenius norm is
-    sqrt(copies) ||X||_F, and `norm`, `tol` and `is_psd` take that value.
-    """
-
-    def __init__(self, structure: TensorStructure, *ops: LocalOperator):
-        self.structure = structure
-        self.sites = tuple(sorted(set().union(*(op.sites for op in ops))))
-        self.copies = structure.total_dim // prod(structure.dims[s - 1] for s in self.sites)
-
-    def embed(self, op: LocalOperator) -> np.ndarray:
-        return op.on(self.sites, self.structure)
-
-    def norm(self, x: np.ndarray) -> float:
-        return sqrt(self.copies) * _frobenius(x)
-
-    def tol(self, x: np.ndarray, tol: float) -> float:
-        """scaled_tol of X (x) I."""
-        return tol * max(1.0, self.norm(x))
-
-    def is_hermitian(self, x: np.ndarray, tol: float) -> bool:
-        """is_hermitian of X (x) I."""
-        return self.norm(x - dagger(x)) <= self.tol(x, tol)
-
-    def is_psd(self, x: np.ndarray, tol: float) -> bool:
-        """is_psd of X (x) I."""
-        return (self.is_hermitian(x, tol)
-                and psd_spectrum(np.linalg.eigvalsh(hermitian_part(x)), tol))
-
-    def constant(self, m: np.ndarray, w: np.ndarray, tol: float) -> float | None:
-        """largest_constant of M (x) I against W (x) I."""
-        return _schur_constant(m, *np.linalg.eigh(w), tol, copies=self.copies)
-
-    def add(self, items) -> np.ndarray:
-        """The sum from zero, in order, of kernel(*ops) over the `items`
-        (kernel, *ops), each computed on the sites of its own operators.  An
-        item whose last operator (a channel, or H) misses one of the others
-        gives 0 and is left out."""
-        d = self.structure.total_dim // self.copies
-        acc = np.zeros((d, d))
-        for kernel, *ops in items:
-            if all(_meet(ops[-1], x) for x in ops[:-1]):
-                own = _Window(self.structure, *ops)
-                acc = acc + self.embed(LocalOperator(own.sites, kernel(*map(own.embed, ops))))
-        return acc
-
-
-def _meet(a: LocalOperator, b: LocalOperator) -> bool:
-    return bool(set(a.sites) & set(b.sites))
-
-
-def _hamiltonian_drift(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """-i[X, H]; an exactly zero one is held as real zeros (`generator` drops it)."""
-    return -1j * commutator(x, h)
-
-
-def _drift(terms, channels, h=()) -> list:
-    """The items of -i[W, H] + sum_L G_L(W), W the sum of `terms`, H in `h`."""
-    return [*((_hamiltonian_drift, t, x) for x in h for t in terms),
-            *((generator_single_channel, t, l) for l in channels for t in terms)]
-
-
-def _sum_meeting(structure: TensorStructure, terms, l: LocalOperator) -> LocalOperator:
-    """The `terms` that meet `l`, added as one operator on their sites."""
-    win = _Window(structure, *(t for t in terms if _meet(l, t)))
-    return LocalOperator(win.sites, win.add((np.asarray, t) for t in terms if _meet(l, t)))
 
 
 def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
@@ -286,12 +183,13 @@ def _aggregate(spec: AggregateSpec, mode: str, note: str, tol: float) -> Aggrega
         gen, w = win.add(_drift([term], own, h)), win.embed(term)
         entry = {"term": names[t], "channels": ks}
         if mode == "es":  # the largest c with gen <= -c W_t
-            entry["c"] = win.constant(-gen, w, tol) if own else None
+            entry["c"] = _schur_constant(-gen, *np.linalg.eigh(w), tol,
+                                         copies=win.copies) if own else None
         else:  # gen <= 0, and the largest c with D_own(W_t) >= c W_t
             ok, c = win.is_psd(-gen, tol), None
             if ok and own:
                 diss = win.add((dissipation_single_channel, term, l) for l in own)
-                c = win.constant(diss, w, tol)
+                c = _schur_constant(diss, *np.linalg.eigh(w), tol, copies=win.copies)
             entry.update(c=c, generator_nonpositive=ok)
         win = _Window(spec.structure, term, *others)
         acc = win.add(_drift([term], others))
@@ -457,7 +355,7 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
     names = spec.names()
     observables = {"W": spec.total()}
     for name, w in zip(names, spec.terms):
-        observables[name] = spec.dense(w)
+        observables[name] = w.on(spec.structure.sites, spec.structure)
     traj = evolve(model, rho0, t_final, observables=observables,
                   n_samples=n_samples, rtol=rtol, atol=atol)
     total = sum(traj.observables[name] for name in names)

@@ -86,11 +86,16 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
 # -- models -------------------------------------------------------------------
 
 
+def _local_to_json(op: LocalOperator) -> dict:
+    return {"sites": list(op.sites), "matrix": matrix_to_json(op.matrix)}
+
+
 def model_to_json(model: LindbladModel) -> dict:
+    """The model with H and every coupling in the form {"sites", "matrix"}."""
     return {
         "dims": list(model.structure.dims),
-        "H": matrix_to_json(model.hamiltonian),
-        "L": [matrix_to_json(l) for l in model.couplings],
+        "H": _local_to_json(model.hamiltonian),
+        "L": list(map(_local_to_json, model.couplings)),
     }
 
 
@@ -103,17 +108,14 @@ def _dims_from_json(obj, field: str) -> TensorStructure:
 
 
 def model_from_json(obj: dict, field: str = "model") -> LindbladModel:
+    """H and the couplings L in any form of `_term_from_json`."""
     if not isinstance(obj, dict):
         raise InputFormatError(field, "model must be a JSON object")
     structure = _dims_from_json(obj, field)
     if "H" not in obj:
         raise InputFormatError(f"{field}.H", "missing Hamiltonian")
-    h = matrix_from_json(obj["H"], f"{field}.H")
-    couplings_obj = obj.get("L", [])
-    if not isinstance(couplings_obj, list):
-        raise InputFormatError(f"{field}.L", "couplings must be an array of matrices")
-    couplings = [matrix_from_json(l, f"{field}.L[{i}]") for i, l in enumerate(couplings_obj)]
-    return LindbladModel(structure, h, couplings)
+    return LindbladModel(structure, _term_from_json(obj["H"], structure, f"{field}.H"),
+                         _operators(obj, "L", structure, field))
 
 
 # -- aggregates ---------------------------------------------------------------
@@ -123,7 +125,7 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> LocalOperato
     """The operator form {"sites": [..], "matrix": rows}, the matrix on its
     ascending 1-based sites; a Pauli shorthand coeff P + offset I, as a local
     operator on the sites of P; or a matrix of the whole space, which
-    `AggregateSpec` reduces."""
+    `AggregateSpec` reduces and `LindbladModel` holds on every site."""
     if isinstance(obj, dict) and "sites" in obj:
         sites, n = obj["sites"], structure.n_sites
         if not (isinstance(sites, list) and all(_is_index(s) and 1 <= s <= n for s in sites)
@@ -177,24 +179,21 @@ def _per_term(obj: dict, key: str, n_terms: int, valid, what: str, field: str):
 
 def aggregate_to_json(spec: AggregateSpec) -> dict:
     """The spec with every operator in the form {"sites": [..], "matrix": rows}."""
-    def local(op: LocalOperator) -> dict:
-        return {"sites": list(op.sites), "matrix": matrix_to_json(op.matrix)}
-
     out = {
         "dims": list(spec.structure.dims),
-        "terms": list(map(local, spec.terms)),
-        "couplings": list(map(local, spec.couplings)),
+        "terms": list(map(_local_to_json, spec.terms)),
+        "couplings": list(map(_local_to_json, spec.couplings)),
     }
     if spec.assignment is not None:
         out["assignment"] = spec.assignment
     if spec.hamiltonian is not None:
-        out["H"] = local(spec.hamiltonian)
+        out["H"] = _local_to_json(spec.hamiltonian)
     if spec.term_names is not None:
         out["names"] = list(spec.term_names)
     if spec.unitaries is not None:
-        out["unitaries"] = list(map(local, spec.unitaries))
+        out["unitaries"] = list(map(_local_to_json, spec.unitaries))
     if spec.new_couplings:
-        out["new_couplings"] = list(map(local, spec.new_couplings))
+        out["new_couplings"] = list(map(_local_to_json, spec.new_couplings))
     return out
 
 

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionCapError, NonHermitianError, PreconditionError
+from .errors import DimensionCapError, PreconditionError
 from .lindblad import (
     LindbladModel,
+    _hermitian_terms,
     dissipation_functional,
     evolve,
     generator,
@@ -32,11 +33,10 @@ from .lindblad import (
 from .linalg import (
     DEFAULT_TOL,
     _frobenius,
-    as_operator,
     dagger,
+    embed_sum,
     haar_pure_state,
     hermitian_part,
-    is_hermitian,
     is_psd,
     max_eigenvalue,
     min_eigenvalue,
@@ -64,20 +64,21 @@ class StabilityReport:
         return self.convergence in ("exponential", "asymptotic only", "trivial")
 
 
-def _hermitian_candidate(v: np.ndarray, tol: float) -> np.ndarray:
-    v = as_operator(v)
-    if not is_hermitian(v, tol):
-        raise NonHermitianError("candidate must be Hermitian")
-    return v
+def _candidate(v, model: LindbladModel, tol: float) -> tuple:
+    """The candidate, a matrix or a list of LocalOperators (their sum), as
+    Hermitian terms of the model's structure, as the matrix V of the whole
+    space, and the eigenvalues and eigenvectors of V: the one spectrum of V."""
+    terms = _hermitian_terms(v, model.structure, "candidate", tol=tol)
+    v = embed_sum(terms, model.structure) if isinstance(v, list) else terms[0].matrix
+    return (terms, v, *np.linalg.eigh(hermitian_part(v)))
 
 
-def _require_candidate(v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The candidate, Hermitian and PSD, with its eigenvalues and eigenvectors."""
-    v = _hermitian_candidate(v, tol)
-    lam, q = np.linalg.eigh(hermitian_part(v))
+def _require_candidate(v, model: LindbladModel, tol: float) -> tuple:
+    """`_candidate` but V, refused unless V is PSD."""
+    terms, _, lam, q = _candidate(v, model, tol)
     if not psd_spectrum(lam, tol):
         raise PreconditionError("candidate must be positive semidefinite")
-    return v, lam, q
+    return terms, lam, q
 
 
 def largest_constant(m: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> float | None:
@@ -120,11 +121,11 @@ def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
     return c if c >= _C_MIN else None
 
 
-def _lyapunov(v: np.ndarray, lam: np.ndarray, model: LindbladModel,
+def _lyapunov(v: list, lam: np.ndarray, model: LindbladModel,
               tol: float) -> tuple[bool, dict[str, str], np.ndarray]:
-    """Whether a Hermitian v with ascending eigenvalues lam is a Lyapunov
-    operator (PSD, zero smallest eigenvalue, non-positive generator), the
-    diagnostics of the parts that fail, and the generator G(v)."""
+    """Whether the sum of the Hermitian terms v, with ascending eigenvalues
+    lam, is a Lyapunov operator (PSD, zero smallest eigenvalue, non-positive
+    generator), the diagnostics of the parts that fail, and the generator G(v)."""
     diag: dict[str, str] = {}
     psd_ok = psd_spectrum(lam, tol)
     if not psd_ok:
@@ -139,32 +140,32 @@ def _lyapunov(v: np.ndarray, lam: np.ndarray, model: LindbladModel,
     return (psd_ok and zero_ok and gen_ok), diag, g
 
 
-def check_condition_es(v: np.ndarray, model: LindbladModel,
-                       tol: float = DEFAULT_TOL) -> float | None:
-    """Largest c with G(v) <= -c v, or None."""
-    v, lam, q = _require_candidate(v, tol)
-    return _schur_constant(-generator(v, model), lam, q, tol)
+def check_condition_es(v, model: LindbladModel, tol: float = DEFAULT_TOL) -> float | None:
+    """Largest c with G(v) <= -c v, or None; v is a matrix or a list of
+    LocalOperators (their sum)."""
+    terms, lam, q = _require_candidate(v, model, tol)
+    return _schur_constant(-generator(terms, model), lam, q, tol)
 
 
-def check_condition_ds(v: np.ndarray, model: LindbladModel,
-                       tol: float = DEFAULT_TOL) -> float | None:
-    """Largest c with G(v) <= 0 and D(v) >= c v, or None."""
-    v, lam, q = _require_candidate(v, tol)
-    if not is_psd(-generator(v, model), tol):
+def check_condition_ds(v, model: LindbladModel, tol: float = DEFAULT_TOL) -> float | None:
+    """Largest c with G(v) <= 0 and D(v) >= c v, or None; v as in
+    `check_condition_es`."""
+    terms, lam, q = _require_candidate(v, model, tol)
+    if not is_psd(-generator(terms, model), tol):
         return None
-    return _schur_constant(dissipation_functional(v, model), lam, q, tol)
+    return _schur_constant(dissipation_functional(terms, model), lam, q, tol)
 
 
-def certify_ground_state_stability(v: np.ndarray, model: LindbladModel, *,
+def certify_ground_state_stability(v, model: LindbladModel, *,
                                    simulate: bool = False, n_states: int = 20,
                                    t_final: float = 20.0, seed: int = 0,
                                    dim_cap: int = 64,
                                    tol: float = DEFAULT_TOL) -> StabilityReport:
-    """Full certification of a candidate operator, optionally cross-checked by
-    master-equation simulation from sampled initial states."""
-    v = _hermitian_candidate(v, tol)
-    lam, q = np.linalg.eigh(hermitian_part(v))  # the one spectrum of V used below
-    lyap, diagnostics, g = _lyapunov(v, lam, model, tol)
+    """Full certification of a candidate operator, a matrix or a list of
+    LocalOperators (their sum), optionally cross-checked by master-equation
+    simulation from sampled initial states."""
+    terms, v, lam, q = _candidate(v, model, tol)
+    lyap, diagnostics, g = _lyapunov(terms, lam, model, tol)
     d = float(lam[0])
     margins = {"psd": d, "generator": -max_eigenvalue(g)}
     diagnostics.setdefault("mean_dissipation_condition", "not checked (state-dependent)")
@@ -175,7 +176,7 @@ def certify_ground_state_stability(v: np.ndarray, model: LindbladModel, *,
         diagnostics["degenerate"] = "candidate is (numerically) zero"
     elif lyap:
         # lyap covers the candidate and G(V) <= 0 checks of check_condition_es/_ds
-        d_op = dissipation_functional(v, model)
+        d_op = dissipation_functional(terms, model)
         c_es = _schur_constant(-g, lam, q, tol)
         c_ds = _schur_constant(d_op, lam, q, tol)
         if c_es is not None:

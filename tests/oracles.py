@@ -3,15 +3,16 @@
 Nothing here is reached by the command line, `scripts/` or the benchmark:
 each function is an independent way to compute a quantity that the runtime
 computes another way (the bilinear synthesis solver against the closed form,
-the Liouvillian kernel against simulation, dense ground spaces and the dense
-aggregation theorems against the windowed ones), or a random ensemble the
-property tests draw from.
+the Liouvillian kernel against simulation, dense ground spaces, and the dense
+generator, dissipation functional and aggregation theorems against the
+windowed ones), or a random ensemble the property tests draw from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,12 +20,11 @@ from dissipctl.errors import (
     DimensionMismatchError, DissipctlError, InfeasibleError, NonHermitianError, PreconditionError,
 )
 from dissipctl.lindblad import (
-    LindbladModel, _channel_sum, _observable, dissipation_functional, dissipation_single_channel,
-    generator, generator_single_channel, liouvillian,
+    LindbladModel, _observable, dissipation_single_channel, generator_single_channel, liouvillian,
 )
 from dissipctl.linalg import (
-    DEFAULT_TOL, as_operator, commutator, dagger, hermitian_part, is_hermitian, is_psd,
-    max_eigenvalue, min_eigenvalue, scaled_tol,
+    DEFAULT_TOL, TensorStructure, as_operator, commutator, dagger, embed_sum, hermitian_part,
+    is_hermitian, is_psd, max_eigenvalue, min_eigenvalue, psd_spectrum, scaled_tol,
 )
 from dissipctl.scalability import AggregateReport, AggregateSpec, _cross_single_channel
 from dissipctl.stability import largest_constant
@@ -130,6 +130,72 @@ def random_projection(rng: np.random.Generator, n: int, rank: int) -> np.ndarray
     return cols @ dagger(cols)
 
 
+# -- the dense kernel -----------------------------------------------------------
+#
+# `lindblad.generator` and `dissipation_functional` as they were before the
+# kernels moved onto support windows: every product on the whole space, for a
+# model whose H and couplings are matrices of the whole space (`DenseModel`).
+
+
+@dataclass
+class DenseModel:
+    """H and the couplings of a model as matrices of the whole space."""
+
+    structure: TensorStructure
+    hamiltonian: np.ndarray
+    couplings: list[np.ndarray]
+
+    @property
+    def dim(self) -> int:
+        return self.structure.total_dim
+
+    @classmethod
+    def of(cls, model: LindbladModel) -> "DenseModel":
+        structure, sites = model.structure, model.structure.sites
+        return cls(structure, model.hamiltonian.on(sites, structure),
+                   [l.on(sites, structure) for l in model.couplings])
+
+
+def dense_candidate(v, structure: TensorStructure) -> np.ndarray:
+    """A candidate, a matrix or a list of LocalOperators (their sum), as a
+    matrix of the whole space."""
+    return embed_sum(v, structure) if isinstance(v, list) else v
+
+
+def _channel_sum(kernel, x: np.ndarray, couplings, start: np.ndarray | None = None) -> np.ndarray:
+    """start (default 0) plus kernel(x, L) summed over couplings in list order."""
+    acc = np.zeros_like(x) if start is None else start
+    for l in couplings:
+        acc = acc + kernel(x, l)
+    return acc
+
+
+def generator(x: np.ndarray, model: DenseModel, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Heisenberg-picture drift of the observable ``x``.
+
+    A term -i[x, H] that is exactly zero is dropped, so real x and couplings
+    give a real drift.
+    """
+    x = as_operator(x)
+    if not is_hermitian(x, tol):
+        raise NonHermitianError("generator is defined here for Hermitian observables")
+    h = model.hamiltonian
+    if x.shape != h.shape:
+        raise DimensionMismatchError(f"observable dim {x.shape[0]} != model dim {h.shape[0]}")
+    comm = x @ h - h @ x if h.any() else np.zeros_like(x)
+    return _channel_sum(generator_single_channel, x, model.couplings,
+                        -1j * comm if comm.any() else None)
+
+
+def dissipation_functional(x: np.ndarray, model: DenseModel,
+                           tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Energy-dissipation operator sum_k [L_k', x][x, L_k]."""
+    x = as_operator(x)
+    if not is_hermitian(x, tol):
+        raise NonHermitianError("dissipation functional requires a Hermitian observable")
+    return _channel_sum(dissipation_single_channel, x, model.couplings)
+
+
 # -- dynamics -----------------------------------------------------------------
 
 
@@ -204,6 +270,62 @@ def frustration_free_check(terms, tol: float = DEFAULT_TOL) -> bool:
 # -- aggregates ---------------------------------------------------------------
 
 
+@dataclass
+class DenseSpec:
+    """The operators of an `AggregateSpec` as matrices of the whole space
+    (H zero when the spec has none), with the total and the eigenvalues of
+    each term; `memo` keeps results that the dense theorems compute more
+    than once for a spec."""
+
+    structure: TensorStructure
+    terms: list[np.ndarray]
+    couplings: list[np.ndarray]
+    new_couplings: list[np.ndarray]
+    unitaries: list[np.ndarray] | None
+    hamiltonian: np.ndarray
+    total: np.ndarray
+    spectra: list[np.ndarray]
+    memo: dict = field(default_factory=dict)
+
+    def model(self, new: bool = False) -> DenseModel:
+        """H and the spec's channels, then with `new` its new channels."""
+        return DenseModel(self.structure, self.hamiltonian,
+                          self.couplings + (self.new_couplings if new else []))
+
+    def partial_sum(self, n: int) -> np.ndarray:
+        """W_1 + ... + W_n, in order from zero."""
+        acc = np.zeros_like(self.total, dtype=np.result_type(float, *self.terms[:n]))
+        for w in self.terms[:n]:
+            acc += w
+        return acc
+
+
+_DENSE_VIEWS: dict[int, tuple] = {}
+
+
+def dense_view(spec: AggregateSpec) -> DenseSpec:
+    """The `DenseSpec` of `spec`, built once and kept for the last few specs."""
+    hit = _DENSE_VIEWS.get(id(spec))
+    if hit is None or hit[0] is not spec:
+        structure = spec.structure
+
+        def dense(ops):
+            return [op.on(structure.sites, structure) for op in ops]
+
+        terms = dense(spec.terms)
+        h = spec.hamiltonian
+        view = DenseSpec(
+            structure, terms, dense(spec.couplings), dense(spec.new_couplings),
+            None if spec.unitaries is None else dense(spec.unitaries),
+            np.zeros((structure.total_dim,) * 2) if h is None else dense([h])[0],
+            embed_sum(spec.terms, structure),
+            [np.linalg.eigvalsh(hermitian_part(t)) for t in terms])
+        if len(_DENSE_VIEWS) >= 4:
+            _DENSE_VIEWS.pop(next(iter(_DENSE_VIEWS)))
+        hit = _DENSE_VIEWS[id(spec)] = (spec, view)
+    return hit[1]
+
+
 def check_scalability_condition(spec: AggregateSpec, term_index: int, channel_index: int,
                                 tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Cross-channel condition: sum over channels other than `channel_index`
@@ -216,14 +338,15 @@ def check_scalability_condition(spec: AggregateSpec, term_index: int, channel_in
         raise PreconditionError(f"term index {term_index} out of range")
     if not 0 <= channel_index < spec.n_channels:
         raise PreconditionError(f"channel index {channel_index} out of range")
-    return _cross_channel_margin(spec, spec.dense(spec.terms[term_index]), [channel_index], tol)
+    return _cross_channel_margin(spec, term_index, [channel_index], tol)
 
 
 def dissipation_cross_term(spec: AggregateSpec) -> np.ndarray:
     """D(sum W_t) - sum_t D(W_t): the cross part of the dissipation operator."""
-    model = spec.to_model()
-    total = dissipation_functional(spec.total(), model)
-    for w in map(spec.dense, spec.terms):
+    view = dense_view(spec)
+    model = view.model()
+    total = dissipation_functional(view.total, model)
+    for w in view.terms:
         total = total - dissipation_functional(w, model)
     return total
 
@@ -232,13 +355,21 @@ def dissipation_cross_term(spec: AggregateSpec) -> np.ndarray:
 #
 # The aggregation theorems as they were before the support windows: every
 # quantity on the full space.  Bodies unchanged, except that they read the
-# spec's operators through its dense view, and that the per-term conditions
-# count the drift -i[W_t, H] of the spec's H, as the windowed ones do.
+# spec's operators through its dense view, that the per-term conditions
+# count the drift -i[W_t, H] of the spec's H, as the windowed ones do, and
+# that `incremental_operators` computes the operators of `check_incremental`
+# that depend on neither c nor d_free.
 
 
 def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
-    for i, t in enumerate(map(spec.dense, spec.terms)):
-        if not is_psd(t, tol):
+    """`is_psd` of every term, from the spectra of its dense view; computed
+    once per spec."""
+    view = dense_view(spec)
+    if ("psd", tol) not in view.memo:
+        view.memo["psd", tol] = [is_hermitian(t, tol) and psd_spectrum(w, tol)
+                                 for t, w in zip(view.terms, view.spectra)]
+    for i, ok in enumerate(view.memo["psd", tol]):
+        if not ok:
             raise PreconditionError(f"term {i} is not PSD")
 
 
@@ -248,17 +379,22 @@ def _nonpositive(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[bool, fl
     return margin >= -scaled_tol(scale, tol), margin
 
 
-def _cross_channel_margin(spec: AggregateSpec, w: np.ndarray, ks, tol: float) -> tuple[bool, float]:
-    """Scalability margin of a term against every channel outside `ks`."""
-    others = [l for k, l in enumerate(map(spec.dense, spec.couplings)) if k not in ks]
-    acc = _channel_sum(generator_single_channel, w, others)
-    return _nonpositive(acc, acc, tol)
+def _cross_channel_margin(spec: AggregateSpec, t: int, ks, tol: float) -> tuple[bool, float]:
+    """Scalability margin of term `t` against every channel outside `ks`,
+    computed once per spec."""
+    view = dense_view(spec)
+    key = ("scalability", t, tuple(ks), tol)
+    if key not in view.memo:
+        others = [l for k, l in enumerate(view.couplings) if k not in ks]
+        acc = _channel_sum(generator_single_channel, view.terms[t], others)
+        view.memo[key] = _nonpositive(acc, acc, tol)
+    return view.memo[key]
 
 
 def _own_drift(w: np.ndarray, own: list, h: np.ndarray) -> np.ndarray:
     """-i[W_t, H] + G_own(W_t), the exactly zero commutator dropped as in
-    `lindblad.generator`."""
-    comm = commutator(w, h)
+    `generator`."""
+    comm = commutator(w, h) if h.any() else np.zeros_like(w)
     return _channel_sum(generator_single_channel, w, own, -1j * comm if comm.any() else None)
 
 
@@ -288,19 +424,18 @@ def _aggregate(spec: AggregateSpec, mode: str, term_constant, note: str,
                                notes=["no terms: vacuously stable"])
     groups = spec.channel_groups()
     names = spec.names()
-    h = spec.dense(spec.hamiltonian) if spec.hamiltonian is not None \
-        else np.zeros((spec.structure.total_dim,) * 2)
+    view = dense_view(spec)
     per_term = []
-    for t, (w, ks) in enumerate(zip(map(spec.dense, spec.terms), groups)):
+    for t, (w, ks) in enumerate(zip(view.terms, groups)):
         entry = {"term": names[t], "channels": ks,
-                 **term_constant(w, [spec.dense(spec.couplings[k]) for k in ks], h, tol)}
-        scal_ok, margin = _cross_channel_margin(spec, w, ks, tol)
+                 **term_constant(w, [view.couplings[k] for k in ks], view.hamiltonian, tol)}
+        scal_ok, margin = _cross_channel_margin(spec, t, ks, tol)
         entry.update(scalability=scal_ok, scalability_margin=margin,
                      certified=entry["c"] is not None and scal_ok)
         per_term.append(entry)
     overall = all(entry["certified"] for entry in per_term)
     return AggregateReport(mode=mode, per_term=per_term, overall=overall,
-                           d_total=min_eigenvalue(spec.total()),
+                           d_total=min_eigenvalue(view.total),
                            notes=[note] if overall else [])
 
 
@@ -310,10 +445,13 @@ def check_theorem_es_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) 
     Each term must satisfy (with its assigned channels) a per-term decay bound
     with some c > 0, and every term must pass the cross-channel condition.
     When all terms pass, the sum is certified asymptotically ground-state
-    stable and is itself a valid stability witness.
+    stable and is itself a valid stability witness.  Computed once per spec.
     """
-    return _aggregate(spec, "es", _es_term,
-                      "aggregate certified: the sum is a valid stability witness", tol)
+    memo = dense_view(spec).memo
+    if ("es", tol) not in memo:
+        memo["es", tol] = _aggregate(
+            spec, "es", _es_term, "aggregate certified: the sum is a valid stability witness", tol)
+    return memo["es", tol]
 
 
 def check_theorem_ds_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:
@@ -321,25 +459,40 @@ def check_theorem_ds_aggregation(spec: AggregateSpec, tol: float = DEFAULT_TOL) 
     return _aggregate(spec, "ds", _ds_term, "aggregate satisfies the dissipative condition", tol)
 
 
+def incremental_operators(spec: AggregateSpec, n: int) -> SimpleNamespace:
+    """The operators of `check_incremental` at `n` that depend on neither c
+    nor d_free, through the dense `generator` and `dissipation_functional` of
+    the spec's model."""
+    view = dense_view(spec)
+    w_n = view.partial_sum(n)
+    w_next = view.terms[n]
+    full = view.model(new=True)  # the spec's channels, then the new ones
+    prior = view.model()
+    gen = _channel_sum(generator_single_channel, w_n, view.new_couplings, generator(w_next, full))
+    cross = _channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
+    g = generator(w_n, prior)
+    return SimpleNamespace(
+        w_n=w_n, w_next=w_next, d_n=min_eigenvalue(w_n), d_next=min_eigenvalue(w_n + w_next),
+        g=g, g_margin=-max_eigenvalue(g), d_op=dissipation_functional(w_n, prior),
+        gen=gen, gen_margin=-max_eigenvalue(gen), cross_norm=float(np.linalg.norm(cross, 2)),
+        diss=dissipation_functional(w_next, full) + cross)
+
+
 def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
-                      d_free: bool = False, tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
+                      d_free: bool = False, tol: float = DEFAULT_TOL,
+                      ops: SimpleNamespace | None = None) -> tuple[bool, dict]:
     """`scalability.check_incremental` (Theorems 4 and 5 and their d-free
-    corollary) with every quantity on the whole space, through the dense
-    `generator` and `dissipation_functional` of the spec's model."""
+    corollary) with every quantity on the whole space; `ops` are the
+    `incremental_operators` of (spec, n), computed here when not given."""
     if mode not in ("es", "ds"):
         raise PreconditionError(f"mode must be 'es' or 'ds', got {mode!r}")
     _require_terms_psd(spec, tol)
     if not 1 <= n < spec.n_terms:
         raise PreconditionError(f"n must satisfy 1 <= n < {spec.n_terms}, got {n}")
-    w_n = spec.dense_sum(spec.terms[:n])
-    w_next = spec.dense(spec.terms[n])
-    d_n = min_eigenvalue(w_n)
-    d_next = min_eigenvalue(w_n + w_next)
+    o = incremental_operators(spec, n) if ops is None else ops
+    w_n, w_next, d_n, d_next, g = o.w_n, o.w_next, o.d_n, o.d_next, o.g
     eye = np.eye(w_n.shape[0])
 
-    full = spec.to_model(spec.new_couplings)  # the spec's channels, then the new ones
-    prior = LindbladModel(spec.structure, full.hamiltonian, full.couplings[:spec.n_channels])
-    g = generator(w_n, prior)
     shifted = w_n - d_n * eye
     prior_tol = max(tol, 1e-8)
     if mode == "es" and not _nonpositive(g + c * shifted, g, prior_tol)[0]:
@@ -347,27 +500,24 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
             f"prior certificate missing: existing channels do not give the decay bound at c={c}"
         )
     if mode == "ds":
-        if not _nonpositive(g, g, prior_tol)[0]:
+        if not o.g_margin >= -scaled_tol(g, prior_tol):
             raise PreconditionError("prior certificate missing: generator not non-positive")
-        d_op = dissipation_functional(w_n, prior)
-        if not _nonpositive(c * shifted - d_op, d_op, prior_tol)[0]:
+        if not _nonpositive(c * shifted - o.d_op, o.d_op, prior_tol)[0]:
             raise PreconditionError(f"prior certificate missing: dissipation bound fails at c={c}")
 
-    new = full.couplings[spec.n_channels:]
-    gen = _channel_sum(generator_single_channel, w_n, new, generator(w_next, full))
+    gen = o.gen
     shift = 0.0 if d_free else c * (d_next - d_n) * eye
     if mode == "es":
         holds, margin = _nonpositive(gen + c * w_next - shift, gen, tol)
         info = {"margin": margin}
     else:
-        gen_ok, gen_margin = _nonpositive(gen, gen, tol)
-        cross = _channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
-        diss = dissipation_functional(w_next, full) + cross
+        gen_ok, gen_margin = o.gen_margin >= -scaled_tol(gen, tol), o.gen_margin
+        diss = o.diss
         diss_margin = min_eigenvalue(diss - c * w_next + shift)
         holds = gen_ok and diss_margin >= -scaled_tol(diss, tol)
         info = {"generator_margin": gen_margin,
                 "margin" if d_free else "dissipation_margin": diss_margin,
-                "cross_norm": float(np.linalg.norm(cross, 2))}
+                "cross_norm": o.cross_norm}
     info.update(d_n=d_n, d_next=d_next)
     if not d_free:
         info["d_ladder_ok"] = d_next >= d_n - scaled_tol(w_n, tol)
@@ -378,6 +528,16 @@ def _commutes(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
     """([a, b] = 0 within scaled_tol(a) * max(1, ||b||), the defect ||[a, b]||)."""
     defect = float(np.linalg.norm(commutator(a, b)))
     return defect <= scaled_tol(a, tol) * max(1.0, float(np.linalg.norm(b))), defect
+
+
+def clause(spec: AggregateSpec, kind: str, a: int, t: int, tol: float = DEFAULT_TOL):
+    """`_commutes` of operator `a` of `kind` ("terms" or "unitaries") with
+    term `t`, on the dense view; computed once per spec."""
+    view = dense_view(spec)
+    key = ("clause", kind, a, t, tol)
+    if key not in view.memo:
+        view.memo[key] = _commutes(getattr(view, kind)[a], view.terms[t], tol)
+    return view.memo[key]
 
 
 def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:
@@ -391,21 +551,21 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
     """
     # the aggregation theorem checks that every term is PSD, before anything else
     base = check_theorem_es_aggregation(spec, tol)
-    unitaries = list(map(spec.dense, spec.unitaries or []))
+    unitaries = dense_view(spec).unitaries or []
     if len(unitaries) != spec.n_channels:
         raise PreconditionError("one unitary per channel is required")
     names = spec.names()
     notes: list[str] = []
     for a in range(spec.n_terms):
         for b in range(a + 1, spec.n_terms):
-            ok, defect = _commutes(spec.dense(spec.terms[a]), spec.dense(spec.terms[b]), tol)
+            ok, defect = clause(spec, "terms", a, b, tol)
             if not ok:
                 notes.append(f"terms {names[a]} and {names[b]} do not commute (norm {defect:.3e})")
     for t, ks in enumerate(spec.channel_groups()):
-        for k, u in enumerate(unitaries):
+        for k in range(len(unitaries)):
             if k in ks:
                 continue
-            ok, defect = _commutes(u, spec.dense(spec.terms[t]), tol)
+            ok, defect = clause(spec, "unitaries", k, t, tol)
             if not ok:
                 notes.append(f"commutation clause fails for (U[{k}], {names[t]}) "
                              f"(norm {defect:.3e}); rerun with --theorem es")

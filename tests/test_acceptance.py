@@ -30,6 +30,7 @@ from dissipctl.stability import check_condition_ds, check_condition_es
 from oracles import (
     check_factorizable,
     check_scalability_condition,
+    dense_view,
     expectation,
     ground_space,
     haar_unitary,
@@ -104,8 +105,8 @@ def test_acceptance_4_two_qubit_aggregation():
 def test_acceptance_5_cluster_chain():
     t0 = time.perf_counter()
     m = cluster_chain(4)
-    terms = list(map(m.aggregate.dense, m.aggregate.terms))
-    unitaries = list(map(m.aggregate.dense, m.aggregate.unitaries))
+    view = dense_view(m.aggregate)
+    terms, unitaries = view.terms, view.unitaries
     for a in range(len(terms)):
         for b in range(a + 1, len(terms)):
             assert np.linalg.norm(commutator(terms[a], terms[b])) <= 1e-12
@@ -137,8 +138,8 @@ def test_acceptance_6_toric_patch():
     assert gs.dimension == 16
 
     ext = toric_patch(extended=True)
-    z1 = ext.aggregate.dense(ext.aggregate.unitaries[0])
-    v3 = ext.aggregate.dense(ext.aggregate.terms[2])
+    view = dense_view(ext.aggregate)
+    z1, v3 = view.unitaries[0], view.terms[2]
     assert np.linalg.norm(commutator(z1, v3)) > 1.0
     ok, margin = check_scalability_condition(ext.aggregate, 2, 0)
     assert ok
@@ -152,7 +153,7 @@ def test_acceptance_7_factorizability():
     t0 = time.perf_counter()
     m = three_level_example()
     v = m.candidates["V"]
-    l2 = m.model.couplings[1]
+    l2 = m.model.couplings[1].matrix  # on the one site
     chk = check_factorizable(l2, v)
     assert not chk.factorizable
     delta = l2.conj().T @ l2 - v @ v

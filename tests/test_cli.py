@@ -15,6 +15,7 @@ from dissipctl.cli import main
 from dissipctl.lindblad import evolve
 from dissipctl.serialize import matrix_to_json, model_to_json
 from dissipctl.models import REGISTRY, build, two_level_example
+from oracles import DenseModel, dense_candidate
 
 
 @pytest.fixture()
@@ -22,6 +23,14 @@ def v_file(tmp_path):
     path = tmp_path / "v.json"
     path.write_text(json.dumps({"V": matrix_to_json(np.diag([1.0, 0.0]))}))
     return str(path)
+
+
+def _dense_model_json(model) -> dict:
+    """The model in the dense form: H and each coupling as the matrix of
+    the whole space."""
+    dense = DenseModel.of(model)
+    return {"dims": list(model.structure.dims), "H": matrix_to_json(dense.hamiltonian),
+            "L": [matrix_to_json(l) for l in dense.couplings]}
 
 
 def _run(capsys, argv):
@@ -386,17 +395,21 @@ class TestModels:
         assert "three_level" in names and "toric_patch" in names
 
     def test_export_round_trips_through_check(self, capsys, tmp_path):
-        code, out, _ = _run(capsys, ["models", "export", "three_level"])
-        assert code == 0
-        payload = json.loads(out)
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(payload["model"]))
-        v_path = tmp_path / "v.json"
-        v_path.write_text(json.dumps(payload["candidates"]["V"]))
-        code, out, _ = _run(capsys, ["check", "--model", str(model_path),
-                                     "--v", str(v_path)])
-        assert code == 0
-        assert json.loads(out)["report"]["c_ds"] == pytest.approx(0.5, abs=1e-6)
+        # the model block holds each operator on its sites, the candidate is
+        # the matrix of the whole space; check --name reads the first candidate
+        for name in [*sorted(REGISTRY), "toric_patch(extended)"]:
+            code, out, _ = _run(capsys, ["models", "export", name])
+            assert code == 0
+            payload = json.loads(out)
+            model_path = tmp_path / "model.json"
+            model_path.write_text(json.dumps(payload["model"]))
+            v_path = tmp_path / "v.json"
+            v_path.write_text(json.dumps(next(iter(payload["candidates"].values()))))
+            by_file = _run(capsys, ["check", "--model", str(model_path), "--v", str(v_path)])
+            assert by_file == _run(capsys, ["check", "--name", name]), name
+            if name == "three_level":
+                assert by_file[0] == 0
+                assert json.loads(by_file[1])["report"]["c_ds"] == pytest.approx(0.5, abs=1e-6)
 
     def test_export_needs_name(self, capsys):
         code, _, err = _run(capsys, ["models", "export"])
@@ -440,7 +453,7 @@ class TestInputValidation:
         assert "spec.assignment" in err
 
     def test_nan_in_hamiltonian(self, capsys, tmp_path, v_file):
-        model = model_to_json(two_level_example().model)
+        model = _dense_model_json(two_level_example().model)
         model["H"][0][0] = [float("nan"), 0.0]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))
@@ -488,7 +501,7 @@ class TestInputValidation:
     def test_model_entry_whose_square_overflows(self, capsys, tmp_path, v_file):
         # finite, but L'L is not: refused when read, naming the coupling,
         # instead of a "generator": NaN report
-        model = model_to_json(two_level_example().model)
+        model = _dense_model_json(two_level_example().model)
         model["L"][0][0][0] = [1e200, 0.0]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))
@@ -497,6 +510,37 @@ class TestInputValidation:
             code, out, err = _run(capsys, ["check", "--model", str(path), "--v", v_file])
         assert code == 1 and out == ""
         assert "input error: model.L[0]: the matrix has a squared norm too close" in err
+
+    def _check_model(self, capsys, tmp_path, model, v):
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        (tmp_path / "v.json").write_text(json.dumps({"V": matrix_to_json(v)}))
+        return _run(capsys, ["check", "--model", str(tmp_path / "model.json"),
+                             "--v", str(tmp_path / "v.json")])
+
+    @pytest.mark.parametrize("name", ["two_qubit", "cluster_chain(4)"])
+    def test_local_model_checks_like_its_dense_form(self, capsys, tmp_path, name):
+        named = build(name)
+        model = named.model
+        v = dense_candidate(next(iter(named.candidates.values())), model.structure)
+        obj = model_to_json(model)
+        assert all(set(op) == {"sites", "matrix"} for op in [obj["H"], *obj["L"]])
+        local = self._check_model(capsys, tmp_path, obj, v)
+        assert local[0] == 0
+        assert local == self._check_model(capsys, tmp_path, _dense_model_json(model), v)
+
+    def test_model_coupling_off_its_sites(self, capsys, tmp_path):
+        model = model_to_json(build("two_qubit").model)
+        model["L"][0]["sites"] = [3]
+        code, out, err = self._check_model(capsys, tmp_path, model, np.diag([1.0, 0, 0, 0]))
+        assert code == 1 and out == ""
+        assert err.startswith("dissipctl: input error: model.L[0]: sites must be ascending")
+
+    def test_non_hermitian_local_hamiltonian(self, capsys, tmp_path):
+        model = model_to_json(build("two_qubit").model)
+        model["H"] = {"sites": [2], "matrix": [[0, 1], [0, 0]]}
+        code, out, err = self._check_model(capsys, tmp_path, model, np.diag([1.0, 0, 0, 0]))
+        assert code == 1 and out == ""
+        assert err == "dissipctl: error: hamiltonian must be Hermitian\n"
 
     def test_pauli_term_whose_square_overflows(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

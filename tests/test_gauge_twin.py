@@ -23,6 +23,7 @@ from dissipctl.scalability import (
     check_theorem_es_aggregation,
 )
 from dissipctl.stability import certify_ground_state_stability
+from oracles import DenseModel, dense_candidate, dense_view
 
 TOL = 1e-12
 NAMES = sorted(REGISTRY) + ["two_level(0.5, 2)", "cluster_chain(5)"]
@@ -35,31 +36,37 @@ def gauge_twin(named: NamedModel, seed: int) -> NamedModel:
     def conj(a):
         return twist * a
 
-    model = named.model
-    twin_model = LindbladModel(model.structure, conj(model.hamiltonian),
+    structure = named.model.structure
+    model = DenseModel.of(named.model)
+    twin_model = LindbladModel(structure, conj(model.hamiltonian),
                                [conj(l) for l in model.couplings])
     spec = named.aggregate
+    view = None if spec is None else dense_view(spec)
     twin_spec = None if spec is None else AggregateSpec(
-        structure=spec.structure, terms=[conj(spec.dense(t)) for t in spec.terms],
-        couplings=[conj(spec.dense(l)) for l in spec.couplings], assignment=spec.assignment,
-        hamiltonian=None if spec.hamiltonian is None else conj(spec.dense(spec.hamiltonian)),
+        structure=structure, terms=[conj(t) for t in view.terms],
+        couplings=[conj(l) for l in view.couplings], assignment=spec.assignment,
+        hamiltonian=None if spec.hamiltonian is None else conj(view.hamiltonian),
         term_names=spec.term_names,
-        unitaries=None if spec.unitaries is None else [conj(spec.dense(u))
-                                                       for u in spec.unitaries],
-        new_couplings=[conj(spec.dense(l)) for l in spec.new_couplings])
-    extras = {k: [conj(a) for a in v] if isinstance(v, list) else v
+        unitaries=None if view.unitaries is None else [conj(u) for u in view.unitaries],
+        new_couplings=[conj(l) for l in view.new_couplings])
+    extras = {k: [conj(a.on(structure.sites, structure)) for a in v]
               for k, v in named.extras.items()}
     return NamedModel(named.name, named.description, twin_model,
-                      {k: as_operator(conj(v)) for k, v in named.candidates.items()},
+                      {k: as_operator(conj(dense_candidate(v, structure)))
+                       for k, v in named.candidates.items()},
                       twin_spec, named.expected, extras)
 
 
 def _operators(named: NamedModel) -> list[np.ndarray]:
-    ops = [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]
-    spec = named.aggregate
-    if spec is not None:
-        ops += map(spec.dense, [*spec.terms, *spec.couplings, *(spec.unitaries or []),
-                                *spec.new_couplings])
+    """The model's, candidates' and aggregate's operators as matrices of the
+    whole space."""
+    structure = named.model.structure
+    model = DenseModel.of(named.model)
+    ops = [model.hamiltonian, *model.couplings,
+           *(dense_candidate(v, structure) for v in named.candidates.values())]
+    if named.aggregate is not None:
+        view = dense_view(named.aggregate)
+        ops += [*view.terms, *view.couplings, *(view.unitaries or []), *view.new_couplings]
     return ops
 
 

@@ -15,6 +15,8 @@ from dissipctl.linalg import (
     PAULI_Z,
     LocalOperator,
     TensorStructure,
+    _restrict,
+    _support,
     as_operator,
     commutator,
     embed,
@@ -24,9 +26,7 @@ from dissipctl.linalg import (
     is_psd,
     pauli_string,
     require_headroom,
-    restrict,
     scaled_tol,
-    support,
 )
 from oracles import (
     hermitian_eig,
@@ -152,46 +152,46 @@ class TestSupport:
         s = TensorStructure.qubits(2)
         y = np.array([[1e-3, -1.7], [0.2, 0.9]])
         a = np.kron(y, np.eye(2))
-        assert support(a, s) == (1,)
+        assert _support(a, s) == (1,)
         # 1e-17 on one diagonal block of site 2, or in an off-diagonal block
         # of site 2: either makes site 2 part of the support
         diagonal, off_diagonal = a.copy(), a.copy()
         diagonal[1, 1] += 1e-17
         off_diagonal[0, 1] = 1e-17
         assert diagonal[1, 1] != diagonal[0, 0]
-        assert support(diagonal, s) == support(off_diagonal, s) == (1, 2)
+        assert _support(diagonal, s) == _support(off_diagonal, s) == (1, 2)
 
     def test_qutrit_and_qubit(self):
         s = TensorStructure((3, 2))
         rng = np.random.default_rng(40)
         x3, x2 = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
-        assert support(embed(x3, [1], s), s) == (1,)
-        assert support(embed(x2, [2], s), s) == (2,)
-        assert support(np.kron(x3, x2), s) == (1, 2)
-        assert np.array_equal(restrict(embed(x3, [1], s), (1,), s), x3)
-        assert np.array_equal(restrict(embed(x2, [2], s), (2,), s), x2)
+        assert _support(embed(x3, [1], s), s) == (1,)
+        assert _support(embed(x2, [2], s), s) == (2,)
+        assert _support(np.kron(x3, x2), s) == (1, 2)
+        assert np.array_equal(_restrict(embed(x3, [1], s), (1,), s), x3)
+        assert np.array_equal(_restrict(embed(x2, [2], s), (2,), s), x2)
 
     def test_complex_pauli(self):
         s = TensorStructure.qubits(3)
         for string, sites in (("Y2", (2,)), ("X1 Y3", (1, 3)), ("Y1 Y2 Y3", (1, 2, 3))):
             a = pauli_string(string, s)
-            assert a.dtype == complex and support(a, s) == sites
-            assert np.array_equal(embed(restrict(a, sites, s), sites, s), a)
+            assert a.dtype == complex and _support(a, s) == sites
+            assert np.array_equal(embed(_restrict(a, sites, s), sites, s), a)
         # an imaginary 1e-300 at one entry where Y1 is 0: it lies in a
         # diagonal block of site 2 and an off-diagonal block of site 3
         a = pauli_string("Y1", s)
         a[0, 5] = 1e-300j
-        assert support(a, s) == (1, 2, 3)
+        assert _support(a, s) == (1, 2, 3)
 
     def test_zero_and_identity(self):
         s = TensorStructure((2, 3))
         for a, value in ((np.zeros((6, 6)), 0.0), (np.eye(6), 1.0), (2.5 * np.eye(6), 2.5)):
-            assert support(a, s) == ()
-            assert np.array_equal(restrict(a, (), s), [[value]])
+            assert _support(a, s) == ()
+            assert np.array_equal(_restrict(a, (), s), [[value]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            support(np.eye(4), TensorStructure((3,)))
+            _support(np.eye(4), TensorStructure((3,)))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -207,8 +207,8 @@ class TestSupport:
         if rng.integers(2):
             local = local + 1j * rng.standard_normal((d_local, d_local))
         a = embed(local, sites, s)
-        assert support(a, s) == tuple(sites)
-        assert np.array_equal(restrict(a, sites, s), local)
+        assert _support(a, s) == tuple(sites)
+        assert np.array_equal(_restrict(a, sites, s), local)
 
 
 class TestLocalOperator:
@@ -226,11 +226,11 @@ class TestLocalOperator:
         op = LocalOperator(sites, rng.standard_normal((d_local, d_local)))
         dense = op.on((1, 2, 3, 4), s)
         assert np.array_equal(dense, embed(op.matrix, sites, s))
-        assert support(dense, s) == sites
-        assert np.array_equal(restrict(dense, sites, s), op.matrix)
+        assert _support(dense, s) == sites
+        assert np.array_equal(_restrict(dense, sites, s), op.matrix)
         # on a window of more sites: the dense operator restricted to it
         window = tuple(sorted({*sites, int(rng.integers(1, 5))}))
-        assert np.array_equal(op.on(window, s), restrict(dense, window, s))
+        assert np.array_equal(op.on(window, s), _restrict(dense, window, s))
 
     @given(st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=5), st.randoms())
     @settings(max_examples=40, deadline=None)
@@ -243,7 +243,7 @@ class TestLocalOperator:
         assert op.sites == tuple(x for x in range(1, len(letters) + 1) if letters[x - 1] != "I")
         dense = pauli_string(text, s)
         assert np.array_equal(op.on(tuple(range(1, len(letters) + 1)), s), dense)
-        assert np.array_equal(op.matrix, restrict(dense, op.sites, s))
+        assert np.array_equal(op.matrix, _restrict(dense, op.sites, s))
         assert op.matrix.dtype == as_operator(dense).dtype  # Y Y is real
 
     @pytest.mark.parametrize("a", [1e152, 2e153, 1e154])
@@ -269,8 +269,8 @@ class TestLocalOperator:
         s = TensorStructure.qubits(3)
         for scale in (0.0, 2.0):
             dense = scale * np.eye(8)
-            assert support(dense, s) == ()
-            op = LocalOperator((), restrict(dense, (), s))
+            assert _support(dense, s) == ()
+            op = LocalOperator((), _restrict(dense, (), s))
             assert np.array_equal(op.matrix, [[scale]])
             assert np.array_equal(op.on((1, 2, 3), s), dense)
             assert np.array_equal(op.on((), s), [[scale]])

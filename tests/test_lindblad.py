@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dissipctl import lindblad
 from dissipctl.errors import (
     DimensionMismatchError,
@@ -28,9 +29,13 @@ from dissipctl.lindblad import (
     trace_distance,
     validate_density_state,
 )
-from dissipctl.linalg import PAULI_Z, SIGMA_MINUS, TensorStructure, expm, hermitian_part
-from dissipctl.models import build, three_level_example, two_level_example
+from dissipctl.linalg import (
+    PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, expm, hermitian_part,
+)
+from dissipctl.models import REGISTRY, build, three_level_example, two_level_example
 from oracles import (
+    DenseModel,
+    dense_view,
     expectation,
     is_stationary,
     random_density,
@@ -71,7 +76,7 @@ class TestGenerator:
     def test_single_channel_additivity(self):
         m = three_level_example()
         v = m.candidates["V"]
-        per_channel = [generator_single_channel(v, l) for l in m.model.couplings]
+        per_channel = [generator_single_channel(v, l.matrix) for l in m.model.couplings]
         # hand-computed per-channel contributions
         assert np.allclose(per_channel[0], np.diag([0, -1.0, 0]), atol=1e-14)
         assert np.allclose(per_channel[1], np.diag([0, 1.0, -1.0]), atol=1e-14)
@@ -82,11 +87,12 @@ class TestGenerator:
         rng = np.random.default_rng(3)
         m = random_model(rng, 4, k=3)
         x = random_hermitian(rng, 4)
-        g = -1j * (x @ m.hamiltonian - m.hamiltonian @ x)
+        h = m.hamiltonian.matrix  # a matrix is held on every site
+        g = -1j * (x @ h - h @ x)
         d = np.zeros_like(x)
         for l in m.couplings:
-            g = g + generator_single_channel(x, l)
-            d = d + dissipation_single_channel(x, l)
+            g = g + generator_single_channel(x, l.matrix)
+            d = d + dissipation_single_channel(x, l.matrix)
         assert np.array_equal(generator(x, m), g)
         assert np.array_equal(dissipation_functional(x, m), d)
 
@@ -130,6 +136,65 @@ class TestDissipationFunctional:
         # defining form G(x^2) - G(x) x - x G(x); Hamiltonian part cancels
         alt = generator(x @ x, m) - generator(x, m) @ x - x @ generator(x, m)
         assert np.allclose(d, alt, atol=1e-9 * max(1.0, np.linalg.norm(d)))
+
+
+class TestOneKernelPath:
+    """`generator` and `dissipation_functional` add each kernel on the sites
+    of its own operators; `oracles` keeps the dense kernel, every product on
+    the whole space."""
+
+    @pytest.mark.parametrize("name", [*sorted(REGISTRY), "toric_patch(extended)",
+                                      "cluster_chain(8)"])
+    def test_registry_bitwise(self, name):
+        named = build(name)
+        model = named.model
+        dense = oracles.DenseModel.of(model)
+        for key, v in named.candidates.items():
+            x = oracles.dense_candidate(v, model.structure)
+            for new, old in ((generator(v, model), oracles.generator(x, dense)),
+                             (dissipation_functional(v, model),
+                              oracles.dissipation_functional(x, dense))):
+                assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), key
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_models_agree(self, data):
+        dims = data.draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3), label="dims")
+        structure = TensorStructure(dims)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
+
+        def operator(hermitian: bool, local: bool):
+            """A random operator: on a random set of sites, or a matrix."""
+            sites = structure.sites
+            if local:
+                sites = tuple(sorted(data.draw(st.sets(st.sampled_from(structure.sites)),
+                                               label="sites")))
+            n = int(np.prod([dims[s - 1] for s in sites]))
+            a = (random_hermitian(rng, n) if hermitian
+                 else rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            return LocalOperator(sites, a) if local else a
+
+        h = operator(True, data.draw(st.booleans(), label="local H"))
+        couplings = [operator(False, data.draw(st.booleans(), label="local L"))
+                     for _ in range(data.draw(st.integers(0, 3), label="channels"))]
+        model = LindbladModel(structure, h, couplings)
+        if data.draw(st.booleans(), label="x as terms"):
+            x = [operator(True, True) for _ in range(data.draw(st.integers(1, 3), label="terms"))]
+        else:
+            x = operator(True, False)
+        dense, x_dense = oracles.DenseModel.of(model), oracles.dense_candidate(x, structure)
+        for new, old in ((generator(x, model), oracles.generator(x_dense, dense)),
+                         (dissipation_functional(x, model),
+                          oracles.dissipation_functional(x_dense, dense))):
+            assert np.linalg.norm(new - old) <= 1e-12 * max(1.0, np.linalg.norm(old))
+
+    def test_a_dense_matrix_is_held_on_every_site(self):
+        model = LindbladModel(TensorStructure((2, 3)), np.zeros((6, 6)), [np.eye(6)])
+        assert model.hamiltonian.sites == model.couplings[0].sites == (1, 2)
+        with pytest.raises(DimensionMismatchError, match="coupling 0 dim 4 != 6"):
+            LindbladModel(TensorStructure((2, 3)), np.zeros((6, 6)), [np.eye(4)])
+        with pytest.raises(DimensionMismatchError, match="observable dim 2 != 6"):
+            generator(np.eye(2), model)
 
 
 class TestLiouvillian:
@@ -253,7 +318,7 @@ class TestEnsemble:
     def test_stack_matches_single_runs(self, n, t_final):
         rng = np.random.default_rng(20)
         m = random_model(rng, n)
-        m.couplings = [l / np.sqrt(n) for l in m.couplings]
+        m = LindbladModel(m.structure, m.hamiltonian, [l.matrix / np.sqrt(n) for l in m.couplings])
         stack = np.array([maximally_mixed(n)] + [random_density(rng, n) for _ in range(2)])
         x = random_hermitian(rng, n)
         batch = evolve(m, stack, t_final, n_samples=6, observables={"x": x})
@@ -325,11 +390,11 @@ class TestRealPropagation:
         named = build(name)
         model, n = named.model, named.model.dim
         conj = _twisted(30, n)
-        twin = LindbladModel(model.structure, conj(model.hamiltonian),
-                             [conj(l) for l in model.couplings])
+        dense = DenseModel.of(model)
+        twin = LindbladModel(model.structure, conj(dense.hamiltonian),
+                             [conj(l) for l in dense.couplings])
         rho0 = _real_density(np.random.default_rng(31), n)
-        terms = dict(zip(named.aggregate.term_names,
-                         map(named.aggregate.dense, named.aggregate.terms)))
+        terms = dict(zip(named.aggregate.term_names, dense_view(named.aggregate).terms))
 
         rhs_dtypes = []
         factory = lindblad._rhs_factory
@@ -389,7 +454,7 @@ class TestRealPropagation:
         monkeypatch.setattr(lindblad, "hermitian_part", logging_herm)
         rng = np.random.default_rng(34)
         m = random_model(rng, 17)
-        m.couplings = [l / 4 for l in m.couplings]
+        m = LindbladModel(m.structure, m.hamiltonian, [l.matrix / 4 for l in m.couplings])
         evolve(m, random_density(rng, 17), 2.0, n_samples=5)
         events = "".join(log)
         assert re.fullmatch(r"R(R{6}H?)+", events), events

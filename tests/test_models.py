@@ -25,7 +25,7 @@ from dissipctl.scalability import (
     check_incremental,
 )
 from dissipctl.stability import check_condition_ds, check_condition_es, largest_constant
-from oracles import check_scalability_condition, frustration_free_check, ground_space
+from oracles import check_scalability_condition, dense_view, frustration_free_check, ground_space
 
 
 def test_every_expected_entry_is_tagged():
@@ -45,8 +45,8 @@ class TestTwoLevel:
             m.expected["c_es"]["value"], abs=1e-6)
         assert check_condition_ds(v, m.model) == pytest.approx(
             m.expected["c_ds"]["value"], abs=1e-6)
-        assert np.linalg.norm(
-            commutator(v, m.model.hamiltonian)) == m.expected["commutes_with_hamiltonian"]["value"] - 1
+        assert np.linalg.norm(commutator(v, m.model.hamiltonian.matrix)) \
+            == m.expected["commutes_with_hamiltonian"]["value"] - 1
 
         traj = evolve(m.model, np.diag([1.0, 0.0]).astype(complex), 25.0)
         eq = np.array(m.expected["equilibrium"]["value"], dtype=complex)
@@ -90,7 +90,8 @@ class TestTwoQubit:
         total = m.aggregate.total()
         assert np.allclose(np.diag(total).real, m.expected["sum_diag"]["value"], atol=0)
         assert ground_space(total).energy == pytest.approx(m.expected["d"]["value"], abs=1e-12)
-        assert frustration_free_check(list(map(m.aggregate.dense, m.aggregate.terms))) is m.expected["frustration_free"]["value"]
+        assert frustration_free_check(dense_view(m.aggregate).terms) \
+            is m.expected["frustration_free"]["value"]
 
         holds_free, _ = check_incremental(m.aggregate, 1, 1.0, d_free=True)
         assert holds_free is m.expected["corollary_d_free_c1"]["value"]
@@ -103,12 +104,13 @@ class TestTwoQubit:
 class TestClusterChain:
     def test_expected_record(self):
         m = cluster_chain(4)
-        terms = list(map(m.aggregate.dense, m.aggregate.terms))
+        view = dense_view(m.aggregate)
+        terms = view.terms
         defect = max(float(np.linalg.norm(commutator(a, b))) for a, b in combinations(terms, 2))
         assert (defect == 0.0) is m.expected["terms_commute"]["value"]
         for w in terms:
             assert is_projection(w)
-        wuw = max(float(np.linalg.norm(w @ u @ w)) for w, u in zip(terms, map(m.aggregate.dense, m.aggregate.unitaries)))
+        wuw = max(float(np.linalg.norm(w @ u @ w)) for w, u in zip(terms, view.unitaries))
         assert (wuw == 0.0) is m.expected["wuw_zero"]["value"]
         report = check_corollary_commuting(m.aggregate)
         assert report.overall is m.expected["commuting_certified"]["value"]
@@ -132,20 +134,20 @@ class TestClusterChain:
 class TestToricPatch:
     def test_base_expected_record(self):
         m = toric_patch()
-        v2 = m.aggregate.dense(m.aggregate.terms[1])
-        defect = max(float(np.linalg.norm(commutator(u, v2)))
+        structure, view = m.aggregate.structure, dense_view(m.aggregate)
+        defect = max(float(np.linalg.norm(commutator(u.on(structure.sites, structure),
+                                                     view.terms[1])))
                      for u in m.extras["candidate_unitaries"])
         assert (defect == 0.0) is m.expected["candidates_commute_with_v2"]["value"]
-        gs = ground_space(m.aggregate.dense_sum(m.aggregate.terms[:2]))
+        gs = ground_space(view.partial_sum(2))
         assert gs.dimension == m.expected["ground_space_dim_v1_v2"]["value"]
         report = check_corollary_commuting(m.aggregate)
         assert report.overall is m.expected["commuting_certified"]["value"]
 
     def test_extended_expected_record(self):
         m = toric_patch(extended=True)
-        z1 = m.aggregate.dense(m.aggregate.unitaries[0])
-        v3 = m.aggregate.dense(m.aggregate.terms[2])
-        defect = float(np.linalg.norm(commutator(z1, v3)))
+        view = dense_view(m.aggregate)
+        defect = float(np.linalg.norm(commutator(view.unitaries[0], view.terms[2])))
         assert (defect > 1.0) is m.expected["z1_v3_commutator_nonzero"]["value"]
         ok, margin = check_scalability_condition(m.aggregate, 2, 0)
         assert ok is m.expected["scalability_v3_via_z1_channel"]["value"]
@@ -159,7 +161,8 @@ class TestRemarkCounterexample:
         m = complementary_witnesses()
         total = m.aggregate.total()
         assert ground_space(total).energy == pytest.approx(m.expected["d"]["value"])
-        assert frustration_free_check(list(map(m.aggregate.dense, m.aggregate.terms))) is m.expected["frustration_free"]["value"]
+        assert frustration_free_check(dense_view(m.aggregate).terms) \
+            is m.expected["frustration_free"]["value"]
         traj = evolve(m.model, maximally_mixed(2), 3.0, n_samples=11,
                       observables={"W": total})
         constant = bool(np.allclose(traj.observables["W"], 1.0, atol=1e-12))
@@ -204,26 +207,28 @@ def test_registry_data_is_float64(name):
     # every registry model is real; a stray dtype=complex would silently put
     # the certification path back on complex BLAS
     named = build(name)
-    ops = [named.model.hamiltonian, *named.model.couplings, *named.candidates.values()]
-    if named.aggregate is not None:
-        spec = named.aggregate
-        ops += map(spec.dense, [spec.hamiltonian, *spec.terms, *spec.couplings,
-                                *(spec.unitaries or []), *spec.new_couplings])
-    ops += named.extras.get("candidate_unitaries", [])
-    assert [op.dtype for op in ops] == [np.float64] * len(ops)
+    model, spec = named.model, named.aggregate
+    ops = [model.hamiltonian, *model.couplings, *named.extras.get("candidate_unitaries", [])]
+    if spec is not None:  # an aggregate's candidates are lists of its terms
+        ops += [*spec.terms, *(spec.unitaries or [])]
+    matrices = [op.matrix for op in ops]
+    matrices += [v for v in named.candidates.values() if not isinstance(v, list)]
+    assert [a.dtype for a in matrices] == [np.float64] * len(matrices)
 
 
 @pytest.mark.parametrize("name", ["two_qubit", "cluster_chain", "cluster_chain(5)",
                                   "toric_patch", "toric_patch(extended)",
                                   "complementary_witnesses"])
 def test_model_is_built_from_the_aggregate(name):
-    # one description: the model's channels are the aggregate's, then its new ones
+    # one description: the model holds the aggregate's own channels, then its
+    # new ones, and its H; each candidate is a list of the aggregate's terms
     named = build(name)
     spec = named.aggregate
     channels = spec.couplings + spec.new_couplings
     assert len(named.model.couplings) == len(channels)
-    assert all(np.array_equal(a, spec.dense(b)) for a, b in zip(named.model.couplings, channels))
-    assert np.array_equal(named.model.hamiltonian, spec.dense(spec.hamiltonian))
+    assert all(a is b for a, b in zip(named.model.couplings, channels))
+    assert named.model.hamiltonian is spec.hamiltonian
+    assert all(any(t is w for w in spec.terms) for v in named.candidates.values() for t in v)
     assert set(named.extras) <= {"candidate_unitaries"}
 
 
@@ -252,10 +257,11 @@ def test_stabilizer_aggregates_against_dense_embed(name, sites):
     spec = named.aggregate
     paulis = {"X": PAULI_X, "Z": PAULI_Z}
     assert len(spec.unitaries) == len(spec.terms) == len(spec.couplings) == len(sites)
-    for (letter, site), u, w, l in zip(sites, *(map(spec.dense, ops) for ops in (
-            spec.unitaries, spec.terms, spec.couplings))):
+    view = dense_view(spec)
+    for (letter, site), u, w, l in zip(sites, view.unitaries, view.terms, view.couplings):
         assert np.array_equal(u, embed(paulis[letter], [site], spec.structure))
         assert is_projection(w)
         assert np.array_equal(l, u @ (2.0 * w))
     for i, u in enumerate(named.extras.get("candidate_unitaries", []), start=1):
-        assert np.array_equal(u, embed(PAULI_Z, [i], spec.structure))
+        assert np.array_equal(u.on(spec.structure.sites, spec.structure),
+                              embed(PAULI_Z, [i], spec.structure))

@@ -7,7 +7,7 @@ import pytest
 
 from dissipctl.errors import DimensionMismatchError, InputFormatError
 from dissipctl.lindblad import evolve, maximally_mixed
-from dissipctl.linalg import pauli_string
+from dissipctl.linalg import SIGMA_MINUS, pauli_string
 from dissipctl.models import build, two_level_example
 from dissipctl.serialize import (
     _format_float,
@@ -21,6 +21,7 @@ from dissipctl.serialize import (
     trajectory_to_csv,
     write_text_atomic,
 )
+from oracles import DenseModel, dense_view
 
 
 class TestMatrixJson:
@@ -61,11 +62,23 @@ class TestModelJson:
     def test_round_trip(self):
         m = two_level_example()
         obj = model_to_json(m.model)
-        back = model_from_json(obj)
+        back = model_from_json(json.loads(json.dumps(obj)))
         assert back.structure.dims == m.model.structure.dims
-        assert np.array_equal(back.hamiltonian, m.model.hamiltonian)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(back.couplings, m.model.couplings))
+        for ours, theirs in zip([m.model.hamiltonian, *m.model.couplings],
+                                [back.hamiltonian, *back.couplings], strict=True):
+            assert ours.sites == theirs.sites and np.array_equal(ours.matrix, theirs.matrix)
+
+    def test_local_and_dense_forms_read_alike(self):
+        # written on its sites, read back on them; a dense matrix is held on every site
+        model = build("two_qubit").model
+        obj = model_to_json(model)
+        assert obj["L"][0] == {"sites": [1], "matrix": matrix_to_json(SIGMA_MINUS)}
+        dense = DenseModel.of(model)
+        back = model_from_json({"dims": [2, 2], "H": matrix_to_json(dense.hamiltonian),
+                                "L": [matrix_to_json(l) for l in dense.couplings]})
+        assert back.hamiltonian.sites == (1, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(DenseModel.of(back).couplings,
+                                                        dense.couplings, strict=True))
 
     def test_missing_hamiltonian_names_field(self):
         with pytest.raises(InputFormatError) as err:
@@ -90,10 +103,10 @@ class TestAggregateJson:
             assert (back.unitaries is None) == (spec.unitaries is None)
             assert spec.unitaries is not None or spec.new_couplings
             for key in ("terms", "couplings", "unitaries", "new_couplings"):
-                ours, theirs = getattr(spec, key) or [], getattr(back, key) or []
+                ours = getattr(dense_view(spec), key) or []
+                theirs = getattr(dense_view(back), key) or []
                 assert len(theirs) == len(ours), (name, key)
-                assert all(map(np.array_equal, map(back.dense, theirs), map(spec.dense, ours))), \
-                    (name, key)
+                assert all(map(np.array_equal, theirs, ours)), (name, key)
 
     def test_operators_are_written_on_their_sites(self):
         # the dense form took 37 s and 222 MB for this spec
@@ -142,11 +155,9 @@ class TestAggregateJson:
         spec = build("cluster_chain").aggregate
         obj = dict(aggregate_to_json(spec), unitaries=[{"pauli": "Z2"}, {"pauli": "Z3"}],
                    new_couplings=[{"pauli": "X1", "coeff": 0.5}])
-        back = aggregate_from_json(obj)
-        assert all(np.array_equal(back.dense(a), spec.dense(b))
-                   for a, b in zip(back.unitaries, spec.unitaries))
-        assert np.array_equal(back.dense(back.new_couplings[0]),
-                              0.5 * pauli_string("X1", spec.structure))
+        back = dense_view(aggregate_from_json(obj))
+        assert all(map(np.array_equal, back.unitaries, dense_view(spec).unitaries))
+        assert np.array_equal(back.new_couplings[0], 0.5 * pauli_string("X1", spec.structure))
 
     def test_spec_operators_of_the_wrong_dimension(self):
         obj = aggregate_to_json(build("two_qubit").aggregate)
@@ -162,8 +173,7 @@ class TestAggregateJson:
             "couplings": [],
             "assignment": [[]],
         }
-        spec = aggregate_from_json(obj)
-        w = spec.dense(spec.terms[0])
+        w = dense_view(aggregate_from_json(obj)).terms[0]
         assert np.allclose(w @ w, w, atol=1e-12)  # (S+1)/2 is a projection
         assert np.trace(w).real == pytest.approx(4.0)
 

@@ -33,7 +33,10 @@ from dissipctl.stability import (
     check_condition_es,
     largest_constant,
 )
-from oracles import frustration_free_check, ground_space, haar_unitary, random_hermitian
+from oracles import (
+    dense_candidate, dense_view, frustration_free_check, ground_space, haar_unitary,
+    random_hermitian,
+)
 
 
 # -- bisection oracle for largest_constant ------------------------------------
@@ -164,6 +167,7 @@ class TestLargestConstant:
         named = build()
         for v in named.candidates.values():
             g = generator(v, named.model)
+            v = dense_candidate(v, named.model.structure)
             for m, w in ((-g, v), (dissipation_functional(v, named.model), v)):
                 closed = largest_constant(m, w)
                 oracle = bisection_constant(m, w)
@@ -292,7 +296,7 @@ class TestFrustrationFree:
     def test_cluster_terms(self):
         from dissipctl.models import cluster_chain
         m = cluster_chain(4)
-        assert frustration_free_check(list(map(m.aggregate.dense, m.aggregate.terms)))
+        assert frustration_free_check(dense_view(m.aggregate).terms)
 
     def test_complementary_projectors_fail(self):
         w1 = np.diag([1.0, 0.0]).astype(complex)

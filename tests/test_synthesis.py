@@ -289,11 +289,12 @@ class TestSynthesizeMulti:
 class TestCheckFactorizable:
     def test_ladder_swap_coupling_is_not_factorizable(self):
         m = three_level_example()
-        chk = check_factorizable(m.model.couplings[1], m.candidates["V"])
+        l2 = m.model.couplings[1].matrix  # on the one site
+        chk = check_factorizable(l2, m.candidates["V"])
         assert not chk.factorizable
         # the defect lives on the top level where L'L = diag(0,1,1) != V^2
         assert abs(chk.witness[2]) == pytest.approx(1.0, abs=1e-9)
-        direction = dagger(chk.witness) @ (dagger(m.model.couplings[1]) @ m.model.couplings[1]
+        direction = dagger(chk.witness) @ (dagger(l2) @ l2
                                            - m.candidates["V"] @ m.candidates["V"]) @ chk.witness
         assert abs(direction) > 0.5
 

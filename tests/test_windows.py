@@ -12,6 +12,7 @@ local (the registry builders, Pauli shorthands and the JSON written by
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dissipctl.lindblad import generator
 from dissipctl.linalg import TensorStructure, max_eigenvalue, pauli_string
 from dissipctl.models import REGISTRY, build, cluster_chain
 from dissipctl.serialize import aggregate_from_json, aggregate_to_json, matrix_to_json
@@ -59,10 +59,11 @@ def assert_clauses_agree(spec: AggregateSpec, tol: float = 1e-9):
     """Every commutation clause the corollary can test: each term against
     every other term and every unitary, with its verdict and defect."""
     for i, b in enumerate(spec.terms):
-        for a in spec.terms[:i] + spec.unitaries:
-            ok, defect = _commutes(spec.structure, a, b, tol)
-            dense_ok, dense_defect = oracles._commutes(spec.dense(a), spec.dense(b), tol)
-            assert ok == dense_ok and _close(defect, dense_defect), (defect, dense_defect)
+        for kind, ops in (("terms", spec.terms[:i]), ("unitaries", spec.unitaries)):
+            for j, a in enumerate(ops):
+                ok, defect = _commutes(spec.structure, a, b, tol)
+                dense_ok, dense_defect = oracles.clause(spec, kind, j, i, tol)
+                assert ok == dense_ok and _close(defect, dense_defect), (defect, dense_defect)
 
 
 def assert_theorems_agree(spec: AggregateSpec):
@@ -85,13 +86,16 @@ def _outcome(check, spec, n, c, mode, d_free):
 
 def assert_incremental_agrees(spec: AggregateSpec):
     """`check_incremental` against the dense oracle at every n (the two out
-    of range included), both modes, with and without d, and c = 1, 1/4."""
+    of range included), both modes, with and without d, and c = 1, 1/4; the
+    dense operators that depend on neither c nor d_free are built once per n."""
     for n in range(spec.n_terms + 1):
+        ops = oracles.incremental_operators(spec, n) if 1 <= n < spec.n_terms else None
         for mode in ("es", "ds"):
             for d_free in (False, True):
                 for c in (1.0, 0.25):
                     windowed = _outcome(check_incremental, spec, n, c, mode, d_free)
-                    dense = _outcome(oracles.check_incremental, spec, n, c, mode, d_free)
+                    dense = _outcome(partial(oracles.check_incremental, ops=ops),
+                                     spec, n, c, mode, d_free)
                     case = (n, mode, d_free, c)
                     if isinstance(dense[0], type) or isinstance(windowed[0], type):
                         assert windowed == dense, case
@@ -112,15 +116,17 @@ def via_json(spec: AggregateSpec) -> AggregateSpec:
 
 def via_dense_json(spec: AggregateSpec) -> AggregateSpec:
     """The spec written as dense JSON matrices and reduced again on load."""
-    def dense(ops) -> list:
-        return [matrix_to_json(spec.dense(a)) for a in ops]
+    view = oracles.dense_view(spec)
 
-    obj = dict(aggregate_to_json(spec), terms=dense(spec.terms), couplings=dense(spec.couplings),
-               new_couplings=dense(spec.new_couplings))
+    def dense(ops) -> list:
+        return list(map(matrix_to_json, ops))
+
+    obj = dict(aggregate_to_json(spec), terms=dense(view.terms), couplings=dense(view.couplings),
+               new_couplings=dense(view.new_couplings))
     if spec.unitaries is not None:
-        obj["unitaries"] = dense(spec.unitaries)
+        obj["unitaries"] = dense(view.unitaries)
     if spec.hamiltonian is not None:
-        obj["H"] = dense([spec.hamiltonian])[0]
+        obj["H"] = matrix_to_json(view.hamiltonian)
     return aggregate_from_json(obj)
 
 
@@ -255,8 +261,9 @@ def test_random_incremental(spec):
 def test_certificates_bound_the_dense_generator(spec):
     """An es certificate gives G(W) <= -min(c) W and a ds certificate
     G(W) <= 0, with G the dense generator of the spec's model, H included."""
-    w = spec.total()
-    g = generator(w, spec.to_model())
+    view = oracles.dense_view(spec)
+    w = view.total
+    g = oracles.generator(w, view.model())
     es, ds = check_theorem_es_aggregation(spec), check_theorem_ds_aggregation(spec)
     if es.overall:
         bound = g + min(es.constants) * w
