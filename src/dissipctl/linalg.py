@@ -175,9 +175,19 @@ def embed(local: np.ndarray, sites, structure: TensorStructure) -> np.ndarray:
         raise DimensionMismatchError(
             f"local operator has dim {local.shape[0]}, sites require {prod(local_dims)}"
         )
-    others = [i for i in range(n) if i not in sites0]
     d = structure.total_dim
     out = np.zeros((d, d), dtype=local.dtype)
+    _put(out, local, sites0, dims)
+    return out
+
+
+def _put(out: np.ndarray, local: np.ndarray, sites0, dims, add: bool = False) -> None:
+    """Write `local` (x) I on the 0-based `sites0` into `out`, a matrix of
+    sites of `dims`, or with `add` add it in place; entries off the pattern
+    of `local` (x) I are not touched."""
+    n, d = len(dims), len(out)
+    others = [i for i in range(n) if i not in sites0]
+    local_dims = [dims[s] for s in sites0]
     # a view of `out` with axes (rows of the sites, columns of the sites,
     # the other sites), each other site's row and column index tied together
     col = [prod(dims[i + 1:]) * out.itemsize for i in range(n)]
@@ -186,8 +196,11 @@ def embed(local: np.ndarray, sites, structure: TensorStructure) -> np.ndarray:
         out, shape=local_dims * 2 + [dims[i] for i in others],
         strides=[row[s] for s in sites0] + [col[s] for s in sites0]
         + [row[i] + col[i] for i in others], writeable=True)
-    view[...] = local.reshape(local_dims * 2 + [1] * len(others))
-    return out
+    part = local.reshape(local_dims * 2 + [1] * len(others))
+    if add:
+        view += part
+    else:
+        view[...] = part
 
 
 def _support(a, structure: TensorStructure) -> tuple[int, ...]:
@@ -399,11 +412,15 @@ class _Window:
         item whose last operator (a channel, or H) misses one of the others
         gives 0 and is left out."""
         d = self.structure.total_dim // self.copies
+        dims = [self.structure.dims[s - 1] for s in self.sites]
         acc = np.zeros((d, d))
         for kernel, *ops in items:
             if all(_meet(ops[-1], x) for x in ops[:-1]):
                 own = _Window(self.structure, *ops)
-                acc = acc + self.embed(LocalOperator(own.sites, kernel(*map(own.embed, ops))))
+                x = as_operator(kernel(*map(own.embed, ops)))
+                # in place: from +0.0, adding +0.0 off the pattern would change nothing
+                acc = acc.astype(np.result_type(acc, x), copy=False)
+                _put(acc, x, [self.sites.index(s) for s in own.sites], dims, add=True)
         return acc
 
 

@@ -1,5 +1,5 @@
 """Markovian open-system dynamics: generator, dissipation functional,
-master-equation integration, and the fast-ancilla elimination check.
+master-equation propagation, and the fast-ancilla elimination check.
 
 Conventions (hbar = 1):
 
@@ -7,7 +7,7 @@ Conventions (hbar = 1):
 * state evolution    drho/dt = -i[H, rho] + sum_k L_k rho L_k' - (1/2){L_k' L_k, rho}
 
 where a prime denotes the adjoint.  Couplings carry units sqrt(rate).  The
-RK45 integrator uses the effective-Hamiltonian form of the state equation,
+Krylov propagator uses the effective-Hamiltonian form of the state equation,
 
     drho/dt = M rho + rho M' + sum_k L_k rho L_k',   M = -iH - (1/2) sum_k L_k' L_k,
 
@@ -95,8 +95,9 @@ def maximally_mixed(n: int) -> np.ndarray:
 def validate_density_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     """Hermitian, unit trace and PSD within tolerance; raises otherwise.
 
-    A stack (S, n, n) is checked with one batched eigensolve, and the message
-    names the first failing state.
+    A stack (S, n, n) is checked with one batched Cholesky factorization, and
+    an eigensolve where that fails; the message names the first failing
+    state.
     """
     rho = real_or_complex(rho)
     states = rho if rho.ndim == 3 else as_operator(rho)[None]
@@ -111,9 +112,13 @@ def validate_density_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
             lambda i: "density matrix is not Hermitian")
     tr = np.trace(states, axis1=-2, axis2=-1)
     require(np.abs(tr - 1.0) <= scale, lambda i: f"trace {complex(tr[i]):.12g} differs from 1")
-    w = np.linalg.eigvalsh(hermitian_part(states))
-    require(w[:, 0] >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1)),
-            lambda i: f"smallest eigenvalue {w[i, 0]:.3e} below -tol")
+    h = hermitian_part(states)
+    try:  # factors only where lambda_min > -tol / 2, which passes the test below
+        np.linalg.cholesky(h + tol / 2 * np.eye(len(h[0])))
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(h)
+        require(w[:, 0] >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1)),
+                lambda i: f"smallest eigenvalue {w[i, 0]:.3e} below -tol")
 
 
 def generator_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -223,21 +228,6 @@ class Trajectory:
         return self.states[..., -1, :, :]
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
-
-
 def _rhs_factory(model: LindbladModel):
     # drho/dt = M rho + (M rho)' + sum_k L_k rho L_k' with M = -iH - (1/2) sum_k L_k'L_k
     # precomputed: 1 + 2K products a call.  Valid only for a Hermitian rho,
@@ -258,35 +248,65 @@ def _rhs_factory(model: LindbladModel):
     return rhs
 
 
-def _rk45_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray, h: float,
-                  rtol: float, atol: float):
-    """The stack (S, n, n) at each sample time, by adaptive RK45 with one step
-    size for all states, controlled by the largest per-state error norm;
-    hermitizes after every accepted step.  The last stage is evaluated at the
-    new state before hermitization, so an accepted step takes its slope as the
-    next k[0] (first same as last): six RHS calls a step."""
-    rhs = _rhs_factory(model)
-    k = [rhs(rho)] + [None] * 6  # k[0] is the slope at rho
+_KRYLOV_DIM = 30  # basis vectors of one Krylov step beyond the state itself
+
+
+def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray, rtol: float, atol: float):
+    """One state at each time of an equally spaced grid, by Krylov steps (Saad,
+    SIAM J. Numer. Anal. 29 (1992) 209; Sidje, ACM TOMS 24 (1998) 130).
+
+    V_0 = rho / beta, beta = ||rho||_F, and V_1..V_m, orthonormal under
+    Re<A, B>, span rho, Lambda rho, ..., Lambda^m rho: Hermitian, as the RHS
+    needs, and but for V_0 traceless, so the trace is kept.  With Lambda
+    V_{j-1} = sum_k A_kj V_k, exp(s A) e_0 holds the coefficients of
+    rho(t + s) / beta and, last, h e_m' s phi_1(s H_m) e_0 (h = A_{m,m-1}),
+    beta times which estimates the error.  exp(A dt) steps them across the
+    grid while that is within atol + rtol beta; a first sample past it takes
+    a shorter sub-step.
+    """
+    n = rho.shape[-1]
+    basis = np.empty((_KRYLOV_DIM + 1, n, n), rho.dtype)
+    flat = basis.reshape(len(basis), -1).view(np.float64)  # Re<V_j, V_k> = flat[j] @ flat[k]
+    dt = times[1] - times[0]
+    t, i = times[0], 1  # the time of rho and the index of the next sample
+
+    def combine(c):  # beta sum_{k<m} c_k V_k
+        return hermitian_part((beta * c[:m] @ flat[:m]).view(rho.dtype).reshape(n, n))
+
     yield rho
-    for t, t1 in zip(times[:-1], times[1:]):
-        while t < t1 - 1e-15 * max(1.0, abs(t1)):
-            h = min(h, t1 - t)
-            if h < 1e-14 * max(1.0, abs(t1)):
+    while i < len(times):
+        beta = float(np.linalg.norm(rho))
+        basis[0] = hermitian_part(rho) / beta
+        a = np.zeros((_KRYLOV_DIM + 1, _KRYLOV_DIM + 1))
+        for m in range(1, _KRYLOV_DIM + 1):
+            w = rhs(basis[m - 1])
+            wf, size = w.reshape(-1).view(np.float64), np.linalg.norm(w)
+            for _ in range(2):  # classical Gram-Schmidt against V_1..V_{m-1}, twice
+                g = flat[1:m] @ wf
+                wf -= g @ flat[1:m]
+                a[1:m, m - 1] += g
+            a[m, m - 1] = np.linalg.norm(wf)
+            if a[m, m - 1] <= 1e-12 * size:
+                break
+            basis[m] = hermitian_part(w) / a[m, m - 1]
+        a, tol = a[:m + 1, :m + 1], atol + rtol * beta
+        if np.finfo(float).eps * dt * np.linalg.norm(a, 1) > rtol:  # exp(A dt)'s own error
+            raise IntegrationError(f"t-final {times[-1]:.6g} too large: the propagator over a "
+                                   f"sample interval is lost to rounding at rtol {rtol:.3g}")
+        step, tau = expm(a, dt), times[i] - t
+        c = (step if t == times[i - 1] else expm(a, tau))[:, 0]
+        while not beta * abs(c[m]) <= tol:
+            tau *= min(0.9, 0.9 * (tol / (beta * abs(c[m]))) ** (1.0 / m))
+            if tau < 1e-14 * max(1.0, abs(times[i])):
                 raise IntegrationError(f"step size underflow at t={t:.6g}")
-            for i in range(1, 7):
-                acc = rho + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-                k[i] = rhs(acc)
-            err_mat = h * sum(e * k[i] for i, e in enumerate(_DP_E) if e != 0.0)
-            rho_new = rho + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
-            scale = atol + rtol * np.maximum(np.abs(rho), np.abs(rho_new))
-            err = float(np.sqrt(np.mean(np.abs(err_mat / scale) ** 2, axis=(-2, -1))).max())
-            if err <= 1.0:
-                t += h
-                rho = hermitian_part(rho_new)
-                k[0] = k[6]
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h = h * factor
-        yield rho
+            c = expm(a, tau)[:, 0]
+        if tau < times[i] - t:  # a sub-step short of the next sample
+            rho, t = combine(c), t + tau
+            continue
+        while i < len(times) and beta * abs(c[m]) <= tol:
+            rho, t, i = combine(c), times[i], i + 1
+            yield rho
+            c = step @ c
 
 
 def _exact_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray):
@@ -309,11 +329,11 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     """Master-equation trajectory of one state (n, n) or a stack (S, n, n).
 
     Up to dim 16 all states are stepped exactly by one propagator
-    expm(Lambda dt), above that together by adaptive RK45 (``rtol``, ``atol``).
-    The states are float64 when H = 0 and the couplings and ``rho0`` are
-    real, complex otherwise.  Emits ``n_samples`` equally spaced samples, each state
-    re-validated as a density matrix at 10x the base tolerance.  RK45's first
-    trial step is t_final / 100.
+    expm(Lambda dt), above that each by Krylov steps, each step's error
+    estimate within ``atol + rtol ||rho||_F``.  The states are float64 when
+    H = 0 and the couplings and ``rho0`` are real, complex otherwise.  Emits
+    ``n_samples`` equally spaced samples, each state re-validated as a
+    density matrix at 10x the base tolerance, in blocks of about 32 KB.
     """
     n = model.dim
     rho0 = real_or_complex(rho0)
@@ -334,16 +354,37 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     if n <= 16:  # Lambda is n^2 x n^2, so one expm stays cheap
         samples = _exact_samples(model, stack, times)
     else:
-        samples = _rk45_samples(model, stack, times, t_final / 100.0, rtol, atol)
+        rhs = _rhs_factory(model)
+        runs = [_krylov_samples(rhs, rho, times, rtol, atol) for rho in stack]
+        samples = (np.array([next(run) for run in runs]) for _ in times)
 
     states = np.empty(rho0.shape[:-2] + (n_samples, n, n), dtype=dtype)
-    for i, rho in enumerate(samples):
-        if i:
-            try:
-                validate_density_state(rho, DEFAULT_TOL * 10)
-            except StateValidityError as exc:
-                raise StateValidityError(f"at t={times[i]:.6g}: {exc}") from exc
-        states[..., i, :, :] = rho
+    block = max(1, 32768 // stack.nbytes)  # samples a validation call
+    pending = []
+
+    def check(batch):
+        """Validate the (index, stack) samples together; where that fails, one
+        at a time, so that the earliest is named as if checked alone."""
+        try:
+            validate_density_state(np.concatenate([r for _, r in batch]), DEFAULT_TOL * 10)
+        except StateValidityError as exc:
+            if len(batch) == 1:
+                raise StateValidityError(f"at t={times[batch[0][0]]:.6g}: {exc}") from exc
+            for item in batch:
+                check([item])
+            raise
+        for i, rho in batch:
+            states.reshape(-1, n_samples, n, n)[:, i] = rho
+
+    try:  # an invalid sample is named before a later failure of the propagation
+        for sample in enumerate(samples):
+            pending.append(sample)
+            if len(pending) == block:
+                batch, pending = pending, []
+                check(batch)
+    finally:
+        if pending:
+            check(pending)
     # tr(X rho) = sum_ij X_ij rho_ji, over every sample at once
     series = {name: np.einsum("ij,...ji->...", op, states).real for name, op in ops.items()}
     return Trajectory(times, states, series)

@@ -3,7 +3,8 @@
 Nothing here is reached by the command line, `scripts/` or the benchmark:
 each function is an independent way to compute a quantity that the runtime
 computes another way (the bilinear synthesis solver against the closed form,
-the Liouvillian kernel against simulation, dense ground spaces, and the dense
+the Liouvillian kernel against simulation, the RK45 integrator against the
+Krylov propagator, dense ground spaces, and the dense
 generator, dissipation functional and aggregation theorems against the
 windowed ones), or a random ensemble the property tests draw from.
 """
@@ -16,8 +17,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from dissipctl import lindblad
 from dissipctl.errors import (
-    DimensionMismatchError, DissipctlError, InfeasibleError, NonHermitianError, PreconditionError,
+    DimensionMismatchError, DissipctlError, InfeasibleError, IntegrationError, NonHermitianError,
+    PreconditionError,
 )
 from dissipctl.lindblad import (
     LindbladModel, _observable, dissipation_single_channel, generator_single_channel, liouvillian,
@@ -226,6 +229,82 @@ def is_stationary(model: LindbladModel, rho: np.ndarray, tol: float = 1e-8) -> b
     """||Lambda vec(rho)|| <= tol * ||Lambda|| declares stationarity."""
     lam = liouvillian(model)
     return float(np.linalg.norm(lam @ vec(rho))) <= tol * max(1.0, float(np.linalg.norm(lam)))
+
+
+def propagate(model: LindbladModel, rho: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(t Lambda) rho, (T, n, n), at the equally spaced `times`: scipy's
+    expm_multiply (Al-Mohy and Higham 2011) on the Liouvillian of
+    column-stacked states, applied from the defining form -i[H, rho] +
+    sum_k L_k rho L_k' - (1/2){L_k'L_k, rho} without forming its n^2 x n^2
+    matrix; its adjoint, the Heisenberg drift, serves the norm estimates."""
+    from scipy.sparse.linalg import LinearOperator, expm_multiply
+
+    n = model.dim
+    dense = DenseModel.of(model)
+    h, couplings = dense.hamiltonian, dense.couplings
+    k = sum((dagger(l) @ l for l in couplings), np.zeros((n, n)))
+
+    def apply(v, adjoint):
+        x = np.asarray(v).reshape(n, n, order="F")
+        sign = 1j if adjoint else -1j
+        out = sign * (h @ x - x @ h) - 0.5 * (k @ x + x @ k)
+        for l in couplings:
+            out = out + (dagger(l) @ x @ l if adjoint else l @ x @ dagger(l))
+        return out.reshape(-1, order="F")
+
+    op = LinearOperator((n * n, n * n), matvec=lambda v: apply(v, False),
+                        rmatvec=lambda v: apply(v, True), dtype=complex)
+    # tr(conj(L) (x) L) = |tr L|^2 and tr(I (x) K) = tr(K^T (x) I) = n tr K
+    trace = sum(abs(np.trace(l)) ** 2 for l in couplings) - n * np.trace(k).real
+    out = expm_multiply(op, rho.reshape(-1, order="F").astype(complex), start=times[0],
+                        stop=times[-1], num=len(times), endpoint=True, traceA=trace)
+    return out.reshape(len(times), n, n).swapaxes(-1, -2)
+
+
+# Dormand-Prince 5(4) tableau.
+_DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
+
+
+def rk45_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray, h: float,
+                 rtol: float, atol: float):
+    """The stack (S, n, n) at each sample time, by adaptive RK45 with one step
+    size for all states, controlled by the largest per-state error norm;
+    hermitizes after every accepted step.  The last stage is evaluated at the
+    new state before hermitization, so an accepted step takes its slope as the
+    next k[0] (first same as last): six RHS calls a step."""
+    rhs = lindblad._rhs_factory(model)
+    k = [rhs(rho)] + [None] * 6  # k[0] is the slope at rho
+    yield rho
+    for t, t1 in zip(times[:-1], times[1:]):
+        while t < t1 - 1e-15 * max(1.0, abs(t1)):
+            h = min(h, t1 - t)
+            if h < 1e-14 * max(1.0, abs(t1)):
+                raise IntegrationError(f"step size underflow at t={t:.6g}")
+            for i in range(1, 7):
+                acc = rho + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
+                k[i] = rhs(acc)
+            err_mat = h * sum(e * k[i] for i, e in enumerate(_DP_E) if e != 0.0)
+            rho_new = rho + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
+            scale = atol + rtol * np.maximum(np.abs(rho), np.abs(rho_new))
+            err = float(np.sqrt(np.mean(np.abs(err_mat / scale) ** 2, axis=(-2, -1))).max())
+            if err <= 1.0:
+                t += h
+                rho = hermitian_part(rho_new)
+                k[0] = k[6]
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h = h * factor
+        yield rho
 
 
 # -- ground spaces ------------------------------------------------------------

@@ -556,6 +556,18 @@ class TestInputValidation:
         report = json.loads(out)["report"]
         assert report["c_es"] == 1e200 and report["simulation"]["exponential_envelope_ok"]
 
+    def test_simulate_past_the_rounding_of_the_krylov_propagator(self, capsys):
+        # above dim 16, exp(Lambda dt) over dt = 5e297 would be rounding only:
+        # refused, naming t-final, with no numpy warning (an error under the
+        # suite's filter)
+        code, out, err = _run(capsys, ["simulate", "--name", "toric_patch", "--t-final", "1e300"])
+        assert code == 1 and out == ""
+        assert err == ("dissipctl: error: t-final 1e+300 too large: the propagator over a "
+                       "sample interval is lost to rounding at rtol 1e-09\n")
+        # the exact propagator of dims <= 16 reaches that horizon
+        code, out, _ = _run(capsys, ["simulate", "--name", "two_level", "--t-final", "1e300"])
+        assert code == 0 and out.splitlines()[-1] == "1e+300,0,1,1"
+
     @pytest.mark.parametrize("name", ["two_level(nan)", "two_level(1,inf)"])
     def test_non_finite_model_argument(self, capsys, name):
         code, out, err = _run(capsys, ["check", "--name", name])

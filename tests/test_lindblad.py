@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dissipctl import lindblad
+from dissipctl import cli, lindblad
 from dissipctl.errors import (
     DimensionMismatchError,
+    IntegrationError,
     NonHermitianError,
     PreconditionError,
     StateValidityError,
 )
 from dissipctl.lindblad import (
     LindbladModel,
-    _rk45_samples,
     adiabatic_limit_check,
     dissipation_functional,
     dissipation_single_channel,
@@ -30,7 +30,7 @@ from dissipctl.lindblad import (
     validate_density_state,
 )
 from dissipctl.linalg import (
-    PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, expm, hermitian_part,
+    PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, dagger, expm, hermitian_part,
 )
 from dissipctl.models import REGISTRY, build, three_level_example, two_level_example
 from oracles import (
@@ -40,6 +40,7 @@ from oracles import (
     is_stationary,
     random_density,
     random_hermitian,
+    rk45_samples,
     stationary_state,
     vec,
 )
@@ -214,14 +215,14 @@ class TestLiouvillian:
         assert np.linalg.norm(lam @ vec(np.diag([0.0, 1.0]))) < 1e-12
 
     def test_exponential_matches_rk(self):
-        # the RK45 integrator that evolve uses above dim 16, driven directly at
-        # dim 3, where evolve itself steps with expm
+        # the RK45 oracle of evolve above dim 16, driven at dim 3, where
+        # evolve itself steps with expm
         rng = np.random.default_rng(4)
         m = random_model(rng, 3)
         rho0 = random_density(rng, 3)
         times = np.linspace(0.0, 1.5, 4)
         lam = liouvillian(m)
-        states = list(_rk45_samples(m, rho0[None], times, 0.015, 1e-9, 1e-9))
+        states = list(rk45_samples(m, rho0[None], times, 0.015, 1e-9, 1e-9))
         assert len(states) == len(times)
         for t, state in zip(times, states):
             direct = (expm(lam, t) @ vec(rho0)).reshape(3, 3, order="F")
@@ -314,7 +315,7 @@ class TestEvolve:
 class TestEnsemble:
     """A stack (S, n, n) evolves as S separate states, on both branches."""
 
-    @pytest.mark.parametrize("n, t_final", [(3, 2.0), (18, 0.5)], ids=["exact", "rk45"])
+    @pytest.mark.parametrize("n, t_final", [(3, 2.0), (18, 0.5)], ids=["exact", "krylov"])
     def test_stack_matches_single_runs(self, n, t_final):
         rng = np.random.default_rng(20)
         m = random_model(rng, n)
@@ -337,7 +338,7 @@ class TestEnsemble:
         stack = np.array([random_density(rng, 4) for _ in range(3)])
         times = np.linspace(0.0, 1.0, 5)
         exact = evolve(m, stack, 1.0, n_samples=5).states
-        for i, rho in enumerate(_rk45_samples(m, stack, times, 0.01, 1e-10, 1e-10)):
+        for i, rho in enumerate(rk45_samples(m, stack, times, 0.01, 1e-10, 1e-10)):
             assert np.abs(exact[:, i] - rho).max() < 1e-8
 
     def test_one_invalid_state_names_time_and_state(self, monkeypatch):
@@ -385,7 +386,7 @@ class TestRealPropagation:
     same expectation series, traces and purities."""
 
     @pytest.mark.parametrize("name, t_final", [("toric_patch", 1.0), ("cluster_chain(4)", 3.0)],
-                             ids=["rk45", "exact"])
+                             ids=["krylov", "exact"])
     def test_matches_the_complex_twin(self, name, t_final, monkeypatch):
         named = build(name)
         model, n = named.model, named.model.dim
@@ -434,28 +435,29 @@ class TestRealPropagation:
         assert np.abs(traj.states[-1].imag).max() > 1e-6
 
     def test_rk45_evaluates_each_stage_once(self, monkeypatch):
-        # the event log of one RK45 run: the initial slope, then per attempted
-        # step six stage calls, and per accepted step the hermitization of the
-        # new state, whose slope is the last stage's (first same as last);
-        # nothing at sample boundaries
+        # the event log of one run of the RK45 oracle: the initial slope, then
+        # per attempted step six stage calls, and per accepted step the
+        # hermitization of the new state, whose slope is the last stage's
+        # (first same as last); nothing at sample boundaries
         log = []
-        factory, herm = lindblad._rhs_factory, lindblad.hermitian_part
+        factory, herm = lindblad._rhs_factory, oracles.hermitian_part
 
         def logging_factory(m):
             rhs = factory(m)
             return lambda rho: log.append("R") or rhs(rho)
 
         def logging_herm(a):
-            if sys._getframe(1).f_code.co_name == "_rk45_samples":
+            if sys._getframe(1).f_code.co_name == "rk45_samples":
                 log.append("H")
             return herm(a)
 
         monkeypatch.setattr(lindblad, "_rhs_factory", logging_factory)
-        monkeypatch.setattr(lindblad, "hermitian_part", logging_herm)
+        monkeypatch.setattr(oracles, "hermitian_part", logging_herm)
         rng = np.random.default_rng(34)
         m = random_model(rng, 17)
         m = LindbladModel(m.structure, m.hamiltonian, [l.matrix / 4 for l in m.couplings])
-        evolve(m, random_density(rng, 17), 2.0, n_samples=5)
+        list(rk45_samples(m, random_density(rng, 17)[None], np.linspace(0.0, 2.0, 5), 0.02,
+                          1e-9, 1e-9))
         events = "".join(log)
         assert re.fullmatch(r"R(R{6}H?)+", events), events
         accepted = events.count("H")
@@ -464,8 +466,9 @@ class TestRealPropagation:
         assert events.count("R") == 1 + 6 * attempted
 
     def test_rk45_reuses_the_last_stage_as_the_next_slope(self, monkeypatch):
-        # simulate --name toric_patch --t-final 5: 200 accepted steps, no
-        # rejected one; seven calls a step without the reuse (1401)
+        # the RK45 oracle on simulate --name toric_patch --t-final 5: 200
+        # accepted steps, no rejected one; seven calls a step without the
+        # reuse (1401)
         calls = []
         factory = lindblad._rhs_factory
 
@@ -475,8 +478,102 @@ class TestRealPropagation:
 
         monkeypatch.setattr(lindblad, "_rhs_factory", counting_factory)
         model = build("toric_patch").model
-        evolve(model, np.eye(model.dim) / model.dim, 5.0)
+        list(rk45_samples(model, (np.eye(model.dim) / model.dim)[None], np.linspace(0.0, 5.0, 201),
+                          0.05, 1e-9, 1e-9))
         assert len(calls) == 1201
+
+
+def _random_open_system(seed: int):
+    """A model at a dim of 17-64 with a complex H and 1-3 dense channels, and
+    a stack of 1-3 random states."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(17, 65))
+    ls = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+          for _ in range(int(rng.integers(1, 4)))]
+    stack = np.array([random_density(rng, n) for _ in range(int(rng.integers(1, 4)))])
+    return LindbladModel(TensorStructure((n,)), random_hermitian(rng, n), ls), stack
+
+
+def _rhs_arguments(monkeypatch) -> list:
+    """The arguments of every RHS call of `evolve`, through `_rhs_factory`."""
+    args = []
+    factory = lindblad._rhs_factory
+
+    def recording_factory(m):
+        rhs = factory(m)
+        return lambda rho: args.append(rho.copy()) or rhs(rho)
+
+    monkeypatch.setattr(lindblad, "_rhs_factory", recording_factory)
+    return args
+
+
+class TestKrylov:
+    """Above dim 16 evolve takes Krylov steps; oracles: exp(t Lambda) applied
+    by scipy, and RK45."""
+
+    def test_the_propagator_oracle_is_the_liouvillian_exponential(self):
+        rng = np.random.default_rng(37)
+        m, rho0 = random_model(rng, 5), random_density(rng, 5)
+        times = np.linspace(0.0, 1.0, 3)
+        for t, state in zip(times, oracles.propagate(m, rho0, times)):
+            direct = (expm(liouvillian(m), t) @ vec(rho0)).reshape(5, 5, order="F")
+            assert np.abs(direct - state).max() < 1e-12
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=8, deadline=None)
+    def test_matches_the_liouvillian_propagator(self, seed):
+        model, stack = _random_open_system(seed)
+        traj = evolve(model, stack, 2.0, n_samples=11)
+        for s, rho0 in enumerate(stack):
+            exact = oracles.propagate(model, rho0, traj.times)
+            assert np.abs(traj.states[s] - exact).max() <= 10 * 1e-9
+
+    @pytest.mark.parametrize("name", ["toric_patch", "cluster_chain(5)", "cluster_chain(6)"])
+    def test_matches_the_rk45_oracle(self, name):
+        model = build(name).model
+        n = model.dim
+        stack = np.array([maximally_mixed(n), _real_density(np.random.default_rng(38), n)])
+        traj = evolve(model, stack, 5.0, n_samples=21)
+        for i, rho in enumerate(rk45_samples(model, stack, traj.times, 0.05, 1e-9, 1e-9)):
+            assert np.abs(traj.states[:, i] - rho).max() <= 10 * 1e-9
+
+    def test_simulate_toric_patch_in_a_few_rhs_calls(self, monkeypatch, capsys):
+        # the Krylov space of the maximally mixed state closes at dimension 3
+        args = _rhs_arguments(monkeypatch)
+        assert cli.main(["simulate", "--name", "toric_patch", "--t-final", "5"]) == 0
+        assert 0 < len(args) <= 10
+
+    def test_hermitian_basis_and_kept_trace(self, monkeypatch):
+        args = _rhs_arguments(monkeypatch)
+        model, stack = _random_open_system(39)
+        traj = evolve(model, stack, 2.0, n_samples=11)
+        assert len(args) > lindblad._KRYLOV_DIM  # more than one step
+        assert all(np.array_equal(v, dagger(v)) for v in args)
+        assert np.abs(traj.traces() - 1.0).max() <= 1e-12
+
+    def test_refuses_a_horizon_lost_to_rounding(self):
+        model = build("toric_patch").model
+        with pytest.raises(IntegrationError, match="t-final 1e.300 too large"):
+            evolve(model, maximally_mixed(model.dim), 1e300)
+
+    def test_an_invalid_sample_is_named_before_a_later_failure(self, monkeypatch):
+        # sample 2 has a negative eigenvalue, sample 3 a wrong trace: one
+        # validation block, whose batched check meets the trace first
+        bad_psd = np.diag([1.5, -0.5] + [0.0] * 15)
+        bad_trace = maximally_mixed(17) * 2
+
+        def samples(rhs, rho, times, rtol, atol):
+            yield from (rho, rho, bad_psd, bad_trace)
+            raise IntegrationError("step size underflow at t=0.6")
+
+        monkeypatch.setattr(lindblad, "_krylov_samples", samples)
+        model = random_model(np.random.default_rng(40), 17)
+        with pytest.raises(StateValidityError, match=r"at t=0\.4: state 0: smallest eigenvalue"):
+            evolve(model, maximally_mixed(17), 1.0, n_samples=6)
+        bad_psd[:] = maximally_mixed(17)
+        bad_trace[:] = maximally_mixed(17)
+        with pytest.raises(IntegrationError, match="underflow"):
+            evolve(model, maximally_mixed(17), 1.0, n_samples=6)
 
 
 class TestExpectation:
@@ -528,6 +625,19 @@ class TestDensityValidation:
     def test_rejects_negative(self):
         with pytest.raises(StateValidityError):
             validate_density_state(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("low, ok", [(-0.4e-8, True), (-0.9e-8, True), (-1.1e-8, False)],
+                             ids=["cholesky", "eigvalsh", "rejected"])
+    def test_negative_eigenvalue_within_tol(self, low, ok):
+        # the Cholesky accept of rho + (tol / 2) I takes the first; the second
+        # falls through to the eigenvalue test, which the third fails in a stack
+        rho = np.array([maximally_mixed(2), np.diag([1.0 - low, low])])
+        if ok:
+            validate_density_state(rho, 1e-8)
+        else:
+            with pytest.raises(StateValidityError,
+                               match=r"^state 1: smallest eigenvalue -1\.100e-08 below -tol$"):
+                validate_density_state(rho, 1e-8)
 
 
 class TestAdiabaticLimit:
