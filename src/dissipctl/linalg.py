@@ -74,26 +74,35 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2.0
 
 
-def _frobenius(a: np.ndarray) -> float:
-    """||a||_F, taken as m ||a / m|| with m = max |a_ij| where the squares of
-    finite entries overflow; bitwise np.linalg.norm(a) everywhere else."""
+def _frobenius(a: np.ndarray, copies: int = 1) -> float:
+    """||a (x) I||_F = sqrt(copies) ||a||_F, I of dimension `copies`; ||a||_F
+    is taken as m ||a / m|| with m = max |a_ij| where the squares of finite
+    entries overflow, and is bitwise np.linalg.norm(a) everywhere else."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
     if norm == np.inf:
         m = float(np.abs(a).max())
         if m < np.inf:
             norm = m * float(np.linalg.norm(a / m))
-    return norm
+    return sqrt(copies) * norm
 
 
-def scaled_tol(a: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Relative tolerance tol * max(1, ||a||)."""
-    return tol * max(1.0, _frobenius(a))
+def scaled_tol(a: np.ndarray, tol: float = DEFAULT_TOL, copies: int = 1) -> float:
+    """The Frobenius rule: tol * max(1, ||a (x) I||_F), I of dimension `copies`."""
+    return tol * max(1.0, _frobenius(a, copies))
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
+def spectral_tol(w: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """The spectral rule: tol * max(1, max |w|) of the eigenvalues w, which
+    are those of w (x) I too; tol for an empty spectrum.  A NaN in w gives
+    tol, as Python's max keeps its first argument."""
+    return tol * max(1.0, float(np.abs(w).max(initial=0.0)))
+
+
+def is_hermitian(a, tol: float = DEFAULT_TOL, copies: int = 1) -> bool:
+    """a (x) I is Hermitian within `scaled_tol`, I of dimension `copies`."""
     a = as_operator(a)
-    return _frobenius(a - dagger(a)) <= scaled_tol(a, tol)
+    return _frobenius(a - dagger(a), copies) <= scaled_tol(a, tol, copies)
 
 
 def min_eigenvalue(a) -> float:
@@ -105,15 +114,17 @@ def max_eigenvalue(a) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(as_operator(a)))[-1])
 
 
-def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefinite within tol * max(1, ||a||_2), Hermitian included."""
+def is_psd(a, tol: float = DEFAULT_TOL, copies: int = 1) -> bool:
+    """a (x) I is positive semidefinite within `spectral_tol`, Hermitian
+    (`is_hermitian`) included, I of dimension `copies`."""
     a = as_operator(a)
-    return is_hermitian(a, tol) and psd_spectrum(np.linalg.eigvalsh(hermitian_part(a)), tol)
+    return (is_hermitian(a, tol, copies)
+            and psd_spectrum(np.linalg.eigvalsh(hermitian_part(a)), tol))
 
 
 def psd_spectrum(w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """The ascending eigenvalues w of a Hermitian matrix are >= -tol * max(1, max |w|)."""
-    return bool(w.size == 0 or w[0] >= -tol * max(1.0, float(np.abs(w).max())))
+    """The ascending eigenvalues w of a Hermitian matrix are >= -spectral_tol(w)."""
+    return bool(w.size == 0 or w[0] >= -spectral_tol(w, tol))
 
 
 def is_projection(a, tol: float = DEFAULT_TOL) -> bool:
@@ -363,23 +374,13 @@ def local_operator(a, structure: TensorStructure, what: str,
     return LocalOperator(sites, _restrict(a, sites, structure) if reduce else a)
 
 
-def embed_sum(ops, structure: TensorStructure) -> np.ndarray:
-    """The sum of the local `ops` as a matrix of the whole space, added in
-    list order from zero."""
-    acc = np.zeros((structure.total_dim,) * 2,
-                   dtype=np.result_type(float, *(op.matrix for op in ops)))
-    for op in ops:
-        acc += op.on(structure.sites, structure)
-    return acc
-
-
 class _Window:
     """The union of some supports (and of `sites`), on which an operator
     X (x) I (I on the `copies` dimensions of the other sites) is held as X.
 
-    spec(X (x) I) = spec(X), so eigenvalues, constants and spectral
-    thresholds are those of the full operators; a Frobenius norm is
-    sqrt(copies) ||X||_F, and `norm`, `tol` and `is_psd` take that value.
+    spec(X (x) I) = spec(X), so eigenvalues, constants and `spectral_tol` are
+    those of the full operators; a Frobenius norm is sqrt(copies) ||X||_F,
+    which `scaled_tol`, `is_hermitian` and `is_psd` take with `copies`.
     """
 
     def __init__(self, structure: TensorStructure, *ops: LocalOperator, sites=()):
@@ -389,22 +390,6 @@ class _Window:
 
     def embed(self, op: LocalOperator) -> np.ndarray:
         return op.on(self.sites, self.structure)
-
-    def norm(self, x: np.ndarray) -> float:
-        return sqrt(self.copies) * _frobenius(x)
-
-    def tol(self, x: np.ndarray, tol: float) -> float:
-        """scaled_tol of X (x) I."""
-        return tol * max(1.0, self.norm(x))
-
-    def is_hermitian(self, x: np.ndarray, tol: float) -> bool:
-        """is_hermitian of X (x) I."""
-        return self.norm(x - dagger(x)) <= self.tol(x, tol)
-
-    def is_psd(self, x: np.ndarray, tol: float) -> bool:
-        """is_psd of X (x) I."""
-        return (self.is_hermitian(x, tol)
-                and psd_spectrum(np.linalg.eigvalsh(hermitian_part(x)), tol))
 
     def add(self, items) -> np.ndarray:
         """The sum from zero, in order, of kernel(*ops) over the `items`
@@ -432,6 +417,12 @@ def _sum_meeting(structure: TensorStructure, terms, l: LocalOperator) -> LocalOp
     """The `terms` that meet `l`, added as one operator on their sites."""
     win = _Window(structure, *(t for t in terms if _meet(l, t)))
     return LocalOperator(win.sites, win.add((np.asarray, t) for t in terms if _meet(l, t)))
+
+
+def embed_sum(ops, structure: TensorStructure) -> np.ndarray:
+    """The sum of the local `ops` as a matrix of the whole space, added in
+    list order from zero."""
+    return _Window(structure, sites=structure.sites).add((np.asarray, op) for op in ops)
 
 
 def commutator(a, b) -> np.ndarray:

@@ -76,7 +76,7 @@ def _hermitian_terms(x, structure: TensorStructure, what: str, reduce: bool = Fa
     `what` unless each is Hermitian."""
     terms = [local_operator(t, structure, what, reduce)
              for t in (x if isinstance(x, list) else [x])]
-    if not all(_Window(structure, t).is_hermitian(t.matrix, tol) for t in terms):
+    if not all(is_hermitian(t.matrix, tol, _Window(structure, t).copies) for t in terms):
         raise NonHermitianError(f"{what} must be Hermitian")
     return terms
 

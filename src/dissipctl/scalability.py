@@ -36,15 +36,18 @@ from .linalg import (
     DEFAULT_TOL,
     LocalOperator,
     TensorStructure,
+    _frobenius,
     _meet,
     _sum_meeting,
     _Window,
     commutator,
     dagger,
     embed_sum,
+    is_psd,
     local_operator,
     max_eigenvalue,
     min_eigenvalue,
+    scaled_tol,
 )
 from .stability import _schur_constant
 
@@ -145,7 +148,7 @@ class AggregateReport:
 def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
     """Every term checked PSD on its own sites."""
     for i, t in enumerate(spec.terms):
-        if not _Window(spec.structure, t).is_psd(t.matrix, tol):
+        if not is_psd(t.matrix, tol, _Window(spec.structure, t).copies):
             raise PreconditionError(f"term {i} is not PSD")
 
 
@@ -186,14 +189,14 @@ def _aggregate(spec: AggregateSpec, mode: str, note: str, tol: float) -> Aggrega
             entry["c"] = _schur_constant(-gen, *np.linalg.eigh(w), tol,
                                          copies=win.copies) if own else None
         else:  # gen <= 0, and the largest c with D_own(W_t) >= c W_t
-            ok, c = win.is_psd(-gen, tol), None
+            ok, c = is_psd(-gen, tol, win.copies), None
             if ok and own:
                 diss = win.add((dissipation_single_channel, term, l) for l in own)
                 c = _schur_constant(diss, *np.linalg.eigh(w), tol, copies=win.copies)
             entry.update(c=c, generator_nonpositive=ok)
         win = _Window(spec.structure, term, *others)
         acc = win.add(_drift([term], others))
-        scal_ok, margin = _nonpositive(acc, win.tol(acc, tol))
+        scal_ok, margin = _nonpositive(acc, scaled_tol(acc, tol, win.copies))
         entry.update(scalability=scal_ok, scalability_margin=margin,
                      certified=entry["c"] is not None and scal_ok)
         per_term.append(entry)
@@ -254,35 +257,35 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     g = win.add(_drift(prior, spec.couplings, h))
     shifted = w_n - d_n * eye
     prior_tol = max(tol, 1e-8)
-    if mode == "es" and not _nonpositive(g + c * shifted, win.tol(g, prior_tol))[0]:
+    if mode == "es" and not _nonpositive(g + c * shifted, scaled_tol(g, prior_tol, win.copies))[0]:
         raise PreconditionError(
             f"prior certificate missing: existing channels do not give the decay bound at c={c}"
         )
     if mode == "ds":
-        if not _nonpositive(g, win.tol(g, prior_tol))[0]:
+        if not _nonpositive(g, scaled_tol(g, prior_tol, win.copies))[0]:
             raise PreconditionError("prior certificate missing: generator not non-positive")
         d_op = win.add((dissipation_single_channel, _sum_meeting(spec.structure, prior, l), l)
                        for l in spec.couplings)
-        if not _nonpositive(c * shifted - d_op, win.tol(d_op, prior_tol))[0]:
+        if not _nonpositive(c * shifted - d_op, scaled_tol(d_op, prior_tol, win.copies))[0]:
             raise PreconditionError(f"prior certificate missing: dissipation bound fails at c={c}")
 
     gen = win.add(_drift([nxt], channels, h) + _drift(prior, spec.new_couplings))
     shift = 0.0 if d_free else c * (d_next - d_n) * eye
     if mode == "es":
-        holds, margin = _nonpositive(gen + c * w_next - shift, win.tol(gen, tol))
+        holds, margin = _nonpositive(gen + c * w_next - shift, scaled_tol(gen, tol, win.copies))
         info = {"margin": margin}
     else:
-        gen_ok, gen_margin = _nonpositive(gen, win.tol(gen, tol))
+        gen_ok, gen_margin = _nonpositive(gen, scaled_tol(gen, tol, win.copies))
         cross = win.add((_cross_single_channel, t, nxt, l) for l in channels for t in prior)
         diss = win.add((dissipation_single_channel, nxt, l) for l in channels) + cross
         diss_margin = min_eigenvalue(diss - c * w_next + shift)
-        holds = gen_ok and diss_margin >= -win.tol(diss, tol)
+        holds = gen_ok and diss_margin >= -scaled_tol(diss, tol, win.copies)
         info = {"generator_margin": gen_margin,
                 "margin" if d_free else "dissipation_margin": diss_margin,
                 "cross_norm": float(np.linalg.norm(cross, 2))}
     info.update(d_n=d_n, d_next=d_next)
     if not d_free:
-        info["d_ladder_ok"] = d_next >= d_n - win.tol(w_n, tol)
+        info["d_ladder_ok"] = d_next >= d_n - scaled_tol(w_n, tol, win.copies)
     return holds, info
 
 
@@ -291,8 +294,9 @@ def _commutes(structure: TensorStructure, a: LocalOperator, b: LocalOperator,
     """([a, b] = 0 within scaled_tol(a) * max(1, ||b||), the defect ||[a, b]||),
     on the window of the two; disjoint supports commute exactly."""
     win = _Window(structure, a, b)
-    defect = win.norm(win.add([(commutator, a, b)]))
-    return defect <= win.tol(win.embed(a), tol) * max(1.0, win.norm(win.embed(b))), defect
+    defect = _frobenius(win.add([(commutator, a, b)]), win.copies)
+    a_tol = scaled_tol(win.embed(a), tol, win.copies)
+    return defect <= a_tol * max(1.0, _frobenius(win.embed(b), win.copies)), defect
 
 
 def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:

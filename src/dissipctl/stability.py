@@ -41,6 +41,7 @@ from .linalg import (
     max_eigenvalue,
     min_eigenvalue,
     psd_spectrum,
+    spectral_tol,
 )
 
 _C_MIN = 1e-8
@@ -102,8 +103,9 @@ def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
 
     It is also the constant of m (x) I against w (x) I, with I of dimension
     `copies`: spectra, thresholds and the Schur complement are those of m and
-    w, and only the Frobenius norm of the B block grows, by sqrt(copies)."""
-    k = int(np.count_nonzero(lam <= tol * max(1.0, float(np.abs(lam).max(initial=0.0)))))
+    w, and only the Frobenius norm of the B block grows, as `_frobenius`
+    takes it with `copies`."""
+    k = int(np.count_nonzero(lam <= spectral_tol(lam, tol)))
     if k == lam.size:
         return None
     m = dagger(q) @ m @ q
@@ -112,7 +114,7 @@ def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
     if k:
         gam, u = np.linalg.eigh(m[:k, :k])
         pos = gam > atol
-        if gam[0] < -atol or np.sqrt(copies) * np.linalg.norm(b @ u[:, ~pos]) > atol:
+        if gam[0] < -atol or _frobenius(b @ u[:, ~pos], copies) > atol:
             return None
         bu = b @ u[:, pos]
         s = s - (bu / gam[pos]) @ dagger(bu)
@@ -130,7 +132,7 @@ def _lyapunov(v: list, lam: np.ndarray, model: LindbladModel,
     psd_ok = psd_spectrum(lam, tol)
     if not psd_ok:
         diag["psd"] = "V >= 0 fails"
-    zero_ok = bool(abs(lam[0]) <= tol * max(1.0, float(np.abs(lam).max())))  # ||v||_2
+    zero_ok = bool(abs(lam[0]) <= spectral_tol(lam, tol))
     if psd_ok and not zero_ok:
         diag["ground_energy"] = f"smallest eigenvalue {lam[0]:.6g} != 0"
     g = generator(v, model)

@@ -26,6 +26,7 @@ from .linalg import (
     is_projection,
     max_eigenvalue,
     scaled_tol,
+    spectral_tol,
 )
 from .stability import largest_constant
 
@@ -101,10 +102,10 @@ def synthesize_closed_form(v: np.ndarray, c: float, *,
         raise PreconditionError("candidate must be PSD")
     w, vecs = np.linalg.eigh(hermitian_part(v))
     n = v.shape[0]
-    scale = max(1.0, float(np.abs(w).max())) if n else 1.0
-    if n and w[0] < -tol * scale:
+    threshold = spectral_tol(w, tol)
+    if n and w[0] < -threshold:
         raise PreconditionError("candidate must be PSD")
-    ker = int((w <= tol * scale).sum())  # eigh is ascending: the kernel comes first
+    ker = int((w <= threshold).sum())  # eigh is ascending: the kernel comes first
     lam = w[ker:]
     q = (vecs[:, ker:] * np.sqrt(lam)) @ dagger(vecs[:, ker:])
     a = np.sqrt(1.0 - c) * np.sqrt(lam) / (lam * lam)  # the corner Lambda^-1 Q Lambda^-1

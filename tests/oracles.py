@@ -26,8 +26,8 @@ from dissipctl.lindblad import (
     LindbladModel, _observable, dissipation_single_channel, generator_single_channel, liouvillian,
 )
 from dissipctl.linalg import (
-    DEFAULT_TOL, TensorStructure, as_operator, commutator, dagger, embed_sum, hermitian_part,
-    is_hermitian, is_psd, max_eigenvalue, min_eigenvalue, psd_spectrum, scaled_tol,
+    DEFAULT_TOL, TensorStructure, as_operator, commutator, dagger, hermitian_part, is_hermitian,
+    is_psd, max_eigenvalue, min_eigenvalue, psd_spectrum, scaled_tol,
 )
 from dissipctl.scalability import AggregateReport, AggregateSpec, _cross_single_channel
 from dissipctl.stability import largest_constant
@@ -157,6 +157,17 @@ class DenseModel:
         structure, sites = model.structure, model.structure.sites
         return cls(structure, model.hamiltonian.on(sites, structure),
                    [l.on(sites, structure) for l in model.couplings])
+
+
+def embed_sum(ops, structure: TensorStructure) -> np.ndarray:
+    """The reference of `linalg.embed_sum`, which adds on a window of every
+    site: each local operator embedded in the whole space and added, in
+    list order, to zeros of the result type of the operators."""
+    acc = np.zeros((structure.total_dim,) * 2,
+                   dtype=np.result_type(float, *(op.matrix for op in ops)))
+    for op in ops:
+        acc += op.on(structure.sites, structure)
+    return acc
 
 
 def dense_candidate(v, structure: TensorStructure) -> np.ndarray:

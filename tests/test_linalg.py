@@ -27,6 +27,7 @@ from dissipctl.linalg import (
     pauli_string,
     require_headroom,
     scaled_tol,
+    spectral_tol,
 )
 from oracles import (
     hermitian_eig,
@@ -562,3 +563,92 @@ class TestPredicates:
     def test_unitary(self):
         assert is_unitary(PAULI_X)
         assert not is_unitary(np.diag([1.0, 0.5]))
+
+
+@st.composite
+def windowed_operators(draw):
+    """(X, rng, (sites, structure), m): a random Hermitian X, real or complex,
+    on random ascending sites of 2 to 4 qubits and qutrits, the generator
+    that drew it, and the dimension m >= 2 of the other sites."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4), label="dims")
+    structure = TensorStructure(dims)
+    sites = sorted(draw(st.lists(st.integers(1, len(dims)), min_size=1,
+                                 max_size=len(dims) - 1, unique=True), label="sites"))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    d = math.prod(dims[s - 1] for s in sites)
+    x = random_hermitian(rng, d)
+    if draw(st.booleans(), label="real"):
+        x = x.real
+    return x, rng, (sites, structure), structure.total_dim // d
+
+
+def _anti_hermitian(rng: np.random.Generator, x: np.ndarray, norm: float) -> np.ndarray:
+    """A random A = -A' of the dtype of x with ||A - A'||_F = norm."""
+    g = rng.standard_normal(x.shape)
+    if np.iscomplexobj(x):
+        g = g + 1j * rng.standard_normal(x.shape)
+    a = g - g.conj().T
+    return a * (norm / np.linalg.norm(2 * a))
+
+
+class TestCopies:
+    """`scaled_tol`, `is_hermitian` and `is_psd` with `copies = m` are those
+    of X (x) I_m, where ||X (x) I_m||_F = sqrt(m) ||X||_F."""
+
+    @given(windowed_operators(), st.floats(-12, 3), st.floats(-14, -6), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_the_rules_of_x_are_those_of_its_dense_embedding(self, drawn, exponent, defect,
+                                                             psd):
+        x, rng, (sites, structure), m = drawn
+        if psd:
+            x = x @ x
+        x = 10.0 ** exponent * x
+        for a in (x, x + _anti_hermitian(rng, x, 10.0 ** (exponent + defect))):
+            dense = embed(a, sites, structure)
+            assert scaled_tol(a, 1e-9, m) == pytest.approx(scaled_tol(dense), rel=1e-12)
+            assert is_hermitian(a, 1e-9, m) == is_hermitian(dense)
+            assert is_psd(a, 1e-9, m) == is_psd(dense)
+
+    @given(windowed_operators(), st.floats(0.05, 0.9), st.floats(0.1, 0.9))
+    @settings(max_examples=80, deadline=None)
+    def test_copies_decide_a_defect_between_the_two_thresholds(self, drawn, norm, where):
+        # with ||X||_F < 1, the defect delta = ||X - X'||_F passes the test of
+        # X alone (delta <= tol) but fails that of X (x) I_m when
+        # sqrt(m) delta > tol max(1, sqrt(m) ||X||_F); delta is drawn between
+        # those two thresholds
+        x, rng, (sites, structure), m = drawn
+        x = x @ x * (norm / np.linalg.norm(x @ x))  # PSD, ||X||_F = norm
+        lo, hi = 1e-9 * max(1.0, math.sqrt(m) * norm) / math.sqrt(m), 1e-9
+        a = x + _anti_hermitian(rng, x, lo + where * (hi - lo))
+        dense = embed(a, sites, structure)
+        assert is_hermitian(a) and is_psd(a)  # copies ignored
+        assert not is_hermitian(dense) and not is_psd(dense)
+        assert not is_hermitian(a, 1e-9, m) and not is_psd(a, 1e-9, m)
+        assert scaled_tol(a, 1e-9, m) == pytest.approx(scaled_tol(dense), rel=1e-12)
+
+
+def _inline_spectral_tol(w: np.ndarray, tol: float) -> float:
+    """The spectral rule written out, the reference of `spectral_tol`."""
+    return tol * max(1.0, float(np.abs(w).max()))
+
+
+class TestSpectralTol:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1,
+                    max_size=12), st.floats(1e-16, 1e-2))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_inline_rule(self, values, tol):
+        w = np.sort(np.array(values))
+        assert spectral_tol(w, tol).hex() == _inline_spectral_tol(w, tol).hex()
+
+    @pytest.mark.parametrize("w", [[-np.inf, 0.5], [1.0, np.inf], [0.2, np.nan], [np.nan],
+                                   [np.nan, np.inf], [-0.0], [-3.0, 2.0]])
+    def test_non_finite_spectra_keep_the_inline_value(self, w):
+        # a NaN maximum leaves max(1.0, nan) = 1.0, an infinite one inf
+        w = np.array(w)
+        assert spectral_tol(w, 1e-9).hex() == _inline_spectral_tol(w, 1e-9).hex()
+
+    def test_empty_spectrum(self):
+        # the Schur constant took max |w| with initial=0.0, the closed form 1.0
+        empty = np.zeros(0)
+        assert spectral_tol(empty, 1e-9).hex() == (1e-9 * max(1.0, float(
+            np.abs(empty).max(initial=0.0)))).hex() == (1e-9 * 1.0).hex()

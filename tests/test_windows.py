@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dissipctl.linalg import TensorStructure, max_eigenvalue, pauli_string
+from dissipctl.linalg import TensorStructure, embed_sum, max_eigenvalue, pauli_string
 from dissipctl.models import REGISTRY, build, cluster_chain
 from dissipctl.serialize import aggregate_from_json, aggregate_to_json, matrix_to_json
 from dissipctl.scalability import (
@@ -323,3 +323,24 @@ def test_schur_constant_of_copies_is_the_dense_constant():
     dense = largest_constant(np.kron(m, np.eye(4)), np.kron(w, np.eye(4)))
     assert dense is None
     assert _schur_constant(m, *np.linalg.eigh(w), 1e-9, copies=4) is None
+
+
+def assert_sums_are_the_reference(spec: AggregateSpec):
+    """`embed_sum` of each operator list of the spec, and of all of them, is
+    the dense reference sum bitwise, values and dtype."""
+    h = [] if spec.hamiltonian is None else [spec.hamiltonian]
+    lists = [spec.terms, spec.couplings, spec.unitaries or [], spec.new_couplings, h]
+    for ops in [*lists, [op for ops in lists for op in ops]]:
+        got, want = embed_sum(ops, spec.structure), oracles.embed_sum(ops, spec.structure)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", AGGREGATES + ["toric_patch(extended)"])
+def test_embed_sum_of_registry_aggregates(name):
+    assert_sums_are_the_reference(build(name).aggregate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(pauli_aggregates(), pauli_aggregates(separated=True)))
+def test_embed_sum_of_random_pauli_aggregates(spec):
+    assert_sums_are_the_reference(spec)
