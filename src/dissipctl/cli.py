@@ -13,6 +13,7 @@ Exit codes: 0 success/certified, 1 input error (usage errors included),
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -77,7 +78,7 @@ def _sim_cap(args) -> int:
 
 def _check_numbers(args) -> None:
     """--c, --tol and --t-final must be finite and positive; --samples at
-    least 2."""
+    least 2; --seed non-negative."""
     for dest in ("c", "tol", "t_final"):
         value = getattr(args, dest, None)
         if value is not None and not (math.isfinite(value) and value > 0):
@@ -86,6 +87,8 @@ def _check_numbers(args) -> None:
     samples = getattr(args, "samples", None)
     if samples is not None and samples < 2:
         raise InputFormatError("samples", f"need at least two sample points, got {samples}")
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise InputFormatError("seed", f"must be a non-negative integer, got {args.seed}")
 
 
 def _file_number(obj: dict, field: str, integral: bool) -> float | int:
@@ -375,5 +378,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def _entry() -> int:
+    """The program: `main` on the command line, after moving the objects of
+    every import, numpy's and this package's, to the collector's permanent
+    generation, so that the full collections of interpreter teardown skip
+    them.  `main` called as a library leaves the collector alone."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_entry())

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InputFormatError
 
 DEFAULT_TOL = 1e-9
+MAX_MODEL_DIM = 4096  # models above it are refused: MAX_MODEL_DIM^2 bounds the arrays formed
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0, -1j], [1j, 0]])

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    MAX_MODEL_DIM,
     SIGMA_MINUS,
     SIGMA_PLUS,
     LocalOperator,
@@ -334,6 +335,8 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     H = 0 and the couplings and ``rho0`` are real, complex otherwise.  Emits
     ``n_samples`` equally spaced samples, each state re-validated as a
     density matrix at 10x the base tolerance, in blocks of about 32 KB.
+    A trajectory of more than MAX_MODEL_DIM^2 entries (samples x states x
+    n^2) is refused with a DimensionCapError before it is allocated.
     """
     n = model.dim
     rho0 = real_or_complex(rho0)
@@ -349,6 +352,10 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     stack = rho0.reshape((-1, n, n)).astype(dtype, copy=False)
     if n_samples < 2:
         raise PreconditionError("need at least two sample points")
+    entries = n_samples * len(stack) * n * n
+    if entries > MAX_MODEL_DIM ** 2:
+        raise DimensionCapError(f"samples: {n_samples} samples x {len(stack)} states x {n}^2 = "
+                                f"{entries} stored entries exceed {MAX_MODEL_DIM}^2")
     times = np.linspace(0.0, float(t_final), n_samples)
     ops = {name: _observable(op, n) for name, op in (observables or {}).items()}
     if n <= 16:  # Lambda is n^2 x n^2, so one expm stays cheap

@@ -22,10 +22,15 @@ import numpy as np
 
 from .errors import DimensionCapError, InputFormatError, PreconditionError
 from .lindblad import LindbladModel
-from .linalg import PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, local_operator
+from .linalg import (
+    MAX_MODEL_DIM,
+    PAULI_Z,
+    SIGMA_MINUS,
+    LocalOperator,
+    TensorStructure,
+    local_operator,
+)
 from .scalability import AggregateSpec
-
-MAX_MODEL_DIM = 4096
 
 
 class NamedModel:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -714,6 +715,98 @@ class TestSimCap:
         assert "Traceback" not in err
 
 
+ROOT = Path(__file__).resolve().parents[1]
+INPUTS = ROOT / "tests" / "golden" / "inputs"
+
+
+def _fresh(args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the package under test, with this environment."""
+    src = str(Path(dissipctl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                          timeout=300, check=False, **kwargs)
+
+
+class TestNegativeSeed:
+    """numpy's generators take no negative seed: every subcommand refuses
+    one with exit 1 naming the field (check --simulate ended in numpy's
+    traceback)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--name", "two_level", "--simulate"],
+        ["simulate", "--name", "two_level", "--t-final", "1"],
+        ["scale", "--name", "two_qubit", "--theorem", "es"],
+        ["synthesize", "--v", str(INPUTS / "projection_rank1.json"), "--c", "1"],
+        ["models", "list"],
+    ], ids=lambda argv: argv[0])
+    def test_refused(self, capsys, argv):
+        code, out, err = _run(capsys, [*argv, "--seed", "-1"])
+        assert code == 1 and out == ""
+        assert err == "dissipctl: input error: seed: must be a non-negative integer, got -1\n"
+
+
+def test_samples_above_the_trajectory_cap(capsys):
+    # 4.2M samples of a 2x2 state are 16.8M entries, above 4096^2 = 16.78M
+    argv = ["simulate", "--name", "two_level", "--t-final", "1", "--samples", "4200000"]
+    code, out, err = _run(capsys, argv)
+    assert code == 5 and out == ""
+    assert err.startswith("dissipctl: dimension cap: samples: 4200000 samples x 1 states x 2^2 ")
+
+
+class TestProgram:
+    """`python -m dissipctl.cli` and the console script run `cli._entry`,
+    which freezes the collector's import heap before `main`."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--name", "three_level"], 0),
+        (["check", "--name", "no_such_model"], 1),
+        (["scale", "--name", "toric_patch(extended)", "--theorem", "commuting"], 2),
+        (["synthesize", "--v", str(INPUTS / "nonprojection_es.json"), "--c", "0.5"], 3),
+        (["scale", "--name", "cluster_chain(99)", "--theorem", "es"], 5),
+    ], ids=["0", "1", "2", "3", "5"])
+    def test_same_bytes_as_main(self, capsysbinary, argv, code):
+        proc = _fresh(["-m", "dissipctl.cli", *argv])
+        assert main(argv) == code
+        out = capsysbinary.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err)
+
+    def test_same_out_file_as_main(self, capsys, tmp_path):
+        argv = ["check", "--name", "two_level", "--simulate", "--out"]
+        proc = _fresh(["-m", "dissipctl.cli", *argv, str(tmp_path / "program.json")])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert _run(capsys, [*argv, str(tmp_path / "main.json")]) == (0, "", "")
+        text = (tmp_path / "program.json").read_bytes()
+        assert text == (tmp_path / "main.json").read_bytes()
+        assert json.loads(text)["report"]["simulation"]["n_states"] == 20
+
+    def test_only_the_program_freezes(self):
+        # main() called in-process leaves the collector alone; the program
+        # entry, run as `-m` runs it and as the [project.scripts] wrapper
+        # calls it, freezes it; a hook at exit reads the frozen count
+        module, name = re.search(r'^dissipctl = "([\w.]+):(\w+)"$',
+                                 (ROOT / "pyproject.toml").read_text(), re.M).groups()
+        script = (
+            "import atexit, gc, importlib, runpy, sys\n"
+            "how, module, name = sys.argv[1:]\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "argv = ['check', '--name', 'three_level']\n"
+            "sys.argv = ['dissipctl', *argv]\n"
+            "if how == 'main':\n"
+            "    sys.exit(importlib.import_module(module).main(argv))\n"
+            "if how == 'module':\n"
+            "    runpy.run_module(module, run_name='__main__', alter_sys=True)\n"
+            "sys.exit(getattr(importlib.import_module(module), name)())\n"
+        )
+        runs = {how: _fresh(["-c", script, how, module, name], text=True)
+                for how in ("main", "module", "script")}
+        assert {how: (p.returncode, p.stdout) for how, p in runs.items()} == \
+            {how: (0, runs["main"].stdout) for how in runs}
+        frozen = {how: int(p.stderr) for how, p in runs.items()}
+        assert frozen["main"] == 0
+        assert frozen["module"] > 1000 and frozen["script"] > 1000
+
+
 def test_no_subcommand_loads_scipy(v_file):
     """scipy is a test oracle only: a fresh process that runs every
     computing subcommand, exact propagation included, never imports it."""
@@ -731,11 +824,7 @@ def test_no_subcommand_loads_scipy(v_file):
         "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
     )
-    src = str(Path(dissipctl.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
-                          capture_output=True, text=True, env=env, timeout=300, check=False)
+    proc = _fresh(["-c", script, json.dumps(calls)], text=True)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_loaded = json.loads(proc.stdout)
     assert codes == [0] * len(calls)

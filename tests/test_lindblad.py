@@ -1,5 +1,7 @@
+import inspect
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from dissipctl import cli, lindblad
 from dissipctl.errors import (
+    DimensionCapError,
     DimensionMismatchError,
     IntegrationError,
     NonHermitianError,
@@ -30,9 +33,11 @@ from dissipctl.lindblad import (
     validate_density_state,
 )
 from dissipctl.linalg import (
-    PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, dagger, expm, hermitian_part,
+    MAX_MODEL_DIM, PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, dagger, expm,
+    hermitian_part,
 )
 from dissipctl.models import REGISTRY, build, three_level_example, two_level_example
+from dissipctl.stability import certify_ground_state_stability
 from oracles import (
     DenseModel,
     dense_view,
@@ -298,6 +303,34 @@ class TestEvolve:
             evolve(m.model, maximally_mixed(2), -1.0)
         with pytest.raises(StateValidityError):
             evolve(m.model, np.diag([2.0, 0.0]).astype(complex), 1.0)
+
+    def test_refuses_a_trajectory_above_the_cap_before_allocating_it(self):
+        # 20 states of dim 2: one sample more than MAX_MODEL_DIM^2 entries hold
+        m = two_level_example()
+        stack = np.array([maximally_mixed(2)] * 20)
+        samples = MAX_MODEL_DIM ** 2 // (20 * 4) + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError, match=f"^samples: {samples} samples x 20 "):
+                evolve(m.model, stack, 1.0, n_samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the trajectory would be 134 MB
+
+    def test_the_cap_admits_exactly_its_entries(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "MAX_MODEL_DIM", 8)  # 64 entries: 16 samples of 2x2
+        m = two_level_example()
+        assert evolve(m.model, maximally_mixed(2), 1.0, n_samples=16).states.shape == (16, 2, 2)
+        with pytest.raises(DimensionCapError, match="^samples: 17 samples x 1 states"):
+            evolve(m.model, maximally_mixed(2), 1.0, n_samples=17)
+
+    def test_the_default_simulation_of_check_fits_the_cap(self):
+        # check --simulate at the default sim cap: 20 x 201 x 64^2 = 16.47M of 16.78M
+        defaults = inspect.signature(certify_ground_state_stability).parameters
+        states, cap = defaults["n_states"].default, defaults["dim_cap"].default
+        samples = inspect.signature(evolve).parameters["n_samples"].default
+        assert states * samples * cap ** 2 <= MAX_MODEL_DIM ** 2
 
     def test_ehrenfest_consistency(self):
         rng = np.random.default_rng(7)
