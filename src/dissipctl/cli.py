@@ -16,7 +16,6 @@ import argparse
 import gc
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -25,9 +24,10 @@ from .errors import (
     DissipctlError,
     InfeasibleError,
     InputFormatError,
+    StateValidityError,
 )
-from .lindblad import evolve, maximally_mixed, validate_density_state
-from .linalg import embed_sum
+from .lindblad import _require_simulable, evolve, maximally_mixed, validate_density_state
+from .linalg import DEFAULT_TOL, embed_sum
 from .models import REGISTRY, NamedModel, build
 from .scalability import (
     check_corollary_commuting,
@@ -58,23 +58,6 @@ EXIT_INPUT = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_INFEASIBLE = 3
 EXIT_DIM_CAP = 5
-
-_SIM_CAP_ENV = "DISSIPCTL_SIM_CAP"
-
-
-def _sim_cap(args) -> int:
-    """--sim-cap, else $DISSIPCTL_SIM_CAP, else 64; it must be a positive integer."""
-    field, value = "sim-cap", args.sim_cap
-    if value is None:
-        field, value = _SIM_CAP_ENV, os.environ.get(_SIM_CAP_ENV, "64")
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InputFormatError(field, f"must be a positive integer, got {value!r}")
-    return cap
-
 
 def _check_numbers(args) -> None:
     """--c, --tol and --t-final must be finite and positive; --samples at
@@ -157,8 +140,7 @@ def _cmd_check(args) -> int:
         obj = _load_json(args.v, "V")
         v = matrix_from_json(obj["V"] if isinstance(obj, dict) and "V" in obj else obj, "V")
     report = certify_ground_state_stability(
-        v, model, simulate=args.simulate, t_final=args.t_final,
-        seed=args.seed, tol=args.tol, dim_cap=_sim_cap(args),
+        v, model, simulate=args.simulate, t_final=args.t_final, seed=args.seed, tol=args.tol,
     )
     body = stability_report_to_dict(report)
     if not report.certified and "psd" in report.diagnostics:
@@ -203,16 +185,20 @@ def _cmd_simulate(args) -> int:
     if spec is not None and spec.structure.total_dim != model.dim:
         raise InputFormatError("spec", f"dimension {spec.structure.total_dim} != model "
                                        f"dimension {model.dim}")
-    cap = _sim_cap(args)
-    if model.dim > cap:
-        raise DimensionCapError(f"dimension {model.dim} exceeds cap {cap}")
+    n = model.dim
+    _require_simulable(n, args.samples)
     if args.rho0:
         rho0 = matrix_from_json(_load_json(args.rho0, "rho0"), "rho0")
-        validate_density_state(rho0, 1e-8)
+        if rho0.shape != (n, n):
+            raise InputFormatError("rho0", f"state shape {rho0.shape} != ({n}, {n})")
+        try:  # evolve's own check, which would not name the field
+            validate_density_state(rho0, DEFAULT_TOL * 10)
+        except StateValidityError as exc:
+            raise InputFormatError("rho0", str(exc)) from exc
     else:
-        rho0 = maximally_mixed(model.dim)
+        rho0 = maximally_mixed(n)
     if spec is not None:  # the spec adds the W and per-term columns
-        traj = simulate_aggregate(spec, args.t_final, model=model, rho0=rho0, dim_cap=cap,
+        traj = simulate_aggregate(spec, args.t_final, model=model, rho0=rho0,
                                   n_samples=args.samples)
     else:
         traj = evolve(model, rho0, args.t_final, n_samples=args.samples,
@@ -296,8 +282,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument("--tol", type=float, default=1e-9, help="base tolerance")
     parser.add_argument("--out", help="output path (written atomically)")
-    parser.add_argument("--sim-cap", type=int, default=None,
-                        help=f"simulation dimension cap (default ${_SIM_CAP_ENV} or 64)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -36,7 +36,7 @@ class InputFormatError(DissipctlError):
 
 
 class DimensionCapError(DissipctlError):
-    """A simulation or construction exceeds the configured dimension cap."""
+    """A simulation or construction exceeds its dimension cap."""
 
 
 class IntegrationError(DissipctlError):

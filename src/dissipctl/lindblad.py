@@ -250,6 +250,21 @@ def _rhs_factory(model: LindbladModel):
 
 
 _KRYLOV_DIM = 30  # basis vectors of one Krylov step beyond the state itself
+# simulated systems are refused above it: the trajectory bound counts stored
+# samples, not the Krylov basis (31 n^2 entries) or the dense n x n couplings
+_SIM_MAX_DIM = 64
+
+
+def _require_simulable(n: int, n_samples: int = 1, n_states: int = 1) -> None:
+    """Refuse, with a DimensionCapError, a simulation of dimension n above
+    _SIM_MAX_DIM, or a trajectory of more than MAX_MODEL_DIM^2 stored entries
+    (samples x states x n^2), before any state of it is built."""
+    if n > _SIM_MAX_DIM:
+        raise DimensionCapError(f"dimension {n} exceeds the simulation cap {_SIM_MAX_DIM}")
+    entries = n_samples * n_states * n * n
+    if entries > MAX_MODEL_DIM ** 2:
+        raise DimensionCapError(f"samples: {n_samples} samples x {n_states} states x {n}^2 = "
+                                f"{entries} stored entries exceed {MAX_MODEL_DIM}^2")
 
 
 def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray, rtol: float, atol: float):
@@ -335,10 +350,11 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     H = 0 and the couplings and ``rho0`` are real, complex otherwise.  Emits
     ``n_samples`` equally spaced samples, each state re-validated as a
     density matrix at 10x the base tolerance, in blocks of about 32 KB.
-    A trajectory of more than MAX_MODEL_DIM^2 entries (samples x states x
-    n^2) is refused with a DimensionCapError before it is allocated.
+    A system above the simulation cap, or a trajectory above its bound, is
+    refused by `_require_simulable` before ``rho0`` is validated.
     """
     n = model.dim
+    _require_simulable(n, n_samples, len(rho0) if np.ndim(rho0) == 3 else 1)
     rho0 = real_or_complex(rho0)
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (n, n):
         raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n}) or (S, {n}, {n})")
@@ -352,10 +368,6 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     stack = rho0.reshape((-1, n, n)).astype(dtype, copy=False)
     if n_samples < 2:
         raise PreconditionError("need at least two sample points")
-    entries = n_samples * len(stack) * n * n
-    if entries > MAX_MODEL_DIM ** 2:
-        raise DimensionCapError(f"samples: {n_samples} samples x {len(stack)} states x {n}^2 = "
-                                f"{entries} stored entries exceed {MAX_MODEL_DIM}^2")
     times = np.linspace(0.0, float(t_final), n_samples)
     ops = {name: _observable(op, n) for name, op in (observables or {}).items()}
     if n <= 16:  # Lambda is n^2 x n^2, so one expm stays cheap
@@ -425,7 +437,7 @@ class AdiabaticReport:
 
 def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
                           k_list, t_final: float, *, rho0: np.ndarray | None = None,
-                          n_samples: int = 201, joint_dim_cap: int = 64) -> AdiabaticReport:
+                          n_samples: int = 201) -> AdiabaticReport:
     """Compare ancilla-mediated dynamics against the fast-decay limit.
 
     For each scaling factor k, the system is joined with a decaying ancilla
@@ -441,8 +453,7 @@ def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
     if any(k2 <= k1 for k1, k2 in zip(k_list, k_list[1:])):
         raise PreconditionError("k_list must be strictly ascending")
     n = model.dim
-    if 2 * n > joint_dim_cap:
-        raise DimensionCapError(f"joint dimension {2 * n} exceeds cap {joint_dim_cap}")
+    _require_simulable(2 * n, n_samples)
     h_sys, (l_sys,) = _matrices(model)
     rho0 = maximally_mixed(n) if rho0 is None else as_operator(rho0)
 

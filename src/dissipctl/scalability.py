@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionCapError, PreconditionError
+from .errors import PreconditionError
 from .lindblad import (
     LindbladModel,
     Trajectory,
     _drift,
     _hermitian_terms,
+    _require_simulable,
     dissipation_single_channel,
     evolve,
     maximally_mixed,
@@ -339,9 +340,8 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
 
 def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
                        model: LindbladModel | None = None,
-                       rho0: np.ndarray | None = None, dim_cap: int = 64,
-                       n_samples: int = 201, rtol: float = 1e-9,
-                       atol: float = 1e-9) -> Trajectory:
+                       rho0: np.ndarray | None = None, n_samples: int = 201,
+                       rtol: float = 1e-9, atol: float = 1e-9) -> Trajectory:
     """Evolve `model` (default: the spec's own channels, `spec.to_model()`)
     and record the total and per-term expectations of the spec's terms.
 
@@ -350,8 +350,7 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
     status (diagnosis tool).
     """
     n = spec.structure.total_dim
-    if n > dim_cap:
-        raise DimensionCapError(f"aggregate dim {n} exceeds cap {dim_cap}")
+    _require_simulable(n, n_samples)
     if model is None:
         model = spec.to_model()
     if rho0 is None:

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionCapError, PreconditionError
+from .errors import PreconditionError
 from .lindblad import (
     LindbladModel,
     _hermitian_terms,
+    _require_simulable,
     dissipation_functional,
     evolve,
     generator,
@@ -124,10 +125,11 @@ def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
 
 
 def _lyapunov(v: list, lam: np.ndarray, model: LindbladModel,
-              tol: float) -> tuple[bool, dict[str, str], np.ndarray]:
+              tol: float) -> tuple[bool, dict[str, str], np.ndarray, float]:
     """Whether the sum of the Hermitian terms v, with ascending eigenvalues
     lam, is a Lyapunov operator (PSD, zero smallest eigenvalue, non-positive
-    generator), the diagnostics of the parts that fail, and the generator G(v)."""
+    generator), the diagnostics of the parts that fail, the generator G(v)
+    and its largest eigenvalue."""
     diag: dict[str, str] = {}
     psd_ok = psd_spectrum(lam, tol)
     if not psd_ok:
@@ -136,10 +138,11 @@ def _lyapunov(v: list, lam: np.ndarray, model: LindbladModel,
     if psd_ok and not zero_ok:
         diag["ground_energy"] = f"smallest eigenvalue {lam[0]:.6g} != 0"
     g = generator(v, model)
+    g_max = max_eigenvalue(g)
     gen_ok = is_psd(-g, tol)
     if not gen_ok:
-        diag["generator"] = f"G(V) has positive eigenvalue {max_eigenvalue(g):.6g}"
-    return (psd_ok and zero_ok and gen_ok), diag, g
+        diag["generator"] = f"G(V) has positive eigenvalue {g_max:.6g}"
+    return (psd_ok and zero_ok and gen_ok), diag, g, g_max
 
 
 def check_condition_es(v, model: LindbladModel, tol: float = DEFAULT_TOL) -> float | None:
@@ -161,15 +164,16 @@ def check_condition_ds(v, model: LindbladModel, tol: float = DEFAULT_TOL) -> flo
 def certify_ground_state_stability(v, model: LindbladModel, *,
                                    simulate: bool = False, n_states: int = 20,
                                    t_final: float = 20.0, seed: int = 0,
-                                   dim_cap: int = 64,
                                    tol: float = DEFAULT_TOL) -> StabilityReport:
     """Full certification of a candidate operator, a matrix or a list of
     LocalOperators (their sum), optionally cross-checked by master-equation
     simulation from sampled initial states."""
+    if simulate and seed < 0:  # numpy's generators take no negative seed
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
     terms, v, lam, q = _candidate(v, model, tol)
-    lyap, diagnostics, g = _lyapunov(terms, lam, model, tol)
+    lyap, diagnostics, g, g_max = _lyapunov(terms, lam, model, tol)
     d = float(lam[0])
-    margins = {"psd": d, "generator": -max_eigenvalue(g)}
+    margins = {"psd": d, "generator": -g_max}
     diagnostics.setdefault("mean_dissipation_condition", "not checked (state-dependent)")
 
     degenerate = float(np.abs(lam).max()) <= tol  # ||V||_2
@@ -198,8 +202,7 @@ def certify_ground_state_stability(v, model: LindbladModel, *,
     simulation = None
     if simulate and not degenerate:
         n = model.dim
-        if n > dim_cap:
-            raise DimensionCapError(f"simulation dim {n} exceeds cap {dim_cap}")
+        _require_simulable(n, n_states=n_states)
         rng = np.random.default_rng(seed)
         pure = [haar_pure_state(rng, n) for _ in range(max(0, n_states - 1))]
         initial = np.array([maximally_mixed(n)] + [np.outer(p, p.conj()) for p in pure])

@@ -14,7 +14,7 @@ import dissipctl
 from dissipctl import synthesis
 from dissipctl.cli import main
 from dissipctl.lindblad import evolve
-from dissipctl.serialize import matrix_to_json, model_to_json
+from dissipctl.serialize import matrix_to_json, model_to_json, trajectory_to_csv
 from dissipctl.models import REGISTRY, build, two_level_example
 from oracles import DenseModel, dense_candidate
 
@@ -189,8 +189,8 @@ class TestUsageErrors:
     certified), with argparse's message."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["check", "--name", "two_level", "--sim-cap", "abc"],
-         "argument --sim-cap: invalid int value: 'abc'"),
+        (["simulate", "--name", "two_level", "--t-final", "1", "--samples", "abc"],
+         "argument --samples: invalid int value: 'abc'"),
         (["simulate", "--name", "two_level"],
          "the following arguments are required: --t-final"),
         (["scale", "--name", "two_qubit", "--theorem", "magic"],
@@ -240,12 +240,34 @@ class TestSimulate:
         assert code == 1
         assert "t_final" in err or "t-final" in err
 
-    def test_dimension_cap_env(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("rho0, message", [
+        ([[0.7, 0.0], [0.0, 0.7]], "trace 1.4+0j differs from 1"),
+        ([[1.5, 0.0], [0.0, -0.5]], "smallest eigenvalue -5.000e-01 below -tol"),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], "state shape (3, 3) != (2, 2)"),
+    ], ids=["trace", "negative", "shape"])
+    def test_rho0_refusal_names_the_field(self, capsys, tmp_path, rho0, message):
+        path = tmp_path / "rho0.json"
+        path.write_text(json.dumps(rho0))
+        code, out, err = _run(capsys, ["simulate", "--name", "two_level", "--t-final", "1",
+                                       "--rho0", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"dissipctl: input error: rho0: {message}\n"
+
+    def test_rho0_file_is_the_initial_state(self, capsys, tmp_path):
+        rho0 = np.array([[0.25, 0.25j], [-0.25j, 0.75]])
+        path = tmp_path / "rho0.json"
+        path.write_text(json.dumps(matrix_to_json(rho0)))
+        code, out, _ = _run(capsys, ["simulate", "--name", "two_level", "--t-final", "1",
+                                     "--rho0", str(path)])
+        named = build("two_level")
+        traj = evolve(named.model, rho0, 1.0, observables=named.candidates)
+        assert code == 0 and out == trajectory_to_csv(traj)
+
+    def test_simulation_cap_is_no_longer_read_from_the_environment(self, capsys, monkeypatch):
+        argv = ["simulate", "--name", "cluster_chain(4)", "--t-final", "1"]
+        expected = _run(capsys, argv)
         monkeypatch.setenv("DISSIPCTL_SIM_CAP", "8")
-        code, _, err = _run(capsys, ["simulate", "--name", "cluster_chain(4)",
-                                     "--t-final", "1"])
-        assert code == 5
-        assert "cap" in err
+        assert _run(capsys, argv) == expected and expected[0] == 0
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "traj.csv"
@@ -694,25 +716,11 @@ class TestNonFiniteNumbers:
         assert err == f"dissipctl: input error: n: must satisfy 1 <= n < 2, got {n}\n"
 
 
-class TestSimCap:
-    """The simulation dimension cap is a positive integer, from --sim-cap or
-    the environment; anything else ends in exit 1 naming where it came from."""
-
-    @pytest.mark.parametrize("argv", [
-        ["check", "--name", "two_level", "--sim-cap", "0"],
-        ["simulate", "--name", "two_level", "--t-final", "1", "--sim-cap", "-3"],
-    ], ids=["zero", "negative"])
-    def test_option_named(self, capsys, argv):
-        code, out, err = _run(capsys, argv)
-        assert code == 1 and out == ""
-        assert f"input error: sim-cap: must be a positive integer, got {argv[-1]}" in err
-
-    def test_environment_named(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISSIPCTL_SIM_CAP", "abc")
-        code, out, err = _run(capsys, ["simulate", "--name", "two_level", "--t-final", "1"])
-        assert code == 1 and out == ""
-        assert "input error: DISSIPCTL_SIM_CAP: must be a positive integer, got 'abc'" in err
-        assert "Traceback" not in err
+def test_sim_cap_is_an_unknown_option(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--name", "two_level", "--sim-cap", "64"])
+    assert err.value.code == 1
+    assert "error: unrecognized arguments: --sim-cap 64" in capsys.readouterr().err
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -37,6 +37,7 @@ from dissipctl.linalg import (
     hermitian_part,
 )
 from dissipctl.models import REGISTRY, build, three_level_example, two_level_example
+from dissipctl.scalability import simulate_aggregate
 from dissipctl.stability import certify_ground_state_stability
 from oracles import (
     DenseModel,
@@ -326,11 +327,10 @@ class TestEvolve:
             evolve(m.model, maximally_mixed(2), 1.0, n_samples=17)
 
     def test_the_default_simulation_of_check_fits_the_cap(self):
-        # check --simulate at the default sim cap: 20 x 201 x 64^2 = 16.47M of 16.78M
-        defaults = inspect.signature(certify_ground_state_stability).parameters
-        states, cap = defaults["n_states"].default, defaults["dim_cap"].default
+        # check --simulate at the simulation cap: 20 x 201 x 64^2 = 16.47M of 16.78M
+        states = inspect.signature(certify_ground_state_stability).parameters["n_states"].default
         samples = inspect.signature(evolve).parameters["n_samples"].default
-        assert states * samples * cap ** 2 <= MAX_MODEL_DIM ** 2
+        assert states * samples * lindblad._SIM_MAX_DIM ** 2 <= MAX_MODEL_DIM ** 2
 
     def test_ehrenfest_consistency(self):
         rng = np.random.default_rng(7)
@@ -724,16 +724,42 @@ class TestAdiabaticLimit:
             adiabatic_limit_check(m.model, 1.0, 1.0, [2, 4], 1.0)
 
     def test_joint_dimension_cap(self):
-        from dissipctl.errors import DimensionCapError
-        big = LindbladModel(TensorStructure((40,)), np.zeros((40, 40), dtype=complex),
-                            [np.zeros((40, 40), dtype=complex)])
-        with pytest.raises(DimensionCapError):
+        n = lindblad._SIM_MAX_DIM // 2 + 1  # the joint system has dimension 2n
+        big = LindbladModel(TensorStructure((n,)), np.zeros((n, n)), [np.zeros((n, n))])
+        with pytest.raises(DimensionCapError, match=f"^dimension {2 * n} exceeds"):
             adiabatic_limit_check(big, 1.0, 1.0, [2, 4], 1.0)
 
     def test_k_list_must_ascend(self):
         m = two_level_example()
         with pytest.raises(PreconditionError):
             adiabatic_limit_check(m.model, 1.0, 1.0, [4, 2], 1.0)
+
+
+@pytest.mark.parametrize("entry", ["evolve", "simulate_aggregate", "adiabatic_limit_check",
+                                   "certify_ground_state_stability"])
+def test_every_simulation_refuses_above_the_cap(entry):
+    # one message from every entry point, before any state of the whole space is built
+    cap = lindblad._SIM_MAX_DIM
+    n = cap // 2 + 1 if entry == "adiabatic_limit_check" else cap + 1
+    model = LindbladModel(TensorStructure((n,)), np.zeros((n, n)), [np.zeros((n, n))])
+    spec = build("toric_patch(extended)").aggregate
+    calls = {
+        "evolve": lambda: evolve(model, maximally_mixed(n), 1.0),
+        "simulate_aggregate": lambda: simulate_aggregate(spec, 1.0),
+        "adiabatic_limit_check": lambda: adiabatic_limit_check(model, 1.0, 1.0, [2, 4], 1.0),
+        "certify_ground_state_stability": lambda: certify_ground_state_stability(
+            np.diag([0.0] + [1.0] * (n - 1)), model, simulate=True),
+    }
+    dim = {"simulate_aggregate": spec.structure.total_dim, "adiabatic_limit_check": 2 * n}
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError) as err:
+            calls[entry]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"dimension {dim.get(entry, n)} exceeds the simulation cap {cap}"
+    assert peak < 1e6
 
 
 def test_trace_distance_basics():

@@ -354,6 +354,32 @@ class TestCertify:
         report = certify_ground_state_stability(np.diag([1.0, 0.0]).astype(complex), m)
         assert not report.certified
 
+    def test_generator_is_decomposed_twice(self, monkeypatch):
+        # V = |1><1| grows under the decay to |0>, so G(V) has the eigenvalue 1:
+        # one decomposition for the verdict (is_psd), one for the diagnostic and margin
+        m = two_level_example()
+        v = np.diag([0.0, 1.0])
+        g = generator(v, m.model)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(np.shape(a) == g.shape and min(np.abs(a - g).max(),
+                                                       np.abs(a + g).max()) < 1e-12)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = certify_ground_state_stability(v, m.model)
+        assert report.diagnostics["generator"] == "G(V) has positive eigenvalue 1"
+        assert report.margins["generator"] == -1.0
+        assert sum(seen) == 2
+
+    def test_negative_seed_refused_before_any_work(self, monkeypatch):
+        m = two_level_example()
+        monkeypatch.setattr("dissipctl.stability._candidate", None)  # any work would fail
+        with pytest.raises(PreconditionError, match="^seed must be a non-negative integer, got -1$"):
+            certify_ground_state_stability(m.candidates["V"], m.model, simulate=True, seed=-1)
+
 
 class TestSimulationInvariants:
     def test_es_constant_bounds_sampled_trajectories(self):
