@@ -25,7 +25,7 @@ def main() -> None:
         for cand_name, v in named.candidates.items():
             simulate = args.simulate and model.dim <= 16 and model.couplings
             report = certify_ground_state_stability(
-                v, model, simulate=bool(simulate), n_states=5, seed=args.seed)
+                v, model, simulate=bool(simulate), seed=args.seed)
             c_es = "-" if report.c_es is None else f"{report.c_es:.6f}"
             c_ds = "-" if report.c_ds is None else f"{report.c_ds:.6f}"
             print(f"{name:<26}{cand_name:<12}{c_es:>12}{c_ds:>12}  {report.convergence}")

@@ -44,5 +44,5 @@ class IntegrationError(DissipctlError):
 
 
 class StateValidityError(DissipctlError):
-    """A density matrix violates hermiticity, unit trace or positivity
-    beyond tolerance."""
+    """A density matrix violates hermiticity, unit trace or positivity, or a
+    propagated candidate V(t) positivity, beyond tolerance."""

@@ -13,8 +13,9 @@ Krylov propagator uses the effective-Hamiltonian form of the state equation,
 
 which for a Hermitian rho is M rho + (M rho)' + sum_k L_k rho L_k'.
 
-Propagation runs in the dtype of the data: float64 when H = 0 and every
-coupling and the initial state are real, complex128 otherwise.
+Its adjoint, the Heisenberg drift, is G(X) = M'X + (M'X)' + sum_k L_k' X L_k for
+a Hermitian X.  Propagation runs in the dtype of the data: float64 when H = 0
+and every coupling and the propagated operator are real, complex128 otherwise.
 """
 
 from __future__ import annotations
@@ -208,11 +209,8 @@ def _observable(x: np.ndarray, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of the master equation with named expectation series.
-
-    ``states`` is (T, n, n) for one initial state and (S, T, n, n) for a stack
-    of S; each series in ``observables`` is (T,) or (S, T) accordingly.
-    """
+    """Sampled solution of the master equation, ``states`` (T, n, n), with
+    named expectation series (T,)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -226,18 +224,21 @@ class Trajectory:
         return np.einsum("...ij,...ij->...", self.states, self.states.conj()).real
 
     def final_state(self) -> np.ndarray:
-        return self.states[..., -1, :, :]
+        return self.states[-1]
 
 
-def _rhs_factory(model: LindbladModel):
+def _rhs_factory(model: LindbladModel, adjoint: bool = False):
     # drho/dt = M rho + (M rho)' + sum_k L_k rho L_k' with M = -iH - (1/2) sum_k L_k'L_k
     # precomputed: 1 + 2K products a call.  Valid only for a Hermitian rho,
     # for which rho M' = (M rho)'.  M is real when H = 0 and the couplings are.
+    # The adjoint, G, is the same form with M' and the L_k' in their places.
     h, couplings = _matrices(model)
     pairs = [(l, dagger(l)) for l in couplings]
     m = -0.5 * sum((ld @ l for l, ld in pairs), np.zeros_like(h))
     if h.any():
         m = m - 1j * h
+    if adjoint:
+        m, pairs = dagger(m), [(ld, l) for l, ld in pairs]
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         mr = m @ rho
@@ -255,15 +256,15 @@ _KRYLOV_DIM = 30  # basis vectors of one Krylov step beyond the state itself
 _SIM_MAX_DIM = 64
 
 
-def _require_simulable(n: int, n_samples: int = 1, n_states: int = 1) -> None:
+def _require_simulable(n: int, n_samples: int = 1) -> None:
     """Refuse, with a DimensionCapError, a simulation of dimension n above
     _SIM_MAX_DIM, or a trajectory of more than MAX_MODEL_DIM^2 stored entries
-    (samples x states x n^2), before any state of it is built."""
+    (samples x n^2), before any sample of it is built."""
     if n > _SIM_MAX_DIM:
         raise DimensionCapError(f"dimension {n} exceeds the simulation cap {_SIM_MAX_DIM}")
-    entries = n_samples * n_states * n * n
+    entries = n_samples * n * n
     if entries > MAX_MODEL_DIM ** 2:
-        raise DimensionCapError(f"samples: {n_samples} samples x {n_states} states x {n}^2 = "
+        raise DimensionCapError(f"samples: {n_samples} samples x {n}^2 = "
                                 f"{entries} stored entries exceed {MAX_MODEL_DIM}^2")
 
 
@@ -273,7 +274,8 @@ def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray, rtol: float, atol: 
 
     V_0 = rho / beta, beta = ||rho||_F, and V_1..V_m, orthonormal under
     Re<A, B>, span rho, Lambda rho, ..., Lambda^m rho: Hermitian, as the RHS
-    needs, and but for V_0 traceless, so the trace is kept.  With Lambda
+    needs.  For a state they are but for V_0 traceless, so the trace is kept;
+    the adjoint G keeps no trace, only the identity.  With Lambda
     V_{j-1} = sum_k A_kj V_k, exp(s A) e_0 holds the coefficients of
     rho(t + s) / beta and, last, h e_m' s phi_1(s H_m) e_0 (h = A_{m,m-1}),
     beta times which estimates the error.  exp(A dt) steps them across the
@@ -325,67 +327,67 @@ def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray, rtol: float, atol: 
             c = step @ c
 
 
-def _exact_samples(model: LindbladModel, rho: np.ndarray, times: np.ndarray):
-    """The stack at each sample time of an equally spaced grid, by one
-    propagator P = expm(Lambda dt), in the dtype common to Lambda and the
-    stack, applied to the (n^2, S) block of column-stacked states."""
-    s, n = rho.shape[0], model.dim
+def _dtype(model: LindbladModel, x: np.ndarray) -> type:
+    """float when H = 0 and the couplings and x are real, complex otherwise:
+    -i[H, rho] is real only for H = 0."""
+    real = not (model.hamiltonian.matrix.any() or np.iscomplexobj(x)
+                or any(np.iscomplexobj(l.matrix) for l in model.couplings))
+    return float if real else complex
+
+
+def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, rtol: float = 1e-9,
+             atol: float = 1e-9, adjoint: bool = False):
+    """The Hermitian x at each time of an equally spaced grid under exp(t Lambda),
+    or under exp(t G) when ``adjoint``, in `_dtype`.  Up to dim 16, where
+    Lambda is n^2 x n^2 and one expm stays cheap, by one propagator
+    expm(Lambda dt), or expm(Lambda' dt), on column-stacked x; above, by Krylov
+    steps, each step's error estimate within ``atol + rtol ||x||_F``."""
+    n, x = model.dim, x.astype(_dtype(model, x), copy=False)
+    if n > 16:
+        rhs = _rhs_factory(model, adjoint) if adjoint else _rhs_factory(model)
+        yield from _krylov_samples(rhs, x, times, rtol, atol)
+        return
     lam = liouvillian(model)
-    dtype = np.result_type(lam, rho)
-    step = expm(lam.astype(dtype, copy=False), times[1] - times[0])
-    block = rho.swapaxes(-1, -2).reshape(s, n * n).T
+    step = expm((dagger(lam) if adjoint else lam).astype(np.result_type(lam, x), copy=False),
+                times[1] - times[0])
+    x = x.T.reshape(-1)
     for _ in times:
-        yield hermitian_part(block.T.reshape(s, n, n).swapaxes(-1, -2))
-        block = step @ block
+        yield hermitian_part(x.reshape(n, n).T)
+        x = step @ x
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
            observables: dict[str, np.ndarray] | None = None, n_samples: int = 201,
            rtol: float = 1e-9, atol: float = 1e-9) -> Trajectory:
-    """Master-equation trajectory of one state (n, n) or a stack (S, n, n).
+    """Master-equation trajectory of the state ``rho0`` by `_samples`.
 
-    Up to dim 16 all states are stepped exactly by one propagator
-    expm(Lambda dt), above that each by Krylov steps, each step's error
-    estimate within ``atol + rtol ||rho||_F``.  The states are float64 when
-    H = 0 and the couplings and ``rho0`` are real, complex otherwise.  Emits
-    ``n_samples`` equally spaced samples, each state re-validated as a
+    Emits ``n_samples`` equally spaced samples, each re-validated as a
     density matrix at 10x the base tolerance, in blocks of about 32 KB.
     A system above the simulation cap, or a trajectory above its bound, is
     refused by `_require_simulable` before ``rho0`` is validated.
     """
     n = model.dim
-    _require_simulable(n, n_samples, len(rho0) if np.ndim(rho0) == 3 else 1)
+    _require_simulable(n, n_samples)
     rho0 = real_or_complex(rho0)
-    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (n, n):
-        raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n}) or (S, {n}, {n})")
+    if rho0.shape != (n, n):
+        raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n})")
     if t_final <= 0:
         raise PreconditionError(f"t_final must be positive, got {t_final}")
     validate_density_state(rho0, DEFAULT_TOL * 10)
-    # -i[H, rho] is real only for H = 0
-    real = not (model.hamiltonian.matrix.any() or np.iscomplexobj(rho0)
-                or any(np.iscomplexobj(l.matrix) for l in model.couplings))
-    dtype = float if real else complex
-    stack = rho0.reshape((-1, n, n)).astype(dtype, copy=False)
     if n_samples < 2:
         raise PreconditionError("need at least two sample points")
     times = np.linspace(0.0, float(t_final), n_samples)
     ops = {name: _observable(op, n) for name, op in (observables or {}).items()}
-    if n <= 16:  # Lambda is n^2 x n^2, so one expm stays cheap
-        samples = _exact_samples(model, stack, times)
-    else:
-        rhs = _rhs_factory(model)
-        runs = [_krylov_samples(rhs, rho, times, rtol, atol) for rho in stack]
-        samples = (np.array([next(run) for run in runs]) for _ in times)
-
-    states = np.empty(rho0.shape[:-2] + (n_samples, n, n), dtype=dtype)
-    block = max(1, 32768 // stack.nbytes)  # samples a validation call
+    states = np.empty((n_samples, n, n), dtype=_dtype(model, rho0))
+    block = max(1, 32768 // states[0].nbytes)  # samples a validation call
     pending = []
 
     def check(batch):
-        """Validate the (index, stack) samples together; where that fails, one
+        """Validate the (index, sample) pairs together; where that fails, one
         at a time, so that the earliest is named as if checked alone."""
         try:
-            validate_density_state(np.concatenate([r for _, r in batch]), DEFAULT_TOL * 10)
+            validate_density_state(np.array([r for _, r in batch]) if len(batch) > 1
+                                   else batch[0][1], DEFAULT_TOL * 10)
         except StateValidityError as exc:
             if len(batch) == 1:
                 raise StateValidityError(f"at t={times[batch[0][0]]:.6g}: {exc}") from exc
@@ -393,10 +395,10 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
                 check([item])
             raise
         for i, rho in batch:
-            states.reshape(-1, n_samples, n, n)[:, i] = rho
+            states[i] = rho
 
     try:  # an invalid sample is named before a later failure of the propagation
-        for sample in enumerate(samples):
+        for sample in enumerate(_samples(model, rho0, times, rtol, atol)):
             pending.append(sample)
             if len(pending) == block:
                 batch, pending = pending, []

@@ -4,7 +4,8 @@ Nothing here is reached by the command line, `scripts/` or the benchmark:
 each function is an independent way to compute a quantity that the runtime
 computes another way (the bilinear synthesis solver against the closed form,
 the Liouvillian kernel against simulation, the RK45 integrator against the
-Krylov propagator, dense ground spaces, and the dense
+Krylov propagator, the Schrodinger ensemble against the Heisenberg
+propagation of `check --simulate`, dense ground spaces, and the dense
 generator, dissipation functional and aggregation theorems against the
 windowed ones), or a random ensemble the property tests draw from.
 """
@@ -23,11 +24,13 @@ from dissipctl.errors import (
     PreconditionError,
 )
 from dissipctl.lindblad import (
-    LindbladModel, _observable, dissipation_single_channel, generator_single_channel, liouvillian,
+    LindbladModel, _observable, dissipation_single_channel, evolve, generator_single_channel,
+    liouvillian, maximally_mixed,
 )
 from dissipctl.linalg import (
-    DEFAULT_TOL, TensorStructure, as_operator, commutator, dagger, hermitian_part, is_hermitian,
-    is_psd, max_eigenvalue, min_eigenvalue, psd_spectrum, scaled_tol,
+    DEFAULT_TOL, TensorStructure, as_operator, commutator, dagger, haar_pure_state,
+    hermitian_part, is_hermitian, is_psd, max_eigenvalue, min_eigenvalue, psd_spectrum,
+    scaled_tol,
 )
 from dissipctl.scalability import AggregateReport, AggregateSpec, _cross_single_channel
 from dissipctl.stability import largest_constant
@@ -270,6 +273,20 @@ def propagate(model: LindbladModel, rho: np.ndarray, times: np.ndarray) -> np.nd
     out = expm_multiply(op, rho.reshape(-1, order="F").astype(complex), start=times[0],
                         stop=times[-1], num=len(times), endpoint=True, traceA=trace)
     return out.reshape(len(times), n, n).swapaxes(-1, -2)
+
+
+def schrodinger_ensemble(model: LindbladModel, observables: dict, t_final: float,
+                         seed: int, n_states: int = 20) -> dict:
+    """The (state, time) series tr(X rho_s(t)) of each observable X for the
+    seeded states of `check --simulate`, the maximally mixed state and
+    n_states - 1 Haar states drawn in order from `seed`, in the Schrodinger
+    picture: `evolve` of each state, one at a time."""
+    n = model.dim
+    rng = np.random.default_rng(seed)
+    states = [maximally_mixed(n)] + [np.outer(p, p.conj()) for p in
+                                     (haar_pure_state(rng, n) for _ in range(n_states - 1))]
+    runs = [evolve(model, rho, t_final, observables=observables).observables for rho in states]
+    return {name: np.array([run[name] for run in runs]) for name in observables}
 
 
 # Dormand-Prince 5(4) tableau.

@@ -759,7 +759,22 @@ def test_samples_above_the_trajectory_cap(capsys):
     argv = ["simulate", "--name", "two_level", "--t-final", "1", "--samples", "4200000"]
     code, out, err = _run(capsys, argv)
     assert code == 5 and out == ""
-    assert err.startswith("dissipctl: dimension cap: samples: 4200000 samples x 1 states x 2^2 ")
+    assert err == ("dissipctl: dimension cap: samples: 4200000 samples x 2^2 = 16800000 stored "
+                   "entries exceed 4096^2\n")
+
+
+def test_zero_candidate_above_the_simulation_cap(capsys, tmp_path):
+    # the cap is checked before the certification: a zero candidate, trivially
+    # stable without --simulate, is refused with it
+    model = {"dims": [2] * 7, "H": {"sites": [1], "matrix": [[0, 0], [0, 0]]},
+             "L": [{"sites": [1], "matrix": [[0, 1], [0, 0]]}]}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    (tmp_path / "v.json").write_text(json.dumps({"V": matrix_to_json(np.zeros((128, 128)))}))
+    argv = ["check", "--model", str(tmp_path / "model.json"), "--v", str(tmp_path / "v.json")]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and json.loads(out)["report"]["convergence"] == "trivial"
+    assert _run(capsys, [*argv, "--simulate"]) == (
+        5, "", "dissipctl: dimension cap: dimension 128 exceeds the simulation cap 64\n")
 
 
 class TestProgram:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dissipctl import cli, lindblad
+from dissipctl import cli, lindblad, stability
 from dissipctl.errors import (
     DimensionCapError,
     DimensionMismatchError,
@@ -306,14 +306,13 @@ class TestEvolve:
             evolve(m.model, np.diag([2.0, 0.0]).astype(complex), 1.0)
 
     def test_refuses_a_trajectory_above_the_cap_before_allocating_it(self):
-        # 20 states of dim 2: one sample more than MAX_MODEL_DIM^2 entries hold
+        # a state of dim 2: one sample more than MAX_MODEL_DIM^2 entries hold
         m = two_level_example()
-        stack = np.array([maximally_mixed(2)] * 20)
-        samples = MAX_MODEL_DIM ** 2 // (20 * 4) + 1
+        samples = MAX_MODEL_DIM ** 2 // 4 + 1
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionCapError, match=f"^samples: {samples} samples x 20 "):
-                evolve(m.model, stack, 1.0, n_samples=samples)
+            with pytest.raises(DimensionCapError, match=f"^samples: {samples} samples x 2\\^2 "):
+                evolve(m.model, maximally_mixed(2), 1.0, n_samples=samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,14 +322,21 @@ class TestEvolve:
         monkeypatch.setattr(lindblad, "MAX_MODEL_DIM", 8)  # 64 entries: 16 samples of 2x2
         m = two_level_example()
         assert evolve(m.model, maximally_mixed(2), 1.0, n_samples=16).states.shape == (16, 2, 2)
-        with pytest.raises(DimensionCapError, match="^samples: 17 samples x 1 states"):
+        with pytest.raises(DimensionCapError, match=r"^samples: 17 samples x 2\^2 = 68 "):
             evolve(m.model, maximally_mixed(2), 1.0, n_samples=17)
 
     def test_the_default_simulation_of_check_fits_the_cap(self):
-        # check --simulate at the simulation cap: 20 x 201 x 64^2 = 16.47M of 16.78M
-        states = inspect.signature(certify_ground_state_stability).parameters["n_states"].default
+        # check --simulate at the simulation cap propagates one V(t): 201 x 64^2
+        # entries, as evolve's default trajectory does
+        assert "n_states" not in inspect.signature(certify_ground_state_stability).parameters
         samples = inspect.signature(evolve).parameters["n_samples"].default
-        assert states * samples * lindblad._SIM_MAX_DIM ** 2 <= MAX_MODEL_DIM ** 2
+        assert stability._N_SAMPLES == samples
+        lindblad._require_simulable(lindblad._SIM_MAX_DIM, samples)
+
+    def test_refuses_a_stack(self):
+        m = two_level_example().model
+        with pytest.raises(DimensionMismatchError, match=r"^state shape \(3, 2, 2\) != \(2, 2\)$"):
+            evolve(m, np.array([maximally_mixed(2)] * 3), 1.0)
 
     def test_ehrenfest_consistency(self):
         rng = np.random.default_rng(7)
@@ -346,51 +352,33 @@ class TestEvolve:
 
 
 class TestEnsemble:
-    """A stack (S, n, n) evolves as S separate states, on both branches."""
-
-    @pytest.mark.parametrize("n, t_final", [(3, 2.0), (18, 0.5)], ids=["exact", "krylov"])
-    def test_stack_matches_single_runs(self, n, t_final):
-        rng = np.random.default_rng(20)
-        m = random_model(rng, n)
-        m = LindbladModel(m.structure, m.hamiltonian, [l.matrix / np.sqrt(n) for l in m.couplings])
-        stack = np.array([maximally_mixed(n)] + [random_density(rng, n) for _ in range(2)])
-        x = random_hermitian(rng, n)
-        batch = evolve(m, stack, t_final, n_samples=6, observables={"x": x})
-        assert batch.states.shape == (3, 6, n, n)
-        assert batch.observables["x"].shape == (3, 6)
-        assert batch.traces().shape == batch.purities().shape == (3, 6)
-        for s, rho0 in enumerate(stack):
-            single = evolve(m, rho0, t_final, n_samples=6, observables={"x": x})
-            assert np.abs(batch.states[s] - single.states).max() < 1e-8
-            assert np.abs(batch.observables["x"][s] - single.observables["x"]).max() < 1e-8
-            assert np.allclose(batch.final_state()[s], single.final_state(), atol=1e-8)
+    """The initial states of a simulated ensemble, each evolved on its own."""
 
     def test_exact_branch_matches_rk45_oracle(self):
         rng = np.random.default_rng(21)
         m = random_model(rng, 4)
-        stack = np.array([random_density(rng, 4) for _ in range(3)])
         times = np.linspace(0.0, 1.0, 5)
-        exact = evolve(m, stack, 1.0, n_samples=5).states
-        for i, rho in enumerate(rk45_samples(m, stack, times, 0.01, 1e-10, 1e-10)):
-            assert np.abs(exact[:, i] - rho).max() < 1e-8
+        for rho0 in [random_density(rng, 4) for _ in range(3)]:
+            exact = evolve(m, rho0, 1.0, n_samples=5).states
+            for i, rho in enumerate(rk45_samples(m, rho0, times, 0.01, 1e-10, 1e-10)):
+                assert np.abs(exact[i] - rho).max() < 1e-8
 
     def test_one_invalid_state_names_time_and_state(self, monkeypatch):
-        # a leak that adds trace to states populating level 2 only: state 1
-        # breaks at the first sample, states 0 and 2 stay valid
+        # a leak that adds trace to states populating level 2: one that starts
+        # there breaks at the first sample, one that starts in level 0 stays valid
         m = three_level_example().model
-        leak = np.zeros((9, 9), dtype=complex)
+        leak = np.zeros((9, 9))
         leak[0, 8] = 1.0  # d rho_00 / dt += rho_22
         monkeypatch.setattr(lindblad, "liouvillian", lambda model: liouvillian(model) + leak)
-        stack = np.array([np.diag(d).astype(complex) for d in
-                          ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0])])
-        with pytest.raises(StateValidityError, match=r"at t=0\.5: state 1: trace"):
-            evolve(m, stack, 1.0, n_samples=3)
+        evolve(m, np.diag([1.0, 0.0, 0.0]), 1.0, n_samples=3)
+        with pytest.raises(StateValidityError, match=r"^at t=0\.5: trace"):
+            evolve(m, np.diag([0.0, 0.0, 1.0]), 1.0, n_samples=3)
 
     def test_invalid_initial_state_in_stack(self):
         m = two_level_example().model
-        stack = np.array([maximally_mixed(2), np.diag([1.5, -0.5]).astype(complex)])
-        with pytest.raises(StateValidityError, match="state 1: smallest eigenvalue"):
-            evolve(m, stack, 1.0)
+        evolve(m, maximally_mixed(2), 1.0)
+        with pytest.raises(StateValidityError, match="^smallest eigenvalue"):
+            evolve(m, np.diag([1.5, -0.5]).astype(complex), 1.0)
 
     def test_rejects_wrong_shapes(self):
         m = two_level_example().model
@@ -518,13 +506,13 @@ class TestRealPropagation:
 
 def _random_open_system(seed: int):
     """A model at a dim of 17-64 with a complex H and 1-3 dense channels, and
-    a stack of 1-3 random states."""
+    a list of 1-3 random states."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(17, 65))
     ls = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
           for _ in range(int(rng.integers(1, 4)))]
-    stack = np.array([random_density(rng, n) for _ in range(int(rng.integers(1, 4)))])
-    return LindbladModel(TensorStructure((n,)), random_hermitian(rng, n), ls), stack
+    states = [random_density(rng, n) for _ in range(int(rng.integers(1, 4)))]
+    return LindbladModel(TensorStructure((n,)), random_hermitian(rng, n), ls), states
 
 
 def _rhs_arguments(monkeypatch) -> list:
@@ -555,20 +543,20 @@ class TestKrylov:
     @given(st.integers(0, 10**6))
     @settings(max_examples=8, deadline=None)
     def test_matches_the_liouvillian_propagator(self, seed):
-        model, stack = _random_open_system(seed)
-        traj = evolve(model, stack, 2.0, n_samples=11)
-        for s, rho0 in enumerate(stack):
+        model, states = _random_open_system(seed)
+        for rho0 in states:
+            traj = evolve(model, rho0, 2.0, n_samples=11)
             exact = oracles.propagate(model, rho0, traj.times)
-            assert np.abs(traj.states[s] - exact).max() <= 10 * 1e-9
+            assert np.abs(traj.states - exact).max() <= 10 * 1e-9
 
     @pytest.mark.parametrize("name", ["toric_patch", "cluster_chain(5)", "cluster_chain(6)"])
     def test_matches_the_rk45_oracle(self, name):
         model = build(name).model
         n = model.dim
-        stack = np.array([maximally_mixed(n), _real_density(np.random.default_rng(38), n)])
-        traj = evolve(model, stack, 5.0, n_samples=21)
-        for i, rho in enumerate(rk45_samples(model, stack, traj.times, 0.05, 1e-9, 1e-9)):
-            assert np.abs(traj.states[:, i] - rho).max() <= 10 * 1e-9
+        for rho0 in [maximally_mixed(n), _real_density(np.random.default_rng(38), n)]:
+            traj = evolve(model, rho0, 5.0, n_samples=21)
+            for i, rho in enumerate(rk45_samples(model, rho0, traj.times, 0.05, 1e-9, 1e-9)):
+                assert np.abs(traj.states[i] - rho).max() <= 10 * 1e-9
 
     def test_simulate_toric_patch_in_a_few_rhs_calls(self, monkeypatch, capsys):
         # the Krylov space of the maximally mixed state closes at dimension 3
@@ -578,11 +566,12 @@ class TestKrylov:
 
     def test_hermitian_basis_and_kept_trace(self, monkeypatch):
         args = _rhs_arguments(monkeypatch)
-        model, stack = _random_open_system(39)
-        traj = evolve(model, stack, 2.0, n_samples=11)
+        model, states = _random_open_system(39)
+        for rho0 in states:
+            traj = evolve(model, rho0, 2.0, n_samples=11)
+            assert np.abs(traj.traces() - 1.0).max() <= 1e-12
         assert len(args) > lindblad._KRYLOV_DIM  # more than one step
         assert all(np.array_equal(v, dagger(v)) for v in args)
-        assert np.abs(traj.traces() - 1.0).max() <= 1e-12
 
     def test_refuses_a_horizon_lost_to_rounding(self):
         model = build("toric_patch").model
@@ -601,7 +590,7 @@ class TestKrylov:
 
         monkeypatch.setattr(lindblad, "_krylov_samples", samples)
         model = random_model(np.random.default_rng(40), 17)
-        with pytest.raises(StateValidityError, match=r"at t=0\.4: state 0: smallest eigenvalue"):
+        with pytest.raises(StateValidityError, match=r"^at t=0\.4: smallest eigenvalue"):
             evolve(model, maximally_mixed(17), 1.0, n_samples=6)
         bad_psd[:] = maximally_mixed(17)
         bad_trace[:] = maximally_mixed(17)

@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipctl.errors import NonHermitianError, PreconditionError
+from dissipctl import lindblad, stability
+from dissipctl.errors import (
+    DimensionCapError, NonHermitianError, PreconditionError, StateValidityError,
+)
 from dissipctl.lindblad import (
     LindbladModel,
     dissipation_functional,
     evolve,
     generator,
+    liouvillian,
     maximally_mixed,
 )
 from dissipctl.linalg import (
@@ -20,6 +24,8 @@ from dissipctl.linalg import (
     is_psd,
 )
 from dissipctl.models import (
+    REGISTRY,
+    build,
     cluster_chain,
     three_level_example,
     toric_patch,
@@ -35,7 +41,7 @@ from dissipctl.stability import (
 )
 from oracles import (
     dense_candidate, dense_view, frustration_free_check, ground_space, haar_unitary,
-    random_hermitian,
+    random_density, random_hermitian, schrodinger_ensemble,
 )
 
 
@@ -315,7 +321,7 @@ class TestCertify:
     def test_two_level_exponential(self):
         m = two_level_example()
         report = certify_ground_state_stability(m.candidates["V"], m.model,
-                                                simulate=True, n_states=5, t_final=20.0)
+                                                simulate=True, t_final=20.0)
         assert report.certified
         assert report.convergence == "exponential"
         assert report.c_es == pytest.approx(1.0, abs=1e-6)
@@ -325,7 +331,7 @@ class TestCertify:
     def test_three_level_asymptotic_only(self):
         m = three_level_example()
         report = certify_ground_state_stability(m.candidates["V"], m.model,
-                                                simulate=True, n_states=4, t_final=45.0)
+                                                simulate=True, t_final=45.0)
         assert report.convergence == "asymptotic only"
         assert report.c_es is None and report.c_ds == pytest.approx(0.5, abs=1e-6)
         assert report.simulation["monotone"]
@@ -379,6 +385,120 @@ class TestCertify:
         monkeypatch.setattr("dissipctl.stability._candidate", None)  # any work would fail
         with pytest.raises(PreconditionError, match="^seed must be a non-negative integer, got -1$"):
             certify_ground_state_stability(m.candidates["V"], m.model, simulate=True, seed=-1)
+
+
+def _registry_candidates(max_dim: int) -> list:
+    return [(name, key) for name in REGISTRY if build(name).model.dim <= max_dim
+            for key in build(name).candidates]
+
+
+def _matrix(v, model):
+    """V as a matrix of the whole space and its smallest eigenvalue."""
+    _, v, lam, _ = stability._candidate(v, model, DEFAULT_TOL)
+    return v, lam[0]
+
+
+def _random_system(seed: int, low: int, high: int):
+    """A model at a dim of low-high with a complex H and 1-3 dense channels,
+    and a PSD V of spectral norm 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(low, high + 1))
+    ls = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+          for _ in range(int(rng.integers(1, 4)))]
+    v = random_density(rng, n)
+    model = LindbladModel(TensorStructure((n,)), random_hermitian(rng, n), ls)
+    return model, v / np.linalg.eigvalsh(v)[-1]
+
+
+class TestHeisenbergSimulation:
+    """check --simulate reads tr(V rho_s(t)) as tr(V(t) rho_s), V(t) = exp(tG)(V)
+    propagated once; oracle: the Schrodinger ensemble, each state evolved
+    on its own."""
+
+    @pytest.mark.parametrize("name, key", _registry_candidates(64))
+    def test_registry_series_match_the_schrodinger_ensemble(self, name, key):
+        named = build(name)
+        model, (v, d) = named.model, _matrix(named.candidates[key], named.model)
+        times, ev = stability._expectations(v, d, model, 20.0, 0, DEFAULT_TOL)
+        oracle = schrodinger_ensemble(model, {"v": v}, 20.0, 0)["v"]
+        assert ev.shape == oracle.shape == (20, len(times))
+        assert np.abs(ev - oracle).max() <= 10 * 1e-9
+
+    @pytest.mark.parametrize("low, high", [(2, 16), (17, 64)], ids=["exact", "krylov"])
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=4, deadline=None)
+    def test_random_series_match_the_schrodinger_ensemble(self, low, high, seed):
+        model, v = _random_system(seed, low, high)
+        _, ev = stability._expectations(v, np.linalg.eigvalsh(v)[0], model, 3.0, seed,
+                                        DEFAULT_TOL)
+        oracle = schrodinger_ensemble(model, {"v": v}, 3.0, seed, n_states=4)["v"]
+        assert np.abs(ev[:4] - oracle).max() <= 10 * 1e-9
+
+    @pytest.mark.parametrize("name", [n for n in REGISTRY if build(n).model.dim <= 16])
+    def test_verdicts_match_the_schrodinger_ensemble(self, name, monkeypatch):
+        # every field of the report, from V(t) and from the ensemble, on seeds
+        # 0-9 up to dim 4 and 0-1 at dim 16 (the ensemble costs 20 expm there)
+        named = build(name)
+        model = named.model
+        vs = {key: _matrix(v, model)[0] for key, v in named.candidates.items()}
+        times = np.linspace(0.0, 20.0, stability._N_SAMPLES)
+        expectations = stability._expectations
+        for seed in range(10 if model.dim <= 4 else 2):
+            oracle = schrodinger_ensemble(model, vs, 20.0, seed)
+            for key, v in vs.items():
+                report = certify_ground_state_stability(v, model, simulate=True, seed=seed)
+                monkeypatch.setattr(stability, "_expectations", lambda *_: (times, oracle[key]))
+                ensemble = certify_ground_state_stability(v, model, simulate=True, seed=seed)
+                monkeypatch.setattr(stability, "_expectations", expectations)
+                final = report.simulation.pop("max_final_expectation")
+                assert final == pytest.approx(ensemble.simulation.pop("max_final_expectation"),
+                                              rel=0, abs=1e-12)
+                assert report.simulation == ensemble.simulation
+
+    def test_a_leak_is_named_at_its_first_sample(self, monkeypatch):
+        # the adjoint of a leak d rho_22 / dt -= rho_00 drains V_00 by V_22:
+        # V(t) leaves the PSD cone at the first sample after 0
+        m = three_level_example()
+        leak = np.zeros((9, 9))
+        leak[8, 0] = -1.0
+        monkeypatch.setattr(lindblad, "liouvillian", lambda model: liouvillian(model) + leak)
+        with pytest.raises(StateValidityError, match=r"^at t=0\.1: V\(t\) has eigenvalue -.*, "
+                                                     r"below the smallest of V, 0\.000e\+00$"):
+            certify_ground_state_stability(m.candidates["V"], m.model, simulate=True)
+
+    def test_a_candidate_below_zero_is_simulated(self):
+        # exp(tG) is unital: V(t) stays above the smallest eigenvalue of V, not above 0
+        m = two_level_example()
+        v = np.diag([1.0, -1.0])
+        _, ev = stability._expectations(v, -1.0, m.model, 20.0, 0, DEFAULT_TOL)
+        oracle = schrodinger_ensemble(m.model, {"v": v}, 20.0, 0)["v"]
+        assert np.abs(ev - oracle).max() <= 10 * 1e-9
+        report = certify_ground_state_stability(v, m.model, simulate=True)
+        assert report.convergence == "not certified" and "psd" in report.diagnostics
+        assert report.simulation["max_final_expectation"] == ev[:, -1].max()
+
+    def test_refused_above_the_cap_before_any_work(self, monkeypatch):
+        n = lindblad._SIM_MAX_DIM + 1
+        model = LindbladModel(TensorStructure((n,)), np.zeros((n, n)), [np.zeros((n, n))])
+        zero = np.zeros((n, n))
+        assert certify_ground_state_stability(zero, model).convergence == "trivial"
+        monkeypatch.setattr(stability, "_candidate", None)  # any work would fail
+        with pytest.raises(DimensionCapError, match=f"^dimension {n} exceeds"):
+            certify_ground_state_stability(zero, model, simulate=True)
+
+    def test_one_propagation_of_v(self, monkeypatch):
+        calls = []
+        samples = lindblad._samples
+
+        def counting(model, x, times, *args, **kwargs):
+            calls.append((x.shape, kwargs.get("adjoint")))
+            return samples(model, x, times, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "_samples", counting)
+        m = two_level_example()
+        report = certify_ground_state_stability(m.candidates["V"], m.model, simulate=True)
+        assert report.simulation["n_states"] == 20
+        assert calls == [((2, 2), True)]
 
 
 class TestSimulationInvariants:
