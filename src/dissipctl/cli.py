@@ -60,13 +60,15 @@ EXIT_INFEASIBLE = 3
 EXIT_DIM_CAP = 5
 
 def _check_numbers(args) -> None:
-    """--c, --tol and --t-final must be finite and positive; --samples at
-    least 2; --seed non-negative."""
+    """--c, --tol and --t-final must be finite and positive, and --tol below 1;
+    --samples at least 2; --seed non-negative."""
     for dest in ("c", "tol", "t_final"):
         value = getattr(args, dest, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise InputFormatError(dest.replace("_", "-"),
                                    f"must be finite and positive, got {value!r}")
+    if args.tol >= 1:  # spectral_tol(w) >= max |w|, scaled_tol(a) >= ||a||_F: every test passes
+        raise InputFormatError("tol", f"must be below 1, got {args.tol!r}")
     samples = getattr(args, "samples", None)
     if samples is not None and samples < 2:
         raise InputFormatError("samples", f"need at least two sample points, got {samples}")

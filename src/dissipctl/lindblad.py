@@ -21,6 +21,7 @@ and every coupling and the propagated operator are real, complex128 otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -95,32 +96,48 @@ def maximally_mixed(n: int) -> np.ndarray:
 
 
 def validate_density_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Hermitian, unit trace and PSD within tolerance; raises otherwise.
-
-    A stack (S, n, n) is checked with one batched Cholesky factorization, and
-    an eigensolve where that fails; the message names the first failing
-    state.
-    """
+    """Hermitian, unit trace and PSD within tolerance; raises otherwise, by
+    `_checked`, whose message names the earliest failing state of a stack
+    (S, n, n)."""
     rho = real_or_complex(rho)
-    states = rho if rho.ndim == 3 else as_operator(rho)[None]
+    _checked(rho if rho.ndim == 3 else as_operator(rho)[None], tol,
+             lambda i: "" if rho.ndim == 2 else f"state {i}: ")
 
-    def require(ok, message):
+
+def _checked(x: np.ndarray, tol: float, where, floor: float | None = None) -> np.ndarray:
+    """The Hermitian parts of the stack x (S, n, n), each checked as a density
+    matrix (Hermitian, unit trace and PSD within tol) or, given a `floor`, as
+    an operator >= floor I within tol, the bound that the positive, unital
+    exp(tG) keeps for V(t) with floor = lambda_min(V).
+
+    One batched Cholesky factorization of h - floor I + (tol / 2) I accepts,
+    which needs lambda_min(h) - floor > -tol / 2; where it fails, an
+    eigensolve decides.  A StateValidityError, prefixed by `where(i)`, names
+    the earliest failing matrix i and the first of its tests that fails.
+    """
+    h, tests, shift = hermitian_part(x), [], floor or 0.0
+    if floor is None:
+        scale = tol * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))
+        tr = np.trace(x, axis1=-2, axis2=-1)
+        tests = [(np.linalg.norm(x - dagger(x), axis=(-2, -1)) <= scale,
+                  lambda i: "density matrix is not Hermitian"),
+                 (np.abs(tr - 1.0) <= scale,
+                  lambda i: f"trace {complex(tr[i]):.12g} differs from 1")]
+    k = min((int(ok.argmin()) for ok, _ in tests if not ok.all()), default=len(x))
+    try:  # the matrices ahead of the first that fails a test above
+        np.linalg.cholesky(h[:k] + (tol / 2 - shift) * np.eye(x.shape[-1]))
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(h[:k]) - shift
+        ok = w[:, 0] >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1))
         if not ok.all():
             i = int(ok.argmin())
-            raise StateValidityError(("" if rho.ndim == 2 else f"state {i}: ") + message(i))
-
-    scale = tol * np.maximum(1.0, np.linalg.norm(states, axis=(-2, -1)))
-    require(np.linalg.norm(states - dagger(states), axis=(-2, -1)) <= scale,
-            lambda i: "density matrix is not Hermitian")
-    tr = np.trace(states, axis1=-2, axis2=-1)
-    require(np.abs(tr - 1.0) <= scale, lambda i: f"trace {complex(tr[i]):.12g} differs from 1")
-    h = hermitian_part(states)
-    try:  # factors only where lambda_min > -tol / 2, which passes the test below
-        np.linalg.cholesky(h + tol / 2 * np.eye(len(h[0])))
-    except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(h)
-        require(w[:, 0] >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1)),
-                lambda i: f"smallest eigenvalue {w[i, 0]:.3e} below -tol")
+            raise StateValidityError(where(i) + (
+                f"smallest eigenvalue {w[i, 0]:.3e} below -tol" if floor is None else
+                f"V(t) has eigenvalue {w[i, 0] + floor:.3e}, below the smallest of V, "
+                f"{floor:.3e}"))
+    if k < len(x):
+        raise StateValidityError(where(k) + next(m(k) for ok, m in tests if not ok[k]))
+    return h
 
 
 def generator_single_channel(x: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -335,36 +352,51 @@ def _dtype(model: LindbladModel, x: np.ndarray) -> type:
     return float if real else complex
 
 
-def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, rtol: float = 1e-9,
-             atol: float = 1e-9, adjoint: bool = False):
+def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
+             floor: float | None = None, rtol: float = 1e-9, atol: float = 1e-9,
+             adjoint: bool = False):
     """The Hermitian x at each time of an equally spaced grid under exp(t Lambda),
     or under exp(t G) when ``adjoint``, in `_dtype`.  Up to dim 16, where
     Lambda is n^2 x n^2 and one expm stays cheap, by one propagator
     expm(Lambda dt), or expm(Lambda' dt), on column-stacked x; above, by Krylov
-    steps, each step's error estimate within ``atol + rtol ||x||_F``."""
+    steps, each step's error estimate within ``atol + rtol ||x||_F``.
+
+    Each sample is emitted after `_checked` passes it, at ``tol`` and with
+    ``floor``, in chunks of at most 32 KB; an invalid sample is named by its
+    t ahead of any later failure of the propagation.
+    """
     n, x = model.dim, x.astype(_dtype(model, x), copy=False)
     if n > 16:
         rhs = _rhs_factory(model, adjoint) if adjoint else _rhs_factory(model)
-        yield from _krylov_samples(rhs, x, times, rtol, atol)
-        return
-    lam = liouvillian(model)
-    step = expm((dagger(lam) if adjoint else lam).astype(np.result_type(lam, x), copy=False),
-                times[1] - times[0])
-    x = x.T.reshape(-1)
-    for _ in times:
-        yield hermitian_part(x.reshape(n, n).T)
-        x = step @ x
+        stream = _krylov_samples(rhs, x, times, rtol, atol)
+    else:
+        lam = liouvillian(model)
+        step = expm((dagger(lam) if adjoint else lam).astype(np.result_type(lam, x), copy=False),
+                    times[1] - times[0])
+        powers = accumulate(repeat(step, len(times) - 1), lambda y, s: s @ y,
+                            initial=x.T.reshape(-1))  # x, step x, step^2 x, ...
+        stream = (y.reshape(n, n).T for y in powers)
+    chunk = np.empty((max(1, 32768 // (x.itemsize * n * n)), n, n), x.dtype)
+    for start in range(0, len(times), len(chunk)):
+        k = 0
+        try:
+            while k < min(len(chunk), len(times) - start):
+                chunk[k] = next(stream)
+                k += 1
+        finally:  # the samples taken so far, also where the propagation failed
+            h = _checked(chunk[:k], tol, lambda i: f"at t={times[start + i]:.6g}: ", floor)
+        yield from h
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
            observables: dict[str, np.ndarray] | None = None, n_samples: int = 201,
            rtol: float = 1e-9, atol: float = 1e-9) -> Trajectory:
-    """Master-equation trajectory of the state ``rho0`` by `_samples`.
+    """Master-equation trajectory of the state ``rho0`` by `_samples`, which
+    checks each sample as a density matrix at 10x the base tolerance.
 
-    Emits ``n_samples`` equally spaced samples, each re-validated as a
-    density matrix at 10x the base tolerance, in blocks of about 32 KB.
-    A system above the simulation cap, or a trajectory above its bound, is
-    refused by `_require_simulable` before ``rho0`` is validated.
+    Emits ``n_samples`` equally spaced samples.  A system above the
+    simulation cap, or a trajectory above its bound, is refused by
+    `_require_simulable` before ``rho0`` is validated.
     """
     n = model.dim
     _require_simulable(n, n_samples)
@@ -379,33 +411,8 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
     times = np.linspace(0.0, float(t_final), n_samples)
     ops = {name: _observable(op, n) for name, op in (observables or {}).items()}
     states = np.empty((n_samples, n, n), dtype=_dtype(model, rho0))
-    block = max(1, 32768 // states[0].nbytes)  # samples a validation call
-    pending = []
-
-    def check(batch):
-        """Validate the (index, sample) pairs together; where that fails, one
-        at a time, so that the earliest is named as if checked alone."""
-        try:
-            validate_density_state(np.array([r for _, r in batch]) if len(batch) > 1
-                                   else batch[0][1], DEFAULT_TOL * 10)
-        except StateValidityError as exc:
-            if len(batch) == 1:
-                raise StateValidityError(f"at t={times[batch[0][0]]:.6g}: {exc}") from exc
-            for item in batch:
-                check([item])
-            raise
-        for i, rho in batch:
-            states[i] = rho
-
-    try:  # an invalid sample is named before a later failure of the propagation
-        for sample in enumerate(_samples(model, rho0, times, rtol, atol)):
-            pending.append(sample)
-            if len(pending) == block:
-                batch, pending = pending, []
-                check(batch)
-    finally:
-        if pending:
-            check(pending)
+    for i, rho in enumerate(_samples(model, rho0, times, DEFAULT_TOL * 10, rtol=rtol, atol=atol)):
+        states[i] = rho
     # tr(X rho) = sum_ij X_ij rho_ji, over every sample at once
     series = {name: np.einsum("ij,...ji->...", op, states).real for name, op in ops.items()}
     return Trajectory(times, states, series)

@@ -51,19 +51,9 @@ class NamedModel:
         self.aggregate = aggregate
         self.expected = expected or {}
         self.extras = extras or {}
-        self._model = model
-        self._candidates = candidates or {}
-
-    @property
-    def model(self) -> LindbladModel:
-        if self._model is not None:
-            return self._model
-        return self.aggregate.to_model(self.aggregate.new_couplings)
-
-    @property
-    def candidates(self) -> dict:
-        return {name: [self.aggregate.terms[t] for t in v] if isinstance(v, tuple) else v
-                for name, v in self._candidates.items()}
+        self.model = model if model is not None else aggregate.to_model(aggregate.new_couplings)
+        self.candidates = {key: [aggregate.terms[t] for t in v] if isinstance(v, tuple) else v
+                           for key, v in (candidates or {}).items()}
 
 
 def _expected(value, tag: str) -> dict:

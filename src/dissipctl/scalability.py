@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import InputFormatError, PreconditionError
 from .lindblad import (
     LindbladModel,
     Trajectory,
@@ -251,6 +251,10 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
                   *(x for x in h + channels if any(_meet(x, t) for t in (*prior, nxt))))
     w_n = win.add((np.asarray, t) for t in prior)  # the terms as they are
     w_next = win.embed(nxt)
+    if not 16.0 * c * max(_frobenius(w, win.copies) for w in (w_n, w_next)) < np.inf:
+        # the rule of `require_headroom`: c times a term, and sums of such products, stay finite
+        raise InputFormatError("c", f"{c!r} times the norm of a term is too close to the "
+                                    "float range")
     d_n = min_eigenvalue(w_n)
     d_next = min_eigenvalue(w_n + w_next)
     eye = np.eye(w_n.shape[0])

@@ -707,6 +707,36 @@ class TestNonFiniteNumbers:
         assert f"input error: {option}: must be finite and positive" in err
         assert "Hermitian" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", ["1", "1.5", "1e300"])
+    def test_tol_from_one_on_is_refused(self, capsys, tmp_path, tol):
+        # from tol = 1 on, spectral_tol(w) >= max |w| and scaled_tol(a) >= ||a||_F,
+        # so every PSD, Hermitian and zero test passes: a qubit with L = sigma_minus
+        # and V = diag(0, -1), not PSD, read "trivial" with exit 0
+        model = {"dims": [2], "H": matrix_to_json(np.zeros((2, 2))),
+                 "L": [matrix_to_json(np.array([[0.0, 0.0], [1.0, 0.0]]))]}
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        (tmp_path / "v.json").write_text(json.dumps({"V": matrix_to_json(np.diag([0.0, -1.0]))}))
+        code, out, err = _run(capsys, ["check", "--model", str(tmp_path / "m.json"),
+                                       "--v", str(tmp_path / "v.json"), "--tol", tol])
+        assert code == 1 and out == ""
+        assert err == f"dissipctl: input error: tol: must be below 1, got {float(tol)!r}\n"
+
+    @pytest.mark.parametrize("theorem", [["inc-es"], ["inc-ds"], ["d-free"],
+                                         ["d-free", "--mode", "ds"]],
+                             ids=["inc-es", "inc-ds", "d-free-es", "d-free-ds"])
+    def test_c_whose_products_overflow_is_refused(self, capsys, theorem):
+        # c (W_n - d_n I) overflowed, and the eigensolve after it failed with a
+        # traceback; 1e300 still reaches the prior-certificate check
+        argv = ["scale", "--name", "two_qubit", "--theorem", *theorem, "--c"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, argv + ["1e308"])
+        assert code == 1 and out == ""
+        assert err == ("dissipctl: input error: c: 1e+308 times the norm of a term is too "
+                       "close to the float range\n")
+        code, out, err = _run(capsys, argv + ["1e300"])
+        assert code == 1 and "prior certificate missing" in err
+
     @pytest.mark.parametrize("n", ["0", "2", "5", "-1"])
     def test_n_out_of_range_names_its_field(self, capsys, n):
         # two_qubit has two terms, so n = 1 alone

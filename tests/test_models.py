@@ -232,6 +232,14 @@ def test_model_is_built_from_the_aggregate(name):
     assert set(named.extras) <= {"candidate_unitaries"}
 
 
+@pytest.mark.parametrize("name", ["two_level", "two_qubit", "toric_patch"])
+def test_model_and_candidates_are_built_once(name):
+    # an aggregate's model was built anew, H and every coupling checked
+    # Hermitian again, on each access
+    named = build(name)
+    assert named.model is named.model and named.candidates is named.candidates
+
+
 @pytest.mark.parametrize("name", ["cluster_chain(10)", "toric_patch(extended)"])
 def test_build_allocates_no_dense_operator(name):
     # the operators are local; a 2^n x 2^n matrix (8 MB at ten qubits) is

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from dissipctl import lindblad, stability
 from dissipctl.errors import (
-    DimensionCapError, NonHermitianError, PreconditionError, StateValidityError,
+    DimensionCapError, IntegrationError, NonHermitianError, PreconditionError,
+    StateValidityError,
 )
 from dissipctl.lindblad import (
     LindbladModel,
@@ -465,6 +468,36 @@ class TestHeisenbergSimulation:
         with pytest.raises(StateValidityError, match=r"^at t=0\.1: V\(t\) has eigenvalue -.*, "
                                                      r"below the smallest of V, 0\.000e\+00$"):
             certify_ground_state_stability(m.candidates["V"], m.model, simulate=True)
+
+    def test_an_invalid_v_is_named_before_a_later_failure(self, monkeypatch):
+        # the adjoint Krylov stream emits V(t) below the smallest eigenvalue of V
+        # at its third sample and then fails: the invalid V(t) is named
+        model, v = _random_system(41, 17, 17)
+        d, bad = np.linalg.eigvalsh(v)[0], v - np.eye(17)
+
+        def samples(rhs, x, times, rtol, atol):
+            yield from (x, x, bad)
+            raise IntegrationError("step size underflow at t=0.015")
+
+        monkeypatch.setattr(lindblad, "_krylov_samples", samples)
+        with pytest.raises(StateValidityError, match=r"^at t=0\.01: V\(t\) has eigenvalue -"):
+            stability._expectations(v, d, model, 1.0, 0, DEFAULT_TOL)
+        bad[:] = v
+        with pytest.raises(IntegrationError, match="underflow"):
+            stability._expectations(v, d, model, 1.0, 0, DEFAULT_TOL)
+
+    def test_keeps_no_stack_of_v(self):
+        # each V(t) is read and checked a chunk at a time: the peak stays below
+        # what the (201, 64, 64) stack of every V(t) alone takes
+        named = build("toric_patch")
+        model, (v, d) = named.model, _matrix(named.candidates["V"], named.model)
+        tracemalloc.start()
+        try:
+            stability._expectations(v, d, model, 20.0, 0, DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stability._N_SAMPLES * v.nbytes
 
     def test_a_candidate_below_zero_is_simulated(self):
         # exp(tG) is unital: V(t) stays above the smallest eigenvalue of V, not above 0
