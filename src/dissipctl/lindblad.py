@@ -95,13 +95,10 @@ def maximally_mixed(n: int) -> np.ndarray:
     return np.eye(n) / n
 
 
-def validate_density_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Hermitian, unit trace and PSD within tolerance; raises otherwise, by
-    `_checked`, whose message names the earliest failing state of a stack
-    (S, n, n)."""
-    rho = real_or_complex(rho)
-    _checked(rho if rho.ndim == 3 else as_operator(rho)[None], tol,
-             lambda i: "" if rho.ndim == 2 else f"state {i}: ")
+def validate_density_state(rho: np.ndarray) -> None:
+    """Hermitian, unit trace and PSD within _STATE_TOL; raises a
+    StateValidityError otherwise, by `_checked`."""
+    _checked(as_operator(rho)[None], _STATE_TOL, lambda i: "")
 
 
 def _checked(x: np.ndarray, tol: float, where, floor: float | None = None) -> np.ndarray:
@@ -268,12 +265,15 @@ def _rhs_factory(model: LindbladModel, adjoint: bool = False):
 
 
 _KRYLOV_DIM = 30  # basis vectors of one Krylov step beyond the state itself
+_KRYLOV_TOL = 1e-9  # rtol and atol of a Krylov step's error estimate
 # simulated systems are refused above it: the trajectory bound counts stored
 # samples, not the Krylov basis (31 n^2 entries) or the dense n x n couplings
 _SIM_MAX_DIM = 64
+_STATE_TOL = DEFAULT_TOL * 10  # of a simulated state, its initial one included
+_N_SAMPLES = 201  # the default sample grid of every simulation
 
 
-def _require_simulable(n: int, n_samples: int = 1) -> None:
+def _require_simulable(n: int, n_samples: int) -> None:
     """Refuse, with a DimensionCapError, a simulation of dimension n above
     _SIM_MAX_DIM, or a trajectory of more than MAX_MODEL_DIM^2 stored entries
     (samples x n^2), before any sample of it is built."""
@@ -285,7 +285,7 @@ def _require_simulable(n: int, n_samples: int = 1) -> None:
                                 f"{entries} stored entries exceed {MAX_MODEL_DIM}^2")
 
 
-def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray, rtol: float, atol: float):
+def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray):
     """One state at each time of an equally spaced grid, by Krylov steps (Saad,
     SIAM J. Numer. Anal. 29 (1992) 209; Sidje, ACM TOMS 24 (1998) 130).
 
@@ -296,8 +296,8 @@ def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray, rtol: float, atol: 
     V_{j-1} = sum_k A_kj V_k, exp(s A) e_0 holds the coefficients of
     rho(t + s) / beta and, last, h e_m' s phi_1(s H_m) e_0 (h = A_{m,m-1}),
     beta times which estimates the error.  exp(A dt) steps them across the
-    grid while that is within atol + rtol beta; a first sample past it takes
-    a shorter sub-step.
+    grid while that is within _KRYLOV_TOL (1 + beta); a first sample past it
+    takes a shorter sub-step.
     """
     n = rho.shape[-1]
     basis = np.empty((_KRYLOV_DIM + 1, n, n), rho.dtype)
@@ -324,10 +324,10 @@ def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray, rtol: float, atol: 
             if a[m, m - 1] <= 1e-12 * size:
                 break
             basis[m] = hermitian_part(w) / a[m, m - 1]
-        a, tol = a[:m + 1, :m + 1], atol + rtol * beta
-        if np.finfo(float).eps * dt * np.linalg.norm(a, 1) > rtol:  # exp(A dt)'s own error
+        a, tol = a[:m + 1, :m + 1], _KRYLOV_TOL + _KRYLOV_TOL * beta
+        if np.finfo(float).eps * dt * np.linalg.norm(a, 1) > _KRYLOV_TOL:  # exp(A dt)'s own error
             raise IntegrationError(f"t-final {times[-1]:.6g} too large: the propagator over a "
-                                   f"sample interval is lost to rounding at rtol {rtol:.3g}")
+                                   f"sample interval is lost to rounding at rtol {_KRYLOV_TOL:g}")
         step, tau = expm(a, dt), times[i] - t
         c = (step if t == times[i - 1] else expm(a, tau))[:, 0]
         while not beta * abs(c[m]) <= tol:
@@ -353,13 +353,12 @@ def _dtype(model: LindbladModel, x: np.ndarray) -> type:
 
 
 def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
-             floor: float | None = None, rtol: float = 1e-9, atol: float = 1e-9,
-             adjoint: bool = False):
+             floor: float | None = None, adjoint: bool = False):
     """The Hermitian x at each time of an equally spaced grid under exp(t Lambda),
     or under exp(t G) when ``adjoint``, in `_dtype`.  Up to dim 16, where
     Lambda is n^2 x n^2 and one expm stays cheap, by one propagator
     expm(Lambda dt), or expm(Lambda' dt), on column-stacked x; above, by Krylov
-    steps, each step's error estimate within ``atol + rtol ||x||_F``.
+    steps, each step's error estimate within _KRYLOV_TOL (1 + ||x||_F).
 
     Each sample is emitted after `_checked` passes it, at ``tol`` and with
     ``floor``, in chunks of at most 32 KB; an invalid sample is named by its
@@ -368,7 +367,7 @@ def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
     n, x = model.dim, x.astype(_dtype(model, x), copy=False)
     if n > 16:
         rhs = _rhs_factory(model, adjoint) if adjoint else _rhs_factory(model)
-        stream = _krylov_samples(rhs, x, times, rtol, atol)
+        stream = _krylov_samples(rhs, x, times)
     else:
         lam = liouvillian(model)
         step = expm((dagger(lam) if adjoint else lam).astype(np.result_type(lam, x), copy=False),
@@ -388,11 +387,10 @@ def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
         yield from h
 
 
-def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
-           observables: dict[str, np.ndarray] | None = None, n_samples: int = 201,
-           rtol: float = 1e-9, atol: float = 1e-9) -> Trajectory:
+def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *, n_samples: int = _N_SAMPLES,
+           observables: dict[str, np.ndarray] | None = None) -> Trajectory:
     """Master-equation trajectory of the state ``rho0`` by `_samples`, which
-    checks each sample as a density matrix at 10x the base tolerance.
+    checks each sample as a density matrix within _STATE_TOL.
 
     Emits ``n_samples`` equally spaced samples.  A system above the
     simulation cap, or a trajectory above its bound, is refused by
@@ -405,13 +403,13 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *,
         raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n})")
     if t_final <= 0:
         raise PreconditionError(f"t_final must be positive, got {t_final}")
-    validate_density_state(rho0, DEFAULT_TOL * 10)
+    validate_density_state(rho0)
     if n_samples < 2:
         raise PreconditionError("need at least two sample points")
     times = np.linspace(0.0, float(t_final), n_samples)
     ops = {name: _observable(op, n) for name, op in (observables or {}).items()}
     states = np.empty((n_samples, n, n), dtype=_dtype(model, rho0))
-    for i, rho in enumerate(_samples(model, rho0, times, DEFAULT_TOL * 10, rtol=rtol, atol=atol)):
+    for i, rho in enumerate(_samples(model, rho0, times, _STATE_TOL)):
         states[i] = rho
     # tr(X rho) = sum_ij X_ij rho_ji, over every sample at once
     series = {name: np.einsum("ij,...ji->...", op, states).real for name, op in ops.items()}
@@ -445,30 +443,34 @@ class AdiabaticReport:
 
 
 def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
-                          k_list, t_final: float, *, rho0: np.ndarray | None = None,
-                          n_samples: int = 201) -> AdiabaticReport:
+                          k_list, t_final: float) -> AdiabaticReport:
     """Compare ancilla-mediated dynamics against the fast-decay limit.
 
     For each scaling factor k, the system is joined with a decaying ancilla
     qubit via H_k = k*omega*(L sp + L' sm) + H_S and ancilla coupling
     k*sqrt(gamma)*sm; the ancilla is traced out and the reduced dynamics is
     compared with the limit model whose coupling is -(2*omega/sqrt(gamma))*L,
-    the second-order effective operator of the fast-decay limit.  Errors
-    should decrease along the upper half of ``k_list``.
+    the second-order effective operator of the fast-decay limit, both from the
+    maximally mixed state (the ancilla in its ground state) on the default
+    grid.  Errors should decrease along the upper half of ``k_list``.
     """
     if len(model.couplings) != 1:
         raise PreconditionError("adiabatic check needs a single designated coupling")
     k_list = [int(k) for k in k_list]
     if any(k2 <= k1 for k1, k2 in zip(k_list, k_list[1:])):
         raise PreconditionError("k_list must be strictly ascending")
+    if not np.isfinite(omega):
+        raise PreconditionError(f"omega must be finite, got {omega!r}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise PreconditionError(f"gamma must be finite and positive, got {gamma!r}")
     n = model.dim
-    _require_simulable(2 * n, n_samples)
+    _require_simulable(2 * n, _N_SAMPLES)
     h_sys, (l_sys,) = _matrices(model)
-    rho0 = maximally_mixed(n) if rho0 is None else as_operator(rho0)
+    rho0 = maximally_mixed(n)
 
     limit_coupling = -(2.0 * omega / np.sqrt(gamma)) * l_sys
     limit_model = LindbladModel(model.structure, h_sys, [limit_coupling])
-    limit_states = evolve(limit_model, rho0, t_final, n_samples=n_samples).states
+    limit_states = evolve(limit_model, rho0, t_final).states
 
     anc_ground = np.diag([0.0, 1.0])
     joint_structure = TensorStructure(tuple(model.structure.dims) + (2,))
@@ -479,8 +481,7 @@ def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
             + np.kron(h_sys, np.eye(2))
         l_joint = k * np.sqrt(gamma) * np.kron(np.eye(n), SIGMA_MINUS)
         joint_model = LindbladModel(joint_structure, h_joint, [l_joint])
-        joint_states = evolve(joint_model, np.kron(rho0, anc_ground), t_final,
-                              n_samples=n_samples).states
+        joint_states = evolve(joint_model, np.kron(rho0, anc_ground), t_final).states
         reduced = partial_trace_last(joint_states, n, 2)
         errors.append(float(trace_distance(reduced, limit_states).max()))  # sup over time
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InputFormatError, PreconditionError
 from .lindblad import (
+    _N_SAMPLES,
     LindbladModel,
     Trajectory,
     _drift,
@@ -342,10 +343,9 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
                            d_total=base.d_total, notes=notes)
 
 
-def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
+def simulate_aggregate(spec: AggregateSpec, t_final: float, *, n_samples: int = _N_SAMPLES,
                        model: LindbladModel | None = None,
-                       rho0: np.ndarray | None = None, n_samples: int = 201,
-                       rtol: float = 1e-9, atol: float = 1e-9) -> Trajectory:
+                       rho0: np.ndarray | None = None) -> Trajectory:
     """Evolve `model` (default: the spec's own channels, `spec.to_model()`)
     and record the total and per-term expectations of the spec's terms.
 
@@ -363,8 +363,7 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *,
     observables = {"W": spec.total()}
     for name, w in zip(names, spec.terms):
         observables[name] = w.on(spec.structure.sites, spec.structure)
-    traj = evolve(model, rho0, t_final, observables=observables,
-                  n_samples=n_samples, rtol=rtol, atol=atol)
+    traj = evolve(model, rho0, t_final, observables=observables, n_samples=n_samples)
     total = sum(traj.observables[name] for name in names)
     if not np.allclose(total, traj.observables["W"], atol=1e-10):
         raise PreconditionError("per-term expectations do not add up to the total; "

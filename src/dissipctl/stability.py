@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .lindblad import (
+    _N_SAMPLES,
     LindbladModel,
     _hermitian_terms,
     _require_simulable,
@@ -45,7 +46,7 @@ from .linalg import (
 )
 
 _C_MIN = 1e-8
-_N_STATES, _N_SAMPLES = 20, 201  # of check --simulate: the seeded states, the samples
+_N_STATES = 20  # the seeded states of check --simulate
 
 
 @dataclass
@@ -137,7 +138,7 @@ def _lyapunov(v: list, lam: np.ndarray, model: LindbladModel,
     zero_ok = bool(abs(lam[0]) <= spectral_tol(lam, tol))
     if psd_ok and not zero_ok:
         diag["ground_energy"] = f"smallest eigenvalue {lam[0]:.6g} != 0"
-    g = generator(v, model)
+    g = generator(v, model, tol)
     g_max = max_eigenvalue(g)
     gen_ok = is_psd(-g, tol)
     if not gen_ok:
@@ -149,16 +150,16 @@ def check_condition_es(v, model: LindbladModel, tol: float = DEFAULT_TOL) -> flo
     """Largest c with G(v) <= -c v, or None; v is a matrix or a list of
     LocalOperators (their sum)."""
     terms, lam, q = _require_candidate(v, model, tol)
-    return _schur_constant(-generator(terms, model), lam, q, tol)
+    return _schur_constant(-generator(terms, model, tol), lam, q, tol)
 
 
 def check_condition_ds(v, model: LindbladModel, tol: float = DEFAULT_TOL) -> float | None:
     """Largest c with G(v) <= 0 and D(v) >= c v, or None; v as in
     `check_condition_es`."""
     terms, lam, q = _require_candidate(v, model, tol)
-    if not is_psd(-generator(terms, model), tol):
+    if not is_psd(-generator(terms, model, tol), tol):
         return None
-    return _schur_constant(dissipation_functional(terms, model), lam, q, tol)
+    return _schur_constant(dissipation_functional(terms, model, tol), lam, q, tol)
 
 
 def _expectations(v: np.ndarray, d: float, model: LindbladModel, t_final: float, seed: int,
@@ -201,7 +202,7 @@ def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = 
         diagnostics["degenerate"] = "candidate is (numerically) zero"
     elif lyap:
         # lyap covers the candidate and G(V) <= 0 checks of check_condition_es/_ds
-        d_op = dissipation_functional(terms, model)
+        d_op = dissipation_functional(terms, model, tol)
         c_es = _schur_constant(-g, lam, q, tol)
         c_ds = _schur_constant(d_op, lam, q, tol)
         if c_es is not None:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import dissipctl
 from dissipctl import synthesis
-from dissipctl.cli import main
+from dissipctl.cli import _build_parser, main
 from dissipctl.lindblad import evolve
 from dissipctl.serialize import matrix_to_json, model_to_json, trajectory_to_csv
 from dissipctl.models import REGISTRY, build, two_level_example
@@ -77,6 +78,21 @@ class TestCheck:
                                      "--candidate", "nope"])
         assert code == 1
         assert "candidates" in err
+
+    @pytest.mark.parametrize("simulate", [[], ["--simulate"]], ids=["plain", "simulate"])
+    def test_tol_reaches_every_test(self, capsys, tmp_path, simulate):
+        # a V Hermitian within --tol passed the candidate check and then failed
+        # the generator's own, at 1e-9: exit 1, "observable must be Hermitian"
+        (tmp_path / "m.json").write_text(json.dumps(model_to_json(two_level_example().model)))
+        (tmp_path / "v.json").write_text(
+            json.dumps({"V": matrix_to_json(np.array([[1.0, 0.0], [1e-7, 0.0]]))}))
+        code, out, err = _run(capsys, ["check", "--model", str(tmp_path / "m.json"), "--v",
+                                       str(tmp_path / "v.json"), "--tol", "1e-6", *simulate])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["convergence"] == "exponential"
+        assert report["c_es"] == pytest.approx(1.0, abs=1e-6)
+        assert (report["simulation"] is not None) == bool(simulate)
 
 
 class TestSynthesize:
@@ -753,6 +769,33 @@ def test_sim_cap_is_an_unknown_option(capsys):
     assert "error: unrecognized arguments: --sim-cap 64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--name", "two_level", "--t-final", "1", "--tol", "1e-6"],
+    ["models", "list", "--seed", "0"],
+    ["models", "list", "--seed", "-1"],
+    ["models", "export", "two_level", "--tol", "1e-6"],
+], ids=["simulate-tol", "models-seed", "models-negative-seed", "models-tol"])
+def test_unread_options_are_unknown(capsys, argv):
+    # simulate reads no tolerance, and models neither a tolerance nor a seed
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: dissipctl")
+    assert captured.err.endswith(f"dissipctl: error: unrecognized arguments: "
+                                 f"{' '.join(argv[-2:])}\n")
+
+
+@pytest.mark.parametrize("workload", ["certify", "dynamics", "synthesis"])
+def test_every_benchmark_job_parses(monkeypatch, tmp_path, workload):
+    # the benchmark appends --seed to every job, also where the subcommand reads none
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    jobs = importlib.import_module("workloads").build_jobs(workload, 3, tmp_path)
+    assert {job.command for job in jobs} == {"check", "scale", "simulate", "synthesize"}
+    for job in jobs:
+        assert _build_parser().parse_args(job.argv).seed == 3
+
+
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "tests" / "golden" / "inputs"
 
@@ -767,16 +810,15 @@ def _fresh(args, **kwargs) -> subprocess.CompletedProcess:
 
 
 class TestNegativeSeed:
-    """numpy's generators take no negative seed: every subcommand refuses
-    one with exit 1 naming the field (check --simulate ended in numpy's
-    traceback)."""
+    """numpy's generators take no negative seed: every subcommand that takes
+    --seed refuses one with exit 1 naming the field (check --simulate ended
+    in numpy's traceback)."""
 
     @pytest.mark.parametrize("argv", [
         ["check", "--name", "two_level", "--simulate"],
         ["simulate", "--name", "two_level", "--t-final", "1"],
         ["scale", "--name", "two_qubit", "--theorem", "es"],
         ["synthesize", "--v", str(INPUTS / "projection_rank1.json"), "--c", "1"],
-        ["models", "list"],
     ], ids=lambda argv: argv[0])
     def test_refused(self, capsys, argv):
         code, out, err = _run(capsys, [*argv, "--seed", "-1"])

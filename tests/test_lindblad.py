@@ -584,7 +584,7 @@ class TestKrylov:
         bad_psd = np.diag([1.5, -0.5] + [0.0] * 15)
         bad_trace = maximally_mixed(17) * 2
 
-        def samples(rhs, rho, times, rtol, atol):
+        def samples(rhs, rho, times):
             yield from (rho, rho, bad_psd, bad_trace)
             raise IntegrationError("step size underflow at t=0.6")
 
@@ -652,14 +652,19 @@ class TestDensityValidation:
                              ids=["cholesky", "eigvalsh", "rejected"])
     def test_negative_eigenvalue_within_tol(self, low, ok):
         # the Cholesky accept of rho + (tol / 2) I takes the first; the second
-        # falls through to the eigenvalue test, which the third fails in a stack
-        rho = np.array([maximally_mixed(2), np.diag([1.0 - low, low])])
+        # falls through to the eigenvalue test, which the third fails
+        rho = np.diag([1.0 - low, low])
         if ok:
-            validate_density_state(rho, 1e-8)
+            validate_density_state(rho)
         else:
             with pytest.raises(StateValidityError,
-                               match=r"^state 1: smallest eigenvalue -1\.100e-08 below -tol$"):
-                validate_density_state(rho, 1e-8)
+                               match=r"^smallest eigenvalue -1\.100e-08 below -tol$"):
+                validate_density_state(rho)
+
+    def test_refuses_a_stack(self):
+        # one state, as evolve and simulate --rho0 pass it
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(2, 2, 2\)$"):
+            validate_density_state(np.array([maximally_mixed(2)] * 2))
 
 
 class TestAdiabaticLimit:
@@ -722,6 +727,17 @@ class TestAdiabaticLimit:
         m = two_level_example()
         with pytest.raises(PreconditionError):
             adiabatic_limit_check(m.model, 1.0, 1.0, [4, 2], 1.0)
+
+    @pytest.mark.parametrize("omega, gamma, bad", [
+        (1.0, 0.0, "gamma"), (1.0, -1.0, "gamma"), (1.0, np.inf, "gamma"), (1.0, np.nan, "gamma"),
+        (np.nan, 1.0, "omega"), (-np.inf, 1.0, "omega"),
+    ], ids=["gamma-zero", "gamma-negative", "gamma-inf", "gamma-nan", "omega-nan", "omega-inf"])
+    def test_refuses_a_bad_rate(self, monkeypatch, omega, gamma, bad):
+        # gamma = 0 ended in expm's NaN traceback, gamma < 0 in a RuntimeWarning
+        # of np.sqrt; each is refused by name before any propagation
+        monkeypatch.setattr(lindblad, "evolve", None)
+        with pytest.raises(PreconditionError, match=f"^{bad} must be finite"):
+            adiabatic_limit_check(two_level_example().model, omega, gamma, [2, 4], 1.0)
 
 
 @pytest.mark.parametrize("entry", ["evolve", "simulate_aggregate", "adiabatic_limit_check",

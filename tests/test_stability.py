@@ -226,6 +226,14 @@ class TestConditionES:
         m = LindbladModel(TensorStructure((2,)), np.zeros((2, 2), dtype=complex), [])
         assert check_condition_es(np.diag([1.0, 0.0]).astype(complex), m) is None
 
+    def test_tol_reaches_the_generator(self):
+        # a V Hermitian within tol: the generator re-tested it at the default
+        # 1e-9 and raised NonHermitianError
+        m = two_level_example()
+        v = np.array([[1.0, 0.0], [1e-7, 0.0]])
+        assert check_condition_es(v, m.model, tol=1e-6) == pytest.approx(1.0, abs=1e-6)
+        assert check_condition_ds(v, m.model, tol=1e-6) == pytest.approx(1.0, abs=1e-6)
+
 
 class TestConditionDS:
     def test_three_level_half(self):
@@ -475,7 +483,7 @@ class TestHeisenbergSimulation:
         model, v = _random_system(41, 17, 17)
         d, bad = np.linalg.eigvalsh(v)[0], v - np.eye(17)
 
-        def samples(rhs, x, times, rtol, atol):
+        def samples(rhs, x, times):
             yield from (x, x, bad)
             raise IntegrationError("step size underflow at t=0.015")
 
