@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 
+from dissipctl.errors import DissipctlError
 from dissipctl.lindblad import adiabatic_limit_check
 from dissipctl.models import two_level_example
 
@@ -19,8 +20,11 @@ def main() -> None:
     args = parser.parse_args()
 
     named = two_level_example()
-    report = adiabatic_limit_check(named.model, args.omega, args.gamma,
-                                   sorted(args.k), args.t_final)
+    try:
+        report = adiabatic_limit_check(named.model, args.omega, args.gamma,
+                                       sorted(args.k), args.t_final)
+    except DissipctlError as exc:  # a refused option: argparse's one line, exit 2
+        parser.error(str(exc))
     print(f"{'k':>6}  {'sup-t trace distance':>22}")
     for k, err in zip(report.k_values, report.errors):
         print(f"{k:>6}  {err:>22.6e}")

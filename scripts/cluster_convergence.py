@@ -9,6 +9,7 @@ import pathlib
 
 import numpy as np
 
+from dissipctl.errors import DissipctlError
 from dissipctl.linalg import haar_pure_state
 from dissipctl.models import cluster_chain
 from dissipctl.scalability import simulate_aggregate
@@ -24,8 +25,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="cluster_runs")
     args = parser.parse_args()
+    if args.seed < 0:  # numpy's generators take no negative seed
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
 
-    named = cluster_chain(args.qubits)
+    try:
+        named = cluster_chain(args.qubits)
+    except DissipctlError as exc:  # a refused option: argparse's one line, exit 2
+        parser.error(str(exc))
     rng = np.random.default_rng(args.seed)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -33,9 +39,12 @@ def main() -> None:
     dim = named.aggregate.structure.total_dim
     for idx in range(args.states):
         psi = haar_pure_state(rng, dim)
-        traj = simulate_aggregate(named.aggregate, args.t_final,
-                                  rho0=np.outer(psi, psi.conj()),
-                                  n_samples=args.samples)
+        try:
+            traj = simulate_aggregate(named.aggregate, args.t_final,
+                                      rho0=np.outer(psi, psi.conj()),
+                                      n_samples=args.samples)
+        except DissipctlError as exc:
+            parser.error(str(exc))
         path = out_dir / f"cluster_{args.qubits}q_state{idx}.csv"
         write_text_atomic(str(path), trajectory_to_csv(traj))
         finals = {name: traj.observables[name][-1] for name in named.aggregate.names()}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 
+from dissipctl.errors import DissipctlError
 from dissipctl.models import REGISTRY, build
 from dissipctl.stability import certify_ground_state_stability
 
@@ -15,6 +16,8 @@ def main() -> None:
                         help="cross-check certificates by simulation (slower)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.seed < 0:  # numpy's generators take no negative seed
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
 
     header = f"{'model':<26}{'candidate':<12}{'c_es':>12}{'c_ds':>12}  verdict"
     print(header)
@@ -24,8 +27,11 @@ def main() -> None:
         model = named.model  # an aggregate's model holds its own local operators
         for cand_name, v in named.candidates.items():
             simulate = args.simulate and model.dim <= 16 and model.couplings
-            report = certify_ground_state_stability(
-                v, model, simulate=bool(simulate), seed=args.seed)
+            try:
+                report = certify_ground_state_stability(
+                    v, model, simulate=bool(simulate), seed=args.seed)
+            except DissipctlError as exc:
+                parser.error(str(exc))
             c_es = "-" if report.c_es is None else f"{report.c_es:.6f}"
             c_ds = "-" if report.c_ds is None else f"{report.c_ds:.6f}"
             print(f"{name:<26}{cand_name:<12}{c_es:>12}{c_ds:>12}  {report.convergence}")

@@ -17,6 +17,7 @@ import gc
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .errors import (
@@ -47,7 +48,6 @@ from .serialize import (
     matrix_to_json,
     model_from_json,
     model_to_json,
-    stability_report_to_dict,
     synthesis_result_to_dict,
     trajectory_to_csv,
     write_text_atomic,
@@ -99,19 +99,19 @@ def _load_json(path: str, field: str) -> dict:
         raise InputFormatError(field, f"invalid JSON in {path}: {exc}")
 
 
-def _emit(args, payload: dict | str, is_csv: bool = False) -> None:
-    text = payload if is_csv else dumps_report(payload)
+def _emit(args, payload: dict | str) -> None:
+    text = payload if isinstance(payload, str) else dumps_report(payload)
     if getattr(args, "out", None):
         write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
 
-def _report_envelope(args, command: str, body: dict) -> dict:
+def _report_envelope(args, body: dict) -> dict:
     return {
         "tool": "dissipctl",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "seed": args.seed,
         "tol": args.tol,
         "report": body,
@@ -146,10 +146,10 @@ def _cmd_check(args) -> int:
     report = certify_ground_state_stability(
         v, model, simulate=args.simulate, t_final=args.t_final, seed=args.seed, tol=args.tol,
     )
-    body = stability_report_to_dict(report)
+    body = asdict(report)
     if not report.certified and "psd" in report.diagnostics:
         body["message"] = "not a Lyapunov operator: V >= 0 fails"
-    _emit(args, _report_envelope(args, "check", body))
+    _emit(args, _report_envelope(args, body))
     return EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
 
 
@@ -169,7 +169,7 @@ def _cmd_synthesize(args) -> int:
         body = {"channels": [synthesis_result_to_dict(r) for r in result]}
     else:
         body = synthesis_result_to_dict(result)
-    envelope = _report_envelope(args, "synthesize", body)
+    envelope = _report_envelope(args, body)
     del envelope["seed"]  # the closed form uses no randomness
     _emit(args, envelope)
     return EXIT_OK
@@ -207,7 +207,7 @@ def _cmd_simulate(args) -> int:
     else:
         traj = evolve(model, rho0, args.t_final, n_samples=args.samples,
                       observables=named.candidates if named is not None else {})
-    _emit(args, trajectory_to_csv(traj), is_csv=True)
+    _emit(args, trajectory_to_csv(traj))
     return EXIT_OK
 
 
@@ -245,7 +245,7 @@ def _cmd_scale(args) -> int:
         mode = (args.mode or "es") if d_free else theorem.removeprefix("inc-")
         holds, info = check_incremental(spec, n, c, mode=mode, d_free=d_free, tol=tol)
         body, overall = {"theorem": theorem, "holds": holds, "c": c, "n": n, **info}, holds
-    _emit(args, _report_envelope(args, "scale", body))
+    _emit(args, _report_envelope(args, body))
     return EXIT_OK if overall else EXIT_NOT_CERTIFIED
 
 

@@ -353,19 +353,21 @@ def _dtype(model: LindbladModel, x: np.ndarray) -> type:
 
 
 def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
-             floor: float | None = None, adjoint: bool = False):
-    """The Hermitian x at each time of an equally spaced grid under exp(t Lambda),
-    or under exp(t G) when ``adjoint``, in `_dtype`.  Up to dim 16, where
-    Lambda is n^2 x n^2 and one expm stays cheap, by one propagator
-    expm(Lambda dt), or expm(Lambda' dt), on column-stacked x; above, by Krylov
-    steps, each step's error estimate within _KRYLOV_TOL (1 + ||x||_F).
+             floor: float | None = None):
+    """The Hermitian x at each time of an equally spaced grid, in `_dtype`:
+    a state under exp(t Lambda), or, given a ``floor``, an observable under
+    exp(t G).  Up to dim 16, where Lambda is n^2 x n^2 and one expm stays
+    cheap, by one propagator expm(Lambda dt), or expm(Lambda' dt), on
+    column-stacked x; above, by Krylov steps, each step's error estimate
+    within _KRYLOV_TOL (1 + ||x||_F).
 
     Each sample is emitted after `_checked` passes it, at ``tol`` and with
     ``floor``, in chunks of at most 32 KB; an invalid sample is named by its
     t ahead of any later failure of the propagation.
     """
-    n, x = model.dim, x.astype(_dtype(model, x), copy=False)
+    n, x, adjoint = model.dim, x.astype(_dtype(model, x), copy=False), floor is not None
     if n > 16:
+        # a state's call passes one argument, as the wrapper in bench/layers.py takes
         rhs = _rhs_factory(model, adjoint) if adjoint else _rhs_factory(model)
         stream = _krylov_samples(rhs, x, times)
     else:

@@ -18,7 +18,6 @@ from .errors import InputFormatError
 from .lindblad import LindbladModel, Trajectory
 from .linalg import LocalOperator, TensorStructure, as_operator, require_headroom
 from .scalability import AggregateReport, AggregateSpec
-from .stability import StabilityReport
 from .synthesis import SynthesisResult
 
 
@@ -107,15 +106,15 @@ def _dims_from_json(obj, field: str) -> TensorStructure:
     return TensorStructure(tuple(dims))
 
 
-def model_from_json(obj: dict, field: str = "model") -> LindbladModel:
+def model_from_json(obj: dict) -> LindbladModel:
     """H and the couplings L in any form of `_term_from_json`."""
     if not isinstance(obj, dict):
-        raise InputFormatError(field, "model must be a JSON object")
-    structure = _dims_from_json(obj, field)
+        raise InputFormatError("model", "model must be a JSON object")
+    structure = _dims_from_json(obj, "model")
     if "H" not in obj:
-        raise InputFormatError(f"{field}.H", "missing Hamiltonian")
-    return LindbladModel(structure, _term_from_json(obj["H"], structure, f"{field}.H"),
-                         _operators(obj, "L", structure, field))
+        raise InputFormatError("model.H", "missing Hamiltonian")
+    return LindbladModel(structure, _term_from_json(obj["H"], structure, "model.H"),
+                         _operators(obj, "L", structure, "model"))
 
 
 # -- aggregates ---------------------------------------------------------------
@@ -197,46 +196,32 @@ def aggregate_to_json(spec: AggregateSpec) -> dict:
     return out
 
 
-def aggregate_from_json(obj: dict, field: str = "spec") -> AggregateSpec:
+def aggregate_from_json(obj: dict) -> AggregateSpec:
     if not isinstance(obj, dict):
-        raise InputFormatError(field, "aggregate spec must be a JSON object")
-    structure = _dims_from_json(obj, field)
+        raise InputFormatError("spec", "aggregate spec must be a JSON object")
+    structure = _dims_from_json(obj, "spec")
     terms_obj = obj.get("terms")
     if not isinstance(terms_obj, list) or not terms_obj:
-        raise InputFormatError(f"{field}.terms", "need a non-empty array of terms")
-    terms = [_term_from_json(t, structure, f"{field}.terms[{i}]")
-             for i, t in enumerate(terms_obj)]
-    couplings = _operators(obj, "couplings", structure, field)
+        raise InputFormatError("spec.terms", "need a non-empty array of terms")
+    terms = [_term_from_json(t, structure, f"spec.terms[{i}]") for i, t in enumerate(terms_obj)]
+    couplings = _operators(obj, "couplings", structure, "spec")
     assignment = _per_term(
         obj, "assignment", len(terms),
         lambda x: _is_index(x) or isinstance(x, list) and all(map(_is_index, x)),
-        "channel index or list of indices", field)
-    hamiltonian = _term_from_json(obj["H"], structure, f"{field}.H") if "H" in obj else None
-    names = _per_term(obj, "names", len(terms), lambda x: isinstance(x, str), "string", field)
+        "channel index or list of indices", "spec")
+    hamiltonian = _term_from_json(obj["H"], structure, "spec.H") if "H" in obj else None
+    names = _per_term(obj, "names", len(terms), lambda x: isinstance(x, str), "string", "spec")
     if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)):
-        raise InputFormatError(f"{field}.names", "names must be distinct and none of "
+        raise InputFormatError("spec.names", "names must be distinct and none of "
                                f"{', '.join(sorted(_RESERVED_COLUMNS))}, got {names!r}")
-    unitaries = _operators(obj, "unitaries", structure, field) if "unitaries" in obj else None
+    unitaries = _operators(obj, "unitaries", structure, "spec") if "unitaries" in obj else None
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
                          assignment=assignment, hamiltonian=hamiltonian,
                          term_names=names, unitaries=unitaries,
-                         new_couplings=_operators(obj, "new_couplings", structure, field))
+                         new_couplings=_operators(obj, "new_couplings", structure, "spec"))
 
 
 # -- reports ------------------------------------------------------------------
-
-
-def stability_report_to_dict(report: StabilityReport) -> dict:
-    return {
-        "is_lyapunov": report.is_lyapunov,
-        "c_es": report.c_es,
-        "c_ds": report.c_ds,
-        "d": report.d,
-        "margins": dict(report.margins),
-        "diagnostics": dict(report.diagnostics),
-        "convergence": report.convergence,
-        "simulation": report.simulation,
-    }
 
 
 def synthesis_result_to_dict(result: SynthesisResult) -> dict:

@@ -174,7 +174,7 @@ def _expectations(v: np.ndarray, d: float, model: LindbladModel, t_final: float,
     psi = np.array([haar_pure_state(rng, n) for _ in range(_N_STATES - 1)])
     times = np.linspace(0.0, float(t_final), _N_SAMPLES)
     ev = np.empty((_N_STATES, _N_SAMPLES))
-    for i, x in enumerate(_samples(model, v, times, 10 * tol, d, adjoint=True)):
+    for i, x in enumerate(_samples(model, v, times, 10 * tol, d)):
         ev[0, i] = np.trace(x).real / n  # the maximally mixed state
         ev[1:, i] = ((psi.conj() @ x) * psi).sum(axis=1).real  # <psi_s|V(t)|psi_s>
     return times, ev

@@ -531,15 +531,15 @@ class TestHeisenbergSimulation:
         calls = []
         samples = lindblad._samples
 
-        def counting(model, x, times, *args, **kwargs):
-            calls.append((x.shape, kwargs.get("adjoint")))
-            return samples(model, x, times, *args, **kwargs)
+        def counting(model, x, times, tol, floor=None):
+            calls.append((x.shape, floor))  # a floor selects the Heisenberg picture
+            return samples(model, x, times, tol, floor)
 
         monkeypatch.setattr(stability, "_samples", counting)
         m = two_level_example()
         report = certify_ground_state_stability(m.candidates["V"], m.model, simulate=True)
         assert report.simulation["n_states"] == 20
-        assert calls == [((2, 2), True)]
+        assert calls == [((2, 2), report.d)]
 
 
 class TestSimulationInvariants:
