@@ -28,7 +28,7 @@ from .errors import (
     StateValidityError,
 )
 from .lindblad import (
-    _N_SAMPLES, _require_simulable, evolve, maximally_mixed, validate_density_state,
+    _N_SAMPLES, _grid, evolve, maximally_mixed, validate_density_state,
 )
 from .linalg import DEFAULT_TOL, embed_sum
 from .models import REGISTRY, NamedModel, build
@@ -190,7 +190,7 @@ def _cmd_simulate(args) -> int:
         raise InputFormatError("spec", f"dimension {spec.structure.total_dim} != model "
                                        f"dimension {model.dim}")
     n = model.dim
-    _require_simulable(n, args.samples)
+    _grid(n, args.t_final, args.samples)
     if args.rho0:
         rho0 = matrix_from_json(_load_json(args.rho0, "rho0"), "rho0")
         if rho0.shape != (n, n):

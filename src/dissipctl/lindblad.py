@@ -273,16 +273,29 @@ _STATE_TOL = DEFAULT_TOL * 10  # of a simulated state, its initial one included
 _N_SAMPLES = 201  # the default sample grid of every simulation
 
 
-def _require_simulable(n: int, n_samples: int) -> None:
-    """Refuse, with a DimensionCapError, a simulation of dimension n above
-    _SIM_MAX_DIM, or a trajectory of more than MAX_MODEL_DIM^2 stored entries
-    (samples x n^2), before any sample of it is built."""
+def _grid(n: int, t_final: float, n_samples: int) -> np.ndarray:
+    """The sample times of a simulation of dimension n, before any sample of
+    it is built.  Refuses, in this order, a dimension above _SIM_MAX_DIM or a
+    trajectory of more than MAX_MODEL_DIM^2 stored entries (samples x n^2),
+    with a DimensionCapError; a horizon that is not finite and positive; and
+    fewer than two samples."""
     if n > _SIM_MAX_DIM:
         raise DimensionCapError(f"dimension {n} exceeds the simulation cap {_SIM_MAX_DIM}")
     entries = n_samples * n * n
     if entries > MAX_MODEL_DIM ** 2:
         raise DimensionCapError(f"samples: {n_samples} samples x {n}^2 = "
                                 f"{entries} stored entries exceed {MAX_MODEL_DIM}^2")
+    if not (np.isfinite(t_final) and t_final > 0):
+        raise PreconditionError(f"t_final must be positive, got {t_final}")
+    if n_samples < 2:
+        raise PreconditionError("need at least two sample points")
+    return np.linspace(0.0, float(t_final), n_samples)
+
+
+def _lost(times: np.ndarray) -> IntegrationError:
+    """The refusal of a horizon that rounding destroys over one sample interval."""
+    return IntegrationError(f"t-final {times[-1]:.6g} too large: the propagator over a "
+                            f"sample interval is lost to rounding at rtol {_KRYLOV_TOL:g}")
 
 
 def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray):
@@ -326,8 +339,7 @@ def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray):
             basis[m] = hermitian_part(w) / a[m, m - 1]
         a, tol = a[:m + 1, :m + 1], _KRYLOV_TOL + _KRYLOV_TOL * beta
         if np.finfo(float).eps * dt * np.linalg.norm(a, 1) > _KRYLOV_TOL:  # exp(A dt)'s own error
-            raise IntegrationError(f"t-final {times[-1]:.6g} too large: the propagator over a "
-                                   f"sample interval is lost to rounding at rtol {_KRYLOV_TOL:g}")
+            raise _lost(times)
         step, tau = expm(a, dt), times[i] - t
         c = (step if t == times[i - 1] else expm(a, tau))[:, 0]
         while not beta * abs(c[m]) <= tol:
@@ -358,7 +370,9 @@ def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
     a state under exp(t Lambda), or, given a ``floor``, an observable under
     exp(t G).  Up to dim 16, where Lambda is n^2 x n^2 and one expm stays
     cheap, by one propagator expm(Lambda dt), or expm(Lambda' dt), on
-    column-stacked x; above, by Krylov steps, each step's error estimate
+    column-stacked x, refused unless it keeps e = vec(I), e' step = e' for
+    exp(Lambda dt) (the trace) and step e = e for exp(G dt) (the identity),
+    within _KRYLOV_TOL; above, by Krylov steps, each step's error estimate
     within _KRYLOV_TOL (1 + ||x||_F).
 
     Each sample is emitted after `_checked` passes it, at ``tol`` and with
@@ -371,9 +385,12 @@ def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
         rhs = _rhs_factory(model, adjoint) if adjoint else _rhs_factory(model)
         stream = _krylov_samples(rhs, x, times)
     else:
-        lam = liouvillian(model)
-        step = expm((dagger(lam) if adjoint else lam).astype(np.result_type(lam, x), copy=False),
-                    times[1] - times[0])
+        lam, e = liouvillian(model), np.eye(n).reshape(-1)
+        lam = (dagger(lam) if adjoint else lam).astype(np.result_type(lam, x), copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # a lost step is refused below
+            step = expm(lam, times[1] - times[0])
+            if not np.abs((step @ e if adjoint else e @ step) - e).max() <= _KRYLOV_TOL:
+                raise _lost(times)
         powers = accumulate(repeat(step, len(times) - 1), lambda y, s: s @ y,
                             initial=x.T.reshape(-1))  # x, step x, step^2 x, ...
         stream = (y.reshape(n, n).T for y in powers)
@@ -394,21 +411,15 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *, n_samples:
     """Master-equation trajectory of the state ``rho0`` by `_samples`, which
     checks each sample as a density matrix within _STATE_TOL.
 
-    Emits ``n_samples`` equally spaced samples.  A system above the
-    simulation cap, or a trajectory above its bound, is refused by
-    `_require_simulable` before ``rho0`` is validated.
+    Emits ``n_samples`` equally spaced samples on the grid of `_grid`, whose
+    refusals come before ``rho0`` is validated.
     """
     n = model.dim
-    _require_simulable(n, n_samples)
+    times = _grid(n, t_final, n_samples)
     rho0 = real_or_complex(rho0)
     if rho0.shape != (n, n):
         raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n})")
-    if t_final <= 0:
-        raise PreconditionError(f"t_final must be positive, got {t_final}")
     validate_density_state(rho0)
-    if n_samples < 2:
-        raise PreconditionError("need at least two sample points")
-    times = np.linspace(0.0, float(t_final), n_samples)
     ops = {name: _observable(op, n) for name, op in (observables or {}).items()}
     states = np.empty((n_samples, n, n), dtype=_dtype(model, rho0))
     for i, rho in enumerate(_samples(model, rho0, times, _STATE_TOL)):
@@ -466,7 +477,7 @@ def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
     if not (np.isfinite(gamma) and gamma > 0):
         raise PreconditionError(f"gamma must be finite and positive, got {gamma!r}")
     n = model.dim
-    _require_simulable(2 * n, _N_SAMPLES)
+    _grid(2 * n, t_final, _N_SAMPLES)
     h_sys, (l_sys,) = _matrices(model)
     rho0 = maximally_mixed(n)
 

@@ -28,8 +28,8 @@ from .lindblad import (
     LindbladModel,
     Trajectory,
     _drift,
+    _grid,
     _hermitian_terms,
-    _require_simulable,
     dissipation_single_channel,
     evolve,
     maximally_mixed,
@@ -354,7 +354,7 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *, n_samples: int = 
     status (diagnosis tool).
     """
     n = spec.structure.total_dim
-    _require_simulable(n, n_samples)
+    _grid(n, t_final, n_samples)
     if model is None:
         model = spec.to_model()
     if rho0 is None:

@@ -166,12 +166,12 @@ def _operators(obj: dict, key: str, structure: TensorStructure, field: str) -> l
     return [_term_from_json(a, structure, f"{field}.{key}[{i}]") for i, a in enumerate(value)]
 
 
-def _per_term(obj: dict, key: str, n_terms: int, valid, what: str, field: str):
-    """The optional per-term list obj[key]: one valid entry per term, or None."""
+def _per_term(obj: dict, key: str, n_terms: int, valid, what: str):
+    """The optional per-term list spec[key]: one valid entry per term, or None."""
     value = obj.get(key)
     if value is not None and not (isinstance(value, list) and len(value) == n_terms
                                   and all(map(valid, value))):
-        raise InputFormatError(f"{field}.{key}",
+        raise InputFormatError(f"spec.{key}",
                                f"need one {what} per term ({n_terms} terms), got {value!r}")
     return value
 
@@ -208,9 +208,9 @@ def aggregate_from_json(obj: dict) -> AggregateSpec:
     assignment = _per_term(
         obj, "assignment", len(terms),
         lambda x: _is_index(x) or isinstance(x, list) and all(map(_is_index, x)),
-        "channel index or list of indices", "spec")
+        "channel index or list of indices")
     hamiltonian = _term_from_json(obj["H"], structure, "spec.H") if "H" in obj else None
-    names = _per_term(obj, "names", len(terms), lambda x: isinstance(x, str), "string", "spec")
+    names = _per_term(obj, "names", len(terms), lambda x: isinstance(x, str), "string")
     if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)):
         raise InputFormatError("spec.names", "names must be distinct and none of "
                                f"{', '.join(sorted(_RESERVED_COLUMNS))}, got {names!r}")

@@ -25,8 +25,8 @@ from .errors import PreconditionError
 from .lindblad import (
     _N_SAMPLES,
     LindbladModel,
+    _grid,
     _hermitian_terms,
-    _require_simulable,
     _samples,
     dissipation_functional,
     generator,
@@ -167,12 +167,10 @@ def _expectations(v: np.ndarray, d: float, model: LindbladModel, t_final: float,
     """The times and the (state, time) series tr(V(t) rho_s) of the seeded states,
     V(t) = exp(tG)(V) propagated once.  exp(tG) is positive and unital, so `_samples`
     checks each V(t) >= d I within 10 tol, d = lambda_min(V)."""
-    if t_final <= 0:
-        raise PreconditionError(f"t_final must be positive, got {t_final}")
     n = model.dim
+    times = _grid(n, t_final, _N_SAMPLES)
     rng = np.random.default_rng(seed)
     psi = np.array([haar_pure_state(rng, n) for _ in range(_N_STATES - 1)])
-    times = np.linspace(0.0, float(t_final), _N_SAMPLES)
     ev = np.empty((_N_STATES, _N_SAMPLES))
     for i, x in enumerate(_samples(model, v, times, 10 * tol, d)):
         ev[0, i] = np.trace(x).real / n  # the maximally mixed state
@@ -189,7 +187,7 @@ def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = 
     if simulate and seed < 0:  # numpy's generators take no negative seed
         raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
     if simulate:
-        _require_simulable(model.dim, _N_SAMPLES)
+        _grid(model.dim, t_final, _N_SAMPLES)
     terms, v, lam, q = _candidate(v, model, tol)
     lyap, diagnostics, g, g_max = _lyapunov(terms, lam, model, tol)
     d = float(lam[0])

@@ -15,6 +15,7 @@ import dissipctl
 from dissipctl import synthesis
 from dissipctl.cli import _build_parser, main
 from dissipctl.lindblad import evolve
+from dissipctl.linalg import PAULI_X, SIGMA_MINUS
 from dissipctl.serialize import matrix_to_json, model_to_json, trajectory_to_csv
 from dissipctl.models import REGISTRY, build, two_level_example
 from oracles import DenseModel, dense_candidate
@@ -606,6 +607,27 @@ class TestInputValidation:
         # the exact propagator of dims <= 16 reaches that horizon
         code, out, _ = _run(capsys, ["simulate", "--name", "two_level", "--t-final", "1e300"])
         assert code == 0 and out.splitlines()[-1] == "1e+300,0,1,1"
+
+    @pytest.mark.parametrize("t_final", ["1e20", "1e100", "1e300"])
+    def test_simulate_past_the_rounding_of_the_dense_propagator(self, capsys, tmp_path, t_final):
+        # a driven qubit, H = X and L = sigma-: scaling and squaring of G dt loses
+        # the identity that exp(G dt) keeps (the record read 2.9e298, NaN or a
+        # false convergence), and of Lambda dt for the 16-dim cluster chain the
+        # trace; refused like the Krylov step, naming t-final, with no numpy warning
+        lost = (f"dissipctl: error: t-final {float(t_final):.6g} too large: the propagator "
+                "over a sample interval is lost to rounding at rtol 1e-09\n")
+        model = {"dims": [2], "H": matrix_to_json(PAULI_X), "L": [matrix_to_json(SIGMA_MINUS)]}
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        (tmp_path / "v.json").write_text(json.dumps({"V": matrix_to_json(np.diag([1.0, 0.0]))}))
+        argv = ["check", "--model", str(tmp_path / "model.json"), "--v", str(tmp_path / "v.json"),
+                "--simulate", "--t-final"]
+        code, out, _ = _run(capsys, argv + ["20"])
+        assert code == 2
+        assert json.loads(out)["report"]["simulation"]["max_final_expectation"] == \
+            pytest.approx(0.444, abs=1e-3)
+        assert _run(capsys, argv + [t_final]) == (1, "", lost)
+        assert _run(capsys, ["simulate", "--name", "cluster_chain", "--t-final", t_final]) == \
+            (1, "", lost)
 
     @pytest.mark.parametrize("name", ["two_level(nan)", "two_level(1,inf)"])
     def test_non_finite_model_argument(self, capsys, name):

@@ -328,10 +328,12 @@ class TestEvolve:
     def test_the_default_simulation_of_check_fits_the_cap(self):
         # check --simulate at the simulation cap propagates one V(t): 201 x 64^2
         # entries, as evolve's default trajectory does
-        assert "n_states" not in inspect.signature(certify_ground_state_stability).parameters
+        parameters = inspect.signature(certify_ground_state_stability).parameters
+        assert "n_states" not in parameters
         samples = inspect.signature(evolve).parameters["n_samples"].default
         assert stability._N_SAMPLES == samples
-        lindblad._require_simulable(lindblad._SIM_MAX_DIM, samples)
+        times = lindblad._grid(lindblad._SIM_MAX_DIM, parameters["t_final"].default, samples)
+        assert len(times) == samples
 
     def test_refuses_a_stack(self):
         m = two_level_example().model
@@ -364,14 +366,15 @@ class TestEnsemble:
                 assert np.abs(exact[i] - rho).max() < 1e-8
 
     def test_one_invalid_state_names_time_and_state(self, monkeypatch):
-        # a leak that adds trace to states populating level 2: one that starts
-        # there breaks at the first sample, one that starts in level 0 stays valid
+        # a fault that keeps the trace but drains rho_00 by rho_22 into rho_22:
+        # a state that starts in level 2 leaves the PSD cone at the first
+        # sample, one that starts in level 0 stays valid
         m = three_level_example().model
         leak = np.zeros((9, 9))
-        leak[0, 8] = 1.0  # d rho_00 / dt += rho_22
+        leak[0, 8], leak[8, 8] = -1.0, 1.0  # d rho_00 / dt -= rho_22, d rho_22 / dt += rho_22
         monkeypatch.setattr(lindblad, "liouvillian", lambda model: liouvillian(model) + leak)
         evolve(m, np.diag([1.0, 0.0, 0.0]), 1.0, n_samples=3)
-        with pytest.raises(StateValidityError, match=r"^at t=0\.5: trace"):
+        with pytest.raises(StateValidityError, match=r"^at t=0\.5: smallest eigenvalue -"):
             evolve(m, np.diag([0.0, 0.0, 1.0]), 1.0, n_samples=3)
 
     def test_invalid_initial_state_in_stack(self):
@@ -765,6 +768,33 @@ def test_every_simulation_refuses_above_the_cap(entry):
         tracemalloc.stop()
     assert str(err.value) == f"dimension {dim.get(entry, n)} exceeds the simulation cap {cap}"
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", ["evolve", "simulate_aggregate", "adiabatic_limit_check",
+                                   "certify_ground_state_stability"])
+def test_every_simulation_refuses_a_horizon_that_is_not_finite_and_positive(entry, t_final,
+                                                                           monkeypatch):
+    # NaN passed a test of t_final <= 0 and ended in numpy's ValueError; one
+    # message from every entry point, before any propagation and, in certify,
+    # before the certificate
+    reached = []
+    for module, name in [(lindblad, "_samples"), (stability, "_samples"),
+                         (stability, "_lyapunov")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: reached.append(name))
+    named = build("cluster_chain")
+    model = named.model
+    calls = {
+        "evolve": lambda: evolve(model, maximally_mixed(model.dim), t_final),
+        "simulate_aggregate": lambda: simulate_aggregate(named.aggregate, t_final),
+        "adiabatic_limit_check": lambda: adiabatic_limit_check(
+            two_level_example().model, 1.0, 1.0, [2, 4], t_final),
+        "certify_ground_state_stability": lambda: certify_ground_state_stability(
+            named.candidates["W"], model, simulate=True, t_final=t_final),
+    }
+    with pytest.raises(PreconditionError, match=f"^t_final must be positive, got {t_final}$"):
+        calls[entry]()
+    assert reached == []
 
 
 def test_trace_distance_basics():

@@ -56,6 +56,9 @@ def test_cluster_convergence(tmp_path):
     ("cluster_convergence.py", ["--t-final", "0"]),
     ("cluster_convergence.py", ["--seed", "-1"]),
     ("run_certifications.py", ["--seed", "-1", "--simulate"]),
+    ("adiabatic_sweep.py", ["--t-final", "nan"]),  # NaN passed a test of t_final <= 0
+    ("cluster_convergence.py", ["--t-final", "nan"]),
+    ("cluster_convergence.py", ["--t-final", "inf"]),
 ])
 def test_refused_input_is_a_usage_error(name, args, tmp_path):
     done = _run(name, *args, cwd=tmp_path)  # cluster_convergence writes to ./cluster_runs

@@ -467,11 +467,12 @@ class TestHeisenbergSimulation:
                 assert report.simulation == ensemble.simulation
 
     def test_a_leak_is_named_at_its_first_sample(self, monkeypatch):
-        # the adjoint of a leak d rho_22 / dt -= rho_00 drains V_00 by V_22:
+        # the adjoint of a trace-keeping fault d rho_22 / dt -= rho_00,
+        # d rho_00 / dt += rho_00 is unital and drains V_00 by V_22 - V_00:
         # V(t) leaves the PSD cone at the first sample after 0
         m = three_level_example()
         leak = np.zeros((9, 9))
-        leak[8, 0] = -1.0
+        leak[8, 0], leak[0, 0] = -1.0, 1.0
         monkeypatch.setattr(lindblad, "liouvillian", lambda model: liouvillian(model) + leak)
         with pytest.raises(StateValidityError, match=r"^at t=0\.1: V\(t\) has eigenvalue -.*, "
                                                      r"below the smallest of V, 0\.000e\+00$"):
