@@ -34,7 +34,6 @@ def main() -> None:
         parser.error(str(exc))
     rng = np.random.default_rng(args.seed)
     out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     dim = named.aggregate.structure.total_dim
     for idx in range(args.states):
@@ -45,6 +44,7 @@ def main() -> None:
                                       n_samples=args.samples)
         except DissipctlError as exc:
             parser.error(str(exc))
+        out_dir.mkdir(parents=True, exist_ok=True)  # after simulate_aggregate accepts the input
         path = out_dir / f"cluster_{args.qubits}q_state{idx}.csv"
         write_text_atomic(str(path), trajectory_to_csv(traj))
         finals = {name: traj.observables[name][-1] for name in named.aggregate.names()}

@@ -286,7 +286,7 @@ def _grid(n: int, t_final: float, n_samples: int) -> np.ndarray:
         raise DimensionCapError(f"samples: {n_samples} samples x {n}^2 = "
                                 f"{entries} stored entries exceed {MAX_MODEL_DIM}^2")
     if not (np.isfinite(t_final) and t_final > 0):
-        raise PreconditionError(f"t_final must be positive, got {t_final}")
+        raise PreconditionError(f"t_final must be finite and positive, got {t_final}")
     if n_samples < 2:
         raise PreconditionError("need at least two sample points")
     return np.linspace(0.0, float(t_final), n_samples)

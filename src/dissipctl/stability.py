@@ -162,20 +162,19 @@ def check_condition_ds(v, model: LindbladModel, tol: float = DEFAULT_TOL) -> flo
     return _schur_constant(dissipation_functional(terms, model, tol), lam, q, tol)
 
 
-def _expectations(v: np.ndarray, d: float, model: LindbladModel, t_final: float, seed: int,
-                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The times and the (state, time) series tr(V(t) rho_s) of the seeded states,
-    V(t) = exp(tG)(V) propagated once.  exp(tG) is positive and unital, so `_samples`
-    checks each V(t) >= d I within 10 tol, d = lambda_min(V)."""
+def _expectations(v: np.ndarray, d: float, model: LindbladModel, times: np.ndarray, seed: int,
+                  tol: float) -> np.ndarray:
+    """The (state, time) series tr(V(t) rho_s) of the seeded states on the grid
+    `times` of `_grid`, V(t) = exp(tG)(V) propagated once.  exp(tG) is positive
+    and unital, so `_samples` checks each V(t) >= d I within 10 tol, d = lambda_min(V)."""
     n = model.dim
-    times = _grid(n, t_final, _N_SAMPLES)
     rng = np.random.default_rng(seed)
     psi = np.array([haar_pure_state(rng, n) for _ in range(_N_STATES - 1)])
-    ev = np.empty((_N_STATES, _N_SAMPLES))
+    ev = np.empty((_N_STATES, len(times)))
     for i, x in enumerate(_samples(model, v, times, 10 * tol, d)):
         ev[0, i] = np.trace(x).real / n  # the maximally mixed state
         ev[1:, i] = ((psi.conj() @ x) * psi).sum(axis=1).real  # <psi_s|V(t)|psi_s>
-    return times, ev
+    return ev
 
 
 def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = False,
@@ -187,7 +186,7 @@ def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = 
     if simulate and seed < 0:  # numpy's generators take no negative seed
         raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
     if simulate:
-        _grid(model.dim, t_final, _N_SAMPLES)
+        times = _grid(model.dim, t_final, _N_SAMPLES)
     terms, v, lam, q = _candidate(v, model, tol)
     lyap, diagnostics, g, g_max = _lyapunov(terms, lam, model, tol)
     d = float(lam[0])
@@ -219,7 +218,7 @@ def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = 
 
     simulation = None
     if simulate and not degenerate:
-        times, ev = _expectations(v, d, model, t_final, seed, tol)
+        ev = _expectations(v, d, model, times, seed, tol)
         monotone = convergence not in ("exponential", "asymptotic only") \
             or bool(np.all(np.diff(ev) <= 1e-7))
         simulation = {

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dissipctl
-from dissipctl import synthesis
+from dissipctl import stability, synthesis
 from dissipctl.cli import _build_parser, main
 from dissipctl.lindblad import evolve
 from dissipctl.linalg import PAULI_X, SIGMA_MINUS
@@ -339,12 +339,16 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err == "dissipctl: input error: spec: dimension 4 != model dimension 2\n"
 
-    def test_check_with_simulation(self, capsys):
+    def test_check_with_simulation(self, capsys, monkeypatch):
+        # certify's gate builds the one grid that the propagation reads
+        calls, grid = [], stability._grid
+        monkeypatch.setattr(stability, "_grid", lambda *args: calls.append(args) or grid(*args))
         code, out, _ = _run(capsys, ["check", "--name", "two_level", "--simulate",
                                      "--t-final", "12"])
         assert code == 0
         sim = json.loads(out)["report"]["simulation"]
         assert sim["exponential_envelope_ok"]
+        assert calls == [(2, 12.0, stability._N_SAMPLES)]
 
 
 class TestScale:
@@ -758,6 +762,7 @@ class TestNonFiniteNumbers:
                                        "--v", str(tmp_path / "v.json"), "--tol", tol])
         assert code == 1 and out == ""
         assert err == f"dissipctl: input error: tol: must be below 1, got {float(tol)!r}\n"
+        assert _run(capsys, ["check", "--name", "two_level", "--tol", tol]) == (1, "", err)
 
     @pytest.mark.parametrize("theorem", [["inc-es"], ["inc-ds"], ["d-free"],
                                          ["d-free", "--mode", "ds"]],
@@ -859,7 +864,8 @@ def test_samples_above_the_trajectory_cap(capsys):
 
 def test_zero_candidate_above_the_simulation_cap(capsys, tmp_path):
     # the cap is checked before the certification: a zero candidate, trivially
-    # stable without --simulate, is refused with it
+    # stable without --simulate, is refused with it; simulate is refused at the
+    # same cap before any state is built
     model = {"dims": [2] * 7, "H": {"sites": [1], "matrix": [[0, 0], [0, 0]]},
              "L": [{"sites": [1], "matrix": [[0, 1], [0, 0]]}]}
     (tmp_path / "model.json").write_text(json.dumps(model))
@@ -869,6 +875,8 @@ def test_zero_candidate_above_the_simulation_cap(capsys, tmp_path):
     assert code == 0 and json.loads(out)["report"]["convergence"] == "trivial"
     assert _run(capsys, [*argv, "--simulate"]) == (
         5, "", "dissipctl: dimension cap: dimension 128 exceeds the simulation cap 64\n")
+    assert _run(capsys, ["simulate", "--name", "toric_patch(extended)", "--t-final", "1"]) == (
+        5, "", "dissipctl: dimension cap: dimension 512 exceeds the simulation cap 64\n")
 
 
 class TestProgram:

@@ -792,7 +792,8 @@ def test_every_simulation_refuses_a_horizon_that_is_not_finite_and_positive(entr
         "certify_ground_state_stability": lambda: certify_ground_state_stability(
             named.candidates["W"], model, simulate=True, t_final=t_final),
     }
-    with pytest.raises(PreconditionError, match=f"^t_final must be positive, got {t_final}$"):
+    with pytest.raises(PreconditionError,
+                       match=f"^t_final must be finite and positive, got {t_final}$"):
         calls[entry]()
     assert reached == []
 

@@ -66,3 +66,4 @@ def test_refused_input_is_a_usage_error(name, args, tmp_path):
     assert "Traceback" not in done.stderr
     assert re.fullmatch(rf"{re.escape(name)}: error: .+", done.stderr.splitlines()[-1])
     assert done.stdout == ""
+    assert not any(tmp_path.iterdir())  # a refusal leaves no output directory

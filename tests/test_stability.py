@@ -409,6 +409,12 @@ def _matrix(v, model):
     return v, lam[0]
 
 
+def _series(v, d, model, t_final: float, seed: int = 0):
+    """The grid of check --simulate to t_final and `stability._expectations` on it."""
+    times = lindblad._grid(model.dim, t_final, stability._N_SAMPLES)
+    return times, stability._expectations(v, d, model, times, seed, DEFAULT_TOL)
+
+
 def _random_system(seed: int, low: int, high: int):
     """A model at a dim of low-high with a complex H and 1-3 dense channels,
     and a PSD V of spectral norm 1."""
@@ -430,7 +436,7 @@ class TestHeisenbergSimulation:
     def test_registry_series_match_the_schrodinger_ensemble(self, name, key):
         named = build(name)
         model, (v, d) = named.model, _matrix(named.candidates[key], named.model)
-        times, ev = stability._expectations(v, d, model, 20.0, 0, DEFAULT_TOL)
+        times, ev = _series(v, d, model, 20.0)
         oracle = schrodinger_ensemble(model, {"v": v}, 20.0, 0)["v"]
         assert ev.shape == oracle.shape == (20, len(times))
         assert np.abs(ev - oracle).max() <= 10 * 1e-9
@@ -440,8 +446,7 @@ class TestHeisenbergSimulation:
     @settings(max_examples=4, deadline=None)
     def test_random_series_match_the_schrodinger_ensemble(self, low, high, seed):
         model, v = _random_system(seed, low, high)
-        _, ev = stability._expectations(v, np.linalg.eigvalsh(v)[0], model, 3.0, seed,
-                                        DEFAULT_TOL)
+        _, ev = _series(v, np.linalg.eigvalsh(v)[0], model, 3.0, seed)
         oracle = schrodinger_ensemble(model, {"v": v}, 3.0, seed, n_states=4)["v"]
         assert np.abs(ev[:4] - oracle).max() <= 10 * 1e-9
 
@@ -452,13 +457,12 @@ class TestHeisenbergSimulation:
         named = build(name)
         model = named.model
         vs = {key: _matrix(v, model)[0] for key, v in named.candidates.items()}
-        times = np.linspace(0.0, 20.0, stability._N_SAMPLES)
         expectations = stability._expectations
         for seed in range(10 if model.dim <= 4 else 2):
             oracle = schrodinger_ensemble(model, vs, 20.0, seed)
             for key, v in vs.items():
                 report = certify_ground_state_stability(v, model, simulate=True, seed=seed)
-                monkeypatch.setattr(stability, "_expectations", lambda *_: (times, oracle[key]))
+                monkeypatch.setattr(stability, "_expectations", lambda *_: oracle[key])
                 ensemble = certify_ground_state_stability(v, model, simulate=True, seed=seed)
                 monkeypatch.setattr(stability, "_expectations", expectations)
                 final = report.simulation.pop("max_final_expectation")
@@ -490,10 +494,10 @@ class TestHeisenbergSimulation:
 
         monkeypatch.setattr(lindblad, "_krylov_samples", samples)
         with pytest.raises(StateValidityError, match=r"^at t=0\.01: V\(t\) has eigenvalue -"):
-            stability._expectations(v, d, model, 1.0, 0, DEFAULT_TOL)
+            _series(v, d, model, 1.0)
         bad[:] = v
         with pytest.raises(IntegrationError, match="underflow"):
-            stability._expectations(v, d, model, 1.0, 0, DEFAULT_TOL)
+            _series(v, d, model, 1.0)
 
     def test_keeps_no_stack_of_v(self):
         # each V(t) is read and checked a chunk at a time: the peak stays below
@@ -502,7 +506,7 @@ class TestHeisenbergSimulation:
         model, (v, d) = named.model, _matrix(named.candidates["V"], named.model)
         tracemalloc.start()
         try:
-            stability._expectations(v, d, model, 20.0, 0, DEFAULT_TOL)
+            _series(v, d, model, 20.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -512,7 +516,7 @@ class TestHeisenbergSimulation:
         # exp(tG) is unital: V(t) stays above the smallest eigenvalue of V, not above 0
         m = two_level_example()
         v = np.diag([1.0, -1.0])
-        _, ev = stability._expectations(v, -1.0, m.model, 20.0, 0, DEFAULT_TOL)
+        _, ev = _series(v, -1.0, m.model, 20.0)
         oracle = schrodinger_ensemble(m.model, {"v": v}, 20.0, 0)["v"]
         assert np.abs(ev - oracle).max() <= 10 * 1e-9
         report = certify_ground_state_stability(v, m.model, simulate=True)
