@@ -27,6 +27,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.seed < 0:  # numpy's generators take no negative seed
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.states < 1:  # no state would be simulated, and nothing said
+        parser.error(f"--states must be at least 1, got {args.states}")
 
     try:
         named = cluster_chain(args.qubits)

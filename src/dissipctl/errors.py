@@ -2,7 +2,12 @@
 
 
 class DissipctlError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  A refusal of one input names it in
+    ``field``, which prefixes the message."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message if field is None else f"{field}: {message}")
+        self.field = field
 
 
 class DimensionMismatchError(DissipctlError):
@@ -28,11 +33,10 @@ class InfeasibleError(DissipctlError):
 
 
 class InputFormatError(DissipctlError):
-    """Malformed external input; carries the offending field name."""
+    """Malformed external input; the field it names is required."""
 
     def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
+        super().__init__(message, field)
 
 
 class DimensionCapError(DissipctlError):

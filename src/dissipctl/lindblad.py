@@ -91,17 +91,8 @@ def _matrices(model: LindbladModel) -> tuple[np.ndarray, list[np.ndarray]]:
             [l.on(sites, model.structure) for l in model.couplings])
 
 
-def maximally_mixed(n: int) -> np.ndarray:
-    return np.eye(n) / n
-
-
-def validate_density_state(rho: np.ndarray) -> None:
-    """Hermitian, unit trace and PSD within _STATE_TOL; raises a
-    StateValidityError otherwise, by `_checked`."""
-    _checked(as_operator(rho)[None], _STATE_TOL, lambda i: "")
-
-
-def _checked(x: np.ndarray, tol: float, where, floor: float | None = None) -> np.ndarray:
+def _checked(x: np.ndarray, tol: float, where, floor: float | None = None,
+             field: str | None = None) -> np.ndarray:
     """The Hermitian parts of the stack x (S, n, n), each checked as a density
     matrix (Hermitian, unit trace and PSD within tol) or, given a `floor`, as
     an operator >= floor I within tol, the bound that the positive, unital
@@ -109,8 +100,9 @@ def _checked(x: np.ndarray, tol: float, where, floor: float | None = None) -> np
 
     One batched Cholesky factorization of h - floor I + (tol / 2) I accepts,
     which needs lambda_min(h) - floor > -tol / 2; where it fails, an
-    eigensolve decides.  A StateValidityError, prefixed by `where(i)`, names
-    the earliest failing matrix i and the first of its tests that fails.
+    eigensolve decides.  A StateValidityError of `field`, prefixed by
+    `where(i)`, names the earliest failing matrix i and the first of its tests
+    that fails.
     """
     h, tests, shift = hermitian_part(x), [], floor or 0.0
     if floor is None:
@@ -131,9 +123,10 @@ def _checked(x: np.ndarray, tol: float, where, floor: float | None = None) -> np
             raise StateValidityError(where(i) + (
                 f"smallest eigenvalue {w[i, 0]:.3e} below -tol" if floor is None else
                 f"V(t) has eigenvalue {w[i, 0] + floor:.3e}, below the smallest of V, "
-                f"{floor:.3e}"))
+                f"{floor:.3e}"), field=field)
     if k < len(x):
-        raise StateValidityError(where(k) + next(m(k) for ok, m in tests if not ok[k]))
+        raise StateValidityError(where(k) + next(m(k) for ok, m in tests if not ok[k]),
+                                 field=field)
     return h
 
 
@@ -278,17 +271,20 @@ def _grid(n: int, t_final: float, n_samples: int) -> np.ndarray:
     it is built.  Refuses, in this order, a dimension above _SIM_MAX_DIM or a
     trajectory of more than MAX_MODEL_DIM^2 stored entries (samples x n^2),
     with a DimensionCapError; a horizon that is not finite and positive; and
-    fewer than two samples."""
+    fewer than two samples.  The last three name their fields, as the command
+    line spells them."""
     if n > _SIM_MAX_DIM:
         raise DimensionCapError(f"dimension {n} exceeds the simulation cap {_SIM_MAX_DIM}")
     entries = n_samples * n * n
     if entries > MAX_MODEL_DIM ** 2:
-        raise DimensionCapError(f"samples: {n_samples} samples x {n}^2 = "
-                                f"{entries} stored entries exceed {MAX_MODEL_DIM}^2")
+        raise DimensionCapError(f"{n_samples} samples x {n}^2 = {entries} stored entries "
+                                f"exceed {MAX_MODEL_DIM}^2", field="samples")
     if not (np.isfinite(t_final) and t_final > 0):
-        raise PreconditionError(f"t_final must be finite and positive, got {t_final}")
+        raise PreconditionError(f"t_final must be finite and positive, got {t_final}",
+                                field="t-final")
     if n_samples < 2:
-        raise PreconditionError("need at least two sample points")
+        raise PreconditionError(f"need at least two sample points, got {n_samples}",
+                                field="samples")
     return np.linspace(0.0, float(t_final), n_samples)
 
 
@@ -406,20 +402,23 @@ def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
         yield from h
 
 
-def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float, *, n_samples: int = _N_SAMPLES,
+def evolve(model: LindbladModel, rho0: np.ndarray | None, t_final: float, *,
+           n_samples: int = _N_SAMPLES,
            observables: dict[str, np.ndarray] | None = None) -> Trajectory:
-    """Master-equation trajectory of the state ``rho0`` by `_samples`, which
-    checks each sample as a density matrix within _STATE_TOL.
+    """Master-equation trajectory of the state ``rho0`` (None: the maximally
+    mixed state) by `_samples`, which checks each sample as a density matrix
+    within _STATE_TOL.
 
     Emits ``n_samples`` equally spaced samples on the grid of `_grid`, whose
-    refusals come before ``rho0`` is validated.
+    refusals come before ``rho0`` is built or tested: its shape, then, within
+    _STATE_TOL, as a density matrix, each refusal naming the field ``rho0``.
     """
     n = model.dim
     times = _grid(n, t_final, n_samples)
-    rho0 = real_or_complex(rho0)
+    rho0 = np.eye(n) / n if rho0 is None else real_or_complex(rho0)
     if rho0.shape != (n, n):
-        raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n})")
-    validate_density_state(rho0)
+        raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n})", field="rho0")
+    _checked(rho0[None], _STATE_TOL, lambda i: "", field="rho0")
     ops = {name: _observable(op, n) for name, op in (observables or {}).items()}
     states = np.empty((n_samples, n, n), dtype=_dtype(model, rho0))
     for i, rho in enumerate(_samples(model, rho0, times, _STATE_TOL)):
@@ -479,7 +478,7 @@ def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
     n = model.dim
     _grid(2 * n, t_final, _N_SAMPLES)
     h_sys, (l_sys,) = _matrices(model)
-    rho0 = maximally_mixed(n)
+    rho0 = np.eye(n) / n
 
     limit_coupling = -(2.0 * omega / np.sqrt(gamma)) * l_sys
     limit_model = LindbladModel(model.structure, h_sys, [limit_coupling])

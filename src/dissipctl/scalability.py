@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputFormatError, PreconditionError
+from .errors import DimensionMismatchError, InputFormatError, PreconditionError
 from .lindblad import (
     _N_SAMPLES,
     LindbladModel,
@@ -32,7 +32,6 @@ from .lindblad import (
     _hermitian_terms,
     dissipation_single_channel,
     evolve,
-    maximally_mixed,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -236,15 +235,16 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     and reports the cross-term norm.  `d_free`, the ground-energy-free
     corollary, drops the shifts c (d_(n+1) - d_n); the ladder d_(n+1) >= d_n
     makes it strictly stronger.  d_n and d_(n+1) are eigenvalues on the window
-    of W_1..W_(n+1), equal to those of the whole space.
+    of W_1..W_(n+1), equal to those of the whole space.  An `n` out of range is
+    refused, naming its field, before any term is tested.
     """
     if mode not in ("es", "ds"):
         raise PreconditionError(f"mode must be 'es' or 'ds', got {mode!r}")
     if not c > 0:
         raise PreconditionError(f"c must be positive, got {c}")
-    _require_terms_psd(spec, tol)
     if not 1 <= n < spec.n_terms:
-        raise PreconditionError(f"n must satisfy 1 <= n < {spec.n_terms}, got {n}")
+        raise PreconditionError(f"must satisfy 1 <= n < {spec.n_terms}, got {n}", field="n")
+    _require_terms_psd(spec, tol)
     prior, nxt = spec.terms[:n], spec.terms[n]
     channels = [*spec.couplings, *spec.new_couplings]  # the spec's, then the new ones
     h = [x for x in [spec.hamiltonian] if x is not None]
@@ -312,13 +312,17 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
     Verifies [W_a, W_b] = 0 for all pairs, [U_k, W_t] = 0 whenever channel k
     is not assigned to term t, and the per-term exponential condition.  A
     failing commutation pair is reported with guidance to evaluate the
-    scalability condition directly.
+    scalability condition directly.  Missing unitaries (naming the field
+    ``spec``) and miscounted ones are refused before the aggregation theorem
+    runs.
     """
-    # the aggregation theorem checks that every term is PSD, before anything else
-    base = check_theorem_es_aggregation(spec, tol)
-    unitaries = spec.unitaries or []
+    unitaries = spec.unitaries
+    if unitaries is None:
+        raise PreconditionError("commuting mode needs the unitary factors "
+                                "(a 'unitaries' array in the spec)", field="spec")
     if len(unitaries) != spec.n_channels:
         raise PreconditionError("one unitary per channel is required")
+    base = check_theorem_es_aggregation(spec, tol)  # which tests every term PSD
     names = spec.names()
     terms = spec.terms
     notes: list[str] = []
@@ -347,18 +351,22 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *, n_samples: int = 
                        model: LindbladModel | None = None,
                        rho0: np.ndarray | None = None) -> Trajectory:
     """Evolve `model` (default: the spec's own channels, `spec.to_model()`)
-    and record the total and per-term expectations of the spec's terms.
+    from `rho0` (default: the maximally mixed state) and record the total and
+    per-term expectations of the spec's terms.
 
-    Additivity of the mean, <W> = sum_t <W_t>, is checked on the emitted
-    samples (PreconditionError otherwise).  Runs regardless of certification
-    status (diagnosis tool).
+    A model of another dimension is refused, naming the field ``spec``, and
+    then the refusals of `_grid`, before any operator of the whole space is
+    built.  Additivity of the mean, <W> = sum_t <W_t>, is checked on the
+    emitted samples (PreconditionError otherwise).  Runs regardless of
+    certification status (diagnosis tool).
     """
     n = spec.structure.total_dim
+    if model is not None and model.dim != n:
+        raise DimensionMismatchError(f"dimension {n} != model dimension {model.dim}",
+                                     field="spec")
     _grid(n, t_final, n_samples)
     if model is None:
         model = spec.to_model()
-    if rho0 is None:
-        rho0 = maximally_mixed(n)
     names = spec.names()
     observables = {"W": spec.total()}
     for name, w in zip(names, spec.terms):

@@ -25,7 +25,7 @@ from dissipctl.errors import (
 )
 from dissipctl.lindblad import (
     LindbladModel, _observable, dissipation_single_channel, evolve, generator_single_channel,
-    liouvillian, maximally_mixed,
+    liouvillian,
 )
 from dissipctl.linalg import (
     DEFAULT_TOL, TensorStructure, as_operator, commutator, dagger, haar_pure_state,
@@ -121,6 +121,10 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     ph = np.diagonal(r).copy()
     ph = ph / np.abs(ph)
     return q * ph
+
+
+def maximally_mixed(n: int) -> np.ndarray:
+    return np.eye(n) / n
 
 
 def random_density(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
@@ -593,9 +597,9 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     `incremental_operators` of (spec, n), computed here when not given."""
     if mode not in ("es", "ds"):
         raise PreconditionError(f"mode must be 'es' or 'ds', got {mode!r}")
-    _require_terms_psd(spec, tol)
     if not 1 <= n < spec.n_terms:
-        raise PreconditionError(f"n must satisfy 1 <= n < {spec.n_terms}, got {n}")
+        raise PreconditionError(f"must satisfy 1 <= n < {spec.n_terms}, got {n}", field="n")
+    _require_terms_psd(spec, tol)
     o = incremental_operators(spec, n) if ops is None else ops
     w_n, w_next, d_n, d_next, g = o.w_n, o.w_next, o.d_n, o.d_next, o.g
     eye = np.eye(w_n.shape[0])
@@ -656,11 +660,13 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
     failing commutation pair is reported with guidance to evaluate the
     scalability condition directly.
     """
-    # the aggregation theorem checks that every term is PSD, before anything else
-    base = check_theorem_es_aggregation(spec, tol)
-    unitaries = dense_view(spec).unitaries or []
+    if spec.unitaries is None:
+        raise PreconditionError("commuting mode needs the unitary factors "
+                                "(a 'unitaries' array in the spec)", field="spec")
+    unitaries = dense_view(spec).unitaries
     if len(unitaries) != spec.n_channels:
         raise PreconditionError("one unitary per channel is required")
+    base = check_theorem_es_aggregation(spec, tol)  # which tests every term PSD
     names = spec.names()
     notes: list[str] = []
     for a in range(spec.n_terms):

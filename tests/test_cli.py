@@ -879,6 +879,23 @@ def test_zero_candidate_above_the_simulation_cap(capsys, tmp_path):
         5, "", "dissipctl: dimension cap: dimension 512 exceeds the simulation cap 64\n")
 
 
+def test_simulate_refuses_above_the_cap_before_building_the_default_state(capsys, tmp_path):
+    # twelve qubits in Pauli shorthand: the maximally mixed state of dim 4096
+    # alone would take 134 MB
+    model = {"dims": [2] * 12, "H": {"pauli": "Z1"}, "L": [{"pauli": "X12"}]}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    tracemalloc.start()
+    try:
+        result = _run(capsys, ["simulate", "--model", str(tmp_path / "model.json"),
+                               "--t-final", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (5, "", "dissipctl: dimension cap: dimension 4096 exceeds the simulation "
+                             "cap 64\n")
+    assert peak < 10e6
+
+
 class TestProgram:
     """`python -m dissipctl.cli` and the console script run `cli._entry`,
     which freezes the collector's import heap before `main`."""

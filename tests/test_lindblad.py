@@ -27,14 +27,12 @@ from dissipctl.lindblad import (
     generator,
     generator_single_channel,
     liouvillian,
-    maximally_mixed,
     partial_trace_last,
     trace_distance,
-    validate_density_state,
 )
 from dissipctl.linalg import (
-    MAX_MODEL_DIM, PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, dagger, expm,
-    hermitian_part,
+    MAX_MODEL_DIM, PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, as_operator, dagger,
+    expm, hermitian_part,
 )
 from dissipctl.models import REGISTRY, build, three_level_example, two_level_example
 from dissipctl.scalability import simulate_aggregate
@@ -44,12 +42,18 @@ from oracles import (
     dense_view,
     expectation,
     is_stationary,
+    maximally_mixed,
     random_density,
     random_hermitian,
     rk45_samples,
     stationary_state,
     vec,
 )
+
+
+def validate_density_state(rho):
+    """`evolve`'s test of its initial state, without the field it names."""
+    lindblad._checked(as_operator(rho)[None], lindblad._STATE_TOL, lambda i: "")
 
 
 def random_model(rng, n, k=2):
@@ -337,7 +341,8 @@ class TestEvolve:
 
     def test_refuses_a_stack(self):
         m = two_level_example().model
-        with pytest.raises(DimensionMismatchError, match=r"^state shape \(3, 2, 2\) != \(2, 2\)$"):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^rho0: state shape \(3, 2, 2\) != \(2, 2\)$"):
             evolve(m, np.array([maximally_mixed(2)] * 3), 1.0)
 
     def test_ehrenfest_consistency(self):
@@ -380,7 +385,7 @@ class TestEnsemble:
     def test_invalid_initial_state_in_stack(self):
         m = two_level_example().model
         evolve(m, maximally_mixed(2), 1.0)
-        with pytest.raises(StateValidityError, match="^smallest eigenvalue"):
+        with pytest.raises(StateValidityError, match="^rho0: smallest eigenvalue"):
             evolve(m, np.diag([1.5, -0.5]).astype(complex), 1.0)
 
     def test_rejects_wrong_shapes(self):
@@ -793,7 +798,7 @@ def test_every_simulation_refuses_a_horizon_that_is_not_finite_and_positive(entr
             named.candidates["W"], model, simulate=True, t_final=t_final),
     }
     with pytest.raises(PreconditionError,
-                       match=f"^t_final must be finite and positive, got {t_final}$"):
+                       match=f"^t-final: t_final must be finite and positive, got {t_final}$"):
         calls[entry]()
     assert reached == []
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dissipctl.errors import DimensionCapError, InputFormatError, PreconditionError
-from dissipctl.lindblad import evolve, generator, dissipation_functional, maximally_mixed
+from dissipctl.lindblad import evolve, generator, dissipation_functional
 from dissipctl.linalg import PAULI_X, PAULI_Z, commutator, embed, is_projection
 from dissipctl.models import (
     REGISTRY,
@@ -163,7 +163,7 @@ class TestRemarkCounterexample:
         assert ground_space(total).energy == pytest.approx(m.expected["d"]["value"])
         assert frustration_free_check(dense_view(m.aggregate).terms) \
             is m.expected["frustration_free"]["value"]
-        traj = evolve(m.model, maximally_mixed(2), 3.0, n_samples=11,
+        traj = evolve(m.model, None, 3.0, n_samples=11,
                       observables={"W": total})
         constant = bool(np.allclose(traj.observables["W"], 1.0, atol=1e-12))
         assert constant is m.expected["w_expectation_constant"]["value"]

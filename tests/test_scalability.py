@@ -6,6 +6,7 @@ import pytest
 from dissipctl.errors import (
     DimensionCapError, DimensionMismatchError, NonHermitianError, PreconditionError,
 )
+from dissipctl import scalability
 from dissipctl.lindblad import LindbladModel, evolve, generator
 from dissipctl.linalg import (
     SIGMA_MINUS,
@@ -186,6 +187,14 @@ class TestIncremental:
         with pytest.raises(PreconditionError, match="c must be positive"):
             check_incremental(two_qubit_aggregation_example().aggregate, 1, c)
 
+    def test_n_out_of_range_is_named_before_any_term_is_tested(self):
+        # the second term is not PSD: n was tested only after every term
+        spec = AggregateSpec(TensorStructure((2,)), [np.diag([1.0, 0.0]), np.diag([0.0, -1.0])],
+                             [SIGMA_MINUS], assignment=[0, []])
+        with pytest.raises(PreconditionError, match=r"^n: must satisfy 1 <= n < 2, got 0$") as err:
+            check_incremental(spec, 0, 1.0)
+        assert err.value.field == "n"
+
     def test_two_qubit_unit_constant(self):
         m = two_qubit_aggregation_example()
         holds, info = check_incremental(m.aggregate, 1, 1.0)
@@ -306,6 +315,21 @@ class TestCommutingCorollary:
         for u in m.extras["candidate_unitaries"]:
             u = u.on(structure.sites, structure)
             assert np.linalg.norm(u @ v2 - v2 @ u) < 1e-12
+
+    @pytest.mark.parametrize("unitaries, message", [
+        (None, "spec: commuting mode needs the unitary factors"),
+        ([np.eye(2), np.eye(2)], "one unitary per channel is required"),
+    ], ids=["missing", "miscounted"])
+    def test_unitaries_are_refused_before_the_aggregation_runs(self, monkeypatch, unitaries,
+                                                               message):
+        calls = []
+        monkeypatch.setattr(scalability, "check_theorem_es_aggregation",
+                            lambda *args: calls.append(args))
+        spec = AggregateSpec(TensorStructure((2,)), [np.diag([1.0, 0.0])], [SIGMA_MINUS],
+                             unitaries=unitaries)
+        with pytest.raises(PreconditionError, match=f"^{message}"):
+            check_corollary_commuting(spec)
+        assert calls == []
 
     def test_toric_extended_names_failing_pair(self):
         m = toric_patch(extended=True)

@@ -34,6 +34,11 @@ def test_run_certifications():
     assert re.fullmatch(r"two_qubit\s+W2\s+-\s+-\s+not certified", lines[-1])
 
 
+def test_run_certifications_simulate():
+    # every built-in model is within the simulation cap, so each is cross-checked
+    assert run_script("run_certifications.py", "--simulate") == run_script("run_certifications.py")
+
+
 def test_adiabatic_sweep():
     lines = run_script("adiabatic_sweep.py", "--k", "2", "4", "--t-final", "1")
     assert [line.split()[0] for line in lines[1:-1]] == ["2", "4"]
@@ -59,6 +64,8 @@ def test_cluster_convergence(tmp_path):
     ("adiabatic_sweep.py", ["--t-final", "nan"]),  # NaN passed a test of t_final <= 0
     ("cluster_convergence.py", ["--t-final", "nan"]),
     ("cluster_convergence.py", ["--t-final", "inf"]),
+    ("cluster_convergence.py", ["--states", "0"]),  # exited 0 with no output and no message
+    ("cluster_convergence.py", ["--states", "-1"]),
 ])
 def test_refused_input_is_a_usage_error(name, args, tmp_path):
     done = _run(name, *args, cwd=tmp_path)  # cluster_convergence writes to ./cluster_runs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dissipctl.errors import DimensionMismatchError, InputFormatError
-from dissipctl.lindblad import evolve, maximally_mixed
+from dissipctl.lindblad import evolve
 from dissipctl.linalg import SIGMA_MINUS, pauli_string
 from dissipctl.models import build, two_level_example
 from dissipctl.serialize import (
@@ -192,7 +192,7 @@ class TestAggregateJson:
 class TestTrajectoryCsv:
     def test_header_and_shape(self):
         m = two_level_example()
-        traj = evolve(m.model, maximally_mixed(2), 1.0, n_samples=5,
+        traj = evolve(m.model, None, 1.0, n_samples=5,
                       observables={"V": m.candidates["V"]})
         csv = trajectory_to_csv(traj)
         lines = csv.strip().splitlines()

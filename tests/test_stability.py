@@ -16,7 +16,6 @@ from dissipctl.lindblad import (
     evolve,
     generator,
     liouvillian,
-    maximally_mixed,
 )
 from dissipctl.linalg import (
     DEFAULT_TOL,
@@ -571,7 +570,7 @@ class TestSimulationInvariants:
         # once the mean falls below a threshold it stays there
         m = three_level_example()
         v = m.candidates["V"]
-        traj = evolve(m.model, maximally_mixed(3), 30.0, observables={"V": v})
+        traj = evolve(m.model, None, 30.0, observables={"V": v})
         ev = traj.observables["V"]
         eps = 1e-3
         crossed = np.argmax(ev < eps)
