@@ -21,8 +21,8 @@ from dataclasses import asdict
 
 from . import __version__
 from .errors import DimensionCapError, DissipctlError, InfeasibleError, InputFormatError
-from .lindblad import _N_SAMPLES, evolve
-from .linalg import DEFAULT_TOL, embed_sum
+from .lindblad import _N_SAMPLES, _operator, evolve
+from .linalg import DEFAULT_TOL
 from .models import REGISTRY, NamedModel, build
 from .scalability import (
     check_corollary_commuting,
@@ -232,8 +232,8 @@ def _cmd_models(args) -> int:
         "name": named.name,
         "description": named.description,
         "model": model_to_json(model),
-        "candidates": {k: matrix_to_json(embed_sum(v, model.structure) if isinstance(v, list)
-                                         else v) for k, v in named.candidates.items()},
+        "candidates": {k: matrix_to_json(_operator(v, model.structure, f"candidate {k}")[1])
+                       for k, v in named.candidates.items()},
         "expected": named.expected,
     }
     if named.aggregate is not None:

@@ -45,6 +45,7 @@ from .linalg import (
     as_operator,
     commutator,
     dagger,
+    embed_sum,
     expm,
     hermitian_part,
     is_hermitian,
@@ -82,6 +83,15 @@ def _hermitian_terms(x, structure: TensorStructure, what: str, reduce: bool = Fa
     if not all(is_hermitian(t.matrix, tol, _Window(structure, t).copies) for t in terms):
         raise NonHermitianError(f"{what} must be Hermitian")
     return terms
+
+
+def _operator(x, structure: TensorStructure, what: str,
+              tol: float = DEFAULT_TOL) -> tuple[list[LocalOperator], np.ndarray]:
+    """The `_hermitian_terms` of `x` and their sum as a matrix of the whole
+    space; a matrix of the whole space is that matrix itself."""
+    terms = _hermitian_terms(x, structure, what, tol=tol)
+    return terms, (embed_sum(terms, structure) if isinstance(x, list)
+                   else terms[0].on(structure.sites, structure))
 
 
 def _matrices(model: LindbladModel) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -156,8 +166,8 @@ def _drift(terms, channels, h=()) -> list:
 
 
 def generator(x, model: LindbladModel, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Heisenberg-picture drift of the observable ``x``, a matrix or a list of
-    LocalOperators (their sum), as a matrix of the whole space.
+    """Heisenberg-picture drift of the observable ``x``, a matrix, a
+    LocalOperator or a list of them (their sum), as a matrix of the whole space.
 
     Each kernel is computed on the sites of its own operators.  A zero H is
     dropped and a term -i[x, H] that is exactly zero held as real zeros, so
@@ -200,15 +210,6 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
         lam = lam + np.kron(l.conj(), l) \
             - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
     return lam
-
-
-def _observable(x: np.ndarray, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    x = as_operator(x)
-    if x.shape[0] != n:
-        raise DimensionMismatchError(f"observable dim {x.shape[0]} != state dim {n}")
-    if not is_hermitian(x, tol):
-        raise NonHermitianError("expectation requires a Hermitian observable")
-    return x
 
 
 # -- trajectories -------------------------------------------------------------
@@ -280,8 +281,7 @@ def _grid(n: int, t_final: float, n_samples: int) -> np.ndarray:
         raise DimensionCapError(f"{n_samples} samples x {n}^2 = {entries} stored entries "
                                 f"exceed {MAX_MODEL_DIM}^2", field="samples")
     if not (np.isfinite(t_final) and t_final > 0):
-        raise PreconditionError(f"t_final must be finite and positive, got {t_final}",
-                                field="t-final")
+        raise PreconditionError(f"must be finite and positive, got {t_final}", field="t-final")
     if n_samples < 2:
         raise PreconditionError(f"need at least two sample points, got {n_samples}",
                                 field="samples")
@@ -403,15 +403,16 @@ def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray | None, t_final: float, *,
-           n_samples: int = _N_SAMPLES,
-           observables: dict[str, np.ndarray] | None = None) -> Trajectory:
+           n_samples: int = _N_SAMPLES, observables: dict | None = None) -> Trajectory:
     """Master-equation trajectory of the state ``rho0`` (None: the maximally
     mixed state) by `_samples`, which checks each sample as a density matrix
-    within _STATE_TOL.
+    within _STATE_TOL, with the expectation series of the Hermitian
+    ``observables``, each a matrix, a LocalOperator or a list of them (their sum).
 
     Emits ``n_samples`` equally spaced samples on the grid of `_grid`, whose
-    refusals come before ``rho0`` is built or tested: its shape, then, within
-    _STATE_TOL, as a density matrix, each refusal naming the field ``rho0``.
+    refusals come before ``rho0`` or any observable is built or tested:
+    ``rho0``'s shape, then, within _STATE_TOL, as a density matrix, each
+    refusal naming the field ``rho0``.
     """
     n = model.dim
     times = _grid(n, t_final, n_samples)
@@ -419,7 +420,8 @@ def evolve(model: LindbladModel, rho0: np.ndarray | None, t_final: float, *,
     if rho0.shape != (n, n):
         raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n})", field="rho0")
     _checked(rho0[None], _STATE_TOL, lambda i: "", field="rho0")
-    ops = {name: _observable(op, n) for name, op in (observables or {}).items()}
+    ops = {name: _operator(op, model.structure, f"observable {name}")[1]
+           for name, op in (observables or {}).items()}
     states = np.empty((n_samples, n, n), dtype=_dtype(model, rho0))
     for i, rho in enumerate(_samples(model, rho0, times, _STATE_TOL)):
         states[i] = rho

@@ -28,7 +28,6 @@ from .lindblad import (
     LindbladModel,
     Trajectory,
     _drift,
-    _grid,
     _hermitian_terms,
     dissipation_single_channel,
     evolve,
@@ -53,6 +52,10 @@ from .linalg import (
 from .stability import _schur_constant
 
 
+# The other columns of an aggregate trajectory (time, total, invariants).
+_RESERVED_COLUMNS = frozenset({"t", "W", "trace", "purity"})
+
+
 @dataclass
 class AggregateSpec:
     """Terms, channels, and the term-to-channel assignment of an aggregate,
@@ -63,7 +66,8 @@ class AggregateSpec:
     Every operator is held once, as a `LocalOperator`.  One given as a matrix
     of the whole space is reduced to its support on construction; only the
     ground energy d and simulation embed operators back into the whole
-    space.  H must be Hermitian.
+    space.  H must be Hermitian.  The `term_names`, columns of a simulated
+    trajectory, must be distinct and none of its other columns.
     """
 
     structure: TensorStructure
@@ -76,6 +80,11 @@ class AggregateSpec:
     new_couplings: list[LocalOperator] = field(default_factory=list)
 
     def __post_init__(self):
+        names = self.term_names
+        if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)):
+            raise InputFormatError("spec.names", "names must be distinct and none of "
+                                   f"{', '.join(sorted(_RESERVED_COLUMNS))}, got {names!r}")
+
         def operators(ops, kind):
             return [local_operator(a, self.structure, f"{kind} {i}", reduce=True)
                     for i, a in enumerate(ops)]
@@ -312,16 +321,15 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
     Verifies [W_a, W_b] = 0 for all pairs, [U_k, W_t] = 0 whenever channel k
     is not assigned to term t, and the per-term exponential condition.  A
     failing commutation pair is reported with guidance to evaluate the
-    scalability condition directly.  Missing unitaries (naming the field
-    ``spec``) and miscounted ones are refused before the aggregation theorem
-    runs.
+    scalability condition directly.  Missing or miscounted unitaries are
+    refused, naming the field ``spec``, before the aggregation theorem runs.
     """
     unitaries = spec.unitaries
     if unitaries is None:
         raise PreconditionError("commuting mode needs the unitary factors "
                                 "(a 'unitaries' array in the spec)", field="spec")
     if len(unitaries) != spec.n_channels:
-        raise PreconditionError("one unitary per channel is required")
+        raise PreconditionError("one unitary per channel is required", field="spec")
     base = check_theorem_es_aggregation(spec, tol)  # which tests every term PSD
     names = spec.names()
     terms = spec.terms
@@ -351,29 +359,18 @@ def simulate_aggregate(spec: AggregateSpec, t_final: float, *, n_samples: int = 
                        model: LindbladModel | None = None,
                        rho0: np.ndarray | None = None) -> Trajectory:
     """Evolve `model` (default: the spec's own channels, `spec.to_model()`)
-    from `rho0` (default: the maximally mixed state) and record the total and
-    per-term expectations of the spec's terms.
+    from `rho0` (default: the maximally mixed state) by `evolve` and record
+    the expectations of the total W and of each of the spec's terms.
 
-    A model of another dimension is refused, naming the field ``spec``, and
-    then the refusals of `_grid`, before any operator of the whole space is
-    built.  Additivity of the mean, <W> = sum_t <W_t>, is checked on the
-    emitted samples (PreconditionError otherwise).  Runs regardless of
-    certification status (diagnosis tool).
+    A model of another structure is refused, naming the field ``spec``, before
+    `evolve`'s refusals.  Runs regardless of certification status (diagnosis
+    tool).
     """
-    n = spec.structure.total_dim
-    if model is not None and model.dim != n:
-        raise DimensionMismatchError(f"dimension {n} != model dimension {model.dim}",
-                                     field="spec")
-    _grid(n, t_final, n_samples)
-    if model is None:
-        model = spec.to_model()
-    names = spec.names()
-    observables = {"W": spec.total()}
-    for name, w in zip(names, spec.terms):
-        observables[name] = w.on(spec.structure.sites, spec.structure)
-    traj = evolve(model, rho0, t_final, observables=observables, n_samples=n_samples)
-    total = sum(traj.observables[name] for name in names)
-    if not np.allclose(total, traj.observables["W"], atol=1e-10):
-        raise PreconditionError("per-term expectations do not add up to the total; "
-                                "term names must be distinct and differ from 'W'")
-    return traj
+    dims, n = spec.structure.dims, spec.structure.total_dim
+    if model is not None and model.structure.dims != dims:
+        raise DimensionMismatchError(
+            f"dimension {n} != model dimension {model.dim}" if model.dim != n
+            else f"dims {list(dims)} != model dims {list(model.structure.dims)}", field="spec")
+    return evolve(spec.to_model() if model is None else model, rho0, t_final,
+                  n_samples=n_samples,
+                  observables={"W": spec.terms, **dict(zip(spec.names(), spec.terms))})

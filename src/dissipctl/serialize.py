@@ -153,10 +153,6 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# The other columns of an aggregate trajectory CSV (time, total, invariants).
-_RESERVED_COLUMNS = frozenset({"t", "W", "trace", "purity"})
-
-
 def _operators(obj: dict, key: str, structure: TensorStructure, field: str) -> list:
     """The optional array obj[key] of matrices or Pauli shorthands; empty
     when the key is absent."""
@@ -211,9 +207,6 @@ def aggregate_from_json(obj: dict) -> AggregateSpec:
         "channel index or list of indices")
     hamiltonian = _term_from_json(obj["H"], structure, "spec.H") if "H" in obj else None
     names = _per_term(obj, "names", len(terms), lambda x: isinstance(x, str), "string")
-    if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)):
-        raise InputFormatError("spec.names", "names must be distinct and none of "
-                               f"{', '.join(sorted(_RESERVED_COLUMNS))}, got {names!r}")
     unitaries = _operators(obj, "unitaries", structure, "spec") if "unitaries" in obj else None
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
                          assignment=assignment, hamiltonian=hamiltonian,

@@ -26,7 +26,7 @@ from .lindblad import (
     _N_SAMPLES,
     LindbladModel,
     _grid,
-    _hermitian_terms,
+    _operator,
     _samples,
     dissipation_functional,
     generator,
@@ -35,7 +35,6 @@ from .linalg import (
     DEFAULT_TOL,
     _frobenius,
     dagger,
-    embed_sum,
     haar_pure_state,
     hermitian_part,
     is_psd,
@@ -68,11 +67,10 @@ class StabilityReport:
 
 
 def _candidate(v, model: LindbladModel, tol: float) -> tuple:
-    """The candidate, a matrix or a list of LocalOperators (their sum), as
-    Hermitian terms of the model's structure, as the matrix V of the whole
+    """The candidate, a matrix, a LocalOperator or a list of them (their sum),
+    as Hermitian terms of the model's structure, as the matrix V of the whole
     space, and the eigenvalues and eigenvectors of V: the one spectrum of V."""
-    terms = _hermitian_terms(v, model.structure, "candidate", tol=tol)
-    v = embed_sum(terms, model.structure) if isinstance(v, list) else terms[0].matrix
+    terms, v = _operator(v, model.structure, "candidate", tol)
     return (terms, v, *np.linalg.eigh(hermitian_part(v)))
 
 
@@ -147,8 +145,8 @@ def _lyapunov(v: list, lam: np.ndarray, model: LindbladModel,
 
 
 def check_condition_es(v, model: LindbladModel, tol: float = DEFAULT_TOL) -> float | None:
-    """Largest c with G(v) <= -c v, or None; v is a matrix or a list of
-    LocalOperators (their sum)."""
+    """Largest c with G(v) <= -c v, or None; v is a matrix, a LocalOperator or
+    a list of them (their sum)."""
     terms, lam, q = _require_candidate(v, model, tol)
     return _schur_constant(-generator(terms, model, tol), lam, q, tol)
 
@@ -180,8 +178,8 @@ def _expectations(v: np.ndarray, d: float, model: LindbladModel, times: np.ndarr
 def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = False,
                                    t_final: float = 20.0, seed: int = 0,
                                    tol: float = DEFAULT_TOL) -> StabilityReport:
-    """Full certification of a candidate operator, a matrix or a list of
-    LocalOperators (their sum), optionally cross-checked by master-equation
+    """Full certification of a candidate operator, a matrix, a LocalOperator or
+    a list of them (their sum), optionally cross-checked by master-equation
     simulation from sampled initial states, in the Heisenberg picture."""
     if simulate and seed < 0:  # numpy's generators take no negative seed
         raise PreconditionError(f"seed must be a non-negative integer, got {seed}")

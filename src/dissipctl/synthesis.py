@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, PreconditionError
+from .errors import InfeasibleError, NonHermitianError, PreconditionError
 from .lindblad import generator_single_channel
 from .linalg import (
     DEFAULT_TOL,
@@ -99,7 +99,7 @@ def synthesize_closed_form(v: np.ndarray, c: float, *,
     if not (0.0 < c <= 1.0):
         raise PreconditionError(f"c must lie in (0, 1], got {c}")
     if not is_hermitian(v, tol):
-        raise PreconditionError("candidate must be PSD")
+        raise NonHermitianError("candidate must be Hermitian")
     w, vecs = np.linalg.eigh(hermitian_part(v))
     n = v.shape[0]
     threshold = spectral_tol(w, tol)

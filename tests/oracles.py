@@ -24,8 +24,7 @@ from dissipctl.errors import (
     PreconditionError,
 )
 from dissipctl.lindblad import (
-    LindbladModel, _observable, dissipation_single_channel, evolve, generator_single_channel,
-    liouvillian,
+    LindbladModel, dissipation_single_channel, evolve, generator_single_channel, liouvillian,
 )
 from dissipctl.linalg import (
     DEFAULT_TOL, TensorStructure, as_operator, commutator, dagger, haar_pure_state,
@@ -222,8 +221,11 @@ def dissipation_functional(x: np.ndarray, model: DenseModel,
 
 def expectation(x: np.ndarray, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Mean value tr(x rho) of a Hermitian observable."""
-    rho = as_operator(rho)
-    x = _observable(x, rho.shape[0], tol)
+    x, rho = as_operator(x), as_operator(rho)
+    if x.shape != rho.shape:
+        raise DimensionMismatchError(f"observable dim {x.shape[0]} != state dim {rho.shape[0]}")
+    if not is_hermitian(x, tol):
+        raise NonHermitianError("expectation requires a Hermitian observable")
     return float(complex(np.trace(x @ rho)).real)
 
 
@@ -665,7 +667,7 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
                                 "(a 'unitaries' array in the spec)", field="spec")
     unitaries = dense_view(spec).unitaries
     if len(unitaries) != spec.n_channels:
-        raise PreconditionError("one unitary per channel is required")
+        raise PreconditionError("one unitary per channel is required", field="spec")
     base = check_theorem_es_aggregation(spec, tol)  # which tests every term PSD
     names = spec.names()
     notes: list[str] = []

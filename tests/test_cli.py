@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dissipctl
-from dissipctl import stability, synthesis
+from dissipctl import lindblad, scalability, stability, synthesis
 from dissipctl.cli import _build_parser, main
 from dissipctl.lindblad import evolve
 from dissipctl.linalg import PAULI_X, SIGMA_MINUS
@@ -193,6 +193,17 @@ class TestSynthesize:
         assert code == 1 and out == ""
         assert f"input error: {message}" in err
 
+    @pytest.mark.parametrize("v, message", [
+        ([[1, 0.5], [0, 0]], "candidate must be Hermitian"),
+        ([[1, 0], [0, -0.5]], "candidate must be PSD"),
+    ], ids=["non-hermitian", "negative"])
+    def test_candidate_refusal_names_its_fault(self, capsys, tmp_path, v, message):
+        # a non-Hermitian V was refused as not PSD
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"V": v}))
+        assert _run(capsys, ["synthesize", "--v", str(path), "--c", "0.5"]) == (
+            1, "", f"dissipctl: error: {message}\n")
+
     def test_numbers_in_file(self, capsys, tmp_path):
         path = tmp_path / "v.json"
         path.write_text('{"V": [[1, 0], [0, 0]], "c": 1, "channels": 2.0}')
@@ -338,17 +349,31 @@ class TestSimulate:
                                        "--spec", str(spec_path), "--t-final", "1"])
         assert code == 1 and out == ""
         assert err == "dissipctl: input error: spec: dimension 4 != model dimension 2\n"
+        # the same dimension split into other factors
+        model_path.write_text(json.dumps({**_dense_model_json(build("two_qubit").model),
+                                          "dims": [4]}))
+        code, out, err = _run(capsys, ["simulate", "--model", str(model_path),
+                                       "--spec", str(spec_path), "--t-final", "1"])
+        assert code == 1 and out == ""
+        assert err == "dissipctl: input error: spec: dims [2, 2] != model dims [4]\n"
 
-    def test_check_with_simulation(self, capsys, monkeypatch):
-        # certify's gate builds the one grid that the propagation reads
-        calls, grid = [], stability._grid
-        monkeypatch.setattr(stability, "_grid", lambda *args: calls.append(args) or grid(*args))
-        code, out, _ = _run(capsys, ["check", "--name", "two_level", "--simulate",
-                                     "--t-final", "12"])
+    @pytest.mark.parametrize("argv, dim", [
+        (["check", "--name", "two_level", "--simulate"], 2),
+        (["simulate", "--name", "cluster_chain"], 16),
+    ], ids=["check", "simulate"])
+    def test_check_with_simulation(self, capsys, monkeypatch, argv, dim):
+        # one gate builds the one grid that the propagation reads, under
+        # whichever name of the package it is called
+        calls, grid = [], lindblad._grid
+        for module in (lindblad, scalability, stability):
+            if getattr(module, "_grid", None) is grid:
+                monkeypatch.setattr(module, "_grid",
+                                    lambda *args: calls.append(args) or grid(*args))
+        code, out, _ = _run(capsys, [*argv, "--t-final", "12"])
         assert code == 0
-        sim = json.loads(out)["report"]["simulation"]
-        assert sim["exponential_envelope_ok"]
-        assert calls == [(2, 12.0, stability._N_SAMPLES)]
+        assert calls == [(dim, 12.0, lindblad._N_SAMPLES)]
+        if argv[0] == "check":
+            assert json.loads(out)["report"]["simulation"]["exponential_envelope_ok"]
 
 
 class TestScale:
@@ -360,12 +385,19 @@ class TestScale:
         assert payload["report"]["holds"]
         assert payload["report"]["margin"] >= -1e-9
 
-    def test_cluster_commuting(self, capsys):
+    def test_cluster_commuting(self, capsys, tmp_path):
         code, out, _ = _run(capsys, ["scale", "--name", "cluster_chain(5)",
                                      "--theorem", "commuting"])
         assert code == 0
         payload = json.loads(out)
         assert payload["report"]["overall"]
+        # a spec cut to one unitary is refused naming the spec, as one without any
+        spec = json.loads(_run(capsys, ["models", "export", "cluster_chain(4)"])[1])["spec"]
+        spec["unitaries"] = spec["unitaries"][:1]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert _run(capsys, ["scale", "--spec", str(path), "--theorem", "commuting"]) == (
+            1, "", "dissipctl: input error: spec: one unitary per channel is required\n")
 
     def test_toric_extended_commuting_guidance(self, capsys):
         code, out, _ = _run(capsys, ["scale", "--name", "toric_patch(extended)",

@@ -32,7 +32,7 @@ from dissipctl.lindblad import (
 )
 from dissipctl.linalg import (
     MAX_MODEL_DIM, PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, as_operator, dagger,
-    expm, hermitian_part,
+    embed, expm, hermitian_part,
 )
 from dissipctl.models import REGISTRY, build, three_level_example, two_level_example
 from dissipctl.scalability import simulate_aggregate
@@ -278,6 +278,18 @@ class TestEvolve:
         # population decays at rate |l10|^2 = 1
         ev = traj.observables["V"]
         assert np.allclose(ev, np.exp(-traj.times), atol=1e-7)
+
+    def test_an_observable_takes_the_forms_of_the_generator(self):
+        # a LocalOperator and a list of them, as generator takes; a
+        # LocalOperator ended in a TypeError
+        named = build("two_qubit")
+        model = named.model
+        w1 = named.aggregate.terms[0]
+        dense = embed(w1.matrix, w1.sites, model.structure)
+        series = evolve(model, None, 5.0, n_samples=11,
+                        observables={"one": w1, "list": [w1], "dense": dense}).observables
+        assert np.array_equal(series["one"], series["dense"])
+        assert np.array_equal(series["list"], series["dense"])
 
     def test_equilibrium_stays_put(self):
         m = two_level_example()
@@ -798,7 +810,7 @@ def test_every_simulation_refuses_a_horizon_that_is_not_finite_and_positive(entr
             named.candidates["W"], model, simulate=True, t_final=t_final),
     }
     with pytest.raises(PreconditionError,
-                       match=f"^t-final: t_final must be finite and positive, got {t_final}$"):
+                       match=f"^t-final: must be finite and positive, got {t_final}$"):
         calls[entry]()
     assert reached == []
 

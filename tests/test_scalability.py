@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dissipctl.errors import (
-    DimensionCapError, DimensionMismatchError, NonHermitianError, PreconditionError,
+    DimensionCapError, DimensionMismatchError, InputFormatError, NonHermitianError,
+    PreconditionError,
 )
 from dissipctl import scalability
 from dissipctl.lindblad import LindbladModel, evolve, generator
@@ -318,7 +319,7 @@ class TestCommutingCorollary:
 
     @pytest.mark.parametrize("unitaries, message", [
         (None, "spec: commuting mode needs the unitary factors"),
-        ([np.eye(2), np.eye(2)], "one unitary per channel is required"),
+        ([np.eye(2), np.eye(2)], "spec: one unitary per channel is required"),
     ], ids=["missing", "miscounted"])
     def test_unitaries_are_refused_before_the_aggregation_runs(self, monkeypatch, unitaries,
                                                                message):
@@ -394,11 +395,21 @@ class TestSimulateAggregate:
         assert ground_space(m.aggregate.total()).energy == pytest.approx(0.0, abs=1e-12)
 
     def test_clashing_names_raise_library_error(self):
-        # a term named like the total column breaks the additivity check
+        # a spec built in code is refused on construction, as one read from JSON
         m = complementary_witnesses()
-        spec = dataclasses.replace(m.aggregate, term_names=["W", "X"])
-        with pytest.raises(PreconditionError, match="do not add up"):
-            simulate_aggregate(spec, 1.0, n_samples=5)
+        for names in (["W", "X"], ["A", "A"]):
+            with pytest.raises(InputFormatError, match=r"^spec\.names: names must be distinct"):
+                dataclasses.replace(m.aggregate, term_names=names)
+
+    def test_model_of_another_structure_is_refused(self):
+        # equal dimensions split into other factors were simulated
+        spec = two_qubit_aggregation_example().aggregate
+        for dims, message in (((2,), r"dimension 4 != model dimension 2"),
+                              ((4,), r"dims \[2, 2\] != model dims \[4\]")):
+            n = TensorStructure(dims).total_dim
+            model = LindbladModel(TensorStructure(dims), np.zeros((n, n)), [])
+            with pytest.raises(DimensionMismatchError, match=f"^spec: {message}$"):
+                simulate_aggregate(spec, 1.0, model=model)
 
     def test_dimension_cap(self):
         m = toric_patch(extended=True)

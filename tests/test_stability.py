@@ -328,6 +328,16 @@ class TestFrustrationFree:
 
 
 class TestCertify:
+    def test_one_local_operator_is_the_candidate_of_its_list(self):
+        # two_qubit's W1 is held on its own site; given alone, it ended in
+        # numpy's matmul ValueError
+        m = build("two_qubit")
+        w1 = m.aggregate.terms[0]
+        assert w1.sites != m.model.structure.sites
+        assert certify_ground_state_stability(w1, m.model) == \
+            certify_ground_state_stability([w1], m.model)
+        assert check_condition_es(w1, m.model) == check_condition_es([w1], m.model) is not None
+
     def test_two_level_exponential(self):
         m = two_level_example()
         report = certify_ground_state_stability(m.candidates["V"], m.model,
