@@ -17,7 +17,7 @@ from math import ceil, log2, prod, sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputFormatError
+from .errors import DimensionCapError, DimensionMismatchError, InputFormatError
 
 DEFAULT_TOL = 1e-9
 MAX_MODEL_DIM = 4096  # models above it are refused: MAX_MODEL_DIM^2 bounds the arrays formed
@@ -187,10 +187,18 @@ def embed(local: np.ndarray, sites, structure: TensorStructure) -> np.ndarray:
         raise DimensionMismatchError(
             f"local operator has dim {local.shape[0]}, sites require {prod(local_dims)}"
         )
-    d = structure.total_dim
+    d = _dense_dim(structure.total_dim)
     out = np.zeros((d, d), dtype=local.dtype)
     _put(out, local, sites0, dims)
     return out
+
+
+def _dense_dim(d: int) -> int:
+    """`d`, the dimension of a dense operator to be formed, if not above the cap."""
+    if d > MAX_MODEL_DIM:
+        raise DimensionCapError(f"a dense operator of dimension {d} exceeds the cap "
+                                f"{MAX_MODEL_DIM}")
+    return d
 
 
 def _put(out: np.ndarray, local: np.ndarray, sites0, dims, add: bool = False) -> None:
@@ -377,7 +385,8 @@ def local_operator(a, structure: TensorStructure, what: str,
 
 class _Window:
     """The union of some supports (and of `sites`), on which an operator
-    X (x) I (I on the `copies` dimensions of the other sites) is held as X.
+    X (x) I (I on the `copies` dimensions of the other sites) is held as X;
+    a window above MAX_MODEL_DIM is refused (DimensionCapError).
 
     spec(X (x) I) = spec(X), so eigenvalues, constants and `spectral_tol` are
     those of the full operators; a Frobenius norm is sqrt(copies) ||X||_F,
@@ -387,7 +396,8 @@ class _Window:
     def __init__(self, structure: TensorStructure, *ops: LocalOperator, sites=()):
         self.structure = structure
         self.sites = tuple(sorted(set(sites).union(*(op.sites for op in ops))))
-        self.copies = structure.total_dim // prod(structure.dims[s - 1] for s in self.sites)
+        self.copies = structure.total_dim // _dense_dim(prod(structure.dims[s - 1]
+                                                             for s in self.sites))
 
     def embed(self, op: LocalOperator) -> np.ndarray:
         return op.on(self.sites, self.structure)

@@ -169,9 +169,8 @@ def _stabilizer_aggregate(n_qubits: int, stabilizers) -> AggregateSpec:
         unitaries.append(u)
         names.append(name)
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
-                         assignment=list(range(len(terms))),
-                         hamiltonian=LocalOperator((), np.zeros((1, 1))),
-                         term_names=names, unitaries=unitaries)
+                         assignment=list(range(len(terms))), term_names=names,
+                         unitaries=unitaries)
 
 
 def cluster_chain(n_qubits: int = 4) -> NamedModel:
@@ -245,8 +244,7 @@ def complementary_witnesses() -> NamedModel:
     w1 = np.diag([1.0, 0.0])
     w2 = np.diag([0.0, 1.0])
     aggregate = AggregateSpec(structure=structure, terms=[w1, w2], couplings=[],
-                              assignment=[[], []], hamiltonian=np.zeros((2, 2)),
-                              term_names=["W1", "W2"])
+                              assignment=[[], []], term_names=["W1", "W2"])
     expected = {
         "d": _expected(1.0, "exact"),
         "frustration_free": _expected(False, "exact"),

@@ -63,27 +63,45 @@ class AggregateSpec:
     commuting corollary; None when not given) and the new channels of an
     incremental step.
 
-    Every operator is held once, as a `LocalOperator`.  One given as a matrix
-    of the whole space is reduced to its support on construction; only the
-    ground energy d and simulation embed operators back into the whole
-    space.  H must be Hermitian.  The `term_names`, columns of a simulated
-    trajectory, must be distinct and none of its other columns.
+    A spec is checked where it is built, each refusal an InputFormatError
+    naming its field: `spec.names`, one per term, distinct and none of a
+    trajectory's other columns; `spec.assignment`, one entry per term, a
+    channel index or a list of distinct ones, held as lists of indices;
+    `spec.unitaries`, one per channel.  Every operator is held once, as a
+    `LocalOperator`, one of the whole space reduced to its support; only d
+    and simulation embed operators back into the whole space.  H must be
+    Hermitian; when not given it is zero, on no site.
     """
 
     structure: TensorStructure
     terms: list[LocalOperator]
     couplings: list[LocalOperator] = field(default_factory=list)
     assignment: list | None = None
-    hamiltonian: LocalOperator | None = None
+    hamiltonian: LocalOperator = field(default_factory=lambda: LocalOperator((), np.zeros((1, 1))))
     term_names: list[str] | None = None
     unitaries: list[LocalOperator] | None = None
     new_couplings: list[LocalOperator] = field(default_factory=list)
 
     def __post_init__(self):
+        n_terms, n_channels = len(self.terms), len(self.couplings)
+        for key, value, n, per in (("names", self.term_names, n_terms, "term"),
+                                   ("assignment", self.assignment, n_terms, "term"),
+                                   ("unitaries", self.unitaries, n_channels, "channel")):
+            if value is not None and len(value) != n:
+                raise InputFormatError(f"spec.{key}", f"need {n}, one per {per}, got {len(value)}")
         names = self.term_names
         if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)):
             raise InputFormatError("spec.names", "names must be distinct and none of "
                                    f"{', '.join(sorted(_RESERVED_COLUMNS))}, got {names!r}")
+        if self.assignment is not None:
+            groups = [list(e) if isinstance(e, (list, tuple)) else [e] for e in self.assignment]
+            for t, ks in enumerate(groups):  # a channel counted twice would double its constant
+                if not all(isinstance(k, (int, np.integer)) and 0 <= k < n_channels for k in ks) \
+                        or len(set(ks)) < len(ks):
+                    raise InputFormatError("spec.assignment", f"entry {t} must be a channel index "
+                                           f"below {n_channels} or a list of distinct ones, "
+                                           f"got {self.assignment[t]!r}")
+            self.assignment = [[int(k) for k in ks] for ks in groups]
 
         def operators(ops, kind):
             return [local_operator(a, self.structure, f"{kind} {i}", reduce=True)
@@ -94,9 +112,8 @@ class AggregateSpec:
         if self.unitaries is not None:
             self.unitaries = operators(self.unitaries, "unitary")
         self.new_couplings = operators(self.new_couplings, "new coupling")
-        if self.hamiltonian is not None:
-            self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian",
-                                                 reduce=True)
+        self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian",
+                                             reduce=True)
 
     @property
     def n_terms(self) -> int:
@@ -107,34 +124,18 @@ class AggregateSpec:
         return len(self.couplings)
 
     def names(self) -> list[str]:
-        if self.term_names:
-            return list(self.term_names)
-        return [f"W{i + 1}" for i in range(self.n_terms)]
+        return list(self.term_names or (f"W{i + 1}" for i in range(self.n_terms)))
 
     def channel_groups(self) -> list[list[int]]:
-        """Channel indices assigned to each term (singletons by default)."""
-        if self.assignment is None:
-            if self.n_terms != self.n_channels:
-                raise PreconditionError(
-                    "assignment required when terms and channels do not pair one-to-one"
-                )
-            return [[i] for i in range(self.n_terms)]
-        groups = []
-        for entry in self.assignment:
-            ks = [entry] if isinstance(entry, int) else list(entry)
-            for k in ks:
-                if not 0 <= k < self.n_channels:
-                    raise PreconditionError(f"assignment index {k} out of range")
-            groups.append([int(k) for k in ks])
-        if len(groups) != self.n_terms:
-            raise PreconditionError("assignment must name channels for every term")
-        return groups
+        """The assignment, or one channel per term when none is given."""
+        if self.assignment is None and self.n_terms != self.n_channels:
+            raise PreconditionError("assignment required when terms and channels do not pair "
+                                    "one-to-one")
+        return self.assignment or [[i] for i in range(self.n_terms)]
 
     def to_model(self, new_couplings=()) -> LindbladModel:
-        """The model of the spec's own operators: H (zero when not given) and
-        every channel, plus `new_couplings` appended."""
-        h = LocalOperator((), np.zeros((1, 1))) if self.hamiltonian is None else self.hamiltonian
-        return LindbladModel(self.structure, h, [*self.couplings, *new_couplings])
+        """The model of H and every channel of the spec, plus `new_couplings`."""
+        return LindbladModel(self.structure, self.hamiltonian, [*self.couplings, *new_couplings])
 
     def total(self) -> np.ndarray:
         return embed_sum(self.terms, self.structure)
@@ -186,7 +187,7 @@ def _aggregate(spec: AggregateSpec, mode: str, note: str, tol: float) -> Aggrega
                                notes=["no terms: vacuously stable"])
     groups = spec.channel_groups()
     names = spec.names()
-    h = [x for x in [spec.hamiltonian] if x is not None]
+    h = [spec.hamiltonian]
     per_term = []
     for t, (term, ks) in enumerate(zip(spec.terms, groups)):
         meets = [k for k, l in enumerate(spec.couplings) if _meet(l, term)]
@@ -256,7 +257,7 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     _require_terms_psd(spec, tol)
     prior, nxt = spec.terms[:n], spec.terms[n]
     channels = [*spec.couplings, *spec.new_couplings]  # the spec's, then the new ones
-    h = [x for x in [spec.hamiltonian] if x is not None]
+    h = [spec.hamiltonian]
     win = _Window(spec.structure, *prior, nxt,
                   *(x for x in h + channels if any(_meet(x, t) for t in (*prior, nxt))))
     w_n = win.add((np.asarray, t) for t in prior)  # the terms as they are
@@ -314,22 +315,28 @@ def _commutes(structure: TensorStructure, a: LocalOperator, b: LocalOperator,
     return defect <= a_tol * max(1.0, _frobenius(win.embed(b), win.copies)), defect
 
 
+def _factor(structure: TensorStructure, u: LocalOperator, l: LocalOperator) -> LocalOperator:
+    """M = U' L, on the window of the two."""
+    win = _Window(structure, u, l)
+    return LocalOperator(win.sites, dagger(win.embed(u)) @ win.embed(l))
+
+
 def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> AggregateReport:
     """Commuting-family certificate for couplings of the form L_k = U_k W_k,
     with the U_k read from `spec.unitaries`.
 
-    Verifies [W_a, W_b] = 0 for all pairs, [U_k, W_t] = 0 whenever channel k
-    is not assigned to term t, and the per-term exponential condition.  A
-    failing commutation pair is reported with guidance to evaluate the
-    scalability condition directly.  Missing or miscounted unitaries are
-    refused, naming the field ``spec``, before the aggregation theorem runs.
+    Verifies [W_a, W_b] = 0 for all pairs, that every U_k is unitary, and,
+    whenever channel k is not assigned to term t, [U_k, W_t] = 0 and
+    [M_k, W_t] = 0 for M_k = U_k' L_k, so that G_(L_k)(W_t) = M_k' W_t M_k -
+    {M_k' M_k, W_t}/2 = 0; and the per-term exponential condition.  Each
+    failing clause is a note naming its channel, with guidance to evaluate
+    the scalability condition directly.  A spec without unitaries is refused,
+    naming the field ``spec``, before the aggregation theorem runs.
     """
     unitaries = spec.unitaries
     if unitaries is None:
         raise PreconditionError("commuting mode needs the unitary factors "
                                 "(a 'unitaries' array in the spec)", field="spec")
-    if len(unitaries) != spec.n_channels:
-        raise PreconditionError("one unitary per channel is required", field="spec")
     base = check_theorem_es_aggregation(spec, tol)  # which tests every term PSD
     names = spec.names()
     terms = spec.terms
@@ -339,14 +346,22 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
             ok, defect = _commutes(spec.structure, terms[a], terms[b], tol)
             if not ok:
                 notes.append(f"terms {names[a]} and {names[b]} do not commute (norm {defect:.3e})")
+    for k, u in enumerate(unitaries):  # U'U = I within scaled_tol(U), on the sites of U
+        copies = _Window(spec.structure, u).copies
+        defect = _frobenius(dagger(u.matrix) @ u.matrix - np.eye(len(u.matrix)), copies)
+        if defect > scaled_tol(u.matrix, tol, copies):
+            notes.append(f"U[{k}] is not unitary (norm of U'U - I {defect:.3e}); "
+                         "rerun with --theorem es")
+    factors = [_factor(spec.structure, u, l) for u, l in zip(unitaries, spec.couplings)]
     for t, ks in enumerate(spec.channel_groups()):
-        for k, unit in enumerate(unitaries):
+        for k, clause in enumerate(zip(unitaries, factors)):
             if k in ks:
                 continue
-            ok, defect = _commutes(spec.structure, unit, terms[t], tol)
-            if not ok:
-                notes.append(f"commutation clause fails for (U[{k}], {names[t]}) "
-                             f"(norm {defect:.3e}); rerun with --theorem es")
+            for what, op in zip((f"U[{k}]", f"U[{k}]' L[{k}]"), clause):
+                ok, defect = _commutes(spec.structure, op, terms[t], tol)
+                if not ok:
+                    notes.append(f"commutation clause fails for ({what}, {names[t]}) "
+                                 f"(norm {defect:.3e}); rerun with --theorem es")
     # the notes so far are the failing clauses
     overall = not notes and all(e["c"] is not None for e in base.per_term)
     if overall:

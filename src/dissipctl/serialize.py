@@ -162,13 +162,12 @@ def _operators(obj: dict, key: str, structure: TensorStructure, field: str) -> l
     return [_term_from_json(a, structure, f"{field}.{key}[{i}]") for i, a in enumerate(value)]
 
 
-def _per_term(obj: dict, key: str, n_terms: int, valid, what: str):
-    """The optional per-term list spec[key]: one valid entry per term, or None."""
+def _per_term(obj: dict, key: str, valid, what: str):
+    """The optional list spec[key] of valid entries, or None."""
     value = obj.get(key)
-    if value is not None and not (isinstance(value, list) and len(value) == n_terms
-                                  and all(map(valid, value))):
-        raise InputFormatError(f"spec.{key}",
-                               f"need one {what} per term ({n_terms} terms), got {value!r}")
+    if value is not None and not (isinstance(value, list) and all(map(valid, value))):
+        raise InputFormatError(f"spec.{key}", f"need an array of one {what} per term, "
+                                              f"got {value!r}")
     return value
 
 
@@ -179,10 +178,9 @@ def aggregate_to_json(spec: AggregateSpec) -> dict:
         "terms": list(map(_local_to_json, spec.terms)),
         "couplings": list(map(_local_to_json, spec.couplings)),
     }
-    if spec.assignment is not None:
-        out["assignment"] = spec.assignment
-    if spec.hamiltonian is not None:
-        out["H"] = _local_to_json(spec.hamiltonian)
+    if spec.assignment is not None:  # a group of one channel as its index
+        out["assignment"] = [ks[0] if len(ks) == 1 else ks for ks in spec.assignment]
+    out["H"] = _local_to_json(spec.hamiltonian)
     if spec.term_names is not None:
         out["names"] = list(spec.term_names)
     if spec.unitaries is not None:
@@ -202,16 +200,15 @@ def aggregate_from_json(obj: dict) -> AggregateSpec:
     terms = [_term_from_json(t, structure, f"spec.terms[{i}]") for i, t in enumerate(terms_obj)]
     couplings = _operators(obj, "couplings", structure, "spec")
     assignment = _per_term(
-        obj, "assignment", len(terms),
+        obj, "assignment",
         lambda x: _is_index(x) or isinstance(x, list) and all(map(_is_index, x)),
         "channel index or list of indices")
-    hamiltonian = _term_from_json(obj["H"], structure, "spec.H") if "H" in obj else None
-    names = _per_term(obj, "names", len(terms), lambda x: isinstance(x, str), "string")
+    h = {"hamiltonian": _term_from_json(obj["H"], structure, "spec.H")} if "H" in obj else {}
+    names = _per_term(obj, "names", lambda x: isinstance(x, str), "string")
     unitaries = _operators(obj, "unitaries", structure, "spec") if "unitaries" in obj else None
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
-                         assignment=assignment, hamiltonian=hamiltonian,
-                         term_names=names, unitaries=unitaries,
-                         new_couplings=_operators(obj, "new_couplings", structure, "spec"))
+                         assignment=assignment, term_names=names, unitaries=unitaries,
+                         new_couplings=_operators(obj, "new_couplings", structure, "spec"), **h)
 
 
 # -- reports ------------------------------------------------------------------

@@ -385,10 +385,9 @@ def frustration_free_check(terms, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass
 class DenseSpec:
-    """The operators of an `AggregateSpec` as matrices of the whole space
-    (H zero when the spec has none), with the total and the eigenvalues of
-    each term; `memo` keeps results that the dense theorems compute more
-    than once for a spec."""
+    """The operators of an `AggregateSpec` as matrices of the whole space,
+    with the total and the eigenvalues of each term; `memo` keeps results
+    that the dense theorems compute more than once for a spec."""
 
     structure: TensorStructure
     terms: list[np.ndarray]
@@ -404,6 +403,13 @@ class DenseSpec:
         """H and the spec's channels, then with `new` its new channels."""
         return DenseModel(self.structure, self.hamiltonian,
                           self.couplings + (self.new_couplings if new else []))
+
+    @property
+    def factors(self) -> list[np.ndarray]:
+        """M_k = U_k' L_k of every channel, computed once."""
+        if "factors" not in self.memo:
+            self.memo["factors"] = [dagger(u) @ l for u, l in zip(self.unitaries, self.couplings)]
+        return self.memo["factors"]
 
     def partial_sum(self, n: int) -> np.ndarray:
         """W_1 + ... + W_n, in order from zero."""
@@ -426,11 +432,10 @@ def dense_view(spec: AggregateSpec) -> DenseSpec:
             return [op.on(structure.sites, structure) for op in ops]
 
         terms = dense(spec.terms)
-        h = spec.hamiltonian
         view = DenseSpec(
             structure, terms, dense(spec.couplings), dense(spec.new_couplings),
             None if spec.unitaries is None else dense(spec.unitaries),
-            np.zeros((structure.total_dim,) * 2) if h is None else dense([h])[0],
+            dense([spec.hamiltonian])[0],
             embed_sum(spec.terms, structure),
             [np.linalg.eigvalsh(hermitian_part(t)) for t in terms])
         if len(_DENSE_VIEWS) >= 4:
@@ -643,9 +648,16 @@ def _commutes(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
     return defect <= scaled_tol(a, tol) * max(1.0, float(np.linalg.norm(b))), defect
 
 
+def _unitary(u: np.ndarray, tol: float) -> tuple[bool, float]:
+    """(U'U = I within scaled_tol(U), the defect ||U'U - I||)."""
+    defect = float(np.linalg.norm(dagger(u) @ u - np.eye(len(u))))
+    return defect <= scaled_tol(u, tol), defect
+
+
 def clause(spec: AggregateSpec, kind: str, a: int, t: int, tol: float = DEFAULT_TOL):
-    """`_commutes` of operator `a` of `kind` ("terms" or "unitaries") with
-    term `t`, on the dense view; computed once per spec."""
+    """`_commutes` of operator `a` of `kind` ("terms", "unitaries" or
+    "factors", the M_k = U_k' L_k) with term `t`, on the dense view;
+    computed once per spec."""
     view = dense_view(spec)
     key = ("clause", kind, a, t, tol)
     if key not in view.memo:
@@ -657,17 +669,16 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
     """Commuting-family certificate for couplings of the form L_k = U_k W_k,
     with the U_k read from `spec.unitaries`.
 
-    Verifies [W_a, W_b] = 0 for all pairs, [U_k, W_t] = 0 whenever channel k
-    is not assigned to term t, and the per-term exponential condition.  A
-    failing commutation pair is reported with guidance to evaluate the
-    scalability condition directly.
+    Verifies [W_a, W_b] = 0 for all pairs, that every U_k is unitary, and,
+    whenever channel k is not assigned to term t, [U_k, W_t] = 0 and
+    [U_k' L_k, W_t] = 0, and the per-term exponential condition.  A failing
+    clause is reported with guidance to evaluate the scalability condition
+    directly.
     """
     if spec.unitaries is None:
         raise PreconditionError("commuting mode needs the unitary factors "
                                 "(a 'unitaries' array in the spec)", field="spec")
     unitaries = dense_view(spec).unitaries
-    if len(unitaries) != spec.n_channels:
-        raise PreconditionError("one unitary per channel is required", field="spec")
     base = check_theorem_es_aggregation(spec, tol)  # which tests every term PSD
     names = spec.names()
     notes: list[str] = []
@@ -676,14 +687,20 @@ def check_corollary_commuting(spec: AggregateSpec, tol: float = DEFAULT_TOL) -> 
             ok, defect = clause(spec, "terms", a, b, tol)
             if not ok:
                 notes.append(f"terms {names[a]} and {names[b]} do not commute (norm {defect:.3e})")
+    for k, u in enumerate(unitaries):
+        ok, defect = _unitary(u, tol)
+        if not ok:
+            notes.append(f"U[{k}] is not unitary (norm of U'U - I {defect:.3e}); "
+                         "rerun with --theorem es")
     for t, ks in enumerate(spec.channel_groups()):
         for k in range(len(unitaries)):
             if k in ks:
                 continue
-            ok, defect = clause(spec, "unitaries", k, t, tol)
-            if not ok:
-                notes.append(f"commutation clause fails for (U[{k}], {names[t]}) "
-                             f"(norm {defect:.3e}); rerun with --theorem es")
+            for kind, what in (("unitaries", f"U[{k}]"), ("factors", f"U[{k}]' L[{k}]")):
+                ok, defect = clause(spec, kind, k, t, tol)
+                if not ok:
+                    notes.append(f"commutation clause fails for ({what}, {names[t]}) "
+                                 f"(norm {defect:.3e}); rerun with --theorem es")
     # the notes so far are the failing clauses
     overall = not notes and all(e["c"] is not None for e in base.per_term)
     if overall:

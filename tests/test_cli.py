@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dissipctl
-from dissipctl import lindblad, scalability, stability, synthesis
+from dissipctl import linalg, lindblad, scalability, stability, synthesis
 from dissipctl.cli import _build_parser, main
 from dissipctl.lindblad import evolve
 from dissipctl.linalg import PAULI_X, SIGMA_MINUS
@@ -391,13 +391,43 @@ class TestScale:
         assert code == 0
         payload = json.loads(out)
         assert payload["report"]["overall"]
-        # a spec cut to one unitary is refused naming the spec, as one without any
+        # a spec cut to one unitary is refused naming its unitaries, under any theorem
         spec = json.loads(_run(capsys, ["models", "export", "cluster_chain(4)"])[1])["spec"]
         spec["unitaries"] = spec["unitaries"][:1]
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        assert _run(capsys, ["scale", "--spec", str(path), "--theorem", "commuting"]) == (
-            1, "", "dissipctl: input error: spec: one unitary per channel is required\n")
+        for theorem in ("commuting", "es"):
+            assert _run(capsys, ["scale", "--spec", str(path), "--theorem", theorem]) == (
+                1, "", "dissipctl: input error: spec.unitaries: need 2, one per channel, "
+                       "got 1\n")
+
+    def test_commuting_clause_of_the_factor(self, capsys, tmp_path):
+        # every clause of U_k held, and the corollary certified this cycle
+        # between two excited levels, which es refuses
+        e = np.eye(3)
+        spec = {"dims": [3], "assignment": [0, 1], "unitaries": [matrix_to_json(e)] * 2,
+                "terms": [matrix_to_json(np.diag(e[1])), matrix_to_json(np.diag(e[2]))],
+                "couplings": [matrix_to_json(np.outer(e[2], e[1])),
+                              matrix_to_json(np.outer(e[1], e[2]))]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = _run(capsys, ["scale", "--spec", str(path), "--theorem", "commuting"])
+        assert code == 2
+        assert json.loads(out)["report"]["notes"] == [
+            "commutation clause fails for (U[1]' L[1], W1) (norm 1.000e+00); "
+            "rerun with --theorem es",
+            "commutation clause fails for (U[0]' L[0], W2) (norm 1.000e+00); "
+            "rerun with --theorem es"]
+
+    @pytest.mark.parametrize("theorem", ["es", "inc-es"])
+    def test_dense_views_above_the_cap(self, capsys, monkeypatch, theorem):
+        # the 32-dim total of d, and the window of the incremental step, ran
+        # past a cap of 16
+        monkeypatch.setattr(linalg, "MAX_MODEL_DIM", 16)
+        code, out, err = _run(capsys, ["scale", "--name", "cluster_chain(5)", "--theorem", theorem])
+        assert (code, out) == (5, "")
+        assert re.fullmatch(r"dissipctl: dimension cap: a dense operator of dimension (32|64) "
+                            r"exceeds the cap 16\n", err), err
 
     def test_toric_extended_commuting_guidance(self, capsys):
         code, out, _ = _run(capsys, ["scale", "--name", "toric_patch(extended)",
@@ -527,6 +557,34 @@ class TestInputValidation:
         code, out, err = self._scale(capsys, tmp_path, spec)
         assert code == 1 and out == ""
         assert "spec.assignment" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scale", "--theorem", "es"], ["scale", "--theorem", "inc-es", "--c", "1"],
+        ["simulate", "--t-final", "1", "--samples", "5"],
+    ], ids=["es", "inc-es", "simulate"])
+    def test_assignment_out_of_range(self, capsys, tmp_path, spec, argv):
+        # es named no field, inc-es and simulate ran
+        spec["assignment"] = [5, []]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert _run(capsys, [*argv, "--spec", str(path)]) == (
+            1, "", "dissipctl: input error: spec.assignment: entry 0 must be a channel index "
+                   "below 1 or a list of distinct ones, got 5\n")
+
+    def test_channel_repeated_within_a_term(self, capsys, tmp_path):
+        # counted twice, the channel certified c = 2, twice its constant
+        spec = {"dims": [2], "terms": [matrix_to_json(np.diag([1.0, 0.0]))],
+                "couplings": [matrix_to_json(SIGMA_MINUS)], "assignment": [[0, 0]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["scale", "--spec", str(path), "--theorem", "es"]
+        assert _run(capsys, argv) == (
+            1, "", "dissipctl: input error: spec.assignment: entry 0 must be a channel index "
+                   "below 1 or a list of distinct ones, got [0, 0]\n")
+        spec["assignment"] = [[0]]
+        path.write_text(json.dumps(spec))
+        code, out, _ = _run(capsys, argv)
+        assert code == 0 and json.loads(out)["report"]["per_term"][0]["c"] == 1.0
 
     def test_nan_in_hamiltonian(self, capsys, tmp_path, v_file):
         model = _dense_model_json(two_level_example().model)

@@ -45,7 +45,7 @@ def gauge_twin(named: NamedModel, seed: int) -> NamedModel:
     twin_spec = None if spec is None else AggregateSpec(
         structure=structure, terms=[conj(t) for t in view.terms],
         couplings=[conj(l) for l in view.couplings], assignment=spec.assignment,
-        hamiltonian=None if spec.hamiltonian is None else conj(view.hamiltonian),
+        hamiltonian=conj(view.hamiltonian),
         term_names=spec.term_names,
         unitaries=None if view.unitaries is None else [conj(u) for u in view.unitaries],
         new_couplings=[conj(l) for l in view.new_couplings])

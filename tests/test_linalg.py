@@ -6,7 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipctl.errors import DimensionMismatchError, InputFormatError, NonHermitianError
+from dissipctl import linalg
+from dissipctl.errors import (
+    DimensionCapError, DimensionMismatchError, InputFormatError, NonHermitianError,
+)
 from dissipctl.lindblad import liouvillian
 from dissipctl.models import REGISTRY, build
 from dissipctl.linalg import (
@@ -20,6 +23,7 @@ from dissipctl.linalg import (
     as_operator,
     commutator,
     embed,
+    embed_sum,
     expm,
     is_hermitian,
     is_projection,
@@ -111,6 +115,19 @@ class TestEmbed:
             embed(PAULI_Z, [3], s)
         with pytest.raises(DimensionMismatchError):
             embed(np.eye(4, dtype=complex), [1, 1], s)
+
+    def test_dense_operators_above_the_cap(self, monkeypatch):
+        # refused before the matrix is allocated: 13 qubits formed 512 MB
+        s = TensorStructure.qubits(13)
+        for dense in (lambda: embed(PAULI_Z, [1], s),
+                      lambda: embed_sum([LocalOperator.pauli("Z1", s)], s)):
+            with pytest.raises(DimensionCapError, match="^a dense operator of dimension 8192 "
+                                                        "exceeds the cap 4096$"):
+                dense()
+        monkeypatch.setattr(linalg, "MAX_MODEL_DIM", 16)  # the cap admits its own dimension
+        assert embed(PAULI_Z, [1], TensorStructure.qubits(4)).shape == (16, 16)
+        with pytest.raises(DimensionCapError):
+            embed(PAULI_Z, [1], TensorStructure.qubits(5))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)

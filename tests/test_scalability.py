@@ -151,6 +151,36 @@ class TestTheoremAggregation:
         assert not report.per_term[1]["certified"]
 
 
+class TestSpecRules:
+    """A spec that exists is well formed: each rule is refused on
+    construction, from JSON or from code, naming its field."""
+
+    def test_one_name_per_term(self):
+        # fewer names than terms ended in an IndexError in the theorems
+        with pytest.raises(InputFormatError, match=r"^spec\.names: need 2, one per term, got 1$"):
+            dataclasses.replace(two_qubit_aggregation_example().aggregate, term_names=["A"])
+
+    @pytest.mark.parametrize("assignment", [[0], [0, [], []], [1, []], [-1, []], [[0, 0], []],
+                                            [0.0, []], ["0", []]],
+                             ids=["short", "long", "past-the-end", "negative", "repeated",
+                                  "float", "string"])
+    def test_assignment_refused(self, assignment):
+        with pytest.raises(InputFormatError, match=r"^spec\.assignment: "):
+            dataclasses.replace(two_qubit_aggregation_example().aggregate, assignment=assignment)
+
+    def test_assignment_is_held_as_index_lists(self):
+        # a channel may serve several terms; numpy integers and tuples are indices
+        spec = AggregateSpec(TensorStructure((2,)), [np.diag([1.0, 0.0])] * 3, [SIGMA_MINUS],
+                             assignment=[0, (np.int64(0),), []])
+        assert spec.assignment == spec.channel_groups() == [[0], [0], []]
+        assert all(type(k) is int for k in spec.assignment[1])
+
+    def test_missing_hamiltonian_is_zero_on_no_site(self):
+        spec = AggregateSpec(TensorStructure((2, 2)), [np.diag([1.0, 0.0, 0.0, 0.0])])
+        assert spec.hamiltonian.sites == () and spec.hamiltonian.matrix.tolist() == [[0.0]]
+        assert spec.to_model().hamiltonian is spec.hamiltonian
+
+
 class TestHamiltonianDrift:
     """H enters each term's own condition as -i[W_t, H]: summed over the
     terms with the scalability condition, that is G(W)."""
@@ -317,20 +347,33 @@ class TestCommutingCorollary:
             u = u.on(structure.sites, structure)
             assert np.linalg.norm(u @ v2 - v2 @ u) < 1e-12
 
-    @pytest.mark.parametrize("unitaries, message", [
-        (None, "spec: commuting mode needs the unitary factors"),
-        ([np.eye(2), np.eye(2)], "spec: one unitary per channel is required"),
+    @pytest.mark.parametrize("unitaries, error, message", [
+        (None, PreconditionError, "spec: commuting mode needs the unitary factors"),
+        ([np.eye(2), np.eye(2)], InputFormatError,
+         r"spec\.unitaries: need 1, one per channel, got 2"),
     ], ids=["missing", "miscounted"])
     def test_unitaries_are_refused_before_the_aggregation_runs(self, monkeypatch, unitaries,
-                                                               message):
+                                                               error, message):
+        # a miscounted spec is refused on construction, whatever the theorem
         calls = []
         monkeypatch.setattr(scalability, "check_theorem_es_aggregation",
                             lambda *args: calls.append(args))
-        spec = AggregateSpec(TensorStructure((2,)), [np.diag([1.0, 0.0])], [SIGMA_MINUS],
-                             unitaries=unitaries)
-        with pytest.raises(PreconditionError, match=f"^{message}"):
-            check_corollary_commuting(spec)
+        with pytest.raises(error, match=f"^{message}"):
+            check_corollary_commuting(AggregateSpec(TensorStructure((2,)), [np.diag([1.0, 0.0])],
+                                                    [SIGMA_MINUS], unitaries=unitaries))
         assert calls == []
+
+    def test_unitaries_must_be_unitary(self):
+        # 2 U_k keeps every commutation clause; the corollary certified it
+        spec = cluster_chain(4).aggregate
+        spec = dataclasses.replace(spec, unitaries=[LocalOperator(u.sites, 2 * u.matrix)
+                                                    for u in spec.unitaries])
+        report = check_corollary_commuting(spec)
+        assert not report.overall and report.per_term == check_corollary_commuting(
+            cluster_chain(4).aggregate).per_term
+        # U'U - I = 3 I on the 16 dimensions of the chain
+        assert report.notes == [f"U[{k}] is not unitary (norm of U'U - I 1.200e+01); "
+                                "rerun with --theorem es" for k in (0, 1)]
 
     def test_toric_extended_names_failing_pair(self):
         m = toric_patch(extended=True)

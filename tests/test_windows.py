@@ -11,6 +11,7 @@ local (the registry builders, Pauli shorthands and the JSON written by
 (arrays passed to `AggregateSpec` and dense JSON).
 """
 
+import dataclasses
 import tracemalloc
 from functools import partial
 
@@ -20,12 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dissipctl.linalg import TensorStructure, embed_sum, max_eigenvalue, pauli_string
+from dissipctl.linalg import (
+    LocalOperator, TensorStructure, embed_sum, max_eigenvalue, pauli_string,
+)
 from dissipctl.models import REGISTRY, build, cluster_chain
 from dissipctl.serialize import aggregate_from_json, aggregate_to_json, matrix_to_json
 from dissipctl.scalability import (
     AggregateSpec,
     _commutes,
+    _factor,
     check_corollary_commuting,
     check_incremental,
     check_theorem_ds_aggregation,
@@ -57,9 +61,12 @@ def assert_reports_agree(windowed, dense):
 
 def assert_clauses_agree(spec: AggregateSpec, tol: float = 1e-9):
     """Every commutation clause the corollary can test: each term against
-    every other term and every unitary, with its verdict and defect."""
+    every other term, every unitary U_k and every factor U_k' L_k, with its
+    verdict and defect."""
+    factors = [_factor(spec.structure, u, l) for u, l in zip(spec.unitaries, spec.couplings)]
     for i, b in enumerate(spec.terms):
-        for kind, ops in (("terms", spec.terms[:i]), ("unitaries", spec.unitaries)):
+        for kind, ops in (("terms", spec.terms[:i]), ("unitaries", spec.unitaries),
+                          ("factors", factors)):
             for j, a in enumerate(ops):
                 ok, defect = _commutes(spec.structure, a, b, tol)
                 dense_ok, dense_defect = oracles.clause(spec, kind, j, i, tol)
@@ -67,14 +74,18 @@ def assert_clauses_agree(spec: AggregateSpec, tol: float = 1e-9):
 
 
 def assert_theorems_agree(spec: AggregateSpec):
-    assert_reports_agree(check_theorem_es_aggregation(spec),
-                         oracles.check_theorem_es_aggregation(spec))
+    """The windowed theorems against the dense ones; and a commuting
+    certificate, whose clauses make every cross-channel generator vanish,
+    implies the direct one."""
+    es = check_theorem_es_aggregation(spec)
+    assert_reports_agree(es, oracles.check_theorem_es_aggregation(spec))
     assert_reports_agree(check_theorem_ds_aggregation(spec),
                          oracles.check_theorem_ds_aggregation(spec))
     if spec.unitaries is not None:
-        assert_reports_agree(check_corollary_commuting(spec),
-                             oracles.check_corollary_commuting(spec))
+        commuting = check_corollary_commuting(spec)
+        assert_reports_agree(commuting, oracles.check_corollary_commuting(spec))
         assert_clauses_agree(spec)
+        assert es.overall or not commuting.overall
 
 
 def _outcome(check, spec, n, c, mode, d_free):
@@ -125,8 +136,7 @@ def via_dense_json(spec: AggregateSpec) -> AggregateSpec:
                new_couplings=dense(view.new_couplings))
     if spec.unitaries is not None:
         obj["unitaries"] = dense(view.unitaries)
-    if spec.hamiltonian is not None:
-        obj["H"] = matrix_to_json(view.hamiltonian)
+    obj["H"] = matrix_to_json(view.hamiltonian)
     return aggregate_from_json(obj)
 
 
@@ -159,6 +169,33 @@ def test_cluster_chains(n):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_incremental_cluster_chains(n):
     assert_incremental_agrees(cluster_chain(n).aggregate)
+
+
+def qutrit_cycle() -> AggregateSpec:
+    """Terms |1><1| and |2><2| of a qutrit, each channel moving its term's
+    level to the other's, with identity unitaries: every clause of the U_k
+    holds, while the population cycles between the two levels."""
+    e = np.eye(3)
+    return AggregateSpec(TensorStructure((3,)), [np.diag(e[1]), np.diag(e[2])],
+                         [np.outer(e[2], e[1]), np.outer(e[1], e[2])], assignment=[0, 1],
+                         unitaries=[e, e])
+
+
+def identity_unitaries(name: str) -> AggregateSpec:
+    spec = build(name).aggregate
+    identity = LocalOperator((), np.ones((1, 1)))
+    return dataclasses.replace(spec, unitaries=[identity] * spec.n_channels)
+
+
+@pytest.mark.parametrize("make", [qutrit_cycle,
+                                  partial(identity_unitaries, "toric_patch(extended)")],
+                         ids=["qutrit_cycle", "toric_patch(extended)"])
+def test_commuting_certificate_needs_the_factor_clause(make):
+    # both were certified by the corollary, and neither by es
+    spec = make()
+    assert_theorems_agree(spec)
+    assert not check_theorem_es_aggregation(spec).overall
+    assert any(" L[" in note for note in check_corollary_commuting(spec).notes)
 
 
 def test_incremental_memory_is_that_of_its_window():
@@ -235,12 +272,11 @@ def pauli_aggregates(draw, separated: bool = False):
         unitaries.append(u)
     new = [draw(st.sampled_from([1.0, 0.5])) * pauli(pauli_sites(2)) @ projector(pauli_sites(3))
            for _ in range(draw(st.integers(0, extras), label="new channels"))]
-    h = None
+    h = {}  # no H: zero
     if separated or draw(st.booleans(), label="hamiltonian"):
-        h = draw(st.sampled_from([0.5, 2.0])) * pauli(pauli_sites(2))
+        h["hamiltonian"] = draw(st.sampled_from([0.5, 2.0])) * pauli(pauli_sites(2))
     return AggregateSpec(structure=structure, terms=terms, couplings=couplings,
-                         assignment=assignment, unitaries=unitaries, new_couplings=new,
-                         hamiltonian=h)
+                         assignment=assignment, unitaries=unitaries, new_couplings=new, **h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,8 +364,8 @@ def test_schur_constant_of_copies_is_the_dense_constant():
 def assert_sums_are_the_reference(spec: AggregateSpec):
     """`embed_sum` of each operator list of the spec, and of all of them, is
     the dense reference sum bitwise, values and dtype."""
-    h = [] if spec.hamiltonian is None else [spec.hamiltonian]
-    lists = [spec.terms, spec.couplings, spec.unitaries or [], spec.new_couplings, h]
+    lists = [spec.terms, spec.couplings, spec.unitaries or [], spec.new_couplings,
+             [spec.hamiltonian]]
     for ops in [*lists, [op for ops in lists for op in ops]]:
         got, want = embed_sum(ops, spec.structure), oracles.embed_sum(ops, spec.structure)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
