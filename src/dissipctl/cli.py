@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .errors import DimensionCapError, DissipctlError, InfeasibleError, InputFormatError
-from .lindblad import _N_SAMPLES, _operator, evolve
+from .lindblad import _N_SAMPLES, evolve
 from .linalg import DEFAULT_TOL
 from .models import REGISTRY, NamedModel, build
 from .scalability import (
@@ -32,6 +32,8 @@ from .scalability import (
     simulate_aggregate,
 )
 from .serialize import (
+    _local_to_json,
+    _term_from_json,
     aggregate_from_json,
     aggregate_report_to_dict,
     aggregate_to_json,
@@ -89,6 +91,12 @@ def _load_json(path: str, field: str) -> dict:
         raise InputFormatError(field, f"invalid JSON in {path}: {exc}")
 
 
+def _load_v(path: str) -> tuple:
+    """The --v file and its operator: the value of its "V" key, or the file."""
+    obj = _load_json(path, "V")
+    return obj, obj["V"] if isinstance(obj, dict) and "V" in obj else obj
+
+
 def _emit(args, payload: dict | str) -> None:
     text = payload if isinstance(payload, str) else dumps_report(payload)
     if getattr(args, "out", None):
@@ -131,8 +139,10 @@ def _cmd_check(args) -> int:
         if not args.model or not args.v:
             raise InputFormatError("model", "check needs --model and --v (or --name)")
         model = model_from_json(_load_json(args.model, "model"))
-        obj = _load_json(args.v, "V")
-        v = matrix_from_json(obj["V"] if isinstance(obj, dict) and "V" in obj else obj, "V")
+        v = _load_v(args.v)[1]  # an array of operator objects stands for their sum
+        v = [_term_from_json(t, model.structure, f"V[{i}]") for i, t in enumerate(v)] \
+            if isinstance(v, list) and v and isinstance(v[0], dict) \
+            else _term_from_json(v, model.structure, "V")
     report = certify_ground_state_stability(
         v, model, simulate=args.simulate, t_final=args.t_final, seed=args.seed, tol=args.tol,
     )
@@ -144,8 +154,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    obj = _load_json(args.v, "V")
-    v = matrix_from_json(obj["V"] if isinstance(obj, dict) and "V" in obj else obj, "V")
+    obj, v = _load_v(args.v)
+    v = matrix_from_json(v, "V")
     c = args.c
     channels = args.channels
     if isinstance(obj, dict):
@@ -220,20 +230,16 @@ def _cmd_scale(args) -> int:
 
 def _cmd_models(args) -> int:
     if args.action == "list":
-        lines = {}
-        for name, fn in sorted(REGISTRY.items()):
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            lines[name] = doc
-        _emit(args, {"models": lines})
+        _emit(args, {"models": {name: (fn.__doc__ or "").strip().splitlines()[0]
+                                for name, fn in sorted(REGISTRY.items())}})
         return EXIT_OK
     named = build(args.model_name)
-    model = named.model  # a candidate of terms is exported as their sum
     body = {
         "name": named.name,
         "description": named.description,
-        "model": model_to_json(model),
-        "candidates": {k: matrix_to_json(_operator(v, model.structure, f"candidate {k}")[1])
-                       for k, v in named.candidates.items()},
+        "model": model_to_json(named.model),
+        "candidates": {k: list(map(_local_to_json, v)) if isinstance(v, list)  # their sum
+                       else matrix_to_json(v) for k, v in named.candidates.items()},
         "expected": named.expected,
     }
     if named.aggregate is not None:
@@ -262,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="certify a candidate stability witness")
     p.add_argument("--model", help="model JSON path")
-    p.add_argument("--v", help="candidate matrix JSON path")
+    p.add_argument("--v", help="candidate operator JSON path")
     p.add_argument("--name", help="built-in model, e.g. three_level")
     p.add_argument("--candidate", help="candidate name for built-in models")
     p.add_argument("--simulate", action="store_true", help="cross-check by simulation")

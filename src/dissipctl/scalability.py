@@ -130,7 +130,7 @@ class AggregateSpec:
         """The assignment, or one channel per term when none is given."""
         if self.assignment is None and self.n_terms != self.n_channels:
             raise PreconditionError("assignment required when terms and channels do not pair "
-                                    "one-to-one")
+                                    "one-to-one", field="spec.assignment")
         return self.assignment or [[i] for i in range(self.n_terms)]
 
     def to_model(self, new_couplings=()) -> LindbladModel:

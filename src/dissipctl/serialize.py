@@ -146,7 +146,11 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> LocalOperato
         with np.errstate(over="ignore"):
             term = coeff * op.matrix + offset * np.eye(len(op.matrix))
         return LocalOperator(op.sites, term).require_headroom(structure, field, "the operator")
-    return matrix_from_json(obj, field)
+    matrix = matrix_from_json(obj, field)
+    if len(matrix) != structure.total_dim:
+        raise InputFormatError(field, f"matrix of dim {len(matrix)} does not fit dims "
+                                      f"{list(structure.dims)} of dimension {structure.total_dim}")
+    return matrix
 
 
 def _is_index(x) -> bool:

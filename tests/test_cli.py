@@ -501,8 +501,8 @@ class TestModels:
         assert "three_level" in names and "toric_patch" in names
 
     def test_export_round_trips_through_check(self, capsys, tmp_path):
-        # the model block holds each operator on its sites, the candidate is
-        # the matrix of the whole space; check --name reads the first candidate
+        # the model block and each candidate of terms hold every operator on
+        # its sites; check reads the file as check --name reads the candidate
         for name in [*sorted(REGISTRY), "toric_patch(extended)"]:
             code, out, _ = _run(capsys, ["models", "export", name])
             assert code == 0
@@ -510,12 +510,30 @@ class TestModels:
             model_path = tmp_path / "model.json"
             model_path.write_text(json.dumps(payload["model"]))
             v_path = tmp_path / "v.json"
-            v_path.write_text(json.dumps(next(iter(payload["candidates"].values()))))
-            by_file = _run(capsys, ["check", "--model", str(model_path), "--v", str(v_path)])
-            assert by_file == _run(capsys, ["check", "--name", name]), name
+            for k, v in payload["candidates"].items():
+                v_path.write_text(json.dumps(v))
+                by_file = _run(capsys, ["check", "--model", str(model_path), "--v", str(v_path)])
+                assert by_file == _run(capsys, ["check", "--name", name, "--candidate", k]), \
+                    (name, k)
             if name == "three_level":
                 assert by_file[0] == 0
                 assert json.loads(by_file[1])["report"]["c_ds"] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("name", AGGREGATES + ["toric_patch(extended)", "cluster_chain(6)"])
+    def test_export_writes_each_candidate_as_its_terms(self, capsys, name):
+        # a candidate of terms is the list of their {"sites", "matrix"} forms,
+        # as the spec block writes them; it was the matrix of the whole space
+        named = build(name)
+        code, out, _ = _run(capsys, ["models", "export", name])
+        assert code == 0
+        payload = json.loads(out)
+        terms = payload["spec"]["terms"]
+        for k, v in named.candidates.items():
+            index = [next(i for i, t in enumerate(named.aggregate.terms) if t is term)
+                     for term in v]
+            assert payload["candidates"][k] == [terms[i] for i in index], (name, k)
+        if name == "cluster_chain(6)":
+            assert all(len(e["matrix"]) < 64 for e in payload["candidates"]["W"])
 
     def test_export_needs_name(self, capsys):
         code, _, err = _run(capsys, ["models", "export"])
@@ -586,6 +604,39 @@ class TestInputValidation:
         code, out, _ = _run(capsys, argv)
         assert code == 0 and json.loads(out)["report"]["per_term"][0]["c"] == 1.0
 
+    def test_spec_that_needs_an_assignment(self, capsys, tmp_path):
+        # one term, no channel: the pairing rule named no field
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dims": [2], "terms": [[[1, 0], [0, 0]]]}))
+        assert _run(capsys, ["scale", "--spec", str(path), "--theorem", "es"]) == (
+            1, "", "dissipctl: input error: spec.assignment: assignment required when terms "
+                   "and channels do not pair one-to-one\n")
+
+    def test_candidate_of_the_wrong_dimension(self, capsys, tmp_path):
+        # a 3 x 3 V on a qubit model named no field
+        model_path, v_path = tmp_path / "model.json", tmp_path / "v.json"
+        model_path.write_text(json.dumps(model_to_json(two_level_example().model)))
+        v_path.write_text(json.dumps({"V": matrix_to_json(np.eye(3))}))
+        assert _run(capsys, ["check", "--model", str(model_path), "--v", str(v_path)]) == (
+            1, "", "dissipctl: input error: V: matrix of dim 3 does not fit dims [2] of "
+                   "dimension 2\n")
+
+    def test_candidate_term_off_its_sites(self, capsys, tmp_path):
+        # an array of operator forms is their sum; each entry names its index
+        payload = json.loads(_run(capsys, ["models", "export", "two_qubit"])[1])
+        model_path, v_path = tmp_path / "model.json", tmp_path / "v.json"
+        model_path.write_text(json.dumps(payload["model"]))
+        v = payload["candidates"]["W"]
+        v[1]["sites"] = [3]
+        v_path.write_text(json.dumps({"V": v}))
+        assert _run(capsys, ["check", "--model", str(model_path), "--v", str(v_path)]) == (
+            1, "", "dissipctl: input error: V[1]: sites must be ascending and distinct in 1..2, "
+                   "got [3]\n")
+        v[1] = {"pauli": "Z1 Z2", "coeff": 0.5, "offset": 0.5}  # the term diag(1, 0, 0, 1)
+        v_path.write_text(json.dumps({"V": v}))
+        assert _run(capsys, ["check", "--model", str(model_path), "--v", str(v_path)]) == \
+            _run(capsys, ["check", "--name", "two_qubit"])
+
     def test_nan_in_hamiltonian(self, capsys, tmp_path, v_file):
         model = _dense_model_json(two_level_example().model)
         model["H"][0][0] = [float("nan"), 0.0]
@@ -629,8 +680,8 @@ class TestInputValidation:
         path.write_text(json.dumps(spec))
         code, out, err = _run(capsys, ["scale", "--spec", str(path), "--theorem", theorem])
         assert code == 1 and out == ""
-        kind = "unitary" if key == "unitaries" else "new coupling"
-        assert f"dissipctl: error: {kind} 0 dim 2 != 4" in err
+        assert err == (f"dissipctl: input error: spec.{key}[0]: matrix of dim 2 does not fit "
+                       "dims [2, 2] of dimension 4\n")
 
     def test_model_entry_whose_square_overflows(self, capsys, tmp_path, v_file):
         # finite, but L'L is not: refused when read, naming the coupling,

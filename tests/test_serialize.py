@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from dissipctl.errors import DimensionMismatchError, InputFormatError
+from dissipctl.errors import InputFormatError
 from dissipctl.lindblad import evolve
 from dissipctl.linalg import SIGMA_MINUS, pauli_string
 from dissipctl.models import build, two_level_example
@@ -163,7 +163,8 @@ class TestAggregateJson:
         obj = aggregate_to_json(build("two_qubit").aggregate)
         for key in ("unitaries", "new_couplings"):
             bad = dict(obj, **{key: [[[1.0, 0.0], [0.0, 1.0]]]})
-            with pytest.raises(DimensionMismatchError, match="dim 2 != 4"):
+            with pytest.raises(InputFormatError, match=rf"^spec\.{key}\[0\]: matrix of dim 2 "
+                               r"does not fit dims \[2, 2\] of dimension 4$"):
                 aggregate_from_json(bad)
 
     def test_pauli_shorthand(self):
