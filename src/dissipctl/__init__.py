@@ -9,12 +9,11 @@ __version__ = "0.1.0"
 
 from .linalg import (
     DEFAULT_TOL, PAULI_X, PAULI_Y, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, LocalOperator,
-    TensorStructure, embed, expm, pauli_string,
+    TensorStructure, embed, expm,
 )
 from .lindblad import (
-    AdiabaticReport, LindbladModel, Trajectory, adiabatic_limit_check, dissipation_functional,
-    evolve, generator, generator_single_channel, liouvillian, partial_trace_last,
-    trace_distance,
+    LindbladModel, Trajectory, dissipation_functional, evolve, generator,
+    generator_single_channel, liouvillian,
 )
 from .stability import (
     StabilityReport, certify_ground_state_stability, check_condition_ds, check_condition_es,
@@ -32,10 +31,9 @@ from .models import (
 
 __all__ = [
     "DEFAULT_TOL", "PAULI_X", "PAULI_Y", "PAULI_Z", "SIGMA_MINUS", "SIGMA_PLUS", "LocalOperator",
-    "TensorStructure", "embed", "expm", "pauli_string",
-    "AdiabaticReport", "LindbladModel", "Trajectory", "adiabatic_limit_check",
-    "dissipation_functional", "evolve", "generator", "generator_single_channel", "liouvillian",
-    "partial_trace_last", "trace_distance",
+    "TensorStructure", "embed", "expm",
+    "LindbladModel", "Trajectory", "dissipation_functional", "evolve", "generator",
+    "generator_single_channel", "liouvillian",
     "StabilityReport", "certify_ground_state_stability", "check_condition_ds",
     "check_condition_es", "largest_constant",
     "SynthesisResult", "synthesize", "synthesize_closed_form",

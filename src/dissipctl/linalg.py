@@ -268,20 +268,21 @@ def _restrict(a, sites, structure: TensorStructure) -> np.ndarray:
 _PAULI_TOKEN = re.compile(r"^([IXYZ])(\d+)$")
 
 
-def _pauli_factors(spec: str, structure: TensorStructure) -> list[tuple[str, int]]:
-    """The (letter, 1-based site) factors of a string like ``"Z1 X2 Z3"``."""
+def _pauli_factors(spec: str, structure: TensorStructure, field: str) -> list[tuple[str, int]]:
+    """The (letter, 1-based site) factors of a string like ``"Z1 X2 Z3"``;
+    each refusal is an InputFormatError naming `field`."""
     factors: list[tuple[str, int]] = []
     for token in spec.split():
         m = _PAULI_TOKEN.match(token.strip().upper())
         if m is None:
-            raise InputFormatError("pauli", f"bad token {token!r} in {spec!r}")
+            raise InputFormatError(field, f"bad token {token!r} in {spec!r}")
         letter, site = m.group(1), int(m.group(2))
         if any(site == s for _, s in factors):
-            raise InputFormatError("pauli", f"site {site} repeated in {spec!r}")
+            raise InputFormatError(field, f"site {site} repeated in {spec!r}")
         if site < 1 or site > structure.n_sites:
-            raise InputFormatError("pauli", f"site {site} out of range in {spec!r}")
+            raise InputFormatError(field, f"site {site} out of range in {spec!r}")
         if structure.dims[site - 1] != 2:
-            raise InputFormatError("pauli", f"site {site} is not a qubit")
+            raise InputFormatError(field, f"site {site} is not a qubit")
         factors.append((letter, site))
     return factors
 
@@ -311,12 +312,6 @@ def _pauli_monomial(factors, structure: TensorStructure) -> np.ndarray:
     return out
 
 
-def pauli_string(spec: str, structure: TensorStructure) -> np.ndarray:
-    """Build a Pauli product from a string like ``"Z1 X2 Z3"`` (1-based sites)
-    on the whole space; see `_pauli_monomial`."""
-    return _pauli_monomial(_pauli_factors(spec, structure), structure)
-
-
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """An operator X (x) I held as X: `sites` are its ascending 1-based sites
@@ -338,10 +333,12 @@ class LocalOperator:
         object.__setattr__(self, "matrix", as_operator(self.matrix))
 
     @classmethod
-    def pauli(cls, spec: str, structure: TensorStructure) -> "LocalOperator":
-        """The Pauli product of `spec` (as in `pauli_string`) on the sites of
-        its X, Y and Z factors."""
-        factors = [(letter, s) for letter, s in _pauli_factors(spec, structure)
+    def pauli(cls, spec: str, structure: TensorStructure,
+              field: str = "pauli") -> "LocalOperator":
+        """The Pauli product of a string like ``"Z1 X2 Z3"`` (1-based sites)
+        on the sites of its X, Y and Z factors; a string that does not fit
+        `structure` is refused naming `field`."""
+        factors = [(letter, s) for letter, s in _pauli_factors(spec, structure, field)
                    if letter != "I"]
         sites = tuple(sorted(s for _, s in factors))
         if not sites:

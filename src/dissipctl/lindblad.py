@@ -1,5 +1,5 @@
-"""Markovian open-system dynamics: generator, dissipation functional,
-master-equation propagation, and the fast-ancilla elimination check.
+"""Markovian open-system dynamics: generator, dissipation functional and
+master-equation propagation.
 
 Conventions (hbar = 1):
 
@@ -36,8 +36,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     MAX_MODEL_DIM,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     LocalOperator,
     TensorStructure,
     _sum_meeting,
@@ -64,7 +62,8 @@ class LindbladModel:
     couplings: list[LocalOperator] = field(default_factory=list)
 
     def __post_init__(self):
-        self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian")
+        self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian",
+                                             field="model.H")
         self.couplings = [local_operator(l, self.structure, f"coupling {i}")
                           for i, l in enumerate(self.couplings)]
 
@@ -74,22 +73,25 @@ class LindbladModel:
 
 
 def _hermitian_terms(x, structure: TensorStructure, what: str, reduce: bool = False,
-                     tol: float = DEFAULT_TOL) -> list[LocalOperator]:
+                     tol: float = DEFAULT_TOL, field: str | None = None) -> list[LocalOperator]:
     """`x`, an operator or a list of operators that stands for their sum, as
     a list of `local_operator`s of `structure`; NonHermitianError naming
-    `what` unless each is Hermitian."""
-    terms = [local_operator(t, structure, what, reduce)
-             for t in (x if isinstance(x, list) else [x])]
-    if not all(is_hermitian(t.matrix, tol, _Window(structure, t).copies) for t in terms):
-        raise NonHermitianError(f"{what} must be Hermitian")
+    `what`, and `field` (`field[i]` for term i of a list) when given, unless
+    each is Hermitian."""
+    listed = isinstance(x, list)
+    terms = [local_operator(t, structure, what, reduce) for t in (x if listed else [x])]
+    for i, t in enumerate(terms):
+        if not is_hermitian(t.matrix, tol, _Window(structure, t).copies):
+            raise NonHermitianError(f"{what} must be Hermitian",
+                                    field=field and (f"{field}[{i}]" if listed else field))
     return terms
 
 
-def _operator(x, structure: TensorStructure, what: str,
-              tol: float = DEFAULT_TOL) -> tuple[list[LocalOperator], np.ndarray]:
+def _operator(x, structure: TensorStructure, what: str, tol: float = DEFAULT_TOL,
+              field: str | None = None) -> tuple[list[LocalOperator], np.ndarray]:
     """The `_hermitian_terms` of `x` and their sum as a matrix of the whole
     space; a matrix of the whole space is that matrix itself."""
-    terms = _hermitian_terms(x, structure, what, tol=tol)
+    terms = _hermitian_terms(x, structure, what, tol=tol, field=field)
     return terms, (embed_sum(terms, structure) if isinstance(x, list)
                    else terms[0].on(structure.sites, structure))
 
@@ -428,78 +430,3 @@ def evolve(model: LindbladModel, rho0: np.ndarray | None, t_final: float, *,
     # tr(X rho) = sum_ij X_ij rho_ji, over every sample at once
     series = {name: np.einsum("ij,...ji->...", op, states).real for name, op in ops.items()}
     return Trajectory(times, states, series)
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Half the trace norm of a - b; of each pair, for stacks (..., n, n)."""
-    w = np.linalg.eigvalsh(hermitian_part(real_or_complex(a) - real_or_complex(b)))
-    d = 0.5 * np.abs(w).sum(axis=-1)
-    return float(d) if d.ndim == 0 else d
-
-
-def partial_trace_last(rho: np.ndarray, dim_keep: int, dim_drop: int) -> np.ndarray:
-    """Trace out the last factor; of each state, for a stack (..., n, n)."""
-    r = np.asarray(rho).reshape(np.shape(rho)[:-2] + (dim_keep, dim_drop, dim_keep, dim_drop))
-    return np.einsum("...iaja->...ij", r)
-
-
-# -- fast-ancilla (adiabatic) elimination check -------------------------------
-
-
-@dataclass
-class AdiabaticReport:
-    """Sup-over-time trace-distance error between the ancilla-mediated model
-    and its fast-decay limit, per scaling factor k."""
-
-    k_values: list[int]
-    errors: list[float]
-    monotone_tail: bool
-
-
-def adiabatic_limit_check(model: LindbladModel, omega: float, gamma: float,
-                          k_list, t_final: float) -> AdiabaticReport:
-    """Compare ancilla-mediated dynamics against the fast-decay limit.
-
-    For each scaling factor k, the system is joined with a decaying ancilla
-    qubit via H_k = k*omega*(L sp + L' sm) + H_S and ancilla coupling
-    k*sqrt(gamma)*sm; the ancilla is traced out and the reduced dynamics is
-    compared with the limit model whose coupling is -(2*omega/sqrt(gamma))*L,
-    the second-order effective operator of the fast-decay limit, both from the
-    maximally mixed state (the ancilla in its ground state) on the default
-    grid.  Errors should decrease along the upper half of ``k_list``.
-    """
-    if len(model.couplings) != 1:
-        raise PreconditionError("adiabatic check needs a single designated coupling")
-    k_list = [int(k) for k in k_list]
-    if any(k2 <= k1 for k1, k2 in zip(k_list, k_list[1:])):
-        raise PreconditionError("k_list must be strictly ascending")
-    if not np.isfinite(omega):
-        raise PreconditionError(f"omega must be finite, got {omega!r}")
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise PreconditionError(f"gamma must be finite and positive, got {gamma!r}")
-    n = model.dim
-    _grid(2 * n, t_final, _N_SAMPLES)
-    h_sys, (l_sys,) = _matrices(model)
-    rho0 = np.eye(n) / n
-
-    limit_coupling = -(2.0 * omega / np.sqrt(gamma)) * l_sys
-    limit_model = LindbladModel(model.structure, h_sys, [limit_coupling])
-    limit_states = evolve(limit_model, rho0, t_final).states
-
-    anc_ground = np.diag([0.0, 1.0])
-    joint_structure = TensorStructure(tuple(model.structure.dims) + (2,))
-
-    errors = []
-    for k in k_list:
-        h_joint = k * omega * (np.kron(l_sys, SIGMA_PLUS) + np.kron(dagger(l_sys), SIGMA_MINUS)) \
-            + np.kron(h_sys, np.eye(2))
-        l_joint = k * np.sqrt(gamma) * np.kron(np.eye(n), SIGMA_MINUS)
-        joint_model = LindbladModel(joint_structure, h_joint, [l_joint])
-        joint_states = evolve(joint_model, np.kron(rho0, anc_ground), t_final).states
-        reduced = partial_trace_last(joint_states, n, 2)
-        errors.append(float(trace_distance(reduced, limit_states).max()))  # sup over time
-
-    half = len(k_list) // 2
-    tail = errors[max(half - 1, 0):]
-    monotone = all(b <= a * (1 + 1e-12) for a, b in zip(tail, tail[1:]))
-    return AdiabaticReport(k_values=k_list, errors=errors, monotone_tail=monotone)

@@ -113,7 +113,7 @@ class AggregateSpec:
             self.unitaries = operators(self.unitaries, "unitary")
         self.new_couplings = operators(self.new_couplings, "new coupling")
         self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian",
-                                             reduce=True)
+                                             reduce=True, field="spec.H")
 
     @property
     def n_terms(self) -> int:
@@ -157,10 +157,10 @@ class AggregateReport:
 
 
 def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
-    """Every term checked PSD on its own sites."""
+    """Every term checked PSD on its own sites; term i is refused as spec.terms[i]."""
     for i, t in enumerate(spec.terms):
         if not is_psd(t.matrix, tol, _Window(spec.structure, t).copies):
-            raise PreconditionError(f"term {i} is not PSD")
+            raise PreconditionError(f"term {i} is not PSD", field=f"spec.terms[{i}]")
 
 
 def _cross_single_channel(w_n: np.ndarray, w_next: np.ndarray, l: np.ndarray) -> np.ndarray:

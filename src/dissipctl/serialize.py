@@ -140,7 +140,7 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> LocalOperato
     if isinstance(obj, dict):
         if "pauli" not in obj:
             raise InputFormatError(field, "operator object needs a 'sites' or a 'pauli' key")
-        op = LocalOperator.pauli(str(obj["pauli"]), structure)
+        op = LocalOperator.pauli(str(obj["pauli"]), structure, field)
         coeff = _entry_from_json(obj.get("coeff", 1.0), f"{field}.coeff")
         offset = _entry_from_json(obj.get("offset", 0.0), f"{field}.offset")
         with np.errstate(over="ignore"):
@@ -234,8 +234,6 @@ def aggregate_report_to_dict(report: AggregateReport) -> dict:
         "d": report.d_total,
         "per_term": report.per_term,
         "notes": list(report.notes),
-        "d_ladder": None,  # kept for a stable JSON layout; never filled
-        "cross_norm": None,
     }
 
 

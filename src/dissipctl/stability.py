@@ -70,7 +70,7 @@ def _candidate(v, model: LindbladModel, tol: float) -> tuple:
     """The candidate, a matrix, a LocalOperator or a list of them (their sum),
     as Hermitian terms of the model's structure, as the matrix V of the whole
     space, and the eigenvalues and eigenvectors of V: the one spectrum of V."""
-    terms, v = _operator(v, model.structure, "candidate", tol)
+    terms, v = _operator(v, model.structure, "candidate", tol, field="V")
     return (terms, v, *np.linalg.eigh(hermitian_part(v)))
 
 
@@ -189,7 +189,6 @@ def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = 
     lyap, diagnostics, g, g_max = _lyapunov(terms, lam, model, tol)
     d = float(lam[0])
     margins = {"psd": d, "generator": -g_max}
-    diagnostics.setdefault("mean_dissipation_condition", "not checked (state-dependent)")
 
     degenerate = float(np.abs(lam).max()) <= tol  # ||V||_2
     c_es = c_ds = None

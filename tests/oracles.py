@@ -27,9 +27,9 @@ from dissipctl.lindblad import (
     LindbladModel, dissipation_single_channel, evolve, generator_single_channel, liouvillian,
 )
 from dissipctl.linalg import (
-    DEFAULT_TOL, TensorStructure, as_operator, commutator, dagger, haar_pure_state,
-    hermitian_part, is_hermitian, is_psd, max_eigenvalue, min_eigenvalue, psd_spectrum,
-    scaled_tol,
+    DEFAULT_TOL, PAULI_X, PAULI_Y, PAULI_Z, TensorStructure, as_operator, commutator, dagger,
+    haar_pure_state, hermitian_part, is_hermitian, is_psd, max_eigenvalue, min_eigenvalue,
+    psd_spectrum, scaled_tol,
 )
 from dissipctl.scalability import AggregateReport, AggregateSpec, _cross_single_channel
 from dissipctl.stability import largest_constant
@@ -50,6 +50,21 @@ class SolverBudgetError(DissipctlError):
 
 def kron(a, b) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
+
+
+def pauli_string(spec: str, structure: TensorStructure) -> np.ndarray:
+    """The Pauli product of a string like ``"Z1 X2 Z3"`` (1-based qubit
+    sites) on the whole space: the product, in the string's order, of each
+    single-site Pauli tensored with the identity on every other site."""
+    paulis = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    out = np.eye(structure.total_dim)
+    for token in spec.split():
+        letter, site = token[0], int(token[1:])
+        factor = np.ones((1, 1))
+        for s, d in enumerate(structure.dims, start=1):
+            factor = np.kron(factor, paulis[letter] if s == site else np.eye(d))
+        out = out @ factor
+    return as_operator(out)
 
 
 @dataclass
@@ -488,7 +503,7 @@ def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
                                  for t, w in zip(view.terms, view.spectra)]
     for i, ok in enumerate(view.memo["psd", tol]):
         if not ok:
-            raise PreconditionError(f"term {i} is not PSD")
+            raise PreconditionError(f"term {i} is not PSD", field=f"spec.terms[{i}]")
 
 
 def _nonpositive(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[bool, float]:

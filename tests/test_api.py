@@ -1,6 +1,7 @@
 """The public surface: every public top-level function and class of the
-package is reached by the runtime or is part of the public API, and the
-public API is exactly the list in the README."""
+package is reached by the runtime (the package and the benchmark, not the
+scripts) or is part of the public API, the public API is exactly the list
+in the README, and the README's "Scripts" section names every script."""
 
 import ast
 import re
@@ -25,16 +26,19 @@ def _used_names(path: Path) -> set[str]:
     return names
 
 
+def _readme_section(title: str) -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_api() -> list[str]:
     """The backticked names of the README's "Public API" section."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"`([A-Za-z_]\w*)`", section)
+    return re.findall(r"`([A-Za-z_]\w*)`", _readme_section("Public API"))
 
 
 def test_every_public_definition_is_reached_or_exported():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    callers = modules + sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("bench/*.py"))
+    callers = modules + sorted(ROOT.glob("bench/*.py"))  # a script's own code lives in it
     used = {path: _used_names(path) for path in callers}
     orphans = []
     for module in modules:
@@ -52,3 +56,8 @@ def test_all_is_the_readme_api():
     assert len(listed) == len(set(listed))
     assert sorted(dissipctl.__all__) == sorted(listed)
     assert [name for name in listed if not hasattr(dissipctl, name)] == []
+
+
+def test_readme_scripts_are_the_scripts():
+    named = set(re.findall(r"scripts/(\w+\.py)", _readme_section("Scripts")))
+    assert named == {path.name for path in ROOT.glob("scripts/*.py")}

@@ -637,6 +637,32 @@ class TestInputValidation:
         assert _run(capsys, ["check", "--model", str(model_path), "--v", str(v_path)]) == \
             _run(capsys, ["check", "--name", "two_qubit"])
 
+    @pytest.mark.parametrize("files, message", [
+        ({"v": {"V": [[1, 1], [0, 0]]}}, "V: candidate must be Hermitian"),
+        ({"v": {"V": [{"pauli": "Z1"}, {"sites": [1], "matrix": [[1, 1], [0, 0]]}]}},
+         "V[1]: candidate must be Hermitian"),
+        ({"model": {"dims": [2], "H": [[1, 1], [0, 0]]}}, "model.H: hamiltonian must be Hermitian"),
+        ({"spec": {"H": [[1, 1], [0, 0]]}}, "spec.H: hamiltonian must be Hermitian"),
+        ({"spec": {"terms": [[[0, 0], [0, -1]]]}}, "spec.terms[0]: term 0 is not PSD"),
+        ({"v": {"V": [{"pauli": "Z3"}]}}, "V[0]: site 3 out of range in 'Z3'"),
+        ({"spec": {"terms": [{"pauli": "Z3"}]}}, "spec.terms[0]: site 3 out of range in 'Z3'"),
+    ], ids=["V", "V-term", "model-H", "spec-H", "spec-term-psd", "V-pauli", "spec-term-pauli"])
+    def test_operator_refusal_names_its_field(self, capsys, tmp_path, files, message):
+        # each was "dissipctl: error: ..." with no field, and a Pauli
+        # shorthand named the field pauli; a qubit model, V = diag(1, 0), and
+        # a spec of one term and one channel, unless replaced
+        default = {"model": model_to_json(two_level_example().model),
+                   "v": {"V": [[1, 0], [0, 0]]},
+                   "spec": {"dims": [2], "terms": [[[1, 0], [0, 0]]],
+                            "couplings": [matrix_to_json(SIGMA_MINUS)]}}
+        paths = {}
+        for key, value in default.items():
+            paths[key] = tmp_path / f"{key}.json"
+            paths[key].write_text(json.dumps({**value, **files.get(key, {})}))
+        argv = ["scale", "--spec", str(paths["spec"]), "--theorem", "es"] if "spec" in files \
+            else ["check", "--model", str(paths["model"]), "--v", str(paths["v"])]
+        assert _run(capsys, argv) == (1, "", f"dissipctl: input error: {message}\n")
+
     def test_nan_in_hamiltonian(self, capsys, tmp_path, v_file):
         model = _dense_model_json(two_level_example().model)
         model["H"][0][0] = [float("nan"), 0.0]
@@ -725,7 +751,7 @@ class TestInputValidation:
         model["H"] = {"sites": [2], "matrix": [[0, 1], [0, 0]]}
         code, out, err = self._check_model(capsys, tmp_path, model, np.diag([1.0, 0, 0, 0]))
         assert code == 1 and out == ""
-        assert err == "dissipctl: error: hamiltonian must be Hermitian\n"
+        assert err == "dissipctl: input error: model.H: hamiltonian must be Hermitian\n"
 
     def test_pauli_term_whose_square_overflows(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

@@ -28,7 +28,6 @@ from dissipctl.linalg import (
     is_hermitian,
     is_projection,
     is_psd,
-    pauli_string,
     require_headroom,
     scaled_tol,
     spectral_tol,
@@ -37,6 +36,7 @@ from oracles import (
     hermitian_eig,
     is_unitary,
     kron,
+    pauli_string,
     pinv,
     random_hermitian,
     random_projection,
@@ -300,36 +300,41 @@ class TestLocalOperator:
 
 
 class TestPauliString:
+    """`LocalOperator.pauli` on every site against `oracles.pauli_string`,
+    the dense product of embedded single-site Paulis."""
+
+    @staticmethod
+    def dense(spec: str, s: TensorStructure) -> np.ndarray:
+        return LocalOperator.pauli(spec, s).on(s.sites, s)
+
     def test_zxz(self):
         s = TensorStructure((2, 2, 2))
         expected = np.kron(np.kron(PAULI_Z, PAULI_X), PAULI_Z)
-        assert np.allclose(pauli_string("Z1 X2 Z3", s), expected)
+        assert np.array_equal(pauli_string("Z1 X2 Z3", s), expected)
+        assert np.array_equal(self.dense("Z1 X2 Z3", s), expected)
 
     def test_identity_tokens(self):
         s = TensorStructure((2, 2))
-        assert np.allclose(pauli_string("I1 Z2", s), np.kron(I2, PAULI_Z))
+        assert np.array_equal(pauli_string("I1 Z2", s), np.kron(I2, PAULI_Z))
+        assert np.array_equal(self.dense("I1 Z2", s), np.kron(I2, PAULI_Z))
 
     @given(st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=6), st.randoms())
     @settings(max_examples=60, deadline=None)
     def test_monomial_matches_dense_product(self, letters, rnd):
-        # oracle: the dense product of embedded single-site Paulis, in the
-        # string's own (shuffled) site order
+        # the string in a shuffled site order; the oracle multiplies in it
         s = TensorStructure.qubits(len(letters))
         sites = list(range(1, len(letters) + 1))
         rnd.shuffle(sites)
-        tokens = [f"{letters[x - 1]}{x}" for x in sites]
-        dense = np.eye(s.total_dim, dtype=complex)
-        for x in sites:
-            factor = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}[letters[x - 1]]
-            dense = dense @ embed(factor, [x], s)
-        got = pauli_string(" ".join(tokens), s)
-        assert np.array_equal(got, dense)
-        assert got.dtype == (np.complex128 if "Y" in letters else np.float64)
+        text = " ".join(f"{letters[x - 1]}{x}" for x in sites)
+        got = self.dense(text, s)
+        assert np.array_equal(got, pauli_string(text, s))
+        assert got.dtype == (np.complex128 if letters.count("Y") % 2 else np.float64)
 
     def test_qubit_sites_of_a_qudit_structure(self):
         s = TensorStructure((3, 2, 2))
         expected = np.kron(np.eye(3), np.kron(PAULI_Y, PAULI_X))
         assert np.array_equal(pauli_string("Y2 X3", s), expected)
+        assert np.array_equal(self.dense("Y2 X3", s), expected)
 
 
 class TestDtypeRule:

@@ -20,15 +20,12 @@ from dissipctl.errors import (
 )
 from dissipctl.lindblad import (
     LindbladModel,
-    adiabatic_limit_check,
     dissipation_functional,
     dissipation_single_channel,
     evolve,
     generator,
     generator_single_channel,
     liouvillian,
-    partial_trace_last,
-    trace_distance,
 )
 from dissipctl.linalg import (
     MAX_MODEL_DIM, PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, as_operator, dagger,
@@ -687,95 +684,21 @@ class TestDensityValidation:
             validate_density_state(np.array([maximally_mixed(2)] * 2))
 
 
-class TestAdiabaticLimit:
-    def test_decoupled_system_has_zero_error(self):
-        m = LindbladModel(TensorStructure((2,)), np.zeros((2, 2), dtype=complex),
-                          [np.zeros((2, 2), dtype=complex)])
-        rep = adiabatic_limit_check(m, 1.0, 1.0, [2, 4], 2.0)
-        assert max(rep.errors) < 1e-10
-
-    def test_two_level_error_shrinks_with_k(self):
-        m = two_level_example()
-        rep = adiabatic_limit_check(m.model, 1.0, 1.0, [2, 4, 8, 16], 8.0)
-        assert rep.errors[-1] < rep.errors[0]
-        assert rep.monotone_tail
-
-    def test_generator_invariances_behind_the_limit_model(self):
-        # phase invariance and quadratic rate scaling of the dissipator
-        rng = np.random.default_rng(10)
-        x = random_hermitian(rng, 3)
-        l = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        phase = np.exp(1j * 0.7)
-        assert np.allclose(generator_single_channel(x, phase * l),
-                           generator_single_channel(x, l), atol=1e-12)
-        s = 1.7
-        assert np.allclose(generator_single_channel(x, s * l),
-                           s**2 * generator_single_channel(x, l), atol=1e-12)
-
-    def test_limit_model_is_a_rate_rescaling_of_the_bare_coupling(self):
-        # scaling L -> sL compresses time by s^2 (checked dynamically)
-        rng = np.random.default_rng(11)
-        l = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        s = 2.0 / np.sqrt(1.0)  # the limit prefactor magnitude at omega=gamma=1
-        structure = TensorStructure((2,))
-        h0 = np.zeros((2, 2), dtype=complex)
-        bare = LindbladModel(structure, h0, [l])
-        scaled = LindbladModel(structure, h0, [s * l])
-        rho0 = np.diag([0.75, 0.25]).astype(complex)
-        slow = evolve(bare, rho0, 4.0, n_samples=9)
-        fast = evolve(scaled, rho0, 4.0 / s**2, n_samples=9)
-        for a, b in zip(slow.states, fast.states):
-            assert np.linalg.norm(a - b) < 1e-7
-
-    def test_error_shrinks_for_generic_parameters(self):
-        m = two_level_example()
-        rep = adiabatic_limit_check(m.model, omega=0.7, gamma=2.3, k_list=[4, 16], t_final=10.0)
-        assert rep.errors[1] < rep.errors[0] / 2
-
-    def test_requires_single_channel(self):
-        m = three_level_example()
-        with pytest.raises(PreconditionError):
-            adiabatic_limit_check(m.model, 1.0, 1.0, [2, 4], 1.0)
-
-    def test_joint_dimension_cap(self):
-        n = lindblad._SIM_MAX_DIM // 2 + 1  # the joint system has dimension 2n
-        big = LindbladModel(TensorStructure((n,)), np.zeros((n, n)), [np.zeros((n, n))])
-        with pytest.raises(DimensionCapError, match=f"^dimension {2 * n} exceeds"):
-            adiabatic_limit_check(big, 1.0, 1.0, [2, 4], 1.0)
-
-    def test_k_list_must_ascend(self):
-        m = two_level_example()
-        with pytest.raises(PreconditionError):
-            adiabatic_limit_check(m.model, 1.0, 1.0, [4, 2], 1.0)
-
-    @pytest.mark.parametrize("omega, gamma, bad", [
-        (1.0, 0.0, "gamma"), (1.0, -1.0, "gamma"), (1.0, np.inf, "gamma"), (1.0, np.nan, "gamma"),
-        (np.nan, 1.0, "omega"), (-np.inf, 1.0, "omega"),
-    ], ids=["gamma-zero", "gamma-negative", "gamma-inf", "gamma-nan", "omega-nan", "omega-inf"])
-    def test_refuses_a_bad_rate(self, monkeypatch, omega, gamma, bad):
-        # gamma = 0 ended in expm's NaN traceback, gamma < 0 in a RuntimeWarning
-        # of np.sqrt; each is refused by name before any propagation
-        monkeypatch.setattr(lindblad, "evolve", None)
-        with pytest.raises(PreconditionError, match=f"^{bad} must be finite"):
-            adiabatic_limit_check(two_level_example().model, omega, gamma, [2, 4], 1.0)
-
-
-@pytest.mark.parametrize("entry", ["evolve", "simulate_aggregate", "adiabatic_limit_check",
+@pytest.mark.parametrize("entry", ["evolve", "simulate_aggregate",
                                    "certify_ground_state_stability"])
 def test_every_simulation_refuses_above_the_cap(entry):
     # one message from every entry point, before any state of the whole space is built
     cap = lindblad._SIM_MAX_DIM
-    n = cap // 2 + 1 if entry == "adiabatic_limit_check" else cap + 1
+    n = cap + 1
     model = LindbladModel(TensorStructure((n,)), np.zeros((n, n)), [np.zeros((n, n))])
     spec = build("toric_patch(extended)").aggregate
     calls = {
         "evolve": lambda: evolve(model, maximally_mixed(n), 1.0),
         "simulate_aggregate": lambda: simulate_aggregate(spec, 1.0),
-        "adiabatic_limit_check": lambda: adiabatic_limit_check(model, 1.0, 1.0, [2, 4], 1.0),
         "certify_ground_state_stability": lambda: certify_ground_state_stability(
             np.diag([0.0] + [1.0] * (n - 1)), model, simulate=True),
     }
-    dim = {"simulate_aggregate": spec.structure.total_dim, "adiabatic_limit_check": 2 * n}
+    dim = spec.structure.total_dim if entry == "simulate_aggregate" else n
     tracemalloc.start()
     try:
         with pytest.raises(DimensionCapError) as err:
@@ -783,12 +706,12 @@ def test_every_simulation_refuses_above_the_cap(entry):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(err.value) == f"dimension {dim.get(entry, n)} exceeds the simulation cap {cap}"
+    assert str(err.value) == f"dimension {dim} exceeds the simulation cap {cap}"
     assert peak < 1e6
 
 
 @pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf, 0.0, -1.0])
-@pytest.mark.parametrize("entry", ["evolve", "simulate_aggregate", "adiabatic_limit_check",
+@pytest.mark.parametrize("entry", ["evolve", "simulate_aggregate",
                                    "certify_ground_state_stability"])
 def test_every_simulation_refuses_a_horizon_that_is_not_finite_and_positive(entry, t_final,
                                                                            monkeypatch):
@@ -804,8 +727,6 @@ def test_every_simulation_refuses_a_horizon_that_is_not_finite_and_positive(entr
     calls = {
         "evolve": lambda: evolve(model, maximally_mixed(model.dim), t_final),
         "simulate_aggregate": lambda: simulate_aggregate(named.aggregate, t_final),
-        "adiabatic_limit_check": lambda: adiabatic_limit_check(
-            two_level_example().model, 1.0, 1.0, [2, 4], t_final),
         "certify_ground_state_stability": lambda: certify_ground_state_stability(
             named.candidates["W"], model, simulate=True, t_final=t_final),
     }
@@ -813,33 +734,3 @@ def test_every_simulation_refuses_a_horizon_that_is_not_finite_and_positive(entr
                        match=f"^t-final: must be finite and positive, got {t_final}$"):
         calls[entry]()
     assert reached == []
-
-
-def test_trace_distance_basics():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
-    assert trace_distance(a, b) == pytest.approx(1.0)
-    assert trace_distance(a, a) == pytest.approx(0.0)
-
-
-def test_trace_distance_of_stacks_is_taken_pairwise():
-    rng = np.random.default_rng(5)
-    a = np.array([random_density(rng, 3) for _ in range(4)])
-    b = np.array([random_density(rng, 3) for _ in range(4)])
-    stacked = trace_distance(a, b)
-    assert stacked.shape == (4,)
-    assert np.array_equal(stacked, [trace_distance(x, y) for x, y in zip(a, b)])
-
-
-def test_partial_trace_last_of_a_product_stack():
-    # tr_2(a (x) b) = a tr(b), for every member of a stack
-    rng = np.random.default_rng(9)
-    a = np.array([random_hermitian(rng, 3) for _ in range(5)])
-    b = np.array([random_hermitian(rng, 2) + 1j * np.eye(2) for _ in range(5)])
-    products = np.array([np.kron(x, y) for x, y in zip(a, b)])
-    reduced = partial_trace_last(products, 3, 2)
-    assert reduced.shape == (5, 3, 3)
-    assert np.allclose(reduced, a * np.trace(b, axis1=-2, axis2=-1)[:, None, None],
-                       rtol=0, atol=1e-13)
-    assert np.allclose(partial_trace_last(products[0], 3, 2), a[0] * np.trace(b[0]),
-                       rtol=0, atol=1e-13)

@@ -7,7 +7,7 @@ import pytest
 
 from dissipctl.errors import InputFormatError
 from dissipctl.lindblad import evolve
-from dissipctl.linalg import SIGMA_MINUS, pauli_string
+from dissipctl.linalg import SIGMA_MINUS
 from dissipctl.models import build, two_level_example
 from dissipctl.serialize import (
     _format_float,
@@ -21,7 +21,7 @@ from dissipctl.serialize import (
     trajectory_to_csv,
     write_text_atomic,
 )
-from oracles import DenseModel, dense_view
+from oracles import DenseModel, dense_view, pauli_string
 
 
 class TestMatrixJson:

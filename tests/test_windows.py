@@ -21,9 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dissipctl.linalg import (
-    LocalOperator, TensorStructure, embed_sum, max_eigenvalue, pauli_string,
-)
+from dissipctl.linalg import LocalOperator, TensorStructure, embed_sum, max_eigenvalue
 from dissipctl.models import REGISTRY, build, cluster_chain
 from dissipctl.serialize import aggregate_from_json, aggregate_to_json, matrix_to_json
 from dissipctl.scalability import (
@@ -234,7 +232,7 @@ def pauli_aggregates(draw, separated: bool = False):
         return [(draw(st.sampled_from("XYZ")), s) for s in sites]
 
     def pauli(factors) -> np.ndarray:
-        return pauli_string(" ".join(f"{p}{s}" for p, s in factors), structure)
+        return oracles.pauli_string(" ".join(f"{p}{s}" for p, s in factors), structure)
 
     def projector(factors) -> np.ndarray:
         return eye + draw(st.sampled_from([1.0, -1.0])) * pauli(factors)
@@ -332,8 +330,8 @@ def pauli_shorthand_specs(draw):
         terms.append({"pauli": stabilizer, "coeff": sign * a, "offset": a})
         unitaries.append({"pauli": unitary})
         if draw(st.booleans(), label="dense channel"):
-            projector = np.eye(2 ** n) + sign * pauli_string(stabilizer, structure)
-            couplings.append(matrix_to_json(pauli_string(unitary, structure) @ projector))
+            projector = np.eye(2 ** n) + sign * oracles.pauli_string(stabilizer, structure)
+            couplings.append(matrix_to_json(oracles.pauli_string(unitary, structure) @ projector))
         else:
             couplings.append({"pauli": unitary, "coeff": draw(st.sampled_from([1.0, 0.5]))})
     return {"dims": [2] * n, "terms": terms, "couplings": couplings,
