@@ -18,7 +18,10 @@ from dissipctl.lindblad import evolve
 from dissipctl.linalg import PAULI_X, SIGMA_MINUS
 from dissipctl.serialize import matrix_to_json, model_to_json, trajectory_to_csv
 from dissipctl.models import REGISTRY, build, two_level_example
+from dissipctl.scalability import simulate_aggregate
 from oracles import DenseModel, dense_candidate
+
+CANDIDATES = [(name, k) for name in sorted(REGISTRY) for k in build(name).candidates]
 
 
 @pytest.fixture()
@@ -374,6 +377,54 @@ class TestSimulate:
         assert calls == [(dim, 12.0, lindblad._N_SAMPLES)]
         if argv[0] == "check":
             assert json.loads(out)["report"]["simulation"]["exponential_envelope_ok"]
+
+    @pytest.mark.parametrize("name, candidate", CANDIDATES,
+                             ids=[f"{name}-{k}" for name, k in CANDIDATES])
+    def test_simulation_leaves_the_certificate_as_it_is(self, capsys, name, candidate):
+        # every built-in model is within the simulation cap, so each candidate
+        # is cross-checked, and the run adds its block and changes no other line
+        argv = ["check", "--name", name, "--candidate", candidate]
+        (code, out, _), (sim_code, sim_out, _) = (_run(capsys, argv + extra)
+                                                  for extra in ([], ["--simulate"]))
+        assert sim_code == code
+        report, simulated = json.loads(out)["report"], json.loads(sim_out)["report"]
+        assert report.pop("simulation") is None
+        assert simulated.pop("simulation")["n_states"] == 20
+        assert simulated == report
+
+    def test_cluster_chain_from_a_pure_state(self, capsys, tmp_path):
+        # a random pure state of the four-qubit chain is driven to the ground
+        # state term by term
+        rng = np.random.default_rng(0)
+        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        psi /= np.linalg.norm(psi)
+        rho0 = np.outer(psi, psi.conj())
+        path = tmp_path / "rho0.json"
+        path.write_text(json.dumps(matrix_to_json(rho0)))
+        code, out, _ = _run(capsys, ["simulate", "--name", "cluster_chain(4)", "--t-final", "30",
+                                     "--samples", "121", "--rho0", str(path)])
+        traj = simulate_aggregate(build("cluster_chain(4)").aggregate, 30.0, rho0=rho0,
+                                  n_samples=121)
+        assert code == 0 and out == trajectory_to_csv(traj)
+        header, first, *_, last = (line.split(",") for line in out.splitlines())
+        assert header == ["t", "W", "W2", "W3", "trace", "purity"]
+        assert float(first[header.index("purity")]) == pytest.approx(1.0, abs=1e-12)
+        final = dict(zip(header, map(float, last)))
+        assert final["W2"] < 1e-6 and final["W3"] < 1e-6
+        assert final["trace"] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("name, t_final, code, message", [
+        ("cluster_chain(2)", "1", 1, "error: cluster chain needs at least 3 qubits"),
+        ("cluster_chain(13)", "1", 5, "dimension cap: 2^13 exceeds the construction cap 4096"),
+        ("cluster_chain(4)", "nan", 1, "input error: t-final: must be finite and positive, got nan"),
+        ("cluster_chain(4)", "inf", 1, "input error: t-final: must be finite and positive, got inf"),
+    ], ids=["qubits-2", "qubits-13", "t-final-nan", "t-final-inf"])
+    def test_cluster_chain_refusal_writes_no_file(self, capsys, tmp_path, name, t_final,
+                                                  code, message):
+        target = tmp_path / "traj.csv"
+        assert _run(capsys, ["simulate", "--name", name, "--t-final", t_final,
+                             "--out", str(target)]) == (code, "", f"dissipctl: {message}\n")
+        assert not any(tmp_path.iterdir())
 
 
 class TestScale:
