@@ -336,7 +336,7 @@ class LocalOperator:
     def pauli(cls, spec: str, structure: TensorStructure,
               field: str = "pauli") -> "LocalOperator":
         """The Pauli product of a string like ``"Z1 X2 Z3"`` (1-based sites)
-        on the sites of its X, Y and Z factors; a string that does not fit
+        on the sites of its X, Y and Z factors; a string that is not one of
         `structure` is refused naming `field`."""
         factors = [(letter, s) for letter, s in _pauli_factors(spec, structure, field)
                    if letter != "I"]
@@ -354,30 +354,32 @@ class LocalOperator:
         return embed(self.matrix, [sites.index(s) + 1 for s in self.sites],
                      TensorStructure([structure.dims[s - 1] for s in sites]))
 
-    def require_headroom(self, structure: TensorStructure, field: str,
-                         what: str) -> "LocalOperator":
-        """`require_headroom` of X (x) I, whose squared norm is m ||X||_F^2
-        with m the dimension of the other sites."""
-        require_headroom(self.matrix, field, what, structure.total_dim // len(self.matrix))
-        return self
 
-
-def local_operator(a, structure: TensorStructure, what: str,
+def local_operator(a, structure: TensorStructure, field: str,
                    reduce: bool = False) -> LocalOperator:
-    """`a` as an operator of `structure`: a LocalOperator that fits its
-    sites, or a matrix of the whole space, held on every site or, with
-    `reduce`, on its `_support`."""
+    """`a` as an operator X (x) I of `structure`: a LocalOperator on sites of
+    it with a matrix of their dimension, or a matrix of the whole space, held
+    on every site or, with `reduce`, on its `_support`.  Every door of an
+    operator passes here; an operator that does not fit, or without the
+    `require_headroom` of X (x) I, is an InputFormatError naming `field`."""
     if isinstance(a, LocalOperator):
-        if not set(a.sites) <= set(structure.sites) or \
-                len(a.matrix) != prod(structure.dims[s - 1] for s in a.sites):
-            raise DimensionMismatchError(f"{what} of dim {len(a.matrix)} does not fit "
-                                         f"sites {a.sites} of {structure.dims}")
-        return a
-    a = as_operator(a)
-    if a.shape[0] != structure.total_dim:
-        raise DimensionMismatchError(f"{what} dim {a.shape[0]} != {structure.total_dim}")
-    sites = _support(a, structure) if reduce else structure.sites
-    return LocalOperator(sites, _restrict(a, sites, structure) if reduce else a)
+        if not set(a.sites) <= set(structure.sites):
+            raise InputFormatError(field, "sites must be ascending and distinct in "
+                                          f"1..{structure.n_sites}, got {list(a.sites)}")
+        dim = prod(structure.dims[s - 1] for s in a.sites)
+        if len(a.matrix) != dim:
+            raise InputFormatError(field, f"matrix of dim {len(a.matrix)} does not fit sites "
+                                          f"{list(a.sites)} of dimension {dim}")
+    else:
+        a = as_operator(a)
+        if len(a) != structure.total_dim:
+            raise InputFormatError(field, f"matrix of dim {len(a)} does not fit dims "
+                                          f"{list(structure.dims)} of dimension "
+                                          f"{structure.total_dim}")
+        sites = _support(a, structure) if reduce else structure.sites
+        a = LocalOperator(sites, _restrict(a, sites, structure) if reduce else a)
+    require_headroom(a.matrix, field, "the operator", structure.total_dim // len(a.matrix))
+    return a
 
 
 class _Window:

@@ -55,7 +55,8 @@ from .linalg import (
 @dataclass
 class LindbladModel:
     """A finite-level open system: a Hermitian H and the couplings, each held
-    as a `LocalOperator`; one given as a matrix is held on every site."""
+    as a `LocalOperator`; one given as a matrix is held on every site.  Each
+    is checked by `local_operator` as `model.H` or `model.L[i]`."""
 
     structure: TensorStructure
     hamiltonian: LocalOperator
@@ -63,8 +64,8 @@ class LindbladModel:
 
     def __post_init__(self):
         self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian",
-                                             field="model.H")
-        self.couplings = [local_operator(l, self.structure, f"coupling {i}")
+                                             "model.H")
+        self.couplings = [local_operator(l, self.structure, f"model.L[{i}]")
                           for i, l in enumerate(self.couplings)]
 
     @property
@@ -72,26 +73,26 @@ class LindbladModel:
         return self.structure.total_dim
 
 
-def _hermitian_terms(x, structure: TensorStructure, what: str, reduce: bool = False,
-                     tol: float = DEFAULT_TOL, field: str | None = None) -> list[LocalOperator]:
+def _hermitian_terms(x, structure: TensorStructure, what: str, field: str,
+                     reduce: bool = False, tol: float = DEFAULT_TOL) -> list[LocalOperator]:
     """`x`, an operator or a list of operators that stands for their sum, as
-    a list of `local_operator`s of `structure`; NonHermitianError naming
-    `what`, and `field` (`field[i]` for term i of a list) when given, unless
-    each is Hermitian."""
-    listed = isinstance(x, list)
-    terms = [local_operator(t, structure, what, reduce) for t in (x if listed else [x])]
-    for i, t in enumerate(terms):
+    a list of `local_operator`s of `structure`, each refused naming `field`
+    (`field[i]` for term i of a list), by NonHermitianError, "`what` must be
+    Hermitian", unless it is Hermitian."""
+    named = [(t, f"{field}[{i}]") for i, t in enumerate(x)] if isinstance(x, list) \
+        else [(x, field)]
+    terms = [local_operator(t, structure, f, reduce) for t, f in named]
+    for t, (_, f) in zip(terms, named):
         if not is_hermitian(t.matrix, tol, _Window(structure, t).copies):
-            raise NonHermitianError(f"{what} must be Hermitian",
-                                    field=field and (f"{field}[{i}]" if listed else field))
+            raise NonHermitianError(f"{what} must be Hermitian", field=f)
     return terms
 
 
-def _operator(x, structure: TensorStructure, what: str, tol: float = DEFAULT_TOL,
-              field: str | None = None) -> tuple[list[LocalOperator], np.ndarray]:
+def _operator(x, structure: TensorStructure, what: str, field: str,
+              tol: float = DEFAULT_TOL) -> tuple[list[LocalOperator], np.ndarray]:
     """The `_hermitian_terms` of `x` and their sum as a matrix of the whole
     space; a matrix of the whole space is that matrix itself."""
-    terms = _hermitian_terms(x, structure, what, tol=tol, field=field)
+    terms = _hermitian_terms(x, structure, what, field, tol=tol)
     return terms, (embed_sum(terms, structure) if isinstance(x, list)
                    else terms[0].on(structure.sites, structure))
 
@@ -175,7 +176,7 @@ def generator(x, model: LindbladModel, tol: float = DEFAULT_TOL) -> np.ndarray:
     dropped and a term -i[x, H] that is exactly zero held as real zeros, so
     real x and couplings give a real drift.
     """
-    terms = _hermitian_terms(x, model.structure, "observable", tol=tol)
+    terms = _hermitian_terms(x, model.structure, "observable", "x", tol=tol)
     h = [model.hamiltonian] if model.hamiltonian.matrix.any() else []
     return _Window(model.structure, sites=model.structure.sites).add(
         _drift(terms, model.couplings, h))
@@ -193,7 +194,7 @@ def dissipation_functional(x, model: LindbladModel, tol: float = DEFAULT_TOL) ->
     """Energy-dissipation operator sum_k [L_k', x][x, L_k] of ``x``, a matrix
     or a list of LocalOperators (their sum), as a matrix of the whole space;
     each channel acts on the sum of the terms that meet it."""
-    terms = _hermitian_terms(x, model.structure, "observable", tol=tol)
+    terms = _hermitian_terms(x, model.structure, "observable", "x", tol=tol)
     structure = model.structure
     return _Window(structure, sites=structure.sites).add(
         (dissipation_single_channel, _sum_meeting(structure, terms, l), l)
@@ -422,7 +423,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray | None, t_final: float, *,
     if rho0.shape != (n, n):
         raise DimensionMismatchError(f"state shape {rho0.shape} != ({n}, {n})", field="rho0")
     _checked(rho0[None], _STATE_TOL, lambda i: "", field="rho0")
-    ops = {name: _operator(op, model.structure, f"observable {name}")[1]
+    ops = {name: _operator(op, model.structure, "observable", f"observables[{name}]")[1]
            for name, op in (observables or {}).items()}
     states = np.empty((n_samples, n, n), dtype=_dtype(model, rho0))
     for i, rho in enumerate(_samples(model, rho0, times, _STATE_TOL)):

@@ -28,7 +28,6 @@ from .linalg import (
     SIGMA_MINUS,
     LocalOperator,
     TensorStructure,
-    local_operator,
 )
 from .scalability import AggregateSpec
 
@@ -280,10 +279,9 @@ def build(name: str) -> NamedModel:
     Arguments are positional numbers, except that a boolean parameter is set
     by its own name and by nothing else; an ``int`` parameter takes only an
     integer literal.  Arguments that overflow the constructor, or give an
-    operator (H, a coupling, a candidate or a term or unitary factor of an
-    aggregate) whose squared Frobenius norm on the whole space is within a
-    factor 16 of the float range, are an input error naming ``name``.  No
-    operator of an aggregate is built on the whole space.
+    operator that its door (`local_operator`) refuses, and arguments the
+    constructor refuses (a PreconditionError), are an input error naming
+    ``name``.
     """
     m = _NAME_RE.match(name.strip())
     if m is None or m.group(1) not in REGISTRY:
@@ -315,17 +313,8 @@ def build(name: str) -> NamedModel:
             raise InputFormatError("name", f"argument {part!r} in {name!r} must be an integer")
         args.append(value)
     try:
-        named = fn(*args, **kwargs)
-    except (OverflowError, FloatingPointError) as exc:
+        return fn(*args, **kwargs)
+    except (OverflowError, FloatingPointError, InputFormatError) as exc:
         raise InputFormatError("name", f"arguments in {name!r} overflow: {exc}")
-    what = (f"arguments in {name!r} overflow: an operator of the model (H, a coupling or a "
-            "candidate)")
-    model, spec = named.model, named.aggregate
-    ops = [model.hamiltonian, *model.couplings]
-    if spec is None:
-        ops += [local_operator(v, model.structure, "candidate") for v in named.candidates.values()]
-    else:  # the candidates are sums of the terms
-        ops += [*spec.terms, *(spec.unitaries or [])]
-    for op in ops:
-        op.require_headroom(model.structure, "name", what)
-    return named
+    except PreconditionError as exc:
+        raise InputFormatError("name", str(exc))

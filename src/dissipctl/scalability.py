@@ -64,10 +64,12 @@ class AggregateSpec:
     incremental step.
 
     A spec is checked where it is built, each refusal an InputFormatError
-    naming its field: `spec.names`, one per term, distinct and none of a
-    trajectory's other columns; `spec.assignment`, one entry per term, a
-    channel index or a list of distinct ones, held as lists of indices;
-    `spec.unitaries`, one per channel.  Every operator is held once, as a
+    naming its field: first each operator by `local_operator`, as
+    `spec.terms[i]`, `spec.couplings[i]`, `spec.H`, `spec.unitaries[i]` and
+    `spec.new_couplings[i]`; then `spec.names`, one per term, distinct and
+    none of a trajectory's other columns; `spec.assignment`, one entry per
+    term, a channel index or a list of distinct ones, held as lists of
+    indices; `spec.unitaries`, one per channel.  Every operator is held once, as a
     `LocalOperator`, one of the whole space reduced to its support; only d
     and simulation embed operators back into the whole space.  H must be
     Hermitian; when not given it is zero, on no site.
@@ -83,6 +85,16 @@ class AggregateSpec:
     new_couplings: list[LocalOperator] = field(default_factory=list)
 
     def __post_init__(self):
+        def operators(key):  # before the rules below, in the order of the file format
+            return [local_operator(a, self.structure, f"spec.{key}[{i}]", reduce=True)
+                    for i, a in enumerate(getattr(self, key))]
+
+        self.terms, self.couplings = operators("terms"), operators("couplings")
+        self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian",
+                                             "spec.H", reduce=True)
+        if self.unitaries is not None:
+            self.unitaries = operators("unitaries")
+        self.new_couplings = operators("new_couplings")
         n_terms, n_channels = len(self.terms), len(self.couplings)
         for key, value, n, per in (("names", self.term_names, n_terms, "term"),
                                    ("assignment", self.assignment, n_terms, "term"),
@@ -102,18 +114,6 @@ class AggregateSpec:
                                            f"below {n_channels} or a list of distinct ones, "
                                            f"got {self.assignment[t]!r}")
             self.assignment = [[int(k) for k in ks] for ks in groups]
-
-        def operators(ops, kind):
-            return [local_operator(a, self.structure, f"{kind} {i}", reduce=True)
-                    for i, a in enumerate(ops)]
-
-        self.terms = operators(self.terms, "term")
-        self.couplings = operators(self.couplings, "coupling")
-        if self.unitaries is not None:
-            self.unitaries = operators(self.unitaries, "unitary")
-        self.new_couplings = operators(self.new_couplings, "new coupling")
-        self.hamiltonian, = _hermitian_terms(self.hamiltonian, self.structure, "hamiltonian",
-                                             reduce=True, field="spec.H")
 
     @property
     def n_terms(self) -> int:
@@ -263,7 +263,7 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
     w_n = win.add((np.asarray, t) for t in prior)  # the terms as they are
     w_next = win.embed(nxt)
     if not 16.0 * c * max(_frobenius(w, win.copies) for w in (w_n, w_next)) < np.inf:
-        # the rule of `require_headroom`: c times a term, and sums of such products, stay finite
+        # the headroom rule of an operator's door, `local_operator`, for c times a term
         raise InputFormatError("c", f"{c!r} times the norm of a term is too close to the "
                                     "float range")
     d_n = min_eigenvalue(w_n)

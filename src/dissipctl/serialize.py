@@ -124,19 +124,15 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> LocalOperato
     """The operator form {"sites": [..], "matrix": rows}, the matrix on its
     ascending 1-based sites; a Pauli shorthand coeff P + offset I, as a local
     operator on the sites of P; or a matrix of the whole space, which
-    `AggregateSpec` reduces and `LindbladModel` holds on every site."""
+    `AggregateSpec` reduces and `LindbladModel` holds on every site.  Its fit
+    and headroom are checked where it is used, by `local_operator`."""
     if isinstance(obj, dict) and "sites" in obj:
         sites, n = obj["sites"], structure.n_sites
         if not (isinstance(sites, list) and all(_is_index(s) and 1 <= s <= n for s in sites)
                 and sites == sorted(set(sites))):
             raise InputFormatError(field, f"sites must be ascending and distinct in 1..{n}, "
                                           f"got {sites!r}")
-        matrix = matrix_from_json(obj.get("matrix"), f"{field}.matrix")
-        dim = int(np.prod([structure.dims[s - 1] for s in sites]))
-        if len(matrix) != dim:
-            raise InputFormatError(field, f"matrix of dim {len(matrix)} does not fit sites "
-                                          f"{sites} of dimension {dim}")
-        return LocalOperator(sites, matrix).require_headroom(structure, field, "the operator")
+        return LocalOperator(sites, matrix_from_json(obj.get("matrix"), f"{field}.matrix"))
     if isinstance(obj, dict):
         if "pauli" not in obj:
             raise InputFormatError(field, "operator object needs a 'sites' or a 'pauli' key")
@@ -145,12 +141,8 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> LocalOperato
         offset = _entry_from_json(obj.get("offset", 0.0), f"{field}.offset")
         with np.errstate(over="ignore"):
             term = coeff * op.matrix + offset * np.eye(len(op.matrix))
-        return LocalOperator(op.sites, term).require_headroom(structure, field, "the operator")
-    matrix = matrix_from_json(obj, field)
-    if len(matrix) != structure.total_dim:
-        raise InputFormatError(field, f"matrix of dim {len(matrix)} does not fit dims "
-                                      f"{list(structure.dims)} of dimension {structure.total_dim}")
-    return matrix
+        return LocalOperator(op.sites, term)
+    return matrix_from_json(obj, field)
 
 
 def _is_index(x) -> bool:

@@ -70,7 +70,7 @@ def _candidate(v, model: LindbladModel, tol: float) -> tuple:
     """The candidate, a matrix, a LocalOperator or a list of them (their sum),
     as Hermitian terms of the model's structure, as the matrix V of the whole
     space, and the eigenvalues and eigenvectors of V: the one spectrum of V."""
-    terms, v = _operator(v, model.structure, "candidate", tol, field="V")
+    terms, v = _operator(v, model.structure, "candidate", "V", tol)
     return (terms, v, *np.linalg.eigh(hermitian_part(v)))
 
 

@@ -97,14 +97,14 @@ def synthesize_closed_form(v: np.ndarray, c: float, *,
     """
     v = as_operator(v)
     if not (0.0 < c <= 1.0):
-        raise PreconditionError(f"c must lie in (0, 1], got {c}")
+        raise PreconditionError(f"c must lie in (0, 1], got {c}", field="c")
     if not is_hermitian(v, tol):
-        raise NonHermitianError("candidate must be Hermitian")
+        raise NonHermitianError("candidate must be Hermitian", field="V")
     w, vecs = np.linalg.eigh(hermitian_part(v))
     n = v.shape[0]
     threshold = spectral_tol(w, tol)
     if n and w[0] < -threshold:
-        raise PreconditionError("candidate must be PSD")
+        raise PreconditionError("candidate must be PSD", field="V")
     ker = int((w <= threshold).sum())  # eigh is ascending: the kernel comes first
     lam = w[ker:]
     q = (vecs[:, ker:] * np.sqrt(lam)) @ dagger(vecs[:, ker:])
@@ -139,20 +139,20 @@ def synthesize(v: np.ndarray, c: float | None = None, channels: int = 1, *,
     SynthesisResult for one channel and a list for several.  Couplings that
     miss the summed decay bound K G_L(V) <= -c V (a non-projection V below
     V^2 >= V) raise InfeasibleError with reason "es", naming the constant they
-    do reach.
+    do reach.  A refusal of an argument names it: `V`, `c` or `channels`.
     """
     v = as_operator(v)
     if channels < 1:
-        raise PreconditionError(f"channels must be >= 1, got {channels}")
+        raise PreconditionError(f"channels must be >= 1, got {channels}", field="channels")
     if c is None:
         try:
             return synthesize(v, 1.0, channels, tol=tol)
         except InfeasibleError:
             return synthesize(v, 0.5, channels, tol=tol)
     if not (0.0 < c <= channels):
-        raise PreconditionError(f"c must lie in (0, {channels}], got {c}")
+        raise PreconditionError(f"c must lie in (0, {channels}], got {c}", field="c")
     if channels > 1 and not is_projection(v, tol):
-        raise PreconditionError("multi-channel synthesis assumes a projection")
+        raise PreconditionError("multi-channel synthesis assumes a projection", field="V")
     result = synthesize_closed_form(v, c / channels, tol=tol)
     margin = channels * result.residuals["es_margin"]
     if margin < -scaled_tol(v, tol):

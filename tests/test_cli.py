@@ -196,16 +196,20 @@ class TestSynthesize:
         assert code == 1 and out == ""
         assert f"input error: {message}" in err
 
-    @pytest.mark.parametrize("v, message", [
-        ([[1, 0.5], [0, 0]], "candidate must be Hermitian"),
-        ([[1, 0], [0, -0.5]], "candidate must be PSD"),
-    ], ids=["non-hermitian", "negative"])
-    def test_candidate_refusal_names_its_fault(self, capsys, tmp_path, v, message):
-        # a non-Hermitian V was refused as not PSD
+    @pytest.mark.parametrize("v, options, message", [
+        ([[1, 0.5], [0, 0]], ["--c", "0.5"], "V: candidate must be Hermitian"),
+        ([[1, 0], [0, -0.5]], ["--c", "0.5"], "V: candidate must be PSD"),
+        ([[2, 0], [0, 0]], ["--c", "0.5", "--channels", "2"],
+         "V: multi-channel synthesis assumes a projection"),
+        ([[1, 0], [0, 0]], ["--c", "3"], "c: c must lie in (0, 1], got 3.0"),
+        ([[1, 0], [0, 0]], ["--channels", "0"], "channels: channels must be >= 1, got 0"),
+    ], ids=["non-hermitian", "negative", "non-projection", "c", "channels"])
+    def test_candidate_refusal_names_its_fault(self, capsys, tmp_path, v, options, message):
+        # a non-Hermitian V was refused as not PSD; none of these named its field
         path = tmp_path / "v.json"
         path.write_text(json.dumps({"V": v}))
-        assert _run(capsys, ["synthesize", "--v", str(path), "--c", "0.5"]) == (
-            1, "", f"dissipctl: error: {message}\n")
+        assert _run(capsys, ["synthesize", "--v", str(path), *options]) == (
+            1, "", f"dissipctl: input error: {message}\n")
 
     def test_numbers_in_file(self, capsys, tmp_path):
         path = tmp_path / "v.json"
@@ -414,7 +418,7 @@ class TestSimulate:
         assert final["trace"] == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("name, t_final, code, message", [
-        ("cluster_chain(2)", "1", 1, "error: cluster chain needs at least 3 qubits"),
+        ("cluster_chain(2)", "1", 1, "input error: name: cluster chain needs at least 3 qubits"),
         ("cluster_chain(13)", "1", 5, "dimension cap: 2^13 exceeds the construction cap 4096"),
         ("cluster_chain(4)", "nan", 1, "input error: t-final: must be finite and positive, got nan"),
         ("cluster_chain(4)", "inf", 1, "input error: t-final: must be finite and positive, got inf"),
@@ -858,7 +862,7 @@ class TestInputValidation:
         assert "input error: name: argument" in err and "must be finite" in err
 
     @pytest.mark.parametrize("name, message", [
-        ("two_level(0,1e200)", "Numerical result out of range"),
+        ("two_level(0,1e200)", "model.L[0]: the operator has a squared norm too close"),
         ("two_level(1e200)", "squared norm too close to the float range"),
         ("two_level(1" + "0" * 400 + ")", "int too large to convert to float"),
     ], ids=["constructor-overflow", "product-overflow", "integer-literal-overflow"])
@@ -881,6 +885,11 @@ class TestInputValidation:
         code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""
         assert f"input error: name: {message}" in err
+
+    def test_constructor_refusal_names_name(self, capsys):
+        # the constructor's own rule named no field
+        assert _run(capsys, ["check", "--name", "two_level(0,0)"]) == (
+            1, "", "dissipctl: input error: name: l10 must be nonzero for the stabilizing family\n")
 
     @pytest.mark.parametrize("argv", [
         ["check", "--name", "two_level", "--model", "model.json"],

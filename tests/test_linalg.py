@@ -281,7 +281,7 @@ class TestLocalOperator:
 
         dense = raises(lambda: require_headroom(op.on((1, 2, 3), s), "f", "the operator"))
         assert dense == (a > 1.2e153)
-        assert raises(lambda: op.require_headroom(s, "f", "the operator")) == dense
+        assert raises(lambda: linalg.local_operator(op, s, "f")) == dense
 
     def test_empty_support(self):
         s = TensorStructure.qubits(3)

@@ -13,6 +13,7 @@ from dissipctl import cli, lindblad, stability
 from dissipctl.errors import (
     DimensionCapError,
     DimensionMismatchError,
+    InputFormatError,
     IntegrationError,
     NonHermitianError,
     PreconditionError,
@@ -32,7 +33,7 @@ from dissipctl.linalg import (
     embed, expm, hermitian_part,
 )
 from dissipctl.models import REGISTRY, build, three_level_example, two_level_example
-from dissipctl.scalability import simulate_aggregate
+from dissipctl.scalability import AggregateSpec, simulate_aggregate
 from dissipctl.stability import certify_ground_state_stability
 from oracles import (
     DenseModel,
@@ -199,10 +200,23 @@ class TestOneKernelPath:
     def test_a_dense_matrix_is_held_on_every_site(self):
         model = LindbladModel(TensorStructure((2, 3)), np.zeros((6, 6)), [np.eye(6)])
         assert model.hamiltonian.sites == model.couplings[0].sites == (1, 2)
-        with pytest.raises(DimensionMismatchError, match="coupling 0 dim 4 != 6"):
+        with pytest.raises(InputFormatError, match=r"^model\.L\[0\]: matrix of dim 4 does not "
+                                                   r"fit dims \[2, 3\] of dimension 6$"):
             LindbladModel(TensorStructure((2, 3)), np.zeros((6, 6)), [np.eye(4)])
-        with pytest.raises(DimensionMismatchError, match="observable dim 2 != 6"):
+        with pytest.raises(InputFormatError, match=r"^x: matrix of dim 2 does not fit dims "
+                                                   r"\[2, 3\] of dimension 6$"):
             generator(np.eye(2), model)
+
+    def test_an_operator_built_in_code_is_checked_at_its_door(self):
+        # each was accepted, and the certificate overflowed to nan
+        too_close = "the operator has a squared norm too close to the float range"
+        with pytest.raises(InputFormatError, match=rf"^model\.L\[0\]: {too_close}$"):
+            LindbladModel(TensorStructure((2,)), np.diag([0.5, -0.5]), [[[0, 0], [1e200, 0]]])
+        with pytest.raises(InputFormatError, match=rf"^spec\.terms\[0\]: {too_close}$"):
+            AggregateSpec(TensorStructure((2,)), [LocalOperator((1,), np.diag([1e200, 0]))])
+        with pytest.raises(InputFormatError, match=rf"^V: {too_close}$"):
+            certify_ground_state_stability(1e200 * np.diag([1.0, 0.0]),
+                                           two_level_example().model)
 
 
 class TestLiouvillian:

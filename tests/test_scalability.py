@@ -130,10 +130,14 @@ class TestTheoremAggregation:
             AggregateSpec(TensorStructure((2,)), [np.eye(2, dtype=complex)],
                           []).channel_groups()
 
-    @pytest.mark.parametrize("op", [LocalOperator((3,), np.eye(2)),
-                                    LocalOperator((1,), np.eye(4))], ids=["site", "dim"])
-    def test_local_operator_that_does_not_fit(self, op):
-        with pytest.raises(DimensionMismatchError, match="term 0 of dim"):
+    @pytest.mark.parametrize("op, message", [
+        (LocalOperator((3,), np.eye(2)), r"sites must be ascending and distinct in 1\.\.2, "
+                                         r"got \[3\]"),
+        (LocalOperator((1,), np.eye(4)), r"matrix of dim 4 does not fit sites \[1\] of "
+                                         r"dimension 2"),
+    ], ids=["site", "dim"])
+    def test_local_operator_that_does_not_fit(self, op, message):
+        with pytest.raises(InputFormatError, match=rf"^spec\.terms\[0\]: {message}$"):
             AggregateSpec(TensorStructure((2, 2)), [op])
 
     def test_no_terms_is_vacuously_stable(self):
