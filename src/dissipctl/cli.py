@@ -136,6 +136,8 @@ def _cmd_check(args) -> int:
         if v is None:
             raise InputFormatError("candidate", f"model has candidates {sorted(candidates)}")
     else:
+        if args.candidate:
+            raise InputFormatError("candidate", "--candidate needs --name")
         if not args.model or not args.v:
             raise InputFormatError("model", "check needs --model and --v (or --name)")
         model = model_from_json(_load_json(args.model, "model"))
@@ -146,10 +148,7 @@ def _cmd_check(args) -> int:
     report = certify_ground_state_stability(
         v, model, simulate=args.simulate, t_final=args.t_final, seed=args.seed, tol=args.tol,
     )
-    body = asdict(report)
-    if not report.certified and "psd" in report.diagnostics:
-        body["message"] = "not a Lyapunov operator: V >= 0 fails"
-    _emit(args, _report_envelope(args, body))
+    _emit(args, _report_envelope(args, asdict(report)))
     return EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
 
 

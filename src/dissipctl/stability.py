@@ -39,7 +39,6 @@ from .linalg import (
     hermitian_part,
     is_psd,
     max_eigenvalue,
-    min_eigenvalue,
     psd_spectrum,
     spectral_tol,
 )
@@ -56,7 +55,6 @@ class StabilityReport:
     c_es: float | None
     c_ds: float | None
     d: float
-    margins: dict[str, float] = field(default_factory=dict)
     diagnostics: dict[str, str] = field(default_factory=dict)
     convergence: str = "not certified"
     simulation: dict | None = None
@@ -78,7 +76,7 @@ def _require_candidate(v, model: LindbladModel, tol: float) -> tuple:
     """`_candidate` but V, refused unless V is PSD."""
     terms, _, lam, q = _candidate(v, model, tol)
     if not psd_spectrum(lam, tol):
-        raise PreconditionError("candidate must be positive semidefinite")
+        raise PreconditionError("candidate must be positive semidefinite", field="V")
     return terms, lam, q
 
 
@@ -124,11 +122,10 @@ def _schur_constant(m: np.ndarray, lam: np.ndarray, q: np.ndarray,
 
 
 def _lyapunov(v: list, lam: np.ndarray, model: LindbladModel,
-              tol: float) -> tuple[bool, dict[str, str], np.ndarray, float]:
+              tol: float) -> tuple[bool, dict[str, str], np.ndarray]:
     """Whether the sum of the Hermitian terms v, with ascending eigenvalues
     lam, is a Lyapunov operator (PSD, zero smallest eigenvalue, non-positive
-    generator), the diagnostics of the parts that fail, the generator G(v)
-    and its largest eigenvalue."""
+    generator), the diagnostics of the parts that fail and the generator G(v)."""
     diag: dict[str, str] = {}
     psd_ok = psd_spectrum(lam, tol)
     if not psd_ok:
@@ -137,11 +134,10 @@ def _lyapunov(v: list, lam: np.ndarray, model: LindbladModel,
     if psd_ok and not zero_ok:
         diag["ground_energy"] = f"smallest eigenvalue {lam[0]:.6g} != 0"
     g = generator(v, model, tol)
-    g_max = max_eigenvalue(g)
     gen_ok = is_psd(-g, tol)
     if not gen_ok:
-        diag["generator"] = f"G(V) has positive eigenvalue {g_max:.6g}"
-    return (psd_ok and zero_ok and gen_ok), diag, g, g_max
+        diag["generator"] = f"G(V) has positive eigenvalue {max_eigenvalue(g):.6g}"
+    return (psd_ok and zero_ok and gen_ok), diag, g
 
 
 def check_condition_es(v, model: LindbladModel, tol: float = DEFAULT_TOL) -> float | None:
@@ -186,9 +182,8 @@ def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = 
     if simulate:
         times = _grid(model.dim, t_final, _N_SAMPLES)
     terms, v, lam, q = _candidate(v, model, tol)
-    lyap, diagnostics, g, g_max = _lyapunov(terms, lam, model, tol)
+    lyap, diagnostics, g = _lyapunov(terms, lam, model, tol)
     d = float(lam[0])
-    margins = {"psd": d, "generator": -g_max}
 
     degenerate = float(np.abs(lam).max()) <= tol  # ||V||_2
     c_es = c_ds = None
@@ -196,13 +191,8 @@ def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = 
         diagnostics["degenerate"] = "candidate is (numerically) zero"
     elif lyap:
         # lyap covers the candidate and G(V) <= 0 checks of check_condition_es/_ds
-        d_op = dissipation_functional(terms, model, tol)
         c_es = _schur_constant(-g, lam, q, tol)
-        c_ds = _schur_constant(d_op, lam, q, tol)
-        if c_es is not None:
-            margins["es"] = -max_eigenvalue(g + c_es * v)
-        if c_ds is not None:
-            margins["ds"] = min_eigenvalue(d_op - c_ds * v)
+        c_ds = _schur_constant(dissipation_functional(terms, model, tol), lam, q, tol)
 
     if degenerate and lyap:
         convergence = "trivial"
@@ -230,6 +220,6 @@ def certify_ground_state_stability(v, model: LindbladModel, *, simulate: bool = 
             simulation["exponential_envelope_ok"] = bool(np.all(ev <= bound))
 
     return StabilityReport(
-        is_lyapunov=lyap, c_es=c_es, c_ds=c_ds, d=d, margins=margins,
+        is_lyapunov=lyap, c_es=c_es, c_ds=c_ds, d=d,
         diagnostics=diagnostics, convergence=convergence, simulation=simulation,
     )

@@ -65,7 +65,7 @@ class TestCheck:
                                      "--v", str(v_path)])
         assert code == 2
         payload = json.loads(out)
-        assert payload["report"]["message"] == "not a Lyapunov operator: V >= 0 fails"
+        assert payload["report"]["diagnostics"]["psd"] == "V >= 0 fails"
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["check", "--model", str(tmp_path / "nope.json"),
@@ -909,6 +909,14 @@ class TestInputValidation:
         assert code == 1 and out == ""
         flag = next(a for a in argv[3:] if a in ("--model", "--spec", "--v"))
         assert err == f"dissipctl: input error: name: --name excludes {flag}\n"
+
+    def test_candidate_needs_name(self, capsys, tmp_path, v_file):
+        # without --name the option was read by nothing: check ran on --v, exit 0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_json(two_level_example().model)))
+        argv = ["check", "--model", str(model), "--v", v_file, "--candidate", "nonsense"]
+        assert _run(capsys, argv) == (
+            1, "", "dissipctl: input error: candidate: --candidate needs --name\n")
 
     @pytest.mark.parametrize("samples", ["1", "-3", "0"])
     def test_samples_names_its_field(self, capsys, samples):

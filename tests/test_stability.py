@@ -225,6 +225,11 @@ class TestConditionES:
         m = LindbladModel(TensorStructure((2,)), np.zeros((2, 2), dtype=complex), [])
         assert check_condition_es(np.diag([1.0, 0.0]).astype(complex), m) is None
 
+    def test_non_psd_candidate_names_v(self):
+        with pytest.raises(PreconditionError, match="^V: candidate must be positive") as err:
+            check_condition_es(np.diag([1.0, -1.0]), two_level_example().model)
+        assert err.value.field == "V"
+
     def test_tol_reaches_the_generator(self):
         # a V Hermitian within tol: the generator re-tested it at the default
         # 1e-9 and raised NonHermitianError
@@ -382,7 +387,7 @@ class TestCertify:
 
     def test_generator_is_decomposed_twice(self, monkeypatch):
         # V = |1><1| grows under the decay to |0>, so G(V) has the eigenvalue 1:
-        # one decomposition for the verdict (is_psd), one for the diagnostic and margin
+        # one decomposition for the verdict (is_psd), one for the diagnostic
         m = two_level_example()
         v = np.diag([0.0, 1.0])
         g = generator(v, m.model)
@@ -397,8 +402,41 @@ class TestCertify:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         report = certify_ground_state_stability(v, m.model)
         assert report.diagnostics["generator"] == "G(V) has positive eigenvalue 1"
-        assert report.margins["generator"] == -1.0
         assert sum(seen) == 2
+
+    @pytest.mark.parametrize("name", ["cluster_chain", "toric_patch"])
+    def test_certified_check_decomposes_four_times(self, name, monkeypatch):
+        # one eigh of V, one eigvalsh of G(V) for the verdict and one Schur
+        # complement per constant; the kernel blocks of the Schur step are
+        # no larger than the ground space, at most half the space here
+        named = build(name)
+        n = named.model.dim
+        sizes = []
+        for fn in ("eigh", "eigvalsh"):
+            def counting(a, *args, _fn=getattr(np.linalg, fn), **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, fn, counting)
+        report = certify_ground_state_stability(next(iter(named.candidates.values())),
+                                                named.model)
+        assert report.convergence == "exponential"
+        assert sum(size > n / 2 for size in sizes) == 4
+
+    @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_generator_is_not_negative_on_a_ground_vector(self, n, channels, seed):
+        # <psi|G(V)|psi> = sum_k <L_k psi|(V - d)|L_k psi> >= 0 for a ground
+        # vector psi of V: lambda_max(G(V)) >= 0, so -lambda_max(G(V)) reports
+        # nothing beyond the verdict of the generator test
+        rng = np.random.default_rng(seed)
+        couplings = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                     for _ in range(channels)]
+        model = LindbladModel(TensorStructure((n,)), random_hermitian(rng, n), couplings)
+        v = random_hermitian(rng, n)
+        g = generator(v, model)
+        psi = np.linalg.eigh(v)[1][:, 0]
+        assert (psi.conj() @ g @ psi).real >= -1e-12 * max(1.0, np.linalg.norm(g, 2))
 
     def test_negative_seed_refused_before_any_work(self, monkeypatch):
         m = two_level_example()
