@@ -22,7 +22,7 @@ from dataclasses import asdict
 from . import __version__
 from .errors import DimensionCapError, DissipctlError, InfeasibleError, InputFormatError
 from .lindblad import _N_SAMPLES, evolve
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _number
 from .models import REGISTRY, NamedModel, build
 from .scalability import (
     check_corollary_commuting,
@@ -68,17 +68,6 @@ def _check_numbers(args) -> None:
         raise InputFormatError("tol", f"must be below 1, got {args.tol!r}")
     if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
         raise InputFormatError("seed", f"must be a non-negative integer, got {args.seed}")
-
-
-def _file_number(obj: dict, field: str, integral: bool) -> float | int:
-    """A finite JSON number from an input file; an integral one for counts."""
-    value = obj[field]
-    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and math.isfinite(value) and (not integral or float(value).is_integer()))
-    if not ok:
-        kind = "an integer" if integral else "a finite number"
-        raise InputFormatError(field, f"must be {kind}, got {value!r}")
-    return int(value) if integral else float(value)
 
 
 def _load_json(path: str, field: str) -> dict:
@@ -155,15 +144,17 @@ def _cmd_check(args) -> int:
 def _cmd_synthesize(args) -> int:
     obj, v = _load_v(args.v)
     v = matrix_from_json(v, "V")
-    c = args.c
-    channels = args.channels
-    if isinstance(obj, dict):
+    given = {"c": args.c, "channels": args.channels}
+    for key, kind in (("c", "a finite number"), ("channels", "an integer")):
         # the input file may carry the target constant and channel count
-        if c is None and obj.get("c") is not None:
-            c = _file_number(obj, "c", integral=False)
-        if channels is None and obj.get("channels") is not None:
-            channels = _file_number(obj, "channels", integral=True)
-    result = synthesize(v, c, channels=1 if channels is None else channels, tol=args.tol)
+        value = obj.get(key) if isinstance(obj, dict) else None
+        if given[key] is None and value is not None:
+            try:
+                given[key] = _number(value, integral=key == "channels")
+            except (ValueError, OverflowError):
+                raise InputFormatError(key, f"must be {kind}, got {value!r}") from None
+    channels = 1 if given["channels"] is None else given["channels"]
+    result = synthesize(v, given["c"], channels=channels, tol=args.tol)
     if isinstance(result, list):
         body = {"channels": [synthesis_result_to_dict(r) for r in result]}
     else:

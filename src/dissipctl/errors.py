@@ -44,7 +44,7 @@ class DimensionCapError(DissipctlError):
 
 
 class IntegrationError(DissipctlError):
-    """Adaptive integration failed (step-size underflow)."""
+    """Propagation failed: a step-size underflow, or a horizon lost to rounding."""
 
 
 class StateValidityError(DissipctlError):

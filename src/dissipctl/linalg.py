@@ -12,6 +12,7 @@ maps e0 to e1.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import ceil, log2, prod, sqrt
 
@@ -45,6 +46,19 @@ def real_or_complex(a) -> np.ndarray:
 def as_operator(a) -> np.ndarray:
     """Coerce to a square matrix, with the dtype rule of `real_or_complex`."""
     return _square(real_or_complex(a))
+
+
+def _number(x, integral: bool = False) -> int | float:
+    """`x`, a number of an input, as a float, or as an int where `integral`: a
+    real is an int or float, numpy's too, never a bool, with |x| <= the largest
+    float (exact for ints of any size), and an integer an integral real, so 2.0
+    reads as 2.  Else a ValueError, or an OverflowError where only the bound fails."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)) \
+            or integral and not float(x).is_integer():  # float() overflows past the bound
+        raise ValueError(f"not {'an integer' if integral else 'a real'}: {x!r}")
+    if not abs(x) <= sys.float_info.max:
+        raise OverflowError(f"past the float range: {x!r}")
+    return int(x) if integral else float(x)
 
 
 def require_headroom(a: np.ndarray, field: str, what: str, copies: int = 1) -> np.ndarray:
@@ -139,14 +153,24 @@ def is_projection(a, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class TensorStructure:
-    """Ordered subsystem dimensions of a composite Hilbert space."""
+    """Ordered subsystem dimensions of a composite Hilbert space: positive
+    integers (`_number`) whose product is at most the largest float, so that
+    every ratio of dimensions converts to one; a larger one is a DimensionCapError."""
 
     dims: tuple[int, ...]
 
     def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DimensionMismatchError(f"subsystem dimensions must be positive: {dims}")
+        try:
+            dims = tuple(_number(d, integral=True) for d in dims)
+            if not dims or min(dims) < 1:
+                raise ValueError(dims)
+            _number(prod(dims))  # an OverflowError past the bound, as for one dimension
+        except ValueError:
+            raise DimensionMismatchError(f"subsystem dimensions must be positive integers: "
+                                         f"{dims}") from None
+        except OverflowError:
+            raise DimensionCapError("the product of the subsystem dimensions exceeds "
+                                    f"{sys.float_info.max:.6g}") from None
         object.__setattr__(self, "dims", dims)
 
     @property

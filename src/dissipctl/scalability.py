@@ -38,6 +38,7 @@ from .linalg import (
     TensorStructure,
     _frobenius,
     _meet,
+    _number,
     _sum_meeting,
     _Window,
     commutator,
@@ -108,12 +109,15 @@ class AggregateSpec:
         if self.assignment is not None:
             groups = [list(e) if isinstance(e, (list, tuple)) else [e] for e in self.assignment]
             for t, ks in enumerate(groups):  # a channel counted twice would double its constant
-                if not all(isinstance(k, (int, np.integer)) and 0 <= k < n_channels for k in ks) \
-                        or len(set(ks)) < len(ks):
+                try:
+                    ks[:] = [_number(k, integral=True) for k in ks]
+                except (ValueError, OverflowError):
+                    ks[:] = [-1]  # no channel index
+                if not all(0 <= k < n_channels for k in ks) or len(set(ks)) < len(ks):
                     raise InputFormatError("spec.assignment", f"entry {t} must be a channel index "
                                            f"below {n_channels} or a list of distinct ones, "
                                            f"got {self.assignment[t]!r}")
-            self.assignment = [[int(k) for k in ks] for ks in groups]
+            self.assignment = groups
 
     @property
     def n_terms(self) -> int:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import DimensionCapError, DimensionMismatchError, InputFormatError
 from .lindblad import LindbladModel, Trajectory
-from .linalg import LocalOperator, TensorStructure, as_operator, require_headroom
+from .linalg import LocalOperator, TensorStructure, _number, as_operator, require_headroom
 from .scalability import AggregateReport, AggregateSpec
 from .synthesis import SynthesisResult
 
@@ -63,12 +62,13 @@ def matrix_to_json(a: np.ndarray) -> list:
 
 
 def _entry_from_json(entry, field: str) -> complex:
-    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
-    if not all(isinstance(x, (int, float)) for x in parts):
-        raise InputFormatError(field, f"complex entry must be [re, im], got {entry!r}")
-    if not all(abs(x) <= sys.float_info.max for x in parts):  # NaN, inf, or too large an int
-        raise InputFormatError(field, f"entry must be finite, got {entry!r}")
-    return complex(parts[0], parts[1])
+    real, imag = entry if isinstance(entry, list) and len(entry) == 2 else (entry, 0.0)
+    try:
+        return complex(_number(real), _number(imag))
+    except OverflowError:
+        raise InputFormatError(field, f"entry must be finite, got {entry!r}") from None
+    except ValueError:
+        raise InputFormatError(field, f"complex entry must be [re, im], got {entry!r}") from None
 
 
 def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
@@ -100,10 +100,13 @@ def model_to_json(model: LindbladModel) -> dict:
 
 def _dims_from_json(obj, field: str) -> TensorStructure:
     dims = obj.get("dims")
-    if not isinstance(dims, list) or not dims or not all(
-            isinstance(d, int) and d > 0 for d in dims):
-        raise InputFormatError(f"{field}.dims", "dims must be a list of positive integers")
-    return TensorStructure(tuple(dims))
+    try:
+        return TensorStructure(dims if isinstance(dims, list) else ())
+    except DimensionCapError as exc:
+        raise DimensionCapError(str(exc), f"{field}.dims") from None
+    except DimensionMismatchError:
+        raise InputFormatError(f"{field}.dims",
+                               "dims must be a list of positive integers") from None
 
 
 def model_from_json(obj: dict) -> LindbladModel:
@@ -128,11 +131,14 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> LocalOperato
     and headroom are checked where it is used, by `local_operator`."""
     if isinstance(obj, dict) and "sites" in obj:
         sites, n = obj["sites"], structure.n_sites
-        if not (isinstance(sites, list) and all(_is_index(s) and 1 <= s <= n for s in sites)
-                and sites == sorted(set(sites))):
+        try:
+            ints = [_number(s, integral=True) for s in sites] if isinstance(sites, list) else None
+        except (ValueError, OverflowError):
+            ints = None
+        if ints is None or not all(1 <= s <= n for s in ints) or ints != sorted(set(ints)):
             raise InputFormatError(field, f"sites must be ascending and distinct in 1..{n}, "
                                           f"got {sites!r}")
-        return LocalOperator(sites, matrix_from_json(obj.get("matrix"), f"{field}.matrix"))
+        return LocalOperator(ints, matrix_from_json(obj.get("matrix"), f"{field}.matrix"))
     if isinstance(obj, dict):
         if "pauli" not in obj:
             raise InputFormatError(field, "operator object needs a 'sites' or a 'pauli' key")
@@ -143,10 +149,6 @@ def _term_from_json(obj, structure: TensorStructure, field: str) -> LocalOperato
             term = coeff * op.matrix + offset * np.eye(len(op.matrix))
         return LocalOperator(op.sites, term)
     return matrix_from_json(obj, field)
-
-
-def _is_index(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _operators(obj: dict, key: str, structure: TensorStructure, field: str) -> list:
@@ -195,10 +197,8 @@ def aggregate_from_json(obj: dict) -> AggregateSpec:
         raise InputFormatError("spec.terms", "need a non-empty array of terms")
     terms = [_term_from_json(t, structure, f"spec.terms[{i}]") for i, t in enumerate(terms_obj)]
     couplings = _operators(obj, "couplings", structure, "spec")
-    assignment = _per_term(
-        obj, "assignment",
-        lambda x: _is_index(x) or isinstance(x, list) and all(map(_is_index, x)),
-        "channel index or list of indices")
+    assignment = _per_term(obj, "assignment", lambda x: True,  # AggregateSpec checks each
+                           "channel index or list of indices")
     h = {"hamiltonian": _term_from_json(obj["H"], structure, "spec.H")} if "H" in obj else {}
     names = _per_term(obj, "names", lambda x: isinstance(x, str), "string")
     unitaries = _operators(obj, "unitaries", structure, "spec") if "unitaries" in obj else None

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NonHermitianError, PreconditionError
+from .errors import DimensionCapError, InfeasibleError, NonHermitianError, PreconditionError
 from .lindblad import generator_single_channel
 from .linalg import (
     DEFAULT_TOL,
+    MAX_MODEL_DIM,
     as_operator,
     dagger,
     hermitian_part,
@@ -139,11 +140,15 @@ def synthesize(v: np.ndarray, c: float | None = None, channels: int = 1, *,
     SynthesisResult for one channel and a list for several.  Couplings that
     miss the summed decay bound K G_L(V) <= -c V (a non-projection V below
     V^2 >= V) raise InfeasibleError with reason "es", naming the constant they
-    do reach.  A refusal of an argument names it: `V`, `c` or `channels`.
+    do reach.  A refusal of an argument names it: `V`, `c` or `channels`, and
+    K channels whose U and L exceed MAX_MODEL_DIM^2 entries a DimensionCapError.
     """
     v = as_operator(v)
     if channels < 1:
         raise PreconditionError(f"channels must be >= 1, got {channels}", field="channels")
+    if channels * 2 * v.size > MAX_MODEL_DIM ** 2:  # the report holds U and L per channel
+        raise DimensionCapError(f"{channels} channels x 2 x {len(v)}^2 = {channels * 2 * v.size} "
+                                f"stored entries exceed {MAX_MODEL_DIM}^2", field="channels")
     if c is None:
         try:
             return synthesize(v, 1.0, channels, tol=tol)

@@ -1,5 +1,8 @@
+import copy
+import functools
 import importlib
 import json
+import operator
 import os
 import re
 import subprocess
@@ -217,6 +220,22 @@ class TestSynthesize:
         code, out, _ = _run(capsys, ["synthesize", "--v", str(path)])
         assert code == 0
         assert len(json.loads(out)["report"]["channels"]) == 2
+
+    @pytest.mark.parametrize("channels", ["1" + "0" * 400, "2097153"], ids=["400-digit", "cap"])
+    def test_channel_count_above_the_report_cap(self, capsys, v_file, channels):
+        # K channels report K copies of U and L, 2 K n^2 entries: 2097153 x 8
+        # passes 4096^2 by 8; the 400-digit K ended in an OverflowError at c / K
+        tracemalloc.start()
+        try:
+            result = _run(capsys, ["synthesize", "--v", v_file, "--c", "1",
+                                   "--channels", channels])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = int(channels)
+        assert result == (5, "", f"dissipctl: dimension cap: channels: {k} channels x 2 x 2^2 = "
+                                 f"{8 * k} stored entries exceed 4096^2\n")
+        assert peak < 1e6
 
 
 class TestUsageErrors:
@@ -964,6 +983,113 @@ class TestInputValidation:
         assert out.splitlines()[0] == "t,W,A,B,trace,purity"
 
 
+class TestNumberSlots:
+    """Every number of every input file is read by one rule: a real is an int
+    or float, never a bool, with |x| at most the largest float; an integer
+    is an integral real, so 2.0 reads as 2.  A JSON true read as 1 in a
+    matrix entry, a coefficient or a dimension, and a 400-digit integer
+    ended in an OverflowError traceback."""
+
+    DOCS = {
+        "model": {"dims": [2], "H": [[0, 0], [0, 0]],
+                  "L": [[[0, 0], [[1, 0], 0]], {"sites": [1], "matrix": [[0, 0], [1, 0]]},
+                        {"pauli": "X1", "coeff": 0.5, "offset": 0}]},
+        "candidate": {"V": [{"sites": [1], "matrix": [[1, 0], [0, 0]]},
+                            {"pauli": "Z1", "coeff": 0, "offset": 0}]},
+        "dense": {"V": [[1, 0], [0, 0]]},
+        "spec": {"dims": [2, 2], "H": {"pauli": "Z1", "coeff": 0.5, "offset": 0},
+                 "terms": [{"sites": [1], "matrix": [[1, 0], [0, 0]]},
+                           {"sites": [2], "matrix": [[1, 0], [0, 0]]}],
+                 "couplings": [{"sites": [1], "matrix": [[0, 0], [1, 0]]},
+                               {"sites": [2], "matrix": [[0, 0], [1, 0]]}],
+                 "assignment": [[0], [1]], "new_couplings": [{"pauli": "X1 X2", "coeff": 0.5}]},
+        "rho0": [[1, 0], [0, 0]],
+        "projection": {"V": [[1, 0], [0, 0]], "c": 1, "channels": 2},
+    }
+    # the documents each command reads, by name
+    COMMANDS = {
+        "model": ["check", "--model", "model", "--v", "candidate"],
+        "candidate": ["check", "--model", "model", "--v", "candidate"],
+        "dense": ["check", "--model", "model", "--v", "dense"],
+        "spec": ["scale", "--spec", "spec", "--theorem", "es"],
+        "rho0": ["simulate", "--model", "model", "--rho0", "rho0", "--t-final", "1",
+                 "--samples", "3"],
+        "projection": ["synthesize", "--v", "projection"],
+    }
+    SLOTS = [  # (document, path, the field a refusal names)
+        ("model", ["dims", 0], "model.dims"),
+        ("model", ["H", 1, 1], "model.H[1][1]"),
+        ("model", ["L", 0, 1, 0, 1], "model.L[0][1][0]"),
+        ("model", ["L", 1, "sites", 0], "model.L[1]"),
+        ("model", ["L", 1, "matrix", 1, 0], "model.L[1].matrix[1][0]"),
+        ("model", ["L", 2, "coeff"], "model.L[2].coeff"),
+        ("model", ["L", 2, "offset"], "model.L[2].offset"),
+        ("candidate", ["V", 0, "sites", 0], "V[0]"),
+        ("candidate", ["V", 0, "matrix", 0, 0], "V[0].matrix[0][0]"),
+        ("candidate", ["V", 1, "coeff"], "V[1].coeff"),
+        ("candidate", ["V", 1, "offset"], "V[1].offset"),
+        ("dense", ["V", 1, 1], "V[1][1]"),
+        ("spec", ["dims", 1], "spec.dims"),
+        ("spec", ["H", "coeff"], "spec.H.coeff"),
+        ("spec", ["H", "offset"], "spec.H.offset"),
+        ("spec", ["terms", 1, "sites", 0], "spec.terms[1]"),
+        ("spec", ["terms", 0, "matrix", 0, 0], "spec.terms[0].matrix[0][0]"),
+        ("spec", ["couplings", 1, "matrix", 1, 0], "spec.couplings[1].matrix[1][0]"),
+        ("spec", ["assignment", 1, 0], "spec.assignment"),
+        ("spec", ["new_couplings", 0, "coeff"], "spec.new_couplings[0].coeff"),
+        ("rho0", [1, 1], "rho0[1][1]"),
+        ("projection", ["V", 0, 0], "V[0][0]"),
+        ("projection", ["c"], "c"),
+        ("projection", ["channels"], "channels"),
+    ]
+    BAD = [True, False, "1", [1], float("nan"), float("inf"), 10 ** 400, -10 ** 400]
+
+    def _run_with(self, capsys, tmp_path, name, path=(), x=None):
+        """The command of document `name`, with the value at `path` set to x."""
+        argv = []
+        for word in self.COMMANDS[name]:
+            if word in self.DOCS:
+                doc = copy.deepcopy(self.DOCS[word])
+                if word == name and path:
+                    *head, last = path
+                    functools.reduce(operator.getitem, head, doc)[last] = x
+                word = tmp_path / f"{word}.json"
+                word.write_text(json.dumps(doc))
+            argv.append(str(word))
+        return _run(capsys, argv)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_documents_are_read(self, capsys, tmp_path, name):
+        code, out, err = self._run_with(capsys, tmp_path, name)
+        assert code in (0, 2) and out and err == ""
+
+    @pytest.mark.parametrize("x", BAD, ids=["true", "false", "string", "list", "nan", "inf",
+                                            "huge", "-huge"])
+    @pytest.mark.parametrize("name, path, field", SLOTS,
+                             ids=[f"{name}.{'.'.join(map(str, path))}" for name, path, _ in SLOTS])
+    def test_bad_number_names_its_slot(self, capsys, tmp_path, name, path, field, x):
+        # a dimension past the largest float makes the product pass it: a cap
+        cap = field.endswith(".dims") and type(x) is int and abs(x) > 10 ** 300
+        code, out, err = self._run_with(capsys, tmp_path, name, path, x)
+        assert (code, out) == ((5, "") if cap else (1, ""))
+        kind = "dimension cap" if cap else "input error"
+        assert err.startswith(f"dissipctl: {kind}: {field}: ") and err.count("\n") == 1
+
+    INTEGER_SLOTS = [("model", ["dims", 0]), ("model", ["L", 1, "sites", 0]),
+                     ("candidate", ["V", 0, "sites", 0]), ("spec", ["dims", 0]),
+                     ("spec", ["terms", 1, "sites", 0]), ("spec", ["assignment", 1, 0]),
+                     ("projection", ["channels"])]
+
+    @pytest.mark.parametrize("name, path", INTEGER_SLOTS,
+                             ids=[f"{name}.{'.'.join(map(str, path))}"
+                                  for name, path in INTEGER_SLOTS])
+    def test_integral_float_reads_as_its_integer(self, capsys, tmp_path, name, path):
+        value = functools.reduce(operator.getitem, path, self.DOCS[name])
+        assert type(value) is int
+        assert self._run_with(capsys, tmp_path, name, path, float(value)) \
+            == self._run_with(capsys, tmp_path, name)
+
+
 class TestNonFiniteNumbers:
     """Non-finite and non-positive numbers on the command line end in exit 1
     naming the option."""
@@ -1156,6 +1282,42 @@ class TestProgram:
         text = (tmp_path / "program.json").read_bytes()
         assert text == (tmp_path / "main.json").read_bytes()
         assert json.loads(text)["report"]["simulation"]["n_states"] == 20
+
+    HUGE = 10 ** 400
+    MODEL = {"dims": [2], "H": [[0, 0], [0, 0]], "L": [[[0, 0], [1, 0]]]}
+    SPEC = {"dims": [2, True], "terms": [{"sites": [1], "matrix": [[1, 0], [0, 0]]}],
+            "couplings": [{"sites": [1], "matrix": [[0, 0], [1, 0]]}]}
+    REFUSALS = {  # files, argv, exit code, the start of the one line on stderr
+        "bool-entry": ({"a": {"V": [[True, 0], [0, 0]]}}, ["synthesize", "--v", "a", "--c", "1"],
+                       1, "input error: V[0][0]: "),
+        "bool-coeff": ({"m": MODEL, "b": {"V": {"pauli": "Z1", "coeff": False, "offset": True}}},
+                       ["check", "--model", "m", "--v", "b"], 1, "input error: V.coeff: "),
+        "bool-dimension": ({"c": SPEC}, ["scale", "--spec", "c", "--theorem", "es"],
+                           1, "input error: spec.dims: "),
+        "huge-c": ({"d": {"V": [[1, 0], [0, 0]], "c": HUGE}}, ["synthesize", "--v", "d"],
+                   1, "input error: c: "),
+        "huge-channels": ({"d": {"V": [[1, 0], [0, 0]], "channels": HUGE}},
+                          ["synthesize", "--v", "d"], 1, "input error: channels: "),
+        "huge-dimension": ({"e": {"dims": [2, HUGE], "L": [],
+                                  "H": {"sites": [1], "matrix": [[0, 0], [0, 0]]}},
+                            "v": {"V": {"sites": [1], "matrix": [[1, 0], [0, 0]]}}},
+                           ["check", "--model", "e", "--v", "v"], 5, "dimension cap: model.dims: "),
+        "1100-qubits": ({"f": dict(SPEC, dims=[2] * 1100)},
+                        ["scale", "--spec", "f", "--theorem", "es"], 5, "dimension cap: spec.dims: "),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_malformed_number_is_one_named_line(self, tmp_path, case):
+        # at the parent: bool-entry and bool-dimension exit 0, bool-coeff exits 2
+        # with V = I, and the huge numbers end in an OverflowError traceback
+        files, argv, code, start = self.REFUSALS[case]
+        for name, doc in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [str(tmp_path / f"{w}.json") if w in files else w for w in argv]
+        proc = _fresh(["-m", "dissipctl.cli", *argv], text=True)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"dissipctl: {start}")
 
     def test_only_the_program_freezes(self):
         # main() called in-process leaves the collector alone; the program

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dissipctl.linalg import (
     PAULI_Z,
     LocalOperator,
     TensorStructure,
+    _number,
     _restrict,
     _support,
     as_operator,
@@ -80,6 +82,58 @@ class TestKron:
         a, c = (rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da)) for _ in range(2))
         b, d = (rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db)) for _ in range(2))
         assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-10)
+
+
+class TestNumberRule:
+    """A real is an int or float, numpy's included, never a bool, with |x| at
+    most the largest float; an integer is an integral real.  A JSON `true`
+    read as 1, a 400-digit integer ended in an OverflowError traceback."""
+
+    @pytest.mark.parametrize("x, integral, expected", [
+        (2, False, 2.0), (2.0, True, 2), (np.int64(3), True, 3), (np.float64(-1.5), False, -1.5),
+        (10 ** 300, True, 10 ** 300), (-sys.float_info.max, False, -sys.float_info.max),
+    ])
+    def test_read(self, x, integral, expected):
+        got = _number(x, integral)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("integral", [False, True])
+    @pytest.mark.parametrize("x", [True, False, np.bool_(True), "1", [1], None, 1j])
+    def test_no_number(self, x, integral):
+        with pytest.raises(ValueError):
+            _number(x, integral)
+
+    @pytest.mark.parametrize("x", [2.5, float("nan"), float("inf")])
+    def test_no_integer(self, x):
+        with pytest.raises(ValueError):
+            _number(x, integral=True)
+
+    @pytest.mark.parametrize("x, integral", [
+        (float("nan"), False), (-float("inf"), False), (10 ** 400, False), (-10 ** 400, True),
+        (int(sys.float_info.max) + 1, True),  # float() rounds it down to the bound
+    ])
+    def test_past_the_bound(self, x, integral):
+        with pytest.raises(OverflowError):
+            _number(x, integral)
+
+
+class TestDimensionRule:
+    def test_integral_dimensions_are_ints(self):
+        s = TensorStructure((2.0, np.int64(3)))
+        assert s.dims == (2, 3) and all(type(d) is int for d in s.dims)
+
+    @pytest.mark.parametrize("dims", [(), (0,), (2, -1), (2, True), (2.5,), ("2",),
+                                      (float("inf"),), (2, [1])])
+    def test_positive_integers(self, dims):
+        with pytest.raises(DimensionMismatchError):
+            TensorStructure(dims)
+
+    @pytest.mark.parametrize("dims", [(2,) * 1024, (2, 10 ** 400), (2 ** 600, 2 ** 600)])
+    def test_product_past_the_largest_float_is_a_cap(self, dims):
+        # every copies = total_dim // d then converts to a float; 2^1023 does
+        with pytest.raises(DimensionCapError, match="exceeds 1.79769e[+]308$"):
+            TensorStructure(dims)
+        assert float(TensorStructure((2,) * 1023).total_dim) == 2.0 ** 1023
 
 
 class TestEmbed:

@@ -165,17 +165,19 @@ class TestSpecRules:
             dataclasses.replace(two_qubit_aggregation_example().aggregate, term_names=["A"])
 
     @pytest.mark.parametrize("assignment", [[0], [0, [], []], [1, []], [-1, []], [[0, 0], []],
-                                            [0.0, []], ["0", []]],
+                                            [0.5, []], ["0", []], [False, []], [10 ** 400, []]],
                              ids=["short", "long", "past-the-end", "negative", "repeated",
-                                  "float", "string"])
+                                  "float", "string", "bool", "huge"])
     def test_assignment_refused(self, assignment):
+        # an index is an integral number (2.0 reads as 2), never a bool
         with pytest.raises(InputFormatError, match=r"^spec\.assignment: "):
             dataclasses.replace(two_qubit_aggregation_example().aggregate, assignment=assignment)
 
     def test_assignment_is_held_as_index_lists(self):
-        # a channel may serve several terms; numpy integers and tuples are indices
+        # a channel may serve several terms; numpy integers, integral floats and
+        # tuples are indices
         spec = AggregateSpec(TensorStructure((2,)), [np.diag([1.0, 0.0])] * 3, [SIGMA_MINUS],
-                             assignment=[0, (np.int64(0),), []])
+                             assignment=[0.0, (np.int64(0),), []])
         assert spec.assignment == spec.channel_groups() == [[0], [0], []]
         assert all(type(k) is int for k in spec.assignment[1])
 
