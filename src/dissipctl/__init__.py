@@ -13,7 +13,7 @@ from .linalg import (
 )
 from .lindblad import (
     LindbladModel, Trajectory, dissipation_functional, evolve, generator,
-    generator_single_channel, liouvillian,
+    generator_single_channel,
 )
 from .stability import (
     StabilityReport, certify_ground_state_stability, check_condition_ds, check_condition_es,
@@ -33,7 +33,7 @@ __all__ = [
     "DEFAULT_TOL", "PAULI_X", "PAULI_Y", "PAULI_Z", "SIGMA_MINUS", "SIGMA_PLUS", "LocalOperator",
     "TensorStructure", "embed", "expm",
     "LindbladModel", "Trajectory", "dissipation_functional", "evolve", "generator",
-    "generator_single_channel", "liouvillian",
+    "generator_single_channel",
     "StabilityReport", "certify_ground_state_stability", "check_condition_ds",
     "check_condition_es", "largest_constant",
     "SynthesisResult", "synthesize", "synthesize_closed_form",

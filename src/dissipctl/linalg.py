@@ -61,6 +61,15 @@ def _number(x, integral: bool = False) -> int | float:
     return int(x) if integral else float(x)
 
 
+def _sites(sites) -> tuple[int, ...]:
+    """The 1-based `sites` read by `_number` as integers (1.0 as 1), or a
+    DimensionMismatchError: a fractional or boolean site lands on no site."""
+    try:
+        return tuple(_number(s, integral=True) for s in sites)
+    except (ValueError, OverflowError):
+        raise DimensionMismatchError(f"sites must be integers: {list(sites)}") from None
+
+
 def require_headroom(a: np.ndarray, field: str, what: str, copies: int = 1) -> np.ndarray:
     """`a`, or an InputFormatError naming `field` if 16 ||a (x) I||_F^2 =
     16 copies ||a||_F^2 overflows, I of dimension `copies`: ||X||_F^2 bounds
@@ -200,7 +209,7 @@ def embed(local: np.ndarray, sites, structure: TensorStructure) -> np.ndarray:
     every other entry is +0.0.
     """
     local = as_operator(local)
-    sites0 = [int(s) - 1 for s in sites]
+    sites0 = [s - 1 for s in _sites(sites)]
     dims, n = structure.dims, structure.n_sites
     if len(set(sites0)) != len(sites0):
         raise DimensionMismatchError(f"sites must be distinct: {list(sites)}")
@@ -283,7 +292,7 @@ def _restrict(a, sites, structure: TensorStructure) -> np.ndarray:
     `sites` holds `_support(a, structure)`; `embed` is its inverse."""
     a = as_operator(a)
     dims, n = structure.dims, structure.n_sites
-    keep = {int(s) - 1 for s in sites}
+    keep = {s - 1 for s in _sites(sites)}
     index = tuple(slice(None) if k % n in keep else 0 for k in range(2 * n))
     d = prod(dims[s] for s in keep)
     return np.ascontiguousarray(a.reshape(dims + dims)[index].reshape(d, d))
@@ -350,7 +359,7 @@ class LocalOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        sites = tuple(int(s) for s in self.sites)
+        sites = _sites(self.sites)
         if list(sites) != sorted(set(sites)):
             raise DimensionMismatchError(f"sites must be ascending and distinct: {sites}")
         object.__setattr__(self, "sites", sites)
@@ -522,8 +531,7 @@ def expm(a, t: float = 1.0) -> np.ndarray:
         v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
              + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     # (V - U)^{-1} (V + U), written so that the rounding falls on the
-    # correction to I: the column sums of a Liouvillian's propagator, which
-    # carry the trace of the propagated state, then stay exact more often
+    # correction to I, which is small over a short step
     r = eye + 2.0 * np.linalg.solve(v - u, u)
     for _ in range(s):
         r = r @ r

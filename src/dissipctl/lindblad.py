@@ -21,7 +21,7 @@ and every coupling and the propagated operator are real, complex128 otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from functools import partial
 
 import numpy as np
 
@@ -201,20 +201,6 @@ def dissipation_functional(x, model: LindbladModel, tol: float = DEFAULT_TOL) ->
         for l in model.couplings)
 
 
-def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Matrix of the state-evolution map on column-stacked density matrices;
-    real when the model is (H = 0 and real couplings)."""
-    n = model.dim
-    eye = np.eye(n)
-    h, couplings = _matrices(model)
-    lam = -1j * (np.kron(eye, h) - np.kron(h.T, eye)) if h.any() else np.zeros((n * n, n * n))
-    for l in couplings:
-        ldl = dagger(l) @ l
-        lam = lam + np.kron(l.conj(), l) \
-            - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
-    return lam
-
-
 # -- trajectories -------------------------------------------------------------
 
 
@@ -261,6 +247,10 @@ def _rhs_factory(model: LindbladModel, adjoint: bool = False):
     return rhs
 
 
+# bound at import: only a state's call looks up `_rhs_factory`, with the one
+# argument that the wrapper in bench/layers.py takes
+_adjoint_rhs_factory = partial(_rhs_factory, adjoint=True)
+
 _KRYLOV_DIM = 30  # basis vectors of one Krylov step beyond the state itself
 _KRYLOV_TOL = 1e-9  # rtol and atol of a Krylov step's error estimate
 # simulated systems are refused above it: the trajectory bound counts stored
@@ -291,12 +281,6 @@ def _grid(n: int, t_final: float, n_samples: int) -> np.ndarray:
     return np.linspace(0.0, float(t_final), n_samples)
 
 
-def _lost(times: np.ndarray) -> IntegrationError:
-    """The refusal of a horizon that rounding destroys over one sample interval."""
-    return IntegrationError(f"t-final {times[-1]:.6g} too large: the propagator over a "
-                            f"sample interval is lost to rounding at rtol {_KRYLOV_TOL:g}")
-
-
 def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray):
     """One state at each time of an equally spaced grid, by Krylov steps (Saad,
     SIAM J. Numer. Anal. 29 (1992) 209; Sidje, ACM TOMS 24 (1998) 130).
@@ -309,7 +293,9 @@ def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray):
     rho(t + s) / beta and, last, h e_m' s phi_1(s H_m) e_0 (h = A_{m,m-1}),
     beta times which estimates the error.  exp(A dt) steps them across the
     grid while that is within _KRYLOV_TOL (1 + beta); a first sample past it
-    takes a shorter sub-step.
+    takes a shorter sub-step.  A horizon over which exp(A dt) is rounding
+    only, eps dt ||A||_1 > _KRYLOV_TOL, is refused; each Arnoldi product is
+    scaled by a power of two first, so a huge rate reaches that rule.
     """
     n = rho.shape[-1]
     basis = np.empty((_KRYLOV_DIM + 1, n, n), rho.dtype)
@@ -320,6 +306,14 @@ def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray):
     def combine(c):  # beta sum_{k<m} c_k V_k
         return hermitian_part((beta * c[:m] @ flat[:m]).view(rho.dtype).reshape(n, n))
 
+    def propagator(s):
+        # exp(s A): A's row 0 is 0, so its row 0 is e_0' and c_0, which holds a
+        # state's trace, stays 1; set so, as the rounding of expm, scaled up by
+        # the squarings of a long step, drifts it
+        r = expm(a, s)
+        r[0, 0], r[0, 1:] = 1.0, 0.0
+        return r
+
     yield rho
     while i < len(times):
         beta = float(np.linalg.norm(rho))
@@ -327,25 +321,30 @@ def _krylov_samples(rhs, rho: np.ndarray, times: np.ndarray):
         a = np.zeros((_KRYLOV_DIM + 1, _KRYLOV_DIM + 1))
         for m in range(1, _KRYLOV_DIM + 1):
             w = rhs(basis[m - 1])
-            wf, size = w.reshape(-1).view(np.float64), np.linalg.norm(w)
+            wf = w.reshape(-1).view(np.float64)
+            unit = np.ldexp(1.0, np.frexp(np.abs(wf).max())[1])  # a power of two >= |w_ij|
+            w /= unit  # exact, so no square in the norms below overflows on a huge rate
+            size = np.linalg.norm(w)
             for _ in range(2):  # classical Gram-Schmidt against V_1..V_{m-1}, twice
                 g = flat[1:m] @ wf
                 wf -= g @ flat[1:m]
-                a[1:m, m - 1] += g
-            a[m, m - 1] = np.linalg.norm(wf)
-            if a[m, m - 1] <= 1e-12 * size:
+                a[1:m, m - 1] += unit * g
+            h = np.linalg.norm(wf)
+            a[m, m - 1] = unit * h
+            if h <= 1e-12 * size:
                 break
-            basis[m] = hermitian_part(w) / a[m, m - 1]
+            basis[m] = hermitian_part(w) / h
         a, tol = a[:m + 1, :m + 1], _KRYLOV_TOL + _KRYLOV_TOL * beta
         if np.finfo(float).eps * dt * np.linalg.norm(a, 1) > _KRYLOV_TOL:  # exp(A dt)'s own error
-            raise _lost(times)
-        step, tau = expm(a, dt), times[i] - t
-        c = (step if t == times[i - 1] else expm(a, tau))[:, 0]
+            raise IntegrationError(f"t-final {times[-1]:.6g} too large: the propagator over a "
+                                   f"sample interval is lost to rounding at rtol {_KRYLOV_TOL:g}")
+        step, tau = propagator(dt), times[i] - t
+        c = (step if t == times[i - 1] else propagator(tau))[:, 0]
         while not beta * abs(c[m]) <= tol:
             tau *= min(0.9, 0.9 * (tol / (beta * abs(c[m]))) ** (1.0 / m))
             if tau < 1e-14 * max(1.0, abs(times[i])):
                 raise IntegrationError(f"step size underflow at t={t:.6g}")
-            c = expm(a, tau)[:, 0]
+            c = propagator(tau)[:, 0]
         if tau < times[i] - t:  # a sub-step short of the next sample
             rho, t = combine(c), t + tau
             continue
@@ -367,32 +366,15 @@ def _samples(model: LindbladModel, x: np.ndarray, times: np.ndarray, tol: float,
              floor: float | None = None):
     """The Hermitian x at each time of an equally spaced grid, in `_dtype`:
     a state under exp(t Lambda), or, given a ``floor``, an observable under
-    exp(t G).  Up to dim 16, where Lambda is n^2 x n^2 and one expm stays
-    cheap, by one propagator expm(Lambda dt), or expm(Lambda' dt), on
-    column-stacked x, refused unless it keeps e = vec(I), e' step = e' for
-    exp(Lambda dt) (the trace) and step e = e for exp(G dt) (the identity),
-    within _KRYLOV_TOL; above, by Krylov steps, each step's error estimate
-    within _KRYLOV_TOL (1 + ||x||_F).
+    exp(t G), by the Krylov steps of `_krylov_samples`.
 
     Each sample is emitted after `_checked` passes it, at ``tol`` and with
     ``floor``, in chunks of at most 32 KB; an invalid sample is named by its
     t ahead of any later failure of the propagation.
     """
-    n, x, adjoint = model.dim, x.astype(_dtype(model, x), copy=False), floor is not None
-    if n > 16:
-        # a state's call passes one argument, as the wrapper in bench/layers.py takes
-        rhs = _rhs_factory(model, adjoint) if adjoint else _rhs_factory(model)
-        stream = _krylov_samples(rhs, x, times)
-    else:
-        lam, e = liouvillian(model), np.eye(n).reshape(-1)
-        lam = (dagger(lam) if adjoint else lam).astype(np.result_type(lam, x), copy=False)
-        with np.errstate(over="ignore", invalid="ignore"):  # a lost step is refused below
-            step = expm(lam, times[1] - times[0])
-            if not np.abs((step @ e if adjoint else e @ step) - e).max() <= _KRYLOV_TOL:
-                raise _lost(times)
-        powers = accumulate(repeat(step, len(times) - 1), lambda y, s: s @ y,
-                            initial=x.T.reshape(-1))  # x, step x, step^2 x, ...
-        stream = (y.reshape(n, n).T for y in powers)
+    n, x = model.dim, x.astype(_dtype(model, x), copy=False)
+    factory = _rhs_factory if floor is None else _adjoint_rhs_factory
+    stream = _krylov_samples(factory(model), x, times)
     chunk = np.empty((max(1, 32768 // (x.itemsize * n * n)), n, n), x.dtype)
     for start in range(0, len(times), len(chunk)):
         k = 0

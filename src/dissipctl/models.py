@@ -28,6 +28,7 @@ from .linalg import (
     SIGMA_MINUS,
     LocalOperator,
     TensorStructure,
+    _number,
 )
 from .scalability import AggregateSpec
 
@@ -276,12 +277,12 @@ def build(name: str) -> NamedModel:
     """Instantiate a registry model from a string like ``cluster_chain(5)``
     or ``toric_patch(extended)``.
 
-    Arguments are positional numbers, except that a boolean parameter is set
-    by its own name and by nothing else; an ``int`` parameter takes only an
-    integer literal.  Arguments that overflow the constructor, or give an
-    operator that its door (`local_operator`) refuses, and arguments the
-    constructor refuses (a PreconditionError), are an input error naming
-    ``name``.
+    Arguments are positional numbers, read by `linalg._number` as in every
+    input file (an ``int`` parameter takes 4.0 as 4), except that a boolean
+    parameter is set by its own name and by nothing else.  Arguments that
+    overflow the constructor, or give an operator that its door
+    (`local_operator`) refuses, and arguments the constructor refuses (a
+    PreconditionError), are an input error naming ``name``.
     """
     m = _NAME_RE.match(name.strip())
     if m is None or m.group(1) not in REGISTRY:
@@ -303,14 +304,18 @@ def build(name: str) -> NamedModel:
             value = int(part) if _INT_RE.match(part) else float(part)
         except ValueError:
             raise InputFormatError("name", f"cannot parse argument {part!r} in {name!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InputFormatError("name", f"argument {part!r} in {name!r} must be finite")
         if len(args) == len(numbers):
             hint = "".join(f"; set {flag} by its name" for flag in sorted(flags))
             raise InputFormatError("name", f"{m.group(1)} takes {len(numbers)} numeric "
                                            f"argument(s), {name!r} gives more{hint}")
-        if numbers[len(args)].annotation == "int" and not isinstance(value, int):
+        count = numbers[len(args)].annotation == "int"
+        try:
+            value = _number(value, integral=count)
+        except ValueError:
             raise InputFormatError("name", f"argument {part!r} in {name!r} must be an integer")
+        except OverflowError:  # a count past the float range is left to the constructor's cap
+            if not count:
+                raise InputFormatError("name", f"argument {part!r} in {name!r} must be finite")
         args.append(value)
     try:
         return fn(*args, **kwargs)

@@ -3,7 +3,7 @@
 Nothing here is reached by the command line, `scripts/` or the benchmark:
 each function is an independent way to compute a quantity that the runtime
 computes another way (the bilinear synthesis solver against the closed form,
-the Liouvillian kernel against simulation, the RK45 integrator against the
+the Liouvillian and its kernel against simulation, the RK45 integrator against the
 Krylov propagator, the Schrodinger ensemble against the Heisenberg
 propagation of `check --simulate`, dense ground spaces, and the dense
 generator, dissipation functional and aggregation theorems against the
@@ -24,7 +24,7 @@ from dissipctl.errors import (
     PreconditionError,
 )
 from dissipctl.lindblad import (
-    LindbladModel, dissipation_single_channel, evolve, generator_single_channel, liouvillian,
+    LindbladModel, dissipation_single_channel, evolve, generator_single_channel,
 )
 from dissipctl.linalg import (
     DEFAULT_TOL, PAULI_X, PAULI_Y, PAULI_Z, TensorStructure, as_operator, commutator, dagger,
@@ -242,6 +242,21 @@ def expectation(x: np.ndarray, rho: np.ndarray, tol: float = DEFAULT_TOL) -> flo
     if not is_hermitian(x, tol):
         raise NonHermitianError("expectation requires a Hermitian observable")
     return float(complex(np.trace(x @ rho)).real)
+
+
+def liouvillian(model: LindbladModel) -> np.ndarray:
+    """Matrix of the state-evolution map on column-stacked density matrices,
+    the reference of the Krylov propagator; real when the model is (H = 0
+    and real couplings)."""
+    n = model.dim
+    eye = np.eye(n)
+    dense = DenseModel.of(model)
+    h = dense.hamiltonian
+    lam = -1j * (np.kron(eye, h) - np.kron(h.T, eye)) if h.any() else np.zeros((n * n, n * n))
+    for l in dense.couplings:
+        ldl = dagger(l) @ l
+        lam = lam + np.kron(l.conj(), l) - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
+    return lam
 
 
 def stationary_state(model: LindbladModel, tol: float = 1e-8) -> np.ndarray:

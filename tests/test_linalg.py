@@ -11,7 +11,6 @@ from dissipctl import linalg
 from dissipctl.errors import (
     DimensionCapError, DimensionMismatchError, InputFormatError, NonHermitianError,
 )
-from dissipctl.lindblad import liouvillian
 from dissipctl.models import REGISTRY, build
 from dissipctl.linalg import (
     PAULI_X,
@@ -38,6 +37,7 @@ from oracles import (
     hermitian_eig,
     is_unitary,
     kron,
+    liouvillian,
     pauli_string,
     pinv,
     random_hermitian,
@@ -286,6 +286,24 @@ class TestSupport:
 class TestLocalOperator:
     """X (x) I held as X: `on` embeds it, `support` and `restrict` give it
     back, and the headroom check is the one of the dense operator."""
+
+    @pytest.mark.parametrize("site", [1.5, True, np.float64(0.5), "1", 10**400],
+                             ids=["fraction", "bool", "numpy-fraction", "string", "huge"])
+    def test_a_site_is_read_by_the_number_rule(self, site):
+        # each but the string once landed silently on site 1 (or 0)
+        s = TensorStructure((2, 2))
+        for read in (lambda: LocalOperator((site,), np.eye(2)),
+                     lambda: embed(np.eye(2), [site], s),
+                     lambda: _restrict(np.eye(4), [site], s)):
+            with pytest.raises(DimensionMismatchError, match=r"^sites must be integers: \["):
+                read()
+
+    def test_an_integral_float_site_reads_as_its_integer(self):
+        s = TensorStructure((2, 2))
+        op = LocalOperator((1.0, np.int64(2)), np.kron(PAULI_Z, PAULI_X))
+        assert op.sites == (1, 2) and all(type(x) is int for x in op.sites)
+        assert np.array_equal(embed(PAULI_Z, [2.0], s), embed(PAULI_Z, [2], s))
+        assert np.array_equal(_restrict(op.on((1, 2), s), [1.0, 2.0], s), op.matrix)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -561,8 +579,8 @@ class TestExpmOracle:
         assert relative_error(expm(n, t), exact) <= 1e-12
 
     def test_registry_liouvillians(self):
-        # check --simulate samples t_final = 20 at 201 points, so dt = 0.1;
-        # evolve propagates by expm up to dimension 16
+        # dt = 0.1 is the sample interval of check --simulate (t_final = 20,
+        # 201 samples); the Liouvillian is the oracles' reference of exp(t Lambda)
         checked = 0
         for name in sorted(REGISTRY):
             model = build(name).model

@@ -26,7 +26,6 @@ from dissipctl.lindblad import (
     evolve,
     generator,
     generator_single_channel,
-    liouvillian,
 )
 from dissipctl.linalg import (
     MAX_MODEL_DIM, PAULI_Z, SIGMA_MINUS, LocalOperator, TensorStructure, as_operator, dagger,
@@ -40,6 +39,7 @@ from oracles import (
     dense_view,
     expectation,
     is_stationary,
+    liouvillian,
     maximally_mixed,
     random_density,
     random_hermitian,
@@ -236,8 +236,7 @@ class TestLiouvillian:
         assert np.linalg.norm(lam @ vec(np.diag([0.0, 1.0]))) < 1e-12
 
     def test_exponential_matches_rk(self):
-        # the RK45 oracle of evolve above dim 16, driven at dim 3, where
-        # evolve itself steps with expm
+        # the RK45 oracle of evolve, driven at dim 3
         rng = np.random.default_rng(4)
         m = random_model(rng, 3)
         rho0 = random_density(rng, 3)
@@ -384,23 +383,34 @@ class TestEvolve:
 class TestEnsemble:
     """The initial states of a simulated ensemble, each evolved on its own."""
 
-    def test_exact_branch_matches_rk45_oracle(self):
+    def test_each_state_matches_rk45_oracle(self):
         rng = np.random.default_rng(21)
         m = random_model(rng, 4)
         times = np.linspace(0.0, 1.0, 5)
         for rho0 in [random_density(rng, 4) for _ in range(3)]:
-            exact = evolve(m, rho0, 1.0, n_samples=5).states
+            states = evolve(m, rho0, 1.0, n_samples=5).states
             for i, rho in enumerate(rk45_samples(m, rho0, times, 0.01, 1e-10, 1e-10)):
-                assert np.abs(exact[i] - rho).max() < 1e-8
+                assert np.abs(states[i] - rho).max() < 1e-8
 
     def test_one_invalid_state_names_time_and_state(self, monkeypatch):
         # a fault that keeps the trace but drains rho_00 by rho_22 into rho_22:
         # a state that starts in level 2 leaves the PSD cone at the first
         # sample, one that starts in level 0 stays valid
         m = three_level_example().model
-        leak = np.zeros((9, 9))
-        leak[0, 8], leak[8, 8] = -1.0, 1.0  # d rho_00 / dt -= rho_22, d rho_22 / dt += rho_22
-        monkeypatch.setattr(lindblad, "liouvillian", lambda model: liouvillian(model) + leak)
+        factory = lindblad._rhs_factory
+
+        def leaking_factory(model):
+            rhs = factory(model)
+
+            def leaking(rho):  # d rho_00 / dt -= rho_22, d rho_22 / dt += rho_22
+                out = rhs(rho)
+                out[0, 0] -= rho[2, 2]
+                out[2, 2] += rho[2, 2]
+                return out
+
+            return leaking
+
+        monkeypatch.setattr(lindblad, "_rhs_factory", leaking_factory)
         evolve(m, np.diag([1.0, 0.0, 0.0]), 1.0, n_samples=3)
         with pytest.raises(StateValidityError, match=r"^at t=0\.5: smallest eigenvalue -"):
             evolve(m, np.diag([0.0, 0.0, 1.0]), 1.0, n_samples=3)
@@ -438,7 +448,7 @@ class TestRealPropagation:
     same expectation series, traces and purities."""
 
     @pytest.mark.parametrize("name, t_final", [("toric_patch", 1.0), ("cluster_chain(4)", 3.0)],
-                             ids=["krylov", "exact"])
+                             ids=["krylov", "dim16"])
     def test_matches_the_complex_twin(self, name, t_final, monkeypatch):
         named = build(name)
         model, n = named.model, named.model.dim
@@ -463,11 +473,8 @@ class TestRealPropagation:
                           observables={k: conj(w) for k, w in terms.items()})
 
         assert real.states.dtype == np.float64 and complex_.states.dtype == np.complex128
-        if n > 16:
-            assert set(real_dtypes) == {np.dtype(np.float64)}
-            assert set(rhs_dtypes) == {np.dtype(np.complex128)}
-        else:
-            assert real_dtypes == rhs_dtypes == []
+        assert set(real_dtypes) == {np.dtype(np.float64)}
+        assert set(rhs_dtypes) == {np.dtype(np.complex128)}
         for key in terms:
             assert np.abs(real.observables[key] - complex_.observables[key]).max() < 1e-12
         assert np.abs(real.traces() - complex_.traces()).max() < 1e-12
@@ -560,8 +567,8 @@ def _rhs_arguments(monkeypatch) -> list:
 
 
 class TestKrylov:
-    """Above dim 16 evolve takes Krylov steps; oracles: exp(t Lambda) applied
-    by scipy, and RK45."""
+    """evolve takes Krylov steps; oracles: exp(t Lambda) applied by scipy,
+    and RK45."""
 
     def test_the_propagator_oracle_is_the_liouvillian_exponential(self):
         rng = np.random.default_rng(37)

@@ -190,7 +190,7 @@ class TestBuildParser:
             build("cluster_chain(maybe)")
 
     @pytest.mark.parametrize("name", ["toric_patch(true)", "toric_patch(1)",
-                                      "cluster_chain(5.0)", "cluster_chain(extended)",
+                                      "cluster_chain(5.5)", "cluster_chain(extended)",
                                       "three_level(1)"])
     def test_argument_of_the_wrong_kind(self, name):
         with pytest.raises(InputFormatError):
