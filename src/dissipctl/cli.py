@@ -72,11 +72,13 @@ def _check_numbers(args) -> None:
 
 def _load_json(path: str, field: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
         raise InputFormatError(field, f"file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or no permission
+        raise InputFormatError(field, f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise InputFormatError(field, f"invalid JSON in {path}: {exc}")
 
 
@@ -89,7 +91,10 @@ def _load_v(path: str) -> tuple:
 def _emit(args, payload: dict | str) -> None:
     text = payload if isinstance(payload, str) else dumps_report(payload)
     if getattr(args, "out", None):
-        write_text_atomic(args.out, text)
+        try:
+            write_text_atomic(args.out, text)
+        except OSError as exc:  # a missing directory, or a directory at the path
+            raise InputFormatError("out", f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

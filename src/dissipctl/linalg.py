@@ -299,6 +299,7 @@ def _restrict(a, sites, structure: TensorStructure) -> np.ndarray:
 
 
 _PAULI_TOKEN = re.compile(r"^([IXYZ])(\d+)$")
+_PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def _pauli_factors(spec: str, structure: TensorStructure, field: str) -> list[tuple[str, int]]:
@@ -318,31 +319,6 @@ def _pauli_factors(spec: str, structure: TensorStructure, field: str) -> list[tu
             raise InputFormatError(field, f"site {site} is not a qubit")
         factors.append((letter, site))
     return factors
-
-
-def _pauli_monomial(factors, structure: TensorStructure) -> np.ndarray:
-    """The Pauli product of `factors` on `structure`.
-
-    The product is a monomial: column j has one entry, in the row that flips
-    the X and Y bits of j, with phase (-1)^(Z and Y bits of j) times i per Y.
-    It is float64 unless a factor is a Y.
-    """
-    d = structure.total_dim
-    cols = np.arange(d)
-    rows = cols.copy()
-    phase = np.ones(d)
-    for letter, site in factors:
-        stride = prod(structure.dims[site:])  # site 1 is the leftmost factor
-        sign = 1 - 2 * ((cols // stride) % 2)  # +1 on level 0, -1 on level 1
-        if letter in "XY":
-            rows += stride * sign
-        if letter == "Z":
-            phase = phase * sign
-        elif letter == "Y":  # Y e0 = i e1, Y e1 = -i e0
-            phase = phase * (1j * sign)
-    out = np.zeros((d, d), dtype=phase.dtype)
-    out[rows, cols] = phase
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,13 +347,12 @@ class LocalOperator:
         """The Pauli product of a string like ``"Z1 X2 Z3"`` (1-based sites)
         on the sites of its X, Y and Z factors; a string that is not one of
         `structure` is refused naming `field`."""
-        factors = [(letter, s) for letter, s in _pauli_factors(spec, structure, field)
-                   if letter != "I"]
-        sites = tuple(sorted(s for _, s in factors))
-        if not sites:
-            return cls((), np.ones((1, 1)))
-        return cls(sites, _pauli_monomial([(letter, sites.index(s) + 1) for letter, s in factors],
-                                          TensorStructure.qubits(len(sites))))
+        factors = sorted((s, letter) for letter, s in _pauli_factors(spec, structure, field)
+                         if letter != "I")
+        matrix = np.ones((1, 1))
+        for _, letter in factors:  # site order: site 1 is the leftmost factor
+            matrix = np.kron(matrix, _PAULI[letter])
+        return cls(tuple(s for s, _ in factors), matrix)
 
     def on(self, sites: tuple[int, ...], structure: TensorStructure) -> np.ndarray:
         """X (x) I on the ascending 1-based `sites`, which hold this
@@ -475,18 +450,10 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-# Diagonal Pade approximants r_m = q_m^{-1} p_m of exp, by degree m: the
-# 1-norm theta_m up to which r_m(A) = exp(A + E) with ||E|| <= u ||A|| in
-# double precision, and the coefficients b_0..b_m of p_m (Higham, SIAM J.
-# Matrix Anal. Appl. 26 (2005) 1179-1193).
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                            1512.0, 56.0, 1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-)
+# The diagonal Pade approximant r_13 = q_13^{-1} p_13 of exp: the 1-norm
+# theta_13 up to which r_13(A) = exp(A + E) with ||E|| <= u ||A|| in double
+# precision, and the coefficients b_0..b_13 of p_13 (Higham, SIAM J. Matrix
+# Anal. Appl. 26 (2005) 1179-1193).
 _THETA_13 = 5.371920351148152
 _B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
@@ -496,12 +463,12 @@ _B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 def expm(a, t: float = 1.0) -> np.ndarray:
     """Matrix exponential exp(a * t) by scaling and squaring.
 
-    The lowest Pade degree of 3, 5, 7, 9 whose bound covers the exact 1-norm
-    is used; above that, degree 13 on a / 2^s with s the fewest halvings that
-    bring the norm under theta_13, then s squarings (Higham 2005).  A
-    diagonal matrix, 1x1 included, is exponentiated entrywise.  The
-    arithmetic stays in the dtype of ``a``: a complex matrix with real
-    entries is not demoted.
+    The Pade approximant of degree 13 is taken of a / 2^s, with s the fewest
+    halvings that bring the exact 1-norm under theta_13, then squared s
+    times (Higham 2005); a NaN norm is a ValueError and an infinite one an
+    OverflowError.  A diagonal matrix, 1x1 included, is exponentiated
+    entrywise.  The arithmetic stays in the dtype of ``a``: a complex matrix
+    with real entries is not demoted.
     """
     a = _square(np.asarray(a)) * float(t)
     if np.array_equal(a, np.diag(np.diagonal(a))):
@@ -509,27 +476,16 @@ def expm(a, t: float = 1.0) -> np.ndarray:
         return np.diag(np.exp(np.diagonal(a)))
     eye = np.eye(a.shape[0], dtype=a.dtype)
     norm = float(np.linalg.norm(a, 1))
-    s = 0
-    for theta, b in _PADE:
-        if norm <= theta:
-            a2 = a @ a
-            even = [eye, a2]  # A^0, A^2, ..., A^(m-1)
-            while len(even) < len(b) // 2:
-                even.append(even[-1] @ a2)
-            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
-            v = sum(b[2 * k] * p for k, p in enumerate(even))
-            break
-    else:
-        s = max(0, ceil(log2(norm / _THETA_13)))
-        a = a / 2.0 ** s  # before squaring: (A / 2^s)^2 is finite where A^2 may not be
-        a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        b = _B_13
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    s = 0 if norm <= _THETA_13 else ceil(log2(norm / _THETA_13))
+    a = a / 2.0 ** s  # before squaring: (A / 2^s)^2 is finite where A^2 may not be
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    b = _B_13
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     # (V - U)^{-1} (V + U), written so that the rounding falls on the
     # correction to I, which is small over a short step
     r = eye + 2.0 * np.linalg.solve(v - u, u)

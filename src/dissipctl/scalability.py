@@ -67,8 +67,9 @@ class AggregateSpec:
     A spec is checked where it is built, each refusal an InputFormatError
     naming its field: first each operator by `local_operator`, as
     `spec.terms[i]`, `spec.couplings[i]`, `spec.H`, `spec.unitaries[i]` and
-    `spec.new_couplings[i]`; then `spec.names`, one per term, distinct and
-    none of a trajectory's other columns; `spec.assignment`, one entry per
+    `spec.new_couplings[i]`; then `spec.names`, one per term, distinct,
+    none of a trajectory's other columns and each a CSV field as it stands
+    (no comma, double quote, CR or LF); `spec.assignment`, one entry per
     term, a channel index or a list of distinct ones, held as lists of
     indices; `spec.unitaries`, one per channel.  Every operator is held once, as a
     `LocalOperator`, one of the whole space reduced to its support; only d
@@ -103,9 +104,11 @@ class AggregateSpec:
             if value is not None and len(value) != n:
                 raise InputFormatError(f"spec.{key}", f"need {n}, one per {per}, got {len(value)}")
         names = self.term_names
-        if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)):
-            raise InputFormatError("spec.names", "names must be distinct and none of "
-                                   f"{', '.join(sorted(_RESERVED_COLUMNS))}, got {names!r}")
+        if names is not None and (len(set(names)) < len(names) or _RESERVED_COLUMNS & set(names)
+                                  or any(set(name) & set(',"\r\n') for name in names)):
+            raise InputFormatError("spec.names", "names must be distinct, none of "
+                                   f"{', '.join(sorted(_RESERVED_COLUMNS))} and free of "
+                                   f"commas, double quotes and line breaks, got {names!r}")
         if self.assignment is not None:
             groups = [list(e) if isinstance(e, (list, tuple)) else [e] for e in self.assignment]
             for t, ks in enumerate(groups):  # a channel counted twice would double its constant

@@ -997,7 +997,10 @@ class TestInputValidation:
         return _run(capsys, ["simulate", "--spec", str(path), "--t-final", "1",
                              "--samples", "5"])
 
-    @pytest.mark.parametrize("names", [["A", "A"], ["W", "X"]], ids=["repeated", "reserved"])
+    # a comma, a double quote or a line break would split a field of the header
+    @pytest.mark.parametrize("names", [["A", "A"], ["W", "X"], ["A", "a,b"], ["A", 'a"b'],
+                                       ["A", "c\nd"], ["A", "c\rd"]],
+                             ids=["repeated", "reserved", "comma", "quote", "lf", "cr"])
     def test_names_clashing_with_csv_columns(self, capsys, tmp_path, spec, names):
         spec["names"] = names
         code, out, err = self._simulate(capsys, tmp_path, spec)
@@ -1009,6 +1012,47 @@ class TestInputValidation:
         code, out, _ = self._simulate(capsys, tmp_path, spec)
         assert code == 0
         assert out.splitlines()[0] == "t,W,A,B,trace,purity"
+
+
+class TestFiles:
+    """An input file that cannot be read as text, or an --out that cannot be
+    written, ends in one input-error line naming its option, exit 1."""
+
+    @pytest.fixture()
+    def unreadable(self, tmp_path):
+        (tmp_path / "latin1.json").write_bytes('{"name": "café"}'.encode("latin-1"))
+        (tmp_path / "dir").mkdir()
+        return tmp_path
+
+    @pytest.mark.parametrize("kind", ["dir", "latin1.json"], ids=["directory", "not-utf8"])
+    @pytest.mark.parametrize("field, argv", [
+        ("model", ["check", "--model", "{}", "--v", "{}"]),
+        ("V", ["check", "--model", "{m}", "--v", "{}"]),
+        ("spec", ["scale", "--theorem", "es", "--spec", "{}"]),
+        ("rho0", ["simulate", "--name", "two_level", "--t-final", "1", "--rho0", "{}"]),
+        ("V", ["synthesize", "--v", "{}"]),
+    ], ids=["model", "check-V", "spec", "rho0", "synthesize-V"])
+    def test_an_unreadable_input_file(self, capsys, unreadable, kind, field, argv):
+        model = unreadable / "model.json"
+        model.write_text(json.dumps(_dense_model_json(build("two_level").model)))
+        path = str(unreadable / kind)
+        argv = [a.format(path, m=model) for a in argv]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        reason = (f"cannot read {path}: Is a directory" if kind == "dir"
+                  else f"invalid JSON in {path}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.startswith(f"dissipctl: input error: {field}: {reason}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "dir"], ids=["missing-dir", "dir"])
+    def test_an_unwritable_out(self, capsys, unreadable, target):
+        path = unreadable / target
+        code, out, err = _run(capsys, ["models", "export", "two_level", "--out", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"dissipctl: input error: out: cannot write {path}: ")
+        assert err.count("\n") == 1
+        assert not list(unreadable.rglob(".dissipctl-*"))
+        assert not (unreadable / "missing").exists() and not any((unreadable / "dir").iterdir())
 
 
 class TestNumberSlots:

@@ -8,12 +8,12 @@ one aggregate that ``es`` and ``ds`` refuse on a scalability margin and
 whose ``commuting`` report names a failing clause.  Calls on
 models without an aggregate are kept: they pin the exit-1 error paths.
 ``check --simulate`` is pinned on the models of dimension 2 to 4, whose
-ensembles are stepped exactly.  ``synthesize`` is pinned on the candidate
-files in ``golden/inputs``: dilations, a two-channel split, a non-projection
-with V^2 >= V, the rank obstruction with and without ``--c`` (the latter
-tries c = 1, then 1/2), the norm obstruction and a non-projection coupling
-below its target constant (exit 3), and malformed numbers in the file
-(exit 1).
+Heisenberg series take the Krylov steps of every other dimension.
+``synthesize`` is pinned on the candidate files in ``golden/inputs``:
+dilations, a two-channel split, a non-projection with V^2 >= V, the rank
+obstruction with and without ``--c`` (the latter tries c = 1, then 1/2), the
+norm obstruction and a non-projection coupling below its target constant
+(exit 3), and malformed numbers in the file (exit 1).
 
 Regenerate the files after an intended output change with
 

@@ -392,7 +392,7 @@ class TestPauliString:
 
     @given(st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=6), st.randoms())
     @settings(max_examples=60, deadline=None)
-    def test_monomial_matches_dense_product(self, letters, rnd):
+    def test_kronecker_product_matches_dense_product(self, letters, rnd):
         # the string in a shuffled site order; the oracle multiplies in it
         s = TensorStructure.qubits(len(letters))
         sites = list(range(1, len(letters) + 1))
@@ -539,11 +539,12 @@ class TestExpmOracle:
     """expm against scipy.linalg.expm as the independent oracle, to 1e-12
     relative, plus cases whose exponential is known exactly."""
 
-    # 1-norm bands, one inside each Pade degree's range (3, 5, 7, 9, 13
-    # unscaled) and one that needs up to five squarings
+    # 1-norm bands of the one degree-13 path: five below theta_13 = 5.37,
+    # taken unscaled, and one that needs up to five squarings
     @pytest.mark.parametrize("band", [(1e-3, 1.4e-2), (1.6e-2, 0.25), (0.26, 0.95),
                                       (0.96, 2.09), (2.1, 5.37), (5.38, 1e2)],
-                             ids=["pade3", "pade5", "pade7", "pade9", "pade13", "squaring"])
+                             ids=["norm1e-3", "norm2e-2", "norm0.3", "norm1", "norm2",
+                                  "squaring"])
     @given(n=st.integers(1, 20), where=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_random_complex_matrix(self, band, n, where, seed):
@@ -556,7 +557,8 @@ class TestExpmOracle:
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((5, 5))), np.eye(5))
 
-    # -85.9 - 1.46j went through degree 13 and four squarings to 1.3e-12
+    # a 1x1 matrix is diagonal and exponentiated exactly; -85.9 - 1.46j
+    # through degree 13 and four squarings is off by 1.3e-12
     @pytest.mark.parametrize("z", [0.3, -2.0 + 1.5j, 40.0j, -75.0, -85.88763938676736 - 1.4571892700025086j])
     def test_one_by_one(self, z):
         out = expm(np.array([[z]]))
@@ -566,7 +568,7 @@ class TestExpmOracle:
     @pytest.mark.parametrize("theta", [0.01, 0.2, 0.5, 2.0, 5.0, 40.0])
     def test_rotation_generator(self, theta):
         # exp [[0, -theta], [theta, 0]] is the rotation by theta; its 1-norm
-        # equals its spectral radius, so each degree and the squaring are tight
+        # equals its spectral radius, so the unscaled path and the squaring are tight
         c, s = np.cos(theta), np.sin(theta)
         out = expm(np.array([[0.0, -theta], [theta, 0.0]]))
         assert relative_error(out, np.array([[c, -s], [s, c]])) <= 1e-12
@@ -577,6 +579,14 @@ class TestExpmOracle:
         n = np.eye(k, k=1)
         exact = sum(np.linalg.matrix_power(t * n, j) / math.factorial(j) for j in range(k))
         assert relative_error(expm(n, t), exact) <= 1e-12
+
+    @pytest.mark.parametrize("x, error", [(np.nan, ValueError), (np.inf, OverflowError),
+                                          (-np.inf, OverflowError)], ids=["nan", "inf", "-inf"])
+    def test_a_norm_that_is_not_finite_raises(self, x, error):
+        # not diagonal, so the 1-norm decides the halvings: NaN or infinite
+        # has no count of them
+        with pytest.raises(error):
+            expm(np.array([[x, 1.0], [0.0, 0.0]]))
 
     def test_registry_liouvillians(self):
         # dt = 0.1 is the sample interval of check --simulate (t_final = 20,
