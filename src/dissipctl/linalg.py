@@ -112,14 +112,15 @@ def _frobenius(a: np.ndarray, copies: int = 1) -> float:
 
 
 def scaled_tol(a: np.ndarray, tol: float = DEFAULT_TOL, copies: int = 1) -> float:
-    """The Frobenius rule: tol * max(1, ||a (x) I||_F), I of dimension `copies`."""
+    """The Frobenius rule of norm defects (Hermiticity, commutation,
+    unitarity): tol * max(1, ||a (x) I||_F), I of dimension `copies`."""
     return tol * max(1.0, _frobenius(a, copies))
 
 
 def spectral_tol(w: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """The spectral rule: tol * max(1, max |w|) of the eigenvalues w, which
-    are those of w (x) I too; tol for an empty spectrum.  A NaN in w gives
-    tol, as Python's max keeps its first argument."""
+    """The spectral rule of every eigenvalue verdict: tol * max(1, max |w|) of
+    the eigenvalues w it decomposes, those of w (x) I too; tol for an empty
+    spectrum.  A NaN in w gives tol, as Python's max keeps its first argument."""
     return tol * max(1.0, float(np.abs(w).max(initial=0.0)))
 
 
@@ -129,26 +130,27 @@ def is_hermitian(a, tol: float = DEFAULT_TOL, copies: int = 1) -> bool:
     return _frobenius(a - dagger(a), copies) <= scaled_tol(a, tol, copies)
 
 
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of the Hermitian part of `a`."""
-    return float(np.linalg.eigvalsh(hermitian_part(as_operator(a)))[0])
-
-
-def max_eigenvalue(a) -> float:
-    return float(np.linalg.eigvalsh(hermitian_part(as_operator(a)))[-1])
+def eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of `a`."""
+    return np.linalg.eigvalsh(hermitian_part(as_operator(a)))
 
 
 def is_psd(a, tol: float = DEFAULT_TOL, copies: int = 1) -> bool:
     """a (x) I is positive semidefinite within `spectral_tol`, Hermitian
     (`is_hermitian`) included, I of dimension `copies`."""
     a = as_operator(a)
-    return (is_hermitian(a, tol, copies)
-            and psd_spectrum(np.linalg.eigvalsh(hermitian_part(a)), tol))
+    return is_hermitian(a, tol, copies) and psd_spectrum(eigenvalues(a), tol)
 
 
 def psd_spectrum(w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """The ascending eigenvalues w of a Hermitian matrix are >= -spectral_tol(w)."""
     return bool(w.size == 0 or w[0] >= -spectral_tol(w, tol))
+
+
+def _nonpositive(a, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """(a <= 0 within `spectral_tol` of its eigenvalues w, the margin -max(w))."""
+    w = eigenvalues(a)
+    return bool(w[-1] <= spectral_tol(w, tol)), -float(w[-1])
 
 
 def is_projection(a, tol: float = DEFAULT_TOL) -> bool:
@@ -395,9 +397,9 @@ class _Window:
     X (x) I (I on the `copies` dimensions of the other sites) is held as X;
     a window above MAX_MODEL_DIM is refused (DimensionCapError).
 
-    spec(X (x) I) = spec(X), so eigenvalues, constants and `spectral_tol` are
-    those of the full operators; a Frobenius norm is sqrt(copies) ||X||_F,
-    which `scaled_tol`, `is_hermitian` and `is_psd` take with `copies`.
+    spec(X (x) I) = spec(X), so eigenvalues, constants and eigenvalue verdicts
+    (`spectral_tol`) are those of the full operators; a norm defect is
+    sqrt(copies) ||X||_F, which `scaled_tol` and `is_hermitian` take with `copies`.
     """
 
     def __init__(self, structure: TensorStructure, *ops: LocalOperator, sites=()):
@@ -465,17 +467,19 @@ def expm(a, t: float = 1.0) -> np.ndarray:
 
     The Pade approximant of degree 13 is taken of a / 2^s, with s the fewest
     halvings that bring the exact 1-norm under theta_13, then squared s
-    times (Higham 2005); a NaN norm is a ValueError and an infinite one an
-    OverflowError.  A diagonal matrix, 1x1 included, is exponentiated
-    entrywise.  The arithmetic stays in the dtype of ``a``: a complex matrix
-    with real entries is not demoted.
+    times (Higham 2005).  A diagonal matrix, 1x1 included, is exponentiated
+    entrywise.  A NaN norm is a ValueError and an infinite one an
+    OverflowError, read before either path.  The arithmetic stays in the
+    dtype of ``a``: a complex matrix with real entries is not demoted.
     """
     a = _square(np.asarray(a)) * float(t)
+    norm = float(np.linalg.norm(a, 1))
+    if not norm < np.inf:  # no count of halvings
+        raise (ValueError if np.isnan(norm) else OverflowError)(f"expm of 1-norm {norm}")
     if np.array_equal(a, np.diag(np.diagonal(a))):
         # exact; squaring would scale the Pade error of exp(z / 2^s) by 2^s
         return np.diag(np.exp(np.diagonal(a)))
     eye = np.eye(a.shape[0], dtype=a.dtype)
-    norm = float(np.linalg.norm(a, 1))
     s = 0 if norm <= _THETA_13 else ceil(log2(norm / _THETA_13))
     a = a / 2.0 ** s  # before squaring: (A / 2^s)^2 is finite where A^2 may not be
     a2 = a @ a

@@ -38,17 +38,19 @@ from .linalg import (
     TensorStructure,
     _frobenius,
     _meet,
+    _nonpositive,
     _number,
     _sum_meeting,
     _Window,
     commutator,
     dagger,
+    eigenvalues,
     embed_sum,
     is_psd,
     local_operator,
-    max_eigenvalue,
-    min_eigenvalue,
+    psd_spectrum,
     scaled_tol,
+    spectral_tol,
 )
 from .stability import _schur_constant
 
@@ -177,12 +179,6 @@ def _cross_single_channel(w_n: np.ndarray, w_next: np.ndarray, l: np.ndarray) ->
     return m + dagger(m)
 
 
-def _nonpositive(a: np.ndarray, atol: float) -> tuple[bool, float]:
-    """(a <= 0 within atol, margin = -(largest eigenvalue of a))."""
-    margin = -max_eigenvalue(a)
-    return margin >= -atol, margin
-
-
 def _aggregate(spec: AggregateSpec, mode: str, note: str, tol: float) -> AggregateReport:
     """Per-term constants of the drift -i[W_t, H] + G_own(W_t) under the
     term's own channels (`mode` es or ds), plus the scalability condition of
@@ -214,13 +210,13 @@ def _aggregate(spec: AggregateSpec, mode: str, note: str, tol: float) -> Aggrega
             entry.update(c=c, generator_nonpositive=ok)
         win = _Window(spec.structure, term, *others)
         acc = win.add(_drift([term], others))
-        scal_ok, margin = _nonpositive(acc, scaled_tol(acc, tol, win.copies))
+        scal_ok, margin = _nonpositive(acc, tol)
         entry.update(scalability=scal_ok, scalability_margin=margin,
                      certified=entry["c"] is not None and scal_ok)
         per_term.append(entry)
     overall = all(entry["certified"] for entry in per_term)
     return AggregateReport(mode=mode, per_term=per_term, overall=overall,
-                           d_total=min_eigenvalue(spec.total()),
+                           d_total=float(eigenvalues(spec.total())[0]),
                            notes=[note] if overall else [])
 
 
@@ -273,53 +269,55 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
         # the headroom rule of an operator's door, `local_operator`, for c times a term
         raise InputFormatError("c", f"{c!r} times the norm of a term is too close to the "
                                     "float range")
-    d_n = min_eigenvalue(w_n)
-    d_next = min_eigenvalue(w_n + w_next)
+    lam_n = eigenvalues(w_n)  # gives d_n and the scale of the ladder d_(n+1) >= d_n
+    d_n = float(lam_n[0])
+    d_next = float(eigenvalues(w_n + w_next)[0])
     eye = np.eye(w_n.shape[0])
 
     g = win.add(_drift(prior, spec.couplings, h))
     shifted = w_n - d_n * eye
-    prior_tol = max(tol, 1e-8)
-    if mode == "es" and not _nonpositive(g + c * shifted, scaled_tol(g, prior_tol, win.copies))[0]:
+    prior_tol = max(tol, 1e-8)  # at tol 1e-15, rounding (2e-14) fails cluster_chain(9)'s prior
+    if mode == "es" and not _nonpositive(g + c * shifted, prior_tol)[0]:
         raise PreconditionError(
             f"prior certificate missing: existing channels do not give the decay bound at c={c}"
         )
     if mode == "ds":
-        if not _nonpositive(g, scaled_tol(g, prior_tol, win.copies))[0]:
+        if not _nonpositive(g, prior_tol)[0]:
             raise PreconditionError("prior certificate missing: generator not non-positive")
         d_op = win.add((dissipation_single_channel, _sum_meeting(spec.structure, prior, l), l)
                        for l in spec.couplings)
-        if not _nonpositive(c * shifted - d_op, scaled_tol(d_op, prior_tol, win.copies))[0]:
+        if not _nonpositive(c * shifted - d_op, prior_tol)[0]:
             raise PreconditionError(f"prior certificate missing: dissipation bound fails at c={c}")
 
     gen = win.add(_drift([nxt], channels, h) + _drift(prior, spec.new_couplings))
     shift = 0.0 if d_free else c * (d_next - d_n) * eye
     if mode == "es":
-        holds, margin = _nonpositive(gen + c * w_next - shift, scaled_tol(gen, tol, win.copies))
+        holds, margin = _nonpositive(gen + c * w_next - shift, tol)
         info = {"margin": margin}
     else:
-        gen_ok, gen_margin = _nonpositive(gen, scaled_tol(gen, tol, win.copies))
+        gen_ok, gen_margin = _nonpositive(gen, tol)
         cross = win.add((_cross_single_channel, t, nxt, l) for l in channels for t in prior)
         diss = win.add((dissipation_single_channel, nxt, l) for l in channels) + cross
-        diss_margin = min_eigenvalue(diss - c * w_next + shift)
-        holds = gen_ok and diss_margin >= -scaled_tol(diss, tol, win.copies)
+        lam = eigenvalues(diss - c * w_next + shift)
+        holds = gen_ok and psd_spectrum(lam, tol)
         info = {"generator_margin": gen_margin,
-                "margin" if d_free else "dissipation_margin": diss_margin,
+                "margin" if d_free else "dissipation_margin": float(lam[0]),
                 "cross_norm": float(np.linalg.norm(cross, 2))}
     info.update(d_n=d_n, d_next=d_next)
     if not d_free:
-        info["d_ladder_ok"] = d_next >= d_n - scaled_tol(w_n, tol, win.copies)
+        info["d_ladder_ok"] = d_next >= d_n - spectral_tol(lam_n, tol)
     return holds, info
 
 
 def _commutes(structure: TensorStructure, a: LocalOperator, b: LocalOperator,
               tol: float) -> tuple[bool, float]:
     """([a, b] = 0 within scaled_tol(a) * max(1, ||b||), the defect ||[a, b]||),
-    on the window of the two; disjoint supports commute exactly."""
+    on the window of the two; disjoint supports commute exactly.  ||b|| is
+    taken on b's own sites: the other sites' copies enter each side once."""
     win = _Window(structure, a, b)
     defect = _frobenius(win.add([(commutator, a, b)]), win.copies)
     a_tol = scaled_tol(win.embed(a), tol, win.copies)
-    return defect <= a_tol * max(1.0, _frobenius(win.embed(b), win.copies)), defect
+    return defect <= a_tol * max(1.0, _frobenius(b.matrix)), defect
 
 
 def _factor(structure: TensorStructure, u: LocalOperator, l: LocalOperator) -> LocalOperator:

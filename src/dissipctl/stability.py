@@ -35,10 +35,10 @@ from .linalg import (
     DEFAULT_TOL,
     _frobenius,
     dagger,
+    eigenvalues,
     haar_pure_state,
     hermitian_part,
     is_psd,
-    max_eigenvalue,
     psd_spectrum,
     spectral_tol,
 )
@@ -136,7 +136,7 @@ def _lyapunov(v: list, lam: np.ndarray, model: LindbladModel,
     g = generator(v, model, tol)
     gen_ok = is_psd(-g, tol)
     if not gen_ok:
-        diag["generator"] = f"G(V) has positive eigenvalue {max_eigenvalue(g):.6g}"
+        diag["generator"] = f"G(V) has positive eigenvalue {eigenvalues(g)[-1]:.6g}"
     return (psd_ok and zero_ok and gen_ok), diag, g
 
 

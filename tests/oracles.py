@@ -28,8 +28,8 @@ from dissipctl.lindblad import (
 )
 from dissipctl.linalg import (
     DEFAULT_TOL, PAULI_X, PAULI_Y, PAULI_Z, TensorStructure, as_operator, commutator, dagger,
-    haar_pure_state, hermitian_part, is_hermitian, is_psd, max_eigenvalue, min_eigenvalue,
-    psd_spectrum, scaled_tol,
+    haar_pure_state, hermitian_part, is_hermitian, is_psd, psd_spectrum, scaled_tol,
+    spectral_tol,
 )
 from dissipctl.scalability import AggregateReport, AggregateSpec, _cross_single_channel
 from dissipctl.stability import largest_constant
@@ -46,6 +46,11 @@ class SolverBudgetError(DissipctlError):
 
 
 # -- linear algebra -----------------------------------------------------------
+
+
+def _spectrum(a) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of `a`."""
+    return np.linalg.eigvalsh(hermitian_part(as_operator(a)))
 
 
 def kron(a, b) -> np.ndarray:
@@ -406,7 +411,7 @@ def frustration_free_check(terms, tol: float = DEFAULT_TOL) -> bool:
         if not is_psd(t, tol):
             raise PreconditionError(f"term {i} is not PSD")
     total = sum(ops)
-    d = min_eigenvalue(total)
+    d = float(_spectrum(total)[0])
     return abs(d) <= tol * max(1.0, float(np.linalg.norm(total, 2)))
 
 
@@ -504,7 +509,9 @@ def dissipation_cross_term(spec: AggregateSpec) -> np.ndarray:
 # The aggregation theorems as they were before the support windows: every
 # quantity on the full space.  Bodies unchanged, except that they read the
 # spec's operators through its dense view, that the per-term conditions
-# count the drift -i[W_t, H] of the spec's H, as the windowed ones do, and
+# count the drift -i[W_t, H] of the spec's H, that every eigenvalue verdict
+# reads the spectral rule of its own spectrum and a commutation clause the
+# norm of its term on the term's own sites, all as the windowed ones do, and
 # that `incremental_operators` computes the operators of `check_incremental`
 # that depend on neither c nor d_free.
 
@@ -521,10 +528,10 @@ def _require_terms_psd(spec: AggregateSpec, tol: float) -> None:
             raise PreconditionError(f"term {i} is not PSD", field=f"spec.terms[{i}]")
 
 
-def _nonpositive(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[bool, float]:
-    """(a <= 0 within scaled_tol(scale), margin = -(largest eigenvalue of a))."""
-    margin = -max_eigenvalue(a)
-    return margin >= -scaled_tol(scale, tol), margin
+def _nonpositive(w: np.ndarray, tol: float) -> tuple[bool, float]:
+    """(a <= 0 within spectral_tol(w), margin = -max(w)) of a matrix a with
+    the ascending eigenvalues w."""
+    return bool(w[-1] <= spectral_tol(w, tol)), -float(w[-1])
 
 
 def _cross_channel_margin(spec: AggregateSpec, t: int, ks, tol: float) -> tuple[bool, float]:
@@ -535,7 +542,7 @@ def _cross_channel_margin(spec: AggregateSpec, t: int, ks, tol: float) -> tuple[
     if key not in view.memo:
         others = [l for k, l in enumerate(view.couplings) if k not in ks]
         acc = _channel_sum(generator_single_channel, view.terms[t], others)
-        view.memo[key] = _nonpositive(acc, acc, tol)
+        view.memo[key] = _nonpositive(_spectrum(acc), tol)
     return view.memo[key]
 
 
@@ -583,7 +590,7 @@ def _aggregate(spec: AggregateSpec, mode: str, term_constant, note: str,
         per_term.append(entry)
     overall = all(entry["certified"] for entry in per_term)
     return AggregateReport(mode=mode, per_term=per_term, overall=overall,
-                           d_total=min_eigenvalue(view.total),
+                           d_total=float(_spectrum(view.total)[0]),
                            notes=[note] if overall else [])
 
 
@@ -620,9 +627,10 @@ def incremental_operators(spec: AggregateSpec, n: int) -> SimpleNamespace:
     cross = _channel_sum(partial(_cross_single_channel, w_n), w_next, full.couplings)
     g = generator(w_n, prior)
     return SimpleNamespace(
-        w_n=w_n, w_next=w_next, d_n=min_eigenvalue(w_n), d_next=min_eigenvalue(w_n + w_next),
-        g=g, g_margin=-max_eigenvalue(g), d_op=dissipation_functional(w_n, prior),
-        gen=gen, gen_margin=-max_eigenvalue(gen), cross_norm=float(np.linalg.norm(cross, 2)),
+        w_n=w_n, w_next=w_next, spectrum_n=_spectrum(w_n),
+        d_next=float(_spectrum(w_n + w_next)[0]),
+        g=g, g_spectrum=_spectrum(g), d_op=dissipation_functional(w_n, prior),
+        gen=gen, gen_spectrum=_spectrum(gen), cross_norm=float(np.linalg.norm(cross, 2)),
         diss=dissipation_functional(w_next, full) + cross)
 
 
@@ -638,44 +646,47 @@ def check_incremental(spec: AggregateSpec, n: int, c: float, mode: str = "es",
         raise PreconditionError(f"must satisfy 1 <= n < {spec.n_terms}, got {n}", field="n")
     _require_terms_psd(spec, tol)
     o = incremental_operators(spec, n) if ops is None else ops
-    w_n, w_next, d_n, d_next, g = o.w_n, o.w_next, o.d_n, o.d_next, o.g
+    w_n, w_next, d_n, d_next, g = o.w_n, o.w_next, float(o.spectrum_n[0]), o.d_next, o.g
     eye = np.eye(w_n.shape[0])
 
     shifted = w_n - d_n * eye
     prior_tol = max(tol, 1e-8)
-    if mode == "es" and not _nonpositive(g + c * shifted, g, prior_tol)[0]:
+    if mode == "es" and not _nonpositive(_spectrum(g + c * shifted), prior_tol)[0]:
         raise PreconditionError(
             f"prior certificate missing: existing channels do not give the decay bound at c={c}"
         )
     if mode == "ds":
-        if not o.g_margin >= -scaled_tol(g, prior_tol):
+        if not _nonpositive(o.g_spectrum, prior_tol)[0]:
             raise PreconditionError("prior certificate missing: generator not non-positive")
-        if not _nonpositive(c * shifted - o.d_op, o.d_op, prior_tol)[0]:
+        if not _nonpositive(_spectrum(c * shifted - o.d_op), prior_tol)[0]:
             raise PreconditionError(f"prior certificate missing: dissipation bound fails at c={c}")
 
     gen = o.gen
     shift = 0.0 if d_free else c * (d_next - d_n) * eye
     if mode == "es":
-        holds, margin = _nonpositive(gen + c * w_next - shift, gen, tol)
+        holds, margin = _nonpositive(_spectrum(gen + c * w_next - shift), tol)
         info = {"margin": margin}
     else:
-        gen_ok, gen_margin = o.gen_margin >= -scaled_tol(gen, tol), o.gen_margin
-        diss = o.diss
-        diss_margin = min_eigenvalue(diss - c * w_next + shift)
-        holds = gen_ok and diss_margin >= -scaled_tol(diss, tol)
+        gen_ok, gen_margin = _nonpositive(o.gen_spectrum, tol)
+        lam = _spectrum(o.diss - c * w_next + shift)
+        holds = gen_ok and psd_spectrum(lam, tol)
         info = {"generator_margin": gen_margin,
-                "margin" if d_free else "dissipation_margin": diss_margin,
+                "margin" if d_free else "dissipation_margin": float(lam[0]),
                 "cross_norm": o.cross_norm}
     info.update(d_n=d_n, d_next=d_next)
     if not d_free:
-        info["d_ladder_ok"] = d_next >= d_n - scaled_tol(w_n, tol)
+        info["d_ladder_ok"] = d_next >= d_n - spectral_tol(o.spectrum_n, tol)
     return holds, info
 
 
-def _commutes(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
-    """([a, b] = 0 within scaled_tol(a) * max(1, ||b||), the defect ||[a, b]||)."""
+def _commutes(a: np.ndarray, b: np.ndarray, b_own: np.ndarray,
+              tol: float) -> tuple[bool, float]:
+    """([a, b] = 0 within scaled_tol(a) * max(1, ||b_own||), the defect
+    ||[a, b]||): a and the defect on the whole space, b's norm that of
+    `b_own`, b on its own sites, so that each side carries the copies of the
+    other sites once."""
     defect = float(np.linalg.norm(commutator(a, b)))
-    return defect <= scaled_tol(a, tol) * max(1.0, float(np.linalg.norm(b))), defect
+    return defect <= scaled_tol(a, tol) * max(1.0, float(np.linalg.norm(b_own))), defect
 
 
 def _unitary(u: np.ndarray, tol: float) -> tuple[bool, float]:
@@ -691,7 +702,8 @@ def clause(spec: AggregateSpec, kind: str, a: int, t: int, tol: float = DEFAULT_
     view = dense_view(spec)
     key = ("clause", kind, a, t, tol)
     if key not in view.memo:
-        view.memo[key] = _commutes(getattr(view, kind)[a], view.terms[t], tol)
+        view.memo[key] = _commutes(getattr(view, kind)[a], view.terms[t],
+                                   spec.terms[t].matrix, tol)
     return view.memo[key]
 
 
@@ -901,7 +913,7 @@ def verify_v2_dominated(v: np.ndarray, u: np.ndarray, c: float,
     v, u = as_operator(v), as_operator(u)
     if not is_psd(v, tol):
         raise PreconditionError("V must be PSD")
-    if min_eigenvalue(v @ v - v) < -scaled_tol(v, tol):
+    if float(_spectrum(v @ v - v)[0]) < -scaled_tol(v, tol):
         raise PreconditionError("V^2 >= V does not hold")
     if not is_unitary(u, max(tol, 1e-8)):
         raise PreconditionError("U must be unitary")

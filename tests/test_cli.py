@@ -554,6 +554,33 @@ class TestScale:
         assert code == 0
         assert json.loads(out)["report"]["holds"]
 
+    @pytest.mark.parametrize("theorem", ["es", "ds"])
+    @pytest.mark.parametrize("n_qubits", [1, 4, 8, 12])
+    def test_a_weak_pump_is_refused_at_every_size(self, capsys, tmp_path, n_qubits, theorem):
+        # the unassigned 1e-4 sigma_+ gives G_others(W) the eigenvalue +1e-8 on
+        # the ground state, as check finds; the margin's tolerance grew with
+        # sqrt(2^(N-1)) and certified it from N = 8
+        def on_site_1(matrix):
+            return {"sites": [1], "matrix": matrix}
+        decay = on_site_1([[0, 0], [1, 0]])
+        spec = {"dims": [2] * n_qubits, "terms": [on_site_1([[1, 0], [0, 0]])],
+                "couplings": [decay, decay, on_site_1([[0, 1e-4], [0, 0]])], "assignment": [0]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = _run(capsys, ["scale", "--spec", str(path), "--theorem", theorem])
+        term = json.loads(out)["report"]["per_term"][0]
+        assert (code, term["scalability"]) == (2, False)
+        assert term["scalability_margin"] == pytest.approx(-1e-8, rel=1e-6)
+
+    @pytest.mark.parametrize("theorem", ["inc-es", "inc-ds"])
+    def test_the_prior_floor_keeps_a_true_certificate(self, capsys, theorem):
+        # at tol 1e-15, rounding alone (2e-14 in the largest eigenvalue of the
+        # prior's bound, 1.8e-14 allowed, one BLAS thread) refused the true
+        # prior certificate of W_1..W_6; max(tol, 1e-8) re-tests it
+        code, out, _ = _run(capsys, ["scale", "--name", "cluster_chain(9)", "--theorem", theorem,
+                                     "--tol", "1e-15"])
+        assert code == 0 and json.loads(out)["report"]["holds"]
+
 
 AGGREGATES = [name for name in sorted(REGISTRY) if build(name).aggregate is not None]
 THEOREMS = [["es"], ["ds"], ["commuting"], ["d-free"], ["inc-es"], ["inc-ds"],

@@ -583,10 +583,12 @@ class TestExpmOracle:
     @pytest.mark.parametrize("x, error", [(np.nan, ValueError), (np.inf, OverflowError),
                                           (-np.inf, OverflowError)], ids=["nan", "inf", "-inf"])
     def test_a_norm_that_is_not_finite_raises(self, x, error):
-        # not diagonal, so the 1-norm decides the halvings: NaN or infinite
-        # has no count of them
+        # NaN or infinite has no count of halvings, and the norm is read
+        # before the diagonal shortcut, which would return exp(inf) or 0
         with pytest.raises(error):
             expm(np.array([[x, 1.0], [0.0, 0.0]]))
+        with pytest.raises(error):
+            expm(np.diag([x, 0.0]))
 
     def test_registry_liouvillians(self):
         # dt = 0.1 is the sample interval of check --simulate (t_final = 20,

@@ -12,6 +12,7 @@ local (the registry builders, Pauli shorthands and the JSON written by
 """
 
 import dataclasses
+import re
 import tracemalloc
 from functools import partial
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dissipctl.linalg import LocalOperator, TensorStructure, embed_sum, max_eigenvalue
+from dissipctl.linalg import LocalOperator, TensorStructure, eigenvalues, embed_sum
 from dissipctl.models import REGISTRY, build, cluster_chain
 from dissipctl.serialize import aggregate_from_json, aggregate_to_json, matrix_to_json
 from dissipctl.scalability import (
@@ -301,9 +302,9 @@ def test_certificates_bound_the_dense_generator(spec):
     es, ds = check_theorem_es_aggregation(spec), check_theorem_ds_aggregation(spec)
     if es.overall:
         bound = g + min(es.constants) * w
-        assert max_eigenvalue(bound) <= 1e-9 * max(1.0, np.linalg.norm(bound))
+        assert eigenvalues(bound)[-1] <= 1e-9 * max(1.0, np.linalg.norm(bound))
     if ds.overall:
-        assert max_eigenvalue(g) <= 1e-9 * max(1.0, np.linalg.norm(g))
+        assert eigenvalues(g)[-1] <= 1e-9 * max(1.0, np.linalg.norm(g))
 
 
 @st.composite
@@ -378,3 +379,104 @@ def test_embed_sum_of_registry_aggregates(name):
 @given(st.one_of(pauli_aggregates(), pauli_aggregates(separated=True)))
 def test_embed_sum_of_random_pauli_aggregates(spec):
     assert_sums_are_the_reference(spec)
+
+
+# -- idle qubits -----------------------------------------------------------------
+#
+# Every eigenvalue verdict reads the spectral rule of the spectrum it
+# decomposes, and spec(Y (x) I) = spec(Y), so qubits on which no operator acts
+# change no verdict, constant or margin.  Only d, an eigenvalue of the whole
+# space, is recomputed.
+
+_SCALES = [1e-2, 1e-1, 1.0, 1e1, 1e2]
+
+
+@st.composite
+def pumped_specs(draw):
+    """Specs on one to three qubits, every operator scale from 1e-2 to 1e2.
+    Each term is a P, with P = R|0><0|R' on one site or that times |0><0|
+    on the next, R a rotation of the term's first site, and has its own
+    decay r R sigma_- R' there, with U = R X R'.  At times the term also
+    meets an unassigned weak pump R sigma_+ R' (1e-2 or 1e-1) against one or
+    two strong decays (1e1 or 1e2): the positive eigenvalue of its
+    generator is then down to 1e-8 of the generator's norm, which a
+    tolerance growing with the idle qubits passed.  Unassigned decays, pumps
+    and dephasings R Z R' (U = I) fall on any site; at times there are an
+    H, h R X R', and a new channel."""
+    n = draw(st.integers(1, 3), label="qubits")
+    rotations = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+                 for t in draw(st.lists(st.sampled_from([0.0, 0.3, 1.1]), min_size=n,
+                                        max_size=n), label="angles")]
+    scale = st.sampled_from(_SCALES)
+
+    def on(site: int, m: np.ndarray) -> LocalOperator:
+        return LocalOperator((site,), rotations[site - 1] @ m @ rotations[site - 1].T)
+
+    p, minus, z = np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    identity = LocalOperator((), np.ones((1, 1)))
+    terms, couplings, unitaries = [], [], []
+    for site in draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True),
+                     label="term sites"):
+        term = on(site, draw(scale) * p)
+        if site < n and draw(st.booleans(), label="two-site term"):
+            term = LocalOperator((site, site + 1), np.kron(term.matrix, p))
+        terms.append(term)
+        couplings.append(on(site, draw(scale) * minus))
+        unitaries.append(on(site, np.array([[0.0, 1.0], [1.0, 0.0]])))
+        if draw(st.booleans(), label="pumped"):  # against one or two strong decays
+            others = [minus] * draw(st.integers(1, 2)) + [minus.T]
+            couplings += [on(site, draw(st.sampled_from(_SCALES[3:] if kind is minus else
+                                                          _SCALES[:2])) * kind) for kind in others]
+            unitaries += [identity] * len(others)
+    for kind in draw(st.lists(st.sampled_from([minus, minus.T, z]), max_size=2), label="others"):
+        couplings.append(on(draw(st.integers(1, n)), draw(scale) * kind))
+        unitaries.append(identity)
+    h = {}
+    if draw(st.booleans(), label="hamiltonian"):
+        h["hamiltonian"] = on(draw(st.integers(1, n)), draw(scale) * np.array([[0.0, 1.0],
+                                                                                 [1.0, 0.0]]))
+    new = [on(draw(st.integers(1, n)), draw(scale) * minus)
+           for _ in range(draw(st.integers(0, 1), label="new channels"))]
+    return AggregateSpec(TensorStructure.qubits(n), terms, couplings,
+                         assignment=list(range(len(terms))), unitaries=unitaries,
+                         new_couplings=new, **h)
+
+
+def _verdicts(spec: AggregateSpec) -> tuple[dict, list[float]]:
+    """Every theorem's outcome, its numbers as exact reprs and the notes
+    without the printed norms, which are those of the whole space; and the
+    ground energies d of the aggregate reports."""
+    out, d = {}, []
+    for check in (check_theorem_es_aggregation, check_theorem_ds_aggregation,
+                  check_corollary_commuting):
+        report = check(spec)
+        notes = [re.sub(r"norm [^)]*\)", "norm)", note) for note in report.notes]
+        out[report.mode] = repr((report.overall, report.per_term, notes))
+        d.append(report.d_total)
+    for mode, d_free in (("es", False), ("ds", False), ("es", True), ("ds", True)):
+        out[mode, d_free] = repr(_outcome(check_incremental, spec, spec.n_terms - 1, 1.0,
+                                          mode, d_free))
+    return out, d
+
+
+@settings(max_examples=80, deadline=None)
+@given(pumped_specs())
+def test_idle_qubits_change_no_verdict(spec):
+    verdicts, d = _verdicts(spec)
+    for k in (2, 5):
+        idle = dataclasses.replace(spec, structure=TensorStructure(spec.structure.dims + (2,) * k))
+        idle_verdicts, idle_d = _verdicts(idle)
+        assert idle_verdicts == verdicts, k
+        assert all(_close(x, y) for x, y in zip(idle_d, d)), k
+
+
+@pytest.mark.parametrize("n_qubits", [1, 4, 8, 12])
+def test_a_tilted_projector_commutes_at_no_size(n_qubits):
+    # [P, Q] for P = diag(1, 0) and Q = P tilted by 3e-8 has the norm 4.2e-8,
+    # 42 tol; the threshold carried the copies of the other sites twice and
+    # passed it from N = 12
+    v = np.array([np.cos(3e-8), np.sin(3e-8)])
+    ok, defect = _commutes(TensorStructure.qubits(n_qubits), LocalOperator((1,), np.diag(
+        [1.0, 0.0])), LocalOperator((1,), np.outer(v, v)), 1e-9)
+    assert not ok
+    assert defect == pytest.approx(np.sqrt(2.0 ** n_qubits) * 3e-8, rel=1e-6)
